@@ -171,12 +171,16 @@ def simulate_report(
     from .holonomy import condition_residuals
 
     schedule = build_schedule(spec)
-    cyc, par = condition_residuals(schedule, ErrorModel(epsilon=err.epsilon, eta=err.eta))
+    closed = ErrorModel(epsilon=err.epsilon, eta=err.eta)
     if err.open_system:
+        # samples counts Lindblad steps here; the residuals keep the
+        # default unitary resolution
+        cyc, par = condition_residuals(schedule, propagate_unitary(schedule, closed), closed)
         fid, traj = _six_state_run(schedule, err, schedule.target, samples)
         metric = "six_axial_state_average"
     else:
-        traj = propagate_unitary(schedule, ErrorModel(epsilon=err.epsilon, eta=err.eta), samples)
+        traj = propagate_unitary(schedule, closed, samples)
+        cyc, par = condition_residuals(schedule, traj, closed)
         fid = unitary_gate_fidelity(traj.final, schedule.target, schedule.system)
         metric = "two_design_average"
     report = GateReport(

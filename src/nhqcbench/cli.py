@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
         {
             "kind": traj.kind,
             "metric": report.metric,
-            "samples": args.samples or default_samples(traj.kind),
+            "samples": default_samples(traj.kind) if args.samples is None else args.samples,
             "unit_mode": unit,
             "omega_bar": 1.0,
             "scheme": args.scheme,
@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
     columns, rows = _sweep_rows(result)
     meta = {
         "metric": "six_axial_state_average",
-        "samples": args.samples or default_samples("lindblad"),
+        "samples": default_samples("lindblad") if args.samples is None else args.samples,
         "unit_mode": args.units,
         "omega_bar": 1.0,
         "axis": args.axis,
@@ -281,7 +281,7 @@ def cmd_fig13(args) -> int:
     columns, rows = _sweep_rows(result)
     meta = {
         "metric": "six_axial_state_average",
-        "samples": args.samples or default_samples("lindblad"),
+        "samples": default_samples("lindblad") if args.samples is None else args.samples,
         "unit_mode": args.units,
         "omega_bar": 1.0,
         "panel": panel,
@@ -299,9 +299,8 @@ def cmd_fig13(args) -> int:
 def cmd_check(args) -> int:
     spec = _resolve_spec(args.scheme)
     schedule = build_schedule(spec)
-    samples = args.samples or default_samples("unitary")
-    cyc, par = condition_residuals(schedule, ErrorModel(), samples)
-    traj = propagate_unitary(schedule, ErrorModel(), samples)
+    traj = propagate_unitary(schedule, ErrorModel(), args.samples)
+    cyc, par = condition_residuals(schedule, traj)
     U_oracle = oracle_propagate_unitary(schedule)
     defect = float(np.abs(traj.final - U_oracle).max())
     print(f"scheme={schedule.scheme_label}")
@@ -321,15 +320,11 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _golden_dir(args) -> Path:
-    return Path(args.dir)
-
-
 def cmd_goldens(args) -> int:
     if not args.regenerate:
         print("nothing to do (use --regenerate)")
         return 0
-    out_dir = _golden_dir(args)
+    out_dir = Path(args.dir)
     catalog = benchmark_catalog()
     grid = np.linspace(-0.1, 0.1, 41)
     fixed = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
@@ -409,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, lindblad=False):
+    def add_common(p):
         p.add_argument("--samples", type=int, default=None,
                        help="integrator steps (default: 2000 unitary / 4000 open; "
                             "NHQC_SAMPLES overrides)")

@@ -2,9 +2,11 @@
 
 Two independent numerical routes are maintained everywhere:
 
-* the production path: fixed-step RK4 on dU/dt = -iH(t)U (or the Lindblad
-  right-hand side), with generator samples precomputed on the half-step
-  lattice;
+* the production path: ``numkit.rk4_linear``, one fixed-step RK4 engine for
+  y' = A(t) y, with A = -iH(t) for propagators and A = the row-major
+  Lindblad superoperator for density matrices; H is sampled on the
+  half-step lattice of each segment and the states follow as a chain of
+  precomputed step matrices;
 * the oracle path: time-ordered products of exact slice exponentials
   (eigendecomposition for unitary slices, a fourth-order commutator-free
   Magnus product of superoperator exponentials for open slices).
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkit import expm_hermitian_batch, rk4_step_nodes
+from .numkit import expm_hermitian_batch, rk4_linear
 from .system import (
     ErrorModel,
     LevelSystem,
@@ -117,11 +119,22 @@ def allocate_steps(schedule: PulseSchedule, total_steps: int, floor: int = 8) ->
     return alloc
 
 
-def _segment_node_times(schedule: PulseSchedule, alloc: list[int]):
-    """Per-segment (local half-step lattice, step size, step count)."""
-    for seg, n in zip(schedule.segments, alloc):
-        h = seg.duration / n
-        yield np.linspace(0.0, seg.duration, 2 * n + 1), h, n
+def _rk4_segments(schedule: PulseSchedule, err: ErrorModel, samples: int | None, kind: str):
+    """RK4 inputs per segment, [(h, H nodes on the half-step lattice)], and
+    the global time of every state the chain produces; samples=None takes
+    the default step count of `kind`."""
+    steps = default_samples(kind) if samples is None else samples
+    if steps < 1:
+        raise ValueError(f"step count {steps} must be >= 1")
+    segments = []
+    times = [np.zeros(1)]
+    t_offset = 0.0
+    for si, (seg, n) in enumerate(zip(schedule.segments, allocate_steps(schedule, steps))):
+        lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
+        segments.append((seg.duration / n, segment_hamiltonian_nodes(schedule, si, lattice, err)))
+        times.append(t_offset + lattice[2::2])
+        t_offset += seg.duration
+    return segments, np.concatenate(times)
 
 
 def propagate_unitary(
@@ -130,27 +143,9 @@ def propagate_unitary(
     """RK4 propagator trajectory, integrated segment by segment."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
-    steps = samples or default_samples("unitary")
-    alloc = allocate_steps(schedule, steps)
+    segments, times = _rk4_segments(schedule, err, samples, "unitary")
     d = schedule.system.dim
-    U = np.eye(d, dtype=complex)
-    ops = [U]
-    times = [0.0]
-    t_offset = 0.0
-    for si, (lattice, h, n) in enumerate(_segment_node_times(schedule, alloc)):
-        H = segment_hamiltonian_nodes(schedule, si, lattice, err)
-        for k in range(n):
-            A0 = -1j * H[2 * k]
-            A1 = -1j * H[2 * k + 1]
-            A2 = -1j * H[2 * k + 2]
-            U = rk4_step_nodes(U, A0, A1, A2, h)
-            if not np.all(np.isfinite(U)):
-                raise RuntimeError(f"propagate_unitary: non-finite state in segment {si} step {k}")
-            ops.append(U)
-            times.append(t_offset + lattice[2 * k + 2])
-        t_offset += schedule.segments[si].duration
-    ops = np.stack(ops)
-    times = np.asarray(times)
+    ops = rk4_linear(np.eye(d), segments, lambda H: -1j * H)
     drift = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(d)).max()
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")
@@ -173,31 +168,11 @@ def _validate_density(rho: np.ndarray, where: str) -> None:
         raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}")
 
 
-def lindblad_rhs_factory(system: LevelSystem, err: ErrorModel):
-    """Returns rhs(H, rho) implementing -i[H,rho] + (1/2) sum G_j L(sigma_j)
-    with L(A) = 2 A rho A^+ - A^+A rho - rho A^+A."""
-    channels = []
-    if err.open_system:
-        sm, sz = jump_operators(system)
-        for G, A in ((err.gamma_minus, sm), (err.gamma_z, sz)):
-            if G > 0:
-                channels.append((G, A, A.conj().T, A.conj().T @ A))
-
-    def rhs(H: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (H @ rho - rho @ H)
-        for G, A, Ad, AdA in channels:
-            out += G * (A @ rho @ Ad - 0.5 * (AdA @ rho + rho @ AdA))
-        return out
-
-    return rhs
-
-
 def propagate_lindblad(
     schedule: PulseSchedule,
     err: ErrorModel,
     rho0: np.ndarray,
     samples: int | None = None,
-    validate: bool = True,
 ) -> Trajectory:
     """RK4 density-matrix trajectory; rho0 may be (d, d) or a batch (m, d, d).
 
@@ -212,30 +187,12 @@ def propagate_lindblad(
         raise ValueError(f"rho0 shape {rho0.shape} does not match dim {d}")
     _validate_density(rho, "in rho0")
 
-    steps = samples or default_samples("lindblad")
-    alloc = allocate_steps(schedule, steps)
-    rhs = lindblad_rhs_factory(schedule.system, err)
-    ops = [rho]
-    times = [0.0]
-    t_offset = 0.0
-    for si, (lattice, h, n) in enumerate(_segment_node_times(schedule, alloc)):
-        H = segment_hamiltonian_nodes(schedule, si, lattice, err)
-        for k in range(n):
-            H0, H1, H2 = H[2 * k], H[2 * k + 1], H[2 * k + 2]
-            k1 = rhs(H0, rho)
-            k2 = rhs(H1, rho + (h / 2) * k1)
-            k3 = rhs(H1, rho + (h / 2) * k2)
-            k4 = rhs(H2, rho + h * k3)
-            rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(rho)):
-                raise RuntimeError(f"propagate_lindblad: non-finite state in segment {si} step {k}")
-            ops.append(rho)
-            times.append(t_offset + lattice[2 * k + 2])
-        t_offset += schedule.segments[si].duration
-    ops = np.stack(ops)
-    times = np.asarray(times)
-    if validate:
-        _validate_density(ops, "during evolution")
+    segments, times = _rk4_segments(schedule, err, samples, "lindblad")
+    # columns are the row-major vectorized density matrices of the batch
+    cols = rk4_linear(rho.reshape(len(rho), d * d).T, segments,
+                      lambda H: lindblad_superoperator(schedule.system, err, H))
+    ops = cols.transpose(0, 2, 1).reshape(len(times), len(rho), d, d)
+    _validate_density(ops, "during evolution")
     mon = monitor_index(schedule.system)
     pe = ops[..., mon, mon].real.max(axis=1)
     if not batch:
@@ -268,10 +225,16 @@ def oracle_propagate_unitary(
 
 
 def lindblad_superoperator(system: LevelSystem, err: ErrorModel, H: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i[H,rho] + dissipator on row-major-vectorized rho."""
+    """Matrix of rho -> -i[H,rho] + dissipator on row-major-vectorized rho
+    (Havel, J. Math. Phys. 44, 534 (2003)); H may be one (d, d) matrix or
+    a stack (n, d, d), giving (d*d, d*d) or (n, d*d, d*d)."""
     d = system.dim
     eye = np.eye(d)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    H = np.asarray(H)
+    # kron(H, I) and kron(I, H^T), broadcast over any leading stack axes
+    left = H[..., :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * H.swapaxes(-1, -2)[..., None, :, None, :]
+    L = (-1j * (left - right)).reshape(H.shape[:-2] + (d * d, d * d))
     if err.open_system:
         sm, sz = jump_operators(system)
         for G, A in ((err.gamma_minus, sm), (err.gamma_z, sz)):
@@ -304,13 +267,13 @@ def oracle_propagate_lindblad(
         n = alloc[si]
         h = seg.duration / n
         t0 = np.arange(n) * h
-        H1 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err)
-        H2 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err)
+        L1 = lindblad_superoperator(
+            schedule.system, err, segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err))
+        L2 = lindblad_superoperator(
+            schedule.system, err, segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err))
         for k in range(n):
-            L1 = lindblad_superoperator(schedule.system, err, H1[k])
-            L2 = lindblad_superoperator(schedule.system, err, H2[k])
-            E1 = scipy.linalg.expm(h * (_CF4_A * L1 + _CF4_B * L2))
-            E2 = scipy.linalg.expm(h * (_CF4_B * L1 + _CF4_A * L2))
+            E1 = scipy.linalg.expm(h * (_CF4_A * L1[k] + _CF4_B * L2[k]))
+            E2 = scipy.linalg.expm(h * (_CF4_B * L1[k] + _CF4_A * L2[k]))
             P = E2 @ E1 @ P
     if batch:
         return np.stack([(P @ r.reshape(-1)).reshape(d, d) for r in rho0])

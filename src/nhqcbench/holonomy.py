@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import propagate_unitary
+from .dynamics import Trajectory
 from .numkit import TimeGrid, expm_hermitian
 from .system import ErrorModel, PulseSchedule, hamiltonian_nodes
 
@@ -155,11 +155,11 @@ def gauge_transformed(frame: AuxiliaryFrame, Vfun) -> AuxiliaryFrame:
 
 
 def condition_residuals(
-    schedule: PulseSchedule, err: ErrorModel = ErrorModel(), samples: int | None = None
+    schedule: PulseSchedule, traj: Trajectory, err: ErrorModel = ErrorModel()
 ) -> tuple[float, float]:
     """Cyclic projector defect and the worst parallel-transport matrix
-    element along the propagated computational trajectories."""
-    traj = propagate_unitary(schedule, err, samples)
+    element along the computational trajectories of `traj`, the unitary
+    trajectory of `schedule` under `err`."""
     comp = schedule.system.computational_indices
     d = schedule.system.dim
     basis = np.zeros((d, 2), dtype=complex)

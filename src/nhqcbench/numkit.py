@@ -1,19 +1,23 @@
-"""Dense complex linear-algebra and integration kernel for small level systems.
+"""Dense complex linear algebra and the one RK4 engine for small systems.
 
-Everything here operates on plain ``numpy`` arrays of shape ``(d, d)`` with
-``d`` between 2 and 8.  Hermitian and unitary properties are enforced by the
-explicit check helpers rather than by a wrapper type; callers validate at the
-boundaries where the tags matter.
+Matrices are plain ``numpy`` arrays, ``(d, d)`` with ``d`` between 2 and 8
+for Hamiltonians and ``(d*d, d*d)`` for Lindblad superoperators.  Hermitian
+and unitary properties are measured by the defect helpers rather than
+carried by a wrapper type; callers validate at the boundaries where they
+matter.  ``rk4_linear`` integrates every linear ODE y' = A(t) y in the
+package (A = -iH for propagators, A = the superoperator for density
+matrices) as a chain of precomputed RK4 step matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-9
+# complex entries per batched array in rk4_linear (512 KiB)
+CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,6 @@ def unitarity_defect(M: np.ndarray) -> float:
     return float(np.abs(M.conj().T @ M - np.eye(d)).max())
 
 
-def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(M) < tol
-
-
-def is_unitary(M: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(M) < tol
-
-
 def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i*H*dt) for Hermitian H, via eigendecomposition.
 
@@ -82,49 +78,49 @@ def expm_hermitian_batch(H: np.ndarray, dt: float) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", V, phases, V.conj())
 
 
-def rk4_propagate(
-    deriv: Callable[[float, np.ndarray], np.ndarray],
+def _step_matrices(A: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from generator
+    nodes A (2c+1, m, m) on the half-step lattice of c steps, where
+    K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2), K4 = A2 (I + h K3)."""
+    A0, A1, A2 = A[0:-1:2], A[1::2], A[2::2]
+    K2 = A1 + (h / 2) * (A1 @ A0)
+    K3 = A1 + (h / 2) * (A1 @ K2)
+    K4 = A2 + h * (A2 @ K3)
+    return np.eye(A.shape[-1]) + (h / 6) * (A0 + 2 * K2 + 2 * K3 + K4)
+
+
+def rk4_linear(
     y0: np.ndarray,
-    grid: TimeGrid,
+    segments: Sequence[tuple[float, np.ndarray]],
+    lift: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Classical fixed-step RK4 for dy/dt = deriv(t, y); returns y(t_end).
+    """Fixed-step RK4 for the linear ODE y' = A(t) y; returns every state.
 
-    Aborts with the failing step index if the state goes non-finite.
+    y0 is (m,) or (m, r).  Each segment is (h, nodes): the nodes sit on the
+    half-step lattice of n steps (2n+1 of them) and lift maps a run of nodes
+    to generator matrices A (.., m, m).  The step matrices are built in
+    batched chunks of at most CHUNK_ELEMENTS // m**2 steps, so transient
+    memory depends on neither the step count nor m; the states then follow
+    by one chain of matmuls into the returned (1 + total steps, *y0.shape)
+    array.  Aborts on the first non-finite state, naming segment and step.
     """
-    y = np.array(y0, dtype=complex)
-    h = grid.h
-    t = grid.t_start
-    for k in range(grid.steps):
-        k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, y + (h / 2) * k1)
-        k3 = deriv(t + h / 2, y + (h / 2) * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"rk4_propagate: non-finite state at step {k}")
-        t += h
-    return y
-
-
-def rk4_step_nodes(y: np.ndarray, A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of dy/dt = A(t) @ y with A sampled at t, t+h/2, t+h.
-
-    Used by the propagation engines, which precompute generator samples on
-    the half-step lattice for speed; equivalent to rk4_propagate on a linear
-    right-hand side.
-    """
-    k1 = A0 @ y
-    k2 = A1 @ (y + (h / 2) * k1)
-    k3 = A1 @ (y + (h / 2) * k2)
-    k4 = A2 @ (y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def quad_trapz(samples: np.ndarray, grid: TimeGrid) -> float:
-    """Trapezoidal integral of uniformly sampled values over the grid."""
-    f = np.asarray(samples, dtype=float)
-    if f.shape != (grid.steps + 1,):
-        raise ValueError(f"expected {grid.steps + 1} samples, got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("quad_trapz: non-finite samples")
-    return float(grid.h * (0.5 * f[0] + f[1:-1].sum() + 0.5 * f[-1]))
+    y0 = np.asarray(y0, dtype=complex)
+    m = y0.shape[0]
+    total = sum((len(nodes) - 1) // 2 for _, nodes in segments)
+    out = np.empty((total + 1,) + y0.shape, dtype=complex)
+    out[0] = y0
+    chunk = max(1, CHUNK_ELEMENTS // (m * m))
+    i = 0  # index of the current state in out
+    for si, (h, nodes) in enumerate(segments):
+        n = (len(nodes) - 1) // 2
+        for c0 in range(0, n, chunk):
+            c = min(chunk, n - c0)
+            P = _step_matrices(lift(nodes[2 * c0:2 * (c0 + c) + 1]), h)
+            for k in range(c):
+                np.matmul(P[k], out[i + k], out=out[i + k + 1])
+            finite = np.isfinite(out[i + 1:i + 1 + c]).reshape(c, -1).all(axis=1)
+            if not finite.all():
+                step = c0 + int(np.argmin(finite))
+                raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
+            i += c
+    return out

@@ -109,6 +109,10 @@ class ErrorModel:
     gamma_z: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "eta", "gamma_minus", "gamma_z"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         if self.gamma_minus < 0 or self.gamma_z < 0:
             raise ValueError("decoherence rates must be non-negative")
 

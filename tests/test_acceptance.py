@@ -102,7 +102,8 @@ def test_criterion_2_ideal_gates(schedules, ideal_runs, oracle_gates, tag):
 
 @pytest.mark.parametrize("tag", ["sl", "c", "s", "cdd"])
 def test_criterion_3_conditions(schedules, tag):
-    cyc, par = condition_residuals(schedules[tag], samples=2500)
+    sched = schedules[tag]
+    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
     ok = cyc < 1e-7 and par < 1e-6
     assert report(3, f"conditions[{tag}]", ok,
                   f"cyclic={cyc:.2e} (<1e-7) parallel={par:.2e} (<1e-6)")
@@ -117,7 +118,8 @@ def test_criterion_3_conditions(schedules, tag):
     "separately); see the decisions ledger",
 )
 def test_criterion_3_conditions_pointwise_unattainable(schedules, tag):
-    cyc, par = condition_residuals(schedules[tag], samples=2500)
+    sched = schedules[tag]
+    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
     ok = cyc < 1e-7 and par < 1e-6
     report(3, f"conditions[{tag}]", ok,
            f"cyclic={cyc:.2e} (<1e-7) parallel={par:.2e} (<1e-6): pointwise "
@@ -128,7 +130,7 @@ def test_criterion_3_conditions_pointwise_unattainable(schedules, tag):
 @pytest.mark.parametrize("tag", ["ps", "dc"])
 def test_criterion_3_net_dynamical_cancellation(schedules, ideal_runs, tag):
     sched = schedules[tag]
-    cyc, _ = condition_residuals(sched, samples=2500)
+    cyc, _ = condition_residuals(sched, propagate_unitary(sched, samples=2500))
     traj = ideal_runs[tag]
     b = sched.system.embed_qubit([0, -1])
     psi = traj.operators @ b
@@ -311,7 +313,7 @@ def test_criterion_8_dfs3(schedules, oracle_gates):
     comp = list(sched.system.computational_indices)
     M = U[np.ix_(comp, comp)]
     leakage = float(np.abs(M.conj().T @ M - np.eye(2)).max())
-    cyc, par = condition_residuals(sched, samples=2500)
+    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
     ok = leakage < 1e-8 and cyc < 1e-7 and par < 1e-8
     assert report(8, "dfs3 subspace gate", ok,
                   f"leakage={leakage:.2e} (<1e-8) cyclic={cyc:.2e} (<1e-7) "
@@ -380,7 +382,7 @@ def test_criterion_10_lindblad_invariants(schedules):
         states = six_axial_states(sched.system)
         rho0 = np.einsum("ki,kj->kij", states, states.conj())
         for err in grid:
-            traj = propagate_lindblad(sched, err, rho0, samples=2500, validate=True)
+            traj = propagate_lindblad(sched, err, rho0, samples=2500)
             tr = np.trace(traj.operators, axis1=-2, axis2=-1)
             assert np.abs(tr - 1).max() < 1e-8
     assert report(10, "lindblad invariants on benchmark grid", True,

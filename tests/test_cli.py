@@ -209,3 +209,20 @@ def test_env_samples_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     traj = (tmp_path / "trajectory_sl_S.csv").read_text()
     assert "# samples=321" in traj
+
+
+@pytest.mark.parametrize("flags, env_samples", [
+    pytest.param(["--samples", "0"], None, id="samples-0"),
+    pytest.param(["--samples", "-5"], None, id="samples-negative"),
+    pytest.param([], "0", id="env-samples-0"),
+    pytest.param(["--epsilon", "nan"], None, id="epsilon-nan"),
+    pytest.param(["--gamma-z", "inf"], None, id="gamma-z-inf"),
+])
+def test_bad_numeric_input_is_usage_error(tmp_path, capsys, monkeypatch, flags, env_samples):
+    if env_samples is not None:
+        monkeypatch.setenv("NHQC_SAMPLES", env_samples)
+    code, _ = run(
+        ["simulate", "--scheme", "sl", "--gate", "S", "--out-dir", str(tmp_path), *flags],
+        capsys,
+    )
+    assert code == 2

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import phase_distance
 from nhqcbench.dynamics import (
+    allocate_steps,
     jump_operators,
     lindblad_superoperator,
     oracle_propagate_lindblad,
@@ -19,6 +20,7 @@ from nhqcbench.system import (
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
+    segment_hamiltonian_nodes,
 )
 
 PI = np.pi
@@ -214,18 +216,65 @@ class TestOracles:
         system = LevelSystem.lambda3()
         err = ErrorModel(gamma_minus=0.1, gamma_z=0.2)
         rng = np.random.default_rng(5)
-        H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        H = H + H.conj().T
+        M = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        Hs = M + M.conj().transpose(0, 2, 1)
         rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = rho @ rho.conj().T
         rho /= np.trace(rho)
-        L = lindblad_superoperator(system, err, H)
-        from nhqcbench.dynamics import lindblad_rhs_factory
+        Ls = lindblad_superoperator(system, err, Hs)
+        assert Ls.shape == (4, 9, 9)
+        for H, L_stacked in zip(Hs, Ls):
+            direct = lindblad_rhs(system, err, H, rho)
+            for L in (lindblad_superoperator(system, err, H), L_stacked):
+                via_super = (L @ rho.reshape(-1)).reshape(3, 3)
+                assert np.abs(direct - via_super).max() < 1e-12
 
-        rhs = lindblad_rhs_factory(system, err)
-        direct = rhs(H, rho)
-        via_super = (L @ rho.reshape(-1)).reshape(3, 3)
-        assert np.abs(direct - via_super).max() < 1e-12
+
+def lindblad_rhs(system, err, H, rho):
+    """-i[H,rho] + sum_j G_j (A_j rho A_j^+ - {A_j^+ A_j, rho}/2), written out."""
+    out = -1j * (H @ rho - rho @ H)
+    if err.open_system:
+        sm, sz = jump_operators(system)
+        for G, A in ((err.gamma_minus, sm), (err.gamma_z, sz)):
+            AdA = A.conj().T @ A
+            out = out + G * (A @ rho @ A.conj().T - 0.5 * (AdA @ rho + rho @ AdA))
+    return out
+
+
+def reference_rk4(schedule, err, y0, samples, rhs):
+    """Four-stage RK4 on y' = rhs(H, y), stepped state by state per segment
+    on the same half-step lattice and step allocation as the engine."""
+    y = y0
+    states = [y]
+    for si, (seg, n) in enumerate(zip(schedule.segments, allocate_steps(schedule, samples))):
+        h = seg.duration / n
+        H = segment_hamiltonian_nodes(
+            schedule, si, np.linspace(0.0, seg.duration, 2 * n + 1), err)
+        for k in range(n):
+            k1 = rhs(H[2 * k], y)
+            k2 = rhs(H[2 * k + 1], y + (h / 2) * k1)
+            k3 = rhs(H[2 * k + 1], y + (h / 2) * k2)
+            k4 = rhs(H[2 * k + 2], y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(y)
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("tag", ["sl", "ps"])
+def test_engine_matches_stagewise_rk4(schedules, tag):
+    sched = schedules[tag]
+    closed = ErrorModel(epsilon=0.04, eta=-0.03)
+    U = reference_rk4(sched, closed, np.eye(3, dtype=complex), 600,
+                      lambda H, y: -1j * H @ y)
+    assert np.abs(propagate_unitary(sched, closed, samples=600).operators - U).max() < 1e-12
+
+    err = ErrorModel(epsilon=0.04, eta=-0.03, gamma_minus=2e-3, gamma_z=1e-3)
+    states = six_axial_states(sched.system)
+    rho0 = np.einsum("ki,kj->kij", states, states.conj())
+    rhos = reference_rk4(sched, err, rho0, 600,
+                         lambda H, rho: np.stack([lindblad_rhs(sched.system, err, H, r)
+                                                  for r in rho]))
+    assert np.abs(propagate_lindblad(sched, err, rho0, samples=600).operators - rhos).max() < 1e-12
 
 
 class TestTrajectoryCapture:
@@ -241,6 +290,15 @@ class TestTrajectoryCapture:
         for tag, traj in ideal_runs.items():
             assert traj.times[0] == 0.0
             assert traj.times[-1] == pytest.approx(schedules[tag].total_duration)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_step_count_below_one_rejected(schedules, samples):
+    sched = schedules["sl"]
+    with pytest.raises(ValueError, match="step count"):
+        propagate_unitary(sched, samples=samples)
+    with pytest.raises(ValueError, match="step count"):
+        propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), samples=samples)
 
 
 def test_nhqc_samples_env_override(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import phase_distance
+from nhqcbench.dynamics import propagate_unitary
 from nhqcbench.holonomy import (
     AuxiliaryFrame,
     ConnectionPair,
@@ -119,8 +120,6 @@ class TestReconstruct:
     def test_finite_difference_second_order(self, schedules):
         sched = schedules["s"]
         comp = list(sched.system.computational_indices)
-        from nhqcbench.dynamics import propagate_unitary
-
         U_ref = propagate_unitary(sched, samples=3000).final[np.ix_(comp, comp)]
 
         def defect(steps):
@@ -154,21 +153,24 @@ class TestReconstruct:
 
 class TestConditionResiduals:
     def test_sl_ideal(self, schedules):
-        cyc, par = condition_residuals(schedules["sl"], samples=1500)
+        sched = schedules["sl"]
+        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=1500))
         assert cyc < 1e-7
         assert par < 1e-6
 
     def test_sl_rabi_error_breaks_cyclicity(self, schedules):
-        cyc0, _ = condition_residuals(schedules["sl"], samples=1000)
-        cyc1, _ = condition_residuals(schedules["sl"], ErrorModel(epsilon=0.1),
-                                      samples=1000)
+        sched = schedules["sl"]
+        err = ErrorModel(epsilon=0.1)
+        cyc0, _ = condition_residuals(sched, propagate_unitary(sched, samples=1000))
+        cyc1, _ = condition_residuals(sched, propagate_unitary(sched, err, samples=1000), err)
         assert cyc1 > 100 * max(cyc0, 1e-12)
         assert cyc1 > 1e-3  # O(epsilon) scale
 
     def test_zero_drive(self):
         from test_dynamics import zero_schedule
 
-        cyc, par = condition_residuals(zero_schedule(), samples=100)
+        sched = zero_schedule()
+        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=100))
         assert cyc == pytest.approx(0.0, abs=1e-14)
         assert par == pytest.approx(0.0, abs=1e-14)
 
@@ -176,7 +178,7 @@ class TestConditionResiduals:
         # the shaped loop violates pointwise parallel transport by exactly
         # (df/dt) sin^2(chi) / 2 along the driven trajectory
         sched = schedules["ps"]
-        _, par = condition_residuals(sched, samples=1500)
+        _, par = condition_residuals(sched, propagate_unitary(sched, samples=1500))
         vs = sched.notes["varsigma"]
         Ts = sched.segments[0].duration
         s = np.linspace(0, Ts, 3001)
@@ -187,7 +189,8 @@ class TestConditionResiduals:
 
     @pytest.mark.parametrize("tag", ["sl", "c", "s", "cdd"])
     def test_pointwise_parallel_transport(self, schedules, tag):
-        cyc, par = condition_residuals(schedules[tag], samples=2000)
+        sched = schedules[tag]
+        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2000))
         assert cyc < 1e-7, tag
         assert par < 1e-6, tag
 
@@ -198,7 +201,7 @@ class TestConditionResiduals:
         from nhqcbench.system import hamiltonian_nodes
 
         sched = schedules[tag]
-        cyc, par = condition_residuals(sched, samples=2000)
+        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2000))
         assert cyc < 1e-7
         assert par > 0.1  # genuinely nonzero pointwise
         traj = ideal_runs[tag]

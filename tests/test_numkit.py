@@ -4,14 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhqcbench import numkit
 from nhqcbench.numkit import (
     TimeGrid,
     expm_hermitian,
     expm_hermitian_batch,
     hermiticity_defect,
-    is_unitary,
-    quad_trapz,
-    rk4_propagate,
+    rk4_linear,
     unitarity_defect,
 )
 
@@ -50,7 +49,7 @@ class TestExpmHermitian:
 
     def test_result_unitary(self):
         U = expm_hermitian(rabi_block(2.3), dt=1.7)
-        assert is_unitary(U, 1e-9)
+        assert unitarity_defect(U) < 1e-9
 
     def test_rejects_non_hermitian(self):
         H = np.zeros((2, 2), dtype=complex)
@@ -75,89 +74,71 @@ class TestExpmHermitian:
             assert np.allclose(U, expm_hermitian(H, 0.21), atol=1e-12)
 
 
+def lattice_nodes(H, duration, steps, envelope=lambda t: np.ones_like(t)):
+    """envelope(t) * H on the half-step lattice of `steps` RK4 steps."""
+    t = np.linspace(0.0, duration, 2 * steps + 1)
+    return duration / steps, envelope(t)[:, None, None] * H
+
+
+def schrodinger(nodes):
+    return -1j * nodes
+
+
 class TestRk4:
     def test_zero_derivative(self):
-        grid = TimeGrid(0.0, 1.0, 50)
-        y = rk4_propagate(lambda t, y: 0 * y, np.eye(3, dtype=complex), grid)
-        assert np.allclose(y, np.eye(3), atol=1e-15)
+        h, nodes = lattice_nodes(np.zeros((3, 3)), 1.0, 50)
+        ys = rk4_linear(np.eye(3), [(h, nodes)], schrodinger)
+        assert ys.shape == (51, 3, 3)
+        assert np.allclose(ys, np.eye(3), atol=1e-15)
 
     def test_constant_generator_vs_expm(self):
         H = rabi_block(1.3)
-        grid = TimeGrid(0.0, 2.0, 400)
-        U = rk4_propagate(lambda t, y: -1j * H @ y, np.eye(3, dtype=complex), grid)
+        U = rk4_linear(np.eye(3), [lattice_nodes(H, 2.0, 400)], schrodinger)[-1]
         assert np.abs(U - expm_hermitian(H, 2.0)).max() < 1e-9
 
     def test_commuting_time_dependent_generator(self):
         # Omega(t) sigma_x: solution exp(-i area(t) sigma_x)
         H = rabi_block()
-        grid = TimeGrid(0.0, 1.0, 500)
-
-        def deriv(t, y):
-            return -1j * np.sin(PI * t) ** 2 * H @ y
-
-        U = rk4_propagate(deriv, np.eye(3, dtype=complex), grid)
+        seg = lattice_nodes(H, 1.0, 500, lambda t: np.sin(PI * t) ** 2)
+        U = rk4_linear(np.eye(3), [seg], schrodinger)[-1]
         area = 0.5  # integral of sin^2(pi t) over [0, 1]
         assert np.abs(U - expm_hermitian(H, area)).max() < 1e-8
+
+    def test_segments_chain(self):
+        # two segments of different step size continue one trajectory
+        H = rabi_block(0.7)
+        ys = rk4_linear(np.eye(3), [lattice_nodes(H, 1.0, 300), lattice_nodes(H, 2.0, 100)],
+                        schrodinger)
+        assert ys.shape == (401, 3, 3)
+        assert np.abs(ys[300] - expm_hermitian(H, 1.0)).max() < 1e-9
+        assert np.abs(ys[-1] - expm_hermitian(H, 3.0)).max() < 1e-7
+
+    def test_chunking_does_not_change_states(self, monkeypatch):
+        H = rabi_block(1.1)
+        segs = [lattice_nodes(H, 1.0, 37, np.cos)]
+        whole = rk4_linear(np.eye(3), segs, schrodinger)
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 9)  # five steps per chunk
+        assert np.array_equal(rk4_linear(np.eye(3), segs, schrodinger), whole)
 
     def test_fourth_order_convergence(self):
         H = rabi_block(1.0)
         ref = expm_hermitian(H, 3.0)
 
         def defect(steps):
-            grid = TimeGrid(0.0, 3.0, steps)
-            U = rk4_propagate(lambda t, y: -1j * H @ y, np.eye(3, dtype=complex), grid)
+            U = rk4_linear(np.eye(3), [lattice_nodes(H, 3.0, steps)], schrodinger)[-1]
             return np.abs(U - ref).max()
 
         assert defect(40) / defect(80) >= 8.0
 
     def test_nan_abort_reports_step(self):
-        def deriv(t, y):
-            return y * (np.nan if t > 0.5 else 1.0)
-
-        with pytest.raises(RuntimeError, match="step"):
-            rk4_propagate(deriv, np.ones(2, dtype=complex), TimeGrid(0.0, 1.0, 10))
+        h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))
+        with pytest.raises(RuntimeError, match="segment 0 step 5"):
+            rk4_linear(np.ones(2), [(h, nodes)], lambda A: A)
 
     def test_unitarity_drift_small(self):
         H = rabi_block(1.0)
-        grid = TimeGrid(0.0, PI, 700)
-        U = rk4_propagate(lambda t, y: -1j * H @ y, np.eye(3, dtype=complex), grid)
+        U = rk4_linear(np.eye(3), [lattice_nodes(H, PI, 700)], schrodinger)[-1]
         assert unitarity_defect(U) < 1e-8
-
-
-class TestQuadTrapz:
-    def test_zero(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        assert quad_trapz(np.zeros(11), grid) == 0.0
-
-    def test_sin_squared(self):
-        tau = 2.0
-        grid = TimeGrid(0.0, tau, 10_000)
-        f = np.sin(PI * grid.times / tau) ** 2
-        assert abs(quad_trapz(f, grid) - tau / 2) < 1e-6
-
-    def test_constant_envelope_area(self):
-        # constant unit envelope over [0, pi] integrates to pi
-        grid = TimeGrid(0.0, PI, 1000)
-        assert abs(quad_trapz(np.ones(1001), grid) - PI) < 1e-12
-
-    def test_rejects_non_finite(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="non-finite"):
-            quad_trapz(np.array([0, 1, np.inf, 1, 0.0]), grid)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            quad_trapz(np.zeros(7), TimeGrid(0.0, 1.0, 4))
-
-    @given(c=st.floats(-5, 5), d=st.floats(-5, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_linearity(self, c, d):
-        grid = TimeGrid(0.0, 1.0, 64)
-        f = np.cos(grid.times)
-        g = grid.times**2
-        lhs = quad_trapz(c * f + d * g, grid)
-        rhs = c * quad_trapz(f, grid) + d * quad_trapz(g, grid)
-        assert abs(lhs - rhs) < 1e-10 * (1 + abs(c) + abs(d))
 
 
 class TestTimeGrid:
