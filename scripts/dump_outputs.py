@@ -1,0 +1,84 @@
+"""Dump the full numerical outputs of every catalog scheme, or compare two dumps.
+
+    python scripts/dump_outputs.py OUT.npz
+    python scripts/dump_outputs.py --compare A.npz B.npz
+
+The dump holds, per scheme, the arrays a numerical change must keep within
+1e-12 of the previous outputs: H nodes on a 4001-point grid and the full
+RK4 propagator trajectory (both at epsilon = 0.03, eta = -0.02), the
+unitary oracle at the same errors, the holonomy reconstruction on the
+4096-step grid `check` uses, and the six-axial-state Lindblad trajectory
+(epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes with an excited
+level).  The oracle Lindblad final states of sl, ps and dc at the golden
+4000 slices are included too.  `--compare` prints max |A - B| per key.
+"""
+import argparse
+import sys
+
+import numpy as np
+
+from nhqcbench.bench import benchmark_catalog
+from nhqcbench.dynamics import (
+    oracle_propagate_lindblad,
+    oracle_propagate_unitary,
+    propagate_lindblad,
+    propagate_unitary,
+    six_axial_states,
+)
+from nhqcbench.holonomy import reconstruct_computational_gate
+from nhqcbench.numkit import TimeGrid
+from nhqcbench.schemes import build_schedule
+from nhqcbench.system import ErrorModel, hamiltonian_nodes
+
+CLOSED = ErrorModel(epsilon=0.03, eta=-0.02)
+OPEN = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
+GOLDEN_TAGS = ("sl", "ps", "dc")
+
+
+def dump(path: str) -> None:
+    arrays = {}
+    for tag, spec in benchmark_catalog().items():
+        sched = build_schedule(spec)
+        T = sched.total_duration
+        arrays[f"{tag}/hnodes"] = hamiltonian_nodes(sched, np.linspace(0.0, T, 4001), CLOSED)
+        arrays[f"{tag}/unitary"] = propagate_unitary(sched, CLOSED).operators
+        arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
+        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(
+            sched, TimeGrid(0.0, T, 4096))
+        if sched.system.excited_index is None:
+            continue
+        states = six_axial_states(sched.system)
+        rho0 = np.einsum("ki,kj->kij", states, states.conj())
+        arrays[f"{tag}/lindblad"] = propagate_lindblad(sched, OPEN, rho0).operators
+        if tag in GOLDEN_TAGS:
+            arrays[f"{tag}/oracle_lindblad"] = oracle_propagate_lindblad(sched, OPEN, rho0)
+        print(f"{tag} done", file=sys.stderr)
+    np.savez_compressed(path, **arrays)
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a, b = np.load(a_path), np.load(b_path)
+    if set(a.files) != set(b.files):
+        print(f"key sets differ: {sorted(set(a.files) ^ set(b.files))}")
+        return 1
+    for key in sorted(a.files):
+        if a[key].shape != b[key].shape:
+            print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
+            continue
+        print(f"{key}: {np.abs(a[key] - b[key]).max():.3e}")
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("paths", nargs="+", metavar="NPZ")
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two dumps instead of writing one")
+    args = parser.parse_args()
+    if args.compare:
+        if len(args.paths) != 2:
+            parser.error("--compare takes two dumps")
+        sys.exit(compare(*args.paths))
+    if len(args.paths) != 1:
+        parser.error("give one output path")
+    dump(args.paths[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import propagate_lindblad, propagate_unitary, six_axial_states
+from .dynamics import propagate_lindblad, propagate_unitary, six_axial_densities, six_axial_states
 from .schemes import SCHEME_LABELS, build_schedule
 from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
 
@@ -123,6 +123,15 @@ def overlap_gate_fidelity(actual: np.ndarray, target: np.ndarray, system) -> flo
     return float(abs(np.trace(M)) / 2)
 
 
+def six_state_fidelity(system, target: np.ndarray, rho: np.ndarray) -> float:
+    """Mean <psi_k| T^+ rho_k T |psi_k> over the six axial states, given
+    their final densities rho (6, d, d), propagated by any route from
+    six_axial_densities(system)."""
+    comp = list(system.computational_indices)
+    ideal = np.stack([system.embed_qubit(target @ s[comp]) for s in six_axial_states(system)])
+    return float(np.einsum("ki,kij,kj->k", ideal.conj(), rho, ideal).real.mean())
+
+
 def _six_state_run(
     schedule: PulseSchedule,
     err: ErrorModel,
@@ -130,13 +139,8 @@ def _six_state_run(
     samples: int | None = None,
 ):
     """Propagate the six axial states open-system; returns (fidelity, traj)."""
-    states = six_axial_states(schedule.system)
-    rho0 = np.einsum("ki,kj->kij", states, states.conj())
-    traj = propagate_lindblad(schedule, err, rho0, samples)
-    comp = list(schedule.system.computational_indices)
-    ideal = np.stack([schedule.system.embed_qubit(target @ s[comp]) for s in states])
-    fids = np.einsum("ki,kij,kj->k", ideal.conj(), traj.final, ideal).real
-    return float(fids.mean()), traj
+    traj = propagate_lindblad(schedule, err, six_axial_densities(schedule.system), samples)
+    return six_state_fidelity(schedule.system, target, traj.final), traj
 
 
 def lindblad_gate_fidelity(

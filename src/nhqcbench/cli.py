@@ -24,6 +24,7 @@ from .bench import (
     benchmark_catalog,
     pulse_area,
     simulate_report,
+    six_state_fidelity,
     sweep,
     table1_rows,
 )
@@ -32,7 +33,7 @@ from .dynamics import (
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_unitary,
-    six_axial_states,
+    six_axial_densities,
 )
 from .holonomy import (
     condition_residuals,
@@ -187,15 +188,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_rows(result) -> tuple[list[str], list[list]]:
-    columns = ["scheme", "value", "fidelity", "pulse_area_pi", "duration",
-               "peak_excited_population"]
-    rows = []
-    for tag in result.reports:
-        for x, rep in zip(result.grid, result.reports[tag]):
-            rows.append([tag, float(x), rep.fidelity, rep.pulse_area_pi,
-                         rep.duration, rep.peak_excited_population])
-    return columns, rows
+def _write_sweep(args, result, out: Path, **meta) -> None:
+    """Write a sweep's CSV, durations in ns under --units physical, and
+    print its row count; meta adds header fields."""
+    scale = TIME_UNIT_NS if args.units == "physical" else 1.0
+    rows = [[tag, float(x), rep.fidelity, rep.pulse_area_pi, rep.duration * scale,
+             rep.peak_excited_population]
+            for tag, reports in result.reports.items() for x, rep in zip(result.grid, reports)]
+    meta.update({
+        "metric": "six_axial_state_average",
+        "samples": default_samples("lindblad") if args.samples is None else args.samples,
+        "unit_mode": args.units,
+        "omega_bar": 1.0,
+        "fixed_gamma_minus": result.fixed.gamma_minus,
+        "fixed_gamma_z": result.fixed.gamma_z,
+    })
+    _write_csv(out, meta, ["scheme", "value", "fidelity", "pulse_area_pi", "duration",
+                           "peak_excited_population"], rows)
+    print(f"rows={len(rows)}")
 
 
 def cmd_sweep(args) -> int:
@@ -212,19 +222,8 @@ def cmd_sweep(args) -> int:
         specs[t] = catalog[t]
     fixed = ErrorModel(gamma_minus=args.gamma_minus, gamma_z=args.gamma_z)
     result = sweep(specs, axis, grid, fixed, args.samples)
-    columns, rows = _sweep_rows(result)
-    meta = {
-        "metric": "six_axial_state_average",
-        "samples": default_samples("lindblad") if args.samples is None else args.samples,
-        "unit_mode": args.units,
-        "omega_bar": 1.0,
-        "axis": args.axis,
-        "fixed_gamma_minus": fixed.gamma_minus,
-        "fixed_gamma_z": fixed.gamma_z,
-    }
     out = Path(args.out) if args.out else Path(args.out_dir) / f"sweep_{args.axis}.csv"
-    _write_csv(out, meta, columns, rows)
-    print(f"rows={len(rows)}")
+    _write_sweep(args, result, out, axis=args.axis)
     print(f"sweep_file={out}")
     return 0
 
@@ -263,7 +262,6 @@ def cmd_fig13(args) -> int:
     n = args.points
     if panel == "a":
         grid = np.linspace(0.0, 6e-4, n)
-        grid[0] = 1e-12  # strictly increasing from a decoherence-free start
         result = sweep(specs, "gamma_decoherence", grid, ErrorModel(), args.samples)
         axis_name = "decoherence"
     elif panel == "b":
@@ -278,20 +276,8 @@ def cmd_fig13(args) -> int:
         axis_name = "eta"
     else:
         raise UsageError(f"unknown panel {panel!r}; valid: a, b, c")
-    columns, rows = _sweep_rows(result)
-    meta = {
-        "metric": "six_axial_state_average",
-        "samples": default_samples("lindblad") if args.samples is None else args.samples,
-        "unit_mode": args.units,
-        "omega_bar": 1.0,
-        "panel": panel,
-        "axis": axis_name,
-        "fixed_gamma_minus": result.fixed.gamma_minus,
-        "fixed_gamma_z": result.fixed.gamma_z,
-    }
     out = Path(args.out) if args.out else Path(args.out_dir) / f"fig13{panel}.csv"
-    _write_csv(out, meta, columns, rows)
-    print(f"rows={len(rows)}")
+    _write_sweep(args, result, out, panel=panel, axis=axis_name)
     print(f"data_file={out}")
     return 0
 
@@ -320,6 +306,13 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _oracle_fidelity(schedule, err: ErrorModel) -> float:
+    """Six-state fidelity through the oracle route at the golden slice count."""
+    rho = oracle_propagate_lindblad(schedule, err, six_axial_densities(schedule.system),
+                                    slices=GOLDEN_ORACLE_SLICES)
+    return six_state_fidelity(schedule.system, schedule.target, rho)
+
+
 def cmd_goldens(args) -> int:
     if not args.regenerate:
         print("nothing to do (use --regenerate)")
@@ -332,19 +325,10 @@ def cmd_goldens(args) -> int:
     for tag in ("sl", "ps", "dc"):
         schedule = build_schedule(catalog[tag])
         area = pulse_area(schedule)
-        states = six_axial_states(schedule.system)
-        rho0 = np.einsum("ki,kj->kij", states, states.conj())
-        comp = list(schedule.system.computational_indices)
-        ideal = np.stack([
-            schedule.system.embed_qubit(schedule.target @ s[comp]) for s in states
-        ])
         for x in grid:
             err = ErrorModel(epsilon=float(x), gamma_minus=fixed.gamma_minus,
                              gamma_z=fixed.gamma_z)
-            rho_fin = oracle_propagate_lindblad(schedule, err, rho0,
-                                                slices=GOLDEN_ORACLE_SLICES)
-            fids = np.einsum("ki,kij,kj->k", ideal.conj(), rho_fin, ideal).real
-            rows.append([tag, float(x), float(fids.mean()), area,
+            rows.append([tag, float(x), _oracle_fidelity(schedule, err), area,
                          schedule.total_duration])
         print(f"golden sweep: {tag} done")
     _write_csv(
@@ -363,13 +347,7 @@ def cmd_goldens(args) -> int:
         rows,
     )
     # frozen single-point value: SL S gate at the published decoherence rates
-    schedule = build_schedule(catalog["sl"])
-    states = six_axial_states(schedule.system)
-    rho0 = np.einsum("ki,kj->kij", states, states.conj())
-    comp = list(schedule.system.computational_indices)
-    ideal = np.stack([schedule.system.embed_qubit(schedule.target @ s[comp]) for s in states])
-    rho_fin = oracle_propagate_lindblad(schedule, fixed, rho0, slices=GOLDEN_ORACLE_SLICES)
-    fid = float(np.einsum("ki,kij,kj->k", ideal.conj(), rho_fin, ideal).real.mean())
+    fid = _oracle_fidelity(build_schedule(catalog["sl"]), fixed)
     point = {
         "scheme": "sl",
         "gate": "S",
@@ -466,14 +444,38 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args) -> None:
-    """Fill None-valued options from the config file, then from defaults."""
+# JSON value types that fit an option of each argparse type (str when None)
+_JSON_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _apply_config(args, parser: argparse.ArgumentParser) -> None:
+    """Fill None-valued options from the config file, then from defaults.
+
+    The config must be a JSON object whose keys are flags of the subcommand,
+    each value of the flag's type.
+    """
     config = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file {path} not found")
-        config = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            config = json.loads(path.read_text(encoding="utf-8"))
+        except RecursionError:  # a RuntimeError, which main reports as numerical
+            raise UsageError(f"config file {path} nests too deeply") from None
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        sub = next(a for a in parser._actions if a.dest == "command")
+        options = {a.dest: a for a in sub.choices[args.command]._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        for key, value in config.items():
+            action = options.get(key)
+            if action is None:
+                raise UsageError(f"config key {key!r} is not an option of {args.command}")
+            # type(), not isinstance(): a JSON bool is no number
+            fits = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
+            if type(value) not in fits or (action.choices and value not in action.choices):
+                raise UsageError(f"config value {value!r} does not fit option {key!r}")
     for key, value in vars(args).items():
         if value is None:
             if key in config:
@@ -497,7 +499,7 @@ def main(argv=None) -> int:
         "goldens": cmd_goldens,
     }
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

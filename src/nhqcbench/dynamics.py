@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkit import expm_hermitian_batch, rk4_linear
+from .numkit import expm_hermitian, ordered_product, rk4_linear
 from .system import (
     ErrorModel,
     LevelSystem,
     PulseSchedule,
-    hamiltonian_nodes,
     segment_hamiltonian_nodes,
 )
 
@@ -61,6 +60,12 @@ def six_axial_states(system: LevelSystem) -> np.ndarray:
         (r, -1j * r),
     ]
     return np.stack([system.embed_qubit(q) for q in qubit])
+
+
+def six_axial_densities(system: LevelSystem) -> np.ndarray:
+    """The six axial states as a (6, d, d) stack of density matrices."""
+    states = six_axial_states(system)
+    return np.einsum("ki,kj->kij", states, states.conj())
 
 
 def monitor_index(system: LevelSystem) -> int:
@@ -218,9 +223,7 @@ def oracle_propagate_unitary(
         h = seg.duration / n
         mids = (np.arange(n) + 0.5) * h
         Hs = segment_hamiltonian_nodes(schedule, si, mids, err)
-        Us = expm_hermitian_batch(Hs, h)
-        for k in range(n):
-            U = Us[k] @ U
+        U = ordered_product(expm_hermitian(Hs, h)) @ U
     return U
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .numkit import TimeGrid, expm_hermitian
+from .numkit import TimeGrid, expm_hermitian, ordered_product, unitarity_defect
 from .system import ErrorModel, PulseSchedule, hamiltonian_nodes
 
 ORTHONORMALITY_TOL = 1e-10
@@ -114,12 +114,9 @@ def holonomy_reconstruct(pair: ConnectionPair) -> np.ndarray:
     averaged; returns the holonomy in the frame basis."""
     M = pair.A - pair.K
     h = float(pair.times[1] - pair.times[0])
-    L = M.shape[1]
-    U = np.eye(L, dtype=complex)
-    for k in range(len(pair.times) - 1):
-        mid = 0.5 * (M[k] + M[k + 1])
-        U = expm_hermitian(-mid, h) @ U  # exp(+i mid h)
-    defect = np.abs(U.conj().T @ U - np.eye(L)).max()
+    mids = 0.5 * (M[:-1] + M[1:])
+    U = ordered_product(expm_hermitian(-mids, h))  # exp(+i mid h)
+    defect = unitarity_defect(U)
     if defect > RECONSTRUCT_UNITARITY_TOL:
         raise RuntimeError(
             f"non-unitary holonomy accumulation {defect:.3e}: frame/grid inconsistent"

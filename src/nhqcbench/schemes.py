@@ -27,14 +27,14 @@ from typing import Callable
 import numpy as np
 
 from .system import (
-    DriveSegment,
     ErrorModel,
     GateAngles,
-    GeneratorSegment,
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
+    Segment,
     bright_dark_basis,
+    bright_ray_segment,
 )
 
 PI = np.pi
@@ -149,7 +149,8 @@ def _build_loop_schedule(
     ang = spec.angles
     ob = spec.omega_bar
     segments = tuple(
-        DriveSegment(
+        bright_ray_segment(
+            system,
             duration=area / ob,
             envelope=_const(ob),
             phase=_const(phase),
@@ -240,7 +241,8 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
     # driven superposition cos(t/2)|0> + sin(t/2) e^{i p}|1>, i.e. the +n axis
     # eigenvector; realized via the complementary bright axis.
     axis = (PI - ang.theta, ang.phi + PI)
-    seg = DriveSegment(
+    seg = bright_ray_segment(
+        system,
         duration=duration,
         envelope=_const(coupling),
         phase=_const(0.0),
@@ -406,7 +408,8 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
     design = ps_design(spec.varsigma, total, ang, spec.chi_profile)
     Ts = design.segment_duration
     segments = tuple(
-        DriveSegment(
+        bright_ray_segment(
+            system,
             duration=Ts,
             envelope=design.envelope[k],
             phase=design.phase[k],
@@ -490,7 +493,8 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         return omega_rot * np.asarray(t, dtype=float)
 
     axis = (PI - ang.theta, ang.phi + PI)
-    seg = DriveSegment(
+    seg = bright_ray_segment(
+        system,
         duration=tau,
         envelope=_const(lam),
         phase=phase,
@@ -636,7 +640,7 @@ def circle_segment_area(gamma: float) -> float:
     return float(np.sqrt(gamma * (2 * PI - gamma)))
 
 
-def _circle_drive_segment(path: PathParams, angles: GateAngles) -> DriveSegment:
+def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAngles) -> Segment:
     """Drive segment realizing the inverse-engineered circle Hamiltonian.
 
     The driven ray is the +n axis eigenvector; the constant phase offset
@@ -656,7 +660,8 @@ def _circle_drive_segment(path: PathParams, angles: GateAngles) -> DriveSegment:
     def detuning(t):
         return -path.beta_dot(t) * (1 + np.cos(path.alpha(t)))
 
-    return DriveSegment(
+    return bright_ray_segment(
+        system,
         duration=path.tau,
         envelope=envelope,
         phase=phase,
@@ -689,7 +694,7 @@ def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
                                  label: str | None = None) -> PulseSchedule:
     """Single circle-loop schedule from an explicit path."""
     system = LevelSystem.lambda3()
-    seg = _circle_drive_segment(path, angles)
+    seg = _circle_drive_segment(system, path, angles)
     vectors = _circle_frame_vectors(system, path, angles)
     target = rotation_gate(path.geometric_phase, angles.theta, angles.phi)
     return PulseSchedule(
@@ -729,7 +734,7 @@ def build_cdd(spec: SchemeSpec) -> PulseSchedule:
         circle_path_params(gl, spec.beta0 + (PI if k % 2 else 0.0), tau_seg)
         for k in range(N)
     ]
-    segments = tuple(_circle_drive_segment(p, ang) for p in paths)
+    segments = tuple(_circle_drive_segment(system, p, ang) for p in paths)
     frames = [_circle_frame_vectors(system, p, ang) for p in paths]
     bounds = np.concatenate([[0.0], np.cumsum([tau_seg] * N)])
 
@@ -823,32 +828,28 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
     k1 = system.basis_state(1)
     k2 = system.basis_state(2)
 
-    def make_step(step: int) -> GeneratorSegment:
+    def make_step(step: int) -> Segment:
         th, thd = path.theta[step], path.theta_dot[step]
         ph, phd = path.phi[step], path.phi_dot[step]
 
-        def drive(s: float) -> np.ndarray:
-            t_, td_ = float(th(s)), float(thd(s))
-            p_, pd_ = float(ph(s)), float(phd(s))
-            B = -np.sin(t_ / 2) * np.exp(-1j * p_) * k1 + np.cos(t_ / 2) * k2
-            D = np.cos(t_ / 2) * np.exp(-1j * p_) * k1 + np.sin(t_ / 2) * k2
-            H0 = omega_t * np.outer(e, B.conj())
-            H0 = H0 + H0.conj().T
+        def drive(s: np.ndarray) -> np.ndarray:
+            t_, td_ = th(s), thd(s)
+            p_, pd_ = ph(s), phd(s)
+            B = (-np.sin(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.cos(t_ / 2)[:, None] * k2
+            D = (np.cos(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.sin(t_ / 2)[:, None] * k2
+            H0 = omega_t * np.einsum("i,nj->nij", e, B.conj())
+            H0 = H0 + H0.conj().transpose(0, 2, 1)
             bd = td_ / 2 + 1j * (pd_ / 2) * np.sin(t_)  # <B|dD/dt>
-            Hcd = 1j * bd * np.outer(B, D.conj())
-            Hcd = Hcd + Hcd.conj().T
-            Hcd += (pd_ / 2) * np.sin(t_ / 2) ** 2 * (
-                np.outer(B, B.conj()) - np.outer(e, e.conj())
-            )
+            Hcd = (1j * bd)[:, None, None] * np.einsum("ni,nj->nij", B, D.conj())
+            Hcd = Hcd + Hcd.conj().transpose(0, 2, 1)
+            Hcd += ((pd_ / 2) * np.sin(t_ / 2) ** 2)[:, None, None] * (
+                np.einsum("ni,nj->nij", B, B.conj()) - np.outer(e, e.conj()))
             return H0 + Hcd
 
-        def diagonal(s: float) -> np.ndarray:
-            return np.zeros((4, 4), dtype=complex)
-
-        return GeneratorSegment(
+        return Segment(
             duration=path.durations[step],
             drive=drive,
-            diagonal=diagonal,
+            diagonal=lambda s: np.zeros((len(s), 4, 4), dtype=complex),
             envelope=_const(omega_t),
         )
 
@@ -984,10 +985,10 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
 
     H_unit = dfs3_unit_hamiltonian(phi)
 
-    seg = GeneratorSegment(
+    seg = Segment(
         duration=duration,
-        drive=lambda s: float(J(s)) * H_unit,
-        diagonal=lambda s: np.zeros((8, 8), dtype=complex),
+        drive=lambda s: np.asarray(J(s), dtype=float)[:, None, None] * H_unit,
+        diagonal=lambda s: np.zeros((len(s), 8, 8), dtype=complex),
         envelope=J,
     )
 

@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * A Lambda-type drive couples the superposition
   ``|w(theta_b, phi_b)> = sin(theta_b/2)|0> - cos(theta_b/2) e^{i phi_b}|1>``
   to the excited level:  H_drive = envelope * e^{-i phase} |w><e| + h.c.
-* The segment ``detuning`` field is the coefficient of |e><e| as it appears
-  in the Hamiltonian (H += detuning(t)|e><e|).
+* The ``detuning`` of a bright-ray segment is the coefficient of |e><e| as
+  it appears in the Hamiltonian (H += detuning(t)|e><e|).
 * Rabi error multiplies drive terms only: H = (1+eps)*drive + detuning
   + eta*|e><e| (eta already in omega_bar units).
 """
@@ -168,72 +168,56 @@ def bright_dark_basis(angles: GateAngles) -> tuple[np.ndarray, np.ndarray]:
     return b, d
 
 
-def _bright_vector(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndarray:
-    tb, pb = bright_axis
-    return system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
-
-
 @dataclass(frozen=True)
-class DriveSegment:
-    """Piecewise drive on a Lambda-type system: one bright ray coupled to |e>.
+class Segment:
+    """One smooth piece of a schedule.
 
-    envelope, phase and detuning are functions of local time that accept
-    scalars or numpy arrays.
+    drive and diagonal map an array of local times (n,) to Hermitian
+    (n, d, d) stacks: drive holds the terms the Rabi error scales, diagonal
+    the nominal detuning it never scales.  envelope(t) is the coupling
+    magnitude used for pulse-area accounting.
     """
 
     duration: float
+    drive: Callable[[np.ndarray], np.ndarray]
+    diagonal: Callable[[np.ndarray], np.ndarray]
     envelope: Callable[[np.ndarray], np.ndarray]
-    phase: Callable[[np.ndarray], np.ndarray]
-    detuning: Callable[[np.ndarray], np.ndarray]
-    bright_axis: tuple[float, float]
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("segment duration must be positive")
 
-    def drive_matrices(self, system: LevelSystem, t_local: np.ndarray) -> np.ndarray:
-        """Stack of drive Hamiltonians (n, d, d) at the given local times."""
-        t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-        w = _bright_vector(system, self.bright_axis)
-        e = system.basis_state(system.excited_index)
-        coupler = np.outer(w, e.conj())
-        amp = self.envelope(t_local) * np.exp(-1j * self.phase(t_local))
+
+def bright_ray_segment(
+    system: LevelSystem,
+    duration: float,
+    envelope: Callable[[np.ndarray], np.ndarray],
+    phase: Callable[[np.ndarray], np.ndarray],
+    detuning: Callable[[np.ndarray], np.ndarray],
+    bright_axis: tuple[float, float],
+) -> Segment:
+    """Lambda-type drive coupling one bright ray to |e>:
+    envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
+
+    envelope, phase and detuning are functions of local time that accept
+    numpy arrays.
+    """
+    tb, pb = bright_axis
+    w = system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
+    e = system.excited_index
+    coupler = np.outer(w, system.basis_state(e).conj())
+
+    def drive(t: np.ndarray) -> np.ndarray:
+        amp = envelope(t) * np.exp(-1j * phase(t))
         M = amp[:, None, None] * coupler[None, :, :]
         return M + M.conj().transpose(0, 2, 1)
 
-    def diagonal_matrices(self, system: LevelSystem, t_local: np.ndarray) -> np.ndarray:
-        t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-        d = system.dim
-        out = np.zeros((t_local.size, d, d), dtype=complex)
-        out[:, system.excited_index, system.excited_index] = self.detuning(t_local)
+    def diagonal(t: np.ndarray) -> np.ndarray:
+        out = np.zeros((t.size, system.dim, system.dim), dtype=complex)
+        out[:, e, e] = detuning(t)
         return out
 
-
-@dataclass(frozen=True)
-class GeneratorSegment:
-    """Matrix-valued segment for systems the single-ray drive cannot express
-    (tripod counter-diabatic terms, three-qubit exchange couplings).
-
-    drive(t) and diagonal(t) return Hermitian (d, d) arrays for scalar t;
-    envelope(t) is the coupling magnitude used for pulse-area accounting.
-    """
-
-    duration: float
-    drive: Callable[[float], np.ndarray]
-    diagonal: Callable[[float], np.ndarray]
-    envelope: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
-
-    def drive_matrices(self, system: LevelSystem, t_local: np.ndarray) -> np.ndarray:
-        t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-        return np.stack([np.asarray(self.drive(float(t)), dtype=complex) for t in t_local])
-
-    def diagonal_matrices(self, system: LevelSystem, t_local: np.ndarray) -> np.ndarray:
-        t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-        return np.stack([np.asarray(self.diagonal(float(t)), dtype=complex) for t in t_local])
+    return Segment(duration, drive, diagonal, envelope)
 
 
 @dataclass(frozen=True)
@@ -282,17 +266,28 @@ class PulseSchedule:
         return idx, t - bounds[idx]
 
 
+def _segment_nodes(
+    schedule: PulseSchedule, seg: Segment, t_local: np.ndarray, err: ErrorModel
+) -> np.ndarray:
+    """(1+eps)*drive + diagonal + eta|e><e| at local times of one segment."""
+    H = (1.0 + err.epsilon) * seg.drive(t_local)
+    H += seg.diagonal(t_local)
+    e = schedule.system.excited_index
+    if e is not None and err.eta != 0.0:
+        H[:, e, e] += err.eta * schedule.omega_bar
+    return H
+
+
 def hamiltonian_nodes(
     schedule: PulseSchedule, times: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H(t) at each time, with error injection: (1+eps)*drive + diag + eta|e><e|.
+    """H(t) at each global time, error-injected: (1+eps)*drive + diag + eta|e><e|.
 
     The Rabi factor multiplies only off-diagonal drive terms, never the
     nominal detuning.
     """
     times = np.asarray(times, dtype=float)
-    sys_ = schedule.system
-    d = sys_.dim
+    d = schedule.system.dim
     out = np.empty((times.size, d, d), dtype=complex)
     bounds = schedule.segment_boundaries()
     total = schedule.total_duration
@@ -300,26 +295,13 @@ def hamiltonian_nodes(
         raise ValueError("requested times outside the schedule")
     tcl = np.clip(times, 0.0, total)
     seg_idx = np.clip(np.searchsorted(bounds[1:-1], tcl, side="right"), 0, len(schedule.segments) - 1)
-    eta_term = np.zeros((d, d), dtype=complex)
-    if sys_.excited_index is not None and err.eta != 0.0:
-        eta_term[sys_.excited_index, sys_.excited_index] = err.eta * schedule.omega_bar
     for k, seg in enumerate(schedule.segments):
         sel = seg_idx == k
-        if not np.any(sel):
-            continue
-        t_local = tcl[sel] - bounds[k]
-        # clamp boundary round-off into the segment
-        t_local = np.clip(t_local, 0.0, seg.duration)
-        H = (1.0 + err.epsilon) * seg.drive_matrices(sys_, t_local)
-        H += seg.diagonal_matrices(sys_, t_local)
-        H += eta_term[None, :, :]
-        out[sel] = H
+        if np.any(sel):
+            # clamp boundary round-off into the segment
+            t_local = np.clip(tcl[sel] - bounds[k], 0.0, seg.duration)
+            out[sel] = _segment_nodes(schedule, seg, t_local, err)
     return out
-
-
-def hamiltonian_at(schedule: PulseSchedule, t: float, err: ErrorModel) -> np.ndarray:
-    """Assembled Hamiltonian at global time t (Hermitian by construction)."""
-    return hamiltonian_nodes(schedule, np.array([t]), err)[0]
 
 
 def segment_hamiltonian_nodes(
@@ -331,11 +313,5 @@ def segment_hamiltonian_nodes(
     global assignment would pick the following segment; the integrators use
     this to keep every step inside one smooth segment.
     """
-    sys_ = schedule.system
-    seg = schedule.segments[seg_index]
-    t_local = np.asarray(t_local, dtype=float)
-    H = (1.0 + err.epsilon) * seg.drive_matrices(sys_, t_local)
-    H += seg.diagonal_matrices(sys_, t_local)
-    if sys_.excited_index is not None and err.eta != 0.0:
-        H[:, sys_.excited_index, sys_.excited_index] += err.eta * schedule.omega_bar
-    return H
+    t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
+    return _segment_nodes(schedule, schedule.segments[seg_index], t_local, err)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,17 @@ from nhqcbench.bench import (
     peak_excited_population,
     pulse_area,
     simulate_report,
+    six_state_fidelity,
     sweep,
     table1_rows,
     unitary_gate_fidelity,
 )
+from nhqcbench.dynamics import oracle_propagate_lindblad, six_axial_densities
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, GateAngles, LevelSystem, SchemeSpec
 
 PI = np.pi
+GOLDEN_POINT = Path(__file__).parent.parent / "goldens" / "v1" / "sl_fig13_point.json"
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -72,15 +78,19 @@ class TestLindbladFidelity:
 
     def test_frozen_golden_point(self, schedules):
         # oracle-produced value at the published decoherence rates
-        import json
-        from pathlib import Path
-
-        golden = json.loads(
-            (Path(__file__).parent.parent / "goldens" / "v1" / "sl_fig13_point.json")
-            .read_text()
-        )
+        golden = json.loads(GOLDEN_POINT.read_text())
         err = ErrorModel(gamma_minus=golden["gamma_minus"], gamma_z=golden["gamma_z"])
         f = lindblad_gate_fidelity(schedules["sl"], err)
+        assert f == pytest.approx(golden["fidelity"], abs=1e-8)
+
+    def test_oracle_reproduces_golden_point(self, schedules):
+        # the golden generator's route: shared six-state fidelity over the oracle
+        golden = json.loads(GOLDEN_POINT.read_text())
+        sched = schedules[golden["scheme"]]
+        err = ErrorModel(gamma_minus=golden["gamma_minus"], gamma_z=golden["gamma_z"])
+        rho = oracle_propagate_lindblad(sched, err, six_axial_densities(sched.system),
+                                        slices=golden["oracle_slices"])
+        f = six_state_fidelity(sched.system, sched.target, rho)
         assert f == pytest.approx(golden["fidelity"], abs=1e-8)
 
 

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhqcbench.cli import main
+from nhqcbench.cli import TIME_UNIT_NS, main
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens" / "v1"
 
@@ -124,6 +126,20 @@ class TestSweep:
             checked += 1
         assert checked == 15
 
+    def test_physical_units_scale_duration(self, tmp_path, capsys):
+        rows = {}
+        for units in ("dimensionless", "physical"):
+            out_file = tmp_path / f"{units}.csv"
+            code, _ = run(["sweep", "--axis", "epsilon", "--range=-0.05:0.05:2",
+                           "--schemes", "sl", "--samples", "400", "--units", units,
+                           "--out", str(out_file)], capsys)
+            assert code == 0
+            rows[units] = csv_rows(out_file)
+        for dim, phys in zip(rows["dimensionless"], rows["physical"]):
+            assert float(dim["duration"]) == pytest.approx(np.pi)
+            assert float(phys["duration"]) == pytest.approx(np.pi * TIME_UNIT_NS)  # 50 ns
+            assert phys["fidelity"] == dim["fidelity"]
+
     def test_bad_range(self, capsys):
         code, _ = run(["sweep", "--axis", "epsilon", "--range", "oops",
                        "--schemes", "sl"], capsys)
@@ -147,6 +163,7 @@ class TestFig13:
         assert "# metric=six_axial_state_average" in text
         assert "# panel=a" in text
         assert "rows=14" in out  # 7 schemes x 2 points
+        assert csv_rows(tmp_path / "a.csv")[0]["value"] == "0"  # decoherence-free start
 
     def test_coarse_sampling_aborts_rather_than_clips(self, tmp_path, capsys):
         # positivity drift from a deliberately starved integrator must abort
@@ -192,12 +209,69 @@ class TestConfigFile:
         report = json.loads((tmp_path / "report_sl_S.json").read_text())
         assert report["error_model"]["epsilon"] == 0.01
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"samples": "abc"}, id="string-for-int"),
+        pytest.param({"samples": True}, id="bool-for-int"),
+        pytest.param({"samples": 400.0}, id="float-for-int"),
+        pytest.param({"epsilon": "0.1"}, id="string-for-float"),
+        pytest.param({"units": "furlongs"}, id="not-a-choice"),
+        pytest.param({"sampels": 10}, id="unknown-key"),
+        pytest.param({"points": 3}, id="key-of-another-subcommand"),
+        pytest.param([1, 2], id="not-an-object"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, _ = run(
+            ["simulate", "--scheme", "sl", "--gate", "S", "--samples", "200",
+             "--out-dir", str(tmp_path), "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert not list(tmp_path.glob("report_*"))
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code, _ = run(["table1", "--config", str(cfg)], capsys)
+        assert code == 2
+
     def test_missing_config(self, capsys):
         code, _ = run(
             ["simulate", "--scheme", "sl", "--gate", "S", "--config", "/nope.json"],
             capsys,
         )
         assert code == 2
+
+
+def csv_rows(path):
+    lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_config_keys = st.sampled_from(["samples", "epsilon", "eta", "gamma_minus", "gamma_z", "units",
+                                "out_dir", "gate", "points", "config", "help"]) | st.text(max_size=8)
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cfg.json"
+
+
+@given(payload=st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_config_keys, inner, max_size=4),
+    max_leaves=8,
+))
+@settings(max_examples=60, deadline=None)
+def test_config_payloads_never_crash(config_file, payload):
+    # the unknown scheme fails fast once the config is merged, so every
+    # payload costs one parse; a traceback would escape main() here
+    config_file.write_text(json.dumps(payload))
+    code = main(["simulate", "--scheme", "zz", "--gate", "S", "--config", str(config_file)])
+    assert code in (0, 2, 3)
 
 
 def test_env_samples_override(tmp_path, capsys, monkeypatch):

@@ -14,12 +14,13 @@ from nhqcbench.dynamics import (
 )
 from nhqcbench.schemes import build_schedule, dfs3_schedule
 from nhqcbench.system import (
-    DriveSegment,
     ErrorModel,
     GateAngles,
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
+    bright_ray_segment,
+    hamiltonian_nodes,
     segment_hamiltonian_nodes,
 )
 
@@ -27,7 +28,8 @@ PI = np.pi
 
 
 def zero_schedule(duration=1.0):
-    seg = DriveSegment(
+    seg = bright_ray_segment(
+        LevelSystem.lambda3(),
         duration=duration,
         envelope=lambda t: np.zeros(np.shape(t)),
         phase=lambda t: np.zeros(np.shape(t)),
@@ -178,14 +180,28 @@ class TestOracles:
         # piecewise-constant segments make the sliced product exact
         sched = schedules["sl"]
         from nhqcbench.numkit import expm_hermitian
-        from nhqcbench.system import hamiltonian_at
 
-        H1 = hamiltonian_at(sched, 0.1, ErrorModel())
-        H2 = hamiltonian_at(sched, sched.total_duration - 0.1, ErrorModel())
+        H1, H2 = hamiltonian_nodes(sched, [0.1, sched.total_duration - 0.1], ErrorModel())
         half = sched.total_duration / 2
         expected = expm_hermitian(H2, half) @ expm_hermitian(H1, half)
         U = oracle_propagate_unitary(sched, slices=64)
         assert np.abs(U - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("tag", ["c", "sta"])
+    def test_unitary_oracle_matches_sequential_slice_loop(self, schedules, oracle_gates, tag):
+        # the slice product multiplied out one factor at a time
+        from nhqcbench.dynamics import ORACLE_SLICES
+        from nhqcbench.numkit import expm_hermitian
+
+        sched = schedules[tag]
+        U = np.eye(sched.system.dim, dtype=complex)
+        for si, (seg, n) in enumerate(zip(sched.segments,
+                                          allocate_steps(sched, ORACLE_SLICES, floor=16))):
+            h = seg.duration / n
+            Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, ErrorModel())
+            for V in expm_hermitian(Hs, h):
+                U = V @ U
+        assert np.abs(oracle_gates[tag] - U).max() <= 1e-12
 
     def test_lindblad_oracle_matches_analytic_decay(self):
         G = 0.05

@@ -8,8 +8,8 @@ from nhqcbench import numkit
 from nhqcbench.numkit import (
     TimeGrid,
     expm_hermitian,
-    expm_hermitian_batch,
     hermiticity_defect,
+    ordered_product,
     rk4_linear,
     unitarity_defect,
 )
@@ -69,9 +69,43 @@ class TestExpmHermitian:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
         Hs = M + M.conj().transpose(0, 2, 1)
-        Us = expm_hermitian_batch(Hs, 0.21)
+        Us = expm_hermitian(Hs, 0.21)
+        assert Us.shape == (5, 3, 3)
         for H, U in zip(Hs, Us):
             assert np.allclose(U, expm_hermitian(H, 0.21), atol=1e-12)
+
+    def test_stack_rejects_one_non_hermitian(self):
+        Hs = np.stack([rabi_block(w) for w in (0.5, 1.0, 1.5, 2.0)])
+        Hs[2, 0, 1] = 1e-6  # far above its scaled tolerance, 1.5e-12
+        with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 2"):
+            expm_hermitian(Hs, dt=1.0)
+
+
+def random_unitaries(rng, n, d=3):
+    M = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return np.linalg.qr(M)[0]
+
+
+def sequential_product(Ms):
+    U = np.eye(Ms.shape[-1], dtype=complex)
+    for M in Ms:
+        U = M @ U
+    return U
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+    def test_random_unitaries_match_loop(self, n):
+        Ms = random_unitaries(np.random.default_rng(n), n)
+        before = Ms.copy()
+        assert np.abs(ordered_product(Ms) - sequential_product(Ms)).max() <= 1e-12
+        assert np.array_equal(Ms, before)  # input left untouched
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+    def test_identical_factors_match_loop(self, n):
+        # a piecewise-constant segment: every slice is the same matrix
+        Ms = np.broadcast_to(expm_hermitian(rabi_block(1.3), 0.01), (n, 3, 3))
+        assert np.abs(ordered_product(Ms) - sequential_product(Ms)).max() <= 1e-12
 
 
 def lattice_nodes(H, duration, steps, envelope=lambda t: np.ones_like(t)):

@@ -15,7 +15,9 @@ from nhqcbench.schemes import (
     dfs3_schedule,
     inverse_engineer_hamiltonian,
     ps_design,
+    dfs3_unit_hamiltonian,
     rotation_gate,
+    sta_path,
     sta_schedule,
 )
 from nhqcbench.bench import pulse_area
@@ -316,6 +318,30 @@ class TestSta:
             overlaps.append(abs(np.vdot(frame[1], U @ k1)))
         assert min(overlaps) > 0.999
 
+    def test_vectorized_drive_matches_per_sample(self, schedules):
+        sched = schedules["sta"]
+        path = sta_path(sched.notes["phi1"], sched.total_duration)
+        k1, k2, e = np.eye(4, dtype=complex)[1:]
+
+        def drive_at(step, s):
+            # the transitionless tripod Hamiltonian, one scalar time at a time
+            t_, td_ = float(path.theta[step](s)), float(path.theta_dot[step](s))
+            p_, pd_ = float(path.phi[step](s)), float(path.phi_dot[step](s))
+            B = -np.sin(t_ / 2) * np.exp(-1j * p_) * k1 + np.cos(t_ / 2) * k2
+            D = np.cos(t_ / 2) * np.exp(-1j * p_) * k1 + np.sin(t_ / 2) * k2
+            H0 = sched.omega_bar * np.outer(e, B.conj())
+            H0 = H0 + H0.conj().T
+            Hcd = 1j * (td_ / 2 + 1j * (pd_ / 2) * np.sin(t_)) * np.outer(B, D.conj())
+            Hcd = Hcd + Hcd.conj().T
+            Hcd += (pd_ / 2) * np.sin(t_ / 2) ** 2 * (np.outer(B, B.conj()) - np.outer(e, e.conj()))
+            return H0 + Hcd
+
+        for step, seg in enumerate(sched.segments):
+            s = np.linspace(0.0, seg.duration, 257)
+            expected = np.stack([drive_at(step, t) for t in s])
+            assert np.abs(seg.drive(s) - expected).max() <= 1e-15
+            assert not seg.diagonal(s).any()
+
     def test_zero_span_gives_identity(self):
         sched = sta_schedule(0.0, tau=PI)
         U = comp_block(propagate_unitary(sched, samples=600).final, sched.system)
@@ -349,6 +375,16 @@ class TestDfs3:
         leak = max(np.abs(traj.operators[:, rest, :][:, :, dfs]).max(),
                    np.abs(traj.operators[:, dfs, :][:, :, rest]).max())
         assert leak < 1e-10
+
+    @pytest.mark.parametrize("shape", ["const", "sin2"])
+    def test_vectorized_drive_matches_per_sample(self, shape):
+        sched = dfs3_schedule(0.7, pulse_shape=shape)
+        seg = sched.segments[0]
+        s = np.linspace(0.0, seg.duration, 257)
+        H_unit = dfs3_unit_hamiltonian(0.7)
+        expected = np.stack([float(seg.envelope(t)) * H_unit for t in s])
+        assert np.abs(seg.drive(s) - expected).max() <= 1e-15
+        assert not seg.diagonal(s).any()
 
     def test_zero_pulse_identity(self):
         sched = dfs3_schedule(0.0, pulse_shape="zero")

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import (
-    DriveSegment,
     ErrorModel,
     GateAngles,
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
     bright_dark_basis,
-    hamiltonian_at,
+    bright_ray_segment,
     hamiltonian_nodes,
 )
 
@@ -80,7 +79,8 @@ class TestBrightDark:
 
 def zero_envelope_schedule():
     system = LevelSystem.lambda3()
-    seg = DriveSegment(
+    seg = bright_ray_segment(
+        system,
         duration=1.0,
         envelope=lambda t: np.zeros(np.shape(t)),
         phase=lambda t: np.zeros(np.shape(t)),
@@ -93,6 +93,11 @@ def zero_envelope_schedule():
         target=np.eye(2, dtype=complex),
         scheme_label="null",
     )
+
+
+def hamiltonian_at(schedule, t, err):
+    """H at one global time."""
+    return hamiltonian_nodes(schedule, np.array([t]), err)[0]
 
 
 class TestHamiltonianAt:
