@@ -6,10 +6,10 @@
 The dump holds, per scheme, the arrays a numerical change must keep within
 1e-12 of the previous outputs: H nodes on a 4001-point grid and the full
 RK4 propagator trajectory (both at epsilon = 0.03, eta = -0.02), the
-unitary oracle at the same errors, the holonomy reconstruction on the
-4096-step grid `check` uses, and the six-axial-state Lindblad trajectory
-(epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes with an excited
-level).  The oracle Lindblad final states of sl, ps and dc at the golden
+unitary oracle at the same errors, the auxiliary frame and the holonomy
+reconstruction on the 4096-step grid `check` uses, and the six-axial-state
+Lindblad trajectory (epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes
+with an excited level).  The oracle Lindblad final states of sl, ps and dc at the golden
 4000 slices are included too.  `--compare` prints max |A - B| per key.
 """
 import argparse
@@ -25,7 +25,7 @@ from nhqcbench.dynamics import (
     propagate_unitary,
     six_axial_states,
 )
-from nhqcbench.holonomy import reconstruct_computational_gate
+from nhqcbench.holonomy import reconstruct_computational_gate, sample_frame
 from nhqcbench.numkit import TimeGrid
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, hamiltonian_nodes
@@ -43,8 +43,9 @@ def dump(path: str) -> None:
         arrays[f"{tag}/hnodes"] = hamiltonian_nodes(sched, np.linspace(0.0, T, 4001), CLOSED)
         arrays[f"{tag}/unitary"] = propagate_unitary(sched, CLOSED).operators
         arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
-        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(
-            sched, TimeGrid(0.0, T, 4096))
+        check_grid = TimeGrid(0.0, T, 4096)
+        arrays[f"{tag}/frame"] = sample_frame(sched, check_grid).vectors
+        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched, check_grid)
         if sched.system.excited_index is None:
             continue
         states = six_axial_states(sched.system)

@@ -5,7 +5,8 @@ files are CSV with a `#`-prefixed metadata header naming the fidelity
 metric, sample counts, and unit mode; reruns are byte-identical.  A JSON
 config file can mirror any flag; explicit flags win.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure or a request too
+large to allocate.
 """
 from __future__ import annotations
 
@@ -154,7 +155,7 @@ def cmd_simulate(args) -> int:
         {
             "kind": traj.kind,
             "metric": report.metric,
-            "samples": default_samples(traj.kind) if args.samples is None else args.samples,
+            "samples": len(traj.times) - 1,
             "unit_mode": unit,
             "omega_bar": 1.0,
             "scheme": args.scheme,
@@ -172,7 +173,7 @@ def cmd_simulate(args) -> int:
         "peak_excited_population": report.peak_excited_population,
         "cyclic_residual": report.cyclic_residual,
         "parallel_residual": report.parallel_residual,
-        "duration": report.duration,
+        "duration": report.duration * scale,
         "unit_mode": unit,
         "error_model": {
             "epsilon": err.epsilon,
@@ -293,14 +294,13 @@ def cmd_check(args) -> int:
     print(f"cyclic_residual={cyc:.3e}")
     print(f"parallel_residual={par:.3e}")
     print(f"rk4_vs_oracle={defect:.3e}")
-    if schedule.frame is not None:
-        grid = TimeGrid(0.0, schedule.total_duration, 4096)
-        U_rec = reconstruct_computational_gate(schedule, grid)
-        comp = list(schedule.system.computational_indices)
-        U_prop = traj.final[np.ix_(comp, comp)]
-        ov = np.trace(U_rec.conj().T @ U_prop) / 2
-        rec_defect = float(np.abs(U_prop - (ov / abs(ov)) * U_rec).max()) if abs(ov) > 0 else 1.0
-        print(f"holonomy_reconstruction_defect={rec_defect:.3e}")
+    grid = TimeGrid(0.0, schedule.total_duration, 4096)
+    U_rec = reconstruct_computational_gate(schedule, grid)
+    comp = list(schedule.system.computational_indices)
+    U_prop = traj.final[np.ix_(comp, comp)]
+    ov = np.trace(U_rec.conj().T @ U_prop) / 2
+    rec_defect = float(np.abs(U_prop - (ov / abs(ov)) * U_rec).max()) if abs(ov) > 0 else 1.0
+    print(f"holonomy_reconstruction_defect={rec_defect:.3e}")
     if "dyn_geo_ratio" in schedule.notes:
         print(f"dyn_geo_ratio={schedule.notes['dyn_geo_ratio']:.6f}")
     return 0
@@ -509,6 +509,9 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,9 +1,9 @@
 """Geometric-structure verification: connection and dynamical matrices,
 holonomy-condition residuals, and gate reconstruction from auxiliary frames.
 
-Frames come from the scheme builders as analytic functions of time; nothing
-here infers a frame from the propagator, which keeps the reconstruction an
-independent check on the dynamics.
+Frames come from the scheme builders as analytic functions of time on each
+segment; nothing here infers a frame from the propagator, which keeps the
+reconstruction an independent check on the dynamics.
 """
 from __future__ import annotations
 
@@ -57,10 +57,7 @@ class AuxiliaryFrame:
 
 
 def sample_frame(schedule: PulseSchedule, grid: TimeGrid) -> AuxiliaryFrame:
-    if schedule.frame is None:
-        raise ValueError(f"schedule {schedule.scheme_label} carries no frame")
-    vectors = np.stack([schedule.frame(float(t)) for t in grid.times])
-    return AuxiliaryFrame(times=grid.times, vectors=vectors)
+    return AuxiliaryFrame(times=grid.times, vectors=schedule.frame(grid.times))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Each builder emits:
 
 * the drive segments (envelope/phase/detuning in omega_bar units),
 * the ideal 2x2 target gate exp(-i(gamma/2) n.sigma),
-* an analytic auxiliary frame (t -> 3 orthonormal vectors) for the
-  holonomy checks, cyclic on the computational rows.
+* on every segment, an analytic auxiliary frame (local times -> 3
+  orthonormal vectors each) for the holonomy checks, cyclic on the
+  computational rows of the whole schedule.
 
 Phase conventions: the two-interval loop uses first-half drive phase 0 and
 second-half phase pi-gamma, which composes to e^{i gamma}|b><b| + |d><d| on
@@ -82,63 +83,47 @@ def _g_matrix(xi: float) -> np.ndarray:
     return np.array([[0, np.exp(1j * xi)], [np.exp(-1j * xi), 0]])
 
 
-def _loop_pieces_gate(pieces: list[tuple[float, float]]) -> np.ndarray:
-    """Block gate of a chain of (drive phase, pulse area) pieces at t end."""
-    U = np.eye(2, dtype=complex)
-    for phase, area in pieces:
-        G = _g_matrix(-phase)
-        U = (np.cos(area) * np.eye(2) - 1j * np.sin(area) * G) @ U
-    return U
+def _piece_step(phase: float, area) -> np.ndarray:
+    """Block propagator of one constant piece of drive phase `phase` after
+    pulse area `area` (a scalar, or an array of areas giving a stack)."""
+    a = np.asarray(area)[..., None, None]
+    return np.cos(a) * np.eye(2) - 1j * np.sin(a) * _g_matrix(-phase)
+
+
+def _bright_frame(
+    system: LevelSystem, parked: np.ndarray, driven: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Frame stack (parked, nu2, nu3) from (n, 2, 2) block columns given in
+    (driven, e) coordinates."""
+    basis = np.stack([driven, system.basis_state(system.excited_index)])
+    moving = np.einsum("nij,ic->njc", cols, basis)
+    return np.concatenate([np.broadcast_to(parked, (len(cols), 1, parked.size)), moving], axis=1)
 
 
 def _lambda_frame(
     system: LevelSystem,
     parked: np.ndarray,
     driven: np.ndarray,
-    block: Callable[[float], np.ndarray],
+    block: Callable[[np.ndarray], np.ndarray],
+    t0: float,
     total: float,
     return_phase: float,
-) -> Callable[[float], np.ndarray]:
-    """Cyclic frame for a loop driving `driven` against |e>, parking `parked`.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Frame closure of one segment of a loop of length `total` driving
+    `driven` against |e> and parking `parked`.
 
-    block(t) is the analytic 2x2 propagator in (driven, e) coordinates; the
-    diagonal return phases (+return_phase on the driven column) are stripped
-    linearly so the computational rows close exactly.
+    block maps local times to the (n, 2, 2) analytic propagator in (driven, e)
+    coordinates; the diagonal return phases (+return_phase on the driven
+    column) are stripped linearly in global time t0 + t, so the
+    computational rows close exactly at the loop end.
     """
-    e_full = system.basis_state(system.excited_index)
 
-    def frame(t: float) -> np.ndarray:
-        U = block(t)
-        s = t / total
-        col_w = U[:, 0] * np.exp(-1j * return_phase * s)
-        col_e = U[:, 1] * np.exp(+1j * return_phase * s)
-        nu2 = col_w[0] * driven + col_w[1] * e_full
-        nu3 = col_e[0] * driven + col_e[1] * e_full
-        return np.stack([parked, nu2, nu3])
+    def frame(t: np.ndarray) -> np.ndarray:
+        s = (t0 + t) / total
+        phases = np.stack([np.exp(-1j * return_phase * s), np.exp(1j * return_phase * s)], axis=-1)
+        return _bright_frame(system, parked, driven, block(t) * phases[:, None, :])
 
     return frame
-
-
-def _piecewise_const_block(
-    pieces: list[tuple[float, float]], omega_bar: float
-) -> tuple[Callable[[float], np.ndarray], float]:
-    """Analytic block propagator for constant-envelope pieces (phase, area)."""
-    durations = [area / omega_bar for _, area in pieces]
-    bounds = np.concatenate([[0.0], np.cumsum(durations)])
-    boundary_U = [np.eye(2, dtype=complex)]
-    for phase, area in pieces:
-        G = _g_matrix(-phase)
-        step = np.cos(area) * np.eye(2) - 1j * np.sin(area) * G
-        boundary_U.append(step @ boundary_U[-1])
-
-    def block(t: float) -> np.ndarray:
-        t = min(max(t, 0.0), bounds[-1])
-        k = int(np.searchsorted(bounds[1:-1], t, side="right"))
-        a_loc = omega_bar * (t - bounds[k])
-        G = _g_matrix(-pieces[k][0])
-        return (np.cos(a_loc) * np.eye(2) - 1j * np.sin(a_loc) * G) @ boundary_U[k]
-
-    return block, float(bounds[-1])
 
 
 def _build_loop_schedule(
@@ -148,6 +133,22 @@ def _build_loop_schedule(
     system = LevelSystem.lambda3()
     ang = spec.angles
     ob = spec.omega_bar
+    b2, d2 = bright_dark_basis(ang)
+    b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
+    starts = [np.eye(2, dtype=complex)]  # block propagators at the piece starts
+    for phase, area in pieces:
+        starts.append(_piece_step(phase, area) @ starts[-1])
+    t0s = np.concatenate([[0.0], np.cumsum([area / ob for _, area in pieces])])
+    return_phase = float(np.angle(starts[-1][0, 0]))
+
+    def piece_frame(k: int) -> Callable[[np.ndarray], np.ndarray]:
+        phase, U0 = pieces[k][0], starts[k]
+
+        def block(t: np.ndarray) -> np.ndarray:
+            return _piece_step(phase, ob * t) @ U0
+
+        return _lambda_frame(system, d_full, b_full, block, t0s[k], t0s[-1], return_phase)
+
     segments = tuple(
         bright_ray_segment(
             system,
@@ -156,15 +157,10 @@ def _build_loop_schedule(
             phase=_const(phase),
             detuning=_zero,
             bright_axis=(ang.theta, ang.phi),
+            frame=piece_frame(k),
         )
-        for phase, area in pieces
+        for k, (phase, area) in enumerate(pieces)
     )
-    b2, d2 = bright_dark_basis(ang)
-    b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
-    block, total = _piecewise_const_block(pieces, ob)
-    Ublk = _loop_pieces_gate(pieces)
-    return_phase = float(np.angle(Ublk[0, 0]))
-    frame = _lambda_frame(system, d_full, b_full, block, total, return_phase)
     target = rotation_gate(ang.gamma, ang.theta, ang.phi)
     return PulseSchedule(
         system=system,
@@ -172,7 +168,6 @@ def _build_loop_schedule(
         target=target,
         scheme_label=label,
         omega_bar=ob,
-        frame=frame,
         geometric_phase=ang.gamma,
         notes={"pieces": pieces},
     )
@@ -241,6 +236,24 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
     # driven superposition cos(t/2)|0> + sin(t/2) e^{i p}|1>, i.e. the +n axis
     # eigenvector; realized via the complementary bright axis.
     axis = (PI - ang.theta, ang.phi + PI)
+    phi_gate = PI * np.sin(gss) + PI
+    # block evolution with constant H = coupling*G(0) + delta*|e><e|
+    half = delta / 2.0
+    rot = np.sqrt(coupling**2 + half**2)
+    m = np.array([[-half, coupling], [coupling, half]]) / rot  # traceless part / rot
+
+    def block(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t)[..., None, None]
+        return np.exp(-1j * half * t) * (
+            np.cos(rot * t) * np.eye(2) - 1j * np.sin(rot * t) * m
+        )
+
+    b2, _ = bright_dark_basis(ang)
+    b_full = system.embed_qubit(b2)
+    w_full = system.embed_qubit(
+        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
+    )
+    return_phase = float(np.angle(block(duration)[0, 0]))
     seg = bright_ray_segment(
         system,
         duration=duration,
@@ -248,25 +261,8 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         phase=_const(0.0),
         detuning=_const(delta),
         bright_axis=axis,
+        frame=_lambda_frame(system, b_full, w_full, block, 0.0, duration, return_phase),
     )
-    phi_gate = PI * np.sin(gss) + PI
-    # block evolution with constant H = coupling*G(0) + delta*|e><e|
-    half = delta / 2.0
-    rot = np.sqrt(coupling**2 + half**2)
-    m = np.array([[-half, coupling], [coupling, half]]) / rot  # traceless part / rot
-
-    def block(t: float) -> np.ndarray:
-        return np.exp(-1j * half * t) * (
-            np.cos(rot * t) * np.eye(2) - 1j * np.sin(rot * t) * m
-        )
-
-    b2, d2 = bright_dark_basis(ang)
-    b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
-    w_full = system.embed_qubit(
-        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
-    )
-    return_phase = float(np.angle(block(duration)[0, 0]))
-    frame = _lambda_frame(system, b_full, w_full, block, duration, return_phase)
     target = rotation_gate(phi_gate, ang.theta, ang.phi)
     return PulseSchedule(
         system=system,
@@ -274,7 +270,6 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["SS"],
         omega_bar=ob,
-        frame=frame,
         geometric_phase=phi_gate,
         notes={"gamma_ss": gss, "rotation_angle": phi_gate},
     )
@@ -407,6 +402,35 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
     total = ref.coupling_area / ob
     design = ps_design(spec.varsigma, total, ang, spec.chi_profile)
     Ts = design.segment_duration
+    b2, d2 = bright_dark_basis(ang)
+    b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
+    g = ang.gamma
+
+    def designed_column(seg: int, s: np.ndarray) -> np.ndarray:
+        """(n, 2) designed trajectory of one half at local times s."""
+        chi = design.chi[seg](s)
+        f = design.f[seg](s)
+        vp = design.varphi[seg](s)
+        return np.exp(-1j * f / 2)[:, None] * np.stack(
+            [np.exp(-1j * vp / 2) * np.cos(chi / 2), np.exp(1j * vp / 2) * np.sin(chi / 2)],
+            axis=-1,
+        )
+
+    # physical trajectory constants gluing the two designed segments
+    c0 = 1.0 / np.exp(1j * np.angle(designed_column(0, np.zeros(1))[0, 0]))
+    psi_mid = c0 * designed_column(0, np.full(1, Ts))[0]
+    d20 = designed_column(1, np.zeros(1))[0]
+    glue = int(np.argmax(np.abs(d20)))
+    c1 = psi_mid[glue] / d20[glue]
+
+    def half_frame(k: int, c: complex) -> Callable[[np.ndarray], np.ndarray]:
+        def block(t: np.ndarray) -> np.ndarray:
+            col = c * designed_column(k, t)
+            partner = np.stack([-np.conj(col[:, 1]), np.conj(col[:, 0])], axis=-1)
+            return np.stack([col, partner], axis=-1)
+
+        return _lambda_frame(system, d_full, b_full, block, k * Ts, total, g)
+
     segments = tuple(
         bright_ray_segment(
             system,
@@ -415,37 +439,10 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
             phase=design.phase[k],
             detuning=_zero,
             bright_axis=(ang.theta, ang.phi),
+            frame=half_frame(k, c),
         )
-        for k in range(2)
+        for k, c in enumerate((c0, c1))
     )
-    b2, d2 = bright_dark_basis(ang)
-    b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
-    g = ang.gamma
-
-    def designed_column(seg: int, s: float) -> np.ndarray:
-        chi = design.chi[seg](s)
-        f = design.f[seg](s)
-        vp = design.varphi[seg](s)
-        return np.exp(-1j * f / 2) * np.array(
-            [np.exp(-1j * vp / 2) * np.cos(chi / 2), np.exp(1j * vp / 2) * np.sin(chi / 2)]
-        )
-
-    # physical trajectory constants gluing the two designed segments
-    c0 = 1.0 / np.exp(1j * np.angle(designed_column(0, 0.0)[0]))
-    psi_mid = c0 * designed_column(0, Ts)
-    d20 = designed_column(1, 0.0)
-    glue = int(np.argmax(np.abs(d20)))
-    c1 = psi_mid[glue] / d20[glue]
-
-    def block(t: float) -> np.ndarray:
-        if t <= Ts:
-            col = c0 * designed_column(0, t)
-        else:
-            col = c1 * designed_column(1, min(t - Ts, Ts))
-        partner = np.array([-np.conj(col[1]), np.conj(col[0])])
-        return np.stack([col, partner], axis=1)
-
-    frame = _lambda_frame(system, d_full, b_full, block, total, g)
     target = rotation_gate(g, ang.theta, ang.phi)
     return PulseSchedule(
         system=system,
@@ -453,7 +450,6 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["PS"],
         omega_bar=ob,
-        frame=frame,
         geometric_phase=g,
         notes={"varsigma": spec.varsigma, "chi_profile": spec.chi_profile,
                "coupling_area": design.coupling_area},
@@ -493,6 +489,35 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         return omega_rot * np.asarray(t, dtype=float)
 
     axis = (PI - ang.theta, ang.phi + PI)
+    # rotating-frame closed form in (driven, e) block coordinates
+    Lam = np.sqrt(lam**2 + omega_rot**2 / 4)
+    p = np.array([lam, 0.0, -omega_rot / 2]) / Lam
+    psig = p[0] * _SX + p[2] * _SZ
+
+    # dynamical-phase integral along the driven trajectory (closed form)
+    dyn_scale = -(lam**2 * omega_rot) / (2 * Lam**2)
+
+    def dyn_phase_integral(t):
+        return dyn_scale * (t - np.sin(2 * Lam * t) / (2 * Lam))
+
+    phi_d_total = dyn_phase_integral(tau)
+    c_prop = g / phi_d_total  # frame phase share making the frame cyclic
+
+    b2, _ = bright_dark_basis(ang)
+    b_full = system.embed_qubit(b2)
+    w_full = system.embed_qubit(
+        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
+    )
+
+    def frame(t: np.ndarray) -> np.ndarray:
+        R = np.stack([np.exp(-1j * omega_rot * t / 2), np.exp(1j * omega_rot * t / 2)], axis=-1)
+        tt = t[:, None, None]
+        U = R[:, :, None] * (np.cos(Lam * tt) * np.eye(2) - 1j * np.sin(Lam * tt) * psig)
+        # the driven column carries its dynamical share, |e> a linear ramp
+        phases = np.stack([np.exp(1j * c_prop * dyn_phase_integral(t)),
+                           np.exp(-1j * g * t / tau)], axis=-1)
+        return _bright_frame(system, b_full, w_full, U * phases[:, None, :])
+
     seg = bright_ray_segment(
         system,
         duration=tau,
@@ -500,42 +525,8 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         phase=phase,
         detuning=_zero,
         bright_axis=axis,
+        frame=frame,
     )
-    # rotating-frame closed form in (driven, e) block coordinates
-    Lam = np.sqrt(lam**2 + omega_rot**2 / 4)
-    p = np.array([lam, 0.0, -omega_rot / 2]) / Lam
-    psig = p[0] * _SX + p[2] * _SZ
-
-    def block_raw(t: float) -> np.ndarray:
-        R = np.diag([np.exp(-1j * omega_rot * t / 2), np.exp(1j * omega_rot * t / 2)])
-        V = np.cos(Lam * t) * np.eye(2) - 1j * np.sin(Lam * t) * psig
-        return R @ V
-
-    # dynamical-phase integral along the driven trajectory (closed form)
-    dyn_scale = -(lam**2 * omega_rot) / (2 * Lam**2)
-
-    def dyn_phase_integral(t: float) -> float:
-        return dyn_scale * (t - np.sin(2 * Lam * t) / (2 * Lam))
-
-    phi_d_total = dyn_phase_integral(tau)
-    c_prop = g / phi_d_total  # frame phase share making the frame cyclic
-
-    b2, d2 = bright_dark_basis(ang)
-    b_full = system.embed_qubit(b2)
-    w_full = system.embed_qubit(
-        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
-    )
-    e_full = system.basis_state(system.excited_index)
-
-    def frame(t: float) -> np.ndarray:
-        U = block_raw(t)
-        theta_t = c_prop * dyn_phase_integral(t)
-        col_w = U[:, 0] * np.exp(1j * theta_t)
-        col_e = U[:, 1] * np.exp(-1j * g * t / tau)
-        nu2 = col_w[0] * w_full + col_w[1] * e_full
-        nu3 = col_e[0] * w_full + col_e[1] * e_full
-        return np.stack([b_full, nu2, nu3])
-
     ratio = phi_d_total / (g - phi_d_total)  # dynamical / geometric, constant in t
     target = rotation_gate(g, ang.theta, ang.phi)
     coupling_area = lam * tau
@@ -545,7 +536,6 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["TO"],
         omega_bar=ob,
-        frame=frame,
         geometric_phase=g,
         notes={
             "tau": tau,
@@ -641,7 +631,8 @@ def circle_segment_area(gamma: float) -> float:
 
 
 def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAngles) -> Segment:
-    """Drive segment realizing the inverse-engineered circle Hamiltonian.
+    """Drive segment realizing the inverse-engineered circle Hamiltonian,
+    carrying the construction's auxiliary triple as its frame.
 
     The driven ray is the +n axis eigenvector; the constant phase offset
     (phi + pi) maps our bright-axis convention onto the construction's
@@ -649,6 +640,10 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     """
     axis = (PI - angles.theta, angles.phi + PI)
     offset = angles.phi + PI
+    b2, d2 = bright_dark_basis(angles)
+    mu1 = system.embed_qubit(b2)  # parked ray, equals the printed first vector
+    v = -system.embed_qubit(d2)  # the printed second vector at t = 0
+    e = system.basis_state(system.excited_index)
 
     def envelope(t):
         bs = path.beta_dot(t) * np.sin(path.alpha(t))
@@ -660,6 +655,13 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     def detuning(t):
         return -path.beta_dot(t) * (1 + np.cos(path.alpha(t)))
 
+    def frame(t):
+        al = path.alpha(t)[:, None]
+        be = path.beta(t)[:, None]
+        mu2 = np.cos(al / 2) * v + np.sin(al / 2) * np.exp(1j * be) * e
+        mu3 = np.sin(al / 2) * np.exp(-1j * be) * v - np.cos(al / 2) * e
+        return np.stack([np.broadcast_to(mu1, mu2.shape), mu2, mu3], axis=1)
+
     return bright_ray_segment(
         system,
         duration=path.tau,
@@ -667,26 +669,8 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
         phase=phase,
         detuning=detuning,
         bright_axis=axis,
+        frame=frame,
     )
-
-
-def _circle_frame_vectors(
-    system: LevelSystem, path: PathParams, angles: GateAngles
-) -> Callable[[float], np.ndarray]:
-    """The construction's auxiliary triple for one circle segment."""
-    b2, d2 = bright_dark_basis(angles)
-    mu1 = system.embed_qubit(b2)  # parked ray, equals the printed first vector
-    v = -system.embed_qubit(d2)  # the printed second vector at t = 0
-    e = system.basis_state(system.excited_index)
-
-    def vectors(t: float) -> np.ndarray:
-        al = path.alpha(t)
-        be = path.beta(t)
-        mu2 = np.cos(al / 2) * v + np.sin(al / 2) * np.exp(1j * be) * e
-        mu3 = np.sin(al / 2) * np.exp(-1j * be) * v - np.cos(al / 2) * e
-        return np.stack([mu1, mu2, mu3])
-
-    return vectors
 
 
 def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
@@ -695,7 +679,6 @@ def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
     """Single circle-loop schedule from an explicit path."""
     system = LevelSystem.lambda3()
     seg = _circle_drive_segment(system, path, angles)
-    vectors = _circle_frame_vectors(system, path, angles)
     target = rotation_gate(path.geometric_phase, angles.theta, angles.phi)
     return PulseSchedule(
         system=system,
@@ -703,7 +686,6 @@ def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
         target=target,
         scheme_label=label or SCHEME_LABELS["S"],
         omega_bar=omega_bar,
-        frame=lambda t: vectors(min(max(t, 0.0), path.tau)),
         geometric_phase=path.geometric_phase,
         notes={"ell": path.ell, "beta0": path.beta0},
     )
@@ -735,14 +717,6 @@ def build_cdd(spec: SchemeSpec) -> PulseSchedule:
         for k in range(N)
     ]
     segments = tuple(_circle_drive_segment(system, p, ang) for p in paths)
-    frames = [_circle_frame_vectors(system, p, ang) for p in paths]
-    bounds = np.concatenate([[0.0], np.cumsum([tau_seg] * N)])
-
-    def frame(t: float) -> np.ndarray:
-        t = min(max(t, 0.0), bounds[-1])
-        k = int(np.searchsorted(bounds[1:-1], t, side="right"))
-        return frames[k](t - bounds[k])
-
     target = rotation_gate(ang.gamma, ang.theta, ang.phi)
     return PulseSchedule(
         system=system,
@@ -750,7 +724,6 @@ def build_cdd(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["CDD"],
         omega_bar=spec.omega_bar,
-        frame=frame,
         geometric_phase=ang.gamma,
         notes={"loops": N, "segment_angle": gl, "beta0": spec.beta0},
     )
@@ -824,6 +797,7 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
     system = LevelSystem.tripod4()
     path = sta_path(phi1, tau)
     omega_t = omega_bar
+    nu1 = system.basis_state(0)
     e = system.basis_state(3)
     k1 = system.basis_state(1)
     k2 = system.basis_state(2)
@@ -846,11 +820,18 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
                 np.einsum("ni,nj->nij", B, B.conj()) - np.outer(e, e.conj()))
             return H0 + Hcd
 
+        def frame(s: np.ndarray) -> np.ndarray:
+            t_, p_ = th(s)[:, None], ph(s)[:, None]
+            nu2 = np.cos(t_ / 2) * k1 + np.sin(t_ / 2) * np.exp(1j * p_) * k2
+            nu3 = -np.sin(t_ / 2) * k1 + np.cos(t_ / 2) * np.exp(1j * p_) * k2
+            return np.stack([np.broadcast_to(nu1, nu2.shape), nu2, nu3], axis=1)
+
         return Segment(
             duration=path.durations[step],
             drive=drive,
             diagonal=lambda s: np.zeros((len(s), 4, 4), dtype=complex),
             envelope=_const(omega_t),
+            frame=frame,
         )
 
     segments = tuple(make_step(k) for k in range(3))
@@ -862,18 +843,6 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         integrand = path.phi_dot[step](s) * np.sin(path.theta[step](s) / 2) ** 2
         gamma1 -= float(np.trapezoid(integrand, s))
 
-    bounds = np.concatenate([[0.0], np.cumsum(path.durations)])
-
-    def frame(t: float) -> np.ndarray:
-        t = min(max(t, 0.0), bounds[-1])
-        step = int(np.searchsorted(bounds[1:-1], t, side="right"))
-        s = t - bounds[step]
-        t_, p_ = float(path.theta[step](s)), float(path.phi[step](s))
-        nu1 = system.basis_state(0)
-        nu2 = np.cos(t_ / 2) * k1 + np.sin(t_ / 2) * np.exp(1j * p_) * k2
-        nu3 = -np.sin(t_ / 2) * k1 + np.cos(t_ / 2) * np.exp(1j * p_) * k2
-        return np.stack([nu1, nu2, nu3])
-
     target = np.diag([1.0, np.exp(1j * gamma1)]).astype(complex)
     return PulseSchedule(
         system=system,
@@ -881,7 +850,6 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         target=target,
         scheme_label=SCHEME_LABELS["STA"],
         omega_bar=omega_bar,
-        frame=frame,
         geometric_phase=gamma1,
         notes={"phi1": phi1, "gamma1": gamma1},
     )
@@ -985,13 +953,6 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
 
     H_unit = dfs3_unit_hamiltonian(phi)
 
-    seg = Segment(
-        duration=duration,
-        drive=lambda s: np.asarray(J(s), dtype=float)[:, None, None] * H_unit,
-        diagonal=lambda s: np.zeros((len(s), 8, 8), dtype=complex),
-        envelope=J,
-    )
-
     # logical frame: bright/dark combinations of |010>, |001> against |100>
     zero_l = system.basis_state(2)
     one_l = system.basis_state(1)
@@ -999,13 +960,20 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
     B = (np.exp(1j * phi / 2) * zero_l - np.exp(-1j * phi / 2) * one_l) / np.sqrt(2)
     D = (np.exp(1j * phi / 2) * zero_l + np.exp(-1j * phi / 2) * one_l) / np.sqrt(2)
 
-    def frame(t: float) -> np.ndarray:
-        t = min(max(t, 0.0), duration)
-        A = np.sqrt(2) * float(J_area(t))  # accumulated bright-coupling area
+    def frame(t: np.ndarray) -> np.ndarray:
+        A = np.sqrt(2) * np.asarray(J_area(t))[:, None]  # accumulated bright-coupling area
         h = A / PI
         psi_b = (np.cos(A) * B - 1j * np.sin(A) * anc) * np.exp(-1j * PI * h)
         psi_a = (-1j * np.sin(A) * B + np.cos(A) * anc) * np.exp(-1j * PI * h)
-        return np.stack([D, psi_b, psi_a])
+        return np.stack([np.broadcast_to(D, psi_b.shape), psi_b, psi_a], axis=1)
+
+    seg = Segment(
+        duration=duration,
+        drive=lambda s: np.asarray(J(s), dtype=float)[:, None, None] * H_unit,
+        diagonal=lambda s: np.zeros((len(s), 8, 8), dtype=complex),
+        envelope=J,
+        frame=frame,
+    )
 
     # logical gate: pi rotation about -(cos phi, sin phi, 0)
     if pulse_shape == "zero":
@@ -1020,7 +988,6 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
         target=target,
         scheme_label=SCHEME_LABELS["DFS3"],
         omega_bar=omega_bar,
-        frame=frame,
         geometric_phase=PI,
         notes={"phi": phi, "pulse_shape": pulse_shape if isinstance(pulse_shape, str) else "custom"},
     )

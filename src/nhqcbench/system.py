@@ -175,13 +175,16 @@ class Segment:
     drive and diagonal map an array of local times (n,) to Hermitian
     (n, d, d) stacks: drive holds the terms the Rabi error scales, diagonal
     the nominal detuning it never scales.  envelope(t) is the coupling
-    magnitude used for pulse-area accounting.
+    magnitude used for pulse-area accounting.  frame, when present, maps
+    local times (n,) to the (n, L+1, d) analytic auxiliary frame used by
+    the holonomy checks.
     """
 
     duration: float
     drive: Callable[[np.ndarray], np.ndarray]
     diagonal: Callable[[np.ndarray], np.ndarray]
     envelope: Callable[[np.ndarray], np.ndarray]
+    frame: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -195,12 +198,13 @@ def bright_ray_segment(
     phase: Callable[[np.ndarray], np.ndarray],
     detuning: Callable[[np.ndarray], np.ndarray],
     bright_axis: tuple[float, float],
+    frame: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Segment:
     """Lambda-type drive coupling one bright ray to |e>:
     envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
 
     envelope, phase and detuning are functions of local time that accept
-    numpy arrays.
+    numpy arrays; frame is passed through to the segment.
     """
     tb, pb = bright_axis
     w = system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
@@ -217,17 +221,16 @@ def bright_ray_segment(
         out[:, e, e] = detuning(t)
         return out
 
-    return Segment(duration, drive, diagonal, envelope)
+    return Segment(duration, drive, diagonal, envelope, frame)
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered drive segments plus the ideal 2x2 target gate.
 
-    frame, when present, maps a time to the (L+1, dim) analytic auxiliary
-    frame used by the holonomy checks; geometric_phase is the nominal
-    geometric phase of the loop; notes carries scheme-specific metadata
-    (e.g. alternative pulse-area conventions).
+    geometric_phase is the nominal geometric phase of the loop; notes
+    carries scheme-specific metadata (e.g. alternative pulse-area
+    conventions).
     """
 
     system: LevelSystem
@@ -235,7 +238,6 @@ class PulseSchedule:
     target: np.ndarray
     scheme_label: str
     omega_bar: float = 1.0
-    frame: Callable[[float], np.ndarray] | None = None
     geometric_phase: float | None = None
     notes: dict = field(default_factory=dict)
 
@@ -255,15 +257,39 @@ class PulseSchedule:
     def segment_boundaries(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
 
-    def locate(self, t: float) -> tuple[int, float]:
-        """Segment index and local time for global time t in [0, total]."""
-        total = self.total_duration
-        if t < -1e-12 or t > total + 1e-12:
-            raise ValueError(f"t={t} outside schedule [0, {total}]")
-        t = min(max(t, 0.0), total)
-        bounds = self.segment_boundaries()
-        idx = int(np.searchsorted(bounds[1:-1], t, side="right"))
-        return idx, t - bounds[idx]
+    def frame(self, times: np.ndarray) -> np.ndarray:
+        """(n, L+1, dim) auxiliary frame of the segments at global times."""
+        if any(seg.frame is None for seg in self.segments):
+            raise ValueError(f"schedule {self.scheme_label} carries no frame")
+        return _piecewise(self, times, lambda seg, t_local: seg.frame(t_local))
+
+
+def _piecewise(
+    schedule: PulseSchedule,
+    times: np.ndarray,
+    fn: Callable[[Segment, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """fn(segment, local times) scattered back to the order of global times.
+
+    A boundary instant belongs to the following segment; round-off at the
+    schedule ends and at boundaries is clamped into the segment.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    total = schedule.total_duration
+    if times.size and (times.min() < -1e-12 or times.max() > total + 1e-12):
+        raise ValueError("requested times outside the schedule")
+    tcl = np.clip(times, 0.0, total)
+    bounds = schedule.segment_boundaries()
+    seg_idx = np.searchsorted(bounds[1:-1], tcl, side="right")
+    out = None
+    for k, seg in enumerate(schedule.segments):
+        sel = seg_idx == k
+        if out is None or sel.any():  # the first call sizes the output
+            values = fn(seg, np.clip(tcl[sel] - bounds[k], 0.0, seg.duration))
+            if out is None:
+                out = np.empty((times.size,) + values.shape[1:], dtype=complex)
+            out[sel] = values
+    return out
 
 
 def _segment_nodes(
@@ -286,22 +312,9 @@ def hamiltonian_nodes(
     The Rabi factor multiplies only off-diagonal drive terms, never the
     nominal detuning.
     """
-    times = np.asarray(times, dtype=float)
-    d = schedule.system.dim
-    out = np.empty((times.size, d, d), dtype=complex)
-    bounds = schedule.segment_boundaries()
-    total = schedule.total_duration
-    if times.size and (times.min() < -1e-12 or times.max() > total + 1e-12):
-        raise ValueError("requested times outside the schedule")
-    tcl = np.clip(times, 0.0, total)
-    seg_idx = np.clip(np.searchsorted(bounds[1:-1], tcl, side="right"), 0, len(schedule.segments) - 1)
-    for k, seg in enumerate(schedule.segments):
-        sel = seg_idx == k
-        if np.any(sel):
-            # clamp boundary round-off into the segment
-            t_local = np.clip(tcl[sel] - bounds[k], 0.0, seg.duration)
-            out[sel] = _segment_nodes(schedule, seg, t_local, err)
-    return out
+    return _piecewise(
+        schedule, times, lambda seg, t_local: _segment_nodes(schedule, seg, t_local, err)
+    )
 
 
 def segment_hamiltonian_nodes(

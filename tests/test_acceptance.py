@@ -329,10 +329,8 @@ def test_criterion_9_sta_fast_transitionless():
     sched = sta_schedule(PI / 2, tau=PI)  # tau * omega_bar ~ pi
     traj = propagate_unitary(sched, samples=2000)
     k1 = sched.system.basis_state(1)
-    overlaps = [
-        abs(np.vdot(sched.frame(float(t))[1], U @ k1))
-        for t, U in zip(traj.times, traj.operators)
-    ]
+    frame = sched.frame(traj.times)
+    overlaps = np.abs(np.einsum("nc,nc->n", frame[:, 1].conj(), traj.operators @ k1))
     comp = list(sched.system.computational_indices)
     M = traj.final[np.ix_(comp, comp)]
     off = max(abs(M[0, 1]), abs(M[1, 0]))

@@ -77,6 +77,29 @@ class TestSimulate:
         assert code == 0
         assert "ns" in out  # durations rendered in nanoseconds
 
+    def test_physical_units_scale_report_duration(self, tmp_path, capsys):
+        code, out = run(
+            ["simulate", "--scheme", "sl", "--gate", "S", "--units", "physical",
+             "--out-dir", str(tmp_path), "--samples", "400"],
+            capsys,
+        )
+        assert code == 0
+        assert "duration=50 ns" in out
+        report = json.loads((tmp_path / "report_sl_S.json").read_text())
+        assert report["unit_mode"] == "physical"
+        assert report["duration"] == pytest.approx(np.pi * TIME_UNIT_NS, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--scheme", "sta"], id="sta-default"),
+        pytest.param(["--scheme", "sl", "--samples", "1000"], id="sl-1000"),
+    ])
+    def test_samples_header_counts_steps_taken(self, tmp_path, capsys, flags):
+        code, _ = run(["simulate", *flags, "--gate", "S", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        path = next(tmp_path.glob("trajectory_*.csv"))
+        header = [l for l in path.read_text().splitlines() if l.startswith("# samples=")]
+        assert header == [f"# samples={len(csv_rows(path)) - 1}"]
+
     def test_unknown_gate(self, capsys):
         code, _ = run(["simulate", "--scheme", "sl", "--gate", "Q"], capsys)
         assert code == 2
@@ -282,7 +305,7 @@ def test_env_samples_override(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     traj = (tmp_path / "trajectory_sl_S.csv").read_text()
-    assert "# samples=321" in traj
+    assert "# samples=320" in traj  # 321 requested: each half rounds to 160 steps
 
 
 @pytest.mark.parametrize("flags, env_samples", [
@@ -300,3 +323,18 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, monkeypatch, flags, 
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--axis", "epsilon", "--range=0:0.1:1000000000000",
+                  "--schemes", "sl"], id="sweep"),
+    pytest.param(["fig13", "b", "--points", "1000000000000"], id="fig13"),
+    pytest.param(["simulate", "--scheme", "sl", "--gate", "S",
+                  "--samples", "1000000000000"], id="simulate"),
+])
+def test_unallocatable_request_is_reported(tmp_path, capsys, argv):
+    # numpy refuses the multi-TiB grid before allocating any of it
+    code = main([*argv, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "MemoryError" in err

@@ -18,6 +18,7 @@ from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, GateAngles, SchemeSpec
 
 PI = np.pi
+ALL_TAGS = ["sl", "ss", "ps", "c", "dc", "to", "s", "cdd", "sta", "dfs3"]
 
 
 def grid_for(schedule, steps=4096):
@@ -25,11 +26,26 @@ def grid_for(schedule, steps=4096):
 
 
 class TestFrames:
-    @pytest.mark.parametrize("tag", ["sl", "ss", "ps", "c", "dc", "to", "s", "cdd",
-                                     "sta", "dfs3"])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_frame_orthonormal_and_cyclic(self, schedules, tag):
         frame = sample_frame(schedules[tag], grid_for(schedules[tag], 512))
         frame.validate()
+
+    @pytest.mark.parametrize("tag", ["sl", "ps", "c", "dc", "cdd", "sta"])
+    def test_segment_frames_join_at_boundaries(self, schedules, tag):
+        segments = schedules[tag].segments
+        assert len(segments) > 1
+        for seg, nxt in zip(segments[:-1], segments[1:]):
+            end = seg.frame(np.array([seg.duration]))[0]
+            start = nxt.frame(np.zeros(1))[0]
+            assert np.abs(end - start).max() < 1e-12
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_array_frame_matches_one_time_at_a_time(self, schedules, tag):
+        sched = schedules[tag]
+        times = np.linspace(0.0, sched.total_duration, 257)
+        single = np.stack([sched.frame(np.array([t]))[0] for t in times])
+        assert np.array_equal(sched.frame(times), single)
 
     def test_missing_frame_rejected(self):
         from test_dynamics import zero_schedule

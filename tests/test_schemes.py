@@ -312,10 +312,8 @@ class TestSta:
         traj = propagate_unitary(sched, samples=1500)
         k1 = np.zeros(4, dtype=complex)
         k1[1] = 1.0
-        overlaps = []
-        for t, U in zip(traj.times, traj.operators):
-            frame = sched.frame(float(t))
-            overlaps.append(abs(np.vdot(frame[1], U @ k1)))
+        frame = sched.frame(traj.times)
+        overlaps = np.abs(np.einsum("nc,nc->n", frame[:, 1].conj(), traj.operators @ k1))
         assert min(overlaps) > 0.999
 
     def test_vectorized_drive_matches_per_sample(self, schedules):
@@ -435,7 +433,7 @@ class TestToUnconventional:
         traj = ideal_runs["to"]
         from nhqcbench.system import hamiltonian_nodes
 
-        w = sched.frame(0.0)[1]
+        w = sched.frame([0.0])[0, 1]
         psi = traj.operators @ w
         H = hamiltonian_nodes(sched, traj.times, ErrorModel())
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real

@@ -194,11 +194,27 @@ class TestPulseSchedule:
                           target=np.array([[1, 0], [0, 0.5]], dtype=complex),
                           scheme_label="bad")
 
-    def test_locate(self, schedules):
-        sched = schedules["sl"]
-        idx, local = sched.locate(sched.segments[0].duration + 0.1)
-        assert idx == 1
-        assert local == pytest.approx(0.1)
+    def test_boundary_instant_belongs_to_following_segment(self):
+        # segment k couples with strength k and carries the frame 10 k + t_local
+        system = LevelSystem.lambda3()
+
+        def seg(k):
+            return bright_ray_segment(
+                system, 1.0, envelope=lambda t: np.full(t.shape, float(k)),
+                phase=np.zeros_like, detuning=np.zeros_like, bright_axis=(0.0, 0.0),
+                frame=lambda t: np.broadcast_to((10 * k + t)[:, None, None], (t.size, 3, 3)),
+            )
+
+        sched = PulseSchedule(system=system, segments=(seg(1), seg(2)),
+                              target=np.eye(2, dtype=complex), scheme_label="two")
+        t = np.array([0.0, 1.1, 1.0, 2.0 + 1e-13, 1.0 - 1e-9])
+        H = hamiltonian_nodes(sched, t, ErrorModel())
+        assert np.abs(H).max(axis=(1, 2)).tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
+        frame = sched.frame(t)[:, 0, 0].real
+        assert frame == pytest.approx([10.0, 20.1, 20.0, 21.0, 11.0 - 1e-9], abs=1e-12)
+        # a scalar time is one sample
+        assert np.array_equal(hamiltonian_nodes(sched, 1.0, ErrorModel()), H[2:3])
+        assert np.array_equal(sched.frame(1.0), sched.frame(t[2:3]))
 
     def test_total_duration(self, schedules):
         assert schedules["sl"].total_duration == pytest.approx(PI)
