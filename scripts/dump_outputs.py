@@ -2,6 +2,7 @@
 
     python scripts/dump_outputs.py OUT.npz
     python scripts/dump_outputs.py --compare A.npz B.npz
+    python scripts/dump_outputs.py --oracle-error
 
 The dump holds, per scheme, the arrays a numerical change must keep within
 1e-12 of the previous outputs: H nodes on a 4001-point grid and the full
@@ -11,6 +12,9 @@ reconstruction on the 4096-step grid `check` uses, and the six-axial-state
 Lindblad trajectory (epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes
 with an excited level).  The oracle Lindblad final states of sl, ps and dc at the golden
 4000 slices are included too.  `--compare` prints max |A - B| per key.
+`--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
+oracle at the ideal and the closed-system errors above, where U_ref is the
+same product of slices evaluated in clongdouble (under a minute).
 """
 import argparse
 import sys
@@ -19,6 +23,8 @@ import numpy as np
 
 from nhqcbench.bench import benchmark_catalog
 from nhqcbench.dynamics import (
+    ORACLE_SLICES,
+    allocate_steps,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_lindblad,
@@ -28,7 +34,7 @@ from nhqcbench.dynamics import (
 from nhqcbench.holonomy import reconstruct_computational_gate, sample_frame
 from nhqcbench.numkit import TimeGrid
 from nhqcbench.schemes import build_schedule
-from nhqcbench.system import ErrorModel, hamiltonian_nodes
+from nhqcbench.system import ErrorModel, hamiltonian_nodes, segment_hamiltonian_nodes
 
 CLOSED = ErrorModel(epsilon=0.03, eta=-0.02)
 OPEN = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
@@ -57,6 +63,37 @@ def dump(path: str) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def longdouble_oracle(sched, err: ErrorModel) -> np.ndarray:
+    """The unitary oracle's slice product in clongdouble: the same midpoint
+    H nodes, a degree-9 Taylor polynomial per slice (truncation far below
+    the long double roundoff at oracle slice norms) and a sequential
+    product."""
+    eye = np.eye(sched.system.dim, dtype=np.clongdouble)
+    U = eye.copy()
+    chunk = 4096  # slices per batched polynomial
+    for si, (seg, n) in enumerate(zip(sched.segments,
+                                      allocate_steps(sched, ORACLE_SLICES, floor=16))):
+        h = seg.duration / n
+        Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, err)
+        for c0 in range(0, n, chunk):
+            X = np.clongdouble(-1j) * np.longdouble(h) * Hs[c0:c0 + chunk].astype(np.clongdouble)
+            E = eye + X / 9
+            for k in range(8, 0, -1):
+                E = eye + (X @ E) / k
+            for V in E:
+                U = V @ U
+    return U
+
+
+def oracle_error() -> None:
+    print("scheme,ideal,closed")
+    for tag, spec in benchmark_catalog().items():
+        sched = build_schedule(spec)
+        errs = [np.abs(oracle_propagate_unitary(sched, err) - longdouble_oracle(sched, err)).max()
+                for err in (ErrorModel(), CLOSED)]
+        print(f"{tag},{errs[0]:.3e},{errs[1]:.3e}", flush=True)
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = np.load(a_path), np.load(b_path)
     if set(a.files) != set(b.files):
@@ -72,10 +109,17 @@ def compare(a_path: str, b_path: str) -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="+", metavar="NPZ")
+    parser.add_argument("paths", nargs="*", metavar="NPZ")
     parser.add_argument("--compare", action="store_true",
                         help="compare two dumps instead of writing one")
+    parser.add_argument("--oracle-error", action="store_true",
+                        help="print the unitary oracle's error against a clongdouble product")
     args = parser.parse_args()
+    if args.oracle_error:
+        if args.paths or args.compare:
+            parser.error("--oracle-error takes no other argument")
+        oracle_error()
+        sys.exit(0)
     if args.compare:
         if len(args.paths) != 2:
             parser.error("--compare takes two dumps")

@@ -102,6 +102,7 @@ class SweepResult:
     grid: np.ndarray
     fixed: ErrorModel
     reports: dict[str, list[GateReport]] = field(default_factory=dict)
+    steps: dict[str, int] = field(default_factory=dict)  # RK4 steps taken per tag
 
 
 def computational_block(actual: np.ndarray, system) -> np.ndarray:
@@ -246,6 +247,7 @@ def sweep(
                 metric="six_axial_state_average",
             ))
         result.reports[tag] = reports
+        result.steps[tag] = len(traj.times) - 1
     return result
 
 

@@ -5,8 +5,9 @@ files are CSV with a `#`-prefixed metadata header naming the fidelity
 metric, sample counts, and unit mode; reruns are byte-identical.  A JSON
 config file can mirror any flag; explicit flags win.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure or a request too
-large to allocate.
+Exit codes: 0 success, 2 usage error (an unreadable config or an unwritable
+output path included), 3 numerical failure or a request too large to
+allocate.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .bench import (
     table1_rows,
 )
 from .dynamics import (
-    default_samples,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_unitary,
@@ -190,15 +190,16 @@ def cmd_simulate(args) -> int:
 
 
 def _write_sweep(args, result, out: Path, **meta) -> None:
-    """Write a sweep's CSV, durations in ns under --units physical, and
-    print its row count; meta adds header fields."""
+    """Write a sweep's CSV, durations in ns under --units physical and the
+    steps each scheme took in the samples field, and print its row count;
+    meta adds header fields."""
     scale = TIME_UNIT_NS if args.units == "physical" else 1.0
     rows = [[tag, float(x), rep.fidelity, rep.pulse_area_pi, rep.duration * scale,
              rep.peak_excited_population]
             for tag, reports in result.reports.items() for x, rep in zip(result.grid, reports)]
     meta.update({
         "metric": "six_axial_state_average",
-        "samples": default_samples("lindblad") if args.samples is None else args.samples,
+        "samples": ",".join(f"{tag}:{n}" for tag, n in result.steps.items()),
         "unit_mode": args.units,
         "omega_bar": 1.0,
         "fixed_gamma_minus": result.fixed.gamma_minus,
@@ -504,7 +505,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:

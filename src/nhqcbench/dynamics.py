@@ -8,8 +8,9 @@ Two independent numerical routes are maintained everywhere:
   half-step lattice of each segment and the states follow as a chain of
   precomputed step matrices;
 * the oracle path: time-ordered products of exact slice exponentials
-  (eigendecomposition for unitary slices, a fourth-order commutator-free
-  Magnus product of superoperator exponentials for open slices).
+  (a Taylor polynomial whose truncation error is below the unit roundoff
+  for unitary slices, a fourth-order commutator-free Magnus product of
+  superoperator exponentials for open slices).
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,14 @@ class TestSweep:
             assert float(dim["duration"]) == pytest.approx(np.pi)
             assert float(phys["duration"]) == pytest.approx(np.pi * TIME_UNIT_NS)  # 50 ns
             assert phys["fidelity"] == dim["fidelity"]
+
+    def test_samples_header_counts_steps_taken(self, tmp_path, capsys):
+        # 1000 requested: SL takes 2 x 500 steps, STA 3 x 333
+        out_file = tmp_path / "s.csv"
+        code, _ = run(["sweep", "--axis", "epsilon", "--range=0:0.01:1", "--schemes", "sl,sta",
+                       "--samples", "1000", "--out", str(out_file)], capsys)
+        assert code == 0
+        assert "# samples=sl:1000,sta:999\n" in out_file.read_text()
 
     def test_bad_range(self, capsys):
         code, _ = run(["sweep", "--axis", "epsilon", "--range", "oops",
@@ -338,3 +349,57 @@ def test_unallocatable_request_is_reported(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and "MemoryError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--scheme", "sl", "--gate", "S", "--samples", "400",
+                  "--out-dir", "{file}/x"], id="simulate-out-dir-under-file"),
+    pytest.param(["table1", "--out", "{file}/t.csv"], id="table1-out-under-file"),
+    pytest.param(["check", "--scheme", "sl", "--config", "{dir}"], id="check-config-is-dir"),
+])
+def test_unusable_path_is_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    code = main([a.format(file=tmp_path / "file", dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# Every valid run stays cheap: the base flags cap --samples, --points and the
+# range count, and a drawn flag can only replace them with a hostile token.
+# check takes 40 steps, which fails its unitarity test before the oracle runs.
+_ARGV_BASE = {
+    "simulate": ["--scheme", "sl", "--gate", "S", "--samples", "400"],
+    "sweep": ["--axis", "epsilon", "--range=0:0.01:1", "--schemes", "sl", "--samples", "400"],
+    "table1": [],
+    "fig13": ["a", "--points", "1", "--samples", "400"],
+    "check": ["--scheme", "sl", "--samples", "40"],
+    "goldens": [],  # never --regenerate
+}
+_ARGV_FLAGS = ["--samples", "--units", "--out-dir", "--config", "--scheme", "--gate", "--epsilon",
+               "--eta", "--gamma-minus", "--gamma-z", "--axis", "--range", "--schemes", "--out",
+               "--points", "--dir", "--bogus", "-x"]
+_ARGV_TOKENS = ["", "nan", "inf", "-inf", "-1", "0", "1e12", "1000000000000", "/dev/null/x", ".",
+                "sl", "S", "a", "physical", "0:1:1000000000000", "nan:inf:2", "-inf:inf:2"]
+
+
+@given(
+    command=st.sampled_from(sorted(_ARGV_BASE)),
+    pairs=st.lists(st.tuples(st.sampled_from(_ARGV_FLAGS), st.sampled_from(_ARGV_TOKENS)),
+                   max_size=3),
+    stray=st.lists(st.sampled_from(_ARGV_TOKENS + _ARGV_FLAGS), max_size=1),
+)
+@settings(max_examples=200, deadline=None)
+def test_argv_never_crashes(tmp_path_factory, command, pairs, stray):
+    # relative paths ("", ".") land in a scratch working directory
+    argv = [command, *_ARGV_BASE[command], *(t for pair in pairs for t in pair), *stray]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv"))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

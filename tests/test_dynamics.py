@@ -203,6 +203,27 @@ class TestOracles:
                 U = V @ U
         assert np.abs(oracle_gates[tag] - U).max() <= 1e-12
 
+    def test_unitary_oracle_matches_longdouble_product(self, schedules, oracle_gates):
+        # the same midpoint slices, each a degree-9 Taylor polynomial in
+        # clongdouble (truncation ~1e-40 at ||H|| h ~ 1e-4), multiplied out
+        # one at a time
+        from nhqcbench.dynamics import ORACLE_SLICES
+
+        sched = schedules["sl"]
+        eye = np.eye(sched.system.dim, dtype=np.clongdouble)
+        U = eye.copy()
+        for si, (seg, n) in enumerate(zip(sched.segments,
+                                          allocate_steps(sched, ORACLE_SLICES, floor=16))):
+            h = seg.duration / n
+            Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, ErrorModel())
+            X = np.clongdouble(-1j) * np.longdouble(h) * Hs.astype(np.clongdouble)
+            E = eye + X / 9
+            for k in range(8, 0, -1):
+                E = eye + (X @ E) / k
+            for V in E:
+                U = V @ U
+        assert np.abs(oracle_gates["sl"] - U).max() <= 1e-11
+
     def test_lindblad_oracle_matches_analytic_decay(self):
         G = 0.05
         sched = zero_schedule(duration=2.0)

@@ -80,6 +80,28 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 2"):
             expm_hermitian(Hs, dt=1.0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_stack_across_scaling_threshold_matches_eigh(self, d):
+        # ||H||_1 dt spans 1e-6 to 50 in one stack, so its largest member
+        # sets scaling and squaring for the smallest
+        rng = np.random.default_rng(d)
+        M = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        Hs = M + M.conj().transpose(0, 2, 1)
+        Hs *= (np.logspace(-6, np.log10(50), 64) / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
+        w, V = np.linalg.eigh(Hs)
+        ref = np.einsum("nij,nj,nkj->nik", V, np.exp(-1j * w), V.conj())
+        assert np.abs(expm_hermitian(Hs, 1.0) - ref).max() <= 1e-12
+
+    def test_oracle_sized_stack_unitary(self):
+        # 1e5 slices at ||H||_1 dt = 2e-4, near the largest catalog oracle
+        # slice (ps: 2.1e-4 at epsilon = 0.03, eta = -0.02)
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(100_000, 3, 3)) + 1j * rng.normal(size=(100_000, 3, 3))
+        Hs = M + M.conj().transpose(0, 2, 1)
+        Hs *= (2e-4 / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
+        E = expm_hermitian(Hs, 1.0)
+        assert np.abs(E.conj().transpose(0, 2, 1) @ E - np.eye(3)).max() <= 1e-14
+
 
 def random_unitaries(rng, n, d=3):
     M = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
