@@ -11,7 +11,10 @@ unitary oracle at the same errors, the auxiliary frame and the holonomy
 reconstruction on the 4096-step grid `check` uses, and the six-axial-state
 Lindblad trajectory (epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes
 with an excited level).  The oracle Lindblad final states of sl, ps and dc at the golden
-4000 slices are included too.  `--compare` prints max |A - B| per key.
+4000 slices are included too, and so are the six-state fidelities and peak
+populations of two grid sweeps at the default 4000 steps: the 41-point
+epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
+`fig13 a` decoherence sweep (9 points).  `--compare` prints max |A - B| per key.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
 same product of slices evaluated in clongdouble (under a minute).
@@ -21,7 +24,7 @@ import sys
 
 import numpy as np
 
-from nhqcbench.bench import benchmark_catalog
+from nhqcbench.bench import FIG13_GAMMA, TABLE1_TAGS, benchmark_catalog, sweep
 from nhqcbench.dynamics import (
     ORACLE_SLICES,
     allocate_steps,
@@ -39,6 +42,12 @@ from nhqcbench.system import ErrorModel, hamiltonian_nodes, segment_hamiltonian_
 CLOSED = ErrorModel(epsilon=0.03, eta=-0.02)
 OPEN = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
 GOLDEN_TAGS = ("sl", "ps", "dc")
+# name: (tags, axis, grid, fixed error model)
+SWEEPS = {
+    "sweep_epsilon": (GOLDEN_TAGS, "epsilon", np.linspace(-0.1, 0.1, 41),
+                      ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)),
+    "fig13a": (TABLE1_TAGS, "gamma_decoherence", np.linspace(0.0, 6e-4, 9), ErrorModel()),
+}
 
 
 def dump(path: str) -> None:
@@ -60,6 +69,13 @@ def dump(path: str) -> None:
         if tag in GOLDEN_TAGS:
             arrays[f"{tag}/oracle_lindblad"] = oracle_propagate_lindblad(sched, OPEN, rho0)
         print(f"{tag} done", file=sys.stderr)
+    catalog = benchmark_catalog()
+    for name, (tags, axis, grid, fixed) in SWEEPS.items():
+        result = sweep({tag: catalog[tag] for tag in tags}, axis, grid, fixed)
+        for tag in tags:
+            arrays[f"{name}/{tag}/fidelity"] = result.fidelity[tag]
+            arrays[f"{name}/{tag}/peak"] = result.peak_excited_population[tag]
+        print(f"{name} done", file=sys.stderr)
     np.savez_compressed(path, **arrays)
 
 

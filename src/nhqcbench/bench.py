@@ -14,11 +14,17 @@ file header):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import propagate_lindblad, propagate_unitary, six_axial_densities, six_axial_states
+from .dynamics import (
+    propagate_lindblad,
+    propagate_lindblad_grid,
+    propagate_unitary,
+    six_axial_densities,
+    six_axial_states,
+)
 from .schemes import SCHEME_LABELS, build_schedule
 from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
 
@@ -98,11 +104,18 @@ class GateReport:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Per scheme tag: six-state fidelity and peak monitored population at
+    each grid point, (G,) arrays, plus the tag's pulse area (multiples of
+    pi), duration and the RK4 steps it took."""
+
     axis: str
     grid: np.ndarray
     fixed: ErrorModel
-    reports: dict[str, list[GateReport]] = field(default_factory=dict)
-    steps: dict[str, int] = field(default_factory=dict)  # RK4 steps taken per tag
+    fidelity: dict[str, np.ndarray] = field(default_factory=dict)
+    peak_excited_population: dict[str, np.ndarray] = field(default_factory=dict)
+    pulse_area_pi: dict[str, float] = field(default_factory=dict)
+    duration: dict[str, float] = field(default_factory=dict)
+    steps: dict[str, int] = field(default_factory=dict)
 
 
 def computational_block(actual: np.ndarray, system) -> np.ndarray:
@@ -212,42 +225,39 @@ def sweep(
 
     epsilon/eta sweeps hold the decoherence rates of `fixed`; the
     decoherence sweep sets gamma_minus = gamma_z = value with eps = eta = 0.
-    Evaluation order never affects values (each point is pure).
+    The axis only chooses each point's error model: every scheme takes one
+    RK4 pass over the whole grid (propagate_lindblad_grid), whose generator
+    is affine in the error parameters.  Evaluation order never affects
+    values (each point is pure): a point reads the same, bit for bit, alone
+    or inside a larger grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty sweep grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("sweep grid must be strictly increasing")
-    if axis not in ("epsilon", "eta", "gamma_decoherence"):
+    point = {
+        "epsilon": lambda x: replace(fixed, epsilon=x),
+        "eta": lambda x: replace(fixed, eta=x),
+        "gamma_decoherence": lambda x: ErrorModel(gamma_minus=x, gamma_z=x),
+    }.get(axis)
+    if point is None:
         raise ValueError(f"unknown sweep axis {axis!r}")
+    errs = [point(float(x)) for x in grid]
     result = SweepResult(axis=axis, grid=grid, fixed=fixed)
     for tag, spec in specs.items():
         schedule = build_schedule(spec)
-        area = pulse_area(schedule)
-        reports = []
-        for x in grid:
-            if axis == "epsilon":
-                err = ErrorModel(epsilon=float(x), eta=fixed.eta,
-                                 gamma_minus=fixed.gamma_minus, gamma_z=fixed.gamma_z)
-            elif axis == "eta":
-                err = ErrorModel(epsilon=fixed.epsilon, eta=float(x),
-                                 gamma_minus=fixed.gamma_minus, gamma_z=fixed.gamma_z)
-            else:
-                err = ErrorModel(gamma_minus=float(x), gamma_z=float(x))
-            fid, traj = _six_state_run(schedule, err, schedule.target, samples)
-            reports.append(GateReport(
-                scheme_label=schedule.scheme_label,
-                fidelity=fid,
-                pulse_area_pi=area,
-                peak_excited_population=peak_excited_population(traj),
-                cyclic_residual=0.0,
-                parallel_residual=0.0,
-                duration=schedule.total_duration,
-                metric="six_axial_state_average",
-            ))
-        result.reports[tag] = reports
-        result.steps[tag] = len(traj.times) - 1
+        final, peak, steps = propagate_lindblad_grid(
+            schedule, errs, six_axial_densities(schedule.system), samples)
+        fid = np.array([six_state_fidelity(schedule.system, schedule.target, rho)
+                        for rho in final])
+        if fid.max() > 1 + 1e-9:
+            raise ValueError(f"fidelity {fid.max()} exceeds 1")
+        result.fidelity[tag] = fid
+        result.peak_excited_population[tag] = peak
+        result.pulse_area_pi[tag] = pulse_area(schedule)
+        result.duration[tag] = schedule.total_duration
+        result.steps[tag] = steps
     return result
 
 

@@ -194,9 +194,10 @@ def _write_sweep(args, result, out: Path, **meta) -> None:
     steps each scheme took in the samples field, and print its row count;
     meta adds header fields."""
     scale = TIME_UNIT_NS if args.units == "physical" else 1.0
-    rows = [[tag, float(x), rep.fidelity, rep.pulse_area_pi, rep.duration * scale,
-             rep.peak_excited_population]
-            for tag, reports in result.reports.items() for x, rep in zip(result.grid, reports)]
+    rows = [[tag, float(x), float(f), result.pulse_area_pi[tag], result.duration[tag] * scale,
+             float(p)]
+            for tag, fid in result.fidelity.items()
+            for x, f, p in zip(result.grid, fid, result.peak_excited_population[tag])]
     meta.update({
         "metric": "six_axial_state_average",
         "samples": ",".join(f"{tag}:{n}" for tag, n in result.steps.items()),
@@ -319,6 +320,7 @@ def cmd_goldens(args) -> int:
         print("nothing to do (use --regenerate)")
         return 0
     out_dir = Path(args.dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the oracle work
     catalog = benchmark_catalog()
     grid = np.linspace(-0.1, 0.1, 41)
     fixed = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
@@ -359,7 +361,6 @@ def cmd_goldens(args) -> int:
         "oracle_slices": GOLDEN_ORACLE_SLICES,
         "fidelity": fid,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sl_fig13_point.json").write_text(
         json.dumps(point, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

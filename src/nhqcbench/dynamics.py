@@ -2,11 +2,13 @@
 
 Two independent numerical routes are maintained everywhere:
 
-* the production path: ``numkit.rk4_linear``, one fixed-step RK4 engine for
-  y' = A(t) y, with A = -iH(t) for propagators and A = the row-major
-  Lindblad superoperator for density matrices; H is sampled on the
-  half-step lattice of each segment and the states follow as a chain of
-  precomputed step matrices;
+* the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
+  for y' = A(t) y, with A = -iH(t) for propagators and A = the row-major
+  Lindblad superoperator for density matrices; the drive and diagonal
+  terms of H are sampled on the half-step lattice of each segment and the
+  states follow as a chain of precomputed step matrices.  A is affine in
+  the error parameters, so a whole grid of error models shares one set of
+  nodes and one pass (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials
   (a Taylor polynomial whose truncation error is below the unit roundoff
   for unitary slices, a fourth-order commutator-free Magnus product of
@@ -23,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkit import expm_hermitian, ordered_product, rk4_linear
+from .numkit import CHUNK_ELEMENTS, expm_hermitian, ordered_product, rk4_chunks, rk4_linear
 from .system import (
     ErrorModel,
     LevelSystem,
     PulseSchedule,
+    detuning_error,
+    segment_drive_diagonal,
     segment_hamiltonian_nodes,
 )
 
@@ -125,10 +129,27 @@ def allocate_steps(schedule: PulseSchedule, total_steps: int, floor: int = 8) ->
     return alloc
 
 
-def _rk4_segments(schedule: PulseSchedule, err: ErrorModel, samples: int | None, kind: str):
-    """RK4 inputs per segment, [(h, H nodes on the half-step lattice)], and
-    the global time of every state the chain produces; samples=None takes
-    the default step count of `kind`."""
+@dataclass(frozen=True)
+class _LatticeNodes:
+    """The drive and diagonal terms of one segment on its half-step
+    lattice, (n, 2, d, d) per slice: each run is built when the engine
+    reads it, so the nodes of a whole segment never sit in memory."""
+
+    schedule: PulseSchedule
+    seg_index: int
+    t_local: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_local)
+
+    def __getitem__(self, run: slice) -> np.ndarray:
+        return segment_drive_diagonal(self.schedule, self.seg_index, self.t_local[run])
+
+
+def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str):
+    """RK4 inputs per segment, [(h, drive and diagonal nodes on the
+    half-step lattice)], and the global time of every state the chain
+    produces; samples=None takes the default step count of `kind`."""
     steps = default_samples(kind) if samples is None else samples
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -137,10 +158,30 @@ def _rk4_segments(schedule: PulseSchedule, err: ErrorModel, samples: int | None,
     t_offset = 0.0
     for si, (seg, n) in enumerate(zip(schedule.segments, allocate_steps(schedule, steps))):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-        segments.append((seg.duration / n, segment_hamiltonian_nodes(schedule, si, lattice, err)))
+        segments.append((seg.duration / n, _LatticeNodes(schedule, si, lattice)))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
     return segments, np.concatenate(times)
+
+
+def _grid_generator(lift, errs, const):
+    """Map a run of (drive, diagonal) nodes (n, 2, d, d) to the generators
+    of every error model of errs, (n, G, m, m):
+    A_g = (1+eps_g) lift(drive) + lift(diagonal) + const[g].  Every call
+    writes into one buffer, which the next call overwrites."""
+    scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
+    buf = np.empty((0,) + const.shape, dtype=complex)
+
+    def generator(nodes):
+        nonlocal buf
+        S = lift(nodes)
+        if len(buf) < len(S):
+            buf = np.empty((len(S),) + const.shape, dtype=complex)
+        A = np.multiply(scale, S[:, None, 0], out=buf[:len(S)])
+        A += S[:, None, 1]
+        A += const
+        return A
+    return generator
 
 
 def propagate_unitary(
@@ -149,9 +190,11 @@ def propagate_unitary(
     """RK4 propagator trajectory, integrated segment by segment."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
-    segments, times = _rk4_segments(schedule, err, samples, "unitary")
+    segments, times = _rk4_segments(schedule, samples, "unitary")
     d = schedule.system.dim
-    ops = rk4_linear(np.eye(d), segments, lambda H: -1j * H)
+    eta = detuning_error(schedule, err)
+    ops = rk4_linear(np.eye(d)[None], segments,
+                     _grid_generator(lambda H: -1j * H, [err], -1j * eta[None]))[:, 0]
     drift = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(d)).max()
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")
@@ -163,15 +206,53 @@ def propagate_unitary(
 
 
 def _validate_density(rho: np.ndarray, where: str) -> None:
+    """Trace, Hermiticity and positivity of a stack (..., d, d).  Positivity
+    is one batched Cholesky factorisation of rho - POSITIVITY_TOL*I, which
+    exists iff every eigenvalue exceeds POSITIVITY_TOL; only when it fails
+    does eigvalsh decide exactly and name the eigenvalue."""
     tr = np.trace(rho, axis1=-2, axis2=-1)
     if np.abs(tr - 1.0).max() > TRACE_TOL:
         raise RuntimeError(f"trace deviates by {np.abs(tr - 1).max():.3e} {where}")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm > 1e-8:
         raise RuntimeError(f"Hermiticity defect {herm:.3e} {where}")
-    wmin = np.linalg.eigvalsh(rho).min()
-    if wmin < POSITIVITY_TOL:
-        raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}")
+    try:
+        np.linalg.cholesky(rho - POSITIVITY_TOL * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        wmin = np.linalg.eigvalsh(rho).min()
+        if wmin < POSITIVITY_TOL:
+            raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}") from None
+
+
+def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
+    """RK4 densities of the batch rho (k, d, d) under every error model of
+    errs at once: the global times and an iterator over the validated
+    states after rho, chunk by chunk, (c, G, k, d, d).
+
+    The generator of grid point g is (1+eps_g) S[drive] + S[diagonal] + C_g,
+    with S[H] the commutator superoperator and C_g the Lindblad
+    superoperator of eta_g*omega_bar|e><e| under the rates of g, so every
+    chunk lifts its nodes once for the whole grid.
+    """
+    system = schedule.system
+    d, k = system.dim, len(rho)
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
+    _validate_density(rho, "in rho0")
+    segments, times = _rk4_segments(schedule, samples, "lindblad")
+    const = np.stack([lindblad_superoperator(system, e, detuning_error(schedule, e))
+                      for e in errs])
+    closed = ErrorModel()
+    generator = _grid_generator(lambda H: lindblad_superoperator(system, closed, H), errs, const)
+    # columns are the row-major vectorized density matrices of the batch
+    cols = np.broadcast_to(rho.reshape(k, d * d).T, (len(errs), d * d, k))
+
+    def chunks():
+        for states in rk4_chunks(cols, segments, generator):
+            states = states.swapaxes(-1, -2).reshape(len(states), len(errs), k, d, d)
+            _validate_density(states, "during evolution")
+            yield states
+    return times, chunks()
 
 
 def propagate_lindblad(
@@ -188,22 +269,43 @@ def propagate_lindblad(
     rho0 = np.asarray(rho0, dtype=complex)
     batch = rho0.ndim == 3
     rho = rho0 if batch else rho0[None, :, :]
-    d = schedule.system.dim
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match dim {d}")
-    _validate_density(rho, "in rho0")
-
-    segments, times = _rk4_segments(schedule, err, samples, "lindblad")
-    # columns are the row-major vectorized density matrices of the batch
-    cols = rk4_linear(rho.reshape(len(rho), d * d).T, segments,
-                      lambda H: lindblad_superoperator(schedule.system, err, H))
-    ops = cols.transpose(0, 2, 1).reshape(len(times), len(rho), d, d)
-    _validate_density(ops, "during evolution")
+    times, chunks = _lindblad_chunks(schedule, [err], rho, samples)
+    ops = np.concatenate([rho[None], *(states[:, 0] for states in chunks)])
     mon = monitor_index(schedule.system)
     pe = ops[..., mon, mon].real.max(axis=1)
     if not batch:
         ops = ops[:, 0]
     return Trajectory(times=times, operators=ops, excited_population=pe, kind="lindblad")
+
+
+def propagate_lindblad_grid(
+    schedule: PulseSchedule,
+    errs,
+    rho0: np.ndarray,
+    samples: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The batch rho0 (k, d, d) under every error model of errs, without
+    keeping trajectories: final densities (G, k, d, d), the peak monitored
+    population of each grid point over time and batch (G,), and the RK4
+    steps taken.
+
+    The points share one RK4 pass, in blocks of CHUNK_ELEMENTS // d**4 so
+    that memory stays bounded; each point's values are those of
+    propagate_lindblad under its own error model, checked the same way.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    mon = monitor_index(schedule.system)
+    block = max(1, CHUNK_ELEMENTS // schedule.system.dim ** 4)
+    final, peak = [], []
+    for b0 in range(0, len(errs), block):
+        part = errs[b0:b0 + block]
+        times, chunks = _lindblad_chunks(schedule, part, rho, samples)
+        top = np.full(len(part), rho[:, mon, mon].real.max())
+        for states in chunks:
+            top = np.maximum(top, states[..., mon, mon].real.max(axis=(0, 2)))
+        final.append(states[-1])
+        peak.append(top)
+    return np.concatenate(final), np.concatenate(peak), len(times) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +336,15 @@ def lindblad_superoperator(system: LevelSystem, err: ErrorModel, H: np.ndarray) 
     a stack (n, d, d), giving (d*d, d*d) or (n, d*d, d*d)."""
     d = system.dim
     eye = np.eye(d)
-    H = np.asarray(H)
-    # kron(H, I) and kron(I, H^T), broadcast over any leading stack axes
-    left = H[..., :, None, :, None] * eye[:, None, :]
-    right = eye[:, None, :, None] * H.swapaxes(-1, -2)[..., None, :, None, :]
-    L = (-1j * (left - right)).reshape(H.shape[:-2] + (d * d, d * d))
+    K = -1j * np.asarray(H)
+    # kron(K, I) - kron(I, K^T) over any leading stack axes, written into
+    # its nonzero blocks: L[i, j, k, l] = K[i, k] d_jl - d_ik K[l, j]
+    L = np.zeros(K.shape[:-2] + (d, d, d, d), dtype=complex)
+    for j in range(d):
+        L[..., :, j, :, j] = K
+    for i in range(d):
+        L[..., i, :, i, :] -= K.swapaxes(-1, -2)
+    L = L.reshape(K.shape[:-2] + (d * d, d * d))
     if err.open_system:
         sm, sz = jump_operators(system)
         for G, A in ((err.gamma_minus, sm), (err.gamma_z, sz)):
@@ -263,7 +369,6 @@ def oracle_propagate_lindblad(
     """rho(T) via a 4th-order commutator-free Magnus product of exact
     superoperator exponentials (independent of the RK4 route)."""
     rho0 = np.asarray(rho0, dtype=complex)
-    batch = rho0.ndim == 3
     d = schedule.system.dim
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(d * d, dtype=complex)
@@ -279,6 +384,4 @@ def oracle_propagate_lindblad(
             E1 = scipy.linalg.expm(h * (_CF4_A * L1[k] + _CF4_B * L2[k]))
             E2 = scipy.linalg.expm(h * (_CF4_B * L1[k] + _CF4_A * L2[k]))
             P = E2 @ E1 @ P
-    if batch:
-        return np.stack([(P @ r.reshape(-1)).reshape(d, d) for r in rho0])
-    return (P @ rho0.reshape(-1)).reshape(d, d)
+    return (P @ rho0.reshape(-1, d * d, 1)).reshape(rho0.shape)

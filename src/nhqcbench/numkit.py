@@ -4,15 +4,16 @@ Matrices are plain ``numpy`` arrays, ``(d, d)`` with ``d`` between 2 and 8
 for Hamiltonians and ``(d*d, d*d)`` for Lindblad superoperators.  Hermitian
 and unitary properties are measured by the defect helpers rather than
 carried by a wrapper type; callers validate at the boundaries where they
-matter.  ``rk4_linear`` integrates every linear ODE y' = A(t) y in the
+matter.  ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
 package (A = -iH for propagators, A = the superoperator for density
-matrices) as a chain of precomputed RK4 step matrices.
+matrices) as a chain of precomputed RK4 step matrices, optionally for a
+whole grid of generators at once; ``rk4_linear`` keeps every state.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,20 +70,27 @@ def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
 
     Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
     scaled by that matrix's magnitude, naming the matrix and its defect.
+    The check and theta are taken chunk by chunk too, so no temporary is
+    the size of the stack.
     """
     H = np.asarray(H)
-    defect = np.ravel(hermiticity_defect(H))
-    if defect.max() > HERMITIAN_TOL:  # no scaled tolerance is below this
-        tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(H).max(axis=(-2, -1))).ravel()
-        k = np.argmax(defect > tol)
-        if defect[k] > tol[k]:
-            raise ValueError(
-                f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
-                f"(tolerance {tol[k]:.3e}) in matrix {k}"
-            )
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
-    theta = abs(dt) * float(np.abs(Hs).sum(axis=-2).max())
+    chunk = max(1, CHUNK_ELEMENTS // (d * d))
+    norm = 0.0
+    for c0 in range(0, len(Hs), chunk):
+        X = Hs[c0:c0 + chunk]
+        defect = hermiticity_defect(X)
+        if defect.max() > HERMITIAN_TOL:  # no scaled tolerance is below this
+            tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
+            k = np.argmax(defect > tol)
+            if defect[k] > tol[k]:
+                raise ValueError(
+                    f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
+                    f"(tolerance {tol[k]:.3e}) in matrix {c0 + k}"
+                )
+        norm = max(norm, float(np.abs(X).sum(axis=-2).max()))
+    theta = abs(dt) * norm
     s = math.ceil(math.log2(2 * theta)) if theta > 0.5 else 0
     theta /= 2 ** s
     m = 1
@@ -90,7 +98,6 @@ def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
         m += 1
     E = np.empty(Hs.shape, dtype=complex)
     eye = np.eye(d)
-    chunk = max(1, CHUNK_ELEMENTS // (d * d))
     for c0 in range(0, len(Hs), chunk):
         X = (-1j * dt / 2 ** s) * Hs[c0:c0 + chunk]
         P, tmp = E[c0:c0 + chunk], np.empty_like(X)
@@ -126,15 +133,75 @@ def ordered_product(Ms: np.ndarray) -> np.ndarray:
     return U
 
 
-def _step_matrices(A: np.ndarray, h: float) -> np.ndarray:
+def _step_matrices(A: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
     """RK4 step matrices P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from generator
-    nodes A (2c+1, m, m) on the half-step lattice of c steps, where
-    K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2), K4 = A2 (I + h K3)."""
+    nodes A (2c+1, .., m, m) on the half-step lattice of c steps, where
+    K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2), K4 = A2 (I + h K3).
+    Built in place in work (3, c, .., m, m), which the result occupies, in
+    the order A1 + h/2 (A1 A0), ..., A0 + 2 K2 + 2 K3 + K4."""
     A0, A1, A2 = A[0:-1:2], A[1::2], A[2::2]
-    K2 = A1 + (h / 2) * (A1 @ A0)
-    K3 = A1 + (h / 2) * (A1 @ K2)
-    K4 = A2 + h * (A2 @ K3)
-    return np.eye(A.shape[-1]) + (h / 6) * (A0 + 2 * K2 + 2 * K3 + K4)
+    K2, K3, K4 = work
+    np.matmul(A1, A0, out=K2)
+    K2 *= h / 2
+    K2 += A1
+    np.matmul(A1, K2, out=K3)
+    K3 *= h / 2
+    K3 += A1
+    np.matmul(A2, K3, out=K4)
+    K4 *= h
+    K4 += A2
+    K2 *= 2
+    K2 += A0
+    K3 *= 2
+    K2 += K3
+    K2 += K4
+    K2 *= h / 6
+    K2 += np.eye(A.shape[-1])
+    return K2
+
+
+def rk4_chunks(
+    y0: np.ndarray,
+    segments: Sequence[tuple[float, np.ndarray]],
+    lift: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Fixed-step RK4 for the linear ODE y' = A(t) y, yielding the states
+    after y0 chunk by chunk.
+
+    y0 is (m,), (m, r) or (G, m, r); a leading grid axis carries G
+    independent problems on one step lattice, and lift then returns one
+    generator per grid point, (.., G, m, m).  Each segment is (h, nodes):
+    the nodes sit on the half-step lattice of n steps (2n+1 of them; any
+    sequence that len() measures and a slice reads, such as an array) and
+    lift maps a run of nodes to generator matrices.  The step matrices are
+    built in batched chunks of at most CHUNK_ELEMENTS // (G m**2) steps, so
+    transient memory depends on neither the step count nor m, and one
+    matmul per step advances the whole grid.  Each chunk of states is a
+    fresh (c, *y0.shape) array.  Aborts on the first non-finite state,
+    naming segment and step; the overflow of a diverging run is left to
+    that check instead of being warned about.
+    """
+    y = np.asarray(y0, dtype=complex)
+    grid = y.shape[:1] if y.ndim == 3 else ()
+    m = len(y[0]) if grid else len(y)
+    chunk = max(1, CHUNK_ELEMENTS // (math.prod(grid) * m * m))
+    # one workspace for the step matrices of every chunk: fresh arrays of
+    # this size per chunk would make the allocator return and refault pages
+    work = np.empty((3, chunk) + grid + (m, m), dtype=complex)
+    for si, (h, nodes) in enumerate(segments):
+        n = (len(nodes) - 1) // 2
+        for c0 in range(0, n, chunk):
+            c = min(chunk, n - c0)
+            states = np.empty((c,) + y.shape, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = _step_matrices(lift(nodes[2 * c0:2 * (c0 + c) + 1]), h, work[:, :c])
+                for k in range(c):
+                    y = np.matmul(P[k], y, out=states[k])
+            finite = np.isfinite(states).reshape(c, -1).all(axis=1)
+            if not finite.all():
+                step = c0 + int(np.argmin(finite))
+                raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
+            yield states
 
 
 def rk4_linear(
@@ -142,33 +209,13 @@ def rk4_linear(
     segments: Sequence[tuple[float, np.ndarray]],
     lift: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Fixed-step RK4 for the linear ODE y' = A(t) y; returns every state.
-
-    y0 is (m,) or (m, r).  Each segment is (h, nodes): the nodes sit on the
-    half-step lattice of n steps (2n+1 of them) and lift maps a run of nodes
-    to generator matrices A (.., m, m).  The step matrices are built in
-    batched chunks of at most CHUNK_ELEMENTS // m**2 steps, so transient
-    memory depends on neither the step count nor m; the states then follow
-    by one chain of matmuls into the returned (1 + total steps, *y0.shape)
-    array.  Aborts on the first non-finite state, naming segment and step.
-    """
+    """Every state of rk4_chunks, y0 included: (1 + total steps, *y0.shape)."""
     y0 = np.asarray(y0, dtype=complex)
-    m = y0.shape[0]
     total = sum((len(nodes) - 1) // 2 for _, nodes in segments)
     out = np.empty((total + 1,) + y0.shape, dtype=complex)
     out[0] = y0
-    chunk = max(1, CHUNK_ELEMENTS // (m * m))
-    i = 0  # index of the current state in out
-    for si, (h, nodes) in enumerate(segments):
-        n = (len(nodes) - 1) // 2
-        for c0 in range(0, n, chunk):
-            c = min(chunk, n - c0)
-            P = _step_matrices(lift(nodes[2 * c0:2 * (c0 + c) + 1]), h)
-            for k in range(c):
-                np.matmul(P[k], out[i + k], out=out[i + k + 1])
-            finite = np.isfinite(out[i + 1:i + 1 + c]).reshape(c, -1).all(axis=1)
-            if not finite.all():
-                step = c0 + int(np.argmin(finite))
-                raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
-            i += c
+    i = 1
+    for states in rk4_chunks(y0, segments, lift):
+        out[i:i + len(states)] = states
+        i += len(states)
     return out

@@ -120,10 +120,6 @@ class ErrorModel:
     def open_system(self) -> bool:
         return self.gamma_minus > 0 or self.gamma_z > 0
 
-    @classmethod
-    def ideal(cls) -> "ErrorModel":
-        return cls()
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -298,10 +294,18 @@ def _segment_nodes(
     """(1+eps)*drive + diagonal + eta|e><e| at local times of one segment."""
     H = (1.0 + err.epsilon) * seg.drive(t_local)
     H += seg.diagonal(t_local)
-    e = schedule.system.excited_index
-    if e is not None and err.eta != 0.0:
-        H[:, e, e] += err.eta * schedule.omega_bar
+    H += detuning_error(schedule, err)
     return H
+
+
+def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
+    """The detuning-error term eta*omega_bar|e><e| of H, (d, d); zero
+    without an excited level."""
+    d, e = schedule.system.dim, schedule.system.excited_index
+    out = np.zeros((d, d), dtype=complex)
+    if e is not None:
+        out[e, e] = err.eta * schedule.omega_bar
+    return out
 
 
 def hamiltonian_nodes(
@@ -328,3 +332,14 @@ def segment_hamiltonian_nodes(
     """
     t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
     return _segment_nodes(schedule, schedule.segments[seg_index], t_local, err)
+
+
+def segment_drive_diagonal(
+    schedule: PulseSchedule, seg_index: int, t_local: np.ndarray
+) -> np.ndarray:
+    """The drive and diagonal terms of one segment at local times, stacked
+    as (n, 2, d, d).  The error model weighs them differently
+    (_segment_nodes), so one stack serves a whole grid of error models."""
+    seg = schedule.segments[seg_index]
+    t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
+    return np.stack([seg.drive(t_local), seg.diagonal(t_local)], axis=1)

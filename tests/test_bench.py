@@ -116,16 +116,30 @@ class TestSweep:
     def test_single_zero_point(self, catalog):
         res = sweep({"sl": catalog["sl"]}, "epsilon", np.array([0.0]),
                     ErrorModel(), samples=800)
-        assert res.reports["sl"][0].fidelity == pytest.approx(1.0, abs=1e-7)
+        assert res.fidelity["sl"][0] == pytest.approx(1.0, abs=1e-7)
 
     def test_deterministic(self, catalog):
         kw = dict(axis="epsilon", grid=np.array([-0.05, 0.05]),
                   fixed=ErrorModel(gamma_minus=3e-4, gamma_z=3e-4), samples=500)
         a = sweep({"sl": catalog["sl"]}, **kw)
         b = sweep({"sl": catalog["sl"]}, **kw)
-        fa = [r.fidelity for r in a.reports["sl"]]
-        fb = [r.fidelity for r in b.reports["sl"]]
-        assert fa == fb
+        assert np.array_equal(a.fidelity["sl"], b.fidelity["sl"])
+
+    @pytest.mark.parametrize("axis, grid, fixed", [
+        ("epsilon", [-0.1, -0.03, 0.02, 0.07], ErrorModel(gamma_minus=3e-4, gamma_z=3e-4)),
+        ("eta", [-0.05, 0.0, 0.02, 0.09], ErrorModel(epsilon=0.01, gamma_minus=1e-4)),
+        ("gamma_decoherence", [0.0, 1e-4, 3e-4, 6e-4], ErrorModel()),
+    ])
+    def test_point_is_pure(self, catalog, axis, grid, fixed):
+        # each point reads the same, bit for bit, alone or inside the grid
+        specs = {"ps": catalog["ps"], "cdd": catalog["cdd"]}
+        whole = sweep(specs, axis, np.array(grid), fixed, samples=2000)
+        alone = sweep(specs, axis, np.array(grid[2:3]), fixed, samples=2000)
+        for tag in specs:
+            assert whole.fidelity[tag][2] == alone.fidelity[tag][0]
+            assert (whole.peak_excited_population[tag][2]
+                    == alone.peak_excited_population[tag][0])
+            assert whole.steps[tag] == alone.steps[tag]
 
     def test_rejects_bad_grid(self, catalog):
         with pytest.raises(ValueError):
@@ -140,7 +154,7 @@ class TestSweep:
                     np.array([1e-12, 3e-4]),
                     ErrorModel(epsilon=0.5), samples=500)
         # epsilon from `fixed` must NOT apply on the decoherence axis
-        assert res.reports["sl"][0].fidelity == pytest.approx(1.0, abs=1e-6)
+        assert res.fidelity["sl"][0] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestFits:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,35 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_goldens_unusable_dir_fails_before_oracle_work(tmp_path, capsys, monkeypatch):
+    from nhqcbench import cli
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "_oracle_fidelity", no_oracle)
+    (tmp_path / "file").write_text("")
+    code = main(["goldens", "--regenerate", "--dir", str(tmp_path / "file" / "g")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_numerical_failure_is_one_stderr_line(tmp_path):
+    # a diverging run overflows inside the RK4 step build; only the one-line
+    # report of the non-finite state may reach stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhqcbench", "simulate", "--scheme", "sl", "--gate", "S",
+         "--epsilon", "1e300", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("numerical failure: rk4_linear: non-finite state")
 
 
 # Every valid run stays cheap: the base flags cap --samples, --points and the

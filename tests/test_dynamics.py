@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import phase_distance
+from nhqcbench import dynamics
 from nhqcbench.dynamics import (
+    _validate_density,
     allocate_steps,
     jump_operators,
     lindblad_superoperator,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_lindblad,
+    propagate_lindblad_grid,
     propagate_unitary,
+    six_axial_densities,
     six_axial_states,
 )
 from nhqcbench.schemes import build_schedule, dfs3_schedule
@@ -175,6 +179,77 @@ class TestPropagateLindblad:
                                basis_rho(8, 2), samples=50)
 
 
+GRID_AXES = {
+    "epsilon": [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4)
+                for x in (-0.1, -0.02, 0.05)],
+    "eta": [ErrorModel(eta=x, gamma_minus=2e-4, gamma_z=1e-4) for x in (-0.08, 0.0, 0.03)],
+    "decoherence": [ErrorModel(gamma_minus=x, gamma_z=x) for x in (0.0, 3e-4, 6e-4)],
+}
+
+
+def assert_grid_matches_points(schedule, errs, samples):
+    rho0 = six_axial_densities(schedule.system)
+    final, peak, steps = propagate_lindblad_grid(schedule, errs, rho0, samples)
+    assert final.shape == (len(errs), 6) + rho0.shape[1:]
+    for g, err in enumerate(errs):
+        traj = propagate_lindblad(schedule, err, rho0, samples)
+        assert np.abs(final[g] - traj.final).max() <= 1e-12
+        assert abs(peak[g] - traj.excited_population.max()) <= 1e-12
+        assert steps == len(traj.times) - 1
+
+
+class TestLindbladGrid:
+    @pytest.mark.parametrize("axis", sorted(GRID_AXES))
+    @pytest.mark.parametrize("tag", ["sl", "cdd", "to"])
+    def test_grid_matches_pointwise(self, schedules, tag, axis):
+        assert_grid_matches_points(schedules[tag], GRID_AXES[axis], 1000)
+
+    def test_dfs3_closed_epsilon_grid(self, schedules):
+        # the one scheme with m = 64: three points leave two steps per chunk
+        errs = [ErrorModel(epsilon=x) for x in (-0.05, 0.0, 0.1)]
+        assert_grid_matches_points(schedules["dfs3"], errs, 400)
+
+    def test_blocks_of_the_grid_leave_values_unchanged(self, schedules, monkeypatch):
+        sched = schedules["ps"]
+        errs = GRID_AXES["epsilon"] + GRID_AXES["eta"]
+        rho0 = six_axial_densities(sched.system)
+        whole = propagate_lindblad_grid(sched, errs, rho0, 200)
+        monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 2 * 9 ** 2)  # blocks of two points
+        blocked = propagate_lindblad_grid(sched, errs, rho0, 200)
+        assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+
+    @pytest.mark.parametrize("errs", [
+        [ErrorModel(epsilon=0.0, gamma_minus=1e-4)],
+        GRID_AXES["decoherence"],  # its first point is closed
+    ])
+    def test_three_qubit_rejects_decoherence(self, errs):
+        sched = dfs3_schedule(0.0)
+        with pytest.raises(ValueError, match="no excited level"):
+            propagate_lindblad_grid(sched, errs, basis_rho(8, 2)[None], samples=50)
+
+
+def rotated_density(eigenvalues, seed=0):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    Q, _ = np.linalg.qr(M)
+    return (Q * np.asarray(eigenvalues)) @ Q.conj().T
+
+
+class TestValidateDensity:
+    def test_negative_eigenvalue_named(self):
+        stack = np.stack([rotated_density([0.5, 0.5, 0.0], 1),
+                          rotated_density([1 + 2e-9, -2e-9, 0.0], 2)])
+        with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
+            _validate_density(stack, "at t")
+
+    def test_small_negative_eigenvalue_within_tolerance(self):
+        _validate_density(rotated_density([1 + 5e-10, -5e-10, 0.0], 3), "at t")
+
+    def test_rank_deficient_state_passes(self):
+        # a pure state sits on the boundary the tolerance keeps inside
+        _validate_density(six_axial_densities(LevelSystem.lambda3()), "at t")
+
+
 class TestOracles:
     def test_unitary_oracle_exact_for_constant_drive(self, schedules):
         # piecewise-constant segments make the sliced product exact
@@ -231,6 +306,14 @@ class TestOracles:
         out = oracle_propagate_lindblad(sched, ErrorModel(gamma_minus=G), rho0,
                                         slices=64)
         assert out[2, 2].real == pytest.approx(np.exp(-4 * G), abs=1e-12)
+
+    def test_lindblad_oracle_batch_matches_single(self, schedules):
+        sched = schedules["dc"]
+        err = ErrorModel(epsilon=0.02, gamma_minus=3e-4, gamma_z=3e-4)
+        rho0 = six_axial_densities(sched.system)
+        batch = oracle_propagate_lindblad(sched, err, rho0, slices=64)
+        for r, out in zip(rho0, batch):
+            assert np.array_equal(oracle_propagate_lindblad(sched, err, r, slices=64), out)
 
     def test_lindblad_oracle_vs_rk4(self, schedules):
         sched = schedules["sl"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,6 +81,23 @@ class TestExpmHermitian:
         Hs[2, 0, 1] = 1e-6  # far above its scaled tolerance, 1.5e-12
         with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 2"):
             expm_hermitian(Hs, dt=1.0)
+
+    def test_rejection_names_global_index_past_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 4 * 9)  # four matrices per chunk
+        Hs = np.stack([rabi_block(w) for w in np.linspace(0.5, 2.0, 11)])
+        Hs[9, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 9"):
+            expm_hermitian(Hs, dt=1.0)
+
+    def test_chunked_checks_leave_output_unchanged(self, monkeypatch):
+        # theta is the maximum over the whole stack whatever the chunking,
+        # so every matrix keeps its degree and scaling
+        rng = np.random.default_rng(11)
+        M = rng.normal(size=(37, 3, 3)) + 1j * rng.normal(size=(37, 3, 3))
+        Hs = (M + M.conj().transpose(0, 2, 1)) * np.logspace(-3, 0.5, 37)[:, None, None]
+        whole = expm_hermitian(Hs, 0.7)
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 9)
+        assert np.array_equal(expm_hermitian(Hs, 0.7), whole)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_stack_across_scaling_threshold_matches_eigh(self, d):
@@ -190,6 +209,30 @@ class TestRk4:
         h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))
         with pytest.raises(RuntimeError, match="segment 0 step 5"):
             rk4_linear(np.ones(2), [(h, nodes)], lambda A: A)
+
+    @pytest.mark.parametrize("chunk_steps", [None, 3])
+    def test_grid_axis_matches_single_runs(self, monkeypatch, chunk_steps):
+        # G generators share one pass; each grid point gets the states of
+        # its own run, bit for bit, and chunking never changes them
+        scales = np.array([0.7, 1.0, 1.3, 2.2])
+        H = rabi_block(1.1)
+        h, nodes = lattice_nodes(H, 1.5, 29, np.cos)
+        y0 = np.eye(3)[:, :2]
+        if chunk_steps:
+            monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * len(scales) * 9)
+        grid = rk4_linear(np.broadcast_to(y0, (4, 3, 2)), [(h, nodes)],
+                          lambda n: -1j * scales[:, None, None] * n[:, None])
+        assert grid.shape == (30, 4, 3, 2)
+        for g, a in enumerate(scales):
+            single = rk4_linear(y0, [(h, nodes)], lambda n: -1j * (a * n))
+            assert np.array_equal(grid[:, g], single)
+
+    def test_overflow_aborts_without_warnings(self):
+        h, nodes = lattice_nodes(rabi_block(1e300), 1.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="non-finite state in segment 0 step 0"):
+                rk4_linear(np.eye(3), [(h, nodes)], schrodinger)
 
     def test_unitarity_drift_small(self):
         H = rabi_block(1.0)
