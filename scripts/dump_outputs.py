@@ -17,21 +17,29 @@ epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
 `fig13 a` decoherence sweep (9 points).  `--compare` prints max |A - B| per key.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
-same product of slices evaluated in clongdouble (under a minute).
+same product of slices evaluated in clongdouble, and then, for sl, ps and dc
+at the golden point (gamma_minus = gamma_z = 3e-4, 4000 slices), max
+|rho_oracle - rho_ref| of the Lindblad oracle's six axial states, where
+rho_ref is the same product of CF4 slice exponents evaluated in clongdouble
+(about a minute).
 """
 import argparse
 import sys
 
 import numpy as np
 
+from nhqcbench import dynamics
 from nhqcbench.bench import FIG13_GAMMA, TABLE1_TAGS, benchmark_catalog, sweep
 from nhqcbench.dynamics import (
+    ORACLE_LINDBLAD_SLICES,
     ORACLE_SLICES,
     allocate_steps,
+    lindblad_superoperator,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_lindblad,
     propagate_unitary,
+    six_axial_densities,
     six_axial_states,
 )
 from nhqcbench.holonomy import reconstruct_computational_gate, sample_frame
@@ -101,13 +109,48 @@ def longdouble_oracle(sched, err: ErrorModel) -> np.ndarray:
     return U
 
 
+def longdouble_lindblad_oracle(sched, err: ErrorModel, rho0: np.ndarray) -> np.ndarray:
+    """The Lindblad oracle's CF4 product in clongdouble: the same
+    superoperators at the two Gauss nodes of every slice, both exponents
+    h (a L1 + b L2) and h (b L1 + a L2) formed in clongdouble, each a
+    degree-12 Taylor polynomial (truncation far below the long double
+    roundoff at slice norms ~ 1e-2), and a sequential product."""
+    d2 = sched.system.dim ** 2
+    eye = np.eye(d2, dtype=np.clongdouble)
+    a, b = np.longdouble(dynamics._CF4_A), np.longdouble(dynamics._CF4_B)
+    P = eye.copy()
+    for si, (seg, n) in enumerate(zip(sched.segments,
+                                      allocate_steps(sched, ORACLE_LINDBLAD_SLICES, floor=16))):
+        h = seg.duration / n
+        t0 = np.arange(n) * h
+        L1, L2 = (lindblad_superoperator(sched.system, err,
+                                         segment_hamiltonian_nodes(sched, si, t0 + c * h, err))
+                  .astype(np.clongdouble) for c in (dynamics._CF4_C1, dynamics._CF4_C2))
+        X = np.longdouble(h) * np.stack([a * L1 + b * L2, b * L1 + a * L2], axis=1)
+        E = eye + X / 12
+        for k in range(11, 0, -1):
+            E = eye + (X @ E) / k
+        for V in E.reshape(-1, d2, d2):
+            P = V @ P
+    return (P @ rho0.astype(np.clongdouble).reshape(-1, d2, 1)).reshape(rho0.shape)
+
+
 def oracle_error() -> None:
+    catalog = benchmark_catalog()
     print("scheme,ideal,closed")
-    for tag, spec in benchmark_catalog().items():
+    for tag, spec in catalog.items():
         sched = build_schedule(spec)
         errs = [np.abs(oracle_propagate_unitary(sched, err) - longdouble_oracle(sched, err)).max()
                 for err in (ErrorModel(), CLOSED)]
         print(f"{tag},{errs[0]:.3e},{errs[1]:.3e}", flush=True)
+    print("scheme,lindblad_golden_point")
+    golden = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
+    for tag in GOLDEN_TAGS:
+        sched = build_schedule(catalog[tag])
+        rho0 = six_axial_densities(sched.system)
+        rho = oracle_propagate_lindblad(sched, golden, rho0)
+        ref = longdouble_lindblad_oracle(sched, golden, rho0)
+        print(f"{tag},{float(np.abs(rho - ref).max()):.3e}", flush=True)
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -129,7 +172,7 @@ if __name__ == "__main__":
     parser.add_argument("--compare", action="store_true",
                         help="compare two dumps instead of writing one")
     parser.add_argument("--oracle-error", action="store_true",
-                        help="print the unitary oracle's error against a clongdouble product")
+                        help="print the oracles' errors against clongdouble products")
     args = parser.parse_args()
     if args.oracle_error:
         if args.paths or args.compare:

@@ -9,10 +9,11 @@ Two independent numerical routes are maintained everywhere:
   states follow as a chain of precomputed step matrices.  A is affine in
   the error parameters, so a whole grid of error models shares one set of
   nodes and one pass (``propagate_lindblad_grid``);
-* the oracle path: time-ordered products of exact slice exponentials
-  (a Taylor polynomial whose truncation error is below the unit roundoff
-  for unitary slices, a fourth-order commutator-free Magnus product of
-  superoperator exponentials for open slices).
+* the oracle path: time-ordered products of exact slice exponentials,
+  each a Taylor polynomial whose truncation error is below the unit
+  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices, and of
+  the two exponents of a fourth-order commutator-free Magnus step of the
+  superoperator for open slices, in batched chunks of slices.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -23,9 +24,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .numkit import CHUNK_ELEMENTS, expm_hermitian, ordered_product, rk4_chunks, rk4_linear
+from .numkit import (
+    CHUNK_ELEMENTS,
+    expm_hermitian,
+    expm_taylor,
+    ordered_product,
+    rk4_chunks,
+    rk4_linear,
+)
 from .system import (
     ErrorModel,
     LevelSystem,
@@ -367,21 +374,31 @@ def oracle_propagate_lindblad(
     slices: int = ORACLE_LINDBLAD_SLICES,
 ) -> np.ndarray:
     """rho(T) via a 4th-order commutator-free Magnus product of exact
-    superoperator exponentials (independent of the RK4 route)."""
+    superoperator exponentials (Alvermann & Fehske, J. Comput. Phys. 230,
+    5930 (2011); independent of the RK4 route).
+
+    Slice k of length h contributes exp(h (b L1 + a L2)) exp(h (a L1 + b L2)),
+    with L1, L2 the superoperators at its two Gauss nodes.  The slices are
+    taken in chunks of CHUNK_ELEMENTS // d**4: both exponents of a chunk are
+    one expm_taylor stack, interleaved in time order, and the chunk's
+    ordered_product advances the propagator.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
-    d = schedule.system.dim
+    system = schedule.system
+    d = system.dim
+    chunk = max(1, CHUNK_ELEMENTS // d ** 4)
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(d * d, dtype=complex)
     for si, seg in enumerate(schedule.segments):
         n = alloc[si]
         h = seg.duration / n
         t0 = np.arange(n) * h
-        L1 = lindblad_superoperator(
-            schedule.system, err, segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err))
-        L2 = lindblad_superoperator(
-            schedule.system, err, segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err))
-        for k in range(n):
-            E1 = scipy.linalg.expm(h * (_CF4_A * L1[k] + _CF4_B * L2[k]))
-            E2 = scipy.linalg.expm(h * (_CF4_B * L1[k] + _CF4_A * L2[k]))
-            P = E2 @ E1 @ P
+        H1 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err)
+        H2 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err)
+        for c0 in range(0, n, chunk):
+            L1 = lindblad_superoperator(system, err, H1[c0:c0 + chunk])
+            L2 = lindblad_superoperator(system, err, H2[c0:c0 + chunk])
+            X = np.stack([_CF4_A * L1 + _CF4_B * L2, _CF4_B * L1 + _CF4_A * L2], axis=1)
+            E = expm_taylor(X.reshape(-1, d * d, d * d), h)
+            P = ordered_product(E) @ P
     return (P @ rho0.reshape(-1, d * d, 1)).reshape(rho0.shape)

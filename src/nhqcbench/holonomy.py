@@ -135,19 +135,6 @@ def reconstruct_computational_gate(
     return B.T @ C @ B.conj()
 
 
-def gauge_transformed(frame: AuxiliaryFrame, Vfun) -> AuxiliaryFrame:
-    """New frame nu'_k = sum_l nu_l V_lk(t) on the computational rows.
-
-    Vfun(t) must be unitary with V(0) = V(tau) = I (boundary-trivial).
-    """
-    L = frame.n_computational
-    out = frame.vectors.copy()
-    for i, t in enumerate(frame.times):
-        V = np.asarray(Vfun(float(t)), dtype=complex)
-        out[i, :L] = V.T @ frame.vectors[i, :L]
-    return AuxiliaryFrame(times=frame.times, vectors=out)
-
-
 def condition_residuals(
     schedule: PulseSchedule, traj: Trajectory, err: ErrorModel = ErrorModel()
 ) -> tuple[float, float]:

@@ -4,7 +4,10 @@ Matrices are plain ``numpy`` arrays, ``(d, d)`` with ``d`` between 2 and 8
 for Hamiltonians and ``(d*d, d*d)`` for Lindblad superoperators.  Hermitian
 and unitary properties are measured by the defect helpers rather than
 carried by a wrapper type; callers validate at the boundaries where they
-matter.  ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
+matter.  ``expm_taylor`` is the one matrix exponential of the package, for
+stacks of any matrices (both oracles use it; ``expm_hermitian`` is its
+Hermitian front end), and ``ordered_product`` multiplies slice stacks in
+time order.  ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
 package (A = -iH for propagators, A = the superoperator for density
 matrices) as a chain of precomputed RK4 step matrices, optionally for a
 whole grid of generators at once; ``rk4_linear`` keeps every state.
@@ -18,7 +21,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-# complex entries per batched array in rk4_linear and expm_hermitian (512 KiB)
+# complex entries per batched array in rk4_linear, expm_taylor and the
+# Lindblad oracle (512 KiB)
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -57,30 +61,22 @@ def unitarity_defect(M: np.ndarray) -> float:
 
 
 def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i*H*dt) for one Hermitian matrix (d, d) or a stack (n, d, d), as
-    a Taylor polynomial whose truncation error is below the unit roundoff.
-
-    theta = |dt| max_k ||H_k||_1 bounds the norm of every exponent in the
-    stack.  Above 1/2 the exponents are scaled by 2^-s, s = ceil(log2
-    2 theta), and the result is squared s times.  The degree is the smallest
-    m with theta^(m+1) / (m+1)! e^theta <= 2^-53 (Bader, Blanes & Casas,
-    Mathematics 7, 1174 (2019)), so oracle slices, with theta ~ 1e-4, need
-    m = 3: two batched matmuls each by Horner's rule, in chunks of
-    CHUNK_ELEMENTS // d**2 matrices.
+    """exp(-i*H*dt) for one Hermitian matrix (d, d) or a stack (n, d, d),
+    by expm_taylor with scale -i*dt.
 
     Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
     scaled by that matrix's magnitude, naming the matrix and its defect.
-    The check and theta are taken chunk by chunk too, so no temporary is
-    the size of the stack.
+    The check is taken in chunks of CHUNK_ELEMENTS // d**2 matrices, so no
+    temporary is the size of the stack.
     """
     H = np.asarray(H)
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
     chunk = max(1, CHUNK_ELEMENTS // (d * d))
-    norm = 0.0
     for c0 in range(0, len(Hs), chunk):
         X = Hs[c0:c0 + chunk]
-        defect = hermiticity_defect(X)
+        with np.errstate(invalid="ignore"):  # inf - inf; expm_taylor names the entry
+            defect = hermiticity_defect(X)
         if defect.max() > HERMITIAN_TOL:  # no scaled tolerance is below this
             tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
             k = np.argmax(defect > tol)
@@ -89,29 +85,63 @@ def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
                     f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
                     f"(tolerance {tol[k]:.3e}) in matrix {c0 + k}"
                 )
-        norm = max(norm, float(np.abs(X).sum(axis=-2).max()))
-    theta = abs(dt) * norm
+    return expm_taylor(H, -1j * dt)
+
+
+def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale*X) for one matrix (d, d) or a stack (n, d, d), as a Taylor
+    polynomial whose truncation error is below the unit roundoff.
+
+    theta = |scale| max_k ||X_k||_1 bounds the norm of every exponent in the
+    stack.  Above 1/2 the exponents are scaled by 2^-s, s = ceil(log2
+    2 theta), and the result is squared s times.  The degree is the smallest
+    m with theta^(m+1) / (m+1)! e^theta <= 2^-53 (Bader, Blanes & Casas,
+    Mathematics 7, 1174 (2019); Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970 (2009)), so oracle slices, with theta ~ 1e-4 to 1e-2, need
+    m = 3 to 5: m - 1 batched matmuls each by Horner's rule, in chunks of
+    CHUNK_ELEMENTS // d**2 matrices.  scale*X is formed chunk by chunk, so
+    no temporary is the size of the stack.
+
+    Rejects, naming the first such matrix, a stack in which some
+    2 |scale| ||X_k||_1 is not finite: NaN or infinite entries, or a norm
+    too large to scale.
+    """
+    X = np.asarray(X)
+    d = X.shape[-1]
+    Xs = X.reshape(-1, d, d)
+    chunk = max(1, CHUNK_ELEMENTS // (d * d))
+    theta = 0.0
+    for c0 in range(0, len(Xs), chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = abs(scale) * np.abs(Xs[c0:c0 + chunk]).sum(axis=-2).max(axis=-1)
+            top = norms.max()  # NaN propagates through max
+            if not np.isfinite(2 * top):
+                k = np.argmin(np.isfinite(2 * norms))
+                raise ValueError(f"expm_taylor: |scale| * ||X||_1 = {norms[k]:.3e} in matrix "
+                                 f"{c0 + k} is not finite or too large to scale")
+        theta = max(theta, float(top))
     s = math.ceil(math.log2(2 * theta)) if theta > 0.5 else 0
-    theta /= 2 ** s
+    theta = math.ldexp(theta, -s)
     m = 1
     while theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) > 2.0 ** -53:
         m += 1
-    E = np.empty(Hs.shape, dtype=complex)
+    E = np.empty(Xs.shape, dtype=complex)
     eye = np.eye(d)
-    for c0 in range(0, len(Hs), chunk):
-        X = (-1j * dt / 2 ** s) * Hs[c0:c0 + chunk]
-        P, tmp = E[c0:c0 + chunk], np.empty_like(X)
-        # Horner: P = I + X/m, then P = I + X P / k for k = m-1, ..., 1
-        np.multiply(X, 1 / m, out=P)
+    for c0 in range(0, len(Xs), chunk):
+        A = (scale * 0.5 ** s) * Xs[c0:c0 + chunk]
+        P = E[c0:c0 + chunk]
+        tmp = np.empty_like(P)
+        # Horner: P = I + A/m, then P = I + A P / k for k = m-1, ..., 1
+        np.multiply(A, 1 / m, out=P)
         P += eye
         for k in range(m - 1, 0, -1):
-            np.matmul(X, P, out=tmp)
+            np.matmul(A, P, out=tmp)
             np.multiply(tmp, 1 / k, out=P)
             P += eye
         for _ in range(s):
             np.matmul(P, P, out=tmp)
             P[...] = tmp
-    return E.reshape(H.shape)
+    return E.reshape(X.shape)
 
 
 def ordered_product(Ms: np.ndarray) -> np.ndarray:

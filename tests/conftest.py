@@ -3,6 +3,7 @@ import pytest
 
 from nhqcbench.bench import benchmark_catalog
 from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
+from nhqcbench.holonomy import AuxiliaryFrame
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel
 
@@ -35,6 +36,19 @@ def align_phase(actual, reference):
     if abs(ov) < 1e-12:
         return actual
     return actual * (abs(ov) / ov)
+
+
+def gauge_transformed(frame, Vfun):
+    """New frame nu'_k = sum_l nu_l V_lk(t) on the computational rows.
+
+    Vfun(t) must be unitary with V(0) = V(tau) = I (boundary-trivial).
+    """
+    L = frame.n_computational
+    out = frame.vectors.copy()
+    for i, t in enumerate(frame.times):
+        V = np.asarray(Vfun(float(t)), dtype=complex)
+        out[i, :L] = V.T @ frame.vectors[i, :L]
+    return AuxiliaryFrame(times=frame.times, vectors=out)
 
 
 def phase_distance(actual, reference):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import phase_distance
+from conftest import gauge_transformed, phase_distance
 from nhqcbench.bench import (
     FIG13_GAMMA,
     benchmark_catalog,
@@ -26,7 +26,6 @@ from nhqcbench.dynamics import propagate_lindblad, propagate_unitary, six_axial_
 from nhqcbench.holonomy import (
     condition_residuals,
     frame_connection,
-    gauge_transformed,
     holonomy_reconstruct,
     reconstruct_computational_gate,
     sample_frame,

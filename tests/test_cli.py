@@ -381,19 +381,31 @@ def test_goldens_unusable_dir_fails_before_oracle_work(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_numerical_failure_is_one_stderr_line(tmp_path):
-    # a diverging run overflows inside the RK4 step build; only the one-line
-    # report of the non-finite state may reach stderr
+def run_python(args):
+    """A fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "nhqcbench", "simulate", "--scheme", "sl", "--gate", "S",
-         "--epsilon", "1e300", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_numerical_failure_is_one_stderr_line(tmp_path):
+    # a diverging run overflows inside the RK4 step build; only the one-line
+    # report of the non-finite state may reach stderr
+    proc = run_python(["-m", "nhqcbench", "simulate", "--scheme", "sl", "--gate", "S",
+                       "--epsilon", "1e300", "--out-dir", str(tmp_path)])
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("numerical failure: rk4_linear: non-finite state")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must run without it
+    proc = run_python(["-c", "import sys, nhqcbench, nhqcbench.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Every valid run stays cheap: the base flags cap --samples, --points and the

@@ -315,6 +315,31 @@ class TestOracles:
         for r, out in zip(rho0, batch):
             assert np.array_equal(oracle_propagate_lindblad(sched, err, r, slices=64), out)
 
+    @pytest.mark.parametrize("tag", ["sl", "cdd"])
+    def test_lindblad_oracle_matches_scipy_slice_loop(self, schedules, tag):
+        # the CF4 product one slice at a time, each exponent by scipy's expm;
+        # 1000 slices span several chunks of the batched route
+        import scipy.linalg
+
+        sched = schedules[tag]
+        err = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
+        rho0 = six_axial_densities(sched.system)
+        P = np.eye(9, dtype=complex)
+        for si, (seg, n) in enumerate(zip(sched.segments, allocate_steps(sched, 1000, floor=16))):
+            h = seg.duration / n
+            t0 = np.arange(n) * h
+            L1, L2 = (lindblad_superoperator(sched.system, err,
+                                             segment_hamiltonian_nodes(sched, si, t0 + c * h, err))
+                      for c in (dynamics._CF4_C1, dynamics._CF4_C2))
+            a, b = dynamics._CF4_A, dynamics._CF4_B
+            for k in range(n):
+                E1 = scipy.linalg.expm(h * (a * L1[k] + b * L2[k]))
+                E2 = scipy.linalg.expm(h * (b * L1[k] + a * L2[k]))
+                P = E2 @ E1 @ P
+        ref = (P @ rho0.reshape(-1, 9, 1)).reshape(rho0.shape)
+        out = oracle_propagate_lindblad(sched, err, rho0, slices=1000)
+        assert np.abs(out - ref).max() <= 1e-12
+
     def test_lindblad_oracle_vs_rk4(self, schedules):
         sched = schedules["sl"]
         err = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)

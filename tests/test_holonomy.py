@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import phase_distance
+from conftest import gauge_transformed, phase_distance
 from nhqcbench.dynamics import propagate_unitary
 from nhqcbench.holonomy import (
     AuxiliaryFrame,
     ConnectionPair,
     condition_residuals,
     frame_connection,
-    gauge_transformed,
     holonomy_reconstruct,
     reconstruct_computational_gate,
     sample_frame,

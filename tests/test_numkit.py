@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +9,7 @@ from nhqcbench import numkit
 from nhqcbench.numkit import (
     TimeGrid,
     expm_hermitian,
+    expm_taylor,
     hermiticity_defect,
     ordered_product,
     rk4_linear,
@@ -43,6 +43,8 @@ class TestExpmHermitian:
         assert np.allclose(U @ b, [0, 0, -1j], atol=1e-14)
 
     def test_against_scipy(self):
+        import scipy.linalg
+
         rng = np.random.default_rng(7)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = M + M.conj().T
@@ -89,6 +91,17 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 9"):
             expm_hermitian(Hs, dt=1.0)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "huge"])
+    def test_rejects_non_finite_naming_global_index(self, monkeypatch, bad):
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 4 * 9)  # four matrices per chunk
+        Hs = np.stack([rabi_block(w) for w in np.linspace(0.5, 2.0, 11)])
+        Hs[[9, 10]] = {"nan": rabi_block(np.nan), "inf": rabi_block(np.inf),
+                       "huge": np.diag([1e308, 0, 0])}[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expm_taylor: .* in matrix 9 is not finite"):
+                expm_hermitian(Hs, dt=1.0)
+
     def test_chunked_checks_leave_output_unchanged(self, monkeypatch):
         # theta is the maximum over the whole stack whatever the chunking,
         # so every matrix keeps its degree and scaling
@@ -120,6 +133,35 @@ class TestExpmHermitian:
         Hs *= (2e-4 / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
         E = expm_hermitian(Hs, 1.0)
         assert np.abs(E.conj().transpose(0, 2, 1) @ E - np.eye(3)).max() <= 1e-14
+
+
+class TestExpmTaylor:
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_non_normal_stack_matches_scipy(self, d):
+        # ||X||_1 spans 1e-6 to 50 in one stack, across the scaling threshold
+        import scipy.linalg
+
+        rng = np.random.default_rng(100 + d)
+        X = rng.normal(size=(48, d, d)) + 1j * rng.normal(size=(48, d, d))
+        X *= (np.logspace(-6, np.log10(50), 48) / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+        E = expm_taylor(X, 1.0)
+        for Xk, Ek in zip(X, E):
+            ref = scipy.linalg.expm(Xk)
+            assert np.abs(Ek - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_scale_is_applied_per_chunk(self, monkeypatch):
+        # the scale is folded into each chunk: the result of a prescaled
+        # stack, and chunking never changes it
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(37, 4, 4)) + 1j * rng.normal(size=(37, 4, 4))
+        whole = expm_taylor(X, 0.3 - 0.2j)
+        assert np.abs(whole - expm_taylor((0.3 - 0.2j) * X, 1.0)).max() <= 1e-13
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 16)
+        assert np.array_equal(expm_taylor(X, 0.3 - 0.2j), whole)
+
+    def test_real_input(self):
+        X = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: exp(aX) = I + aX
+        assert np.array_equal(expm_taylor(X, 2.5), [[1.0, 2.5], [0.0, 1.0]])
 
 
 def random_unitaries(rng, n, d=3):
