@@ -14,7 +14,8 @@ with an excited level).  The oracle Lindblad final states of sl, ps and dc at th
 4000 slices are included too, and so are the six-state fidelities and peak
 populations of two grid sweeps at the default 4000 steps: the 41-point
 epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
-`fig13 a` decoherence sweep (9 points).  `--compare` prints max |A - B| per key.
+`fig13 a` decoherence sweep (9 points).  `--compare` prints max |A - B| per key
+and exits 1 if the key sets or the shape of any array differ.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
 same product of slices evaluated in clongdouble, and then, for sl, ps and dc
@@ -158,12 +159,14 @@ def compare(a_path: str, b_path: str) -> int:
     if set(a.files) != set(b.files):
         print(f"key sets differ: {sorted(set(a.files) ^ set(b.files))}")
         return 1
+    status = 0
     for key in sorted(a.files):
         if a[key].shape != b[key].shape:
             print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
+            status = 1
             continue
         print(f"{key}: {np.abs(a[key] - b[key]).max():.3e}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ Two independent numerical routes are maintained everywhere:
   nodes and one pass (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
-  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices, and of
-  the two exponents of a fourth-order commutator-free Magnus step of the
-  superoperator for open slices, in batched chunks of slices.
+  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices, built
+  run by run as ``numkit.ordered_product`` reads them and multiplied in
+  the real embedding, and of the two exponents of a fourth-order
+  commutator-free Magnus step of the superoperator for open slices, in
+  batched chunks of slices.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -27,8 +29,10 @@ import numpy as np
 
 from .numkit import (
     CHUNK_ELEMENTS,
+    RejectedMatrix,
     expm_hermitian,
     expm_taylor,
+    from_real_embedding,
     ordered_product,
     rk4_chunks,
     rk4_linear,
@@ -320,21 +324,46 @@ def propagate_lindblad_grid(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _SliceExponentials:
+    """The unitary oracle's slice exponentials of one segment, as the
+    sequence ordered_product reads: a strided run builds the H nodes at its
+    own midpoints and returns their expm_hermitian stack (in the real
+    embedding), so no stack the size of the segment is ever built.  Degree
+    and scaling follow from the run's own theta.  A rejection names the
+    slice's index in the segment."""
+
+    schedule: PulseSchedule
+    seg_index: int
+    err: ErrorModel
+    h: float
+    mids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mids)
+
+    def __getitem__(self, run: slice) -> np.ndarray:
+        Hs = segment_hamiltonian_nodes(self.schedule, self.seg_index, self.mids[run], self.err)
+        try:
+            return expm_hermitian(Hs, self.h)
+        except RejectedMatrix as e:
+            raise e.at(range(len(self.mids))[run][e.index]) from None
+
+
 def oracle_propagate_unitary(
     schedule: PulseSchedule, err: ErrorModel = ErrorModel(), slices: int = ORACLE_SLICES
 ) -> np.ndarray:
     """U(T) as a time-ordered product of midpoint slice exponentials, sliced
-    per segment (exact for piecewise-constant drives up to roundoff)."""
+    per segment (exact for piecewise-constant drives up to roundoff).  The
+    product is carried in the real embedding and read back once."""
     alloc = allocate_steps(schedule, slices, floor=16)
-    d = schedule.system.dim
-    U = np.eye(d, dtype=complex)
+    U = np.eye(2 * schedule.system.dim)
     for si, seg in enumerate(schedule.segments):
         n = alloc[si]
         h = seg.duration / n
         mids = (np.arange(n) + 0.5) * h
-        Hs = segment_hamiltonian_nodes(schedule, si, mids, err)
-        U = ordered_product(expm_hermitian(Hs, h)) @ U
-    return U
+        U = ordered_product(_SliceExponentials(schedule, si, err, h, mids)) @ U
+    return from_real_embedding(U)
 
 
 def lindblad_superoperator(system: LevelSystem, err: ErrorModel, H: np.ndarray) -> np.ndarray:

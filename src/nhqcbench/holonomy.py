@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .numkit import TimeGrid, expm_hermitian, ordered_product, unitarity_defect
+from .numkit import (
+    TimeGrid,
+    expm_hermitian,
+    from_real_embedding,
+    ordered_product,
+    unitarity_defect,
+)
 from .system import ErrorModel, PulseSchedule, hamiltonian_nodes
 
 ORTHONORMALITY_TOL = 1e-10
@@ -112,7 +118,7 @@ def holonomy_reconstruct(pair: ConnectionPair) -> np.ndarray:
     M = pair.A - pair.K
     h = float(pair.times[1] - pair.times[0])
     mids = 0.5 * (M[:-1] + M[1:])
-    U = ordered_product(expm_hermitian(-mids, h))  # exp(+i mid h)
+    U = from_real_embedding(ordered_product(expm_hermitian(-mids, h)))  # exp(+i mid h)
     defect = unitarity_defect(U)
     if defect > RECONSTRUCT_UNITARITY_TOL:
         raise RuntimeError(

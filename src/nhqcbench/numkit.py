@@ -4,10 +4,15 @@ Matrices are plain ``numpy`` arrays, ``(d, d)`` with ``d`` between 2 and 8
 for Hamiltonians and ``(d*d, d*d)`` for Lindblad superoperators.  Hermitian
 and unitary properties are measured by the defect helpers rather than
 carried by a wrapper type; callers validate at the boundaries where they
-matter.  ``expm_taylor`` is the one matrix exponential of the package, for
-stacks of any matrices (both oracles use it; ``expm_hermitian`` is its
-Hermitian front end), and ``ordered_product`` multiplies slice stacks in
-time order.  ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
+matter.  The Taylor polynomial of ``expm_taylor`` is the one matrix
+exponential of the package, for stacks of any matrices (both oracles use
+it).  ``expm_hermitian``, its Hermitian front end, returns the slice
+exponentials in the real embedding phi, which turns each entry a + ib into
+the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
+times cheaper than complex ones, and
+``ordered_product`` multiplies them in time order, from an array or from a
+lazy sequence that builds each strided run of factors as it is read.
+``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
 package (A = -iH for propagators, A = the superoperator for density
 matrices) as a chain of precomputed RK4 step matrices, optionally for a
 whole grid of generators at once; ``rk4_linear`` keeps every state.
@@ -60,32 +65,128 @@ def unitarity_defect(M: np.ndarray) -> float:
     return float(np.abs(M.conj().T @ M - np.eye(d)).max())
 
 
+class RejectedMatrix(ValueError):
+    """A stack rejected for one of its matrices, whose position `index` the
+    message names.  A caller whose stack is a strided run of a longer
+    sequence re-raises e.at(i), i being that matrix's index in the sequence."""
+
+    def __init__(self, template: str, index: int):
+        super().__init__(template.format(index=index))
+        self.template = template
+        self.index = index
+
+    def at(self, index: int) -> "RejectedMatrix":
+        return RejectedMatrix(self.template, index)
+
+
+def real_embedding(M: np.ndarray) -> np.ndarray:
+    """phi(M), real (..., 2d, 2d), of complex (..., d, d): each entry a + ib
+    becomes the 2x2 block [[a, -b], [b, a]], so phi(M) = Re M (x) I +
+    Im M (x) [[0, -1], [1, 0]].  phi is an exact algebra homomorphism
+    (phi(AB) = phi(A) phi(B), phi(I) = I), so products, polynomials and
+    exponentials may be taken in the embedding and read back once.  Rows
+    2i and 2i+1 of phi(M), read as complex numbers, are conj(M[i]) and
+    i conj(M[i]): the interleaved layout of a complex array."""
+    M = np.asarray(M)
+    R = np.empty(M.shape[:-2] + (2 * M.shape[-2], 2 * M.shape[-1]))
+    Rc = R.view(complex)
+    np.conjugate(M, out=Rc[..., 0::2, :])
+    np.multiply(Rc[..., 0::2, :], 1j, out=Rc[..., 1::2, :])
+    return R
+
+
+def from_real_embedding(R: np.ndarray) -> np.ndarray:
+    """The complex M (..., d, d) with real_embedding(M) = R, read from the
+    first column of every 2x2 block of R."""
+    return R[..., 0::2, 0::2] + 1j * R[..., 1::2, 0::2]
+
+
+def _finite_theta(colsums: np.ndarray, scale: complex, c0: int) -> float:
+    """|scale| max ||X_k||_1 over a chunk from its column sums (c, d), the
+    chunk starting at matrix c0 of its stack; rejects the first matrix
+    whose 2 |scale| ||X_k||_1 is not finite: NaN or infinite entries, or a
+    norm too large to scale."""
+    top = abs(scale) * float(colsums.max())  # NaN propagates through max
+    if not math.isfinite(2 * top):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = abs(scale) * colsums.max(axis=-1)
+            k = int(np.argmin(np.isfinite(2 * norms)))
+        raise RejectedMatrix(f"expm_taylor: |scale| * ||X||_1 = {norms[k]:.3e} in matrix "
+                             "{index} is not finite or too large to scale", c0 + k)
+    return top
+
+
+def _taylor_degree(theta: float) -> tuple[int, int]:
+    """Degree m and squarings s of the Taylor polynomial for exponents of
+    norm at most theta: s = ceil(log2 2 theta) above 1/2, else 0, and the
+    smallest m with (theta/2^s)^(m+1) / (m+1)! e^(theta/2^s) <= 2^-53."""
+    s = math.ceil(math.log2(2 * theta)) if theta > 0.5 else 0
+    theta = math.ldexp(theta, -s)
+    m = 1
+    while theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) > 2.0 ** -53:
+        m += 1
+    return m, s
+
+
+def _taylor_polynomial(A: np.ndarray, m: int, s: int, out: np.ndarray) -> None:
+    """The degree-m Taylor polynomial of exp(A) for a stack A (c, k, k) by
+    Horner's rule, squared s times, written to out (c, k, k)."""
+    tmp = np.empty_like(out)
+    eye = np.eye(A.shape[-1])
+    # Horner: P = I + A/m, then P = I + A P / k for k = m-1, ..., 1
+    np.multiply(A, 1 / m, out=out)
+    out += eye
+    for k in range(m - 1, 0, -1):
+        np.matmul(A, out, out=tmp)
+        np.multiply(tmp, 1 / k, out=out)
+        out += eye
+    for _ in range(s):
+        np.matmul(out, out, out=tmp)
+        out[...] = tmp
+
+
 def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i*H*dt) for one Hermitian matrix (d, d) or a stack (n, d, d),
-    by expm_taylor with scale -i*dt.
+    """real_embedding(exp(-i*H*dt)) for one Hermitian matrix (d, d) or a
+    stack (n, d, d): a real (2d, 2d) or (n, 2d, 2d) array, which
+    ordered_product multiplies as it is and from_real_embedding reads back.
+
+    The Taylor polynomial of expm_taylor runs on the embedded exponents,
+    where a stacked real product is several times cheaper than a complex
+    one, but its degree and scaling come from the complex theta = |dt|
+    max_k ||H_k||_1 (the embedding's 1-norm can be up to sqrt 2 larger).
 
     Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
-    scaled by that matrix's magnitude, naming the matrix and its defect.
-    The check is taken in chunks of CHUNK_ELEMENTS // d**2 matrices, so no
-    temporary is the size of the stack.
+    scaled by that matrix's magnitude, naming the matrix and its defect, and
+    input that expm_taylor rejects.  The check and theta are taken in one
+    pass, chunk by chunk (CHUNK_ELEMENTS // d**2 matrices), so no temporary
+    is the size of the stack.
     """
     H = np.asarray(H)
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
     chunk = max(1, CHUNK_ELEMENTS // (d * d))
+    theta = 0.0
+    # inf - inf, or column sums that overflow: _finite_theta names the matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, len(Hs), chunk):
+            X = Hs[c0:c0 + chunk]
+            absX = np.abs(X)
+            # no scaled tolerance is below HERMITIAN_TOL
+            if np.abs(X - X.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
+                defect = hermiticity_defect(X)
+                tol = HERMITIAN_TOL * np.maximum(1.0, absX.max(axis=(-2, -1)))
+                k = int(np.argmax(defect > tol))
+                if defect[k] > tol[k]:
+                    raise RejectedMatrix(
+                        f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
+                        f"(tolerance {tol[k]:.3e}) in matrix {{index}}", c0 + k)
+            theta = max(theta, _finite_theta(np.einsum("kij->kj", absX), dt, c0))
+    m, s = _taylor_degree(theta)
+    E = np.empty((len(Hs), 2 * d, 2 * d))
     for c0 in range(0, len(Hs), chunk):
-        X = Hs[c0:c0 + chunk]
-        with np.errstate(invalid="ignore"):  # inf - inf; expm_taylor names the entry
-            defect = hermiticity_defect(X)
-        if defect.max() > HERMITIAN_TOL:  # no scaled tolerance is below this
-            tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
-            k = np.argmax(defect > tol)
-            if defect[k] > tol[k]:
-                raise ValueError(
-                    f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
-                    f"(tolerance {tol[k]:.3e}) in matrix {c0 + k}"
-                )
-    return expm_taylor(H, -1j * dt)
+        A = real_embedding((-1j * dt * 0.5 ** s) * Hs[c0:c0 + chunk])
+        _taylor_polynomial(A, m, s, E[c0:c0 + chunk])
+    return E.reshape(H.shape[:-2] + (2 * d, 2 * d))
 
 
 def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
@@ -112,45 +213,28 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     chunk = max(1, CHUNK_ELEMENTS // (d * d))
     theta = 0.0
     for c0 in range(0, len(Xs), chunk):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = abs(scale) * np.abs(Xs[c0:c0 + chunk]).sum(axis=-2).max(axis=-1)
-            top = norms.max()  # NaN propagates through max
-            if not np.isfinite(2 * top):
-                k = np.argmin(np.isfinite(2 * norms))
-                raise ValueError(f"expm_taylor: |scale| * ||X||_1 = {norms[k]:.3e} in matrix "
-                                 f"{c0 + k} is not finite or too large to scale")
-        theta = max(theta, float(top))
-    s = math.ceil(math.log2(2 * theta)) if theta > 0.5 else 0
-    theta = math.ldexp(theta, -s)
-    m = 1
-    while theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) > 2.0 ** -53:
-        m += 1
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
+            colsums = np.abs(Xs[c0:c0 + chunk]).sum(axis=-2)
+        theta = max(theta, _finite_theta(colsums, scale, c0))
+    m, s = _taylor_degree(theta)
     E = np.empty(Xs.shape, dtype=complex)
-    eye = np.eye(d)
     for c0 in range(0, len(Xs), chunk):
-        A = (scale * 0.5 ** s) * Xs[c0:c0 + chunk]
-        P = E[c0:c0 + chunk]
-        tmp = np.empty_like(P)
-        # Horner: P = I + A/m, then P = I + A P / k for k = m-1, ..., 1
-        np.multiply(A, 1 / m, out=P)
-        P += eye
-        for k in range(m - 1, 0, -1):
-            np.matmul(A, P, out=tmp)
-            np.multiply(tmp, 1 / k, out=P)
-            P += eye
-        for _ in range(s):
-            np.matmul(P, P, out=tmp)
-            P[...] = tmp
+        _taylor_polynomial((scale * 0.5 ** s) * Xs[c0:c0 + chunk], m, s, E[c0:c0 + chunk])
     return E.reshape(X.shape)
 
 
-def ordered_product(Ms: np.ndarray) -> np.ndarray:
-    """Time-ordered product M[n-1] ... M[1] M[0] of a stack (n, d, d), n >= 1.
+def ordered_product(Ms: Sequence[np.ndarray]) -> np.ndarray:
+    """Time-ordered product M[n-1] ... M[1] M[0] of n >= 1 factors (d, d).
 
-    The products of blocks of b = ceil(sqrt(n)) consecutive factors are built
-    side by side, one batched matmul per block position (the short last block
-    stops early), then chained in order.  Unlike a pairwise tree, this keeps
-    rounding errors on runs of equal factors from adding up coherently.
+    Ms is an array (n, d, d) or any sequence that len() measures and whose
+    strided slice Ms[i::b] returns those factors as an array: the factors
+    are read only that way, each exactly once, so a lazy sequence can build
+    them when they are read and no stack of all n is ever needed.  The
+    products of blocks of b = ceil(sqrt(n)) consecutive factors are built
+    side by side, one batched matmul per block position i on the factors
+    Ms[i::b] (the short last block stops early), then chained in order.
+    Unlike a pairwise tree, this keeps rounding errors on runs of equal
+    factors from adding up coherently.
     """
     b = math.isqrt(len(Ms) - 1) + 1
     P = Ms[::b].copy()

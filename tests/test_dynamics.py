@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from nhqcbench.system import (
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
+    Segment,
     bright_ray_segment,
     hamiltonian_nodes,
     segment_hamiltonian_nodes,
@@ -254,11 +258,12 @@ class TestOracles:
     def test_unitary_oracle_exact_for_constant_drive(self, schedules):
         # piecewise-constant segments make the sliced product exact
         sched = schedules["sl"]
-        from nhqcbench.numkit import expm_hermitian
+        from nhqcbench.numkit import expm_hermitian, from_real_embedding
 
         H1, H2 = hamiltonian_nodes(sched, [0.1, sched.total_duration - 0.1], ErrorModel())
         half = sched.total_duration / 2
-        expected = expm_hermitian(H2, half) @ expm_hermitian(H1, half)
+        expected = (from_real_embedding(expm_hermitian(H2, half))
+                    @ from_real_embedding(expm_hermitian(H1, half)))
         U = oracle_propagate_unitary(sched, slices=64)
         assert np.abs(U - expected).max() < 1e-12
 
@@ -266,7 +271,7 @@ class TestOracles:
     def test_unitary_oracle_matches_sequential_slice_loop(self, schedules, oracle_gates, tag):
         # the slice product multiplied out one factor at a time
         from nhqcbench.dynamics import ORACLE_SLICES
-        from nhqcbench.numkit import expm_hermitian
+        from nhqcbench.numkit import expm_hermitian, from_real_embedding
 
         sched = schedules[tag]
         U = np.eye(sched.system.dim, dtype=complex)
@@ -274,7 +279,7 @@ class TestOracles:
                                           allocate_steps(sched, ORACLE_SLICES, floor=16))):
             h = seg.duration / n
             Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, ErrorModel())
-            for V in expm_hermitian(Hs, h):
+            for V in from_real_embedding(expm_hermitian(Hs, h)):
                 U = V @ U
         assert np.abs(oracle_gates[tag] - U).max() <= 1e-12
 
@@ -298,6 +303,41 @@ class TestOracles:
             for V in E:
                 U = V @ U
         assert np.abs(oracle_gates["sl"] - U).max() <= 1e-11
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, r"expm_taylor: .* in matrix 777 is not finite"),
+        (1e-6, r"not Hermitian, defect 1.000e-06 .* in matrix 777$"),
+    ])
+    def test_unitary_oracle_rejection_names_the_slice(self, bad, message):
+        # 1000 slices are read as 32 strided runs: slice 777 is element 24
+        # of run 9, and the rejection must name it by its place in time
+        h = 1.0 / 1000
+
+        def drive(t):
+            H = np.zeros((t.size, 3, 3), dtype=complex)
+            H[:, 1, 2] = H[:, 2, 1] = 1.0
+            H[np.abs(t - 777.5 * h) < h / 4, 0, 1] = bad
+            return H
+
+        seg = Segment(1.0, drive, lambda t: np.zeros((t.size, 3, 3), dtype=complex),
+                      lambda t: np.ones_like(t))
+        sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
+                              target=np.eye(2, dtype=complex), scheme_label="bad")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                oracle_propagate_unitary(sched, slices=1000)
+
+    def test_unitary_oracle_memory_does_not_scale_with_slices(self, schedules):
+        # a segment's slices are built run by run; one whole-segment stack
+        # of 1e5 dfs3 slices would be about 100 MiB
+        tracemalloc.start()
+        try:
+            oracle_propagate_unitary(schedules["dfs3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_lindblad_oracle_matches_analytic_decay(self):
         G = 0.05

@@ -10,8 +10,10 @@ from nhqcbench.numkit import (
     TimeGrid,
     expm_hermitian,
     expm_taylor,
+    from_real_embedding,
     hermiticity_defect,
     ordered_product,
+    real_embedding,
     rk4_linear,
     unitarity_defect,
 )
@@ -26,19 +28,43 @@ def rabi_block(omega=1.0):
     return H
 
 
+def stack_across_scaling_threshold(d):
+    """64 Hermitian (d, d) whose ||H||_1 spans 1e-6 to 50 in one stack, so
+    its largest member sets scaling and squaring for the smallest."""
+    rng = np.random.default_rng(d)
+    M = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+    Hs = M + M.conj().transpose(0, 2, 1)
+    norms = np.abs(Hs).sum(axis=-2).max(axis=-1)
+    return Hs * (np.logspace(-6, np.log10(50), 64) / norms)[:, None, None]
+
+
+class TestRealEmbedding:
+    def test_homomorphism(self):
+        rng = np.random.default_rng(21)
+        A, B = random_unitaries(rng, 2, d=4)
+        assert np.abs(real_embedding(A) @ real_embedding(B) - real_embedding(A @ B)).max() <= 1e-15
+        assert np.array_equal(real_embedding(np.eye(4)), np.eye(8))
+
+    def test_round_trip_of_a_stack(self):
+        M = random_unitaries(np.random.default_rng(22), 5)
+        R = real_embedding(M)
+        assert R.shape == (5, 6, 6) and R.dtype == np.float64
+        assert np.array_equal(from_real_embedding(R), M)
+
+
 class TestExpmHermitian:
     def test_zero_generator(self):
-        U = expm_hermitian(np.zeros((3, 3)), dt=1.0)
+        U = from_real_embedding(expm_hermitian(np.zeros((3, 3)), dt=1.0))
         assert np.allclose(U, np.eye(3), atol=1e-15)
 
     def test_diagonal_case(self):
         H = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        U = expm_hermitian(H, dt=PI)
+        U = from_real_embedding(expm_hermitian(H, dt=PI))
         assert np.allclose(np.diag(U), [-1.0, 1.0, -1.0], atol=1e-14)
 
     def test_rabi_half_area(self):
         # area pi/2 transfers |b> -> -i|e> (cos I - i sin sigma_x on the block)
-        U = expm_hermitian(rabi_block(), dt=PI / 2)
+        U = from_real_embedding(expm_hermitian(rabi_block(), dt=PI / 2))
         b = np.array([0, 1.0, 0], dtype=complex)
         assert np.allclose(U @ b, [0, 0, -1j], atol=1e-14)
 
@@ -48,11 +74,11 @@ class TestExpmHermitian:
         rng = np.random.default_rng(7)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = M + M.conj().T
-        U = expm_hermitian(H, dt=0.37)
+        U = from_real_embedding(expm_hermitian(H, dt=0.37))
         assert np.allclose(U, scipy.linalg.expm(-1j * 0.37 * H), atol=1e-12)
 
     def test_result_unitary(self):
-        U = expm_hermitian(rabi_block(2.3), dt=1.7)
+        U = from_real_embedding(expm_hermitian(rabi_block(2.3), dt=1.7))
         assert unitarity_defect(U) < 1e-9
 
     def test_rejects_non_hermitian(self):
@@ -73,10 +99,10 @@ class TestExpmHermitian:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
         Hs = M + M.conj().transpose(0, 2, 1)
-        Us = expm_hermitian(Hs, 0.21)
+        Us = from_real_embedding(expm_hermitian(Hs, 0.21))
         assert Us.shape == (5, 3, 3)
         for H, U in zip(Hs, Us):
-            assert np.allclose(U, expm_hermitian(H, 0.21), atol=1e-12)
+            assert np.allclose(U, from_real_embedding(expm_hermitian(H, 0.21)), atol=1e-12)
 
     def test_stack_rejects_one_non_hermitian(self):
         Hs = np.stack([rabi_block(w) for w in (0.5, 1.0, 1.5, 2.0)])
@@ -114,15 +140,23 @@ class TestExpmHermitian:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_stack_across_scaling_threshold_matches_eigh(self, d):
-        # ||H||_1 dt spans 1e-6 to 50 in one stack, so its largest member
-        # sets scaling and squaring for the smallest
-        rng = np.random.default_rng(d)
-        M = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
-        Hs = M + M.conj().transpose(0, 2, 1)
-        Hs *= (np.logspace(-6, np.log10(50), 64) / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
+        Hs = stack_across_scaling_threshold(d)
         w, V = np.linalg.eigh(Hs)
         ref = np.einsum("nij,nj,nkj->nik", V, np.exp(-1j * w), V.conj())
-        assert np.abs(expm_hermitian(Hs, 1.0) - ref).max() <= 1e-12
+        assert np.abs(from_real_embedding(expm_hermitian(Hs, 1.0)) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_real_embedding_matches_complex_taylor(self, d):
+        # the same degree and scaling as the complex polynomial, from the
+        # complex theta; only the rounding of the real products differs,
+        # and it grows with the s = 7 squarings of this stack (both sit
+        # 1e-14 to 3e-14 from eigh)
+        Hs = stack_across_scaling_threshold(d)
+        E = from_real_embedding(expm_hermitian(Hs, 1.0))
+        assert np.abs(E - expm_taylor(Hs, -1j)).max() <= 3e-14
+        small = Hs[:16]  # theta < 1/2: no squaring, as for oracle slices
+        E = from_real_embedding(expm_hermitian(small, 1.0))
+        assert np.abs(E - expm_taylor(small, -1j)).max() <= 1e-18
 
     def test_oracle_sized_stack_unitary(self):
         # 1e5 slices at ||H||_1 dt = 2e-4, near the largest catalog oracle
@@ -131,7 +165,7 @@ class TestExpmHermitian:
         M = rng.normal(size=(100_000, 3, 3)) + 1j * rng.normal(size=(100_000, 3, 3))
         Hs = M + M.conj().transpose(0, 2, 1)
         Hs *= (2e-4 / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
-        E = expm_hermitian(Hs, 1.0)
+        E = from_real_embedding(expm_hermitian(Hs, 1.0))
         assert np.abs(E.conj().transpose(0, 2, 1) @ E - np.eye(3)).max() <= 1e-14
 
 
@@ -176,7 +210,31 @@ def sequential_product(Ms):
     return U
 
 
+class StridedReads:
+    """The factors of Ms as a lazy sequence: each strided read returns a
+    fresh array and records the indices it covered."""
+
+    def __init__(self, Ms):
+        self.Ms = Ms
+        self.reads = []
+
+    def __len__(self):
+        return len(self.Ms)
+
+    def __getitem__(self, run):
+        self.reads.extend(range(len(self.Ms))[run])
+        return self.Ms[run].copy()
+
+
 class TestOrderedProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+    def test_lazy_sequence_matches_array(self, n):
+        Ms = random_unitaries(np.random.default_rng(n), n)
+        lazy = StridedReads(Ms)
+        assert np.array_equal(ordered_product(lazy), ordered_product(Ms))
+        assert sorted(lazy.reads) == list(range(n))  # every factor read exactly once
+
+
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
     def test_random_unitaries_match_loop(self, n):
         Ms = random_unitaries(np.random.default_rng(n), n)
@@ -187,7 +245,8 @@ class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
     def test_identical_factors_match_loop(self, n):
         # a piecewise-constant segment: every slice is the same matrix
-        Ms = np.broadcast_to(expm_hermitian(rabi_block(1.3), 0.01), (n, 3, 3))
+        U = from_real_embedding(expm_hermitian(rabi_block(1.3), 0.01))
+        Ms = np.broadcast_to(U, (n, 3, 3))
         assert np.abs(ordered_product(Ms) - sequential_product(Ms)).max() <= 1e-12
 
 
@@ -211,7 +270,7 @@ class TestRk4:
     def test_constant_generator_vs_expm(self):
         H = rabi_block(1.3)
         U = rk4_linear(np.eye(3), [lattice_nodes(H, 2.0, 400)], schrodinger)[-1]
-        assert np.abs(U - expm_hermitian(H, 2.0)).max() < 1e-9
+        assert np.abs(U - from_real_embedding(expm_hermitian(H, 2.0))).max() < 1e-9
 
     def test_commuting_time_dependent_generator(self):
         # Omega(t) sigma_x: solution exp(-i area(t) sigma_x)
@@ -219,7 +278,7 @@ class TestRk4:
         seg = lattice_nodes(H, 1.0, 500, lambda t: np.sin(PI * t) ** 2)
         U = rk4_linear(np.eye(3), [seg], schrodinger)[-1]
         area = 0.5  # integral of sin^2(pi t) over [0, 1]
-        assert np.abs(U - expm_hermitian(H, area)).max() < 1e-8
+        assert np.abs(U - from_real_embedding(expm_hermitian(H, area))).max() < 1e-8
 
     def test_segments_chain(self):
         # two segments of different step size continue one trajectory
@@ -227,8 +286,8 @@ class TestRk4:
         ys = rk4_linear(np.eye(3), [lattice_nodes(H, 1.0, 300), lattice_nodes(H, 2.0, 100)],
                         schrodinger)
         assert ys.shape == (401, 3, 3)
-        assert np.abs(ys[300] - expm_hermitian(H, 1.0)).max() < 1e-9
-        assert np.abs(ys[-1] - expm_hermitian(H, 3.0)).max() < 1e-7
+        assert np.abs(ys[300] - from_real_embedding(expm_hermitian(H, 1.0))).max() < 1e-9
+        assert np.abs(ys[-1] - from_real_embedding(expm_hermitian(H, 3.0))).max() < 1e-7
 
     def test_chunking_does_not_change_states(self, monkeypatch):
         H = rabi_block(1.1)
@@ -239,7 +298,7 @@ class TestRk4:
 
     def test_fourth_order_convergence(self):
         H = rabi_block(1.0)
-        ref = expm_hermitian(H, 3.0)
+        ref = from_real_embedding(expm_hermitian(H, 3.0))
 
         def defect(steps):
             U = rk4_linear(np.eye(3), [lattice_nodes(H, 3.0, steps)], schrodinger)[-1]
