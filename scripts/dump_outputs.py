@@ -41,7 +41,6 @@ from nhqcbench.dynamics import (
     propagate_lindblad,
     propagate_unitary,
     six_axial_densities,
-    six_axial_states,
 )
 from nhqcbench.holonomy import reconstruct_computational_gate, sample_frame
 from nhqcbench.numkit import TimeGrid
@@ -72,8 +71,7 @@ def dump(path: str) -> None:
         arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched, check_grid)
         if sched.system.excited_index is None:
             continue
-        states = six_axial_states(sched.system)
-        rho0 = np.einsum("ki,kj->kij", states, states.conj())
+        rho0 = six_axial_densities(sched.system)
         arrays[f"{tag}/lindblad"] = propagate_lindblad(sched, OPEN, rho0).operators
         if tag in GOLDEN_TAGS:
             arrays[f"{tag}/oracle_lindblad"] = oracle_propagate_lindblad(sched, OPEN, rho0)

@@ -45,6 +45,7 @@ TABLE1_AREAS_PI = {
 
 FIG13_GAMMA = 3e-4  # 2*pi*3 kHz at omega_bar = 2*pi*10 MHz
 OMEGA_BAR_HZ = 2 * PI * 1.0e7
+PULSE_AREA_SAMPLES = 4001  # trapezoid nodes per segment of pulse_area
 
 
 def benchmark_catalog() -> dict[str, SchemeSpec]:
@@ -169,11 +170,11 @@ def lindblad_gate_fidelity(
     return fid
 
 
-def pulse_area(schedule: PulseSchedule, samples_per_segment: int = 4001) -> float:
+def pulse_area(schedule: PulseSchedule) -> float:
     """Envelope integral over the schedule, in multiples of pi."""
     total = 0.0
     for seg in schedule.segments:
-        s = np.linspace(0.0, seg.duration, samples_per_segment)
+        s = np.linspace(0.0, seg.duration, PULSE_AREA_SAMPLES)
         total += float(np.trapezoid(np.asarray(seg.envelope(s), dtype=float), s))
     return total / PI
 

@@ -22,6 +22,7 @@ from .bench import (
     FIG13_GAMMA,
     GATE_ANGLES,
     OMEGA_BAR_HZ,
+    PULSE_AREA_SAMPLES,
     TABLE1_TAGS,
     benchmark_catalog,
     pulse_area,
@@ -31,6 +32,7 @@ from .bench import (
     table1_rows,
 )
 from .dynamics import (
+    ORACLE_LINDBLAD_SLICES,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_unitary,
@@ -47,7 +49,6 @@ from .system import ErrorModel, GateAngles, SchemeSpec
 TIME_UNIT_NS = 1e9 / OMEGA_BAR_HZ  # one unit of 1/omega_bar, in ns
 
 GOLDEN_VERSION = "v1"
-GOLDEN_ORACLE_SLICES = 4000
 
 
 class UsageError(Exception):
@@ -250,7 +251,7 @@ def cmd_table1(args) -> int:
         _write_csv(
             Path(args.out),
             {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
-             "samples": 4001},
+             "samples": PULSE_AREA_SAMPLES},
             ["tag", "label", "area_pi", "published", "difference"],
             out_rows,
         )
@@ -309,9 +310,8 @@ def cmd_check(args) -> int:
 
 
 def _oracle_fidelity(schedule, err: ErrorModel) -> float:
-    """Six-state fidelity through the oracle route at the golden slice count."""
-    rho = oracle_propagate_lindblad(schedule, err, six_axial_densities(schedule.system),
-                                    slices=GOLDEN_ORACLE_SLICES)
+    """Six-state fidelity through the oracle route at its default slice count."""
+    rho = oracle_propagate_lindblad(schedule, err, six_axial_densities(schedule.system))
     return six_state_fidelity(schedule.system, schedule.target, rho)
 
 
@@ -339,7 +339,7 @@ def cmd_goldens(args) -> int:
         {
             "metric": "six_axial_state_average",
             "oracle": "cf4_superoperator_expm",
-            "oracle_slices": GOLDEN_ORACLE_SLICES,
+            "oracle_slices": ORACLE_LINDBLAD_SLICES,
             "unit_mode": "dimensionless",
             "omega_bar": 1.0,
             "axis": "epsilon",
@@ -358,7 +358,7 @@ def cmd_goldens(args) -> int:
         "gamma_z": fixed.gamma_z,
         "metric": "six_axial_state_average",
         "oracle": "cf4_superoperator_expm",
-        "oracle_slices": GOLDEN_ORACLE_SLICES,
+        "oracle_slices": ORACLE_LINDBLAD_SLICES,
         "fidelity": fid,
     }
     (out_dir / "sl_fig13_point.json").write_text(
@@ -369,7 +369,7 @@ def cmd_goldens(args) -> int:
     _write_csv(
         out_dir / "table1.csv",
         {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
-         "samples": 4001},
+         "samples": PULSE_AREA_SAMPLES},
         ["tag", "label", "area_pi", "published"],
         t_rows,
     )
@@ -386,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--samples", type=int, default=None,
-                       help="integrator steps (default: 2000 unitary / 4000 open; "
-                            "NHQC_SAMPLES overrides)")
+                       help="integrator steps (default: 2000 unitary / 4000 open)")
         p.add_argument("--units", choices=["dimensionless", "physical"],
                        default=None, help="output unit mode")
         p.add_argument("--out-dir", default=None, help="output directory")
@@ -503,10 +502,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:

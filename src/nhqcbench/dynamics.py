@@ -4,26 +4,29 @@ Two independent numerical routes are maintained everywhere:
 
 * the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
   for y' = A(t) y, with A = -iH(t) for propagators and A = the row-major
-  Lindblad superoperator for density matrices; the drive and diagonal
-  terms of H are sampled on the half-step lattice of each segment and the
+  Lindblad superoperator for density matrices, built here from the drive
+  and diagonal terms of H on the half-step lattice of each segment; the
   states follow as a chain of precomputed step matrices.  A is affine in
   the error parameters, so a whole grid of error models shares one set of
   nodes and one pass (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
-  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices, built
-  run by run as ``numkit.ordered_product`` reads them and multiplied in
-  the real embedding, and of the two exponents of a fourth-order
-  commutator-free Magnus step of the superoperator for open slices, in
-  batched chunks of slices.
+  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices,
+  multiplied by ``numkit.ordered_product`` in the real embedding, and of
+  the two exponents of a fourth-order commutator-free Magnus step of the
+  superoperator for open slices, in batched chunks of slices.
+
+The RK4 generators and the unitary slice exponentials of a segment reach
+the engines through one lazy sequence, ``_Runs``, which builds each run
+of matrices as the engine reads it.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +60,7 @@ UNITARITY_DRIFT_TOL = 1e-8
 
 
 def default_samples(kind: str) -> int:
-    """Default integrator step counts; NHQC_SAMPLES overrides both."""
-    env = os.environ.get("NHQC_SAMPLES")
-    if env:
-        return int(env)
+    """Default integrator step count of a unitary or an open-system run."""
     return UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
 
 
@@ -141,26 +141,30 @@ def allocate_steps(schedule: PulseSchedule, total_steps: int, floor: int = 8) ->
 
 
 @dataclass(frozen=True)
-class _LatticeNodes:
-    """The drive and diagonal terms of one segment on its half-step
-    lattice, (n, 2, d, d) per slice: each run is built when the engine
-    reads it, so the nodes of a whole segment never sit in memory."""
+class _Runs:
+    """The matrices build(times) at every time of a segment, as the lazy
+    sequence both numkit engines read: a run [run] is built when it is
+    read, so no stack the size of the segment is ever held.  A
+    RejectedMatrix is re-raised at its index in the whole sequence."""
 
-    schedule: PulseSchedule
-    seg_index: int
-    t_local: np.ndarray
+    times: np.ndarray
+    build: Callable[[np.ndarray], np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.t_local)
+        return len(self.times)
 
     def __getitem__(self, run: slice) -> np.ndarray:
-        return segment_drive_diagonal(self.schedule, self.seg_index, self.t_local[run])
+        try:
+            return self.build(self.times[run])
+        except RejectedMatrix as e:
+            raise e.at(range(len(self.times))[run][e.index]) from None
 
 
-def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str):
-    """RK4 inputs per segment, [(h, drive and diagonal nodes on the
-    half-step lattice)], and the global time of every state the chain
-    produces; samples=None takes the default step count of `kind`."""
+def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
+    """RK4 inputs per segment, [(h, generators on the half-step lattice)],
+    each run built from the segment's drive and diagonal nodes by
+    `generator`, and the global time of every state the chain produces;
+    samples=None takes the default step count of `kind`."""
     steps = default_samples(kind) if samples is None else samples
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -169,7 +173,10 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str):
     t_offset = 0.0
     for si, (seg, n) in enumerate(zip(schedule.segments, allocate_steps(schedule, steps))):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-        segments.append((seg.duration / n, _LatticeNodes(schedule, si, lattice)))
+
+        def build(t, si=si):
+            return generator(segment_drive_diagonal(schedule, si, t))
+        segments.append((seg.duration / n, _Runs(lattice, build)))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
     return segments, np.concatenate(times)
@@ -201,11 +208,11 @@ def propagate_unitary(
     """RK4 propagator trajectory, integrated segment by segment."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
-    segments, times = _rk4_segments(schedule, samples, "unitary")
-    d = schedule.system.dim
     eta = detuning_error(schedule, err)
-    ops = rk4_linear(np.eye(d)[None], segments,
-                     _grid_generator(lambda H: -1j * H, [err], -1j * eta[None]))[:, 0]
+    generator = _grid_generator(lambda H: -1j * H, [err], -1j * eta[None])
+    segments, times = _rk4_segments(schedule, samples, "unitary", generator)
+    d = schedule.system.dim
+    ops = rk4_linear(np.eye(d)[None], segments)[:, 0]
     drift = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(d)).max()
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")
@@ -250,16 +257,16 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
     _validate_density(rho, "in rho0")
-    segments, times = _rk4_segments(schedule, samples, "lindblad")
     const = np.stack([lindblad_superoperator(system, e, detuning_error(schedule, e))
                       for e in errs])
     closed = ErrorModel()
     generator = _grid_generator(lambda H: lindblad_superoperator(system, closed, H), errs, const)
+    segments, times = _rk4_segments(schedule, samples, "lindblad", generator)
     # columns are the row-major vectorized density matrices of the batch
     cols = np.broadcast_to(rho.reshape(k, d * d).T, (len(errs), d * d, k))
 
     def chunks():
-        for states in rk4_chunks(cols, segments, generator):
+        for states in rk4_chunks(cols, segments):
             states = states.swapaxes(-1, -2).reshape(len(states), len(errs), k, d, d)
             _validate_density(states, "during evolution")
             yield states
@@ -324,45 +331,27 @@ def propagate_lindblad_grid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SliceExponentials:
-    """The unitary oracle's slice exponentials of one segment, as the
-    sequence ordered_product reads: a strided run builds the H nodes at its
-    own midpoints and returns their expm_hermitian stack (in the real
-    embedding), so no stack the size of the segment is ever built.  Degree
-    and scaling follow from the run's own theta.  A rejection names the
-    slice's index in the segment."""
-
-    schedule: PulseSchedule
-    seg_index: int
-    err: ErrorModel
-    h: float
-    mids: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mids)
-
-    def __getitem__(self, run: slice) -> np.ndarray:
-        Hs = segment_hamiltonian_nodes(self.schedule, self.seg_index, self.mids[run], self.err)
-        try:
-            return expm_hermitian(Hs, self.h)
-        except RejectedMatrix as e:
-            raise e.at(range(len(self.mids))[run][e.index]) from None
-
-
 def oracle_propagate_unitary(
     schedule: PulseSchedule, err: ErrorModel = ErrorModel(), slices: int = ORACLE_SLICES
 ) -> np.ndarray:
     """U(T) as a time-ordered product of midpoint slice exponentials, sliced
     per segment (exact for piecewise-constant drives up to roundoff).  The
-    product is carried in the real embedding and read back once."""
+    product is carried in the real embedding and read back once.
+
+    Each segment's slice exponentials are built run by run as
+    ordered_product reads them, so no stack the size of the segment is
+    ever held; degree and scaling follow from each run's own theta, and a
+    rejection names the slice's index in the segment."""
     alloc = allocate_steps(schedule, slices, floor=16)
     U = np.eye(2 * schedule.system.dim)
     for si, seg in enumerate(schedule.segments):
         n = alloc[si]
         h = seg.duration / n
         mids = (np.arange(n) + 0.5) * h
-        U = ordered_product(_SliceExponentials(schedule, si, err, h, mids)) @ U
+
+        def build(t, si=si, h=h):
+            return expm_hermitian(segment_hamiltonian_nodes(schedule, si, t, err), h)
+        U = ordered_product(_Runs(mids, build)) @ U
     return from_real_embedding(U)
 
 

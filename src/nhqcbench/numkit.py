@@ -6,28 +6,31 @@ and unitary properties are measured by the defect helpers rather than
 carried by a wrapper type; callers validate at the boundaries where they
 matter.  The Taylor polynomial of ``expm_taylor`` is the one matrix
 exponential of the package, for stacks of any matrices (both oracles use
-it).  ``expm_hermitian``, its Hermitian front end, returns the slice
+it); it takes the stack it is given in one pass, so callers bound its
+size.  ``expm_hermitian``, its Hermitian front end, returns the slice
 exponentials in the real embedding phi, which turns each entry a + ib into
 the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
-times cheaper than complex ones, and
-``ordered_product`` multiplies them in time order, from an array or from a
-lazy sequence that builds each strided run of factors as it is read.
-``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
+times cheaper than complex ones.
+
+Both engines take matrices only, from an array or from a lazy sequence
+that builds each run as it is read: ``ordered_product`` multiplies factors in time order, reading strided
+runs, and ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
 package (A = -iH for propagators, A = the superoperator for density
-matrices) as a chain of precomputed RK4 step matrices, optionally for a
-whole grid of generators at once; ``rk4_linear`` keeps every state.
+matrices) as a chain of precomputed RK4 step matrices, reading runs of
+generators, optionally for a whole grid of them at once; ``rk4_linear``
+keeps every state.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-# complex entries per batched array in rk4_linear, expm_taylor and the
-# Lindblad oracle (512 KiB)
+# complex entries per batched array in rk4_linear, the Lindblad oracle and
+# the grid blocks of propagate_lindblad_grid (512 KiB)
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -101,18 +104,17 @@ def from_real_embedding(R: np.ndarray) -> np.ndarray:
     return R[..., 0::2, 0::2] + 1j * R[..., 1::2, 0::2]
 
 
-def _finite_theta(colsums: np.ndarray, scale: complex, c0: int) -> float:
-    """|scale| max ||X_k||_1 over a chunk from its column sums (c, d), the
-    chunk starting at matrix c0 of its stack; rejects the first matrix
-    whose 2 |scale| ||X_k||_1 is not finite: NaN or infinite entries, or a
-    norm too large to scale."""
-    top = abs(scale) * float(colsums.max())  # NaN propagates through max
+def _finite_theta(colsums: np.ndarray, scale: complex) -> float:
+    """|scale| max ||X_k||_1 over a stack from its column sums (n, d);
+    rejects the first matrix whose 2 |scale| ||X_k||_1 is not finite: NaN
+    or infinite entries, or a norm too large to scale."""
+    top = abs(scale) * float(colsums.max(initial=0.0))  # NaN propagates through max
     if not math.isfinite(2 * top):
         with np.errstate(over="ignore", invalid="ignore"):
             norms = abs(scale) * colsums.max(axis=-1)
             k = int(np.argmin(np.isfinite(2 * norms)))
         raise RejectedMatrix(f"expm_taylor: |scale| * ||X||_1 = {norms[k]:.3e} in matrix "
-                             "{index} is not finite or too large to scale", c0 + k)
+                             "{index} is not finite or too large to scale", k)
     return top
 
 
@@ -158,34 +160,27 @@ def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
     Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
     scaled by that matrix's magnitude, naming the matrix and its defect, and
     input that expm_taylor rejects.  The check and theta are taken in one
-    pass, chunk by chunk (CHUNK_ELEMENTS // d**2 matrices), so no temporary
-    is the size of the stack.
+    pass over |H|.
     """
     H = np.asarray(H)
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
-    chunk = max(1, CHUNK_ELEMENTS // (d * d))
-    theta = 0.0
     # inf - inf, or column sums that overflow: _finite_theta names the matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        for c0 in range(0, len(Hs), chunk):
-            X = Hs[c0:c0 + chunk]
-            absX = np.abs(X)
-            # no scaled tolerance is below HERMITIAN_TOL
-            if np.abs(X - X.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
-                defect = hermiticity_defect(X)
-                tol = HERMITIAN_TOL * np.maximum(1.0, absX.max(axis=(-2, -1)))
-                k = int(np.argmax(defect > tol))
-                if defect[k] > tol[k]:
-                    raise RejectedMatrix(
-                        f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
-                        f"(tolerance {tol[k]:.3e}) in matrix {{index}}", c0 + k)
-            theta = max(theta, _finite_theta(np.einsum("kij->kj", absX), dt, c0))
+        absH = np.abs(Hs)
+        # no scaled tolerance is below HERMITIAN_TOL
+        if np.abs(Hs - Hs.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITIAN_TOL:
+            defect = hermiticity_defect(Hs)
+            tol = HERMITIAN_TOL * np.maximum(1.0, absH.max(axis=(-2, -1)))
+            k = int(np.argmax(defect > tol))
+            if defect[k] > tol[k]:
+                raise RejectedMatrix(
+                    f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
+                    f"(tolerance {tol[k]:.3e}) in matrix {{index}}", k)
+        theta = _finite_theta(np.einsum("kij->kj", absH), dt)
     m, s = _taylor_degree(theta)
     E = np.empty((len(Hs), 2 * d, 2 * d))
-    for c0 in range(0, len(Hs), chunk):
-        A = real_embedding((-1j * dt * 0.5 ** s) * Hs[c0:c0 + chunk])
-        _taylor_polynomial(A, m, s, E[c0:c0 + chunk])
+    _taylor_polynomial(real_embedding((-1j * dt * 0.5 ** s) * Hs), m, s, E)
     return E.reshape(H.shape[:-2] + (2 * d, 2 * d))
 
 
@@ -199,9 +194,7 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     m with theta^(m+1) / (m+1)! e^theta <= 2^-53 (Bader, Blanes & Casas,
     Mathematics 7, 1174 (2019); Al-Mohy & Higham, SIAM J. Matrix Anal.
     Appl. 31, 970 (2009)), so oracle slices, with theta ~ 1e-4 to 1e-2, need
-    m = 3 to 5: m - 1 batched matmuls each by Horner's rule, in chunks of
-    CHUNK_ELEMENTS // d**2 matrices.  scale*X is formed chunk by chunk, so
-    no temporary is the size of the stack.
+    m = 3 to 5: m - 1 batched matmuls each by Horner's rule.
 
     Rejects, naming the first such matrix, a stack in which some
     2 |scale| ||X_k||_1 is not finite: NaN or infinite entries, or a norm
@@ -210,16 +203,11 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     X = np.asarray(X)
     d = X.shape[-1]
     Xs = X.reshape(-1, d, d)
-    chunk = max(1, CHUNK_ELEMENTS // (d * d))
-    theta = 0.0
-    for c0 in range(0, len(Xs), chunk):
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
-            colsums = np.abs(Xs[c0:c0 + chunk]).sum(axis=-2)
-        theta = max(theta, _finite_theta(colsums, scale, c0))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
+        theta = _finite_theta(np.abs(Xs).sum(axis=-2), scale)
     m, s = _taylor_degree(theta)
     E = np.empty(Xs.shape, dtype=complex)
-    for c0 in range(0, len(Xs), chunk):
-        _taylor_polynomial((scale * 0.5 ** s) * Xs[c0:c0 + chunk], m, s, E[c0:c0 + chunk])
+    _taylor_polynomial((scale * 0.5 ** s) * Xs, m, s, E)
     return E.reshape(X.shape)
 
 
@@ -275,25 +263,23 @@ def _step_matrices(A: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
 
 
 def rk4_chunks(
-    y0: np.ndarray,
-    segments: Sequence[tuple[float, np.ndarray]],
-    lift: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray, segments: Sequence[tuple[float, Sequence[np.ndarray]]]
 ) -> Iterator[np.ndarray]:
     """Fixed-step RK4 for the linear ODE y' = A(t) y, yielding the states
     after y0 chunk by chunk.
 
     y0 is (m,), (m, r) or (G, m, r); a leading grid axis carries G
-    independent problems on one step lattice, and lift then returns one
-    generator per grid point, (.., G, m, m).  Each segment is (h, nodes):
-    the nodes sit on the half-step lattice of n steps (2n+1 of them; any
-    sequence that len() measures and a slice reads, such as an array) and
-    lift maps a run of nodes to generator matrices.  The step matrices are
-    built in batched chunks of at most CHUNK_ELEMENTS // (G m**2) steps, so
-    transient memory depends on neither the step count nor m, and one
-    matmul per step advances the whole grid.  Each chunk of states is a
-    fresh (c, *y0.shape) array.  Aborts on the first non-finite state,
-    naming segment and step; the overflow of a diverging run is left to
-    that check instead of being warned about.
+    independent problems on one step lattice, with one generator per grid
+    point, (.., G, m, m).  Each segment is (h, A): A holds the generators
+    on the half-step lattice of n steps, 2n+1 of them, as an array or any
+    sequence that len() measures and a slice reads, so a lazy sequence can
+    build each run as it is read.  The step matrices are built in batched
+    chunks of at most CHUNK_ELEMENTS // (G m**2) steps, so transient memory
+    depends on neither the step count nor m, and one matmul per step
+    advances the whole grid.  Each chunk of states is a fresh
+    (c, *y0.shape) array.  Aborts on the first non-finite state, naming
+    segment and step; the overflow of a diverging run, or of building its
+    generators, is left to that check instead of being warned about.
     """
     y = np.asarray(y0, dtype=complex)
     grid = y.shape[:1] if y.ndim == 3 else ()
@@ -302,13 +288,13 @@ def rk4_chunks(
     # one workspace for the step matrices of every chunk: fresh arrays of
     # this size per chunk would make the allocator return and refault pages
     work = np.empty((3, chunk) + grid + (m, m), dtype=complex)
-    for si, (h, nodes) in enumerate(segments):
-        n = (len(nodes) - 1) // 2
+    for si, (h, A) in enumerate(segments):
+        n = (len(A) - 1) // 2
         for c0 in range(0, n, chunk):
             c = min(chunk, n - c0)
             states = np.empty((c,) + y.shape, dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
-                P = _step_matrices(lift(nodes[2 * c0:2 * (c0 + c) + 1]), h, work[:, :c])
+                P = _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])
                 for k in range(c):
                     y = np.matmul(P[k], y, out=states[k])
             finite = np.isfinite(states).reshape(c, -1).all(axis=1)
@@ -319,17 +305,15 @@ def rk4_chunks(
 
 
 def rk4_linear(
-    y0: np.ndarray,
-    segments: Sequence[tuple[float, np.ndarray]],
-    lift: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray, segments: Sequence[tuple[float, Sequence[np.ndarray]]]
 ) -> np.ndarray:
     """Every state of rk4_chunks, y0 included: (1 + total steps, *y0.shape)."""
     y0 = np.asarray(y0, dtype=complex)
-    total = sum((len(nodes) - 1) // 2 for _, nodes in segments)
+    total = sum((len(A) - 1) // 2 for _, A in segments)
     out = np.empty((total + 1,) + y0.shape, dtype=complex)
     out[0] = y0
     i = 1
-    for states in rk4_chunks(y0, segments, lift):
+    for states in rk4_chunks(y0, segments):
         out[i:i + len(states)] = states
         i += len(states)
     return out

@@ -674,8 +674,7 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
 
 
 def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
-                                 omega_bar: float = 1.0,
-                                 label: str | None = None) -> PulseSchedule:
+                                 omega_bar: float = 1.0) -> PulseSchedule:
     """Single circle-loop schedule from an explicit path."""
     system = LevelSystem.lambda3()
     seg = _circle_drive_segment(system, path, angles)
@@ -684,7 +683,7 @@ def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
         system=system,
         segments=(seg,),
         target=target,
-        scheme_label=label or SCHEME_LABELS["S"],
+        scheme_label=SCHEME_LABELS["S"],
         omega_bar=omega_bar,
         geometric_phase=path.geometric_phase,
         notes={"ell": path.ell, "beta0": path.beta0},

@@ -94,16 +94,19 @@ class TestSimulate:
         assert report["unit_mode"] == "physical"
         assert report["duration"] == pytest.approx(np.pi * TIME_UNIT_NS, rel=1e-12)
 
-    @pytest.mark.parametrize("flags", [
-        pytest.param(["--scheme", "sta"], id="sta-default"),
-        pytest.param(["--scheme", "sl", "--samples", "1000"], id="sl-1000"),
+    @pytest.mark.parametrize("flags, steps", [
+        pytest.param(["--scheme", "sta"], 2001, id="sta-default"),
+        pytest.param(["--scheme", "sl", "--samples", "1000"], 1000, id="sl-1000"),
+        # 321 requested: each half of SL rounds to 160 steps
+        pytest.param(["--scheme", "sl", "--samples", "321"], 320, id="sl-321"),
     ])
-    def test_samples_header_counts_steps_taken(self, tmp_path, capsys, flags):
+    def test_samples_header_counts_steps_taken(self, tmp_path, capsys, flags, steps):
         code, _ = run(["simulate", *flags, "--gate", "S", "--out-dir", str(tmp_path)], capsys)
         assert code == 0
         path = next(tmp_path.glob("trajectory_*.csv"))
         header = [l for l in path.read_text().splitlines() if l.startswith("# samples=")]
-        assert header == [f"# samples={len(csv_rows(path)) - 1}"]
+        assert header == [f"# samples={steps}"]
+        assert len(csv_rows(path)) - 1 == steps
 
     def test_unknown_gate(self, capsys):
         code, _ = run(["simulate", "--scheme", "sl", "--gate", "Q"], capsys)
@@ -310,27 +313,13 @@ def test_config_payloads_never_crash(config_file, payload):
     assert code in (0, 2, 3)
 
 
-def test_env_samples_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NHQC_SAMPLES", "321")
-    code, _ = run(
-        ["simulate", "--scheme", "sl", "--gate", "S", "--out-dir", str(tmp_path)],
-        capsys,
-    )
-    assert code == 0
-    traj = (tmp_path / "trajectory_sl_S.csv").read_text()
-    assert "# samples=320" in traj  # 321 requested: each half rounds to 160 steps
-
-
-@pytest.mark.parametrize("flags, env_samples", [
-    pytest.param(["--samples", "0"], None, id="samples-0"),
-    pytest.param(["--samples", "-5"], None, id="samples-negative"),
-    pytest.param([], "0", id="env-samples-0"),
-    pytest.param(["--epsilon", "nan"], None, id="epsilon-nan"),
-    pytest.param(["--gamma-z", "inf"], None, id="gamma-z-inf"),
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--samples", "0"], id="samples-0"),
+    pytest.param(["--samples", "-5"], id="samples-negative"),
+    pytest.param(["--epsilon", "nan"], id="epsilon-nan"),
+    pytest.param(["--gamma-z", "inf"], id="gamma-z-inf"),
 ])
-def test_bad_numeric_input_is_usage_error(tmp_path, capsys, monkeypatch, flags, env_samples):
-    if env_samples is not None:
-        monkeypatch.setenv("NHQC_SAMPLES", env_samples)
+def test_bad_numeric_input_is_usage_error(tmp_path, capsys, flags):
     code, _ = run(
         ["simulate", "--scheme", "sl", "--gate", "S", "--out-dir", str(tmp_path), *flags],
         capsys,

@@ -485,12 +485,3 @@ def test_step_count_below_one_rejected(schedules, samples):
     with pytest.raises(ValueError, match="step count"):
         propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), samples=samples)
 
-
-def test_nhqc_samples_env_override(monkeypatch):
-    from nhqcbench.dynamics import default_samples
-
-    monkeypatch.setenv("NHQC_SAMPLES", "123")
-    assert default_samples("unitary") == 123
-    assert default_samples("lindblad") == 123
-    monkeypatch.delenv("NHQC_SAMPLES")
-    assert default_samples("unitary") == 2000

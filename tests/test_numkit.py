@@ -110,16 +110,14 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 2"):
             expm_hermitian(Hs, dt=1.0)
 
-    def test_rejection_names_global_index_past_first_chunk(self, monkeypatch):
-        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 4 * 9)  # four matrices per chunk
+    def test_rejection_names_global_index_past_first_chunk(self):
         Hs = np.stack([rabi_block(w) for w in np.linspace(0.5, 2.0, 11)])
         Hs[9, 0, 1] = 1e-6
         with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 9"):
             expm_hermitian(Hs, dt=1.0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "huge"])
-    def test_rejects_non_finite_naming_global_index(self, monkeypatch, bad):
-        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 4 * 9)  # four matrices per chunk
+    def test_rejects_non_finite_naming_global_index(self, bad):
         Hs = np.stack([rabi_block(w) for w in np.linspace(0.5, 2.0, 11)])
         Hs[[9, 10]] = {"nan": rabi_block(np.nan), "inf": rabi_block(np.inf),
                        "huge": np.diag([1e308, 0, 0])}[bad]
@@ -127,16 +125,6 @@ class TestExpmHermitian:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="expm_taylor: .* in matrix 9 is not finite"):
                 expm_hermitian(Hs, dt=1.0)
-
-    def test_chunked_checks_leave_output_unchanged(self, monkeypatch):
-        # theta is the maximum over the whole stack whatever the chunking,
-        # so every matrix keeps its degree and scaling
-        rng = np.random.default_rng(11)
-        M = rng.normal(size=(37, 3, 3)) + 1j * rng.normal(size=(37, 3, 3))
-        Hs = (M + M.conj().transpose(0, 2, 1)) * np.logspace(-3, 0.5, 37)[:, None, None]
-        whole = expm_hermitian(Hs, 0.7)
-        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 9)
-        assert np.array_equal(expm_hermitian(Hs, 0.7), whole)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_stack_across_scaling_threshold_matches_eigh(self, d):
@@ -183,15 +171,12 @@ class TestExpmTaylor:
             ref = scipy.linalg.expm(Xk)
             assert np.abs(Ek - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_scale_is_applied_per_chunk(self, monkeypatch):
-        # the scale is folded into each chunk: the result of a prescaled
-        # stack, and chunking never changes it
+    def test_scale_is_applied_per_chunk(self):
+        # the scale is folded into the exponent: the result of a prescaled stack
         rng = np.random.default_rng(12)
         X = rng.normal(size=(37, 4, 4)) + 1j * rng.normal(size=(37, 4, 4))
         whole = expm_taylor(X, 0.3 - 0.2j)
         assert np.abs(whole - expm_taylor((0.3 - 0.2j) * X, 1.0)).max() <= 1e-13
-        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 16)
-        assert np.array_equal(expm_taylor(X, 0.3 - 0.2j), whole)
 
     def test_real_input(self):
         X = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: exp(aX) = I + aX
@@ -256,52 +241,52 @@ def lattice_nodes(H, duration, steps, envelope=lambda t: np.ones_like(t)):
     return duration / steps, envelope(t)[:, None, None] * H
 
 
-def schrodinger(nodes):
-    return -1j * nodes
+def schrodinger(H, duration, steps, envelope=lambda t: np.ones_like(t)):
+    """The generators -i envelope(t) H of lattice_nodes, as an RK4 segment."""
+    h, nodes = lattice_nodes(H, duration, steps, envelope)
+    return h, -1j * nodes
 
 
 class TestRk4:
     def test_zero_derivative(self):
-        h, nodes = lattice_nodes(np.zeros((3, 3)), 1.0, 50)
-        ys = rk4_linear(np.eye(3), [(h, nodes)], schrodinger)
+        ys = rk4_linear(np.eye(3), [schrodinger(np.zeros((3, 3)), 1.0, 50)])
         assert ys.shape == (51, 3, 3)
         assert np.allclose(ys, np.eye(3), atol=1e-15)
 
     def test_constant_generator_vs_expm(self):
         H = rabi_block(1.3)
-        U = rk4_linear(np.eye(3), [lattice_nodes(H, 2.0, 400)], schrodinger)[-1]
+        U = rk4_linear(np.eye(3), [schrodinger(H, 2.0, 400)])[-1]
         assert np.abs(U - from_real_embedding(expm_hermitian(H, 2.0))).max() < 1e-9
 
     def test_commuting_time_dependent_generator(self):
         # Omega(t) sigma_x: solution exp(-i area(t) sigma_x)
         H = rabi_block()
-        seg = lattice_nodes(H, 1.0, 500, lambda t: np.sin(PI * t) ** 2)
-        U = rk4_linear(np.eye(3), [seg], schrodinger)[-1]
+        seg = schrodinger(H, 1.0, 500, lambda t: np.sin(PI * t) ** 2)
+        U = rk4_linear(np.eye(3), [seg])[-1]
         area = 0.5  # integral of sin^2(pi t) over [0, 1]
         assert np.abs(U - from_real_embedding(expm_hermitian(H, area))).max() < 1e-8
 
     def test_segments_chain(self):
         # two segments of different step size continue one trajectory
         H = rabi_block(0.7)
-        ys = rk4_linear(np.eye(3), [lattice_nodes(H, 1.0, 300), lattice_nodes(H, 2.0, 100)],
-                        schrodinger)
+        ys = rk4_linear(np.eye(3), [schrodinger(H, 1.0, 300), schrodinger(H, 2.0, 100)])
         assert ys.shape == (401, 3, 3)
         assert np.abs(ys[300] - from_real_embedding(expm_hermitian(H, 1.0))).max() < 1e-9
         assert np.abs(ys[-1] - from_real_embedding(expm_hermitian(H, 3.0))).max() < 1e-7
 
     def test_chunking_does_not_change_states(self, monkeypatch):
         H = rabi_block(1.1)
-        segs = [lattice_nodes(H, 1.0, 37, np.cos)]
-        whole = rk4_linear(np.eye(3), segs, schrodinger)
+        segs = [schrodinger(H, 1.0, 37, np.cos)]
+        whole = rk4_linear(np.eye(3), segs)
         monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", 5 * 9)  # five steps per chunk
-        assert np.array_equal(rk4_linear(np.eye(3), segs, schrodinger), whole)
+        assert np.array_equal(rk4_linear(np.eye(3), segs), whole)
 
     def test_fourth_order_convergence(self):
         H = rabi_block(1.0)
         ref = from_real_embedding(expm_hermitian(H, 3.0))
 
         def defect(steps):
-            U = rk4_linear(np.eye(3), [lattice_nodes(H, 3.0, steps)], schrodinger)[-1]
+            U = rk4_linear(np.eye(3), [schrodinger(H, 3.0, steps)])[-1]
             return np.abs(U - ref).max()
 
         assert defect(40) / defect(80) >= 8.0
@@ -309,7 +294,7 @@ class TestRk4:
     def test_nan_abort_reports_step(self):
         h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))
         with pytest.raises(RuntimeError, match="segment 0 step 5"):
-            rk4_linear(np.ones(2), [(h, nodes)], lambda A: A)
+            rk4_linear(np.ones(2), [(h, nodes)])
 
     @pytest.mark.parametrize("chunk_steps", [None, 3])
     def test_grid_axis_matches_single_runs(self, monkeypatch, chunk_steps):
@@ -321,23 +306,23 @@ class TestRk4:
         y0 = np.eye(3)[:, :2]
         if chunk_steps:
             monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * len(scales) * 9)
-        grid = rk4_linear(np.broadcast_to(y0, (4, 3, 2)), [(h, nodes)],
-                          lambda n: -1j * scales[:, None, None] * n[:, None])
+        grid = rk4_linear(np.broadcast_to(y0, (4, 3, 2)),
+                          [(h, -1j * scales[:, None, None] * nodes[:, None])])
         assert grid.shape == (30, 4, 3, 2)
         for g, a in enumerate(scales):
-            single = rk4_linear(y0, [(h, nodes)], lambda n: -1j * (a * n))
+            single = rk4_linear(y0, [(h, -1j * (a * nodes))])
             assert np.array_equal(grid[:, g], single)
 
     def test_overflow_aborts_without_warnings(self):
-        h, nodes = lattice_nodes(rabi_block(1e300), 1.0, 10)
+        seg = schrodinger(rabi_block(1e300), 1.0, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="non-finite state in segment 0 step 0"):
-                rk4_linear(np.eye(3), [(h, nodes)], schrodinger)
+                rk4_linear(np.eye(3), [seg])
 
     def test_unitarity_drift_small(self):
         H = rabi_block(1.0)
-        U = rk4_linear(np.eye(3), [lattice_nodes(H, PI, 700)], schrodinger)[-1]
+        U = rk4_linear(np.eye(3), [schrodinger(H, PI, 700)])[-1]
         assert unitarity_defect(U) < 1e-8
 
 
