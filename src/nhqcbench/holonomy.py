@@ -157,6 +157,6 @@ def condition_residuals(
     P1 = phis[-1] @ phis[-1].conj().T
     cyclic = float(np.linalg.norm(P1 - P0))
     H = hamiltonian_nodes(schedule, traj.times, err)
-    elems = np.einsum("ndk,nde,nel->nkl", phis.conj(), H, phis)
+    elems = phis.conj().swapaxes(-1, -2) @ (H @ phis)
     parallel = float(np.abs(elems).max())
     return cyclic, parallel

@@ -13,12 +13,17 @@ the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
 times cheaper than complex ones.
 
 Both engines take matrices only, from an array or from a lazy sequence
-that builds each run as it is read: ``ordered_product`` multiplies factors in time order, reading strided
-runs, and ``rk4_chunks`` integrates every linear ODE y' = A(t) y in the
-package (A = -iH for propagators, A = the superoperator for density
-matrices) as a chain of precomputed RK4 step matrices, reading runs of
-generators, optionally for a whole grid of them at once; ``rk4_linear``
-keeps every state.
+that builds each run as it is read: ``ordered_product`` multiplies factors
+in time order, reading strided runs, and ``rk4_chunks`` integrates every
+linear ODE y' = A(t) y in the package (A = -iH for propagators, A = the
+superoperator for density matrices) as a chain of precomputed RK4 step
+matrices, reading runs of generators, optionally for a whole grid of them
+at once; ``rk4_linear`` keeps every state.  Both use the same blocking:
+products of blocks of about sqrt(n) consecutive factors are built side by
+side, one batched matmul per block position, so a run of n small matrices
+costs about 2 sqrt(n) numpy calls instead of n.  The RK4 chain blocks only
+states at least as wide as the step matrix (propagators), for which a
+prefix product costs no more per step than advancing the state.
 """
 from __future__ import annotations
 
@@ -274,29 +279,61 @@ def rk4_chunks(
     on the half-step lattice of n steps, 2n+1 of them, as an array or any
     sequence that len() measures and a slice reads, so a lazy sequence can
     build each run as it is read.  The step matrices are built in batched
-    chunks of at most CHUNK_ELEMENTS // (G m**2) steps, so transient memory
-    depends on neither the step count nor m, and one matmul per step
-    advances the whole grid.  Each chunk of states is a fresh
-    (c, *y0.shape) array.  Aborts on the first non-finite state, naming
-    segment and step; the overflow of a diverging run, or of building its
-    generators, is left to that check instead of being warned about.
+    chunks of about CHUNK_ELEMENTS // (G m**2) steps, so transient memory
+    depends on neither the step count nor m.  Each chunk of states is a
+    (c, *y0.shape) view of a fresh array.
+
+    The steps of a segment are chained in blocks of b: the prefix products
+    P_j ... P_1 of all the chunk's blocks are built side by side in place,
+    one batched matmul per block position j; one matmul per block carries
+    the state from block end to block end, and one batched matmul gives
+    the states inside the blocks from the state before each, about
+    2 sqrt(n) numpy calls for n steps where a plain chain makes n.  A
+    prefix product costs m**3 per step against m**2 r for advancing a
+    state of r columns, so only a state at least as wide as the step
+    matrix (r >= m, as for propagators) is blocked, with b = ceil(sqrt(n));
+    narrower ones, such as batches of vectorised densities, take b = 1,
+    the plain chain.  Chunks hold a whole number of blocks (at least one;
+    identity steps pad the segment's last block), so block boundaries
+    depend only on the step index within the segment and neither chunk
+    nor grid size changes a state.
+
+    Aborts on the first non-finite state, naming segment and step; the
+    overflow of a diverging run, or of building its generators, is left to
+    that check instead of being warned about.
     """
     y = np.asarray(y0, dtype=complex)
     grid = y.shape[:1] if y.ndim == 3 else ()
     m = len(y[0]) if grid else len(y)
+    wide = y.ndim > 1 and y.shape[-1] >= m
     chunk = max(1, CHUNK_ELEMENTS // (math.prod(grid) * m * m))
+    steps = [(len(A) - 1) // 2 for _, A in segments]
+    blocks = [math.isqrt(n - 1) + 1 if wide and n else 1 for n in steps]
     # one workspace for the step matrices of every chunk: fresh arrays of
     # this size per chunk would make the allocator return and refault pages
-    work = np.empty((3, chunk) + grid + (m, m), dtype=complex)
-    for si, (h, A) in enumerate(segments):
-        n = (len(A) - 1) // 2
-        for c0 in range(0, n, chunk):
-            c = min(chunk, n - c0)
-            states = np.empty((c,) + y.shape, dtype=complex)
+    work = np.empty((3, max([chunk, *blocks])) + grid + (m, m), dtype=complex)
+    for si, ((h, A), n, b) in enumerate(zip(segments, steps, blocks)):
+        run = max(b, chunk // b * b)
+        for c0 in range(0, n, run):
+            c = min(run, n - c0)
+            cb = -(-c // b) * b  # whole blocks: identity steps, dropped below, pad the last
+            states = np.empty((cb,) + y.shape, dtype=complex)
+            P = work[0, :cb]
+            start = y
             with np.errstate(over="ignore", invalid="ignore"):
-                P = _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])
-                for k in range(c):
+                _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])  # into P[:c]
+                P[c:] = np.eye(m)
+                for j in range(1, b):
+                    np.matmul(P[j::b], P[j - 1::b], out=P[j::b])
+                for k in range(b - 1, cb, b):
                     y = np.matmul(P[k], y, out=states[k])
+                if b > 1:
+                    # the states inside each block, from the state before it
+                    S = states.reshape((-1, b) + y.shape)
+                    before = np.concatenate([start[None], S[:-1, -1]])[:, None]
+                    np.matmul(P.reshape((-1, b) + P.shape[1:])[:, :-1], before, out=S[:, :-1])
+            states = states[:c]
+            y = states[-1]
             finite = np.isfinite(states).reshape(c, -1).all(axis=1)
             if not finite.all():
                 step = c0 + int(np.argmin(finite))

@@ -189,6 +189,16 @@ class TestSweep:
                        "--schemes", "sl"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("schemes", [" , ", ",", ""])
+    def test_empty_scheme_list(self, tmp_path, capsys, schemes):
+        out_file = tmp_path / "s.csv"
+        code = main(["sweep", "--axis", "epsilon", "--range=0:0.01:1", "--schemes", schemes,
+                     "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--schemes" in err
+        assert not out_file.exists()
+
 
 class TestFig13:
     def test_panel_a_small(self, tmp_path, capsys):
@@ -203,6 +213,14 @@ class TestFig13:
         assert "# panel=a" in text
         assert "rows=14" in out  # 7 schemes x 2 points
         assert csv_rows(tmp_path / "a.csv")[0]["value"] == "0"  # decoherence-free start
+
+    @pytest.mark.parametrize("points", ["-2", "0"])
+    def test_points_below_one(self, tmp_path, capsys, points):
+        code = main(["fig13", "a", "--points", points, "--out", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "--points" in err
+        assert not (tmp_path / "a.csv").exists()
 
     def test_coarse_sampling_aborts_rather_than_clips(self, tmp_path, capsys):
         # positivity drift from a deliberately starved integrator must abort

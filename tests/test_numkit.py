@@ -247,6 +247,28 @@ def schrodinger(H, duration, steps, envelope=lambda t: np.ones_like(t)):
     return h, -1j * nodes
 
 
+def plain_chain(y0, segments):
+    """Every state of RK4 on segments, one matmul per step from the step
+    matrices numkit builds: the chain rk4_linear blocks."""
+    ys = [np.asarray(y0, dtype=complex)]
+    for h, A in segments:
+        n = (len(A) - 1) // 2
+        P = numkit._step_matrices(A, h, np.empty((3, n) + A.shape[1:], dtype=complex))
+        for k in range(n):
+            ys.append(P[k] @ ys[-1])
+    return np.array(ys)
+
+
+def noncommuting_segment(steps, seed=0, duration=1.3):
+    """-i H(t), H(t) = cos(2t) H1 + sin(3t) H2 for two random Hermitian 3x3
+    matrices, on the half-step lattice of `steps` steps."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    H1, H2 = M + M.conj().transpose(0, 2, 1)
+    t = np.linspace(0.0, duration, 2 * steps + 1)[:, None, None]
+    return duration / steps, -1j * (np.cos(2 * t) * H1 + np.sin(3 * t) * H2)
+
+
 class TestRk4:
     def test_zero_derivative(self):
         ys = rk4_linear(np.eye(3), [schrodinger(np.zeros((3, 3)), 1.0, 50)])
@@ -295,6 +317,69 @@ class TestRk4:
         h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))
         with pytest.raises(RuntimeError, match="segment 0 step 5"):
             rk4_linear(np.ones(2), [(h, nodes)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+    def test_blocked_propagator_matches_per_step_chain(self, n):
+        # a propagator (r = m) chains its steps in blocks of ceil(sqrt(n))
+        segs = [noncommuting_segment(n)]
+        assert np.abs(rk4_linear(np.eye(3), segs) - plain_chain(np.eye(3), segs)).max() <= 1e-13
+
+    def test_blocked_segments_match_per_step_chain(self):
+        # two segments of different lengths, hence different block sizes
+        segs = [noncommuting_segment(170, seed=1), noncommuting_segment(23, seed=2, duration=0.4)]
+        ys = rk4_linear(np.eye(3), segs)
+        assert ys.shape == (194, 3, 3)
+        assert np.abs(ys - plain_chain(np.eye(3), segs)).max() <= 1e-13
+
+    def test_propagator_chain_makes_about_2_sqrt_n_calls(self, monkeypatch):
+        # 1000 steps in blocks of 32: 3 matmuls build the step matrices,
+        # 31 the prefix products, 32 carry the state from block to block
+        # and 1 fills in the blocks, where a plain chain makes 1000
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+        monkeypatch.setattr(numkit.np, "matmul", counted)
+        rk4_linear(np.eye(3), [noncommuting_segment(1000)])
+        assert len(calls) == 3 + 31 + 32 + 1
+
+    @pytest.mark.parametrize("chunk_steps", [1, 5, 7, 8, 13, 20, 49])
+    def test_chunk_not_a_multiple_of_block_leaves_states_equal(self, monkeypatch, chunk_steps):
+        # 50 steps: blocks of 8; chunks round down to whole blocks, at least one
+        segs = [noncommuting_segment(50)]
+        whole = rk4_linear(np.eye(3), segs)
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * 9)
+        assert np.array_equal(rk4_linear(np.eye(3), segs), whole)
+
+    @pytest.mark.parametrize("chunk_steps", [None, 3])
+    def test_square_grid_matches_single_runs(self, monkeypatch, chunk_steps):
+        # propagators on a grid axis are blocked like single ones, bit for bit
+        scales = np.array([0.7, 1.0, 1.3, 2.2])
+        h, A = noncommuting_segment(29)
+        if chunk_steps:
+            monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * len(scales) * 9)
+        grid = rk4_linear(np.broadcast_to(np.eye(3), (4, 3, 3)),
+                          [(h, scales[:, None, None] * A[:, None])])
+        assert grid.shape == (30, 4, 3, 3)
+        for g, a in enumerate(scales):
+            assert np.array_equal(grid[:, g], rk4_linear(np.eye(3), [(h, a * A)]))
+
+    def test_narrow_state_takes_plain_chain(self):
+        # a batch of 6 vectorised 3x3 densities (r = 6 < m = 9) is not blocked
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.0, 2 * 40 + 1)[:, None, None]
+        G = rng.normal(size=(2, 9, 9)) + 1j * rng.normal(size=(2, 9, 9))
+        segs = [(1.0 / 40, np.cos(t) * G[0] + t * G[1])]
+        y0 = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        assert np.array_equal(rk4_linear(y0, segs), plain_chain(y0, segs))
+
+    def test_nan_abort_reports_step_of_blocked_chain(self):
+        # 10 steps in blocks of 4: the first non-finite step lies inside a block
+        h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))
+        with pytest.raises(RuntimeError, match="segment 0 step 5"):
+            rk4_linear(np.eye(2), [(h, nodes)])
 
     @pytest.mark.parametrize("chunk_steps", [None, 3])
     def test_grid_axis_matches_single_runs(self, monkeypatch, chunk_steps):
