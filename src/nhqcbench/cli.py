@@ -12,6 +12,7 @@ allocate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -382,7 +383,10 @@ def cmd_goldens(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built once: every option defaults to None or
+    False, so each parse_args call still starts from a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="nhqcbench",
         description="Simulate and benchmark holonomic-gate control schemes.",

@@ -3,9 +3,9 @@
 Two independent numerical routes are maintained everywhere:
 
 * the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
-  for y' = A(t) y, with A = -iH(t) for propagators and A = the row-major
-  Lindblad superoperator for density matrices, built here from the drive
-  and diagonal terms of H on the half-step lattice of each segment; the
+  for y' = A(t) y, with A = -iH(t) for propagators and A = the real
+  Lindblad generator for density matrices, built here from the drive and
+  diagonal terms of H on the half-step lattice of each segment; the
   states follow as a chain of precomputed step matrices.  A is affine in
   the error parameters, so a whole grid of error models shares one set of
   nodes and one pass (``propagate_lindblad_grid``);
@@ -14,7 +14,12 @@ Two independent numerical routes are maintained everywhere:
   roundoff (``numkit.expm_taylor``): of -iHh for unitary slices,
   multiplied by ``numkit.ordered_product`` in the real embedding, and of
   the two exponents of a fourth-order commutator-free Magnus step of the
-  superoperator for open slices, in batched chunks of slices.
+  real Lindblad generator for open slices, in batched chunks of slices.
+
+Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
+Hermitian rho (d*d reals, row-major), on which the generator is the real
+d*d x d*d matrix ``_fold(lindblad_superoperator(...))``; rho is read back
+from Q once per chunk of states, Hermitian by construction.
 
 The RK4 generators and the unitary slice exponentials of a segment reach
 the engines through one lazy sequence, ``_Runs``, which builds each run
@@ -25,6 +30,7 @@ together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,16 +191,17 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
 def _grid_generator(lift, errs, const):
     """Map a run of (drive, diagonal) nodes (n, 2, d, d) to the generators
     of every error model of errs, (n, G, m, m):
-    A_g = (1+eps_g) lift(drive) + lift(diagonal) + const[g].  Every call
-    writes into one buffer, which the next call overwrites."""
+    A_g = (1+eps_g) lift(drive) + lift(diagonal) + const[g], of the dtype
+    of const.  Every call writes into one buffer, which the next call
+    overwrites."""
     scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
-    buf = np.empty((0,) + const.shape, dtype=complex)
+    buf = np.empty((0,) + const.shape, dtype=const.dtype)
 
     def generator(nodes):
         nonlocal buf
         S = lift(nodes)
         if len(buf) < len(S):
-            buf = np.empty((len(S),) + const.shape, dtype=complex)
+            buf = np.empty((len(S),) + const.shape, dtype=const.dtype)
         A = np.multiply(scale, S[:, None, 0], out=buf[:len(S)])
         A += S[:, None, 1]
         A += const
@@ -242,6 +249,43 @@ def _validate_density(rho: np.ndarray, where: str) -> None:
             raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}") from None
 
 
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates Q = Re rho + Im rho of Hermitian matrices
+    (..., d, d): Re rho is symmetric and Im rho antisymmetric, so Q holds
+    both, and keeps the Frobenius norm and the trace of rho."""
+    return rho.real + rho.imag
+
+
+def _density(q: np.ndarray) -> np.ndarray:
+    """rho = (Q + Q^T)/2 + i (Q - Q^T)/2, (..., d, d), of row-major
+    coordinates q (..., d*d): one real matmul whose columns 2j and 2j+1
+    hold Re and Im of entry j of vec rho, read as one complex array.  Each
+    entry is 0.5 q_kl +- 0.5 q_lk, exact in any summation order, so rho is
+    Hermitian bit for bit."""
+    d2 = q.shape[-1]
+    d = math.isqrt(d2)
+    eye = np.eye(d2)
+    swap = eye.reshape(d, d, d2).swapaxes(0, 1).reshape(d2, d2)  # q -> vec Q^T
+    readback = np.empty((d2, 2 * d2))
+    readback[:, 0::2] = 0.5 * (eye + swap)
+    readback[:, 1::2] = 0.5 * (eye - swap)
+    return np.matmul(q, readback).view(complex).reshape(q.shape[:-1] + (d, d))
+
+
+def _fold(L: np.ndarray) -> np.ndarray:
+    """The real generator of Q for superoperators L (..., d*d, d*d) on
+    row-major vec rho that keep rho Hermitian: dQ/dt = _fold(L) vec Q.
+
+    vec rho = ((1+i) vec Q + (1-i) Pi vec Q) / 2, with Pi the permutation
+    vec Q -> vec Q^T, so Re + Im of L vec rho is (Re L + Im L Pi) vec Q:
+    Re L plus Im L with its columns (k, l) and (l, k) swapped."""
+    d = math.isqrt(L.shape[-1])
+    # a copy: the swapped axes cannot merge back into a view of L
+    swapped = L.imag.reshape(L.shape[:-1] + (d, d)).swapaxes(-1, -2).reshape(L.shape)
+    swapped += L.real
+    return swapped
+
+
 def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
     """RK4 densities of the batch rho (k, d, d) under every error model of
     errs at once: the global times and an iterator over the validated
@@ -249,25 +293,27 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
 
     The generator of grid point g is (1+eps_g) S[drive] + S[diagonal] + C_g,
     with S[H] the commutator superoperator and C_g the Lindblad
-    superoperator of eta_g*omega_bar|e><e| under the rates of g, so every
-    chunk lifts its nodes once for the whole grid.
+    superoperator of eta_g*omega_bar|e><e| under the rates of g, all folded
+    to the real coordinates Q, so every chunk lifts its nodes once for the
+    whole grid and the pass is real.
     """
     system = schedule.system
     d, k = system.dim, len(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
     _validate_density(rho, "in rho0")
-    const = np.stack([lindblad_superoperator(system, e, detuning_error(schedule, e))
+    const = np.stack([_fold(lindblad_superoperator(system, e, detuning_error(schedule, e)))
                       for e in errs])
     closed = ErrorModel()
-    generator = _grid_generator(lambda H: lindblad_superoperator(system, closed, H), errs, const)
+    generator = _grid_generator(lambda H: _fold(lindblad_superoperator(system, closed, H)),
+                                errs, const)
     segments, times = _rk4_segments(schedule, samples, "lindblad", generator)
-    # columns are the row-major vectorized density matrices of the batch
-    cols = np.broadcast_to(rho.reshape(k, d * d).T, (len(errs), d * d, k))
+    # columns are the row-major coordinates Q of the batch
+    cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
 
     def chunks():
         for states in rk4_chunks(cols, segments):
-            states = states.swapaxes(-1, -2).reshape(len(states), len(errs), k, d, d)
+            states = _density(states.swapaxes(-1, -2))
             _validate_density(states, "during evolution")
             yield states
     return times, chunks()
@@ -358,7 +404,8 @@ def oracle_propagate_unitary(
 def lindblad_superoperator(system: LevelSystem, err: ErrorModel, H: np.ndarray) -> np.ndarray:
     """Matrix of rho -> -i[H,rho] + dissipator on row-major-vectorized rho
     (Havel, J. Math. Phys. 44, 534 (2003)); H may be one (d, d) matrix or
-    a stack (n, d, d), giving (d*d, d*d) or (n, d*d, d*d)."""
+    a stack (n, d, d), giving (d*d, d*d) or (n, d*d, d*d).  The one complex
+    definition: both Lindblad routes take it through _fold."""
     d = system.dim
     eye = np.eye(d)
     K = -1j * np.asarray(H)
@@ -396,17 +443,25 @@ def oracle_propagate_lindblad(
     5930 (2011); independent of the RK4 route).
 
     Slice k of length h contributes exp(h (b L1 + a L2)) exp(h (a L1 + b L2)),
-    with L1, L2 the superoperators at its two Gauss nodes.  The slices are
-    taken in chunks of CHUNK_ELEMENTS // d**4: both exponents of a chunk are
-    one expm_taylor stack, interleaved in time order, and the chunk's
-    ordered_product advances the propagator.
+    with L1, L2 the superoperators at its two Gauss nodes.  The exponents
+    are linear in H, so each is S[a H1 + b H2] + (a + b) D with S the
+    commutator superoperator and D the dissipator, folded once per call;
+    the product runs on the real coordinates Q of rho0, which must be
+    Hermitian.  The slices are taken in chunks of CHUNK_ELEMENTS // d**4:
+    both exponents of a chunk are one expm_taylor stack, interleaved in
+    time order, and the chunk's ordered_product advances the propagator.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    herm = np.abs(rho0 - rho0.conj().swapaxes(-1, -2)).max()
+    if herm > 1e-8:
+        raise ValueError(f"rho0 not Hermitian, defect {herm:.3e}")
     system = schedule.system
     d = system.dim
     chunk = max(1, CHUNK_ELEMENTS // d ** 4)
     alloc = allocate_steps(schedule, slices, floor=16)
-    P = np.eye(d * d, dtype=complex)
+    closed = ErrorModel()
+    D = (_CF4_A + _CF4_B) * _fold(lindblad_superoperator(system, err, np.zeros((d, d))))
+    P = np.eye(d * d)
     for si, seg in enumerate(schedule.segments):
         n = alloc[si]
         h = seg.duration / n
@@ -414,9 +469,11 @@ def oracle_propagate_lindblad(
         H1 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err)
         H2 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err)
         for c0 in range(0, n, chunk):
-            L1 = lindblad_superoperator(system, err, H1[c0:c0 + chunk])
-            L2 = lindblad_superoperator(system, err, H2[c0:c0 + chunk])
-            X = np.stack([_CF4_A * L1 + _CF4_B * L2, _CF4_B * L1 + _CF4_A * L2], axis=1)
+            H1c, H2c = H1[c0:c0 + chunk], H2[c0:c0 + chunk]
+            H = np.stack([_CF4_A * H1c + _CF4_B * H2c, _CF4_B * H1c + _CF4_A * H2c], axis=1)
+            X = _fold(lindblad_superoperator(system, closed, H))
+            X += D
             E = expm_taylor(X.reshape(-1, d * d, d * d), h)
             P = ordered_product(E) @ P
-    return (P @ rho0.reshape(-1, d * d, 1)).reshape(rho0.shape)
+    q = P @ _coordinates(rho0).reshape(-1, d * d, 1)
+    return _density(q[..., 0]).reshape(rho0.shape)

@@ -1,13 +1,14 @@
-"""Dense complex linear algebra and the one RK4 engine for small systems.
+"""Dense linear algebra and the one RK4 engine for small systems.
 
-Matrices are plain ``numpy`` arrays, ``(d, d)`` with ``d`` between 2 and 8
-for Hamiltonians and ``(d*d, d*d)`` for Lindblad superoperators.  Hermitian
-and unitary properties are measured by the defect helpers rather than
-carried by a wrapper type; callers validate at the boundaries where they
-matter.  The Taylor polynomial of ``expm_taylor`` is the one matrix
-exponential of the package, for stacks of any matrices (both oracles use
-it); it takes the stack it is given in one pass, so callers bound its
-size.  ``expm_hermitian``, its Hermitian front end, returns the slice
+Matrices are plain ``numpy`` arrays, real or complex, ``(d, d)`` with
+``d`` between 2 and 8 for Hamiltonians and ``(d*d, d*d)`` for Lindblad
+generators; the engines compute in the dtype they are given, so callers
+choose the representation.  Hermitian and unitary properties are measured
+by the defect helpers rather than carried by a wrapper type; callers
+validate at the boundaries where they matter.  The Taylor polynomial of
+``expm_taylor`` is the one matrix exponential of the package, for stacks
+of any matrices (both oracles use it); it takes the stack it is given in
+one pass, so callers bound its size.  ``expm_hermitian``, its Hermitian front end, returns the slice
 exponentials in the real embedding phi, which turns each entry a + ib into
 the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
 times cheaper than complex ones.
@@ -16,12 +17,12 @@ Both engines take matrices only, from an array or from a lazy sequence
 that builds each run as it is read: ``ordered_product`` multiplies factors
 in time order, reading strided runs, and ``rk4_chunks`` integrates every
 linear ODE y' = A(t) y in the package (A = -iH for propagators, A = the
-superoperator for density matrices) as a chain of precomputed RK4 step
-matrices, reading runs of generators, optionally for a whole grid of them
-at once; ``rk4_linear`` keeps every state.  Both use the same blocking:
-products of blocks of about sqrt(n) consecutive factors are built side by
-side, one batched matmul per block position, so a run of n small matrices
-costs about 2 sqrt(n) numpy calls instead of n.  The RK4 chain blocks only
+real Lindblad generator for density matrices) as a chain of precomputed
+RK4 step matrices, reading runs of generators, optionally for a whole grid
+of them at once; ``rk4_linear`` keeps every state.  Both use the same
+blocking: products of blocks of about sqrt(n) consecutive factors are
+built side by side, one batched matmul per block position, so a run of n
+small matrices costs about 2 sqrt(n) numpy calls instead of n.  The RK4 chain blocks only
 states at least as wide as the step matrix (propagators), for which a
 prefix product costs no more per step than advancing the state.
 """
@@ -34,8 +35,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-# complex entries per batched array in rk4_linear, the Lindblad oracle and
-# the grid blocks of propagate_lindblad_grid (512 KiB)
+# entries per batched array in rk4_linear, the Lindblad oracle and the
+# grid blocks of propagate_lindblad_grid (512 KiB complex, 256 KiB real)
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -201,6 +202,9 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     Appl. 31, 970 (2009)), so oracle slices, with theta ~ 1e-4 to 1e-2, need
     m = 3 to 5: m - 1 batched matmuls each by Horner's rule.
 
+    The result has the dtype of np.result_type(X, scale): real for a real
+    stack and a real scale.
+
     Rejects, naming the first such matrix, a stack in which some
     2 |scale| ||X_k||_1 is not finite: NaN or infinite entries, or a norm
     too large to scale.
@@ -211,7 +215,7 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
         theta = _finite_theta(np.abs(Xs).sum(axis=-2), scale)
     m, s = _taylor_degree(theta)
-    E = np.empty(Xs.shape, dtype=complex)
+    E = np.empty(Xs.shape, dtype=np.result_type(Xs, scale))
     _taylor_polynomial((scale * 0.5 ** s) * Xs, m, s, E)
     return E.reshape(X.shape)
 
@@ -273,12 +277,13 @@ def rk4_chunks(
     """Fixed-step RK4 for the linear ODE y' = A(t) y, yielding the states
     after y0 chunk by chunk.
 
-    y0 is (m,), (m, r) or (G, m, r); a leading grid axis carries G
-    independent problems on one step lattice, with one generator per grid
-    point, (.., G, m, m).  Each segment is (h, A): A holds the generators
-    on the half-step lattice of n steps, 2n+1 of them, as an array or any
-    sequence that len() measures and a slice reads, so a lazy sequence can
-    build each run as it is read.  The step matrices are built in batched
+    The states have y0's dtype, so real generators with a real y0 make a
+    real run.  y0 is (m,), (m, r) or (G, m, r); a leading grid axis
+    carries G independent problems on one step lattice, with one generator
+    per grid point, (.., G, m, m).  Each segment is (h, A): A holds the
+    generators on the half-step lattice of n steps, 2n+1 of them, as an
+    array or any sequence that len() measures and a slice reads, so a lazy
+    sequence can build each run as it is read.  The step matrices are built in batched
     chunks of about CHUNK_ELEMENTS // (G m**2) steps, so transient memory
     depends on neither the step count nor m.  Each chunk of states is a
     (c, *y0.shape) view of a fresh array.
@@ -292,7 +297,7 @@ def rk4_chunks(
     prefix product costs m**3 per step against m**2 r for advancing a
     state of r columns, so only a state at least as wide as the step
     matrix (r >= m, as for propagators) is blocked, with b = ceil(sqrt(n));
-    narrower ones, such as batches of vectorised densities, take b = 1,
+    narrower ones, such as batches of density coordinates, take b = 1,
     the plain chain.  Chunks hold a whole number of blocks (at least one;
     identity steps pad the segment's last block), so block boundaries
     depend only on the step index within the segment and neither chunk
@@ -300,9 +305,11 @@ def rk4_chunks(
 
     Aborts on the first non-finite state, naming segment and step; the
     overflow of a diverging run, or of building its generators, is left to
-    that check instead of being warned about.
+    that check instead of being warned about.  A chunk is checked by the
+    sum of its states; only when that is not finite (a non-finite state,
+    or finite ones whose sum overflows) are its steps checked one by one.
     """
-    y = np.asarray(y0, dtype=complex)
+    y = np.asarray(y0)
     grid = y.shape[:1] if y.ndim == 3 else ()
     m = len(y[0]) if grid else len(y)
     wide = y.ndim > 1 and y.shape[-1] >= m
@@ -311,13 +318,13 @@ def rk4_chunks(
     blocks = [math.isqrt(n - 1) + 1 if wide and n else 1 for n in steps]
     # one workspace for the step matrices of every chunk: fresh arrays of
     # this size per chunk would make the allocator return and refault pages
-    work = np.empty((3, max([chunk, *blocks])) + grid + (m, m), dtype=complex)
+    work = np.empty((3, max([chunk, *blocks])) + grid + (m, m), dtype=y.dtype)
     for si, ((h, A), n, b) in enumerate(zip(segments, steps, blocks)):
         run = max(b, chunk // b * b)
         for c0 in range(0, n, run):
             c = min(run, n - c0)
             cb = -(-c // b) * b  # whole blocks: identity steps, dropped below, pad the last
-            states = np.empty((cb,) + y.shape, dtype=complex)
+            states = np.empty((cb,) + y.shape, dtype=y.dtype)
             P = work[0, :cb]
             start = y
             with np.errstate(over="ignore", invalid="ignore"):
@@ -332,12 +339,14 @@ def rk4_chunks(
                     S = states.reshape((-1, b) + y.shape)
                     before = np.concatenate([start[None], S[:-1, -1]])[:, None]
                     np.matmul(P.reshape((-1, b) + P.shape[1:])[:, :-1], before, out=S[:, :-1])
-            states = states[:c]
+                states = states[:c]
+                total = states.sum()
             y = states[-1]
-            finite = np.isfinite(states).reshape(c, -1).all(axis=1)
-            if not finite.all():
-                step = c0 + int(np.argmin(finite))
-                raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
+            if not np.isfinite(total):
+                finite = np.isfinite(states).reshape(c, -1).all(axis=1)
+                if not finite.all():
+                    step = c0 + int(np.argmin(finite))
+                    raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
             yield states
 
 

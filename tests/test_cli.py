@@ -116,6 +116,18 @@ class TestSimulate:
         code, _ = run(["simulate", "--scheme", "zz", "--gate", "S"], capsys)
         assert code == 2
 
+    def test_consecutive_calls_do_not_leak_options(self, tmp_path, capsys):
+        # main reuses one parser; an option of one call must not reach the next
+        argv = ["simulate", "--scheme", "sl", "--gate", "S", "--samples", "200",
+                "--out-dir", str(tmp_path)]
+        report = tmp_path / "report_sl_S.json"
+        epsilons = []
+        for extra in (["--epsilon", "0.03"], []):
+            code, _ = run(argv + extra, capsys)
+            assert code == 0
+            epsilons.append(json.loads(report.read_text())["error_model"]["epsilon"])
+        assert epsilons == [0.03, 0.0]
+
 
 class TestSweep:
     def test_row_count_and_rerun_identical(self, tmp_path, capsys):

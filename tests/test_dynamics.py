@@ -426,6 +426,57 @@ def lindblad_rhs(system, err, H, rho):
     return out
 
 
+def random_hermitian(rng, shape, d):
+    M = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    return M + M.conj().swapaxes(-1, -2)
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("system, err", [
+        (LevelSystem.lambda3(), ErrorModel(gamma_minus=0.1, gamma_z=0.2)),
+        (LevelSystem.three_qubit8(), ErrorModel()),
+    ], ids=["lambda3-open", "three-qubit-closed"])
+    def test_folded_generator_acts_on_coordinates(self, system, err):
+        # dQ/dt = fold(L) vec Q is Re + Im of L vec rho, for any Hermitian rho
+        d = system.dim
+        rng = np.random.default_rng(21)
+        L = lindblad_superoperator(system, err, random_hermitian(rng, (4,), d))
+        F = dynamics._fold(L)
+        assert F.dtype == np.float64 and F.shape == (4, d * d, d * d)
+        rho = random_hermitian(rng, (4,), d)
+        drho = L @ rho.reshape(4, d * d, 1)
+        dq = F @ dynamics._coordinates(rho).reshape(4, d * d, 1)
+        assert np.abs(dq - (drho.real + drho.imag)).max() <= 1e-13
+
+    @pytest.mark.parametrize("system", [LevelSystem.lambda3(), LevelSystem.three_qubit8()],
+                             ids=["lambda3", "three-qubit"])
+    def test_axial_densities_round_trip_exactly(self, system):
+        rho = six_axial_densities(system)
+        q = dynamics._coordinates(rho)
+        assert q.dtype == np.float64
+        assert np.array_equal(dynamics._density(q.reshape(6, -1)), rho)
+
+    def test_read_back_is_hermitian_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        q = rng.normal(size=(5, 2, 9))
+        rho = dynamics._density(q)
+        assert rho.shape == (5, 2, 3, 3)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        # the trace is that of Q, and both ways round trip to rounding
+        Q = q.reshape(5, 2, 3, 3)
+        assert np.array_equal(np.trace(rho, axis1=-2, axis2=-1), np.trace(Q, axis1=-2, axis2=-1))
+        assert np.abs(dynamics._coordinates(rho) - Q).max() <= 2 ** -52 * np.abs(Q).max()
+        back = dynamics._density(dynamics._coordinates(rho).reshape(5, 2, 9))
+        assert np.abs(back - rho).max() <= 2 ** -52 * np.abs(rho).max()
+
+    def test_oracle_rejects_non_hermitian_rho0(self, schedules):
+        bad = basis_rho(3, 0)
+        bad[0, 1] = 0.5
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle_propagate_lindblad(schedules["sl"], ErrorModel(gamma_minus=1e-4), bad,
+                                      slices=32)
+
+
 def reference_rk4(schedule, err, y0, samples, rhs):
     """Four-stage RK4 on y' = rhs(H, y), stepped state by state per segment
     on the same half-step lattice and step allocation as the engine."""

@@ -14,6 +14,7 @@ from nhqcbench.numkit import (
     hermiticity_defect,
     ordered_product,
     real_embedding,
+    rk4_chunks,
     rk4_linear,
     unitarity_defect,
 )
@@ -181,6 +182,16 @@ class TestExpmTaylor:
     def test_real_input(self):
         X = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: exp(aX) = I + aX
         assert np.array_equal(expm_taylor(X, 2.5), [[1.0, 2.5], [0.0, 1.0]])
+
+    def test_real_stack_gives_real_result(self):
+        # a real stack and a real scale stay real, and agree with the complex call
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 9, 9)) * np.logspace(-4, 0.5, 40)[:, None, None]
+        E = expm_taylor(X, 0.7)
+        assert E.dtype == np.float64
+        ref = expm_taylor(X.astype(complex), 0.7)
+        assert ref.dtype == complex
+        assert np.abs(E - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def random_unitaries(rng, n, d=3):
@@ -397,6 +408,33 @@ class TestRk4:
         for g, a in enumerate(scales):
             single = rk4_linear(y0, [(h, -1j * (a * nodes))])
             assert np.array_equal(grid[:, g], single)
+
+    def test_finite_states_whose_sum_overflows_do_not_abort(self):
+        # the chunk sum of 1e308 entries overflows; the per-step pass then
+        # finds every state finite
+        h, nodes = lattice_nodes(np.zeros((2, 2)), 1.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ys = rk4_linear(np.full(2, 1e308), [(h, nodes)])
+        assert np.array_equal(ys, np.full((11, 2), 1e308))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_real_run_matches_complex_run(self, grid):
+        # a real y0 with real generators runs in float64, as the Lindblad
+        # routes do on the coordinates of rho
+        rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 1.0, 2 * 60 + 1)[:, None, None]
+        G = rng.normal(size=(2, 9, 9))
+        A = np.cos(t) * G[0] + t * G[1]
+        y0 = rng.normal(size=(9, 6))
+        if grid:
+            A = np.stack([A, 0.5 * A], axis=1)
+            y0 = np.stack([y0, -y0])
+        states = np.concatenate(list(rk4_chunks(y0, [(1.0 / 60, A)])))
+        assert states.dtype == np.float64
+        ref = rk4_linear(y0, [(1.0 / 60, A)])[1:]
+        assert ref.dtype == complex
+        assert np.abs(states - ref).max() <= 1e-13
 
     def test_overflow_aborts_without_warnings(self):
         seg = schrodinger(rabi_block(1e300), 1.0, 10)
