@@ -25,7 +25,8 @@ from .dynamics import (
     six_axial_densities,
     six_axial_states,
 )
-from .schemes import SCHEME_LABELS, build_schedule
+from .holonomy import condition_residuals
+from .schemes import build_schedule
 from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
 
 PI = np.pi
@@ -187,8 +188,6 @@ def simulate_report(
     spec: SchemeSpec, err: ErrorModel = ErrorModel(), samples: int | None = None
 ) -> tuple[GateReport, object]:
     """Single-run report plus the captured trajectory."""
-    from .holonomy import condition_residuals
-
     schedule = build_schedule(spec)
     closed = ErrorModel(epsilon=err.epsilon, eta=err.eta)
     if err.open_system:

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +100,6 @@ def _resolve_spec(tag: str, angles: GateAngles | None = None) -> SchemeSpec:
     spec = catalog[tag]
     if angles is None:
         return spec
-    from dataclasses import replace
-
     return replace(spec, angles=angles)
 
 

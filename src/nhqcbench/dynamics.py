@@ -5,7 +5,7 @@ Two independent numerical routes are maintained everywhere:
 * the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
   for y' = A(t) y, with A = -iH(t) for propagators and A = the real
   Lindblad generator for density matrices, built here from the drive and
-  diagonal terms of H on the half-step lattice of each segment; the
+  detuning of H on the half-step lattice of each segment; the
   states follow as a chain of precomputed step matrices.  A is affine in
   the error parameters, so a whole grid of error models shares one set of
   nodes and one pass (``propagate_lindblad_grid``);
@@ -51,7 +51,7 @@ from .system import (
     LevelSystem,
     PulseSchedule,
     detuning_error,
-    segment_drive_diagonal,
+    segment_drive_detuning,
     segment_hamiltonian_nodes,
 )
 
@@ -168,9 +168,9 @@ class _Runs:
 
 def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
     """RK4 inputs per segment, [(h, generators on the half-step lattice)],
-    each run built from the segment's drive and diagonal nodes by
-    `generator`, and the global time of every state the chain produces;
-    samples=None takes the default step count of `kind`."""
+    each run built from the segment's drive and detuning by `generator`, and
+    the global time of every state the chain produces; samples=None takes
+    the default step count of `kind`."""
     steps = default_samples(kind) if samples is None else samples
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -181,29 +181,32 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
 
         def build(t, si=si):
-            return generator(segment_drive_diagonal(schedule, si, t))
+            return generator(*segment_drive_detuning(schedule, si, t))
         segments.append((seg.duration / n, _Runs(lattice, build)))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
     return segments, np.concatenate(times)
 
 
-def _grid_generator(lift, errs, const):
-    """Map a run of (drive, diagonal) nodes (n, 2, d, d) to the generators
-    of every error model of errs, (n, G, m, m):
-    A_g = (1+eps_g) lift(drive) + lift(diagonal) + const[g], of the dtype
-    of const.  Every call writes into one buffer, which the next call
-    overwrites."""
+def _grid_generator(system: LevelSystem, lift, errs, const):
+    """Map a run of drive nodes (n, d, d) and detuning coefficients (n,) or
+    None to the generators of every error model of errs, (n, G, m, m):
+    A_g = (1+eps_g) lift(drive) + detuning lift(|e><e|) + const[g], of the
+    dtype of const; lift is linear, and |e><e| is lifted once here.  Every
+    call writes into one buffer, which the next call overwrites."""
     scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
     buf = np.empty((0,) + const.shape, dtype=const.dtype)
+    e = system.excited_index
+    lifted_e = None if e is None else lift(np.diag(system.basis_state(e)))
 
-    def generator(nodes):
+    def generator(drive, detuning):
         nonlocal buf
-        S = lift(nodes)
+        S = lift(drive)
         if len(buf) < len(S):
             buf = np.empty((len(S),) + const.shape, dtype=const.dtype)
-        A = np.multiply(scale, S[:, None, 0], out=buf[:len(S)])
-        A += S[:, None, 1]
+        A = np.multiply(scale, S[:, None], out=buf[:len(S)])
+        if detuning is not None:
+            A += (detuning[:, None, None] * lifted_e)[:, None]
         A += const
         return A
     return generator
@@ -216,7 +219,7 @@ def propagate_unitary(
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
     eta = detuning_error(schedule, err)
-    generator = _grid_generator(lambda H: -1j * H, [err], -1j * eta[None])
+    generator = _grid_generator(schedule.system, lambda H: -1j * H, [err], -1j * eta[None])
     segments, times = _rk4_segments(schedule, samples, "unitary", generator)
     d = schedule.system.dim
     ops = rk4_linear(np.eye(d)[None], segments)[:, 0]
@@ -231,16 +234,13 @@ def propagate_unitary(
 
 
 def _validate_density(rho: np.ndarray, where: str) -> None:
-    """Trace, Hermiticity and positivity of a stack (..., d, d).  Positivity
-    is one batched Cholesky factorisation of rho - POSITIVITY_TOL*I, which
+    """Trace and positivity of a Hermitian stack (..., d, d).  Positivity is
+    one batched Cholesky factorisation of rho - POSITIVITY_TOL*I, which
     exists iff every eigenvalue exceeds POSITIVITY_TOL; only when it fails
     does eigvalsh decide exactly and name the eigenvalue."""
     tr = np.trace(rho, axis1=-2, axis2=-1)
     if np.abs(tr - 1.0).max() > TRACE_TOL:
         raise RuntimeError(f"trace deviates by {np.abs(tr - 1).max():.3e} {where}")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if herm > 1e-8:
-        raise RuntimeError(f"Hermiticity defect {herm:.3e} {where}")
     try:
         np.linalg.cholesky(rho - POSITIVITY_TOL * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
@@ -291,22 +291,26 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     errs at once: the global times and an iterator over the validated
     states after rho, chunk by chunk, (c, G, k, d, d).
 
-    The generator of grid point g is (1+eps_g) S[drive] + S[diagonal] + C_g,
-    with S[H] the commutator superoperator and C_g the Lindblad
-    superoperator of eta_g*omega_bar|e><e| under the rates of g, all folded
-    to the real coordinates Q, so every chunk lifts its nodes once for the
-    whole grid and the pass is real.
+    The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
+    + C_g, with S[H] the commutator superoperator, Delta the detuning and
+    C_g the Lindblad superoperator of eta_g*omega_bar|e><e| under the rates
+    of g, all folded to the real coordinates Q, so every chunk lifts its
+    drive once for the whole grid and the pass is real.  The states read
+    back from Q are Hermitian by construction; only rho is checked for it.
     """
     system = schedule.system
     d, k = system.dim, len(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    if herm > 1e-8:
+        raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
     _validate_density(rho, "in rho0")
     const = np.stack([_fold(lindblad_superoperator(system, e, detuning_error(schedule, e)))
                       for e in errs])
     closed = ErrorModel()
-    generator = _grid_generator(lambda H: _fold(lindblad_superoperator(system, closed, H)),
-                                errs, const)
+    generator = _grid_generator(
+        system, lambda H: _fold(lindblad_superoperator(system, closed, H)), errs, const)
     segments, times = _rk4_segments(schedule, samples, "lindblad", generator)
     # columns are the row-major coordinates Q of the batch
     cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
@@ -327,8 +331,9 @@ def propagate_lindblad(
 ) -> Trajectory:
     """RK4 density-matrix trajectory; rho0 may be (d, d) or a batch (m, d, d).
 
-    Trace, Hermiticity and positivity are enforced at every stored sample;
-    violations abort rather than clip.
+    Trace and positivity are enforced at every stored sample, which is
+    Hermitian by construction, and rho0 must pass all three; violations
+    abort rather than clip.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     batch = rho0.ndim == 3

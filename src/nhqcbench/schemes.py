@@ -69,10 +69,6 @@ def _const(value: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: np.full(np.shape(t), float(value))
 
 
-def _zero(t: np.ndarray) -> np.ndarray:
-    return np.zeros(np.shape(t))
-
-
 # ---------------------------------------------------------------------------
 # two-interval loops (SL) and their composites (C, DC)
 # ---------------------------------------------------------------------------
@@ -155,7 +151,6 @@ def _build_loop_schedule(
             duration=area / ob,
             envelope=_const(ob),
             phase=_const(phase),
-            detuning=_zero,
             bright_axis=(ang.theta, ang.phi),
             frame=piece_frame(k),
         )
@@ -437,7 +432,6 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
             duration=Ts,
             envelope=design.envelope[k],
             phase=design.phase[k],
-            detuning=_zero,
             bright_axis=(ang.theta, ang.phi),
             frame=half_frame(k, c),
         )
@@ -523,7 +517,6 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         duration=tau,
         envelope=_const(lam),
         phase=phase,
-        detuning=_zero,
         bright_axis=axis,
         frame=frame,
     )
@@ -828,7 +821,6 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         return Segment(
             duration=path.durations[step],
             drive=drive,
-            diagonal=lambda s: np.zeros((len(s), 4, 4), dtype=complex),
             envelope=_const(omega_t),
             frame=frame,
         )
@@ -969,7 +961,6 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
     seg = Segment(
         duration=duration,
         drive=lambda s: np.asarray(J(s), dtype=float)[:, None, None] * H_unit,
-        diagonal=lambda s: np.zeros((len(s), 8, 8), dtype=complex),
         envelope=J,
         frame=frame,
     )

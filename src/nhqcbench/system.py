@@ -7,14 +7,14 @@ Conventions used throughout the package:
 * A Lambda-type drive couples the superposition
   ``|w(theta_b, phi_b)> = sin(theta_b/2)|0> - cos(theta_b/2) e^{i phi_b}|1>``
   to the excited level:  H_drive = envelope * e^{-i phase} |w><e| + h.c.
-* The ``detuning`` of a bright-ray segment is the coefficient of |e><e| as
-  it appears in the Hamiltonian (H += detuning(t)|e><e|).
-* Rabi error multiplies drive terms only: H = (1+eps)*drive + detuning
-  + eta*|e><e| (eta already in omega_bar units).
+* The ``detuning`` of a segment is the coefficient of |e><e| as it
+  appears in the Hamiltonian (H += detuning(t)|e><e|).
+* Rabi error multiplies drive terms only: H = (1+eps)*drive
+  + (detuning + eta)|e><e| (eta already in omega_bar units).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -168,19 +168,19 @@ def bright_dark_basis(angles: GateAngles) -> tuple[np.ndarray, np.ndarray]:
 class Segment:
     """One smooth piece of a schedule.
 
-    drive and diagonal map an array of local times (n,) to Hermitian
-    (n, d, d) stacks: drive holds the terms the Rabi error scales, diagonal
-    the nominal detuning it never scales.  envelope(t) is the coupling
-    magnitude used for pulse-area accounting.  frame, when present, maps
-    local times (n,) to the (n, L+1, d) analytic auxiliary frame used by
-    the holonomy checks.
+    drive maps local times (n,) to the Hermitian (n, d, d) stack the Rabi
+    error scales; detuning, if any, to the (n,) coefficient of |e><e| it
+    never scales.  envelope(t) is the coupling magnitude used for
+    pulse-area accounting.  frame, when present, maps local times (n,) to
+    the (n, L+1, d) analytic auxiliary frame used by the holonomy checks.
     """
 
     duration: float
     drive: Callable[[np.ndarray], np.ndarray]
-    diagonal: Callable[[np.ndarray], np.ndarray]
+    _: KW_ONLY
     envelope: Callable[[np.ndarray], np.ndarray]
     frame: Callable[[np.ndarray], np.ndarray] | None = None
+    detuning: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -192,32 +192,26 @@ def bright_ray_segment(
     duration: float,
     envelope: Callable[[np.ndarray], np.ndarray],
     phase: Callable[[np.ndarray], np.ndarray],
-    detuning: Callable[[np.ndarray], np.ndarray],
     bright_axis: tuple[float, float],
     frame: Callable[[np.ndarray], np.ndarray] | None = None,
+    detuning: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Segment:
     """Lambda-type drive coupling one bright ray to |e>:
     envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
 
-    envelope, phase and detuning are functions of local time that accept
-    numpy arrays; frame is passed through to the segment.
+    envelope and phase are functions of local time that accept numpy
+    arrays; frame and detuning are passed through to the segment.
     """
     tb, pb = bright_axis
     w = system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
-    e = system.excited_index
-    coupler = np.outer(w, system.basis_state(e).conj())
+    coupler = np.outer(w, system.basis_state(system.excited_index).conj())
 
     def drive(t: np.ndarray) -> np.ndarray:
         amp = envelope(t) * np.exp(-1j * phase(t))
         M = amp[:, None, None] * coupler[None, :, :]
         return M + M.conj().transpose(0, 2, 1)
 
-    def diagonal(t: np.ndarray) -> np.ndarray:
-        out = np.zeros((t.size, system.dim, system.dim), dtype=complex)
-        out[:, e, e] = detuning(t)
-        return out
-
-    return Segment(duration, drive, diagonal, envelope, frame)
+    return Segment(duration, drive, envelope=envelope, frame=frame, detuning=detuning)
 
 
 @dataclass(frozen=True)
@@ -240,6 +234,10 @@ class PulseSchedule:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
+        detuned = [k for k, seg in enumerate(self.segments) if seg.detuning is not None]
+        if detuned and self.system.excited_index is None:
+            raise ValueError(f"segment {detuned[0]} has a detuning, but "
+                             f"{self.system.kind} has no excited level")
         if self.total_duration <= 0:
             raise ValueError("total duration must be positive")
         defect = unitarity_defect(np.asarray(self.target))
@@ -291,9 +289,11 @@ def _piecewise(
 def _segment_nodes(
     schedule: PulseSchedule, seg: Segment, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """(1+eps)*drive + diagonal + eta|e><e| at local times of one segment."""
+    """(1+eps)*drive + (detuning + eta)|e><e| at local times of one segment."""
     H = (1.0 + err.epsilon) * seg.drive(t_local)
-    H += seg.diagonal(t_local)
+    if seg.detuning is not None:
+        e = schedule.system.excited_index
+        H[:, e, e] += seg.detuning(t_local)
     H += detuning_error(schedule, err)
     return H
 
@@ -311,7 +311,7 @@ def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
 def hamiltonian_nodes(
     schedule: PulseSchedule, times: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H(t) at each global time, error-injected: (1+eps)*drive + diag + eta|e><e|.
+    """H(t) at each global time, error-injected as in _segment_nodes.
 
     The Rabi factor multiplies only off-diagonal drive terms, never the
     nominal detuning.
@@ -334,12 +334,13 @@ def segment_hamiltonian_nodes(
     return _segment_nodes(schedule, schedule.segments[seg_index], t_local, err)
 
 
-def segment_drive_diagonal(
+def segment_drive_detuning(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray
-) -> np.ndarray:
-    """The drive and diagonal terms of one segment at local times, stacked
-    as (n, 2, d, d).  The error model weighs them differently
-    (_segment_nodes), so one stack serves a whole grid of error models."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The drive (n, d, d) and detuning (n,) or None of one segment at local
+    times.  The error model weighs them differently (_segment_nodes), so
+    one pair serves a whole grid of error models."""
     seg = schedule.segments[seg_index]
     t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-    return np.stack([seg.drive(t_local), seg.diagonal(t_local)], axis=1)
+    detuning = None if seg.detuning is None else seg.detuning(t_local)
+    return seg.drive(t_local), detuning

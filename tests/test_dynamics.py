@@ -28,7 +28,9 @@ from nhqcbench.system import (
     SchemeSpec,
     Segment,
     bright_ray_segment,
+    detuning_error,
     hamiltonian_nodes,
+    segment_drive_detuning,
     segment_hamiltonian_nodes,
 )
 
@@ -176,6 +178,12 @@ class TestPropagateLindblad:
         with pytest.raises(RuntimeError, match="negative"):
             propagate_lindblad(sched, ErrorModel(), bad, samples=50)
 
+    def test_rejects_non_hermitian_rho0(self, schedules):
+        bad = basis_rho(3, 0)
+        bad[0, 1] = 1e-6
+        with pytest.raises(RuntimeError, match=r"Hermiticity defect 1\.000e-06 in rho0"):
+            propagate_lindblad(schedules["sl"], ErrorModel(), bad, samples=50)
+
     def test_three_qubit_rejects_decoherence(self):
         sched = dfs3_schedule(0.0)
         with pytest.raises(ValueError, match="excited"):
@@ -319,8 +327,7 @@ class TestOracles:
             H[np.abs(t - 777.5 * h) < h / 4, 0, 1] = bad
             return H
 
-        seg = Segment(1.0, drive, lambda t: np.zeros((t.size, 3, 3), dtype=complex),
-                      lambda t: np.ones_like(t))
+        seg = Segment(1.0, drive, envelope=lambda t: np.ones_like(t))
         sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="bad")
         with warnings.catch_warnings():
@@ -475,6 +482,44 @@ class TestRealCoordinates:
         with pytest.raises(ValueError, match="not Hermitian"):
             oracle_propagate_lindblad(schedules["sl"], ErrorModel(gamma_minus=1e-4), bad,
                                       slices=32)
+
+
+class TestGridGenerator:
+    """The generators built from a segment's drive and detuning equal those
+    lifted from the full error-injected H."""
+
+    ERR = ErrorModel(epsilon=0.07, eta=-0.03, gamma_minus=2e-4, gamma_z=1e-4)
+
+    @staticmethod
+    def runs(sched):
+        for si, seg in enumerate(sched.segments):
+            t = np.linspace(0.0, seg.duration, 101)
+            yield si, t, segment_drive_detuning(sched, si, t)
+
+    @pytest.mark.parametrize("tag", ["ss", "s"])  # constant and time-dependent detuning
+    def test_unitary_generator_is_minus_i_h(self, schedules, tag):
+        sched = schedules[tag]
+        err = ErrorModel(epsilon=self.ERR.epsilon, eta=self.ERR.eta)
+        generator = dynamics._grid_generator(sched.system, lambda H: -1j * H, [err],
+                                             -1j * detuning_error(sched, err)[None])
+        for si, t, (drive, detuning) in self.runs(sched):
+            assert detuning is not None
+            A = generator(drive, detuning)[:, 0]
+            assert np.array_equal(A, -1j * segment_hamiltonian_nodes(sched, si, t, err))
+
+    @pytest.mark.parametrize("tag", ["ss", "s"])
+    def test_lindblad_generator_lifts_full_h(self, schedules, tag):
+        sched, err = schedules[tag], self.ERR
+        system = sched.system
+
+        def lift(H, e=ErrorModel()):
+            return dynamics._fold(lindblad_superoperator(system, e, H))
+        generator = dynamics._grid_generator(system, lift, [err],
+                                             lift(detuning_error(sched, err), err)[None])
+        for si, t, (drive, detuning) in self.runs(sched):
+            A = generator(drive, detuning)[:, 0]
+            full = lift(segment_hamiltonian_nodes(sched, si, t, err), err)
+            assert np.abs(A - full).max() <= 1e-15
 
 
 def reference_rk4(schedule, err, y0, samples, rhs):

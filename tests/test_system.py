@@ -10,6 +10,7 @@ from nhqcbench.system import (
     LevelSystem,
     PulseSchedule,
     SchemeSpec,
+    Segment,
     bright_dark_basis,
     bright_ray_segment,
     hamiltonian_nodes,
@@ -185,7 +186,26 @@ class TestSchemeSpec:
             SchemeSpec("PS", varsigma=-1.0)
 
 
+class TestSegment:
+    def test_fields_after_drive_are_keyword_only(self):
+        def zeros(t):
+            return np.zeros((t.size, 3, 3), dtype=complex)
+        with pytest.raises(TypeError):
+            Segment(1.0, zeros, zeros, np.ones_like)
+        assert Segment(1.0, zeros, envelope=np.ones_like).detuning is None
+
+
 class TestPulseSchedule:
+    def test_rejects_detuning_without_excited_level(self):
+        system = LevelSystem.three_qubit8()
+
+        def seg(detuning):
+            return Segment(1.0, lambda t: np.zeros((t.size, 8, 8), dtype=complex),
+                           envelope=np.ones_like, detuning=detuning)
+        with pytest.raises(ValueError, match="segment 1 has a detuning.*ThreeQubit8"):
+            PulseSchedule(system=system, segments=(seg(None), seg(np.zeros_like)),
+                          target=np.eye(2, dtype=complex), scheme_label="bad")
+
     def test_rejects_non_unitary_target(self):
         system = LevelSystem.lambda3()
         seg = zero_envelope_schedule().segments[0]
