@@ -42,8 +42,7 @@ from nhqcbench.dynamics import (
     propagate_unitary,
     six_axial_densities,
 )
-from nhqcbench.holonomy import reconstruct_computational_gate, sample_frame
-from nhqcbench.numkit import TimeGrid
+from nhqcbench.holonomy import reconstruct_computational_gate
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, hamiltonian_nodes, segment_hamiltonian_nodes
 
@@ -66,9 +65,8 @@ def dump(path: str) -> None:
         arrays[f"{tag}/hnodes"] = hamiltonian_nodes(sched, np.linspace(0.0, T, 4001), CLOSED)
         arrays[f"{tag}/unitary"] = propagate_unitary(sched, CLOSED).operators
         arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
-        check_grid = TimeGrid(0.0, T, 4096)
-        arrays[f"{tag}/frame"] = sample_frame(sched, check_grid).vectors
-        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched, check_grid)
+        arrays[f"{tag}/frame"] = sched.frame(np.linspace(0.0, T, 4097))
+        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)
         if sched.system.excited_index is None:
             continue
         rho0 = six_axial_densities(sched.system)

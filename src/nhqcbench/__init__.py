@@ -30,8 +30,6 @@ from .dynamics import (
     propagate_unitary,
 )
 from .holonomy import (
-    AuxiliaryFrame,
-    ConnectionPair,
     condition_residuals,
     frame_connection,
     holonomy_reconstruct,
@@ -50,8 +48,6 @@ from .bench import (
 )
 
 __all__ = [
-    "AuxiliaryFrame",
-    "ConnectionPair",
     "ErrorModel",
     "GateAngles",
     "GateReport",

@@ -44,7 +44,6 @@ from .holonomy import (
     condition_residuals,
     reconstruct_computational_gate,
 )
-from .numkit import TimeGrid
 from .schemes import build_schedule
 from .system import ErrorModel, GateAngles, SchemeSpec
 
@@ -302,8 +301,7 @@ def cmd_check(args) -> int:
     print(f"cyclic_residual={cyc:.3e}")
     print(f"parallel_residual={par:.3e}")
     print(f"rk4_vs_oracle={defect:.3e}")
-    grid = TimeGrid(0.0, schedule.total_duration, 4096)
-    U_rec = reconstruct_computational_gate(schedule, grid)
+    U_rec = reconstruct_computational_gate(schedule)
     comp = list(schedule.system.computational_indices)
     U_prop = traj.final[np.ix_(comp, comp)]
     ov = np.trace(U_rec.conj().T @ U_prop) / 2

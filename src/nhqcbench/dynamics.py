@@ -42,6 +42,7 @@ from .numkit import (
     expm_hermitian,
     expm_taylor,
     from_real_embedding,
+    hermiticity_defect,
     ordered_product,
     rk4_chunks,
     rk4_linear,
@@ -302,7 +303,7 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     d, k = system.dim, len(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    herm = hermiticity_defect(rho).max()
     if herm > 1e-8:
         raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
     _validate_density(rho, "in rho0")
@@ -457,7 +458,7 @@ def oracle_propagate_lindblad(
     time order, and the chunk's ordered_product advances the propagator.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    herm = np.abs(rho0 - rho0.conj().swapaxes(-1, -2)).max()
+    herm = hermiticity_defect(rho0).max()
     if herm > 1e-8:
         raise ValueError(f"rho0 not Hermitian, defect {herm:.3e}")
     system = schedule.system

@@ -4,16 +4,19 @@ holonomy-condition residuals, and gate reconstruction from auxiliary frames.
 Frames come from the scheme builders as analytic functions of time on each
 segment; nothing here infers a frame from the propagator, which keeps the
 reconstruction an independent check on the dynamics.
+
+The reconstruction passes plain arrays: `times` (n+1,) is a uniform grid
+and V (n+1, L+1, dim) the frame sampled on it, rows 0..L-1 spanning the
+computational subspace and row L the auxiliary vector.  `frame_connection`
+turns them into the connection A and the dynamical matrix K, both
+(n+1, L, L), and `holonomy_reconstruct` takes A, K and the grid spacing h.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .numkit import (
-    TimeGrid,
     expm_hermitian,
     from_real_embedding,
     ordered_product,
@@ -21,61 +24,8 @@ from .numkit import (
 )
 from .system import ErrorModel, PulseSchedule, hamiltonian_nodes
 
-ORTHONORMALITY_TOL = 1e-10
-BOUNDARY_TOL = 1e-8
 FRAME_DRIFT_REJECT = 1e-8
 RECONSTRUCT_UNITARITY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class AuxiliaryFrame:
-    """Sampled auxiliary vectors: times (n+1,), vectors (n+1, L+1, dim).
-
-    Rows 0..L-1 span the computational subspace and must close exactly at
-    the loop end; the auxiliary row closes only up to phase (its return
-    phase is part of the holonomy data, not of the frame contract).
-    """
-
-    times: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def n_computational(self) -> int:
-        return self.vectors.shape[1] - 1
-
-    def orthonormality_defect(self) -> float:
-        V = self.vectors
-        G = np.einsum("nkc,nlc->nkl", V.conj(), V)
-        eye = np.eye(V.shape[1])
-        return float(np.abs(G - eye).max())
-
-    def boundary_defect(self) -> float:
-        L = self.n_computational
-        return float(np.abs(self.vectors[-1, :L] - self.vectors[0, :L]).max())
-
-    def validate(self) -> None:
-        d = self.orthonormality_defect()
-        if d > ORTHONORMALITY_TOL:
-            raise ValueError(f"frame orthonormality defect {d:.3e} > {ORTHONORMALITY_TOL}")
-        b = self.boundary_defect()
-        if b > BOUNDARY_TOL:
-            raise ValueError(f"frame boundary defect {b:.3e} > {BOUNDARY_TOL}")
-
-
-def sample_frame(schedule: PulseSchedule, grid: TimeGrid) -> AuxiliaryFrame:
-    return AuxiliaryFrame(times=grid.times, vectors=schedule.frame(grid.times))
-
-
-@dataclass(frozen=True)
-class ConnectionPair:
-    """Geometric connection A(t) and dynamical matrix K(t) on the
-    computational block, Hermitian by symmetrization; presym_defect records
-    the worst pre-symmetrization deviation (finite-difference noise)."""
-
-    times: np.ndarray
-    A: np.ndarray
-    K: np.ndarray
-    presym_defect: float
 
 
 def _time_derivative(V: np.ndarray, h: float) -> np.ndarray:
@@ -88,35 +38,33 @@ def _time_derivative(V: np.ndarray, h: float) -> np.ndarray:
 
 
 def frame_connection(
-    frame: AuxiliaryFrame,
     schedule: PulseSchedule,
+    times: np.ndarray,
+    V: np.ndarray,
     err: ErrorModel = ErrorModel(),
-) -> ConnectionPair:
-    """A_lm = i <nu_l | d nu_m/dt> by finite differences, K_lm = <nu_l|H|nu_m>."""
-    drift = frame.orthonormality_defect()
+) -> tuple[np.ndarray, np.ndarray]:
+    """A_lm = i <nu_l | d nu_m/dt> by finite differences, K_lm = <nu_l|H|nu_m>,
+    on the computational rows of the frame V sampled at uniform `times`;
+    both are made Hermitian by symmetrization (finite-difference noise)."""
+    # the Gram stack stays a temporary: a local name would keep it alive
+    drift = float(np.abs(np.einsum("nkc,nlc->nkl", V.conj(), V) - np.eye(V.shape[1])).max())
     if drift > FRAME_DRIFT_REJECT:
         raise ValueError(f"frame orthonormality drift {drift:.3e} > {FRAME_DRIFT_REJECT}")
-    V = frame.vectors
-    L = frame.n_computational
-    h = float(frame.times[1] - frame.times[0])
+    L = V.shape[1] - 1
+    h = float(times[1] - times[0])
     dV = _time_derivative(V, h)
     A_raw = 1j * np.einsum("nlc,nmc->nlm", V[:, :L].conj(), dV[:, :L])
-    H = hamiltonian_nodes(schedule, frame.times, err)
+    H = hamiltonian_nodes(schedule, times, err)
     K_raw = np.einsum("nlc,ncd,nmd->nlm", V[:, :L].conj(), H, V[:, :L])
-    presym = max(
-        float(np.abs(A_raw - A_raw.conj().transpose(0, 2, 1)).max()),
-        float(np.abs(K_raw - K_raw.conj().transpose(0, 2, 1)).max()),
-    )
     A = 0.5 * (A_raw + A_raw.conj().transpose(0, 2, 1))
     K = 0.5 * (K_raw + K_raw.conj().transpose(0, 2, 1))
-    return ConnectionPair(times=frame.times, A=A, K=K, presym_defect=presym)
+    return A, K
 
 
-def holonomy_reconstruct(pair: ConnectionPair) -> np.ndarray:
+def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     """Time-ordered product of exp(i [A - K] h) over the grid, midpoint
     averaged; returns the holonomy in the frame basis."""
-    M = pair.A - pair.K
-    h = float(pair.times[1] - pair.times[0])
+    M = A - K
     mids = 0.5 * (M[:-1] + M[1:])
     U = from_real_embedding(ordered_product(expm_hermitian(-mids, h)))  # exp(+i mid h)
     defect = unitarity_defect(U)
@@ -128,16 +76,18 @@ def holonomy_reconstruct(pair: ConnectionPair) -> np.ndarray:
 
 
 def reconstruct_computational_gate(
-    schedule: PulseSchedule, grid: TimeGrid, err: ErrorModel = ErrorModel()
+    schedule: PulseSchedule, steps: int = 4096, err: ErrorModel = ErrorModel()
 ) -> np.ndarray:
-    """Holonomy mapped from the frame basis to the computational 0/1 basis."""
-    frame = sample_frame(schedule, grid)
-    pair = frame_connection(frame, schedule, err)
-    C = holonomy_reconstruct(pair)
-    L = frame.n_computational
-    V0 = frame.vectors[0, :L]  # (L, dim)
+    """Holonomy on `steps` uniform intervals of the loop, mapped from the
+    frame basis to the computational 0/1 basis."""
+    if steps < 2:
+        raise ValueError(f"steps={steps} must be >= 2")
+    times = np.linspace(0.0, schedule.total_duration, steps + 1)
+    V = schedule.frame(times)
+    A, K = frame_connection(schedule, times, V, err)
+    C = holonomy_reconstruct(A, K, float(times[1] - times[0]))
     comp = schedule.system.computational_indices
-    B = V0[:, comp]  # frame vectors expressed in the qubit basis, (L, 2)
+    B = V[0, :-1][:, comp]  # frame vectors expressed in the qubit basis, (L, 2)
     return B.T @ C @ B.conj()
 
 
@@ -147,12 +97,8 @@ def condition_residuals(
     """Cyclic projector defect and the worst parallel-transport matrix
     element along the computational trajectories of `traj`, the unitary
     trajectory of `schedule` under `err`."""
-    comp = schedule.system.computational_indices
-    d = schedule.system.dim
-    basis = np.zeros((d, 2), dtype=complex)
-    basis[comp[0], 0] = 1.0
-    basis[comp[1], 1] = 1.0
-    phis = traj.operators @ basis  # (n, d, 2)
+    comp = list(schedule.system.computational_indices)
+    phis = traj.operators[:, :, comp]  # (n, d, 2)
     P0 = phis[0] @ phis[0].conj().T
     P1 = phis[-1] @ phis[-1].conj().T
     cyclic = float(np.linalg.norm(P1 - P0))

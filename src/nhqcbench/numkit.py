@@ -29,7 +29,6 @@ prefix product costs no more per step than advancing the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,29 +37,6 @@ HERMITIAN_TOL = 1e-12
 # entries per batched array in rk4_linear, the Lindblad oracle and the
 # grid blocks of propagate_lindblad_grid (512 KiB complex, 256 KiB real)
 CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid, in units of 1/omega_bar."""
-
-    t_start: float
-    t_end: float
-    steps: int
-
-    def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError(f"t_end={self.t_end} must exceed t_start={self.t_start}")
-        if self.steps < 2:
-            raise ValueError(f"steps={self.steps} must be >= 2")
-
-    @property
-    def h(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
 
 def hermiticity_defect(M: np.ndarray) -> float | np.ndarray:

@@ -278,9 +278,10 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
 @dataclass(frozen=True)
 class PsDesign:
     """Shaped two-interval design: per-segment profiles of the mixing angle
-    chi, global-phase f, solved azimuth varphi, the published quadrature
-    pair (omega_R, omega_I), the physical coupling envelope, and the drive
-    phase.  Segment-local time in [0, segment_duration].
+    chi, global-phase f, solved azimuth varphi, the physical coupling
+    envelope omega_ps / 2 (omega_ps the magnitude of the published
+    quadrature pair), and the drive phase.  Segment-local time in
+    [0, segment_duration].
     """
 
     varsigma: float
@@ -289,7 +290,6 @@ class PsDesign:
     chi_dot: tuple[Callable, Callable]
     f: tuple[Callable, Callable]
     varphi: tuple[Callable, Callable]
-    omega_ps: tuple[Callable, Callable]
     envelope: tuple[Callable, Callable]
     phase: tuple[Callable, Callable]
     coupling_area: float
@@ -379,7 +379,6 @@ def ps_design(varsigma: float, tau: float, angles: GateAngles, chi_profile: str 
         chi_dot=(made[0][1], made[1][1]),
         f=(made[0][2], made[1][2]),
         varphi=(made[0][3], made[1][3]),
-        omega_ps=(made[0][4], made[1][4]),
         envelope=(made[0][5], made[1][5]),
         phase=(made[0][6], made[1][6]),
         coupling_area=area,
@@ -551,8 +550,8 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
 @dataclass(frozen=True)
 class PathParams:
     """Circle path on the bright sphere: polar alpha(t), azimuth beta(t),
-    mixing chi(t), diagonal gauge rate zeta_dot(t), circle parameter ell,
-    and the geometric phase of the enclosed cap."""
+    mixing chi(t), circle parameter ell, and the geometric phase of the
+    enclosed cap."""
 
     tau: float
     beta0: float
@@ -563,7 +562,6 @@ class PathParams:
     alpha_dot: Callable
     beta_dot: Callable
     chi: Callable
-    zeta_dot: Callable
 
 
 def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
@@ -600,9 +598,6 @@ def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
         bs = beta_dot(t) * np.sin(alpha(t))
         return np.arctan2(ad, bs)
 
-    def zeta_dot(t):
-        return 0.5 * beta_dot(t) * (3 + np.cos(alpha(t)))
-
     return PathParams(
         tau=tau,
         beta0=beta0,
@@ -613,7 +608,6 @@ def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
         alpha_dot=alpha_dot,
         beta_dot=beta_dot,
         chi=chi,
-        zeta_dot=zeta_dot,
     )
 
 

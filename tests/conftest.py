@@ -3,7 +3,6 @@ import pytest
 
 from nhqcbench.bench import benchmark_catalog
 from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
-from nhqcbench.holonomy import AuxiliaryFrame
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel
 
@@ -38,17 +37,17 @@ def align_phase(actual, reference):
     return actual * (abs(ov) / ov)
 
 
-def gauge_transformed(frame, Vfun):
-    """New frame nu'_k = sum_l nu_l V_lk(t) on the computational rows.
+def gauge_transformed(times, V, Vfun):
+    """The frame V (n+1, L+1, dim) sampled at `times`, its computational
+    rows rotated to nu'_k = sum_l nu_l W_lk(t), W = Vfun(t).
 
-    Vfun(t) must be unitary with V(0) = V(tau) = I (boundary-trivial).
+    Vfun(t) must be unitary with Vfun(0) = Vfun(tau) = I (boundary-trivial).
     """
-    L = frame.n_computational
-    out = frame.vectors.copy()
-    for i, t in enumerate(frame.times):
-        V = np.asarray(Vfun(float(t)), dtype=complex)
-        out[i, :L] = V.T @ frame.vectors[i, :L]
-    return AuxiliaryFrame(times=frame.times, vectors=out)
+    out = V.copy()
+    for i, t in enumerate(times):
+        W = np.asarray(Vfun(float(t)), dtype=complex)
+        out[i, :-1] = W.T @ V[i, :-1]
+    return out
 
 
 def phase_distance(actual, reference):

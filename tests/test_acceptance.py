@@ -28,9 +28,7 @@ from nhqcbench.holonomy import (
     frame_connection,
     holonomy_reconstruct,
     reconstruct_computational_gate,
-    sample_frame,
 )
-from nhqcbench.numkit import TimeGrid
 from nhqcbench.schemes import brachistochrone_tau, build_schedule, sta_schedule
 from nhqcbench.system import ErrorModel, hamiltonian_nodes
 
@@ -143,22 +141,22 @@ def test_criterion_3_net_dynamical_cancellation(schedules, ideal_runs, tag):
 
 def test_criterion_3_to_ratio_constant(schedules):
     sched = schedules["to"]
-    grid = TimeGrid(0.0, sched.total_duration, 4096)
-    pair = frame_connection(sample_frame(sched, grid), sched)
-    h = grid.h
-    intK = np.cumsum(0.5 * (pair.K[1:, 1, 1] + pair.K[:-1, 1, 1]).real) * h
-    intA = np.cumsum(0.5 * (pair.A[1:, 1, 1] + pair.A[:-1, 1, 1]).real) * h
+    times = np.linspace(0.0, sched.total_duration, 4097)
+    A, K = frame_connection(sched, times, sched.frame(times))
+    h = times[1] - times[0]
+    intK = np.cumsum(0.5 * (K[1:, 1, 1] + K[:-1, 1, 1]).real) * h
+    intA = np.cumsum(0.5 * (A[1:, 1, 1] + A[:-1, 1, 1]).real) * h
     n0 = len(intK) // 10
     ratio = -intK[n0:] / intA[n0:]
     dev = np.abs(ratio - ratio[-1]).max()
-    ok = dev < 1e-3 and abs(pair.K[:, 1, 1]).max() > 0.1
+    ok = dev < 1e-3 and abs(K[:, 1, 1]).max() > 0.1
     assert report(3, "unconventional ratio[to]", ok,
                   f"dyn/geo={ratio[-1]:.4f} max deviation={dev:.2e} (<1e-3)")
 
 
 def test_criterion_3_gauge_covariance(schedules, ideal_runs):
     sched = schedules["sl"]
-    grid = TimeGrid(0.0, sched.total_duration, 4096)
+    times = np.linspace(0.0, sched.total_duration, 4097)
     tau = sched.total_duration
     X = np.array([[0.4, 0.6 - 0.2j], [0.6 + 0.2j, -0.4]], dtype=complex)
     w, V = np.linalg.eigh(X)
@@ -167,14 +165,14 @@ def test_criterion_3_gauge_covariance(schedules, ideal_runs):
         lam = np.sin(PI * t / tau) ** 2
         return (V * np.exp(-1j * lam * w)) @ V.conj().T
 
-    frame = sample_frame(sched, grid)
+    frame = sched.frame(times)
     comp = list(sched.system.computational_indices)
     U_prop = ideal_runs["sl"].final[np.ix_(comp, comp)]
 
     defects = []
-    for fr in (frame, gauge_transformed(frame, Vfun)):
-        C = holonomy_reconstruct(frame_connection(fr, sched))
-        B = fr.vectors[0, :2][:, comp]
+    for fr in (frame, gauge_transformed(times, frame, Vfun)):
+        C = holonomy_reconstruct(*frame_connection(sched, times, fr), times[1] - times[0])
+        B = fr[0, :2][:, comp]
         defects.append(phase_distance(B.T @ C @ B.conj(), U_prop))
     ok = max(defects) < 1e-5
     assert report(3, "gauge covariance", ok,

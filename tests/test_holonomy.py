@@ -4,15 +4,11 @@ import pytest
 from conftest import gauge_transformed, phase_distance
 from nhqcbench.dynamics import propagate_unitary
 from nhqcbench.holonomy import (
-    AuxiliaryFrame,
-    ConnectionPair,
     condition_residuals,
     frame_connection,
     holonomy_reconstruct,
     reconstruct_computational_gate,
-    sample_frame,
 )
-from nhqcbench.numkit import TimeGrid
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, GateAngles, SchemeSpec
 
@@ -20,15 +16,23 @@ PI = np.pi
 ALL_TAGS = ["sl", "ss", "ps", "c", "dc", "to", "s", "cdd", "sta", "dfs3"]
 
 
-def grid_for(schedule, steps=4096):
-    return TimeGrid(0.0, schedule.total_duration, steps)
+def times_for(schedule, steps=4096):
+    return np.linspace(0.0, schedule.total_duration, steps + 1)
+
+
+def connection(schedule, steps):
+    times = times_for(schedule, steps)
+    return frame_connection(schedule, times, schedule.frame(times))
 
 
 class TestFrames:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_frame_orthonormal_and_cyclic(self, schedules, tag):
-        frame = sample_frame(schedules[tag], grid_for(schedules[tag], 512))
-        frame.validate()
+        V = schedules[tag].frame(times_for(schedules[tag], 512))
+        gram = np.einsum("nkc,nlc->nkl", V.conj(), V)
+        assert np.abs(gram - np.eye(V.shape[1])).max() <= 1e-10
+        # computational rows close exactly; the auxiliary row only up to phase
+        assert np.abs(V[-1, :-1] - V[0, :-1]).max() <= 1e-8
 
     @pytest.mark.parametrize("tag", ["sl", "ps", "c", "dc", "cdd", "sta"])
     def test_segment_frames_join_at_boundaries(self, schedules, tag):
@@ -50,85 +54,74 @@ class TestFrames:
         from test_dynamics import zero_schedule
 
         with pytest.raises(ValueError, match="frame"):
-            sample_frame(zero_schedule(), TimeGrid(0.0, 1.0, 8))
+            reconstruct_computational_gate(zero_schedule(), 8)
 
 
 class TestFrameConnection:
     def test_static_frame_zero_hamiltonian(self):
         from test_dynamics import zero_schedule
 
-        sched = zero_schedule()
-        grid = TimeGrid(0.0, 1.0, 64)
-        vecs = np.tile(np.eye(3, dtype=complex)[None], (65, 1, 1))
-        frame = AuxiliaryFrame(times=grid.times, vectors=vecs)
-        pair = frame_connection(frame, sched)
-        assert np.abs(pair.A).max() < 1e-12
-        assert np.abs(pair.K).max() < 1e-12
+        times = np.linspace(0.0, 1.0, 65)
+        V = np.tile(np.eye(3, dtype=complex)[None], (65, 1, 1))
+        A, K = frame_connection(zero_schedule(), times, V)
+        assert np.abs(A).max() < 1e-12
+        assert np.abs(K).max() < 1e-12
 
     def test_connection_hermitian(self, schedules):
-        sched = schedules["s"]
-        pair = frame_connection(sample_frame(sched, grid_for(sched, 1024)), sched)
-        assert np.abs(pair.A - pair.A.conj().transpose(0, 2, 1)).max() < 1e-14
-        assert pair.presym_defect < 1e-4
+        A, _ = connection(schedules["s"], 1024)
+        assert np.abs(A - A.conj().transpose(0, 2, 1)).max() < 1e-14
 
     def test_s_scheme_dynamical_part_vanishes(self, schedules):
         # parallel transport built into the inverse-engineered loop
-        sched = schedules["s"]
-        pair = frame_connection(sample_frame(sched, grid_for(sched, 2048)), sched)
-        assert np.abs(pair.K).max() < 1e-6
+        _, K = connection(schedules["s"], 2048)
+        assert np.abs(K).max() < 1e-6
 
     def test_to_dynamical_geometric_proportionality(self, schedules):
         sched = schedules["to"]
-        grid = grid_for(sched, 4096)
-        pair = frame_connection(sample_frame(sched, grid), sched)
-        h = grid.h
-        intK = np.cumsum(0.5 * (pair.K[1:, 1, 1] + pair.K[:-1, 1, 1]).real) * h
-        intA = np.cumsum(0.5 * (pair.A[1:, 1, 1] + pair.A[:-1, 1, 1]).real) * h
+        A, K = connection(sched, 4096)
+        h = sched.total_duration / 4096
+        intK = np.cumsum(0.5 * (K[1:, 1, 1] + K[:-1, 1, 1]).real) * h
+        intA = np.cumsum(0.5 * (A[1:, 1, 1] + A[:-1, 1, 1]).real) * h
         n0 = len(intK) // 10
         ratio = -intK[n0:] / intA[n0:]  # dynamical phase = -int K
         expected = sched.notes["dyn_geo_ratio"]
         assert np.abs(ratio - expected).max() < 1e-3
-        assert np.abs(pair.K[:, 1, 1]).max() > 0.1  # genuinely nonzero
+        assert np.abs(K[:, 1, 1]).max() > 0.1  # genuinely nonzero
 
     def test_rejects_drifting_frame(self, schedules):
         sched = schedules["sl"]
-        grid = TimeGrid(0.0, sched.total_duration, 64)
-        frame = sample_frame(sched, grid)
-        bad = frame.vectors.copy()
+        times = times_for(sched, 64)
+        bad = sched.frame(times)
         bad[10, 1] *= 1.001  # break normalization
         with pytest.raises(ValueError, match="drift|orthonormality"):
-            frame_connection(AuxiliaryFrame(times=frame.times, vectors=bad), sched)
+            frame_connection(sched, times, bad)
 
 
 class TestReconstruct:
     def test_zero_connection_identity(self):
-        times = np.linspace(0, 1, 65)
         Z = np.zeros((65, 2, 2))
-        pair = ConnectionPair(times=times, A=Z, K=Z, presym_defect=0.0)
-        assert np.abs(holonomy_reconstruct(pair) - np.eye(2)).max() < 1e-14
+        assert np.abs(holonomy_reconstruct(Z, Z, 1 / 64) - np.eye(2)).max() < 1e-14
 
     def test_constant_abelian_connection(self):
         # A constant, K = 0: holonomy exp(i A tau) exactly
-        times = np.linspace(0, 2.0, 257)
         A0 = np.array([[0.3, 0.1], [0.1, -0.2]], dtype=complex)
         A = np.tile(A0[None], (257, 1, 1))
-        pair = ConnectionPair(times=times, A=A, K=0 * A, presym_defect=0.0)
         w, V = np.linalg.eigh(A0)
         expected = (V * np.exp(1j * w * 2.0)) @ V.conj().T
-        assert np.abs(holonomy_reconstruct(pair) - expected).max() < 1e-12
+        assert np.abs(holonomy_reconstruct(A, 0 * A, 2.0 / 256) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("tag", ["sl", "ps", "c", "dc", "to", "s", "cdd", "ss",
                                      "sta", "dfs3"])
     def test_reconstruction_matches_propagation(self, schedules, ideal_runs, tag):
         sched = schedules[tag]
-        U_rec = reconstruct_computational_gate(sched, grid_for(sched))
+        U_rec = reconstruct_computational_gate(sched)
         comp = list(sched.system.computational_indices)
         U_prop = ideal_runs[tag].final[np.ix_(comp, comp)]
         assert phase_distance(U_rec, U_prop) < 1e-5
 
     def test_sl_reconstructs_quarter_turn(self, schedules):
         sched = schedules["sl"]
-        U_rec = reconstruct_computational_gate(sched, grid_for(sched))
+        U_rec = reconstruct_computational_gate(sched)
         expected = np.diag([np.exp(-1j * PI / 4), np.exp(1j * PI / 4)])
         assert phase_distance(U_rec, expected) < 1e-5
 
@@ -138,15 +131,19 @@ class TestReconstruct:
         U_ref = propagate_unitary(sched, samples=3000).final[np.ix_(comp, comp)]
 
         def defect(steps):
-            U = reconstruct_computational_gate(sched, grid_for(sched, steps))
+            U = reconstruct_computational_gate(sched, steps)
             ov = np.trace(U_ref.conj().T @ U) / 2
             return np.abs(U - (ov / abs(ov)).conj() * U_ref).max()
 
         assert defect(512) / defect(1024) >= 3.0
 
+    def test_rejects_too_few_steps(self, schedules):
+        with pytest.raises(ValueError, match="steps"):
+            reconstruct_computational_gate(schedules["sl"], steps=1)
+
     def test_gauge_covariance(self, schedules, ideal_runs):
         sched = schedules["sl"]
-        grid = grid_for(sched)
+        times = times_for(sched)
         tau = sched.total_duration
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -154,11 +151,10 @@ class TestReconstruct:
             lam = 0.7 * np.sin(PI * t / tau) ** 2
             return np.cos(lam) * np.eye(2) - 1j * np.sin(lam) * X
 
-        frame = sample_frame(sched, grid)
-        twisted = gauge_transformed(frame, Vfun)
-        pair = frame_connection(twisted, sched)
-        C = holonomy_reconstruct(pair)
-        V0 = twisted.vectors[0, :2]
+        twisted = gauge_transformed(times, sched.frame(times), Vfun)
+        A, K = frame_connection(sched, times, twisted)
+        C = holonomy_reconstruct(A, K, times[1] - times[0])
+        V0 = twisted[0, :2]
         comp = list(sched.system.computational_indices)
         B = V0[:, comp]
         U_rec = B.T @ C @ B.conj()

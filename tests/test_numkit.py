@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nhqcbench import numkit
 from nhqcbench.numkit import (
-    TimeGrid,
     expm_hermitian,
     expm_taylor,
     from_real_embedding,
@@ -447,19 +446,6 @@ class TestRk4:
         H = rabi_block(1.0)
         U = rk4_linear(np.eye(3), [schrodinger(H, PI, 700)])[-1]
         assert unitarity_defect(U) < 1e-8
-
-
-class TestTimeGrid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 0.5, 10)
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 1)
-
-    def test_times_shape(self):
-        grid = TimeGrid(0.0, 2.0, 8)
-        assert grid.times.shape == (9,)
-        assert grid.h == pytest.approx(0.25)
 
 
 def test_hermiticity_defect_reports_magnitude():
