@@ -80,6 +80,9 @@ GATE_ANGLES = {
 
 @dataclass(frozen=True)
 class GateReport:
+    """One run's figures; fidelity is measured against target, the 2x2
+    gate the schedule was built to realize."""
+
     scheme_label: str
     fidelity: float
     pulse_area_pi: float
@@ -88,6 +91,7 @@ class GateReport:
     parallel_residual: float
     duration: float
     metric: str
+    target: np.ndarray
 
     def __post_init__(self):
         fields_ = (
@@ -210,6 +214,7 @@ def simulate_report(
         parallel_residual=par,
         duration=schedule.total_duration,
         metric=metric,
+        target=schedule.target,
     )
     return report, traj
 

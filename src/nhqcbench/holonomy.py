@@ -48,7 +48,7 @@ def frame_connection(
     both are made Hermitian by symmetrization (finite-difference noise)."""
     # the Gram stack stays a temporary: a local name would keep it alive
     drift = float(np.abs(np.einsum("nkc,nlc->nkl", V.conj(), V) - np.eye(V.shape[1])).max())
-    if drift > FRAME_DRIFT_REJECT:
+    if not drift <= FRAME_DRIFT_REJECT:  # NaN fails too
         raise ValueError(f"frame orthonormality drift {drift:.3e} > {FRAME_DRIFT_REJECT}")
     L = V.shape[1] - 1
     h = float(times[1] - times[0])

@@ -8,6 +8,9 @@ Each builder emits:
   orthonormal vectors each) for the holonomy checks, cyclic on the
   computational rows of the whole schedule.
 
+The shortened-path scheme S is CDD with one loop: both go through one
+circle assembly.
+
 Phase conventions: the two-interval loop uses first-half drive phase 0 and
 second-half phase pi-gamma, which composes to e^{i gamma}|b><b| + |d><d| on
 the computational space.  Composite loops with an even loop count may
@@ -28,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from .system import (
-    ErrorModel,
     GateAngles,
     LevelSystem,
     PulseSchedule,
@@ -163,8 +165,6 @@ def _build_loop_schedule(
         target=target,
         scheme_label=label,
         omega_bar=ob,
-        geometric_phase=ang.gamma,
-        notes={"pieces": pieces},
     )
 
 
@@ -265,8 +265,6 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["SS"],
         omega_bar=ob,
-        geometric_phase=phi_gate,
-        notes={"gamma_ss": gss, "rotation_angle": phi_gate},
     )
 
 
@@ -284,7 +282,6 @@ class PsDesign:
     [0, segment_duration].
     """
 
-    varsigma: float
     segment_duration: float
     chi: tuple[Callable, Callable]
     chi_dot: tuple[Callable, Callable]
@@ -292,37 +289,31 @@ class PsDesign:
     varphi: tuple[Callable, Callable]
     envelope: tuple[Callable, Callable]
     phase: tuple[Callable, Callable]
-    coupling_area: float
 
 
-def _ps_profiles(varsigma: float, Ts: float, gamma: float, chi_profile: str):
-    """Per-segment closed forms. Segment 0 sweeps chi 0 -> pi, segment 1
+def ps_design(varsigma: float, tau: float, angles: GateAngles) -> PsDesign:
+    """Shaped design over total duration tau (two equal segments).
+
+    Per-segment closed forms. Segment 0 sweeps chi 0 -> pi, segment 1
     mirrors back pi -> 0; the azimuth restarts at -pi/2 - gamma on segment 1.
     phi(chi) = phi_start - (4 varsigma / 3) sin^3(chi) solves
     d(phi)/dt = -df/dt cos(chi) exactly for f = varsigma(2 chi - sin 2 chi).
     """
-    if chi_profile == "half_pi":
-        chis = (
-            lambda s: PI * np.sin(PI * s / (2 * Ts)) ** 2,
-            lambda s: PI * np.cos(PI * s / (2 * Ts)) ** 2,
-        )
-        chidots = (
-            lambda s: PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
-            lambda s: -PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
-        )
-    elif chi_profile == "full_sine":
-        chis = (
-            lambda s: PI * np.sin(PI * s / Ts) ** 2,
-            lambda s: PI * np.sin(PI * s / Ts) ** 2,
-        )
-        chidots = (
-            lambda s: PI * np.sin(2 * PI * s / Ts) * (PI / Ts),
-            lambda s: PI * np.sin(2 * PI * s / Ts) * (PI / Ts),
-        )
-    else:
-        raise ValueError(f"unknown chi_profile {chi_profile!r}")
+    if varsigma < 0:
+        raise ValueError("varsigma must be >= 0")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    Ts = tau / 2
+    chis = (
+        lambda s: PI * np.sin(PI * s / (2 * Ts)) ** 2,
+        lambda s: PI * np.cos(PI * s / (2 * Ts)) ** 2,
+    )
+    chidots = (
+        lambda s: PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
+        lambda s: -PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
+    )
 
-    starts = (-PI / 2, -PI / 2 - gamma)
+    starts = (-PI / 2, -PI / 2 - angles.gamma)
 
     def make(seg):
         chi, chid = chis[seg], chidots[seg]
@@ -342,47 +333,17 @@ def _ps_profiles(varsigma: float, Ts: float, gamma: float, chi_profile: str):
             omI = np.sin(vp) * np.sin(c) * fd + np.cos(vp) * cd
             return omR, omI
 
-        def omega_ps(s):
-            omR, omI = quadratures(s)
-            return np.sqrt(omR**2 + omI**2)
-
         def envelope(s):
-            return 0.5 * omega_ps(s)
+            omR, omI = quadratures(s)
+            return 0.5 * np.sqrt(omR**2 + omI**2)
 
         def phase(s):
             omR, omI = quadratures(s)
             return np.arctan2(omI, omR)
 
-        return chi, chid, f, varphi, omega_ps, envelope, phase
+        return chi, chid, f, varphi, envelope, phase  # in PsDesign field order
 
-    return [make(0), make(1)]
-
-
-def ps_design(varsigma: float, tau: float, angles: GateAngles, chi_profile: str = "half_pi") -> PsDesign:
-    """Shaped design over total duration tau (two equal segments)."""
-    if varsigma < 0:
-        raise ValueError("varsigma must be >= 0")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    Ts = tau / 2
-    made = _ps_profiles(varsigma, Ts, angles.gamma, chi_profile)
-    # coupling area per segment by quadrature of the closed form
-    s = np.linspace(0.0, Ts, 20001)
-    area = 0.0
-    for seg in range(2):
-        env = made[seg][5](s)
-        area += float(np.trapezoid(env, s))
-    return PsDesign(
-        varsigma=varsigma,
-        segment_duration=Ts,
-        chi=(made[0][0], made[1][0]),
-        chi_dot=(made[0][1], made[1][1]),
-        f=(made[0][2], made[1][2]),
-        varphi=(made[0][3], made[1][3]),
-        envelope=(made[0][5], made[1][5]),
-        phase=(made[0][6], made[1][6]),
-        coupling_area=area,
-    )
+    return PsDesign(Ts, *zip(make(0), make(1)))
 
 
 def build_ps(spec: SchemeSpec) -> PulseSchedule:
@@ -392,9 +353,14 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
     system = LevelSystem.lambda3()
     ang = spec.angles
     ob = spec.omega_bar
-    ref = ps_design(spec.varsigma, 2.0, ang, spec.chi_profile)  # unit segments
-    total = ref.coupling_area / ob
-    design = ps_design(spec.varsigma, total, ang, spec.chi_profile)
+    ref = ps_design(spec.varsigma, 2.0, ang)  # unit segments
+    # coupling area by quadrature of the closed form; the shape fixes it
+    s = np.linspace(0.0, ref.segment_duration, 20001)
+    area = 0.0
+    for env in ref.envelope:
+        area += float(np.trapezoid(env(s), s))
+    total = area / ob
+    design = ps_design(spec.varsigma, total, ang)
     Ts = design.segment_duration
     b2, d2 = bright_dark_basis(ang)
     b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
@@ -443,9 +409,7 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["PS"],
         omega_bar=ob,
-        geometric_phase=g,
-        notes={"varsigma": spec.varsigma, "chi_profile": spec.chi_profile,
-               "coupling_area": design.coupling_area},
+        notes={"varsigma": spec.varsigma},
     )
 
 
@@ -528,9 +492,7 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         target=target,
         scheme_label=SCHEME_LABELS["TO"],
         omega_bar=ob,
-        geometric_phase=g,
         notes={
-            "tau": tau,
             "dyn_geo_ratio": ratio,
             "dynamical_phase": -phi_d_total,
             "area_conventions_pi": {
@@ -554,7 +516,6 @@ class PathParams:
     enclosed cap."""
 
     tau: float
-    beta0: float
     ell: float
     geometric_phase: float
     alpha: Callable
@@ -600,7 +561,6 @@ def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
 
     return PathParams(
         tau=tau,
-        beta0=beta0,
         ell=ell,
         geometric_phase=gamma,
         alpha=alpha,
@@ -660,59 +620,48 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     )
 
 
+def _circle_paths_schedule(paths: list[PathParams], angles: GateAngles, gamma: float,
+                           omega_bar: float, label: str) -> PulseSchedule:
+    """One drive segment per circle path; target the rotation by gamma
+    about the axis of `angles`."""
+    system = LevelSystem.lambda3()
+    return PulseSchedule(
+        system=system,
+        segments=tuple(_circle_drive_segment(system, p, angles) for p in paths),
+        target=rotation_gate(gamma, angles.theta, angles.phi),
+        scheme_label=label,
+        omega_bar=omega_bar,
+    )
+
+
 def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
                                  omega_bar: float = 1.0) -> PulseSchedule:
     """Single circle-loop schedule from an explicit path."""
-    system = LevelSystem.lambda3()
-    seg = _circle_drive_segment(system, path, angles)
-    target = rotation_gate(path.geometric_phase, angles.theta, angles.phi)
-    return PulseSchedule(
-        system=system,
-        segments=(seg,),
-        target=target,
-        scheme_label=SCHEME_LABELS["S"],
-        omega_bar=omega_bar,
-        geometric_phase=path.geometric_phase,
-        notes={"ell": path.ell, "beta0": path.beta0},
-    )
+    return _circle_paths_schedule([path], angles, path.geometric_phase, omega_bar,
+                                  SCHEME_LABELS["S"])
+
+
+def _circle_schedule(spec: SchemeSpec, loops: int) -> PulseSchedule:
+    """`loops` circle segments at angle gamma/loops, every second one with
+    beta0 advanced by pi (paths mirror-symmetric about the pole)."""
+    ang = spec.angles
+    gl = ang.gamma / loops
+    tau_seg = circle_segment_area(gl) / spec.omega_bar
+    paths = [
+        circle_path_params(gl, spec.beta0 + (PI if k % 2 else 0.0), tau_seg)
+        for k in range(loops)
+    ]
+    return _circle_paths_schedule(paths, ang, ang.gamma, spec.omega_bar,
+                                  SCHEME_LABELS[spec.scheme])
 
 
 def build_s(spec: SchemeSpec) -> PulseSchedule:
-    ang = spec.angles
-    if not 0 < ang.gamma < PI:
-        raise ValueError("S scheme requires gamma in (0, pi); the circle "
-                         "parameter ell is singular at gamma = pi")
-    tau = circle_segment_area(ang.gamma) / spec.omega_bar
-    path = circle_path_params(ang.gamma, spec.beta0, tau)
-    sched = inverse_engineer_hamiltonian(path, ang, spec.omega_bar)
-    return sched
+    """One circle loop: CDD with loops = 1."""
+    return _circle_schedule(spec, 1)
 
 
 def build_cdd(spec: SchemeSpec) -> PulseSchedule:
-    """N circle segments at angle gamma/N, the even segments with beta0
-    advanced by pi (paths mirror-symmetric about the pole)."""
-    ang = spec.angles
-    N = spec.loops
-    gl = ang.gamma / N
-    if not 0 < gl < PI:
-        raise ValueError("CDD requires gamma/N in (0, pi)")
-    tau_seg = circle_segment_area(gl) / spec.omega_bar
-    system = LevelSystem.lambda3()
-    paths = [
-        circle_path_params(gl, spec.beta0 + (PI if k % 2 else 0.0), tau_seg)
-        for k in range(N)
-    ]
-    segments = tuple(_circle_drive_segment(system, p, ang) for p in paths)
-    target = rotation_gate(ang.gamma, ang.theta, ang.phi)
-    return PulseSchedule(
-        system=system,
-        segments=segments,
-        target=target,
-        scheme_label=SCHEME_LABELS["CDD"],
-        omega_bar=spec.omega_bar,
-        geometric_phase=ang.gamma,
-        notes={"loops": N, "segment_angle": gl, "beta0": spec.beta0},
-    )
+    return _circle_schedule(spec, spec.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +675,6 @@ class StaPath:
     azimuth phi(t) over three steps (down the phi=0 meridian, around the
     pole, back up the phi=phi1 meridian)."""
 
-    phi1: float
     durations: tuple[float, float, float]
     theta: tuple[Callable, Callable, Callable]
     theta_dot: tuple[Callable, Callable, Callable]
@@ -744,7 +692,6 @@ def sta_path(phi1: float, tau: float) -> StaPath:
         return PI * np.sin(PI * s / T) / (2 * T)
 
     return StaPath(
-        phi1=phi1,
         durations=(T, T, T),
         theta=(
             lambda s: PI * ramp(s),
@@ -835,7 +782,6 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         target=target,
         scheme_label=SCHEME_LABELS["STA"],
         omega_bar=omega_bar,
-        geometric_phase=gamma1,
         notes={"phi1": phi1, "gamma1": gamma1},
     )
 
@@ -849,28 +795,6 @@ def build_sta(spec: SchemeSpec) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DfsCouplings:
-    """Exchange-coupling assignment for the three-qubit gate: both pairs
-    share one pulse J(t) with x/y components set by the axis angle phi."""
-
-    phi: float
-    j12x: float
-    j12y: float
-    j13x: float
-    j13y: float
-
-    @classmethod
-    def from_phi(cls, phi: float) -> "DfsCouplings":
-        return cls(
-            phi=phi,
-            j12x=np.cos(phi / 2),
-            j12y=-np.sin(phi / 2),
-            j13x=-np.cos(phi / 2),
-            j13y=-np.sin(phi / 2),
-        )
-
-
 def _pair_coupling(op_a: np.ndarray, op_b: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     mats = [np.eye(2, dtype=complex)] * 3
     mats[pair[0]] = op_a
@@ -880,9 +804,9 @@ def _pair_coupling(op_a: np.ndarray, op_b: np.ndarray, pair: tuple[int, int]) ->
 
 def dfs3_unit_hamiltonian(phi: float) -> np.ndarray:
     """8x8 exchange Hamiltonian at unit J: XY plus antisymmetric terms."""
-    c = DfsCouplings.from_phi(phi)
+    c, s = np.cos(phi / 2), np.sin(phi / 2)
     H = np.zeros((8, 8), dtype=complex)
-    for (jx, jy), pair in (((c.j12x, c.j12y), (0, 1)), ((c.j13x, c.j13y), (0, 2))):
+    for (jx, jy), pair in (((c, -s), (0, 1)), ((-c, -s), (0, 2))):
         xx = _pair_coupling(_SX, _SX, pair)
         yy = _pair_coupling(_SY, _SY, pair)
         xy = _pair_coupling(_SX, _SY, pair)
@@ -972,8 +896,6 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
         target=target,
         scheme_label=SCHEME_LABELS["DFS3"],
         omega_bar=omega_bar,
-        geometric_phase=PI,
-        notes={"phi": phi, "pulse_shape": pulse_shape if isinstance(pulse_shape, str) else "custom"},
     )
 
 

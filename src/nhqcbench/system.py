@@ -87,13 +87,6 @@ class GateAngles:
         if not 0 <= self.phi < TWO_PI:
             raise ValueError(f"phi={self.phi} outside [0, 2*pi)")
 
-    def axis(self) -> np.ndarray:
-        return np.array([
-            np.sin(self.theta) * np.cos(self.phi),
-            np.sin(self.theta) * np.sin(self.phi),
-            np.cos(self.theta),
-        ])
-
 
 @dataclass(frozen=True)
 class ErrorModel:
@@ -125,7 +118,8 @@ class ErrorModel:
 class SchemeSpec:
     """Tagged description of one gate-construction scheme and its knobs.
 
-    Fields irrelevant to the chosen scheme are ignored.
+    Fields irrelevant to the chosen scheme are ignored; S is CDD with one
+    loop, so it ignores `loops`.
     """
 
     scheme: str
@@ -137,7 +131,6 @@ class SchemeSpec:
     gamma_ss: float = -np.pi / 6  # SS detuning angle
     phi1: float = np.pi / 2  # STA azimuth span
     dfs_phi: float = 0.0  # DFS3 axis
-    chi_profile: str = "half_pi"  # PS: "half_pi" (default) or "full_sine"
 
     KNOWN = ("SL", "SS", "PS", "C", "DC", "TO", "S", "CDD", "STA", "DFS3")
 
@@ -218,9 +211,8 @@ def bright_ray_segment(
 class PulseSchedule:
     """Ordered drive segments plus the ideal 2x2 target gate.
 
-    geometric_phase is the nominal geometric phase of the loop; notes
-    carries scheme-specific metadata (e.g. alternative pulse-area
-    conventions).
+    notes carries the scheme-specific values that reports and checks read
+    (e.g. the TO alternative pulse-area conventions).
     """
 
     system: LevelSystem
@@ -228,7 +220,6 @@ class PulseSchedule:
     target: np.ndarray
     scheme_label: str
     omega_bar: float = 1.0
-    geometric_phase: float | None = None
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -255,15 +246,15 @@ class PulseSchedule:
         """(n, L+1, dim) auxiliary frame of the segments at global times."""
         if any(seg.frame is None for seg in self.segments):
             raise ValueError(f"schedule {self.scheme_label} carries no frame")
-        return _piecewise(self, times, lambda seg, t_local: seg.frame(t_local))
+        return _piecewise(self, times, lambda k, t_local: self.segments[k].frame(t_local))
 
 
 def _piecewise(
     schedule: PulseSchedule,
     times: np.ndarray,
-    fn: Callable[[Segment, np.ndarray], np.ndarray],
+    fn: Callable[[int, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """fn(segment, local times) scattered back to the order of global times.
+    """fn(segment index, local times) scattered back to global-time order.
 
     A boundary instant belongs to the following segment; round-off at the
     schedule ends and at boundaries is clamped into the segment.
@@ -279,23 +270,11 @@ def _piecewise(
     for k, seg in enumerate(schedule.segments):
         sel = seg_idx == k
         if out is None or sel.any():  # the first call sizes the output
-            values = fn(seg, np.clip(tcl[sel] - bounds[k], 0.0, seg.duration))
+            values = fn(k, np.clip(tcl[sel] - bounds[k], 0.0, seg.duration))
             if out is None:
                 out = np.empty((times.size,) + values.shape[1:], dtype=complex)
             out[sel] = values
     return out
-
-
-def _segment_nodes(
-    schedule: PulseSchedule, seg: Segment, t_local: np.ndarray, err: ErrorModel
-) -> np.ndarray:
-    """(1+eps)*drive + (detuning + eta)|e><e| at local times of one segment."""
-    H = (1.0 + err.epsilon) * seg.drive(t_local)
-    if seg.detuning is not None:
-        e = schedule.system.excited_index
-        H[:, e, e] += seg.detuning(t_local)
-    H += detuning_error(schedule, err)
-    return H
 
 
 def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
@@ -311,35 +290,39 @@ def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
 def hamiltonian_nodes(
     schedule: PulseSchedule, times: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H(t) at each global time, error-injected as in _segment_nodes.
-
-    The Rabi factor multiplies only off-diagonal drive terms, never the
-    nominal detuning.
-    """
+    """H(t) at each global time, each segment's nodes assembled by
+    segment_hamiltonian_nodes."""
     return _piecewise(
-        schedule, times, lambda seg, t_local: _segment_nodes(schedule, seg, t_local, err)
+        schedule, times, lambda k, t_local: segment_hamiltonian_nodes(schedule, k, t_local, err)
     )
 
 
 def segment_hamiltonian_nodes(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H within one segment at local times, error-injected.
+    """H = (1+eps)*drive + detuning|e><e| + eta*omega_bar|e><e| within one
+    segment at local times: the Rabi factor multiplies only the drive, never
+    the nominal detuning.
 
     Distinct from hamiltonian_nodes only at shared boundary instants, where
     global assignment would pick the following segment; the integrators use
     this to keep every step inside one smooth segment.
     """
-    t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-    return _segment_nodes(schedule, schedule.segments[seg_index], t_local, err)
+    drive, detuning = segment_drive_detuning(schedule, seg_index, t_local)
+    H = (1.0 + err.epsilon) * drive
+    if detuning is not None:
+        e = schedule.system.excited_index
+        H[:, e, e] += detuning
+    H += detuning_error(schedule, err)
+    return H
 
 
 def segment_drive_detuning(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The drive (n, d, d) and detuning (n,) or None of one segment at local
-    times.  The error model weighs them differently (_segment_nodes), so
-    one pair serves a whole grid of error models."""
+    times.  The error model weighs them differently, so one pair serves a
+    whole grid of error models."""
     seg = schedule.segments[seg_index]
     t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
     detuning = None if seg.detuning is None else seg.detuning(t_local)

@@ -203,11 +203,11 @@ class TestPeakExcitedPopulation:
 class TestGateReport:
     def test_rejects_superunity_fidelity(self):
         with pytest.raises(ValueError):
-            GateReport("x", 1.1, 1.0, 0.0, 0.0, 0.0, 1.0, "m")
+            GateReport("x", 1.1, 1.0, 0.0, 0.0, 0.0, 1.0, "m", np.eye(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            GateReport("x", np.nan, 1.0, 0.0, 0.0, 0.0, 1.0, "m")
+            GateReport("x", np.nan, 1.0, 0.0, 0.0, 0.0, 1.0, "m", np.eye(2))
 
     def test_simulate_report_fields(self, catalog):
         rep, traj = simulate_report(catalog["sl"], ErrorModel(), samples=600)

@@ -128,6 +128,25 @@ class TestSimulate:
             epsilons.append(json.loads(report.read_text())["error_model"]["epsilon"])
         assert epsilons == [0.03, 0.0]
 
+    @pytest.mark.parametrize("scheme, gate, warns", [
+        ("sta", "H", True),  # sta realizes diag(1, -i)
+        ("dfs3", "T", True),  # dfs3 realizes a pi rotation about -x
+        ("sl", "H", False),
+        ("ss", "S", False),  # gamma_ss = -pi/6 gives the quarter turn
+    ])
+    def test_warns_when_scheme_ignores_gate(self, tmp_path, capsys, scheme, gate, warns):
+        code = main(["simulate", "--scheme", scheme, "--gate", gate, "--samples", "200",
+                     "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 0
+        if warns:
+            assert err.count("\n") == 1
+            assert err.startswith(f"warning: scheme {scheme} does not realize the "
+                                  f"requested gate {gate}")
+            assert "scheme's own target" in err
+        else:
+            assert err == ""
+
 
 class TestSweep:
     def test_row_count_and_rerun_identical(self, tmp_path, capsys):

@@ -96,6 +96,15 @@ class TestFrameConnection:
         with pytest.raises(ValueError, match="drift|orthonormality"):
             frame_connection(sched, times, bad)
 
+    def test_rejects_nan_frame(self, schedules):
+        # NaN compares False against any bound, so it must not pass as small drift
+        sched = schedules["sl"]
+        times = times_for(sched, 64)
+        bad = sched.frame(times)
+        bad[10, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormality drift nan"):
+            frame_connection(sched, times, bad)
+
 
 class TestReconstruct:
     def test_zero_connection_identity(self):

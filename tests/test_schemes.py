@@ -19,8 +19,8 @@ from nhqcbench.schemes import (
     sta_path,
     sta_schedule,
 )
-from nhqcbench.bench import pulse_area
-from nhqcbench.system import ErrorModel, GateAngles, SchemeSpec
+from nhqcbench.bench import GATE_ANGLES, pulse_area
+from nhqcbench.system import ErrorModel, GateAngles, SchemeSpec, segment_hamiltonian_nodes
 
 PI = np.pi
 
@@ -234,16 +234,6 @@ class TestPsDesign:
             U = build_and_gate(spec)
             assert phase_distance(U, rotation_gate(PI / 2)) < 1e-8
 
-    def test_full_sine_profile_available(self):
-        spec = SchemeSpec("PS", GateAngles(PI / 2), varsigma=1.0,
-                          chi_profile="full_sine")
-        sched = build_schedule(spec)
-        assert sched.notes["chi_profile"] == "full_sine"
-
-    def test_rejects_unknown_profile(self):
-        with pytest.raises(ValueError, match="chi_profile"):
-            ps_design(1.0, 2.0, GateAngles(PI / 2), chi_profile="wiggly")
-
 
 class TestInverseEngineering:
     def test_s_gate(self):
@@ -263,7 +253,7 @@ class TestInverseEngineering:
 
     def test_flat_path_gives_identity(self):
         zero = lambda t: np.zeros(np.shape(t))
-        path = PathParams(tau=1.0, beta0=0.0, ell=0.0, geometric_phase=1e-12,
+        path = PathParams(tau=1.0, ell=0.0, geometric_phase=1e-12,
                           alpha=zero, beta=zero, alpha_dot=zero, beta_dot=zero,
                           chi=zero)
         sched = inverse_engineer_hamiltonian(path, GateAngles(PI / 2))
@@ -285,6 +275,21 @@ class TestInverseEngineering:
             build_schedule(SchemeSpec("S", GateAngles(PI)))
         with pytest.raises(ValueError, match="pi"):
             build_schedule(SchemeSpec("CDD", GateAngles(PI), loops=1))
+
+    @pytest.mark.parametrize("angles", [
+        GATE_ANGLES["S"], GATE_ANGLES["T"], GATE_ANGLES["sqrtH"], GateAngles(2.0, 1.1, 0.7),
+    ])
+    def test_s_is_cdd_with_one_loop(self, angles):
+        s = build_schedule(SchemeSpec("S", angles))
+        cdd = build_schedule(SchemeSpec("CDD", angles, loops=1))
+        err = ErrorModel(epsilon=0.03, eta=-0.02)
+        t = np.linspace(0.0, s.segments[0].duration, 65)
+        assert np.array_equal(segment_hamiltonian_nodes(s, 0, t, err),
+                              segment_hamiltonian_nodes(cdd, 0, t, err))
+        assert np.array_equal(s.frame(t), cdd.frame(t))
+        assert np.array_equal(s.target, cdd.target)
+        assert s.total_duration == cdd.total_duration
+        assert (s.scheme_label, cdd.scheme_label) == ("S-NHQC", "CDD-NHQC")
 
 
 class TestSta:

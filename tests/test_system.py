@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhqcbench.schemes import build_schedule
+from nhqcbench.schemes import _BUILDERS, SCHEME_LABELS, build_schedule
 from nhqcbench.system import (
     ErrorModel,
     GateAngles,
@@ -54,10 +54,6 @@ class TestGateAngles:
             GateAngles(PI / 2, theta=-0.1)
         with pytest.raises(ValueError):
             GateAngles(PI / 2, phi=2 * PI)
-
-    def test_axis_unit_norm(self):
-        n = GateAngles(PI / 2, 0.7, 1.3).axis()
-        assert np.linalg.norm(n) == pytest.approx(1.0)
 
 
 class TestBrightDark:
@@ -184,6 +180,11 @@ class TestSchemeSpec:
             SchemeSpec("C", loops=0)
         with pytest.raises(ValueError):
             SchemeSpec("PS", varsigma=-1.0)
+
+    def test_tag_lists_agree(self):
+        # the spec's tags, the labels and the builders are three hand-kept lists
+        assert len(set(SchemeSpec.KNOWN)) == len(SchemeSpec.KNOWN) == 10
+        assert set(SchemeSpec.KNOWN) == set(SCHEME_LABELS) == set(_BUILDERS)
 
 
 class TestSegment:
