@@ -184,15 +184,20 @@ def pulse_area(schedule: PulseSchedule) -> float:
     return total / PI
 
 
+def _schedule(spec: SchemeSpec | PulseSchedule) -> PulseSchedule:
+    """The schedule of spec, built unless spec is one already."""
+    return spec if isinstance(spec, PulseSchedule) else build_schedule(spec)
+
+
 def peak_excited_population(trajectory) -> float:
     return float(trajectory.excited_population.max())
 
 
 def simulate_report(
-    spec: SchemeSpec, err: ErrorModel = ErrorModel(), samples: int | None = None
+    spec: SchemeSpec | PulseSchedule, err: ErrorModel = ErrorModel(), samples: int | None = None
 ) -> tuple[GateReport, object]:
     """Single-run report plus the captured trajectory."""
-    schedule = build_schedule(spec)
+    schedule = _schedule(spec)
     closed = ErrorModel(epsilon=err.epsilon, eta=err.eta)
     if err.open_system:
         # samples counts Lindblad steps here; the residuals keep the
@@ -220,7 +225,7 @@ def simulate_report(
 
 
 def sweep(
-    specs: dict[str, SchemeSpec],
+    specs: dict[str, SchemeSpec | PulseSchedule],
     axis: str,
     grid: np.ndarray,
     fixed: ErrorModel,
@@ -251,7 +256,7 @@ def sweep(
     errs = [point(float(x)) for x in grid]
     result = SweepResult(axis=axis, grid=grid, fixed=fixed)
     for tag, spec in specs.items():
-        schedule = build_schedule(spec)
+        schedule = _schedule(spec)
         final, peak, steps = propagate_lindblad_grid(
             schedule, errs, six_axial_densities(schedule.system), samples)
         fid = np.array([six_state_fidelity(schedule.system, schedule.target, rho)
@@ -281,7 +286,7 @@ def fit_leading_order(
         raise ValueError("epsilon grid too small for a two-term fit")
     if np.abs(eps_grid).max() > 0.05 + 1e-12:
         raise ValueError("fit grid must satisfy |epsilon| <= 0.05")
-    schedule = spec if isinstance(spec, PulseSchedule) else build_schedule(spec)
+    schedule = _schedule(spec)
     infid = []
     for e in eps_grid:
         traj = propagate_unitary(schedule, ErrorModel(epsilon=float(e)), samples)

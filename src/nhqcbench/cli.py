@@ -45,7 +45,7 @@ from .holonomy import (
     reconstruct_computational_gate,
 )
 from .schemes import build_schedule, rotation_gate
-from .system import ErrorModel, GateAngles, SchemeSpec
+from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
 
 TIME_UNIT_NS = 1e9 / OMEGA_BAR_HZ  # one unit of 1/omega_bar, in ns
 
@@ -112,9 +112,20 @@ def _header_lines(**meta) -> list[str]:
 def _write_csv(path: Path, header_meta: dict, columns: list[str], rows: list[list]) -> None:
     lines = _header_lines(**header_meta)
     lines.append(",".join(columns))
-    lines += [",".join([_fmt(v) for v in row]) for row in rows]
+    # a column of floats takes one mapped format call: the text of _fmt
+    cols = [map("{:.12g}".format if all(isinstance(v, float) for v in col) else _fmt, col)
+            for col in zip(*rows)]
+    lines += map(",".join, zip(*cols))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _warn_if_eta_idle(tag: str, schedule: PulseSchedule) -> None:
+    """Warn on stderr that eta has no effect when the schedule's system has
+    no excited level (dfs3): its runs are those of eta = 0."""
+    if schedule.system.excited_index is None:
+        print(f"warning: scheme {tag} has no excited level; eta has no effect on it",
+              file=sys.stderr)
 
 
 def _error_model(args) -> ErrorModel:
@@ -128,9 +139,9 @@ def _error_model(args) -> ErrorModel:
 
 def cmd_simulate(args) -> int:
     angles = _parse_gate(args.gate)
-    spec = _resolve_spec(args.scheme, angles)
+    schedule = build_schedule(_resolve_spec(args.scheme, angles))
     err = _error_model(args)
-    report, traj = simulate_report(spec, err, args.samples)
+    report, traj = simulate_report(schedule, err, args.samples)
     unit = args.units
     scale = TIME_UNIT_NS if unit == "physical" else 1.0
     fields = {
@@ -193,6 +204,8 @@ def cmd_simulate(args) -> int:
         print(f"warning: scheme {args.scheme} does not realize the requested gate "
               f"{args.gate}; the fidelity is measured against the scheme's own target",
               file=sys.stderr)
+    if err.eta:
+        _warn_if_eta_idle(args.scheme, schedule)
     return 0
 
 
@@ -227,16 +240,18 @@ def cmd_sweep(args) -> int:
     if not tags:
         raise UsageError(f"--schemes names no scheme, got {args.schemes!r}")
     catalog = benchmark_catalog()
-    specs = {}
     for t in tags:
         if t not in catalog:
             raise UsageError(f"unknown scheme {t!r}; valid: {', '.join(catalog)}")
-        specs[t] = catalog[t]
+    schedules = {t: build_schedule(catalog[t]) for t in tags}
     fixed = ErrorModel(gamma_minus=args.gamma_minus, gamma_z=args.gamma_z)
-    result = sweep(specs, axis, grid, fixed, args.samples)
+    result = sweep(schedules, axis, grid, fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"sweep_{args.axis}.csv"
     _write_sweep(args, result, out, axis=args.axis)
     print(f"sweep_file={out}")
+    if axis == "eta":
+        for t, schedule in schedules.items():
+            _warn_if_eta_idle(t, schedule)
     return 0
 
 

@@ -3,12 +3,12 @@
 Two independent numerical routes are maintained everywhere:
 
 * the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
-  for y' = A(t) y, with A = -iH(t) for propagators and A = the real
-  Lindblad generator for density matrices, built here from the drive and
-  detuning of H on the half-step lattice of each segment; the
-  states follow as a chain of precomputed step matrices.  A is affine in
-  the error parameters, so a whole grid of error models shares one set of
-  nodes and one pass (``propagate_lindblad_grid``);
+  for y' = A(t) y, with A = phi(-iH(t)), the real embedding of -iH, for
+  propagators and A = the real Lindblad generator for density matrices,
+  built here from the drive and detuning of H on the half-step lattice of
+  each segment; the states follow as a chain of precomputed real step
+  matrices.  A is affine in the error parameters, so a whole grid of error
+  models shares one set of nodes and one pass (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
   roundoff (``numkit.expm_taylor``): of -iHh for unitary slices,
@@ -19,7 +19,9 @@ Two independent numerical routes are maintained everywhere:
 Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
 d*d x d*d matrix ``_fold(lindblad_superoperator(...))``; rho is read back
-from Q once per chunk of states, Hermitian by construction.
+from Q once per chunk of states, Hermitian by construction.  Likewise the
+propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
+per chunk.
 
 The RK4 generators and the unitary slice exponentials of a segment reach
 the engines through one lazy sequence, ``_Runs``, which builds each run
@@ -44,8 +46,8 @@ from .numkit import (
     from_real_embedding,
     hermiticity_defect,
     ordered_product,
+    real_embedding,
     rk4_chunks,
-    rk4_linear,
 )
 from .system import (
     ErrorModel,
@@ -193,8 +195,10 @@ def _grid_generator(system: LevelSystem, lift, errs, const):
     """Map a run of drive nodes (n, d, d) and detuning coefficients (n,) or
     None to the generators of every error model of errs, (n, G, m, m):
     A_g = (1+eps_g) lift(drive) + detuning lift(|e><e|) + const[g], of the
-    dtype of const; lift is linear, and |e><e| is lifted once here.  Every
-    call writes into one buffer, which the next call overwrites."""
+    dtype of const; lift is linear (phi(-iH) for propagators, the folded
+    commutator superoperator for densities), and |e><e| is lifted once
+    here.  Every call writes into one buffer, which the next call
+    overwrites."""
     scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
     buf = np.empty((0,) + const.shape, dtype=const.dtype)
     e = system.excited_index
@@ -216,14 +220,25 @@ def _grid_generator(system: LevelSystem, lift, errs, const):
 def propagate_unitary(
     schedule: PulseSchedule, err: ErrorModel = ErrorModel(), samples: int | None = None
 ) -> Trajectory:
-    """RK4 propagator trajectory, integrated segment by segment."""
+    """RK4 propagator trajectory, integrated segment by segment in the real
+    embedding phi: the generators are phi(-iH), the chain carries phi(U),
+    real (2d, 2d), and U(t) is read back chunk by chunk, so no real
+    trajectory is held.  phi is an exact algebra homomorphism and an RK4
+    step uses only products, real scalings and I, so the chain is phi of
+    the complex one up to roundoff."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
     eta = detuning_error(schedule, err)
-    generator = _grid_generator(schedule.system, lambda H: -1j * H, [err], -1j * eta[None])
+    generator = _grid_generator(schedule.system, lambda H: real_embedding(-1j * H), [err],
+                                real_embedding(-1j * eta)[None])
     segments, times = _rk4_segments(schedule, samples, "unitary", generator)
     d = schedule.system.dim
-    ops = rk4_linear(np.eye(d)[None], segments)[:, 0]
+    ops = np.empty((len(times), d, d), dtype=complex)
+    ops[0] = np.eye(d)
+    i = 1
+    for states in rk4_chunks(np.eye(2 * d)[None], segments):
+        ops[i:i + len(states)] = from_real_embedding(states[:, 0])
+        i += len(states)
     drift = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(d)).max()
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")

@@ -16,15 +16,16 @@ times cheaper than complex ones.
 Both engines take matrices only, from an array or from a lazy sequence
 that builds each run as it is read: ``ordered_product`` multiplies factors
 in time order, reading strided runs, and ``rk4_chunks`` integrates every
-linear ODE y' = A(t) y in the package (A = -iH for propagators, A = the
-real Lindblad generator for density matrices) as a chain of precomputed
-RK4 step matrices, reading runs of generators, optionally for a whole grid
-of them at once; ``rk4_linear`` keeps every state.  Both use the same
-blocking: products of blocks of about sqrt(n) consecutive factors are
-built side by side, one batched matmul per block position, so a run of n
-small matrices costs about 2 sqrt(n) numpy calls instead of n.  The RK4 chain blocks only
-states at least as wide as the step matrix (propagators), for which a
-prefix product costs no more per step than advancing the state.
+linear ODE y' = A(t) y in the package (A = phi(-iH) for propagators, A =
+the real Lindblad generator for density matrices) as a chain of
+precomputed RK4 step matrices, reading runs of generators, optionally for
+a whole grid of them at once, and yields the states chunk by chunk.  Both
+use the same blocking: products of blocks of about sqrt(n) consecutive
+factors are built side by side, one batched matmul per block position, so
+a run of n small matrices costs about 2 sqrt(n) numpy calls instead of n.
+The RK4 chain blocks only states at least as wide as the step matrix
+(propagators), for which a prefix product costs no more per step than
+advancing the state.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-# entries per batched array in rk4_linear, the Lindblad oracle and the
+# entries per batched array in rk4_chunks, the Lindblad oracle and the
 # grid blocks of propagate_lindblad_grid (512 KiB complex, 256 KiB real)
 CHUNK_ELEMENTS = 1 << 15
 
@@ -322,20 +323,6 @@ def rk4_chunks(
                 finite = np.isfinite(states).reshape(c, -1).all(axis=1)
                 if not finite.all():
                     step = c0 + int(np.argmin(finite))
-                    raise RuntimeError(f"rk4_linear: non-finite state in segment {si} step {step}")
+                    raise RuntimeError(f"rk4_chunks: non-finite state in segment {si} step {step}")
             yield states
 
-
-def rk4_linear(
-    y0: np.ndarray, segments: Sequence[tuple[float, Sequence[np.ndarray]]]
-) -> np.ndarray:
-    """Every state of rk4_chunks, y0 included: (1 + total steps, *y0.shape)."""
-    y0 = np.asarray(y0, dtype=complex)
-    total = sum((len(A) - 1) // 2 for _, A in segments)
-    out = np.empty((total + 1,) + y0.shape, dtype=complex)
-    out[0] = y0
-    i = 1
-    for states in rk4_chunks(y0, segments):
-        out[i:i + len(states)] = states
-        i += len(states)
-    return out

@@ -1,8 +1,11 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from nhqcbench.bench import benchmark_catalog
 from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
+from nhqcbench.numkit import rk4_chunks
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel
 
@@ -47,6 +50,21 @@ def gauge_transformed(times, V, Vfun):
     for i, t in enumerate(times):
         W = np.asarray(Vfun(float(t)), dtype=complex)
         out[i, :-1] = W.T @ V[i, :-1]
+    return out
+
+
+def rk4_linear(
+    y0: np.ndarray, segments: Sequence[tuple[float, Sequence[np.ndarray]]]
+) -> np.ndarray:
+    """Every state of rk4_chunks, y0 included: (1 + total steps, *y0.shape)."""
+    y0 = np.asarray(y0, dtype=complex)
+    total = sum((len(A) - 1) // 2 for _, A in segments)
+    out = np.empty((total + 1,) + y0.shape, dtype=complex)
+    out[0] = y0
+    i = 1
+    for states in rk4_chunks(y0, segments):
+        out[i:i + len(states)] = states
+        i += len(states)
     return out
 
 

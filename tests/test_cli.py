@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhqcbench.cli import TIME_UNIT_NS, main
+from nhqcbench.cli import TIME_UNIT_NS, _fmt, _header_lines, _write_csv, main
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens" / "v1"
 
@@ -147,6 +147,43 @@ class TestSimulate:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("scheme, warns", [("dfs3", True), ("sl", False)])
+    def test_eta_without_excited_level_warns_and_changes_nothing(
+            self, tmp_path, capsys, scheme, warns):
+        # dfs3 has no excited level to detune: its run is the eta = 0 run
+        out, err, csv, report = {}, {}, {}, {}
+        for eta in ("0", "0.1"):
+            out_dir = tmp_path / eta
+            code = main(["simulate", "--scheme", scheme, "--gate", "NOT", "--eta", eta,
+                         "--samples", "200", "--out-dir", str(out_dir)])
+            captured = capsys.readouterr()
+            assert code == 0
+            out[eta], err[eta] = captured.out.replace(str(out_dir), ""), captured.err
+            csv[eta] = next(out_dir.glob("trajectory_*.csv")).read_bytes()
+            report[eta] = json.loads(next(out_dir.glob("report_*.json")).read_text())
+        assert report["0.1"].pop("error_model")["eta"] == 0.1
+        assert report["0"].pop("error_model")["eta"] == 0.0
+        assert err["0"] == ""
+        if warns:
+            assert err["0.1"] == "warning: scheme dfs3 has no excited level; eta has no effect on it\n"
+            assert (out["0.1"], csv["0.1"], report["0.1"]) == (out["0"], csv["0"], report["0"])
+        else:
+            assert err["0.1"] == ""
+            assert csv["0.1"] != csv["0"]
+
+def test_csv_rows_are_the_per_value_format(tmp_path):
+    # float columns are formatted by one mapped call; the bytes must be those
+    # of formatting every cell with _fmt
+    floats = [0.0, -0.0, 1e-05, 1e16, 0.1 + 0.2, float("nan"), float("inf"), 2 / 3]
+    rows = [[f"s{i}", i, i % 2 == 0, np.float64(x) * 3, x, x if i % 2 else i]
+            for i, x in enumerate(floats)]
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"k": 1.5, "n": 7}, ["a", "b", "c", "d", "e", "f"], rows)
+    lines = _header_lines(k=1.5, n=7) + ["a,b,c,d,e,f"]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert "\ns1,1,False,-0,-0,-0\n" in path.read_text()  # -0.0 keeps its sign
+
 
 class TestSweep:
     def test_row_count_and_rerun_identical(self, tmp_path, capsys):
@@ -209,6 +246,17 @@ class TestSweep:
                        "--samples", "1000", "--out", str(out_file)], capsys)
         assert code == 0
         assert "# samples=sl:1000,sta:999\n" in out_file.read_text()
+
+    def test_eta_axis_on_dfs3_warns_and_changes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "eta.csv"
+        code = main(["sweep", "--axis", "eta", "--range=0:0.1:3", "--schemes", "dfs3",
+                     "--samples", "400", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: scheme dfs3 has no excited level; eta has no effect on it\n"
+        rows = csv_rows(out)
+        assert [r.pop("value") for r in rows] == ["0", "0.05", "0.1"]
+        assert rows[1:] == rows[:1] * 2
 
     def test_bad_range(self, capsys):
         code, _ = run(["sweep", "--axis", "epsilon", "--range", "oops",
@@ -435,7 +483,7 @@ def test_numerical_failure_is_one_stderr_line(tmp_path):
                        "--epsilon", "1e300", "--out-dir", str(tmp_path)])
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("numerical failure: rk4_linear: non-finite state")
+    assert proc.stderr.startswith("numerical failure: rk4_chunks: non-finite state")
 
 
 def test_import_loads_no_scipy():

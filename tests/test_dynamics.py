@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import phase_distance
+from conftest import phase_distance, rk4_linear
 from nhqcbench import dynamics
 from nhqcbench.dynamics import (
+    UNITARY_SAMPLES,
     _validate_density,
     allocate_steps,
     jump_operators,
@@ -98,6 +99,25 @@ class TestPropagateUnitary:
         f2 = unitary_gate_fidelity(
             propagate_unitary(sched, samples=4000).final, sched.target, sched.system)
         assert abs(f1 - f2) < 1e-8
+
+    @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel(epsilon=0.03), ErrorModel(eta=-0.04)],
+                             ids=["ideal", "epsilon", "eta"])
+    def test_real_embedding_chain_matches_complex_rk4(self, schedules, err):
+        # the chain of phi(U) reads back the RK4 of the complex generators
+        # -iH on the same half-step lattices
+        for tag, sched in schedules.items():
+            segments = []
+            for si, (seg, n) in enumerate(zip(sched.segments,
+                                              allocate_steps(sched, UNITARY_SAMPLES))):
+                lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
+                segments.append((seg.duration / n,
+                                 -1j * segment_hamiltonian_nodes(sched, si, lattice, err)))
+            ref = rk4_linear(np.eye(sched.system.dim), segments)
+            assert np.abs(propagate_unitary(sched, err).operators - ref).max() <= 1e-13, tag
+
+    def test_coarse_run_fails_the_drift_check(self, schedules):
+        with pytest.raises(RuntimeError, match="unitarity drift .* exceeds"):
+            propagate_unitary(schedules["sl"], samples=1)
 
 
 class TestJumpOperators:

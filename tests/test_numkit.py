@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rk4_linear
 from nhqcbench import numkit
 from nhqcbench.numkit import (
     expm_hermitian,
@@ -14,7 +15,6 @@ from nhqcbench.numkit import (
     ordered_product,
     real_embedding,
     rk4_chunks,
-    rk4_linear,
     unitarity_defect,
 )
 
