@@ -18,7 +18,8 @@ epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
 and exits 1 if the key sets or the shape of any array differ.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
-same product of slices evaluated in clongdouble, and then, for sl, ps and dc
+same product of CF4 slice exponentials evaluated in clongdouble, and then,
+for sl, ps and dc
 at the golden point (gamma_minus = gamma_z = 3e-4, 4000 slices), max
 |rho_oracle - rho_ref| of the Lindblad oracle's six axial states, where
 rho_ref is the same product of CF4 slice exponents evaluated in clongdouble
@@ -85,19 +86,26 @@ def dump(path: str) -> None:
 
 
 def longdouble_oracle(sched, err: ErrorModel) -> np.ndarray:
-    """The unitary oracle's slice product in clongdouble: the same midpoint
-    H nodes, a degree-9 Taylor polynomial per slice (truncation far below
-    the long double roundoff at oracle slice norms) and a sequential
-    product."""
-    eye = np.eye(sched.system.dim, dtype=np.clongdouble)
+    """The unitary oracle's CF4 product in clongdouble: the same H nodes at
+    the two Gauss nodes of every slice, both exponents a H1 + b H2 and
+    b H1 + a H2 formed in clongdouble, each exponential a degree-9 Taylor
+    polynomial (truncation far below the long double roundoff at oracle
+    slice norms) and a sequential product."""
+    d = sched.system.dim
+    eye = np.eye(d, dtype=np.clongdouble)
+    a, b = np.longdouble(dynamics._CF4_A), np.longdouble(dynamics._CF4_B)
     U = eye.copy()
-    chunk = 4096  # slices per batched polynomial
+    chunk = 2048  # slices per batched polynomial
     for si, (seg, n) in enumerate(zip(sched.segments,
                                       allocate_steps(sched, ORACLE_SLICES, floor=16))):
         h = seg.duration / n
-        Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, err)
+        t0 = np.arange(n) * h
+        H1, H2 = (segment_hamiltonian_nodes(sched, si, t0 + c * h, err).astype(np.clongdouble)
+                  for c in (dynamics._CF4_C1, dynamics._CF4_C2))
         for c0 in range(0, n, chunk):
-            X = np.clongdouble(-1j) * np.longdouble(h) * Hs[c0:c0 + chunk].astype(np.clongdouble)
+            H1c, H2c = H1[c0:c0 + chunk], H2[c0:c0 + chunk]
+            Xs = np.stack([a * H1c + b * H2c, b * H1c + a * H2c], axis=1).reshape(-1, d, d)
+            X = np.clongdouble(-1j) * np.longdouble(h) * Xs
             E = eye + X / 9
             for k in range(8, 0, -1):
                 E = eye + (X @ E) / k

@@ -16,7 +16,6 @@ from .schemes import (
     build_schedule,
     circle_path_params,
     dfs3_schedule,
-    inverse_engineer_hamiltonian,
     ps_design,
     rotation_gate,
     sta_schedule,
@@ -69,7 +68,6 @@ __all__ = [
     "fit_leading_order",
     "frame_connection",
     "holonomy_reconstruct",
-    "inverse_engineer_hamiltonian",
     "lindblad_gate_fidelity",
     "oracle_propagate_lindblad",
     "oracle_propagate_unitary",

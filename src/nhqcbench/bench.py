@@ -296,7 +296,7 @@ def fit_leading_order(
     return float(sol[0]), float(sol[1])
 
 
-def table1_rows(omega_bar: float = 1.0) -> list[dict]:
+def table1_rows() -> list[dict]:
     """Computed pulse areas next to the published values for every
     comparison scheme; the TO row carries all three area conventions."""
     rows = []

@@ -11,10 +11,11 @@ Two independent numerical routes are maintained everywhere:
   models shares one set of nodes and one pass (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
-  roundoff (``numkit.expm_taylor``): of -iHh for unitary slices,
-  multiplied by ``numkit.ordered_product`` in the real embedding, and of
-  the two exponents of a fourth-order commutator-free Magnus step of the
-  real Lindblad generator for open slices, in batched chunks of slices.
+  roundoff (``numkit.expm_taylor``), of the two exponents of a
+  fourth-order commutator-free Magnus step per slice, in batched chunks
+  of slices multiplied by ``numkit.ordered_product``; one loop,
+  ``_cf4_product``, serves propagators (exponents -iH, in the real
+  embedding) and densities (the real Lindblad generator).
 
 Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
@@ -23,9 +24,9 @@ from Q once per chunk of states, Hermitian by construction.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
 per chunk.
 
-The RK4 generators and the unitary slice exponentials of a segment reach
-the engines through one lazy sequence, ``_Runs``, which builds each run
-of matrices as the engine reads it.
+The RK4 generators of a segment reach the engine through one lazy
+sequence, ``_Runs``, which builds each run of matrices as the engine reads
+it.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -60,7 +61,7 @@ from .system import (
 
 UNITARY_SAMPLES = 2000
 LINDBLAD_SAMPLES = 4000
-ORACLE_SLICES = 100_000
+ORACLE_SLICES = 10_000
 ORACLE_LINDBLAD_SLICES = 4000
 
 TRACE_TOL = 1e-8
@@ -151,10 +152,9 @@ def allocate_steps(schedule: PulseSchedule, total_steps: int, floor: int = 8) ->
 
 @dataclass(frozen=True)
 class _Runs:
-    """The matrices build(times) at every time of a segment, as the lazy
-    sequence both numkit engines read: a run [run] is built when it is
-    read, so no stack the size of the segment is ever held.  A
-    RejectedMatrix is re-raised at its index in the whole sequence."""
+    """The RK4 generators build(times) at every time of a segment, as the
+    lazy sequence rk4_chunks reads: a run [run] is built when it is read,
+    so no stack the size of the segment is ever held."""
 
     times: np.ndarray
     build: Callable[[np.ndarray], np.ndarray]
@@ -163,10 +163,7 @@ class _Runs:
         return len(self.times)
 
     def __getitem__(self, run: slice) -> np.ndarray:
-        try:
-            return self.build(self.times[run])
-        except RejectedMatrix as e:
-            raise e.at(range(len(self.times))[run][e.index]) from None
+        return self.build(self.times[run])
 
 
 def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
@@ -309,7 +306,7 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
 
     The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
     + C_g, with S[H] the commutator superoperator, Delta the detuning and
-    C_g the Lindblad superoperator of eta_g*omega_bar|e><e| under the rates
+    C_g the Lindblad superoperator of eta_g|e><e| under the rates
     of g, all folded to the real coordinates Q, so every chunk lifts its
     drive once for the whole grid and the pass is real.  The states read
     back from Q are Hermitian by construction; only rho is checked for it.
@@ -398,30 +395,6 @@ def propagate_lindblad_grid(
 # ---------------------------------------------------------------------------
 
 
-def oracle_propagate_unitary(
-    schedule: PulseSchedule, err: ErrorModel = ErrorModel(), slices: int = ORACLE_SLICES
-) -> np.ndarray:
-    """U(T) as a time-ordered product of midpoint slice exponentials, sliced
-    per segment (exact for piecewise-constant drives up to roundoff).  The
-    product is carried in the real embedding and read back once.
-
-    Each segment's slice exponentials are built run by run as
-    ordered_product reads them, so no stack the size of the segment is
-    ever held; degree and scaling follow from each run's own theta, and a
-    rejection names the slice's index in the segment."""
-    alloc = allocate_steps(schedule, slices, floor=16)
-    U = np.eye(2 * schedule.system.dim)
-    for si, seg in enumerate(schedule.segments):
-        n = alloc[si]
-        h = seg.duration / n
-        mids = (np.arange(n) + 0.5) * h
-
-        def build(t, si=si, h=h):
-            return expm_hermitian(segment_hamiltonian_nodes(schedule, si, t, err), h)
-        U = ordered_product(_Runs(mids, build)) @ U
-    return from_real_embedding(U)
-
-
 def lindblad_superoperator(system: LevelSystem, err: ErrorModel, H: np.ndarray) -> np.ndarray:
     """Matrix of rho -> -i[H,rho] + dissipator on row-major-vectorized rho
     (Havel, J. Math. Phys. 44, 534 (2003)); H may be one (d, d) matrix or
@@ -453,24 +426,61 @@ _CF4_C1 = 0.5 - np.sqrt(3) / 6
 _CF4_C2 = 0.5 + np.sqrt(3) / 6
 
 
+def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
+                 exponentials: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """The (m, m) propagator of both oracles: the time-ordered product of
+    allocate_steps(..., floor=16) 4th-order commutator-free Magnus slices
+    (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
+
+    Slice k of length h contributes E(b H1 + a H2) E(a H1 + b H2), with H1,
+    H2 the Hamiltonians at its two Gauss nodes and E = exponentials(., h)
+    the generator's exponentials of a stack (2c, d, d) of exponents, (2c,
+    m, m); since a + b = 1/2, a piecewise-constant drive makes it exact.
+    Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
+    H nodes, both exponents of every slice interleaved in time order, and
+    one ordered_product.  A rejected exponent names its slice."""
+    chunk = max(1, CHUNK_ELEMENTS // m ** 2)
+    alloc = allocate_steps(schedule, slices, floor=16)
+    P = np.eye(m)
+    for si, (seg, n) in enumerate(zip(schedule.segments, alloc)):
+        h = seg.duration / n
+        t0 = np.arange(n) * h
+        t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
+        for c0 in range(0, n, chunk):
+            H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c0 + chunk], err)
+            H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c0 + chunk], err)
+            H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
+            try:
+                E = exponentials(H.reshape((-1,) + H.shape[2:]), h)
+            except RejectedMatrix as e:
+                raise e.at(c0 + e.index // 2) from None
+            P = ordered_product(E) @ P
+    return P
+
+
+def oracle_propagate_unitary(
+    schedule: PulseSchedule, err: ErrorModel = ErrorModel(), slices: int = ORACLE_SLICES
+) -> np.ndarray:
+    """U(T) as the CF4 product of exact slice exponentials, taken in the
+    real embedding by expm_hermitian and read back once."""
+    return from_real_embedding(
+        _cf4_product(schedule, err, slices, 2 * schedule.system.dim, expm_hermitian))
+
+
 def oracle_propagate_lindblad(
     schedule: PulseSchedule,
     err: ErrorModel,
     rho0: np.ndarray,
     slices: int = ORACLE_LINDBLAD_SLICES,
 ) -> np.ndarray:
-    """rho(T) via a 4th-order commutator-free Magnus product of exact
-    superoperator exponentials (Alvermann & Fehske, J. Comput. Phys. 230,
-    5930 (2011); independent of the RK4 route).
+    """rho(T) via the CF4 product of exact superoperator exponentials
+    (independent of the RK4 route).
 
-    Slice k of length h contributes exp(h (b L1 + a L2)) exp(h (a L1 + b L2)),
-    with L1, L2 the superoperators at its two Gauss nodes.  The exponents
-    are linear in H, so each is S[a H1 + b H2] + (a + b) D with S the
-    commutator superoperator and D the dissipator, folded once per call;
-    the product runs on the real coordinates Q of rho0, which must be
-    Hermitian.  The slices are taken in chunks of CHUNK_ELEMENTS // d**4:
-    both exponents of a chunk are one expm_taylor stack, interleaved in
-    time order, and the chunk's ordered_product advances the propagator.
+    The exponents of slice k are h (a L1 + b L2) and h (b L1 + a L2), with
+    L1, L2 the superoperators at its two Gauss nodes.  They are linear in
+    H, so each is S[a H1 + b H2] + (a + b) D with S the commutator
+    superoperator and D the dissipator, folded once per call; the product
+    runs on the real coordinates Q of rho0, which must be Hermitian.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     herm = hermiticity_defect(rho0).max()
@@ -478,23 +488,10 @@ def oracle_propagate_lindblad(
         raise ValueError(f"rho0 not Hermitian, defect {herm:.3e}")
     system = schedule.system
     d = system.dim
-    chunk = max(1, CHUNK_ELEMENTS // d ** 4)
-    alloc = allocate_steps(schedule, slices, floor=16)
-    closed = ErrorModel()
     D = (_CF4_A + _CF4_B) * _fold(lindblad_superoperator(system, err, np.zeros((d, d))))
-    P = np.eye(d * d)
-    for si, seg in enumerate(schedule.segments):
-        n = alloc[si]
-        h = seg.duration / n
-        t0 = np.arange(n) * h
-        H1 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C1 * h, err)
-        H2 = segment_hamiltonian_nodes(schedule, si, t0 + _CF4_C2 * h, err)
-        for c0 in range(0, n, chunk):
-            H1c, H2c = H1[c0:c0 + chunk], H2[c0:c0 + chunk]
-            H = np.stack([_CF4_A * H1c + _CF4_B * H2c, _CF4_B * H1c + _CF4_A * H2c], axis=1)
-            X = _fold(lindblad_superoperator(system, closed, H))
-            X += D
-            E = expm_taylor(X.reshape(-1, d * d, d * d), h)
-            P = ordered_product(E) @ P
+
+    def exponentials(X, h):
+        return expm_taylor(_fold(lindblad_superoperator(system, ErrorModel(), X)) + D, h)
+    P = _cf4_product(schedule, err, slices, d * d, exponentials)
     q = P @ _coordinates(rho0).reshape(-1, d * d, 1)
     return _density(q[..., 0]).reshape(rho0.shape)

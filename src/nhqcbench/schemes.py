@@ -130,28 +130,27 @@ def _build_loop_schedule(
     """Assemble a constant-envelope multi-piece loop on the Lambda system."""
     system = LevelSystem.lambda3()
     ang = spec.angles
-    ob = spec.omega_bar
     b2, d2 = bright_dark_basis(ang)
     b_full, d_full = system.embed_qubit(b2), system.embed_qubit(d2)
     starts = [np.eye(2, dtype=complex)]  # block propagators at the piece starts
     for phase, area in pieces:
         starts.append(_piece_step(phase, area) @ starts[-1])
-    t0s = np.concatenate([[0.0], np.cumsum([area / ob for _, area in pieces])])
+    t0s = np.concatenate([[0.0], np.cumsum([area for _, area in pieces])])
     return_phase = float(np.angle(starts[-1][0, 0]))
 
     def piece_frame(k: int) -> Callable[[np.ndarray], np.ndarray]:
         phase, U0 = pieces[k][0], starts[k]
 
         def block(t: np.ndarray) -> np.ndarray:
-            return _piece_step(phase, ob * t) @ U0
+            return _piece_step(phase, t) @ U0
 
         return _lambda_frame(system, d_full, b_full, block, t0s[k], t0s[-1], return_phase)
 
     segments = tuple(
         bright_ray_segment(
             system,
-            duration=area / ob,
-            envelope=_const(ob),
+            duration=area,
+            envelope=_const(1.0),
             phase=_const(phase),
             bright_axis=(ang.theta, ang.phi),
             frame=piece_frame(k),
@@ -164,7 +163,6 @@ def _build_loop_schedule(
         segments=segments,
         target=target,
         scheme_label=label,
-        omega_bar=ob,
     )
 
 
@@ -221,13 +219,12 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
     """
     system = LevelSystem.lambda3()
     ang = spec.angles
-    ob = spec.omega_bar
     gss = spec.gamma_ss
-    coupling = ob * np.cos(gss)
+    coupling = np.cos(gss)
     if abs(coupling) < 1e-12:
         raise ValueError("gamma_ss = pi/2 leaves no drive; choose |gamma_ss| < pi/2")
-    delta = 2 * ob * np.sin(gss)
-    duration = PI / ob
+    delta = 2 * np.sin(gss)
+    duration = PI
     # driven superposition cos(t/2)|0> + sin(t/2) e^{i p}|1>, i.e. the +n axis
     # eigenvector; realized via the complementary bright axis.
     axis = (PI - ang.theta, ang.phi + PI)
@@ -264,7 +261,6 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         segments=(seg,),
         target=target,
         scheme_label=SCHEME_LABELS["SS"],
-        omega_bar=ob,
     )
 
 
@@ -352,14 +348,12 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
     """
     system = LevelSystem.lambda3()
     ang = spec.angles
-    ob = spec.omega_bar
     ref = ps_design(spec.varsigma, 2.0, ang)  # unit segments
     # coupling area by quadrature of the closed form; the shape fixes it
     s = np.linspace(0.0, ref.segment_duration, 20001)
-    area = 0.0
+    total = 0.0
     for env in ref.envelope:
-        area += float(np.trapezoid(env(s), s))
-    total = area / ob
+        total += float(np.trapezoid(env(s), s))
     design = ps_design(spec.varsigma, total, ang)
     Ts = design.segment_duration
     b2, d2 = bright_dark_basis(ang)
@@ -408,7 +402,6 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         segments=segments,
         target=target,
         scheme_label=SCHEME_LABELS["PS"],
-        omega_bar=ob,
         notes={"varsigma": spec.varsigma},
     )
 
@@ -435,11 +428,10 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     """
     system = LevelSystem.lambda3()
     ang = spec.angles
-    ob = spec.omega_bar
     g = ang.gamma
     # time-averaged coupling = omega_bar -> drive amplitude 2*omega_bar
-    tau = brachistochrone_tau(g, 2 * ob)
-    lam = ob  # coupling magnitude
+    tau = brachistochrone_tau(g, 2.0)
+    lam = 1.0  # coupling magnitude
     omega_rot = 2 * (g - PI) / tau
 
     def phase(t):
@@ -451,14 +443,16 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     p = np.array([lam, 0.0, -omega_rot / 2]) / Lam
     psig = p[0] * _SX + p[2] * _SZ
 
-    # dynamical-phase integral along the driven trajectory (closed form)
+    # the dynamical phase along the driven trajectory is dyn_scale * D(t)
+    # (closed form); the frame carries its share g D(t) / D(tau), which
+    # makes the frame cyclic and stays finite at gamma = pi, where
+    # dyn_scale = 0
     dyn_scale = -(lam**2 * omega_rot) / (2 * Lam**2)
 
-    def dyn_phase_integral(t):
-        return dyn_scale * (t - np.sin(2 * Lam * t) / (2 * Lam))
+    def D(t):
+        return t - np.sin(2 * Lam * t) / (2 * Lam)
 
-    phi_d_total = dyn_phase_integral(tau)
-    c_prop = g / phi_d_total  # frame phase share making the frame cyclic
+    phi_d_total = dyn_scale * D(tau)
 
     b2, _ = bright_dark_basis(ang)
     b_full = system.embed_qubit(b2)
@@ -471,7 +465,7 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         tt = t[:, None, None]
         U = R[:, :, None] * (np.cos(Lam * tt) * np.eye(2) - 1j * np.sin(Lam * tt) * psig)
         # the driven column carries its dynamical share, |e> a linear ramp
-        phases = np.stack([np.exp(1j * c_prop * dyn_phase_integral(t)),
+        phases = np.stack([np.exp(1j * g * D(t) / D(tau)),
                            np.exp(-1j * g * t / tau)], axis=-1)
         return _bright_frame(system, b_full, w_full, U * phases[:, None, :])
 
@@ -491,7 +485,6 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         segments=(seg,),
         target=target,
         scheme_label=SCHEME_LABELS["TO"],
-        omega_bar=ob,
         notes={
             "dyn_geo_ratio": ratio,
             "dynamical_phase": -phi_d_total,
@@ -512,12 +505,10 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
 @dataclass(frozen=True)
 class PathParams:
     """Circle path on the bright sphere: polar alpha(t), azimuth beta(t),
-    mixing chi(t), circle parameter ell, and the geometric phase of the
-    enclosed cap."""
+    mixing chi(t) and circle parameter ell."""
 
     tau: float
     ell: float
-    geometric_phase: float
     alpha: Callable
     beta: Callable
     alpha_dot: Callable
@@ -562,7 +553,6 @@ def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
     return PathParams(
         tau=tau,
         ell=ell,
-        geometric_phase=gamma,
         alpha=alpha,
         beta=beta,
         alpha_dot=alpha_dot,
@@ -620,39 +610,24 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     )
 
 
-def _circle_paths_schedule(paths: list[PathParams], angles: GateAngles, gamma: float,
-                           omega_bar: float, label: str) -> PulseSchedule:
-    """One drive segment per circle path; target the rotation by gamma
-    about the axis of `angles`."""
-    system = LevelSystem.lambda3()
-    return PulseSchedule(
-        system=system,
-        segments=tuple(_circle_drive_segment(system, p, angles) for p in paths),
-        target=rotation_gate(gamma, angles.theta, angles.phi),
-        scheme_label=label,
-        omega_bar=omega_bar,
-    )
-
-
-def inverse_engineer_hamiltonian(path: PathParams, angles: GateAngles,
-                                 omega_bar: float = 1.0) -> PulseSchedule:
-    """Single circle-loop schedule from an explicit path."""
-    return _circle_paths_schedule([path], angles, path.geometric_phase, omega_bar,
-                                  SCHEME_LABELS["S"])
-
-
 def _circle_schedule(spec: SchemeSpec, loops: int) -> PulseSchedule:
     """`loops` circle segments at angle gamma/loops, every second one with
-    beta0 advanced by pi (paths mirror-symmetric about the pole)."""
+    beta0 advanced by pi (paths mirror-symmetric about the pole); target
+    the rotation by gamma about the axis of the spec's angles."""
+    system = LevelSystem.lambda3()
     ang = spec.angles
     gl = ang.gamma / loops
-    tau_seg = circle_segment_area(gl) / spec.omega_bar
+    tau_seg = circle_segment_area(gl)
     paths = [
         circle_path_params(gl, spec.beta0 + (PI if k % 2 else 0.0), tau_seg)
         for k in range(loops)
     ]
-    return _circle_paths_schedule(paths, ang, ang.gamma, spec.omega_bar,
-                                  SCHEME_LABELS[spec.scheme])
+    return PulseSchedule(
+        system=system,
+        segments=tuple(_circle_drive_segment(system, p, ang) for p in paths),
+        target=rotation_gate(ang.gamma, ang.theta, ang.phi),
+        scheme_label=SCHEME_LABELS[spec.scheme],
+    )
 
 
 def build_s(spec: SchemeSpec) -> PulseSchedule:
@@ -716,7 +691,7 @@ def sta_path(phi1: float, tau: float) -> StaPath:
     )
 
 
-def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedule:
+def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
     """Three-step transitionless tripod schedule for the phase-shift gate.
 
     The counter-diabatic term forces exact evolution along the dark channel
@@ -729,7 +704,6 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         raise ValueError("tau must be positive")
     system = LevelSystem.tripod4()
     path = sta_path(phi1, tau)
-    omega_t = omega_bar
     nu1 = system.basis_state(0)
     e = system.basis_state(3)
     k1 = system.basis_state(1)
@@ -744,7 +718,7 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
             p_, pd_ = ph(s), phd(s)
             B = (-np.sin(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.cos(t_ / 2)[:, None] * k2
             D = (np.cos(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.sin(t_ / 2)[:, None] * k2
-            H0 = omega_t * np.einsum("i,nj->nij", e, B.conj())
+            H0 = np.einsum("i,nj->nij", e, B.conj())
             H0 = H0 + H0.conj().transpose(0, 2, 1)
             bd = td_ / 2 + 1j * (pd_ / 2) * np.sin(t_)  # <B|dD/dt>
             Hcd = (1j * bd)[:, None, None] * np.einsum("ni,nj->nij", B, D.conj())
@@ -762,7 +736,7 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         return Segment(
             duration=path.durations[step],
             drive=drive,
-            envelope=_const(omega_t),
+            envelope=_const(1.0),
             frame=frame,
         )
 
@@ -781,13 +755,12 @@ def sta_schedule(phi1: float, tau: float, omega_bar: float = 1.0) -> PulseSchedu
         segments=segments,
         target=target,
         scheme_label=SCHEME_LABELS["STA"],
-        omega_bar=omega_bar,
         notes={"phi1": phi1, "gamma1": gamma1},
     )
 
 
 def build_sta(spec: SchemeSpec) -> PulseSchedule:
-    return sta_schedule(spec.phi1, PI / spec.omega_bar, spec.omega_bar)
+    return sta_schedule(spec.phi1, PI)
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +788,12 @@ def dfs3_unit_hamiltonian(phi: float) -> np.ndarray:
     return H
 
 
-def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
-                  omega_bar: float = 1.0) -> PulseSchedule:
+def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSchedule:
     """Three-qubit schedule: single-excitation subspace {100, 010, 001} hosts
     an effective bright-ancilla loop; cyclic when integral(J) = pi/sqrt(2).
     """
     system = LevelSystem.three_qubit8()
-    duration = PI / (np.sqrt(2) * omega_bar)
+    duration = PI / np.sqrt(2)
     if pulse_shape == "zero":
         # degenerate control-off case: identity gate, no area requirement
         def J(t):
@@ -831,17 +803,17 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
             return np.zeros(np.shape(t))
     elif pulse_shape == "const":
         def J(t):
-            return omega_bar * np.ones(np.shape(t))
+            return np.ones(np.shape(t))
 
         def J_area(t):
-            return omega_bar * np.asarray(t, dtype=float)
+            return np.asarray(t, dtype=float)
     elif pulse_shape == "sin2":
         def J(t):
-            return 2 * omega_bar * np.sin(PI * np.asarray(t) / duration) ** 2
+            return 2 * np.sin(PI * np.asarray(t) / duration) ** 2
 
         def J_area(t):
             t = np.asarray(t, dtype=float)
-            return 2 * omega_bar * (t / 2 - duration * np.sin(2 * PI * t / duration) / (4 * PI))
+            return 2 * (t / 2 - duration * np.sin(2 * PI * t / duration) / (4 * PI))
     elif callable(pulse_shape):
         J = pulse_shape
         s = np.linspace(0.0, duration, 40001)
@@ -895,12 +867,11 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const",
         segments=(seg,),
         target=target,
         scheme_label=SCHEME_LABELS["DFS3"],
-        omega_bar=omega_bar,
     )
 
 
 def build_dfs3(spec: SchemeSpec) -> PulseSchedule:
-    return dfs3_schedule(spec.dfs_phi, "const", spec.omega_bar)
+    return dfs3_schedule(spec.dfs_phi, "const")
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,6 @@ class SchemeSpec:
 
     scheme: str
     angles: GateAngles = field(default_factory=lambda: GateAngles(np.pi / 2))
-    omega_bar: float = 1.0
     loops: int = 2  # C, CDD
     varsigma: float = 1.0  # PS
     beta0: float = 0.0  # S, CDD
@@ -141,8 +140,6 @@ class SchemeSpec:
             raise ValueError("loops must be >= 1")
         if self.varsigma < 0:
             raise ValueError("varsigma must be >= 0")
-        if self.omega_bar <= 0:
-            raise ValueError("omega_bar must be positive")
 
 
 def bright_dark_basis(angles: GateAngles) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +216,6 @@ class PulseSchedule:
     segments: tuple
     target: np.ndarray
     scheme_label: str
-    omega_bar: float = 1.0
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -278,12 +274,12 @@ def _piecewise(
 
 
 def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
-    """The detuning-error term eta*omega_bar|e><e| of H, (d, d); zero
-    without an excited level."""
+    """The detuning-error term eta|e><e| of H, (d, d); zero without an
+    excited level."""
     d, e = schedule.system.dim, schedule.system.excited_index
     out = np.zeros((d, d), dtype=complex)
     if e is not None:
-        out[e, e] = err.eta * schedule.omega_bar
+        out[e, e] = err.eta
     return out
 
 
@@ -300,7 +296,7 @@ def hamiltonian_nodes(
 def segment_hamiltonian_nodes(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H = (1+eps)*drive + detuning|e><e| + eta*omega_bar|e><e| within one
+    """H = (1+eps)*drive + detuning|e><e| + eta|e><e| within one
     segment at local times: the Rabi factor multiplies only the drive, never
     the nominal detuning.
 

@@ -486,6 +486,15 @@ def test_numerical_failure_is_one_stderr_line(tmp_path):
     assert proc.stderr.startswith("numerical failure: rk4_chunks: non-finite state")
 
 
+def test_to_at_gamma_pi_runs_clean(tmp_path):
+    # the TO frame's dynamical share is 0/0 at gamma = pi (NOT, H) unless
+    # taken as its limit; no warning may reach stderr
+    proc = run_python(["-m", "nhqcbench", "simulate", "--scheme", "to", "--gate", "NOT",
+                       "--samples", "200", "--out-dir", str(tmp_path)])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must run without it
     proc = run_python(["-c", "import sys, nhqcbench, nhqcbench.cli; "

@@ -7,6 +7,7 @@ import pytest
 from conftest import phase_distance, rk4_linear
 from nhqcbench import dynamics
 from nhqcbench.dynamics import (
+    ORACLE_SLICES,
     UNITARY_SAMPLES,
     _validate_density,
     allocate_steps,
@@ -53,6 +54,40 @@ def zero_schedule(duration=1.0):
         target=np.eye(2, dtype=complex),
         scheme_label="null",
     )
+
+
+def cf4_exponents(sched, dtype=complex):
+    """Per segment of the ideal unitary oracle, its slice length h and the
+    CF4 exponents a H1 + b H2, b H1 + a H2 of every slice, interleaved in
+    time order, (2n, d, d), formed in `dtype` from the H nodes at the two
+    Gauss nodes of each slice."""
+    a, b = (np.array(c, dtype=dtype).real for c in (dynamics._CF4_A, dynamics._CF4_B))
+    d = sched.system.dim
+    alloc = allocate_steps(sched, ORACLE_SLICES, floor=16)
+    for si, (seg, n) in enumerate(zip(sched.segments, alloc)):
+        h = seg.duration / n
+        t0 = np.arange(n) * h
+        H1, H2 = (segment_hamiltonian_nodes(sched, si, t0 + c * h, ErrorModel()).astype(dtype)
+                  for c in (dynamics._CF4_C1, dynamics._CF4_C2))
+        yield h, np.stack([a * H1 + b * H2, b * H1 + a * H2], axis=1).reshape(-1, d, d)
+
+
+def poisoned_schedule(k, bad):
+    """A unit-duration Lambda schedule whose Hamiltonian carries 2 bad at
+    |0><1| at both Gauss nodes (0.289 h from the midpoint) of slice k of
+    1000, and nowhere else; each CF4 exponent of that slice, weighted
+    a + b = 1/2, carries bad."""
+    h = 1.0 / 1000
+
+    def drive(t):
+        H = np.zeros((t.size, 3, 3), dtype=complex)
+        H[:, 1, 2] = H[:, 2, 1] = 1.0
+        H[np.abs(t - (k + 0.5) * h) < 0.3 * h, 0, 1] = 2 * bad
+        return H
+
+    seg = Segment(1.0, drive, envelope=lambda t: np.ones_like(t))
+    return PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
+                         target=np.eye(2, dtype=complex), scheme_label="bad")
 
 
 def basis_rho(dim, k):
@@ -297,34 +332,25 @@ class TestOracles:
 
     @pytest.mark.parametrize("tag", ["c", "sta"])
     def test_unitary_oracle_matches_sequential_slice_loop(self, schedules, oracle_gates, tag):
-        # the slice product multiplied out one factor at a time
-        from nhqcbench.dynamics import ORACLE_SLICES
+        # the CF4 slice product multiplied out one factor at a time
         from nhqcbench.numkit import expm_hermitian, from_real_embedding
 
         sched = schedules[tag]
         U = np.eye(sched.system.dim, dtype=complex)
-        for si, (seg, n) in enumerate(zip(sched.segments,
-                                          allocate_steps(sched, ORACLE_SLICES, floor=16))):
-            h = seg.duration / n
-            Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, ErrorModel())
-            for V in from_real_embedding(expm_hermitian(Hs, h)):
+        for h, X in cf4_exponents(sched):
+            for V in from_real_embedding(expm_hermitian(X, h)):
                 U = V @ U
         assert np.abs(oracle_gates[tag] - U).max() <= 1e-12
 
     def test_unitary_oracle_matches_longdouble_product(self, schedules, oracle_gates):
-        # the same midpoint slices, each a degree-9 Taylor polynomial in
-        # clongdouble (truncation ~1e-40 at ||H|| h ~ 1e-4), multiplied out
-        # one at a time
-        from nhqcbench.dynamics import ORACLE_SLICES
-
+        # the same CF4 slices, their exponents formed in clongdouble and each
+        # exponential a degree-9 Taylor polynomial (truncation ~1e-40 at
+        # ||X|| h ~ 1e-4), multiplied out one at a time
         sched = schedules["sl"]
         eye = np.eye(sched.system.dim, dtype=np.clongdouble)
         U = eye.copy()
-        for si, (seg, n) in enumerate(zip(sched.segments,
-                                          allocate_steps(sched, ORACLE_SLICES, floor=16))):
-            h = seg.duration / n
-            Hs = segment_hamiltonian_nodes(sched, si, (np.arange(n) + 0.5) * h, ErrorModel())
-            X = np.clongdouble(-1j) * np.longdouble(h) * Hs.astype(np.clongdouble)
+        for h, Xs in cf4_exponents(sched, dtype=np.clongdouble):
+            X = np.clongdouble(-1j) * np.longdouble(h) * Xs
             E = eye + X / 9
             for k in range(8, 0, -1):
                 E = eye + (X @ E) / k
@@ -337,27 +363,21 @@ class TestOracles:
         (1e-6, r"not Hermitian, defect 1.000e-06 .* in matrix 777$"),
     ])
     def test_unitary_oracle_rejection_names_the_slice(self, bad, message):
-        # 1000 slices are read as 32 strided runs: slice 777 is element 24
-        # of run 9, and the rejection must name it by its place in time
-        h = 1.0 / 1000
-
-        def drive(t):
-            H = np.zeros((t.size, 3, 3), dtype=complex)
-            H[:, 1, 2] = H[:, 2, 1] = 1.0
-            H[np.abs(t - 777.5 * h) < h / 4, 0, 1] = bad
-            return H
-
-        seg = Segment(1.0, drive, envelope=lambda t: np.ones_like(t))
-        sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
-                              target=np.eye(2, dtype=complex), scheme_label="bad")
+        # the rejection must name the slice by its place in time
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                oracle_propagate_unitary(sched, slices=1000)
+                oracle_propagate_unitary(poisoned_schedule(777, bad), slices=1000)
+
+    def test_unitary_oracle_rejection_past_the_first_chunk(self):
+        # 1000 slices of d = 3 are two chunks of up to 910: slice 977 is
+        # slice 67 of the second
+        with pytest.raises(ValueError, match=r"not Hermitian, .* in matrix 977$"):
+            oracle_propagate_unitary(poisoned_schedule(977, 1e-6), slices=1000)
 
     def test_unitary_oracle_memory_does_not_scale_with_slices(self, schedules):
-        # a segment's slices are built run by run; one whole-segment stack
-        # of 1e5 dfs3 slices would be about 100 MiB
+        # a segment's slices are built chunk by chunk; one whole-segment
+        # stack of the 2e4 dfs3 exponentials would be about 40 MiB
         tracemalloc.start()
         try:
             oracle_propagate_unitary(schedules["dfs3"])
@@ -365,6 +385,25 @@ class TestOracles:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("tag", ["ps", "cdd", "s", "sta"])
+    def test_rk4_vs_oracle_measures_rk4(self, schedules, ideal_runs, oracle_gates, tag):
+        # on smooth drives the oracle is the more accurate route, so their
+        # difference is RK4's own error, read off against 4x the steps
+        rk4 = ideal_runs[tag].final
+        fine = propagate_unitary(schedules[tag], samples=4 * UNITARY_SAMPLES).final
+        own = np.abs(rk4 - fine).max()
+        assert abs(np.abs(rk4 - oracle_gates[tag]).max() - own) <= 0.1 * own
+
+    def test_unitary_oracle_converged(self, schedules, oracle_gates):
+        # twice the slices move no scheme beyond the product's roundoff
+        err = ErrorModel(epsilon=0.03, eta=-0.02)
+        fine = 2 * ORACLE_SLICES
+        for tag, sched in schedules.items():
+            assert np.abs(oracle_propagate_unitary(sched, slices=fine)
+                          - oracle_gates[tag]).max() <= 5e-12, tag
+            assert np.abs(oracle_propagate_unitary(sched, err, slices=fine)
+                          - oracle_propagate_unitary(sched, err)).max() <= 5e-12, tag
 
     def test_lindblad_oracle_matches_analytic_decay(self):
         G = 0.05

@@ -128,6 +128,16 @@ class TestReconstruct:
         U_prop = ideal_runs[tag].final[np.ix_(comp, comp)]
         assert phase_distance(U_rec, U_prop) < 1e-5
 
+    def test_to_at_gamma_pi(self):
+        # gamma = pi stops the TO drive phase, so the frame's dynamical share
+        # is taken as its limit; the reconstruction must stay finite and right
+        sched = build_schedule(SchemeSpec("TO", GateAngles(PI, PI / 2, 0.0)))
+        U_rec = reconstruct_computational_gate(sched)
+        comp = list(sched.system.computational_indices)
+        U_prop = propagate_unitary(sched).final[np.ix_(comp, comp)]
+        ov = np.trace(U_rec.conj().T @ U_prop) / 2
+        assert np.abs(U_prop - ov / abs(ov) * U_rec).max() < 1e-5
+
     def test_sl_reconstructs_quarter_turn(self, schedules):
         sched = schedules["sl"]
         U_rec = reconstruct_computational_gate(sched)

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from conftest import phase_distance
 from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
 from nhqcbench.schemes import (
-    PathParams,
     brachistochrone_tau,
     build_schedule,
     circle_path_params,
     circle_segment_area,
     dfs3_schedule,
-    inverse_engineer_hamiltonian,
     ps_design,
     dfs3_unit_hamiltonian,
     rotation_gate,
@@ -236,37 +234,24 @@ class TestPsDesign:
 
 
 class TestInverseEngineering:
+    # S drives one circle loop through the pole at tau = circle_segment_area
     def test_s_gate(self):
-        path = circle_path_params(PI / 2, 0.0, np.sqrt(3) * PI / 2)
-        sched = inverse_engineer_hamiltonian(path, GateAngles(PI / 2, 0.0, 0.0))
+        sched = build_schedule(SchemeSpec("S", GateAngles(PI / 2, 0.0, 0.0)))
+        assert sched.total_duration == pytest.approx(np.sqrt(3) * PI / 2, rel=1e-15)
         U = comp_block(propagate_unitary(sched, samples=1200).final, sched.system)
         expected = np.diag([np.exp(-1j * PI / 4), np.exp(1j * PI / 4)])
         assert phase_distance(U, expected) < 1e-6
 
     def test_t_gate(self):
         g = PI / 4
-        path = circle_path_params(g, 0.0, circle_segment_area(g))
-        sched = inverse_engineer_hamiltonian(path, GateAngles(g, 0.0, 0.0))
+        sched = build_schedule(SchemeSpec("S", GateAngles(g, 0.0, 0.0)))
         U = comp_block(propagate_unitary(sched, samples=1200).final, sched.system)
         expected = np.diag([np.exp(-1j * PI / 8), np.exp(1j * PI / 8)])
         assert phase_distance(U, expected) < 1e-6
 
-    def test_flat_path_gives_identity(self):
-        zero = lambda t: np.zeros(np.shape(t))
-        path = PathParams(tau=1.0, ell=0.0, geometric_phase=1e-12,
-                          alpha=zero, beta=zero, alpha_dot=zero, beta_dot=zero,
-                          chi=zero)
-        sched = inverse_engineer_hamiltonian(path, GateAngles(PI / 2))
-        s = np.linspace(0, 1.0, 11)
-        assert np.abs(sched.segments[0].envelope(s)).max() == 0.0
-        U = comp_block(propagate_unitary(sched, samples=200).final, sched.system)
-        assert phase_distance(U, np.eye(2)) < 1e-12
-
     def test_gate_off_pole_axis(self):
         g = 2.0
-        path = circle_path_params(g, 0.0, circle_segment_area(g))
-        ang = GateAngles(g, 1.1, 0.7)
-        sched = inverse_engineer_hamiltonian(path, ang)
+        sched = build_schedule(SchemeSpec("S", GateAngles(g, 1.1, 0.7)))
         U = comp_block(propagate_unitary(sched, samples=1500).final, sched.system)
         assert phase_distance(U, rotation_gate(g, 1.1, 0.7)) < 1e-6
 
@@ -328,7 +313,7 @@ class TestSta:
             p_, pd_ = float(path.phi[step](s)), float(path.phi_dot[step](s))
             B = -np.sin(t_ / 2) * np.exp(-1j * p_) * k1 + np.cos(t_ / 2) * k2
             D = np.cos(t_ / 2) * np.exp(-1j * p_) * k1 + np.sin(t_ / 2) * k2
-            H0 = sched.omega_bar * np.outer(e, B.conj())
+            H0 = np.outer(e, B.conj())
             H0 = H0 + H0.conj().T
             Hcd = 1j * (td_ / 2 + 1j * (pd_ / 2) * np.sin(t_)) * np.outer(B, D.conj())
             Hcd = Hcd + Hcd.conj().T
