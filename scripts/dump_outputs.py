@@ -5,12 +5,14 @@
     python scripts/dump_outputs.py --oracle-error
 
 The dump holds, per scheme, the arrays a numerical change must keep within
-1e-12 of the previous outputs: H nodes on a 4001-point grid and the full
-RK4 propagator trajectory (both at epsilon = 0.03, eta = -0.02), the
-unitary oracle at the same errors, the auxiliary frame and the holonomy
-reconstruction on the 4096-step grid `check` uses, and the six-axial-state
-Lindblad trajectory (epsilon = 0.05, gamma_minus = gamma_z = 3e-4; schemes
-with an excited level).  The oracle Lindblad final states of sl, ps and dc at the golden
+1e-12 of the previous outputs: H nodes and the full RK4 propagator
+trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle at the
+same errors, the auxiliary frame, the holonomy reconstruction `check`
+prints, and the six-axial-state Lindblad trajectory (epsilon = 0.05,
+gamma_minus = gamma_z = 3e-4; schemes with an excited level).  H nodes and
+frames are sampled segment by segment in local time, each segment on its
+allocate_steps share of 4000 (H) or 4096 (frame) intervals, both ends
+included.  The oracle Lindblad final states of sl, ps and dc at the golden
 4000 slices are included too, and so are the six-state fidelities and peak
 populations of two grid sweeps at the default 4000 steps: the 41-point
 epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
@@ -45,7 +47,7 @@ from nhqcbench.dynamics import (
 )
 from nhqcbench.holonomy import reconstruct_computational_gate
 from nhqcbench.schemes import build_schedule
-from nhqcbench.system import ErrorModel, hamiltonian_nodes, segment_hamiltonian_nodes
+from nhqcbench.system import ErrorModel, segment_hamiltonian_nodes
 
 CLOSED = ErrorModel(epsilon=0.03, eta=-0.02)
 OPEN = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
@@ -58,15 +60,22 @@ SWEEPS = {
 }
 
 
+def per_segment(sched, intervals: int, sample) -> np.ndarray:
+    """sample(k, local times) on each segment's share of `intervals`,
+    both ends included, concatenated in segment order."""
+    return np.concatenate([sample(k, np.linspace(0.0, seg.duration, n + 1)) for k, (seg, n)
+                           in enumerate(zip(sched.segments, allocate_steps(sched, intervals)))])
+
+
 def dump(path: str) -> None:
     arrays = {}
     for tag, spec in benchmark_catalog().items():
         sched = build_schedule(spec)
-        T = sched.total_duration
-        arrays[f"{tag}/hnodes"] = hamiltonian_nodes(sched, np.linspace(0.0, T, 4001), CLOSED)
+        arrays[f"{tag}/hnodes"] = per_segment(
+            sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))
         arrays[f"{tag}/unitary"] = propagate_unitary(sched, CLOSED).operators
         arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
-        arrays[f"{tag}/frame"] = sched.frame(np.linspace(0.0, T, 4097))
+        arrays[f"{tag}/frame"] = per_segment(sched, 4096, lambda k, t: sched.segments[k].frame(t))
         arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)
         if sched.system.excited_index is None:
             continue

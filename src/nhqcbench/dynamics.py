@@ -109,13 +109,16 @@ class Trajectory:
 
     excited_population[i] is the monitored-level population at times[i]:
     for unitary runs the maximum over the six axial initial states, for
-    open runs the maximum over the propagated batch.
+    open runs the maximum over the propagated batch.  steps holds the RK4
+    steps of each segment, which segment_state_times turns back into the
+    local times of the states.
     """
 
     times: np.ndarray
     operators: np.ndarray
     excited_population: np.ndarray
     kind: str
+    steps: tuple[int, ...]
 
     @property
     def final(self) -> np.ndarray:
@@ -166,18 +169,29 @@ class _Runs:
         return self.build(self.times[run])
 
 
+def segment_state_times(schedule: PulseSchedule, steps):
+    """(segment index, local times) of the states of an RK4 run that took
+    steps[k] steps on segment k, in order: linspace(0, duration, 2n+1)[0::2],
+    where a state on a boundary belongs to the following segment."""
+    last = len(steps) - 1
+    for k, (seg, n) in enumerate(zip(schedule.segments, steps)):
+        t = np.linspace(0.0, seg.duration, 2 * n + 1)[0::2]
+        yield k, t if k == last else t[:-1]
+
+
 def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
     """RK4 inputs per segment, [(h, generators on the half-step lattice)],
-    each run built from the segment's drive and detuning by `generator`, and
-    the global time of every state the chain produces; samples=None takes
-    the default step count of `kind`."""
-    steps = default_samples(kind) if samples is None else samples
-    if steps < 1:
-        raise ValueError(f"step count {steps} must be >= 1")
+    each run built from the segment's drive and detuning by `generator`, the
+    global time of every state the chain produces, and the steps per
+    segment; samples=None takes the default step count of `kind`."""
+    total = default_samples(kind) if samples is None else samples
+    if total < 1:
+        raise ValueError(f"step count {total} must be >= 1")
+    steps = tuple(allocate_steps(schedule, total))
     segments = []
     times = [np.zeros(1)]
     t_offset = 0.0
-    for si, (seg, n) in enumerate(zip(schedule.segments, allocate_steps(schedule, steps))):
+    for si, (seg, n) in enumerate(zip(schedule.segments, steps)):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
 
         def build(t, si=si):
@@ -185,7 +199,7 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
         segments.append((seg.duration / n, _Runs(lattice, build)))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
-    return segments, np.concatenate(times)
+    return segments, np.concatenate(times), steps
 
 
 def _grid_generator(system: LevelSystem, lift, errs, const):
@@ -228,7 +242,7 @@ def propagate_unitary(
     eta = detuning_error(schedule, err)
     generator = _grid_generator(schedule.system, lambda H: real_embedding(-1j * H), [err],
                                 real_embedding(-1j * eta)[None])
-    segments, times = _rk4_segments(schedule, samples, "unitary", generator)
+    segments, times, steps = _rk4_segments(schedule, samples, "unitary", generator)
     d = schedule.system.dim
     ops = np.empty((len(times), d, d), dtype=complex)
     ops[0] = np.eye(d)
@@ -243,7 +257,8 @@ def propagate_unitary(
     mon = monitor_index(schedule.system)
     amps = ops[:, mon, :] @ states.T  # (n, 6)
     pe = np.abs(amps).max(axis=1) ** 2
-    return Trajectory(times=times, operators=ops, excited_population=pe, kind="unitary")
+    return Trajectory(times=times, operators=ops, excited_population=pe, kind="unitary",
+                      steps=steps)
 
 
 def _validate_density(rho: np.ndarray, where: str) -> None:
@@ -301,8 +316,8 @@ def _fold(L: np.ndarray) -> np.ndarray:
 
 def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
     """RK4 densities of the batch rho (k, d, d) under every error model of
-    errs at once: the global times and an iterator over the validated
-    states after rho, chunk by chunk, (c, G, k, d, d).
+    errs at once: the global times, the steps per segment and an iterator
+    over the validated states after rho, chunk by chunk, (c, G, k, d, d).
 
     The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
     + C_g, with S[H] the commutator superoperator, Delta the detuning and
@@ -324,7 +339,7 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     closed = ErrorModel()
     generator = _grid_generator(
         system, lambda H: _fold(lindblad_superoperator(system, closed, H)), errs, const)
-    segments, times = _rk4_segments(schedule, samples, "lindblad", generator)
+    segments, times, steps = _rk4_segments(schedule, samples, "lindblad", generator)
     # columns are the row-major coordinates Q of the batch
     cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
 
@@ -333,7 +348,7 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
             states = _density(states.swapaxes(-1, -2))
             _validate_density(states, "during evolution")
             yield states
-    return times, chunks()
+    return times, steps, chunks()
 
 
 def propagate_lindblad(
@@ -351,13 +366,14 @@ def propagate_lindblad(
     rho0 = np.asarray(rho0, dtype=complex)
     batch = rho0.ndim == 3
     rho = rho0 if batch else rho0[None, :, :]
-    times, chunks = _lindblad_chunks(schedule, [err], rho, samples)
+    times, steps, chunks = _lindblad_chunks(schedule, [err], rho, samples)
     ops = np.concatenate([rho[None], *(states[:, 0] for states in chunks)])
     mon = monitor_index(schedule.system)
     pe = ops[..., mon, mon].real.max(axis=1)
     if not batch:
         ops = ops[:, 0]
-    return Trajectory(times=times, operators=ops, excited_population=pe, kind="lindblad")
+    return Trajectory(times=times, operators=ops, excited_population=pe, kind="lindblad",
+                      steps=steps)
 
 
 def propagate_lindblad_grid(
@@ -381,13 +397,13 @@ def propagate_lindblad_grid(
     final, peak = [], []
     for b0 in range(0, len(errs), block):
         part = errs[b0:b0 + block]
-        times, chunks = _lindblad_chunks(schedule, part, rho, samples)
+        _, steps, chunks = _lindblad_chunks(schedule, part, rho, samples)
         top = np.full(len(part), rho[:, mon, mon].real.max())
         for states in chunks:
             top = np.maximum(top, states[..., mon, mon].real.max(axis=(0, 2)))
         final.append(states[-1])
         peak.append(top)
-    return np.concatenate(final), np.concatenate(peak), len(times) - 1
+    return np.concatenate(final), np.concatenate(peak), sum(steps)
 
 
 # ---------------------------------------------------------------------------

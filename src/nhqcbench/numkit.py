@@ -13,13 +13,13 @@ exponentials in the real embedding phi, which turns each entry a + ib into
 the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
 times cheaper than complex ones.
 
-Both engines take matrices only, from an array or from a lazy sequence
-that builds each run as it is read: ``ordered_product`` multiplies factors
-in time order, reading strided runs, and ``rk4_chunks`` integrates every
-linear ODE y' = A(t) y in the package (A = phi(-iH) for propagators, A =
-the real Lindblad generator for density matrices) as a chain of
-precomputed RK4 step matrices, reading runs of generators, optionally for
-a whole grid of them at once, and yields the states chunk by chunk.  Both
+Both engines take matrices only: ``ordered_product`` multiplies an array
+of factors in time order, and ``rk4_chunks`` integrates every linear ODE
+y' = A(t) y in the package (A = phi(-iH) for propagators, A = the real
+Lindblad generator for density matrices) as a chain of precomputed RK4
+step matrices, reading runs of generators from an array or from a lazy
+sequence that builds each run as it is read, optionally for a whole grid
+of them at once, and yields the states chunk by chunk.  Both
 use the same blocking: products of blocks of about sqrt(n) consecutive
 factors are built side by side, one batched matmul per block position, so
 a run of n small matrices costs about 2 sqrt(n) numpy calls instead of n.
@@ -197,18 +197,15 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     return E.reshape(X.shape)
 
 
-def ordered_product(Ms: Sequence[np.ndarray]) -> np.ndarray:
-    """Time-ordered product M[n-1] ... M[1] M[0] of n >= 1 factors (d, d).
+def ordered_product(Ms: np.ndarray) -> np.ndarray:
+    """Time-ordered product M[n-1] ... M[1] M[0] of an array of n >= 1
+    factors (n, d, d).
 
-    Ms is an array (n, d, d) or any sequence that len() measures and whose
-    strided slice Ms[i::b] returns those factors as an array: the factors
-    are read only that way, each exactly once, so a lazy sequence can build
-    them when they are read and no stack of all n is ever needed.  The
-    products of blocks of b = ceil(sqrt(n)) consecutive factors are built
-    side by side, one batched matmul per block position i on the factors
-    Ms[i::b] (the short last block stops early), then chained in order.
-    Unlike a pairwise tree, this keeps rounding errors on runs of equal
-    factors from adding up coherently.
+    The products of blocks of b = ceil(sqrt(n)) consecutive factors are
+    built side by side, one batched matmul per block position i on the
+    factors Ms[i::b] (the short last block stops early), then chained in
+    order.  Unlike a pairwise tree, this keeps rounding errors on runs of
+    equal factors from adding up coherently.
     """
     b = math.isqrt(len(Ms) - 1) + 1
     P = Ms[::b].copy()

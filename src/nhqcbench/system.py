@@ -235,43 +235,6 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
 
-    def segment_boundaries(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
-
-    def frame(self, times: np.ndarray) -> np.ndarray:
-        """(n, L+1, dim) auxiliary frame of the segments at global times."""
-        if any(seg.frame is None for seg in self.segments):
-            raise ValueError(f"schedule {self.scheme_label} carries no frame")
-        return _piecewise(self, times, lambda k, t_local: self.segments[k].frame(t_local))
-
-
-def _piecewise(
-    schedule: PulseSchedule,
-    times: np.ndarray,
-    fn: Callable[[int, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """fn(segment index, local times) scattered back to global-time order.
-
-    A boundary instant belongs to the following segment; round-off at the
-    schedule ends and at boundaries is clamped into the segment.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    total = schedule.total_duration
-    if times.size and (times.min() < -1e-12 or times.max() > total + 1e-12):
-        raise ValueError("requested times outside the schedule")
-    tcl = np.clip(times, 0.0, total)
-    bounds = schedule.segment_boundaries()
-    seg_idx = np.searchsorted(bounds[1:-1], tcl, side="right")
-    out = None
-    for k, seg in enumerate(schedule.segments):
-        sel = seg_idx == k
-        if out is None or sel.any():  # the first call sizes the output
-            values = fn(k, np.clip(tcl[sel] - bounds[k], 0.0, seg.duration))
-            if out is None:
-                out = np.empty((times.size,) + values.shape[1:], dtype=complex)
-            out[sel] = values
-    return out
-
 
 def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
     """The detuning-error term eta|e><e| of H, (d, d); zero without an
@@ -283,26 +246,13 @@ def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
     return out
 
 
-def hamiltonian_nodes(
-    schedule: PulseSchedule, times: np.ndarray, err: ErrorModel
-) -> np.ndarray:
-    """H(t) at each global time, each segment's nodes assembled by
-    segment_hamiltonian_nodes."""
-    return _piecewise(
-        schedule, times, lambda k, t_local: segment_hamiltonian_nodes(schedule, k, t_local, err)
-    )
-
-
 def segment_hamiltonian_nodes(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
     """H = (1+eps)*drive + detuning|e><e| + eta|e><e| within one
     segment at local times: the Rabi factor multiplies only the drive, never
-    the nominal detuning.
-
-    Distinct from hamiltonian_nodes only at shared boundary instants, where
-    global assignment would pick the following segment; the integrators use
-    this to keep every step inside one smooth segment.
+    the nominal detuning.  Every consumer assembles H here, segment by
+    segment, so no step or difference straddles a boundary.
     """
     drive, detuning = segment_drive_detuning(schedule, seg_index, t_local)
     H = (1.0 + err.epsilon) * drive

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +41,24 @@ def align_phase(actual, reference):
     return actual * (abs(ov) / ov)
 
 
-def gauge_transformed(times, V, Vfun):
-    """The frame V (n+1, L+1, dim) sampled at `times`, its computational
-    rows rotated to nu'_k = sum_l nu_l W_lk(t), W = Vfun(t).
+def gauge_twisted(schedule, Vfun):
+    """`schedule` with the computational frame rows of every segment rotated
+    to nu'_k = sum_l nu_l W_lk, W = Vfun(t) at the global time t = t0 + s of
+    local time s on a segment that starts at t0.
 
     Vfun(t) must be unitary with Vfun(0) = Vfun(tau) = I (boundary-trivial).
     """
-    out = V.copy()
-    for i, t in enumerate(times):
-        W = np.asarray(Vfun(float(t)), dtype=complex)
-        out[i, :-1] = W.T @ V[i, :-1]
-    return out
+    def twist(seg, t0):
+        def frame(s):
+            V = seg.frame(s).copy()
+            W = np.stack([np.asarray(Vfun(t0 + float(x)), dtype=complex) for x in s])
+            V[:, :-1] = W.swapaxes(1, 2) @ V[:, :-1]
+            return V
+        return replace(seg, frame=frame)
+
+    starts = np.cumsum([0.0] + [seg.duration for seg in schedule.segments[:-1]])
+    return replace(schedule, segments=tuple(
+        twist(seg, t0) for seg, t0 in zip(schedule.segments, starts)))
 
 
 def rk4_linear(

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import gauge_transformed, phase_distance
+from conftest import gauge_twisted, phase_distance
 from nhqcbench.bench import (
     FIG13_GAMMA,
     benchmark_catalog,
@@ -22,15 +22,19 @@ from nhqcbench.bench import (
     pulse_area,
     unitary_gate_fidelity,
 )
-from nhqcbench.dynamics import propagate_lindblad, propagate_unitary, six_axial_states
+from nhqcbench.dynamics import (
+    propagate_lindblad,
+    propagate_unitary,
+    segment_state_times,
+    six_axial_states,
+)
 from nhqcbench.holonomy import (
     condition_residuals,
     frame_connection,
-    holonomy_reconstruct,
     reconstruct_computational_gate,
 )
 from nhqcbench.schemes import brachistochrone_tau, build_schedule, sta_schedule
-from nhqcbench.system import ErrorModel, hamiltonian_nodes
+from nhqcbench.system import ErrorModel, segment_hamiltonian_nodes
 
 PI = np.pi
 
@@ -131,7 +135,8 @@ def test_criterion_3_net_dynamical_cancellation(schedules, ideal_runs, tag):
     traj = ideal_runs[tag]
     b = sched.system.embed_qubit([0, -1])
     psi = traj.operators @ b
-    H = hamiltonian_nodes(sched, traj.times, ErrorModel())
+    H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, ErrorModel())
+                        for k, t in segment_state_times(sched, traj.steps)])
     rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
     net = abs(np.trapezoid(rate, traj.times))
     ok = cyc < 1e-7 and net < 1e-9
@@ -141,9 +146,11 @@ def test_criterion_3_net_dynamical_cancellation(schedules, ideal_runs, tag):
 
 def test_criterion_3_to_ratio_constant(schedules):
     sched = schedules["to"]
-    times = np.linspace(0.0, sched.total_duration, 4097)
-    A, K = frame_connection(sched, times, sched.frame(times))
+    (seg,) = sched.segments
+    times = np.linspace(0.0, seg.duration, 4097)
     h = times[1] - times[0]
+    A, K = frame_connection(seg.frame(times),
+                            segment_hamiltonian_nodes(sched, 0, times, ErrorModel()), h)
     intK = np.cumsum(0.5 * (K[1:, 1, 1] + K[:-1, 1, 1]).real) * h
     intA = np.cumsum(0.5 * (A[1:, 1, 1] + A[:-1, 1, 1]).real) * h
     n0 = len(intK) // 10
@@ -156,7 +163,6 @@ def test_criterion_3_to_ratio_constant(schedules):
 
 def test_criterion_3_gauge_covariance(schedules, ideal_runs):
     sched = schedules["sl"]
-    times = np.linspace(0.0, sched.total_duration, 4097)
     tau = sched.total_duration
     X = np.array([[0.4, 0.6 - 0.2j], [0.6 + 0.2j, -0.4]], dtype=complex)
     w, V = np.linalg.eigh(X)
@@ -165,18 +171,13 @@ def test_criterion_3_gauge_covariance(schedules, ideal_runs):
         lam = np.sin(PI * t / tau) ** 2
         return (V * np.exp(-1j * lam * w)) @ V.conj().T
 
-    frame = sched.frame(times)
     comp = list(sched.system.computational_indices)
     U_prop = ideal_runs["sl"].final[np.ix_(comp, comp)]
-
-    defects = []
-    for fr in (frame, gauge_transformed(times, frame, Vfun)):
-        C = holonomy_reconstruct(*frame_connection(sched, times, fr), times[1] - times[0])
-        B = fr[0, :2][:, comp]
-        defects.append(phase_distance(B.T @ C @ B.conj(), U_prop))
-    ok = max(defects) < 1e-5
+    defects = [phase_distance(reconstruct_computational_gate(s), U_prop)
+               for s in (sched, gauge_twisted(sched, Vfun))]
+    ok = max(defects) < 1e-10
     assert report(3, "gauge covariance", ok,
-                  f"plain={defects[0]:.2e} twisted={defects[1]:.2e} (<1e-5)")
+                  f"plain={defects[0]:.2e} twisted={defects[1]:.2e} (<1e-10)")
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +327,9 @@ def test_criterion_9_sta_fast_transitionless():
     sched = sta_schedule(PI / 2, tau=PI)  # tau * omega_bar ~ pi
     traj = propagate_unitary(sched, samples=2000)
     k1 = sched.system.basis_state(1)
-    frame = sched.frame(traj.times)
-    overlaps = np.abs(np.einsum("nc,nc->n", frame[:, 1].conj(), traj.operators @ k1))
+    dark = np.concatenate([sched.segments[k].frame(t)[:, 1]
+                           for k, t in segment_state_times(sched, traj.steps)])
+    overlaps = np.abs(np.einsum("nc,nc->n", dark.conj(), traj.operators @ k1))
     comp = list(sched.system.computational_indices)
     M = traj.final[np.ix_(comp, comp)]
     off = max(abs(M[0, 1]), abs(M[1, 0]))

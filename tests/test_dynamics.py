@@ -31,7 +31,6 @@ from nhqcbench.system import (
     Segment,
     bright_ray_segment,
     detuning_error,
-    hamiltonian_nodes,
     segment_drive_detuning,
     segment_hamiltonian_nodes,
 )
@@ -323,7 +322,8 @@ class TestOracles:
         sched = schedules["sl"]
         from nhqcbench.numkit import expm_hermitian, from_real_embedding
 
-        H1, H2 = hamiltonian_nodes(sched, [0.1, sched.total_duration - 0.1], ErrorModel())
+        H1 = segment_hamiltonian_nodes(sched, 0, [0.1], ErrorModel())[0]
+        H2 = segment_hamiltonian_nodes(sched, 1, [sched.segments[1].duration - 0.1], ErrorModel())[0]
         half = sched.total_duration / 2
         expected = (from_real_embedding(expm_hermitian(H2, half))
                     @ from_real_embedding(expm_hermitian(H1, half)))

@@ -205,31 +205,7 @@ def sequential_product(Ms):
     return U
 
 
-class StridedReads:
-    """The factors of Ms as a lazy sequence: each strided read returns a
-    fresh array and records the indices it covered."""
-
-    def __init__(self, Ms):
-        self.Ms = Ms
-        self.reads = []
-
-    def __len__(self):
-        return len(self.Ms)
-
-    def __getitem__(self, run):
-        self.reads.extend(range(len(self.Ms))[run])
-        return self.Ms[run].copy()
-
-
 class TestOrderedProduct:
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
-    def test_lazy_sequence_matches_array(self, n):
-        Ms = random_unitaries(np.random.default_rng(n), n)
-        lazy = StridedReads(Ms)
-        assert np.array_equal(ordered_product(lazy), ordered_product(Ms))
-        assert sorted(lazy.reads) == list(range(n))  # every factor read exactly once
-
-
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
     def test_random_unitaries_match_loop(self, n):
         Ms = random_unitaries(np.random.default_rng(n), n)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phase_distance
-from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
+from nhqcbench.dynamics import propagate_unitary, segment_state_times
 from nhqcbench.schemes import (
     brachistochrone_tau,
     build_schedule,
@@ -268,10 +268,12 @@ class TestInverseEngineering:
         s = build_schedule(SchemeSpec("S", angles))
         cdd = build_schedule(SchemeSpec("CDD", angles, loops=1))
         err = ErrorModel(epsilon=0.03, eta=-0.02)
-        t = np.linspace(0.0, s.segments[0].duration, 65)
-        assert np.array_equal(segment_hamiltonian_nodes(s, 0, t, err),
-                              segment_hamiltonian_nodes(cdd, 0, t, err))
-        assert np.array_equal(s.frame(t), cdd.frame(t))
+        assert len(s.segments) == len(cdd.segments)
+        for k, (seg, other) in enumerate(zip(s.segments, cdd.segments)):
+            t = np.linspace(0.0, seg.duration, 65)
+            assert np.array_equal(segment_hamiltonian_nodes(s, k, t, err),
+                                  segment_hamiltonian_nodes(cdd, k, t, err))
+            assert np.array_equal(seg.frame(t), other.frame(t))
         assert np.array_equal(s.target, cdd.target)
         assert s.total_duration == cdd.total_duration
         assert (s.scheme_label, cdd.scheme_label) == ("S-NHQC", "CDD-NHQC")
@@ -298,8 +300,9 @@ class TestSta:
         traj = propagate_unitary(sched, samples=1500)
         k1 = np.zeros(4, dtype=complex)
         k1[1] = 1.0
-        frame = sched.frame(traj.times)
-        overlaps = np.abs(np.einsum("nc,nc->n", frame[:, 1].conj(), traj.operators @ k1))
+        dark = np.concatenate([sched.segments[k].frame(t)[:, 1]
+                               for k, t in segment_state_times(sched, traj.steps)])
+        overlaps = np.abs(np.einsum("nc,nc->n", dark.conj(), traj.operators @ k1))
         assert min(overlaps) > 0.999
 
     def test_vectorized_drive_matches_per_sample(self, schedules):
@@ -417,11 +420,10 @@ class TestToUnconventional:
         # closed-form dynamical phase recorded by the builder
         sched = schedules["to"]
         traj = ideal_runs["to"]
-        from nhqcbench.system import hamiltonian_nodes
-
-        w = sched.frame([0.0])[0, 1]
+        w = sched.segments[0].frame(np.zeros(1))[0, 1]
         psi = traj.operators @ w
-        H = hamiltonian_nodes(sched, traj.times, ErrorModel())
+        H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, ErrorModel())
+                            for k, t in segment_state_times(sched, traj.steps)])
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
         dyn = -np.trapezoid(rate, traj.times)
         assert dyn == pytest.approx(sched.notes["dynamical_phase"], abs=1e-6)
