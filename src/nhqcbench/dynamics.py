@@ -19,8 +19,10 @@ Two independent numerical routes are maintained everywhere:
 
 Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
-d*d x d*d matrix ``_fold(lindblad_superoperator(...))``; rho is read back
-from Q once per chunk of states, Hermitian by construction.  Likewise the
+d*d x d*d matrix ``_fold(lindblad_superoperator(...))``.  Every RK4 state is
+checked for trace and positivity in Q, and rho, Hermitian by construction,
+is read back only where a caller keeps it: once per chunk of a trajectory,
+once per grid block for the final states of a sweep.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
 per chunk.
 
@@ -261,20 +263,41 @@ def propagate_unitary(
                       steps=steps)
 
 
-def _validate_density(rho: np.ndarray, where: str) -> None:
-    """Trace and positivity of a Hermitian stack (..., d, d).  Positivity is
-    one batched Cholesky factorisation of rho - POSITIVITY_TOL*I, which
-    exists iff every eigenvalue exceeds POSITIVITY_TOL; only when it fails
-    does eigvalsh decide exactly and name the eigenvalue."""
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    if np.abs(tr - 1.0).max() > TRACE_TOL:
-        raise RuntimeError(f"trace deviates by {np.abs(tr - 1).max():.3e} {where}")
-    try:
-        np.linalg.cholesky(rho - POSITIVITY_TOL * np.eye(rho.shape[-1]))
-    except np.linalg.LinAlgError:
-        wmin = np.linalg.eigvalsh(rho).min()
+def _validate_density(states: np.ndarray, where: str) -> None:
+    """Trace and positivity of every density of `states`: Hermitian
+    matrices (..., d, d), or the real coordinates Q of batches (..., d*d, k)
+    as rk4_chunks yields them.
+
+    Both are checked in Q, with all N densities in the last axis, so each
+    numpy call acts on every one of them.  The trace is the sum of Q's
+    diagonal coordinates.  Positivity is the Cholesky elimination of
+    rho - POSITIVITY_TOL*I, built on a (d, d, N) copy from the entries
+    (Q + Q^T)/2 + i (Q - Q^T)/2: every pivot is positive iff every
+    eigenvalue of rho exceeds POSITIVITY_TOL (Golub & Van Loan, Matrix
+    Computations, 4.2).  A pivot is final once taken, and one that is not
+    positive spoils only the later ones, so all are checked at the end;
+    only when one is not positive does eigvalsh decide exactly and name
+    the eigenvalue."""
+    if np.iscomplexobj(states):
+        states = _coordinates(states).reshape(-1, states.shape[-1] ** 2).T
+    d = math.isqrt(states.shape[-2])
+    q = np.moveaxis(states, -2, 0).reshape(d, d, -1)
+    deviation = np.abs(np.trace(q) - 1.0).max()
+    if not deviation <= TRACE_TOL:  # NaN fails too
+        raise RuntimeError(f"trace deviates by {deviation:.3e} {where}")
+    A = np.empty(q.shape, dtype=complex)
+    np.add(q, q.swapaxes(0, 1), out=A.real)
+    np.subtract(q, q.swapaxes(0, 1), out=A.imag)
+    A *= 0.5
+    A.real[range(d), range(d)] -= POSITIVITY_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(d - 1):
+            a, schur = A[j + 1:, j], A[j + 1:, j + 1:]
+            schur -= a[:, None] * (a.conj() / A.real[j, j])
+    if not np.diagonal(A.real).min() > 0:  # NaN fails too
+        wmin = np.linalg.eigvalsh(_density(q.reshape(d * d, -1).T)).min()
         if wmin < POSITIVITY_TOL:
-            raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}") from None
+            raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}")
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -317,14 +340,18 @@ def _fold(L: np.ndarray) -> np.ndarray:
 def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
     """RK4 densities of the batch rho (k, d, d) under every error model of
     errs at once: the global times, the steps per segment and an iterator
-    over the validated states after rho, chunk by chunk, (c, G, k, d, d).
+    over the states after rho, chunk by chunk, as their coordinates Q in
+    the columns of (c, G, d*d, k), each chunk valid until the next is
+    requested (rk4_chunks).
 
     The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
     + C_g, with S[H] the commutator superoperator, Delta the detuning and
     C_g the Lindblad superoperator of eta_g|e><e| under the rates
     of g, all folded to the real coordinates Q, so every chunk lifts its
-    drive once for the whole grid and the pass is real.  The states read
-    back from Q are Hermitian by construction; only rho is checked for it.
+    drive once for the whole grid and the pass is real.  rho must be
+    Hermitian and pass the trace and positivity check, which every chunk
+    passes in Q before it is yielded; the states read back from Q are
+    Hermitian by construction.
     """
     system = schedule.system
     d, k = system.dim, len(rho)
@@ -345,7 +372,6 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
 
     def chunks():
         for states in rk4_chunks(cols, segments):
-            states = _density(states.swapaxes(-1, -2))
             _validate_density(states, "during evolution")
             yield states
     return times, steps, chunks()
@@ -360,14 +386,16 @@ def propagate_lindblad(
     """RK4 density-matrix trajectory; rho0 may be (d, d) or a batch (m, d, d).
 
     Trace and positivity are enforced at every stored sample, which is
-    Hermitian by construction, and rho0 must pass all three; violations
-    abort rather than clip.
+    read back from Q chunk by chunk, Hermitian by construction; rho0 must
+    be Hermitian and pass both checks too.  Violations abort rather than
+    clip.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     batch = rho0.ndim == 3
     rho = rho0 if batch else rho0[None, :, :]
     times, steps, chunks = _lindblad_chunks(schedule, [err], rho, samples)
-    ops = np.concatenate([rho[None], *(states[:, 0] for states in chunks)])
+    ops = np.concatenate([rho[None],
+                          *(_density(states[:, 0].swapaxes(-1, -2)) for states in chunks)])
     mon = monitor_index(schedule.system)
     pe = ops[..., mon, mon].real.max(axis=1)
     if not batch:
@@ -390,18 +418,22 @@ def propagate_lindblad_grid(
     The points share one RK4 pass, in blocks of CHUNK_ELEMENTS // d**4 so
     that memory stays bounded; each point's values are those of
     propagate_lindblad under its own error model, checked the same way.
+    Only the final states of a block are read back from Q; the monitored
+    population is Q's coordinate (mon, mon), which equals Re rho[mon, mon]
+    bit for bit.
     """
     rho = np.asarray(rho0, dtype=complex)
+    d = schedule.system.dim
     mon = monitor_index(schedule.system)
-    block = max(1, CHUNK_ELEMENTS // schedule.system.dim ** 4)
+    block = max(1, CHUNK_ELEMENTS // d ** 4)
     final, peak = [], []
     for b0 in range(0, len(errs), block):
         part = errs[b0:b0 + block]
         _, steps, chunks = _lindblad_chunks(schedule, part, rho, samples)
         top = np.full(len(part), rho[:, mon, mon].real.max())
         for states in chunks:
-            top = np.maximum(top, states[..., mon, mon].real.max(axis=(0, 2)))
-        final.append(states[-1])
+            top = np.maximum(top, states[..., mon * (d + 1), :].max(axis=(0, 2)))
+        final.append(_density(states[-1].swapaxes(-1, -2)))
         peak.append(top)
     return np.concatenate(final), np.concatenate(peak), sum(steps)
 

@@ -260,7 +260,8 @@ def rk4_chunks(
     sequence can build each run as it is read.  The step matrices are built in batched
     chunks of about CHUNK_ELEMENTS // (G m**2) steps, so transient memory
     depends on neither the step count nor m.  Each chunk of states is a
-    (c, *y0.shape) view of a fresh array.
+    (c, *y0.shape) view of one buffer held for the call: it is valid until
+    the next chunk is requested, and the last one stays valid.
 
     The steps of a segment are chained in blocks of b: the prefix products
     P_j ... P_1 of all the chunk's blocks are built side by side in place,
@@ -290,15 +291,18 @@ def rk4_chunks(
     chunk = max(1, CHUNK_ELEMENTS // (math.prod(grid) * m * m))
     steps = [(len(A) - 1) // 2 for _, A in segments]
     blocks = [math.isqrt(n - 1) + 1 if wide and n else 1 for n in steps]
-    # one workspace for the step matrices of every chunk: fresh arrays of
-    # this size per chunk would make the allocator return and refault pages
-    work = np.empty((3, max([chunk, *blocks])) + grid + (m, m), dtype=y.dtype)
-    for si, ((h, A), n, b) in enumerate(zip(segments, steps, blocks)):
-        run = max(b, chunk // b * b)
+    runs = [max(b, chunk // b * b) for b in blocks]
+    rows = max([min(r, -(-n // b) * b) for n, b, r in zip(steps, blocks, runs)], default=0)
+    # one workspace for the step matrices and one buffer for the states of
+    # every chunk: fresh arrays of this size per chunk would make the
+    # allocator return and refault pages
+    work = np.empty((3, rows) + grid + (m, m), dtype=y.dtype)
+    buf = np.empty((rows,) + y.shape, dtype=y.dtype)
+    for si, ((h, A), n, b, run) in enumerate(zip(segments, steps, blocks, runs)):
         for c0 in range(0, n, run):
             c = min(run, n - c0)
             cb = -(-c // b) * b  # whole blocks: identity steps, dropped below, pad the last
-            states = np.empty((cb,) + y.shape, dtype=y.dtype)
+            states = buf[:cb]
             P = work[0, :cb]
             start = y
             with np.errstate(over="ignore", invalid="ignore"):
@@ -315,7 +319,8 @@ def rk4_chunks(
                     np.matmul(P.reshape((-1, b) + P.shape[1:])[:, :-1], before, out=S[:, :-1])
                 states = states[:c]
                 total = states.sum()
-            y = states[-1]
+            # a copy: the next chunk overwrites the buffer while it reads this state
+            y = states[-1].copy()
             if not np.isfinite(total):
                 finite = np.isfinite(states).reshape(c, -1).all(axis=1)
                 if not finite.all():

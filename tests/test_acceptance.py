@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import gauge_twisted, phase_distance
+from conftest import align_phase, gauge_twisted, phase_distance
 from nhqcbench.bench import (
     FIG13_GAMMA,
     benchmark_catalog,
@@ -161,7 +161,7 @@ def test_criterion_3_to_ratio_constant(schedules):
                   f"dyn/geo={ratio[-1]:.4f} max deviation={dev:.2e} (<1e-3)")
 
 
-def test_criterion_3_gauge_covariance(schedules, ideal_runs):
+def test_criterion_3_gauge_covariance(schedules, ideal_runs, oracle_gates):
     sched = schedules["sl"]
     tau = sched.total_duration
     X = np.array([[0.4, 0.6 - 0.2j], [0.6 + 0.2j, -0.4]], dtype=complex)
@@ -173,11 +173,15 @@ def test_criterion_3_gauge_covariance(schedules, ideal_runs):
 
     comp = list(sched.system.computational_indices)
     U_prop = ideal_runs["sl"].final[np.ix_(comp, comp)]
-    defects = [phase_distance(reconstruct_computational_gate(s), U_prop)
-               for s in (sched, gauge_twisted(sched, Vfun))]
-    ok = max(defects) < 1e-10
+    U_orc = oracle_gates["sl"][np.ix_(comp, comp)]
+    U_rec = [reconstruct_computational_gate(s) for s in (sched, gauge_twisted(sched, Vfun))]
+    defects = [phase_distance(U, U_prop) for U in U_rec]
+    # phase_distance is quadratic in the error; the entries are linear
+    entries = [np.abs(align_phase(U, U_orc) - U_orc).max() for U in U_rec]
+    ok = max(defects) < 1e-10 and max(entries) < 1e-10
     assert report(3, "gauge covariance", ok,
-                  f"plain={defects[0]:.2e} twisted={defects[1]:.2e} (<1e-10)")
+                  f"plain={defects[0]:.2e} twisted={defects[1]:.2e} (<1e-10), "
+                  f"entries vs oracle plain={entries[0]:.2e} twisted={entries[1]:.2e} (<1e-10)")
 
 
 # --------------------------------------------------------------------------

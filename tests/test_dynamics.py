@@ -275,6 +275,12 @@ class TestLindbladGrid:
         errs = [ErrorModel(epsilon=x) for x in (-0.05, 0.0, 0.1)]
         assert_grid_matches_points(schedules["dfs3"], errs, 400)
 
+    def test_dfs3_one_step_chunks(self, schedules):
+        # eight points of m = 64 leave one step per chunk, so every chunk's
+        # state is written where the state it starts from was yielded
+        errs = [ErrorModel(epsilon=x) for x in np.linspace(-0.1, 0.1, 8)]
+        assert_grid_matches_points(schedules["dfs3"], errs, 400)
+
     def test_blocks_of_the_grid_leave_values_unchanged(self, schedules, monkeypatch):
         sched = schedules["ps"]
         errs = GRID_AXES["epsilon"] + GRID_AXES["eta"]
@@ -314,6 +320,74 @@ class TestValidateDensity:
     def test_rank_deficient_state_passes(self):
         # a pure state sits on the boundary the tolerance keeps inside
         _validate_density(six_axial_densities(LevelSystem.lambda3()), "at t")
+
+
+def chunk_coordinates(rho):
+    """Densities (c, G, k, d, d) as the coordinates Q that rk4_chunks yields
+    for them, (c, G, d*d, k)."""
+    d = rho.shape[-1]
+    return (rho.real + rho.imag).reshape(rho.shape[:-2] + (d * d,)).swapaxes(-1, -2)
+
+
+def random_densities(d, n, shift, seed):
+    """n random states of rank 1 to d - 1, shifted by shift*I and renormalised:
+    their smallest eigenvalues sit at about shift."""
+    rng = np.random.default_rng(seed)
+    rho = []
+    for i in range(n):
+        shape = (d, 1 + i % (d - 1))
+        V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho.append(V @ V.conj().T / np.linalg.norm(V) ** 2 + shift * np.eye(d))
+    rho = np.stack(rho)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+class TestValidateCoordinates:
+    """The check on the coordinates rk4_chunks yields, and on complex rho0."""
+
+    def test_negative_eigenvalue_named_on_both_routes(self, schedules):
+        rho = np.stack([rotated_density([0.5, 0.5, 0.0], 1),
+                        rotated_density([1 + 2e-9, -2e-9, 0.0], 2)])
+        with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 in rho0"):
+            propagate_lindblad(schedules["sl"], ErrorModel(), rho, samples=50)
+        chunk = np.broadcast_to(rho[0], (4, 3, 5, 3, 3)).copy()
+        chunk[2, 1, 3] = rho[1]
+        with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
+            _validate_density(chunk_coordinates(chunk), "at t")
+
+    def test_trace_deviation_rejected(self):
+        chunk = np.broadcast_to(basis_rho(3, 0), (4, 3, 5, 3, 3)).copy()
+        chunk[1, 2, 0, 2, 2] = 1e-6
+        with pytest.raises(RuntimeError, match=r"trace deviates by 1\.000e-06 at t"):
+            _validate_density(chunk_coordinates(chunk), "at t")
+
+    def test_nan_rho0_rejected(self, schedules):
+        with pytest.raises(RuntimeError, match="trace deviates by nan in rho0"):
+            propagate_lindblad(schedules["sl"], ErrorModel(), np.full((3, 3), np.nan), samples=50)
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    @pytest.mark.parametrize("shift", [2e-9, -2e-9])
+    def test_verdicts_agree_with_eigvalsh(self, d, shift, monkeypatch):
+        # +-2e-9 is far outside the roundoff of the elimination at the 1e-9
+        # margin, so its pivots must decide every state as eigvalsh does,
+        # without falling back to eigvalsh for the states that pass
+        rho = random_densities(d, 60, shift, seed=d)
+        passes = np.linalg.eigvalsh(rho).min(axis=1) >= dynamics.POSITIVITY_TOL
+        assert passes.all() if shift > 0 else not passes.any()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        for i, r in enumerate(rho):
+            states = r if i % 2 else chunk_coordinates(r[None, None, None])
+            if passes[i]:
+                _validate_density(states, "at t")
+            else:
+                with pytest.raises(RuntimeError, match="negative eigenvalue"):
+                    _validate_density(states, "at t")
+        assert len(calls) == np.count_nonzero(~passes)
+        if shift > 0:
+            _validate_density(chunk_coordinates(rho.reshape(6, 2, 5, d, d)), "at t")
+            assert len(calls) == 0
 
 
 class TestOracles:

@@ -169,6 +169,8 @@ class TestReconstruct:
         U_rec = reconstruct_computational_gate(sched)
         expected = np.diag([np.exp(-1j * PI / 4), np.exp(1j * PI / 4)])
         assert phase_distance(U_rec, expected) < 1e-9
+        # phase_distance is quadratic in the error; the entries are linear
+        assert np.abs(align_phase(U_rec, expected) - expected).max() < 1e-10
 
     def test_finite_difference_fourth_order(self, schedules, oracle_gates):
         sched = schedules["s"]
@@ -186,7 +188,7 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="steps"):
             reconstruct_computational_gate(schedules["sl"], steps=1)
 
-    def test_gauge_covariance(self, schedules, ideal_runs):
+    def test_gauge_covariance(self, schedules, ideal_runs, oracle_gates):
         sched = schedules["sl"]
         tau = sched.total_duration
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -199,6 +201,8 @@ class TestReconstruct:
         comp = list(sched.system.computational_indices)
         U_prop = ideal_runs["sl"].final[np.ix_(comp, comp)]
         assert phase_distance(U_rec, U_prop) < 1e-10
+        U_orc = oracle_gates["sl"][np.ix_(comp, comp)]
+        assert np.abs(align_phase(U_rec, U_orc) - U_orc).max() < 1e-10
 
 
 class TestConditionResiduals:

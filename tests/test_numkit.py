@@ -405,7 +405,8 @@ class TestRk4:
         if grid:
             A = np.stack([A, 0.5 * A], axis=1)
             y0 = np.stack([y0, -y0])
-        states = np.concatenate(list(rk4_chunks(y0, [(1.0 / 60, A)])))
+        # a chunk is valid until the next one is requested
+        states = np.concatenate([s.copy() for s in rk4_chunks(y0, [(1.0 / 60, A)])])
         assert states.dtype == np.float64
         ref = rk4_linear(y0, [(1.0 / 60, A)])[1:]
         assert ref.dtype == complex
