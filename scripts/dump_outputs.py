@@ -6,10 +6,11 @@
 
 The dump holds, per scheme, the arrays a numerical change must keep within
 1e-12 of the previous outputs: H nodes and the full RK4 propagator
-trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle at the
-same errors, the auxiliary frame, the holonomy reconstruction `check`
-prints, and the six-axial-state Lindblad trajectory (epsilon = 0.05,
-gamma_minus = gamma_z = 3e-4; schemes with an excited level).  H nodes and
+trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle and
+the (cyclic, parallel) condition residuals of that trajectory at the same
+errors, the auxiliary frame, the holonomy reconstruction `check` prints,
+and the six-axial-state Lindblad trajectory (epsilon = 0.05, gamma_minus =
+gamma_z = 3e-4; schemes with an excited level).  H nodes and
 frames are sampled segment by segment in local time, each segment on its
 allocate_steps share of 4000 (H) or 4096 (frame) intervals, both ends
 included.  The oracle Lindblad final states of sl, ps and dc at the golden
@@ -45,7 +46,7 @@ from nhqcbench.dynamics import (
     propagate_unitary,
     six_axial_densities,
 )
-from nhqcbench.holonomy import reconstruct_computational_gate
+from nhqcbench.holonomy import condition_residuals, reconstruct_computational_gate
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, segment_hamiltonian_nodes
 
@@ -73,7 +74,9 @@ def dump(path: str) -> None:
         sched = build_schedule(spec)
         arrays[f"{tag}/hnodes"] = per_segment(
             sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))
-        arrays[f"{tag}/unitary"] = propagate_unitary(sched, CLOSED).operators
+        traj = propagate_unitary(sched, CLOSED)
+        arrays[f"{tag}/unitary"] = traj.operators
+        arrays[f"{tag}/residuals"] = np.array(condition_residuals(sched, traj, CLOSED))
         arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
         arrays[f"{tag}/frame"] = per_segment(sched, 4096, lambda k, t: sched.segments[k].frame(t))
         arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)

@@ -109,13 +109,15 @@ def _header_lines(**meta) -> list[str]:
     return lines
 
 
-def _write_csv(path: Path, header_meta: dict, columns: list[str], rows: list[list]) -> None:
-    lines = _header_lines(**header_meta)
-    lines.append(",".join(columns))
-    # a column of floats takes one mapped format call: the text of _fmt
-    cols = [map("{:.12g}".format if all(isinstance(v, float) for v in col) else _fmt, col)
-            for col in zip(*rows)]
-    lines += map(",".join, zip(*cols))
+def _csv_line(row: list) -> str:
+    """One CSV row, each cell formatted by _fmt."""
+    return ",".join(map(_fmt, row))
+
+
+def _write_csv(path: Path, header_meta: dict, columns: list[str], lines) -> None:
+    """Write the header, the column names and the formatted rows `lines`
+    (strings, as _csv_line makes them)."""
+    lines = [*_header_lines(**header_meta), ",".join(columns), *lines]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -159,9 +161,9 @@ def cmd_simulate(args) -> int:
         print(f"{k}={v}")
     out_dir = Path(args.out_dir)
     traj_path = out_dir / f"trajectory_{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}.csv"
-    # floats, not np.float64: the same .12g text, formatted faster
-    rows = [[t * scale, p]
-            for t, p in zip(traj.times.tolist(), traj.excited_population.tolist())]
+    # one format call per row of floats: the bytes _csv_line gives them
+    lines = ["%.12g,%.12g" % row
+             for row in zip((traj.times * scale).tolist(), traj.excited_population.tolist())]
     _write_csv(
         traj_path,
         {
@@ -173,7 +175,7 @@ def cmd_simulate(args) -> int:
             "scheme": args.scheme,
         },
         ["time", "excited_population"],
-        rows,
+        lines,
     )
     report_path = out_dir / f"report_{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}.json"
     payload = {
@@ -227,7 +229,7 @@ def _write_sweep(args, result, out: Path, **meta) -> None:
         "fixed_gamma_z": result.fixed.gamma_z,
     })
     _write_csv(out, meta, ["scheme", "value", "fidelity", "pulse_area_pi", "duration",
-                           "peak_excited_population"], rows)
+                           "peak_excited_population"], map(_csv_line, rows))
     print(f"rows={len(rows)}")
 
 
@@ -276,7 +278,7 @@ def cmd_table1(args) -> int:
             {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
              "samples": PULSE_AREA_SAMPLES},
             ["tag", "label", "area_pi", "published", "difference"],
-            out_rows,
+            map(_csv_line, out_rows),
         )
         print(f"table_file={args.out}")
     return 0
@@ -371,7 +373,7 @@ def cmd_goldens(args) -> int:
             "fixed_gamma_z": fixed.gamma_z,
         },
         ["scheme", "value", "fidelity", "pulse_area_pi", "duration"],
-        rows,
+        map(_csv_line, rows),
     )
     # frozen single-point value: SL S gate at the published decoherence rates
     fid = _oracle_fidelity(build_schedule(catalog["sl"]), fixed)
@@ -395,7 +397,7 @@ def cmd_goldens(args) -> int:
         {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
          "samples": PULSE_AREA_SAMPLES},
         ["tag", "label", "area_pi", "published"],
-        t_rows,
+        map(_csv_line, t_rows),
     )
     print(f"golden_dir={out_dir}")
     return 0

@@ -204,22 +204,50 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
     return segments, np.concatenate(times), steps
 
 
-def _grid_generator(system: LevelSystem, lift, errs, const):
+def _lift_map(system: LevelSystem, kind: str) -> np.ndarray:
+    """The real-linear lift of H to the generator of `kind` as a matrix
+    (2d*d, m*m): row j lifts the unit coordinate 1 on entry j of row-major
+    H, row d*d + j lifts i on it.  The lift is phi(-iH), m = 2d, for
+    propagators, and the folded commutator superoperator, m = d*d, for
+    densities."""
+    d = system.dim
+    unit = np.eye(d * d).reshape(d * d, d, d)
+    basis = np.concatenate([unit, 1j * unit])
+    if kind == "unitary":
+        lifted = real_embedding(-1j * basis)
+    else:
+        lifted = _fold(lindblad_superoperator(system, ErrorModel(), basis))
+    return lifted.reshape(2 * d * d, -1)
+
+
+def _lift(lift_map: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The lifts (n, m, m) of H (n, d, d): the coordinates of H, Re and
+    Im of every entry, times lift_map, restricted to the coordinates that
+    are nonzero somewhere in H, which are few for sparse drives.  For
+    Hermitian H each lifted entry is one coordinate up to sign, the
+    difference of two, or pairs that cancel exactly, so the product is
+    bit-equal to the lift itself."""
+    n = len(H)
+    X = np.concatenate([H.real.reshape(n, -1), H.imag.reshape(n, -1)], axis=1)
+    nz = np.flatnonzero(X.any(axis=0))
+    m = math.isqrt(lift_map.shape[1])
+    return (X[:, nz] @ lift_map[nz]).reshape(n, m, m)
+
+
+def _grid_generator(system: LevelSystem, lift_map: np.ndarray, errs, const):
     """Map a run of drive nodes (n, d, d) and detuning coefficients (n,) or
     None to the generators of every error model of errs, (n, G, m, m):
-    A_g = (1+eps_g) lift(drive) + detuning lift(|e><e|) + const[g], of the
-    dtype of const; lift is linear (phi(-iH) for propagators, the folded
-    commutator superoperator for densities), and |e><e| is lifted once
-    here.  Every call writes into one buffer, which the next call
-    overwrites."""
+    A_g = (1+eps_g) lift(drive) + detuning lift(|e><e|) + const[g], each
+    lift taken by _lift through lift_map, and |e><e| lifted once here.
+    Every call writes into one buffer, which the next call overwrites."""
     scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
     buf = np.empty((0,) + const.shape, dtype=const.dtype)
     e = system.excited_index
-    lifted_e = None if e is None else lift(np.diag(system.basis_state(e)))
+    lifted_e = None if e is None else _lift(lift_map, np.diag(system.basis_state(e))[None])[0]
 
     def generator(drive, detuning):
         nonlocal buf
-        S = lift(drive)
+        S = _lift(lift_map, drive)
         if len(buf) < len(S):
             buf = np.empty((len(S),) + const.shape, dtype=const.dtype)
         A = np.multiply(scale, S[:, None], out=buf[:len(S)])
@@ -228,6 +256,14 @@ def _grid_generator(system: LevelSystem, lift, errs, const):
         A += const
         return A
     return generator
+
+
+def _unitarity_drift(ops: np.ndarray) -> float:
+    """max |U U^dagger - I| over the entries of a stack of complex U (n, d,
+    d), the products taken by einsum, about twice as fast as a stacked @
+    on small matrices."""
+    gram = np.einsum("nij,nkj->nik", ops, ops.conj())
+    return float(np.abs(gram - np.eye(ops.shape[-1])).max())
 
 
 def propagate_unitary(
@@ -241,9 +277,9 @@ def propagate_unitary(
     the complex one up to roundoff."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
-    eta = detuning_error(schedule, err)
-    generator = _grid_generator(schedule.system, lambda H: real_embedding(-1j * H), [err],
-                                real_embedding(-1j * eta)[None])
+    lift_map = _lift_map(schedule.system, "unitary")
+    generator = _grid_generator(schedule.system, lift_map, [err],
+                                _lift(lift_map, detuning_error(schedule, err)[None]))
     segments, times, steps = _rk4_segments(schedule, samples, "unitary", generator)
     d = schedule.system.dim
     ops = np.empty((len(times), d, d), dtype=complex)
@@ -252,7 +288,7 @@ def propagate_unitary(
     for states in rk4_chunks(np.eye(2 * d)[None], segments):
         ops[i:i + len(states)] = from_real_embedding(states[:, 0])
         i += len(states)
-    drift = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(d)).max()
+    drift = _unitarity_drift(ops)
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")
     states = six_axial_states(schedule.system)
@@ -361,11 +397,12 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     if herm > 1e-8:
         raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
     _validate_density(rho, "in rho0")
-    const = np.stack([_fold(lindblad_superoperator(system, e, detuning_error(schedule, e)))
-                      for e in errs])
-    closed = ErrorModel()
-    generator = _grid_generator(
-        system, lambda H: _fold(lindblad_superoperator(system, closed, H)), errs, const)
+    lift_map = _lift_map(system, "lindblad")
+    # the Hamiltonian part eta_g|e><e| of C_g by the lift, its dissipator folded
+    const = _lift(lift_map, np.stack([detuning_error(schedule, e) for e in errs]))
+    const += np.stack([_fold(lindblad_superoperator(system, e, np.zeros((d, d))))
+                       for e in errs])
+    generator = _grid_generator(system, lift_map, errs, const)
     segments, times, steps = _rk4_segments(schedule, samples, "lindblad", generator)
     # columns are the row-major coordinates Q of the batch
     cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))

@@ -128,6 +128,6 @@ def condition_residuals(
     cyclic = float(np.linalg.norm(P1 - P0))
     H = np.concatenate([segment_hamiltonian_nodes(schedule, k, t, err)
                         for k, t in segment_state_times(schedule, traj.steps)])
-    elems = phis.conj().swapaxes(-1, -2) @ (H @ phis)
+    elems = np.einsum("nil,nim->nlm", phis.conj(), np.einsum("nij,njm->nim", H, phis))
     parallel = float(np.abs(elems).max())
     return cyclic, parallel

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhqcbench.cli import TIME_UNIT_NS, _fmt, _header_lines, _write_csv, main
+from nhqcbench.bench import GATE_ANGLES, benchmark_catalog
+from nhqcbench.cli import TIME_UNIT_NS, _csv_line, _fmt, _header_lines, _write_csv, main
+from nhqcbench.dynamics import propagate_unitary
+from nhqcbench.schemes import build_schedule
+from nhqcbench.system import ErrorModel
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens" / "v1"
 
@@ -108,6 +113,23 @@ class TestSimulate:
         assert header == [f"# samples={steps}"]
         assert len(csv_rows(path)) - 1 == steps
 
+    @pytest.mark.parametrize("units, scale", [("dimensionless", 1.0),
+                                              ("physical", TIME_UNIT_NS)])
+    def test_trajectory_rows_are_the_per_value_format(self, tmp_path, capsys, units, scale):
+        # each trajectory row takes one format call; the bytes must be those
+        # of _fmt on every cell of [t * scale, p]
+        code, _ = run(["simulate", "--scheme", "sl", "--gate", "S", "--epsilon", "0.03",
+                       "--units", units, "--out-dir", str(tmp_path), "--samples", "400"],
+                      capsys)
+        assert code == 0
+        spec = replace(benchmark_catalog()["sl"], angles=GATE_ANGLES["S"])
+        traj = propagate_unitary(build_schedule(spec), ErrorModel(epsilon=0.03), 400)
+        rows = [[t * scale, p]
+                for t, p in zip(traj.times.tolist(), traj.excited_population.tolist())]
+        text = (tmp_path / "trajectory_sl_S.csv").read_text()
+        assert text.split("time,excited_population\n", 1)[1] == "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
     def test_unknown_gate(self, capsys):
         code, _ = run(["simulate", "--scheme", "sl", "--gate", "Q"], capsys)
         assert code == 2
@@ -172,13 +194,13 @@ class TestSimulate:
             assert csv["0.1"] != csv["0"]
 
 def test_csv_rows_are_the_per_value_format(tmp_path):
-    # float columns are formatted by one mapped call; the bytes must be those
-    # of formatting every cell with _fmt
+    # rows are formatted by _csv_line; the bytes must be those of
+    # formatting every cell with _fmt
     floats = [0.0, -0.0, 1e-05, 1e16, 0.1 + 0.2, float("nan"), float("inf"), 2 / 3]
     rows = [[f"s{i}", i, i % 2 == 0, np.float64(x) * 3, x, x if i % 2 else i]
             for i, x in enumerate(floats)]
     path = tmp_path / "t.csv"
-    _write_csv(path, {"k": 1.5, "n": 7}, ["a", "b", "c", "d", "e", "f"], rows)
+    _write_csv(path, {"k": 1.5, "n": 7}, ["a", "b", "c", "d", "e", "f"], map(_csv_line, rows))
     lines = _header_lines(k=1.5, n=7) + ["a,b,c,d,e,f"]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -21,6 +21,7 @@ from nhqcbench.dynamics import (
     six_axial_densities,
     six_axial_states,
 )
+from nhqcbench.numkit import real_embedding
 from nhqcbench.schemes import build_schedule, dfs3_schedule
 from nhqcbench.system import (
     ErrorModel,
@@ -148,6 +149,15 @@ class TestPropagateUnitary:
                                  -1j * segment_hamiltonian_nodes(sched, si, lattice, err)))
             ref = rk4_linear(np.eye(sched.system.dim), segments)
             assert np.abs(propagate_unitary(sched, err).operators - ref).max() <= 1e-13, tag
+
+    @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel(epsilon=0.03, eta=-0.02)])
+    def test_drift_matches_stacked_matmul(self, schedules, err):
+        # the drift is taken by einsum; the stacked complex @ it replaced
+        # gives the same value up to roundoff
+        for tag, sched in schedules.items():
+            ops = propagate_unitary(sched, err).operators
+            ref = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(sched.system.dim)).max()
+            assert abs(dynamics._unitarity_drift(ops) - ref) <= 1e-15, tag
 
     def test_coarse_run_fails_the_drift_check(self, schedules):
         with pytest.raises(RuntimeError, match="unitarity drift .* exceeds"):
@@ -617,6 +627,49 @@ class TestRealCoordinates:
                                       slices=32)
 
 
+class TestLiftMap:
+    """_lift through the map of unit coordinates is bit-equal to both lifts
+    it replaces on Hermitian H."""
+
+    SYSTEMS = [LevelSystem.lambda3(), LevelSystem.tripod4(), LevelSystem.three_qubit8()]
+
+    @staticmethod
+    def assert_lifts_equal(system, H):
+        assert np.array_equal(dynamics._lift(dynamics._lift_map(system, "unitary"), H),
+                              real_embedding(-1j * H))
+        assert np.array_equal(
+            dynamics._lift(dynamics._lift_map(system, "lindblad"), H),
+            dynamics._fold(lindblad_superoperator(system, ErrorModel(), H)))
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: str(s.dim))
+    def test_random_hermitian(self, system):
+        rng = np.random.default_rng(system.dim)
+        d = system.dim
+        A = rng.normal(size=(20, d, d)) + 1j * rng.normal(size=(20, d, d))
+        self.assert_lifts_equal(system, A + A.conj().swapaxes(-1, -2))
+
+    def test_catalog_drives_and_excited_projector(self, schedules):
+        for tag, sched in schedules.items():
+            system = sched.system
+            for si, seg in enumerate(sched.segments):
+                drive, _ = segment_drive_detuning(sched, si, np.linspace(0.0, seg.duration, 33))
+                self.assert_lifts_equal(system, drive)
+            if system.excited_index is not None:
+                self.assert_lifts_equal(system, np.diag(system.basis_state(system.excited_index))[None])
+
+    def test_support_is_taken_per_run(self):
+        # runs whose nonzero entries differ, alone and stacked: a support kept
+        # from an earlier run would drop the entries of a later one
+        system = LevelSystem.lambda3()
+        H0 = np.zeros((1, 3, 3), dtype=complex)
+        H0[0, 0, 1] = H0[0, 1, 0] = 0.7
+        H1 = np.zeros((1, 3, 3), dtype=complex)
+        H1[0, 1, 2], H1[0, 2, 1] = 0.3j, -0.3j
+        H1[0, 2, 2] = -1.1
+        for H in (H0, H1, np.concatenate([H0, H1]), np.concatenate([H1, H0])):
+            self.assert_lifts_equal(system, H)
+
+
 class TestGridGenerator:
     """The generators built from a segment's drive and detuning equal those
     lifted from the full error-injected H."""
@@ -633,12 +686,14 @@ class TestGridGenerator:
     def test_unitary_generator_is_minus_i_h(self, schedules, tag):
         sched = schedules[tag]
         err = ErrorModel(epsilon=self.ERR.epsilon, eta=self.ERR.eta)
-        generator = dynamics._grid_generator(sched.system, lambda H: -1j * H, [err],
-                                             -1j * detuning_error(sched, err)[None])
+        generator = dynamics._grid_generator(
+            sched.system, dynamics._lift_map(sched.system, "unitary"), [err],
+            real_embedding(-1j * detuning_error(sched, err))[None])
         for si, t, (drive, detuning) in self.runs(sched):
             assert detuning is not None
             A = generator(drive, detuning)[:, 0]
-            assert np.array_equal(A, -1j * segment_hamiltonian_nodes(sched, si, t, err))
+            H = segment_hamiltonian_nodes(sched, si, t, err)
+            assert np.array_equal(A, real_embedding(-1j * H))
 
     @pytest.mark.parametrize("tag", ["ss", "s"])
     def test_lindblad_generator_lifts_full_h(self, schedules, tag):
@@ -647,8 +702,8 @@ class TestGridGenerator:
 
         def lift(H, e=ErrorModel()):
             return dynamics._fold(lindblad_superoperator(system, e, H))
-        generator = dynamics._grid_generator(system, lift, [err],
-                                             lift(detuning_error(sched, err), err)[None])
+        generator = dynamics._grid_generator(system, dynamics._lift_map(system, "lindblad"),
+                                             [err], lift(detuning_error(sched, err), err)[None])
         for si, t, (drive, detuning) in self.runs(sched):
             A = generator(drive, detuning)[:, 0]
             full = lift(segment_hamiltonian_nodes(sched, si, t, err), err)

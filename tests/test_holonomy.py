@@ -264,6 +264,20 @@ class TestConditionResiduals:
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
         assert abs(np.trapezoid(rate, traj.times)) < 1e-9
 
+    @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel(epsilon=0.03, eta=-0.02)])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_contractions_match_stacked_matmul(self, schedules, tag, err):
+        # the parallel residual is taken by einsum; the stacked complex @
+        # it replaced gives the same value up to roundoff
+        sched = schedules[tag]
+        traj = propagate_unitary(sched, err)
+        cyc, par = condition_residuals(sched, traj, err)
+        phis = traj.operators[:, :, list(sched.system.computational_indices)]
+        H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, err)
+                            for k, t in segment_state_times(sched, traj.steps)])
+        ref = np.abs(phis.conj().swapaxes(-1, -2) @ (H @ phis)).max()
+        assert abs(par - ref) <= 1e-15
+
     def test_boundary_state_pairs_with_following_segment(self):
         # the weight on |0><0| jumps from 1 to 2 at the boundary and then
         # decays: only the boundary state, paired with the following
