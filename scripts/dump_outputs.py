@@ -16,8 +16,9 @@ allocate_steps share of 4000 (H) or 4096 (frame) intervals, both ends
 included.  The oracle Lindblad final states of sl, ps and dc at the golden
 4000 slices are included too, and so are the six-state fidelities and peak
 populations of two grid sweeps at the default 4000 steps: the 41-point
-epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, and the
-`fig13 a` decoherence sweep (9 points).  `--compare` prints max |A - B| per key
+epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, the
+`fig13 a` decoherence sweep (9 points) and the closed 9-point epsilon sweep
+of dfs3 (the d = 8 Lindblad grid).  `--compare` prints max |A - B| per key
 and exits 1 if the key sets or the shape of any array differ.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
@@ -58,6 +59,7 @@ SWEEPS = {
     "sweep_epsilon": (GOLDEN_TAGS, "epsilon", np.linspace(-0.1, 0.1, 41),
                       ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)),
     "fig13a": (TABLE1_TAGS, "gamma_decoherence", np.linspace(0.0, 6e-4, 9), ErrorModel()),
+    "dfs3_epsilon": (("dfs3",), "epsilon", np.linspace(-0.1, 0.1, 9), ErrorModel()),
 }
 
 

@@ -28,7 +28,13 @@ per chunk.
 
 The RK4 generators of a segment reach the engine through one lazy
 sequence, ``_Runs``, which builds each run of matrices as the engine reads
-it.
+it.  A run whose drive nodes, and detuning if any, all equal the first (the
+square pulses of sl, ss, c, dc and dfs3) lifts that one node and reaches
+the engine broadcast along the run, so the engine builds one step matrix
+per chunk (``numkit.is_constant``); likewise an oracle chunk of equal
+exponents takes one exponential.  Every per-node operation gives one node
+alone the bits it gives it inside the stack, so these shortcuts change no
+value.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -48,6 +54,7 @@ from .numkit import (
     expm_taylor,
     from_real_embedding,
     hermiticity_defect,
+    is_constant,
     ordered_product,
     real_embedding,
     rk4_chunks,
@@ -197,7 +204,12 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
 
         def build(t, si=si):
-            return generator(*segment_drive_detuning(schedule, si, t))
+            drive, detuning = segment_drive_detuning(schedule, si, t)
+            if is_constant(drive) and (detuning is None or is_constant(detuning)):
+                # a constant run lifts one node, broadcast along the run
+                A = generator(drive[:1], None if detuning is None else detuning[:1])
+                return np.broadcast_to(A, (len(t),) + A.shape[1:])
+            return generator(drive, detuning)
         segments.append((seg.duration / n, _Runs(lattice, build)))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
@@ -260,8 +272,9 @@ def _grid_generator(system: LevelSystem, lift_map: np.ndarray, errs, const):
 
 def _unitarity_drift(ops: np.ndarray) -> float:
     """max |U U^dagger - I| over the entries of a stack of complex U (n, d,
-    d), the products taken by einsum, about twice as fast as a stacked @
-    on small matrices."""
+    d), the products taken by einsum: on 2001 states about 0.7 of the time
+    of a stacked @ for d = 3, about the same for d = 4, and 1.6 to 1.7
+    times as long for d = 8."""
     gram = np.einsum("nij,nkj->nik", ops, ops.conj())
     return float(np.abs(gram - np.eye(ops.shape[-1])).max())
 
@@ -523,7 +536,10 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
     m, m); since a + b = 1/2, a piecewise-constant drive makes it exact.
     Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
     H nodes, both exponents of every slice interleaved in time order, and
-    one ordered_product.  A rejected exponent names its slice."""
+    one ordered_product.  A chunk whose exponents all equal the first takes
+    the exponential of that one, broadcast to every factor of the product,
+    which the per-matrix Taylor polynomial gives bit for bit.  A rejected
+    exponent names its slice."""
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(m)
@@ -535,8 +551,12 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
             H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c0 + chunk], err)
             H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c0 + chunk], err)
             H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
+            X = H.reshape((-1,) + H.shape[2:])
             try:
-                E = exponentials(H.reshape((-1,) + H.shape[2:]), h)
+                if is_constant(X):  # one exponential, every factor still multiplied
+                    E = np.broadcast_to(exponentials(X[:1], h), (len(X), m, m))
+                else:
+                    E = exponentials(X, h)
             except RejectedMatrix as e:
                 raise e.at(c0 + e.index // 2) from None
             P = ordered_product(E) @ P

@@ -218,6 +218,15 @@ def ordered_product(Ms: np.ndarray) -> np.ndarray:
     return U
 
 
+def is_constant(A: np.ndarray) -> bool:
+    """Whether every entry of A (n, ...) along its first axis equals the
+    first: at once for a stack broadcast along that axis, else by ==,
+    probed on the last entry first so that a varying run is mostly
+    rejected in O(1).  NaN never compares equal, so a run with a NaN entry
+    is constant only when broadcast."""
+    return A.strides[0] == 0 or bool((A[-1] == A[0]).all() and (A == A[0]).all())
+
+
 def _step_matrices(A: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
     """RK4 step matrices P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from generator
     nodes A (2c+1, .., m, m) on the half-step lattice of c steps, where
@@ -259,7 +268,10 @@ def rk4_chunks(
     array or any sequence that len() measures and a slice reads, so a lazy
     sequence can build each run as it is read.  The step matrices are built in batched
     chunks of about CHUNK_ELEMENTS // (G m**2) steps, so transient memory
-    depends on neither the step count nor m.  Each chunk of states is a
+    depends on neither the step count nor m.  A chunk whose generators all
+    equal the first (is_constant) builds one step matrix and copies it to
+    every step: the batched products act matrix by matrix, so the copies
+    hold the bits that c separate builds give.  Each chunk of states is a
     (c, *y0.shape) view of one buffer held for the call: it is valid until
     the next chunk is requested, and the last one stays valid.
 
@@ -306,7 +318,12 @@ def rk4_chunks(
             P = work[0, :cb]
             start = y
             with np.errstate(over="ignore", invalid="ignore"):
-                _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])  # into P[:c]
+                nodes = A[2 * c0:2 * (c0 + c) + 1]
+                if is_constant(nodes):  # one step matrix, the same bits as c of them
+                    _step_matrices(nodes[:3], h, work[:, :1])
+                    P[1:c] = P[0]
+                else:
+                    _step_matrices(nodes, h, work[:, :c])  # into P[:c]
                 P[c:] = np.eye(m)
                 for j in range(1, b):
                     np.matmul(P[j::b], P[j - 1::b], out=P[j::b])

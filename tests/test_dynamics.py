@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import phase_distance, rk4_linear
-from nhqcbench import dynamics
+from nhqcbench import dynamics, numkit
 from nhqcbench.dynamics import (
     ORACLE_SLICES,
     UNITARY_SAMPLES,
@@ -708,6 +708,136 @@ class TestGridGenerator:
             A = generator(drive, detuning)[:, 0]
             full = lift(segment_hamiltonian_nodes(sched, si, t, err), err)
             assert np.abs(A - full).max() <= 1e-15
+
+
+CONSTANT_DRIVES = ("sl", "ss", "c", "dc", "dfs3")  # square pulses on every segment
+VARYING_DRIVES = ("ps", "s", "cdd", "sta", "to")
+
+
+def stack_sizes(monkeypatch, module, name, sizes):
+    """Append to `sizes` the length of the stack every call of module.name
+    takes as its first argument."""
+    original = getattr(module, name)
+
+    def spy(A, *args):
+        sizes.append(len(A))
+        return original(A, *args)
+    monkeypatch.setattr(module, name, spy)
+
+
+def generator_sizes(monkeypatch, sizes):
+    """Append to `sizes` the drive node count of every call of the RK4
+    generators that _grid_generator makes."""
+    grid_generator = dynamics._grid_generator
+
+    def spy(*args):
+        generator = grid_generator(*args)
+
+        def counted(drive, detuning):
+            sizes.append(len(drive))
+            return generator(drive, detuning)
+        return counted
+    monkeypatch.setattr(dynamics, "_grid_generator", spy)
+
+
+def full_path(monkeypatch):
+    """Make every constant-run guard take the full path."""
+    for module in (numkit, dynamics):
+        monkeypatch.setattr(module, "is_constant", lambda A: False)
+
+
+def constant_runs(sched, errs):
+    """Every engine a schedule runs through, small: propagate_unitary,
+    propagate_lindblad_grid and both oracles, each under errs as
+    catalog_errors orders them."""
+    system = sched.system
+    rho0 = six_axial_densities(system)
+    return {
+        "unitary": lambda: propagate_unitary(sched, errs[0]).operators,
+        "lindblad_grid": lambda: propagate_lindblad_grid(sched, errs, rho0, samples=2000)[:2],
+        "oracle_unitary": lambda: oracle_propagate_unitary(sched, errs[0], slices=1000),
+        "oracle_lindblad": lambda: oracle_propagate_lindblad(sched, errs[-1], rho0, slices=200),
+    }
+
+
+def catalog_errors(sched):
+    """Two closed error models, then an open one where the scheme has an
+    excited level: the grid takes all, the unitary runs the first and the
+    Lindblad oracle the last."""
+    closed = [ErrorModel(epsilon=0.03, eta=-0.02), ErrorModel(epsilon=-0.05)]
+    if sched.system.excited_index is None:
+        return closed
+    return closed + [ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)]
+
+
+class TestConstantDrives:
+    """Runs whose H nodes are all equal lift one node, build one step
+    matrix per RK4 chunk and take one exponential per oracle chunk, with
+    the bits of the full path."""
+
+    @pytest.mark.parametrize("tag", CONSTANT_DRIVES + VARYING_DRIVES)
+    def test_catalog_takes_the_constant_path_on_square_pulses(self, schedules, monkeypatch, tag):
+        # a drive closure that stops being bit-constant fails here
+        sched = schedules[tag]
+        lifts, steps, exps = [], [], []
+        generator_sizes(monkeypatch, lifts)
+        stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
+        stack_sizes(monkeypatch, dynamics, "expm_hermitian", exps)
+        stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
+        # (calls seen, their size on a constant run): nodes per lift, nodes
+        # per step-matrix build, exponents per oracle chunk
+        rk4, oracle = [(lifts, 1), (steps, 3)], [(exps, 1)]
+        spies = {"unitary": rk4, "lindblad_grid": rk4,
+                 "oracle_unitary": oracle, "oracle_lindblad": oracle}
+        for name, run in constant_runs(sched, catalog_errors(sched)).items():
+            for seen, _ in spies[name]:
+                seen.clear()
+            run()
+            for seen, one in spies[name]:
+                if tag in CONSTANT_DRIVES:
+                    assert max(seen) == one, name
+                else:
+                    assert max(seen) > one, name
+
+    @pytest.mark.parametrize("tag", ["sl", "dc", "dfs3"])
+    def test_constant_path_keeps_the_bits(self, schedules, monkeypatch, tag):
+        # both oracles hand ordered_product the broadcast exponential; the
+        # full path exponentiates and multiplies the materialized stack
+        sched = schedules[tag]
+        runs = constant_runs(sched, catalog_errors(sched))
+        fast = {name: run() for name, run in runs.items()}
+        full_path(monkeypatch)
+        for name, run in runs.items():
+            assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
+
+    def test_constant_drive_under_varying_detuning_takes_full_path(self, monkeypatch):
+        system = LevelSystem.lambda3()
+        seg = bright_ray_segment(system, 2.0, envelope=np.ones_like, phase=np.zeros_like,
+                                 detuning=lambda t: 0.3 * t, bright_axis=(0.4, 0.1))
+        sched = PulseSchedule(system=system, segments=(seg,),
+                              target=np.eye(2, dtype=complex), scheme_label="ramp")
+        sizes = []
+        generator_sizes(monkeypatch, sizes)
+        fast = propagate_unitary(sched, samples=300).operators
+        assert max(sizes) > 1
+        full_path(monkeypatch)
+        assert np.array_equal(fast, propagate_unitary(sched, samples=300).operators)
+
+    def test_constant_nan_drive_aborts_both_routes(self):
+        seg = Segment(1.0, lambda t: np.full((t.size, 3, 3), np.nan + 0j),
+                      envelope=lambda t: np.ones_like(t))
+        sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
+                              target=np.eye(2, dtype=complex), scheme_label="nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="segment 0 step 0$"):
+                propagate_unitary(sched, samples=50)
+            with pytest.raises(RuntimeError, match="segment 0 step 0$"):
+                propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), samples=50)
+            with pytest.raises(ValueError, match=r"in matrix 0 is not finite"):
+                oracle_propagate_unitary(sched, slices=100)
+            with pytest.raises(ValueError, match=r"in matrix 0 is not finite"):
+                oracle_propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), slices=100)
 
 
 def reference_rk4(schedule, err, y0, samples, rhs):

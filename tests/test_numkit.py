@@ -425,6 +425,82 @@ class TestRk4:
         assert unitarity_defect(U) < 1e-8
 
 
+def step_matrix_sizes(monkeypatch):
+    """The node count of every _step_matrices call rk4_chunks makes."""
+    sizes = []
+    step_matrices = numkit._step_matrices
+
+    def spy(A, h, work):
+        sizes.append(len(A))
+        return step_matrices(A, h, work)
+    monkeypatch.setattr(numkit, "_step_matrices", spy)
+    return sizes
+
+
+def constant_cases():
+    """(y0, segment) with every generator node equal: a blocked propagator
+    (50 steps, blocks of 8), a batch of 6 vectorised 3x3 densities (9x6)
+    and a grid axis of 4 scales."""
+    rng = np.random.default_rng(11)
+    h, nodes = lattice_nodes(rabi_block(1.1), 1.0, 50)
+    G = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    scales = np.array([0.7, 1.0, 1.3, 2.2])
+    return {
+        "propagator": (np.eye(3), (h, -1j * nodes)),
+        "densities": (rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)),
+                      (1.0 / 40, np.broadcast_to(G, (81, 9, 9)).copy())),
+        "grid": (np.broadcast_to(np.eye(3)[:, :2], (4, 3, 2)),
+                 (h, -1j * scales[:, None, None] * nodes[:, None])),
+    }
+
+
+class TestConstantRuns:
+    """A chunk whose generator nodes all equal the first builds one step
+    matrix and copies it; the states keep the bits of the full path."""
+
+    @pytest.mark.parametrize("case", ["propagator", "densities", "grid"])
+    @pytest.mark.parametrize("chunk_steps", [None, 13])
+    def test_constant_path_matches_full_path(self, monkeypatch, case, chunk_steps):
+        y0, seg = constant_cases()[case]
+        if chunk_steps:
+            monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * len(y0) * 9)
+        chain = plain_chain(y0, [seg])
+        sizes = step_matrix_sizes(monkeypatch)
+        fast = rk4_linear(y0, [seg])
+        assert sizes and set(sizes) == {3}
+        monkeypatch.setattr(numkit, "is_constant", lambda A: False)
+        assert np.array_equal(fast, rk4_linear(y0, [seg]))
+        if case == "propagator":  # blocked: only the rounding of the chain moves
+            assert np.abs(fast - chain).max() <= 1e-13
+        else:
+            assert np.array_equal(fast, chain)
+
+    def test_broadcast_nodes_take_the_constant_path(self, monkeypatch):
+        y0, (h, A) = constant_cases()["densities"]
+        sizes = step_matrix_sizes(monkeypatch)
+        ys = rk4_linear(y0, [(h, np.broadcast_to(A[0], A.shape))])
+        assert set(sizes) == {3}
+        assert np.array_equal(ys, plain_chain(y0, [(h, A)]))
+
+    @pytest.mark.parametrize("node", [-1, 40])  # the probed last node, or one it skips
+    def test_node_one_ulp_off_takes_full_path(self, monkeypatch, node):
+        y0, (h, A) = constant_cases()["densities"]
+        A[node, 4, 7] = np.nextafter(A[node, 4, 7].real, np.inf) + 1j * A[node, 4, 7].imag
+        chain = plain_chain(y0, [(h, A)])
+        sizes = step_matrix_sizes(monkeypatch)
+        ys = rk4_linear(y0, [(h, A)])
+        assert sizes == [len(A)]
+        assert np.array_equal(ys, chain)
+
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_constant_nan_aborts_at_step_0(self, broadcast):
+        h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.full_like(t, np.nan))
+        if broadcast:
+            nodes = np.broadcast_to(nodes[0], nodes.shape)
+        with pytest.raises(RuntimeError, match="segment 0 step 0$"):
+            rk4_linear(np.eye(2), [(h, nodes)])
+
+
 def test_hermiticity_defect_reports_magnitude():
     H = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
     assert hermiticity_defect(H) == pytest.approx(0.5)
