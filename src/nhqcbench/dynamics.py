@@ -26,15 +26,17 @@ once per grid block for the final states of a sweep.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
 per chunk.
 
-The RK4 generators of a segment reach the engine through one lazy
-sequence, ``_Runs``, which builds each run of matrices as the engine reads
-it.  A run whose drive nodes, and detuning if any, all equal the first (the
-square pulses of sl, ss, c, dc and dfs3) lifts that one node and reaches
-the engine broadcast along the run, so the engine builds one step matrix
-per chunk (``numkit.is_constant``); likewise an oracle chunk of equal
-exponents takes one exponential.  Every per-node operation gives one node
-alone the bits it gives it inside the stack, so these shortcuts change no
-value.
+The RK4 generators of a segment reach the engine in one of two forms.  A
+square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
+drive and detuning are ``system.Constant``, so the segment gets one
+generator node broadcast along its lattice (stride 0), and the engine
+builds one step matrix for the whole segment, with no probe of values.
+Every other segment reaches the engine through one lazy sequence,
+``_Runs``, which builds each run of matrices as the engine reads it, so no
+stack the size of a segment is ever held.  An oracle chunk whose exponents all equal the first
+(``numkit.is_constant``, a value probe) takes one exponential.  Every
+per-node operation gives one node alone the bits it gives it inside the
+stack, so these shortcuts change no value.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -190,9 +192,13 @@ def segment_state_times(schedule: PulseSchedule, steps):
 
 def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
     """RK4 inputs per segment, [(h, generators on the half-step lattice)],
-    each run built from the segment's drive and detuning by `generator`, the
+    each built from the segment's drive and detuning by `generator`, the
     global time of every state the chain produces, and the steps per
-    segment; samples=None takes the default step count of `kind`."""
+    segment; samples=None takes the default step count of `kind`.
+
+    A square pulse (Segment.square) gets its one generator node, broadcast
+    along its lattice, which rk4_chunks takes whole.  Every other segment
+    gets _Runs, so its drive is only ever evaluated one run at a time."""
     total = default_samples(kind) if samples is None else samples
     if total < 1:
         raise ValueError(f"step count {total} must be >= 1")
@@ -202,15 +208,14 @@ def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, gener
     t_offset = 0.0
     for si, (seg, n) in enumerate(zip(schedule.segments, steps)):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-
-        def build(t, si=si):
-            drive, detuning = segment_drive_detuning(schedule, si, t)
-            if is_constant(drive) and (detuning is None or is_constant(detuning)):
-                # a constant run lifts one node, broadcast along the run
-                A = generator(drive[:1], None if detuning is None else detuning[:1])
-                return np.broadcast_to(A, (len(t),) + A.shape[1:])
-            return generator(drive, detuning)
-        segments.append((seg.duration / n, _Runs(lattice, build)))
+        if seg.square:
+            # its own array: the generator's buffer is overwritten by the next call
+            with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
+                node = generator(*segment_drive_detuning(schedule, si, lattice[:1])).copy()
+            A = np.broadcast_to(node, (len(lattice),) + node.shape[1:])
+        else:
+            A = _Runs(lattice, lambda t, si=si: generator(*segment_drive_detuning(schedule, si, t)))
+        segments.append((seg.duration / n, A))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
     return segments, np.concatenate(times), steps
@@ -272,9 +277,7 @@ def _grid_generator(system: LevelSystem, lift_map: np.ndarray, errs, const):
 
 def _unitarity_drift(ops: np.ndarray) -> float:
     """max |U U^dagger - I| over the entries of a stack of complex U (n, d,
-    d), the products taken by einsum: on 2001 states about 0.7 of the time
-    of a stacked @ for d = 3, about the same for d = 4, and 1.6 to 1.7
-    times as long for d = 8."""
+    d), the products taken by einsum."""
     gram = np.einsum("nij,nkj->nik", ops, ops.conj())
     return float(np.abs(gram - np.eye(ops.shape[-1])).max())
 
@@ -312,7 +315,25 @@ def propagate_unitary(
                       steps=steps)
 
 
-def _validate_density(states: np.ndarray, where: str) -> None:
+class _Buffers:
+    """Arrays held across the chunks of one pass, so that chunk-sized
+    temporaries are not handed back to the allocator and refaulted chunk by
+    chunk: take(key, shape) is a view of the first prod(shape) entries of
+    the buffer `key`, which grows when it is too small and is overwritten
+    by the next take of that key."""
+
+    def __init__(self):
+        self._held: dict = {}
+
+    def take(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._held.get(key)
+        if buf is None or buf.size < size:
+            buf = self._held[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = None) -> None:
     """Trace and positivity of every density of `states`: Hermitian
     matrices (..., d, d), or the real coordinates Q of batches (..., d*d, k)
     as rk4_chunks yields them.
@@ -326,23 +347,31 @@ def _validate_density(states: np.ndarray, where: str) -> None:
     Computations, 4.2).  A pivot is final once taken, and one that is not
     positive spoils only the later ones, so all are checked at the end;
     only when one is not positive does eigvalsh decide exactly and name
-    the eigenvalue."""
+    the eigenvalue.  The copies and the elimination's temporaries are
+    taken from bufs, which a pass holds across its chunks."""
+    take = (bufs or _Buffers()).take
     if np.iscomplexobj(states):
         states = _coordinates(states).reshape(-1, states.shape[-1] ** 2).T
     d = math.isqrt(states.shape[-2])
-    q = np.moveaxis(states, -2, 0).reshape(d, d, -1)
+    moved = np.moveaxis(states, -2, 0)
+    q = take("q", (d, d, moved[0].size))
+    np.copyto(q.reshape(moved.shape), moved)
     deviation = np.abs(np.trace(q) - 1.0).max()
     if not deviation <= TRACE_TOL:  # NaN fails too
         raise RuntimeError(f"trace deviates by {deviation:.3e} {where}")
-    A = np.empty(q.shape, dtype=complex)
+    A = take("rho", q.shape, complex)
     np.add(q, q.swapaxes(0, 1), out=A.real)
     np.subtract(q, q.swapaxes(0, 1), out=A.imag)
     A *= 0.5
     A.real[range(d), range(d)] -= POSITIVITY_TOL
+    row = take("row", (d - 1,) + q.shape[2:], complex)
+    outer = take("outer", (d - 1,) + row.shape, complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
             a, schur = A[j + 1:, j], A[j + 1:, j + 1:]
-            schur -= a[:, None] * (a.conj() / A.real[j, j])
+            r = np.conjugate(a, out=row[:len(a)])
+            r /= A.real[j, j]
+            schur -= np.multiply(a[:, None], r, out=outer[:len(a), :len(a)])
     if not np.diagonal(A.real).min() > 0:  # NaN fails too
         wmin = np.linalg.eigvalsh(_density(q.reshape(d * d, -1).T)).min()
         if wmin < POSITIVITY_TOL:
@@ -421,8 +450,9 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
 
     def chunks():
+        bufs = _Buffers()
         for states in rk4_chunks(cols, segments):
-            _validate_density(states, "during evolution")
+            _validate_density(states, "during evolution", bufs)
             yield states
     return times, steps, chunks()
 
@@ -538,8 +568,9 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
     H nodes, both exponents of every slice interleaved in time order, and
     one ordered_product.  A chunk whose exponents all equal the first takes
     the exponential of that one, broadcast to every factor of the product,
-    which the per-matrix Taylor polynomial gives bit for bit.  A rejected
-    exponent names its slice."""
+    which the per-matrix Taylor polynomial gives bit for bit, and
+    ordered_product then builds one block's products for all blocks.  A
+    rejected exponent names its slice."""
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(m)
@@ -553,7 +584,7 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
             H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
             X = H.reshape((-1,) + H.shape[2:])
             try:
-                if is_constant(X):  # one exponential, every factor still multiplied
+                if is_constant(X):  # one exponential, broadcast
                     E = np.broadcast_to(exponentials(X[:1], h), (len(X), m, m))
                 else:
                     E = exponentials(X, h)

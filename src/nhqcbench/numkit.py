@@ -18,8 +18,9 @@ of factors in time order, and ``rk4_chunks`` integrates every linear ODE
 y' = A(t) y in the package (A = phi(-iH) for propagators, A = the real
 Lindblad generator for density matrices) as a chain of precomputed RK4
 step matrices, reading runs of generators from an array or from a lazy
-sequence that builds each run as it is read, optionally for a whole grid
-of them at once, and yields the states chunk by chunk.  Both
+sequence that builds each run as it is read, or taking one generator
+broadcast along a segment whole, optionally for a whole grid of them at
+once, and yields the states chunk by chunk.  Both
 use the same blocking: products of blocks of about sqrt(n) consecutive
 factors are built side by side, one batched matmul per block position, so
 a run of n small matrices costs about 2 sqrt(n) numpy calls instead of n.
@@ -205,13 +206,24 @@ def ordered_product(Ms: np.ndarray) -> np.ndarray:
     built side by side, one batched matmul per block position i on the
     factors Ms[i::b] (the short last block stops early), then chained in
     order.  Unlike a pairwise tree, this keeps rounding errors on runs of
-    equal factors from adding up coherently.
+    equal factors from adding up coherently.  For one factor broadcast
+    along the stack (stride 0) every block multiplies the same matrices in
+    the same order, so one block's products serve them all, the short
+    last block's among them.
     """
-    b = math.isqrt(len(Ms) - 1) + 1
-    P = Ms[::b].copy()
-    for i in range(1, b):
-        F = Ms[i::b]
-        P[:len(F)] = F @ P[:len(F)]
+    n = len(Ms)
+    b = math.isqrt(n - 1) + 1
+    if Ms.strides[0] == 0:
+        powers = [Ms[0].copy()]
+        for _ in range(1, b):
+            powers.append(Ms[0] @ powers[-1])
+        blocks = -(-n // b)
+        P = [powers[-1]] * (blocks - 1) + [powers[n - (blocks - 1) * b - 1]]
+    else:
+        P = Ms[::b].copy()
+        for i in range(1, b):
+            F = Ms[i::b]
+            P[:len(F)] = F @ P[:len(F)]
     U = P[0]
     for B in P[1:]:
         U = B @ U
@@ -266,14 +278,18 @@ def rk4_chunks(
     per grid point, (.., G, m, m).  Each segment is (h, A): A holds the
     generators on the half-step lattice of n steps, 2n+1 of them, as an
     array or any sequence that len() measures and a slice reads, so a lazy
-    sequence can build each run as it is read.  The step matrices are built in batched
-    chunks of about CHUNK_ELEMENTS // (G m**2) steps, so transient memory
-    depends on neither the step count nor m.  A chunk whose generators all
-    equal the first (is_constant) builds one step matrix and copies it to
-    every step: the batched products act matrix by matrix, so the copies
-    hold the bits that c separate builds give.  Each chunk of states is a
-    (c, *y0.shape) view of one buffer held for the call: it is valid until
-    the next chunk is requested, and the last one stays valid.
+    sequence can build each run as it is read.  The step matrices are built
+    in batched chunks of about CHUNK_ELEMENTS // (G m**2) steps, so
+    transient memory depends on neither the step count nor m.  Each chunk
+    of states is a (c, *y0.shape) view of one buffer held for the call: it
+    is valid until the next chunk is requested, and the last one stays
+    valid.
+
+    A segment whose A is one node broadcast along the lattice (stride 0, a
+    square pulse) builds its step matrix once, from the same three nodes,
+    and no stack of them: the batched products act matrix by matrix, so
+    it holds the bits of every step matrix the general path builds.  Its
+    chunks are sized by the states alone, CHUNK_ELEMENTS // y0.size steps.
 
     The steps of a segment are chained in blocks of b: the prefix products
     P_j ... P_1 of all the chunk's blocks are built side by side in place,
@@ -288,7 +304,9 @@ def rk4_chunks(
     the plain chain.  Chunks hold a whole number of blocks (at least one;
     identity steps pad the segment's last block), so block boundaries
     depend only on the step index within the segment and neither chunk
-    nor grid size changes a state.
+    nor grid size changes a state.  In a broadcast segment every block's
+    prefix products are the powers P, P^2, ..., P^b of its one step
+    matrix, built once for the segment and shared by all its blocks.
 
     Aborts on the first non-finite state, naming segment and step; the
     overflow of a diverging run, or of building its generators, is left to
@@ -302,38 +320,49 @@ def rk4_chunks(
     wide = y.ndim > 1 and y.shape[-1] >= m
     chunk = max(1, CHUNK_ELEMENTS // (math.prod(grid) * m * m))
     steps = [(len(A) - 1) // 2 for _, A in segments]
+    broadcast = [isinstance(A, np.ndarray) and A.strides[0] == 0 for _, A in segments]
     blocks = [math.isqrt(n - 1) + 1 if wide and n else 1 for n in steps]
-    runs = [max(b, chunk // b * b) for b in blocks]
-    rows = max([min(r, -(-n // b) * b) for n, b, r in zip(steps, blocks, runs)], default=0)
-    # one workspace for the step matrices and one buffer for the states of
-    # every chunk: fresh arrays of this size per chunk would make the
-    # allocator return and refault pages
-    work = np.empty((3, rows) + grid + (m, m), dtype=y.dtype)
-    buf = np.empty((rows,) + y.shape, dtype=y.dtype)
-    for si, ((h, A), n, b, run) in enumerate(zip(segments, steps, blocks, runs)):
+    runs = [max(1, CHUNK_ELEMENTS // y.size) if one and b == 1 else max(b, chunk // b * b)
+            for one, b in zip(broadcast, blocks)]
+    rows = [min(r, -(-n // b) * b) for n, b, r in zip(steps, blocks, runs)]
+    # one workspace for the step matrices (the powers of a broadcast
+    # segment's one) and one buffer for the states of every chunk: fresh
+    # arrays of this size per chunk would make the allocator return and
+    # refault pages
+    held = [b if one else r for one, b, r in zip(broadcast, blocks, rows)]
+    work = np.empty((3, max(held, default=0)) + grid + (m, m), dtype=y.dtype)
+    buf = np.empty((max(rows, default=0),) + y.shape, dtype=y.dtype)
+    for si, ((h, A), n, b, run, one) in enumerate(zip(segments, steps, blocks, runs, broadcast)):
+        if one and n:
+            powers = work[0, :b]
+            with np.errstate(over="ignore", invalid="ignore"):
+                _step_matrices(A[:3], h, work[:, :1])  # into powers[0]
+                for j in range(1, b):
+                    np.matmul(powers[0], powers[j - 1], out=powers[j])
         for c0 in range(0, n, run):
             c = min(run, n - c0)
             cb = -(-c // b) * b  # whole blocks: identity steps, dropped below, pad the last
             states = buf[:cb]
-            P = work[0, :cb]
             start = y
             with np.errstate(over="ignore", invalid="ignore"):
-                nodes = A[2 * c0:2 * (c0 + c) + 1]
-                if is_constant(nodes):  # one step matrix, the same bits as c of them
-                    _step_matrices(nodes[:3], h, work[:, :1])
-                    P[1:c] = P[0]
+                if one:
+                    # every block end is P^b, and the prefix products are shared
+                    P = np.broadcast_to(powers[-1], (cb,) + powers.shape[1:])
+                    inside = powers[:-1]
                 else:
-                    _step_matrices(nodes, h, work[:, :c])  # into P[:c]
-                P[c:] = np.eye(m)
-                for j in range(1, b):
-                    np.matmul(P[j::b], P[j - 1::b], out=P[j::b])
+                    P = work[0, :cb]
+                    _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])  # into P[:c]
+                    P[c:] = np.eye(m)
+                    for j in range(1, b):
+                        np.matmul(P[j::b], P[j - 1::b], out=P[j::b])
+                    inside = P.reshape((-1, b) + P.shape[1:])[:, :-1]
                 for k in range(b - 1, cb, b):
                     y = np.matmul(P[k], y, out=states[k])
                 if b > 1:
                     # the states inside each block, from the state before it
                     S = states.reshape((-1, b) + y.shape)
                     before = np.concatenate([start[None], S[:-1, -1]])[:, None]
-                    np.matmul(P.reshape((-1, b) + P.shape[1:])[:, :-1], before, out=S[:, :-1])
+                    np.matmul(inside, before, out=S[:, :-1])
                 states = states[:c]
                 total = states.sum()
             # a copy: the next chunk overwrites the buffer while it reads this state
@@ -344,4 +373,3 @@ def rk4_chunks(
                     step = c0 + int(np.argmin(finite))
                     raise RuntimeError(f"rk4_chunks: non-finite state in segment {si} step {step}")
             yield states
-

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .system import (
+    Constant,
     GateAngles,
     LevelSystem,
     PulseSchedule,
@@ -65,10 +66,6 @@ def rotation_gate(gamma: float, theta: float = 0.0, phi: float = 0.0) -> np.ndar
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     ns = n[0] * _SX + n[1] * _SY + n[2] * _SZ
     return np.cos(gamma / 2) * np.eye(2) - 1j * np.sin(gamma / 2) * ns
-
-
-def _const(value: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda t: np.full(np.shape(t), float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +147,8 @@ def _build_loop_schedule(
         bright_ray_segment(
             system,
             duration=area,
-            envelope=_const(1.0),
-            phase=_const(phase),
+            envelope=Constant(1.0),
+            phase=Constant(phase),
             bright_axis=(ang.theta, ang.phi),
             frame=piece_frame(k),
         )
@@ -249,9 +246,9 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
     seg = bright_ray_segment(
         system,
         duration=duration,
-        envelope=_const(coupling),
-        phase=_const(0.0),
-        detuning=_const(delta),
+        envelope=Constant(coupling),
+        phase=Constant(0.0),
+        detuning=Constant(delta),
         bright_axis=axis,
         frame=_lambda_frame(system, b_full, w_full, block, 0.0, duration, return_phase),
     )
@@ -472,7 +469,7 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     seg = bright_ray_segment(
         system,
         duration=tau,
-        envelope=_const(lam),
+        envelope=Constant(lam),
         phase=phase,
         bright_axis=axis,
         frame=frame,
@@ -736,7 +733,7 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
         return Segment(
             duration=path.durations[step],
             drive=drive,
-            envelope=_const(1.0),
+            envelope=Constant(1.0),
             frame=frame,
         )
 
@@ -802,8 +799,7 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSch
         def J_area(t):
             return np.zeros(np.shape(t))
     elif pulse_shape == "const":
-        def J(t):
-            return np.ones(np.shape(t))
+        J = Constant(1.0)
 
         def J_area(t):
             return np.asarray(t, dtype=float)
@@ -848,9 +844,15 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSch
         psi_a = (-1j * np.sin(A) * B + np.cos(A) * anc) * np.exp(-1j * PI * h)
         return np.stack([np.broadcast_to(D, psi_b.shape), psi_b, psi_a], axis=1)
 
+    def drive(s: np.ndarray) -> np.ndarray:
+        return np.asarray(J(s), dtype=float)[:, None, None] * H_unit
+
+    if isinstance(J, Constant):
+        drive = Constant(drive(np.zeros(1))[0])
+
     seg = Segment(
         duration=duration,
-        drive=lambda s: np.asarray(J(s), dtype=float)[:, None, None] * H_unit,
+        drive=drive,
         envelope=J,
         frame=frame,
     )

@@ -154,15 +154,30 @@ def bright_dark_basis(angles: GateAngles) -> tuple[np.ndarray, np.ndarray]:
     return b, d
 
 
+@dataclass(frozen=True, eq=False)  # compared by identity: value may be an array
+class Constant:
+    """A function of local time that takes one value at every time: on
+    times (n,) it returns the value broadcast along them, (n, *value.shape),
+    stride 0 and read-only.  Square pulses are built from it, so they are
+    constant by construction rather than by a probe of their values."""
+
+    value: float | np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.value, np.shape(t) + np.shape(self.value))
+
+
 @dataclass(frozen=True)
 class Segment:
     """One smooth piece of a schedule.
 
     drive maps local times (n,) to the Hermitian (n, d, d) stack the Rabi
     error scales; detuning, if any, to the (n,) coefficient of |e><e| it
-    never scales.  envelope(t) is the coupling magnitude used for
-    pulse-area accounting.  frame, when present, maps local times (n,) to
-    the (n, L+1, d) analytic auxiliary frame used by the holonomy checks.
+    never scales.  A square pulse has a Constant drive and detuning (if
+    any), which the RK4 route takes as one node for the whole segment.
+    envelope(t) is the coupling magnitude used for pulse-area accounting.
+    frame, when present, maps local times (n,) to the (n, L+1, d) analytic
+    auxiliary frame used by the holonomy checks.
     """
 
     duration: float
@@ -175,6 +190,13 @@ class Segment:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("segment duration must be positive")
+
+    @property
+    def square(self) -> bool:
+        """Whether the drive and the detuning, if any, are Constant: one H
+        at every time of the segment."""
+        return isinstance(self.drive, Constant) and (
+            self.detuning is None or isinstance(self.detuning, Constant))
 
 
 def bright_ray_segment(
@@ -190,7 +212,9 @@ def bright_ray_segment(
     envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
 
     envelope and phase are functions of local time that accept numpy
-    arrays; frame and detuning are passed through to the segment.
+    arrays; frame and detuning are passed through to the segment.  With a
+    Constant envelope and phase the drive is Constant too: its one node,
+    built as every node of the time-dependent drive is.
     """
     tb, pb = bright_axis
     w = system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
@@ -200,6 +224,9 @@ def bright_ray_segment(
         amp = envelope(t) * np.exp(-1j * phase(t))
         M = amp[:, None, None] * coupler[None, :, :]
         return M + M.conj().transpose(0, 2, 1)
+
+    if isinstance(envelope, Constant) and isinstance(phase, Constant):
+        drive = Constant(drive(np.zeros(1))[0])
 
     return Segment(duration, drive, envelope=envelope, frame=frame, detuning=detuning)
 

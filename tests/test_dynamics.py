@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nhqcbench.dynamics import (
 from nhqcbench.numkit import real_embedding
 from nhqcbench.schemes import build_schedule, dfs3_schedule
 from nhqcbench.system import (
+    Constant,
     ErrorModel,
     GateAngles,
     LevelSystem,
@@ -725,25 +727,29 @@ def stack_sizes(monkeypatch, module, name, sizes):
     monkeypatch.setattr(module, name, spy)
 
 
-def generator_sizes(monkeypatch, sizes):
-    """Append to `sizes` the drive node count of every call of the RK4
-    generators that _grid_generator makes."""
-    grid_generator = dynamics._grid_generator
+def drive_sizes(monkeypatch, sizes):
+    """Append to `sizes` the number of times at which every drive
+    evaluation of the RK4 route takes place."""
+    original = dynamics.segment_drive_detuning
 
-    def spy(*args):
-        generator = grid_generator(*args)
-
-        def counted(drive, detuning):
-            sizes.append(len(drive))
-            return generator(drive, detuning)
-        return counted
-    monkeypatch.setattr(dynamics, "_grid_generator", spy)
+    def spy(schedule, seg_index, t_local):
+        sizes.append(len(t_local))
+        return original(schedule, seg_index, t_local)
+    monkeypatch.setattr(dynamics, "segment_drive_detuning", spy)
 
 
-def full_path(monkeypatch):
-    """Make every constant-run guard take the full path."""
-    for module in (numkit, dynamics):
-        monkeypatch.setattr(module, "is_constant", lambda A: False)
+def full_path(monkeypatch, sched):
+    """sched with every Constant drive and detuning materialized by a
+    closure, so that no square pulse takes the constant path, and every
+    oracle chunk taken as non-constant."""
+    monkeypatch.setattr(dynamics, "is_constant", lambda A: False)
+
+    def plain(f):
+        return None if f is None else (lambda t: np.array(f(t)))
+    segments = tuple(replace(seg, drive=plain(seg.drive), detuning=plain(seg.detuning))
+                     for seg in sched.segments)
+    assert not any(seg.square for seg in segments)
+    return replace(sched, segments=segments)
 
 
 def constant_runs(sched, errs):
@@ -771,57 +777,85 @@ def catalog_errors(sched):
 
 
 class TestConstantDrives:
-    """Runs whose H nodes are all equal lift one node, build one step
-    matrix per RK4 chunk and take one exponential per oracle chunk, with
-    the bits of the full path."""
+    """Square pulses are Constant by construction: each of their RK4
+    segments lifts one node and builds one step matrix, and each oracle
+    chunk takes one exponential, with the bits of the full path."""
 
     @pytest.mark.parametrize("tag", CONSTANT_DRIVES + VARYING_DRIVES)
     def test_catalog_takes_the_constant_path_on_square_pulses(self, schedules, monkeypatch, tag):
-        # a drive closure that stops being bit-constant fails here
+        # a square pulse that stops being Constant fails here, and so does
+        # a varying drive evaluated on more than one run at a time or probed
         sched = schedules[tag]
-        lifts, steps, exps = [], [], []
-        generator_sizes(monkeypatch, lifts)
+        square = tag in CONSTANT_DRIVES
+        assert [seg.square for seg in sched.segments] == [square] * len(sched.segments)
+        drives, steps, exps = [], [], []
+        drive_sizes(monkeypatch, drives)
         stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
         stack_sizes(monkeypatch, dynamics, "expm_hermitian", exps)
         stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
-        # (calls seen, their size on a constant run): nodes per lift, nodes
-        # per step-matrix build, exponents per oracle chunk
-        rk4, oracle = [(lifts, 1), (steps, 3)], [(exps, 1)]
-        spies = {"unitary": rk4, "lindblad_grid": rk4,
-                 "oracle_unitary": oracle, "oracle_lindblad": oracle}
+        one = len(sched.segments)
         for name, run in constant_runs(sched, catalog_errors(sched)).items():
-            for seen, _ in spies[name]:
+            for seen in (drives, steps, exps):
                 seen.clear()
             run()
-            for seen, one in spies[name]:
-                if tag in CONSTANT_DRIVES:
-                    assert max(seen) == one, name
-                else:
-                    assert max(seen) > one, name
+            if name.startswith("oracle"):
+                assert (max(exps) == 1) == square, name
+            elif square:  # one node and one step matrix per segment
+                assert drives == [1] * one and steps == [3] * one, name
+            else:  # each chunk evaluates the drive on its own run, and nothing else does
+                assert drives == steps and max(steps) > 3, name
 
-    @pytest.mark.parametrize("tag", ["sl", "dc", "dfs3"])
+    @pytest.mark.parametrize("tag", ["sl", "ss", "dc", "dfs3"])
     def test_constant_path_keeps_the_bits(self, schedules, monkeypatch, tag):
-        # both oracles hand ordered_product the broadcast exponential; the
-        # full path exponentiates and multiplies the materialized stack
+        # the same runs with every Constant materialized: RK4 builds a step
+        # matrix per step, and both oracles exponentiate and multiply the
+        # materialized stack
         sched = schedules[tag]
-        runs = constant_runs(sched, catalog_errors(sched))
-        fast = {name: run() for name, run in runs.items()}
-        full_path(monkeypatch)
-        for name, run in runs.items():
+        errs = catalog_errors(sched)
+        fast = {name: run() for name, run in constant_runs(sched, errs).items()}
+        for name, run in constant_runs(full_path(monkeypatch, sched), errs).items():
             assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
+
+    def test_constant_closure_takes_the_general_path_with_the_same_bits(self, monkeypatch):
+        # a closure that returns a constant without broadcasting it is not a
+        # square pulse: no value is probed, and the bits stay the same
+        system = LevelSystem.lambda3()
+
+        def schedule(envelope, phase, detuning):
+            seg = bright_ray_segment(system, 2.0, envelope=envelope, phase=phase,
+                                     detuning=detuning, bright_axis=(0.4, 0.1))
+            return PulseSchedule(system=system, segments=(seg,),
+                                 target=np.eye(2, dtype=complex), scheme_label="square")
+        square = schedule(Constant(0.8), Constant(0.3), Constant(-0.2))
+        closure = schedule(lambda t: np.full(np.shape(t), 0.8), lambda t: np.full(np.shape(t), 0.3),
+                           lambda t: np.full(np.shape(t), -0.2))
+        assert square.segments[0].square and not closure.segments[0].square
+        err = ErrorModel(epsilon=0.02, gamma_minus=3e-4, gamma_z=3e-4)
+        rho0 = six_axial_densities(system)
+        steps = []
+        stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
+        runs, sizes = {}, {}
+        for name, sched in (("square", square), ("closure", closure)):
+            steps.clear()
+            runs[name] = (propagate_unitary(sched, samples=300).operators,
+                          propagate_lindblad(sched, err, rho0, samples=300).operators)
+            sizes[name] = set(steps)
+        assert sizes == {"square": {3}, "closure": {601}}
+        assert all(np.array_equal(a, b) for a, b in zip(runs["square"], runs["closure"]))
 
     def test_constant_drive_under_varying_detuning_takes_full_path(self, monkeypatch):
         system = LevelSystem.lambda3()
-        seg = bright_ray_segment(system, 2.0, envelope=np.ones_like, phase=np.zeros_like,
+        seg = bright_ray_segment(system, 2.0, envelope=Constant(1.0), phase=Constant(0.0),
                                  detuning=lambda t: 0.3 * t, bright_axis=(0.4, 0.1))
         sched = PulseSchedule(system=system, segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="ramp")
-        sizes = []
-        generator_sizes(monkeypatch, sizes)
+        assert not seg.square
+        drives = []
+        drive_sizes(monkeypatch, drives)
         fast = propagate_unitary(sched, samples=300).operators
-        assert max(sizes) > 1
-        full_path(monkeypatch)
-        assert np.array_equal(fast, propagate_unitary(sched, samples=300).operators)
+        assert drives == [601]
+        assert np.array_equal(fast, propagate_unitary(full_path(monkeypatch, sched),
+                                                      samples=300).operators)
 
     def test_constant_nan_drive_aborts_both_routes(self):
         seg = Segment(1.0, lambda t: np.full((t.size, 3, 3), np.nan + 0j),
@@ -838,6 +872,21 @@ class TestConstantDrives:
                 oracle_propagate_unitary(sched, slices=100)
             with pytest.raises(ValueError, match=r"in matrix 0 is not finite"):
                 oracle_propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), slices=100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_square_nan_drive_aborts_at_step_0(self, bad):
+        # the one node is lifted outside the engine; its non-finite entries
+        # are still left to the engine's check, without warnings
+        seg = Segment(1.0, Constant(np.full((3, 3), bad + 0j)), envelope=Constant(1.0))
+        sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
+                              target=np.eye(2, dtype=complex), scheme_label="nan")
+        assert seg.square
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="segment 0 step 0$"):
+                propagate_unitary(sched, samples=50)
+            with pytest.raises(RuntimeError, match="segment 0 step 0$"):
+                propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), samples=50)
 
 
 def reference_rk4(schedule, err, y0, samples, rhs):

@@ -220,6 +220,14 @@ class TestOrderedProduct:
         Ms = np.broadcast_to(U, (n, 3, 3))
         assert np.abs(ordered_product(Ms) - sequential_product(Ms)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 1024, 1025])  # 1, 2, b**2 and b**2 + 1
+    def test_broadcast_factor_matches_materialized_stack(self, n):
+        # one block's products serve every block of a broadcast factor, the
+        # short last block's included, with the bits of the full product
+        M = expm_hermitian(rabi_block(1.3), 0.01)
+        Ms = np.broadcast_to(M, (n,) + M.shape)
+        assert np.array_equal(ordered_product(Ms), ordered_product(Ms.copy()))
+
 
 def lattice_nodes(H, duration, steps, envelope=lambda t: np.ones_like(t)):
     """envelope(t) * H on the half-step lattice of `steps` RK4 steps."""
@@ -438,53 +446,83 @@ def step_matrix_sizes(monkeypatch):
 
 
 def constant_cases():
-    """(y0, segment) with every generator node equal: a blocked propagator
-    (50 steps, blocks of 8), a batch of 6 vectorised 3x3 densities (9x6)
-    and a grid axis of 4 scales."""
+    """(y0, segment) whose generators are one node broadcast along the
+    lattice (stride 0): a blocked propagator (50 steps, blocks of 8), a
+    batch of 6 vectorised 3x3 densities (9x6) and a grid axis of 4 scales."""
     rng = np.random.default_rng(11)
-    h, nodes = lattice_nodes(rabi_block(1.1), 1.0, 50)
+    A = -1j * rabi_block(1.1)
     G = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     scales = np.array([0.7, 1.0, 1.3, 2.2])
     return {
-        "propagator": (np.eye(3), (h, -1j * nodes)),
+        "propagator": (np.eye(3), (1.0 / 50, np.broadcast_to(A, (101, 3, 3)))),
         "densities": (rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)),
-                      (1.0 / 40, np.broadcast_to(G, (81, 9, 9)).copy())),
+                      (1.0 / 40, np.broadcast_to(G, (81, 9, 9)))),
         "grid": (np.broadcast_to(np.eye(3)[:, :2], (4, 3, 2)),
-                 (h, -1j * scales[:, None, None] * nodes[:, None])),
+                 (1.0 / 50, np.broadcast_to(scales[:, None, None] * A, (101, 4, 3, 3)))),
     }
 
 
 class TestConstantRuns:
-    """A chunk whose generator nodes all equal the first builds one step
-    matrix and copies it; the states keep the bits of the full path."""
+    """A segment of one generator node broadcast along its lattice builds
+    one step matrix; its states keep the bits of the materialized stack."""
 
     @pytest.mark.parametrize("case", ["propagator", "densities", "grid"])
     @pytest.mark.parametrize("chunk_steps", [None, 13])
     def test_constant_path_matches_full_path(self, monkeypatch, case, chunk_steps):
-        y0, seg = constant_cases()[case]
+        y0, (h, A) = constant_cases()[case]
         if chunk_steps:
             monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", chunk_steps * len(y0) * 9)
-        chain = plain_chain(y0, [seg])
+        full = rk4_linear(y0, [(h, A.copy())])
         sizes = step_matrix_sizes(monkeypatch)
-        fast = rk4_linear(y0, [seg])
-        assert sizes and set(sizes) == {3}
-        monkeypatch.setattr(numkit, "is_constant", lambda A: False)
-        assert np.array_equal(fast, rk4_linear(y0, [seg]))
+        fast = rk4_linear(y0, [(h, A)])
+        assert sizes == [3]
+        assert np.array_equal(fast, full)
+        chain = plain_chain(y0, [(h, A.copy())])
         if case == "propagator":  # blocked: only the rounding of the chain moves
             assert np.abs(fast - chain).max() <= 1e-13
         else:
             assert np.array_equal(fast, chain)
 
+    @pytest.mark.parametrize("case", ["densities", "grid"])
+    @pytest.mark.parametrize("elements", [1, 2 * 54, 7 * 54 + 5, 40 * 54, 1 << 15])
+    def test_narrow_chunks_sized_by_states_leave_states_equal(self, monkeypatch, case, elements):
+        # a broadcast narrow segment takes CHUNK_ELEMENTS // y0.size steps a
+        # chunk, from 1 to the whole segment; no chunk size moves a bit
+        y0, (h, A) = constant_cases()[case]
+        y0 = np.asarray(y0, dtype=complex)
+        full = rk4_linear(y0, [(h, A.copy())])
+        monkeypatch.setattr(numkit, "CHUNK_ELEMENTS", elements)
+        lengths = [len(states) for states in rk4_chunks(y0, [(h, A)])]
+        n = (len(A) - 1) // 2
+        steps = max(1, elements // y0.size)
+        assert lengths == [min(steps, n - c0) for c0 in range(0, n, steps)]
+        assert np.array_equal(rk4_linear(y0, [(h, A)]), full)
+
+    def test_one_step_matrix_per_broadcast_segment(self, monkeypatch):
+        # broadcast segments around a varying one: each broadcast segment
+        # builds one step matrix, the varying one a stack per chunk
+        y0, (h, A) = constant_cases()["densities"]
+        h2, B = noncommuting_segment(30)
+        B = np.kron(B, np.eye(3))  # (61, 9, 9)
+        segs = [(h, A), (h2, B), (h, np.broadcast_to(2 * A[0], (41, 9, 9)))]
+        full = rk4_linear(y0, [(k, np.array(X)) for k, X in segs])
+        sizes = step_matrix_sizes(monkeypatch)
+        assert np.array_equal(rk4_linear(y0, segs), full)
+        assert sizes == [3, len(B), 3]
+
     def test_broadcast_nodes_take_the_constant_path(self, monkeypatch):
         y0, (h, A) = constant_cases()["densities"]
         sizes = step_matrix_sizes(monkeypatch)
-        ys = rk4_linear(y0, [(h, np.broadcast_to(A[0], A.shape))])
-        assert set(sizes) == {3}
-        assert np.array_equal(ys, plain_chain(y0, [(h, A)]))
+        ys = rk4_linear(y0, [(h, A)])
+        assert sizes == [3]
+        assert np.array_equal(ys, plain_chain(y0, [(h, A.copy())]))
 
-    @pytest.mark.parametrize("node", [-1, 40])  # the probed last node, or one it skips
+    @pytest.mark.parametrize("node", [-1, 40])
     def test_node_one_ulp_off_takes_full_path(self, monkeypatch, node):
+        # a materialized stack is never probed: equal nodes or one a ulp
+        # off, it takes the full path
         y0, (h, A) = constant_cases()["densities"]
+        A = A.copy()
         A[node, 4, 7] = np.nextafter(A[node, 4, 7].real, np.inf) + 1j * A[node, 4, 7].imag
         chain = plain_chain(y0, [(h, A)])
         sizes = step_matrix_sizes(monkeypatch)
