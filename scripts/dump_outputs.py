@@ -19,7 +19,9 @@ populations of two grid sweeps at the default 4000 steps: the 41-point
 epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, the
 `fig13 a` decoherence sweep (9 points) and the closed 9-point epsilon sweep
 of dfs3 (the d = 8 Lindblad grid).  `--compare` prints max |A - B| per key
-and exits 1 if the key sets or the shape of any array differ.
+and exits 1 if the key sets or the shape of any array differ, or if any key
+deviates by more than BOUND = 1e-12 or reads NaN; the line of such a key
+ends in "exceeds 1e-12".
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
 oracle at the ideal and the closed-system errors above, where U_ref is the
 same product of CF4 slice exponentials evaluated in clongdouble, and then,
@@ -51,6 +53,7 @@ from nhqcbench.holonomy import condition_residuals, reconstruct_computational_ga
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel, segment_hamiltonian_nodes
 
+BOUND = 1e-12  # the most an output may move under a numerical change
 CLOSED = ErrorModel(epsilon=0.03, eta=-0.02)
 OPEN = ErrorModel(epsilon=0.05, gamma_minus=3e-4, gamma_z=3e-4)
 GOLDEN_TAGS = ("sl", "ps", "dc")
@@ -183,7 +186,12 @@ def compare(a_path: str, b_path: str) -> int:
             print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
             status = 1
             continue
-        print(f"{key}: {np.abs(a[key] - b[key]).max():.3e}")
+        deviation = np.abs(a[key] - b[key]).max()
+        if deviation <= BOUND:  # NaN fails too
+            print(f"{key}: {deviation:.3e}")
+        else:
+            print(f"{key}: {deviation:.3e} exceeds {BOUND:.0e}")
+            status = 1
     return status
 
 

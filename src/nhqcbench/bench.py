@@ -286,6 +286,9 @@ def fit_leading_order(
         raise ValueError("epsilon grid too small for a two-term fit")
     if np.abs(eps_grid).max() > 0.05 + 1e-12:
         raise ValueError("fit grid must satisfy |epsilon| <= 0.05")
+    if len(np.unique(np.abs(eps_grid[eps_grid != 0]))) < 2:
+        # e^2 and e^4 are proportional on one |epsilon|: a rank-deficient fit
+        raise ValueError("epsilon grid needs two distinct nonzero |epsilon| for a two-term fit")
     schedule = _schedule(spec)
     infid = []
     for e in eps_grid:

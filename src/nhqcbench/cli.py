@@ -87,6 +87,8 @@ def _parse_range(text: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"range must be a:b:n with numeric fields, got {text!r}") from None
+    if not np.isfinite([a, b, b - a]).all():
+        raise UsageError(f"range needs finite a, b and b - a, got {text!r}")
     if n < 1 or b <= a:
         raise UsageError(f"range needs b > a and n >= 1, got {text!r}")
     return np.linspace(a, b, n)

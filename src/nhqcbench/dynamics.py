@@ -33,10 +33,12 @@ generator node broadcast along its lattice (stride 0), and the engine
 builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
 ``_Runs``, which builds each run of matrices as the engine reads it, so no
-stack the size of a segment is ever held.  An oracle chunk whose exponents all equal the first
-(``numkit.is_constant``, a value probe) takes one exponential.  Every
-per-node operation gives one node alone the bits it gives it inside the
-stack, so these shortcuts change no value.
+stack the size of a segment is ever held.  One pass builder,
+``_rk4_pass``, serves both kinds: only the lift of H differs.  An oracle
+chunk of a square pulse takes one exponential, so ``Segment.square`` is
+the one notion of "constant" in both routes.  Every per-node operation
+gives one node alone the bits it gives it inside the stack, so these
+shortcuts change no value.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -56,7 +58,6 @@ from .numkit import (
     expm_taylor,
     from_real_embedding,
     hermiticity_defect,
-    is_constant,
     ordered_product,
     real_embedding,
     rk4_chunks,
@@ -78,11 +79,6 @@ ORACLE_LINDBLAD_SLICES = 4000
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = -1e-9
 UNITARITY_DRIFT_TOL = 1e-8
-
-
-def default_samples(kind: str) -> int:
-    """Default integrator step count of a unitary or an open-system run."""
-    return UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
 
 
 def six_axial_states(system: LevelSystem) -> np.ndarray:
@@ -190,37 +186,6 @@ def segment_state_times(schedule: PulseSchedule, steps):
         yield k, t if k == last else t[:-1]
 
 
-def _rk4_segments(schedule: PulseSchedule, samples: int | None, kind: str, generator):
-    """RK4 inputs per segment, [(h, generators on the half-step lattice)],
-    each built from the segment's drive and detuning by `generator`, the
-    global time of every state the chain produces, and the steps per
-    segment; samples=None takes the default step count of `kind`.
-
-    A square pulse (Segment.square) gets its one generator node, broadcast
-    along its lattice, which rk4_chunks takes whole.  Every other segment
-    gets _Runs, so its drive is only ever evaluated one run at a time."""
-    total = default_samples(kind) if samples is None else samples
-    if total < 1:
-        raise ValueError(f"step count {total} must be >= 1")
-    steps = tuple(allocate_steps(schedule, total))
-    segments = []
-    times = [np.zeros(1)]
-    t_offset = 0.0
-    for si, (seg, n) in enumerate(zip(schedule.segments, steps)):
-        lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-        if seg.square:
-            # its own array: the generator's buffer is overwritten by the next call
-            with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
-                node = generator(*segment_drive_detuning(schedule, si, lattice[:1])).copy()
-            A = np.broadcast_to(node, (len(lattice),) + node.shape[1:])
-        else:
-            A = _Runs(lattice, lambda t, si=si: generator(*segment_drive_detuning(schedule, si, t)))
-        segments.append((seg.duration / n, A))
-        times.append(t_offset + lattice[2::2])
-        t_offset += seg.duration
-    return segments, np.concatenate(times), steps
-
-
 def _lift_map(system: LevelSystem, kind: str) -> np.ndarray:
     """The real-linear lift of H to the generator of `kind` as a matrix
     (2d*d, m*m): row j lifts the unit coordinate 1 on entry j of row-major
@@ -275,6 +240,53 @@ def _grid_generator(system: LevelSystem, lift_map: np.ndarray, errs, const):
     return generator
 
 
+def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples: int | None):
+    """One RK4 pass of y0 under every error model of errs at once: the
+    global time of every state, the steps per segment and rk4_chunks'
+    iterator over the states after y0; samples=None takes the default step
+    count of `kind`.
+
+    The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
+    + C_g, with Delta the detuning, C_g = S[eta_g|e><e|] and S the lift
+    that kind picks: phi(-iH) for "unitary", the folded commutator
+    superoperator for "lindblad", where C_g also holds the folded
+    dissipator of g.  Every run of drive nodes is lifted once for the whole
+    grid.  A square pulse (Segment.square) gets its one generator node,
+    broadcast along its lattice, which rk4_chunks takes whole.  Every other
+    segment gets _Runs, so its drive is only ever evaluated one run at a
+    time."""
+    if samples is None:
+        samples = UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
+    if samples < 1:
+        raise ValueError(f"step count {samples} must be >= 1")
+    system = schedule.system
+    lift_map = _lift_map(system, kind)
+    # the Hamiltonian part eta_g|e><e| of C_g by the lift
+    const = _lift(lift_map, np.stack([detuning_error(schedule, e) for e in errs]))
+    if kind == "lindblad":
+        d = system.dim
+        const += np.stack([_fold(lindblad_superoperator(system, e, np.zeros((d, d))))
+                           for e in errs])
+    generator = _grid_generator(system, lift_map, errs, const)
+    steps = tuple(allocate_steps(schedule, samples))
+    segments = []
+    times = [np.zeros(1)]
+    t_offset = 0.0
+    for si, (seg, n) in enumerate(zip(schedule.segments, steps)):
+        lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
+        if seg.square:
+            # its own array: the generator's buffer is overwritten by the next call
+            with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
+                node = generator(*segment_drive_detuning(schedule, si, lattice[:1])).copy()
+            A = np.broadcast_to(node, (len(lattice),) + node.shape[1:])
+        else:
+            A = _Runs(lattice, lambda t, si=si: generator(*segment_drive_detuning(schedule, si, t)))
+        segments.append((seg.duration / n, A))
+        times.append(t_offset + lattice[2::2])
+        t_offset += seg.duration
+    return np.concatenate(times), steps, rk4_chunks(y0, segments)
+
+
 def _unitarity_drift(ops: np.ndarray) -> float:
     """max |U U^dagger - I| over the entries of a stack of complex U (n, d,
     d), the products taken by einsum."""
@@ -293,15 +305,12 @@ def propagate_unitary(
     the complex one up to roundoff."""
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
-    lift_map = _lift_map(schedule.system, "unitary")
-    generator = _grid_generator(schedule.system, lift_map, [err],
-                                _lift(lift_map, detuning_error(schedule, err)[None]))
-    segments, times, steps = _rk4_segments(schedule, samples, "unitary", generator)
     d = schedule.system.dim
+    times, steps, chunks = _rk4_pass(schedule, [err], np.eye(2 * d)[None], "unitary", samples)
     ops = np.empty((len(times), d, d), dtype=complex)
     ops[0] = np.eye(d)
     i = 1
-    for states in rk4_chunks(np.eye(2 * d)[None], segments):
+    for states in chunks:
         ops[i:i + len(states)] = from_real_embedding(states[:, 0])
         i += len(states)
     drift = _unitarity_drift(ops)
@@ -417,19 +426,12 @@ def _fold(L: np.ndarray) -> np.ndarray:
 
 def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
     """RK4 densities of the batch rho (k, d, d) under every error model of
-    errs at once: the global times, the steps per segment and an iterator
-    over the states after rho, chunk by chunk, as their coordinates Q in
-    the columns of (c, G, d*d, k), each chunk valid until the next is
-    requested (rk4_chunks).
-
-    The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
-    + C_g, with S[H] the commutator superoperator, Delta the detuning and
-    C_g the Lindblad superoperator of eta_g|e><e| under the rates
-    of g, all folded to the real coordinates Q, so every chunk lifts its
-    drive once for the whole grid and the pass is real.  rho must be
-    Hermitian and pass the trace and positivity check, which every chunk
-    passes in Q before it is yielded; the states read back from Q are
-    Hermitian by construction.
+    errs at once (_rk4_pass): the global times, the steps per segment and
+    an iterator over the states after rho, chunk by chunk, as their
+    coordinates Q in the columns of (c, G, d*d, k), each chunk valid until
+    the next is requested.  rho must be Hermitian and pass the trace and
+    positivity check, which every chunk passes in Q before it is yielded;
+    the states read back from Q are Hermitian by construction.
     """
     system = schedule.system
     d, k = system.dim, len(rho)
@@ -439,19 +441,13 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: in
     if herm > 1e-8:
         raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
     _validate_density(rho, "in rho0")
-    lift_map = _lift_map(system, "lindblad")
-    # the Hamiltonian part eta_g|e><e| of C_g by the lift, its dissipator folded
-    const = _lift(lift_map, np.stack([detuning_error(schedule, e) for e in errs]))
-    const += np.stack([_fold(lindblad_superoperator(system, e, np.zeros((d, d))))
-                       for e in errs])
-    generator = _grid_generator(system, lift_map, errs, const)
-    segments, times, steps = _rk4_segments(schedule, samples, "lindblad", generator)
     # columns are the row-major coordinates Q of the batch
     cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
+    times, steps, states_after = _rk4_pass(schedule, errs, cols, "lindblad", samples)
 
     def chunks():
         bufs = _Buffers()
-        for states in rk4_chunks(cols, segments):
+        for states in states_after:
             _validate_density(states, "during evolution", bufs)
             yield states
     return times, steps, chunks()
@@ -566,9 +562,9 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
     m, m); since a + b = 1/2, a piecewise-constant drive makes it exact.
     Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
     H nodes, both exponents of every slice interleaved in time order, and
-    one ordered_product.  A chunk whose exponents all equal the first takes
-    the exponential of that one, broadcast to every factor of the product,
-    which the per-matrix Taylor polynomial gives bit for bit, and
+    one ordered_product.  A chunk of a square pulse (Segment.square) takes
+    the exponential of its first exponent, broadcast to every factor of the
+    product, which the per-matrix Taylor polynomial gives bit for bit, and
     ordered_product then builds one block's products for all blocks.  A
     rejected exponent names its slice."""
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
@@ -579,12 +575,13 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
         t0 = np.arange(n) * h
         t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
         for c0 in range(0, n, chunk):
-            H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c0 + chunk], err)
-            H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c0 + chunk], err)
-            H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
+                H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c0 + chunk], err)
+                H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c0 + chunk], err)
+                H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
             X = H.reshape((-1,) + H.shape[2:])
             try:
-                if is_constant(X):  # one exponential, broadcast
+                if seg.square:  # one exponential, broadcast
                     E = np.broadcast_to(exponentials(X[:1], h), (len(X), m, m))
                 else:
                     E = exponentials(X, h)
@@ -627,7 +624,9 @@ def oracle_propagate_lindblad(
     D = (_CF4_A + _CF4_B) * _fold(lindblad_superoperator(system, err, np.zeros((d, d))))
 
     def exponentials(X, h):
-        return expm_taylor(_fold(lindblad_superoperator(system, ErrorModel(), X)) + D, h)
+        with np.errstate(over="ignore", invalid="ignore"):  # left to expm_taylor
+            L = _fold(lindblad_superoperator(system, ErrorModel(), X))
+        return expm_taylor(L + D, h)
     P = _cf4_product(schedule, err, slices, d * d, exponentials)
     q = P @ _coordinates(rho0).reshape(-1, d * d, 1)
     return _density(q[..., 0]).reshape(rho0.shape)

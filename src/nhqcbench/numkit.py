@@ -20,7 +20,9 @@ Lindblad generator for density matrices) as a chain of precomputed RK4
 step matrices, reading runs of generators from an array or from a lazy
 sequence that builds each run as it is read, or taking one generator
 broadcast along a segment whole, optionally for a whole grid of them at
-once, and yields the states chunk by chunk.  Both
+once, and yields the states chunk by chunk.  A stack broadcast along its
+first axis (stride 0) is the one form of "constant" either engine knows;
+callers pass it for square pulses, and no value is ever probed.  Both
 use the same blocking: products of blocks of about sqrt(n) consecutive
 factors are built side by side, one batched matmul per block position, so
 a run of n small matrices costs about 2 sqrt(n) numpy calls instead of n.
@@ -228,15 +230,6 @@ def ordered_product(Ms: np.ndarray) -> np.ndarray:
     for B in P[1:]:
         U = B @ U
     return U
-
-
-def is_constant(A: np.ndarray) -> bool:
-    """Whether every entry of A (n, ...) along its first axis equals the
-    first: at once for a stack broadcast along that axis, else by ==,
-    probed on the last entry first so that a varying run is mostly
-    rejected in O(1).  NaN never compares equal, so a run with a NaN entry
-    is constant only when broadcast."""
-    return A.strides[0] == 0 or bool((A[-1] == A[0]).all() and (A == A[0]).all())
 
 
 def _step_matrices(A: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:

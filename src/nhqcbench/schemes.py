@@ -785,49 +785,14 @@ def dfs3_unit_hamiltonian(phi: float) -> np.ndarray:
     return H
 
 
-def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSchedule:
+def dfs3_schedule(phi: float) -> PulseSchedule:
     """Three-qubit schedule: single-excitation subspace {100, 010, 001} hosts
-    an effective bright-ancilla loop; cyclic when integral(J) = pi/sqrt(2).
+    an effective bright-ancilla loop.  The coupling is the square pulse
+    J = 1 for a time pi/sqrt(2), so the bright-ancilla angle sqrt(2) t of
+    the frame reaches pi and the loop is cyclic.
     """
     system = LevelSystem.three_qubit8()
     duration = PI / np.sqrt(2)
-    if pulse_shape == "zero":
-        # degenerate control-off case: identity gate, no area requirement
-        def J(t):
-            return np.zeros(np.shape(t))
-
-        def J_area(t):
-            return np.zeros(np.shape(t))
-    elif pulse_shape == "const":
-        J = Constant(1.0)
-
-        def J_area(t):
-            return np.asarray(t, dtype=float)
-    elif pulse_shape == "sin2":
-        def J(t):
-            return 2 * np.sin(PI * np.asarray(t) / duration) ** 2
-
-        def J_area(t):
-            t = np.asarray(t, dtype=float)
-            return 2 * (t / 2 - duration * np.sin(2 * PI * t / duration) / (4 * PI))
-    elif callable(pulse_shape):
-        J = pulse_shape
-        s = np.linspace(0.0, duration, 40001)
-        js = np.asarray(J(s), dtype=float)
-        if js.min() < 0:
-            raise ValueError("pulse_shape must be non-negative")
-        area = float(np.trapezoid(js, s))
-        if abs(area - PI / np.sqrt(2)) > 1e-6:
-            raise ValueError(
-                f"pulse area {area:.8f} deviates from pi/sqrt(2) by more than 1e-6"
-            )
-        cum = np.concatenate([[0.0], np.cumsum((js[1:] + js[:-1]) / 2 * (s[1] - s[0]))])
-
-        def J_area(t):
-            return np.interp(np.asarray(t, dtype=float), s, cum)
-    else:
-        raise ValueError(f"unknown pulse shape {pulse_shape!r}")
-
     H_unit = dfs3_unit_hamiltonian(phi)
 
     # logical frame: bright/dark combinations of |010>, |001> against |100>
@@ -838,32 +803,23 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSch
     D = (np.exp(1j * phi / 2) * zero_l + np.exp(-1j * phi / 2) * one_l) / np.sqrt(2)
 
     def frame(t: np.ndarray) -> np.ndarray:
-        A = np.sqrt(2) * np.asarray(J_area(t))[:, None]  # accumulated bright-coupling area
+        A = np.sqrt(2) * np.asarray(t, dtype=float)[:, None]  # accumulated bright-coupling area
         h = A / PI
         psi_b = (np.cos(A) * B - 1j * np.sin(A) * anc) * np.exp(-1j * PI * h)
         psi_a = (-1j * np.sin(A) * B + np.cos(A) * anc) * np.exp(-1j * PI * h)
         return np.stack([np.broadcast_to(D, psi_b.shape), psi_b, psi_a], axis=1)
 
-    def drive(s: np.ndarray) -> np.ndarray:
-        return np.asarray(J(s), dtype=float)[:, None, None] * H_unit
-
-    if isinstance(J, Constant):
-        drive = Constant(drive(np.zeros(1))[0])
-
     seg = Segment(
         duration=duration,
-        drive=drive,
-        envelope=J,
+        drive=Constant(1.0 * H_unit),  # J * H_unit at J = 1, bit for bit
+        envelope=Constant(1.0),
         frame=frame,
     )
 
     # logical gate: pi rotation about -(cos phi, sin phi, 0)
-    if pulse_shape == "zero":
-        target = np.eye(2, dtype=complex)
-    else:
-        n = -np.array([np.cos(phi), np.sin(phi), 0.0])
-        ns = n[0] * _SX + n[1] * _SY + n[2] * _SZ
-        target = -1j * ns  # exp(-i (pi/2) n.sigma)
+    n = -np.array([np.cos(phi), np.sin(phi), 0.0])
+    ns = n[0] * _SX + n[1] * _SY + n[2] * _SZ
+    target = -1j * ns  # exp(-i (pi/2) n.sigma)
     return PulseSchedule(
         system=system,
         segments=(seg,),
@@ -873,7 +829,7 @@ def dfs3_schedule(phi: float, pulse_shape: str | Callable = "const") -> PulseSch
 
 
 def build_dfs3(spec: SchemeSpec) -> PulseSchedule:
-    return dfs3_schedule(spec.dfs_phi, "const")
+    return dfs3_schedule(spec.dfs_phi)
 
 
 # ---------------------------------------------------------------------------

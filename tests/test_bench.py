@@ -177,6 +177,12 @@ class TestFits:
         with pytest.raises(ValueError, match="grid"):
             fit_leading_order(catalog["sl"], np.array([0.01, 0.02]))
 
+    @pytest.mark.parametrize("grid", [[-0.01, 0.0, 0.01], [0.0, 0.0, 0.0]])
+    def test_rejects_rank_deficient_grid(self, catalog, grid):
+        # one nonzero |epsilon| leaves e^2 and e^4 proportional
+        with pytest.raises(ValueError, match="two distinct nonzero"):
+            fit_leading_order(catalog["sl"], np.array(grid))
+
     def test_rejects_large_epsilon(self, catalog):
         with pytest.raises(ValueError, match="0.05"):
             fit_leading_order(catalog["sl"], np.array([-0.2, 0.0, 0.2]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,6 +285,16 @@ class TestSweep:
         code, _ = run(["sweep", "--axis", "epsilon", "--range", "oops",
                        "--schemes", "sl"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["0:inf:3", "-1e308:1e308:3", "nan:1:3"])
+    def test_non_finite_range(self, capsys, text):
+        # a non-finite endpoint or span never reaches np.linspace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--axis", "epsilon", f"--range={text}", "--schemes", "sl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and repr(text) in err
 
     def test_bad_axis(self, capsys):
         code, _ = run(["sweep", "--axis", "volume", "--range", "0:1:2",

@@ -738,11 +738,10 @@ def drive_sizes(monkeypatch, sizes):
     monkeypatch.setattr(dynamics, "segment_drive_detuning", spy)
 
 
-def full_path(monkeypatch, sched):
+def full_path(sched):
     """sched with every Constant drive and detuning materialized by a
-    closure, so that no square pulse takes the constant path, and every
-    oracle chunk taken as non-constant."""
-    monkeypatch.setattr(dynamics, "is_constant", lambda A: False)
+    closure, so that no segment is a square pulse and neither route takes
+    the constant path."""
 
     def plain(f):
         return None if f is None else (lambda t: np.array(f(t)))
@@ -806,19 +805,20 @@ class TestConstantDrives:
                 assert drives == steps and max(steps) > 3, name
 
     @pytest.mark.parametrize("tag", ["sl", "ss", "dc", "dfs3"])
-    def test_constant_path_keeps_the_bits(self, schedules, monkeypatch, tag):
+    def test_constant_path_keeps_the_bits(self, schedules, tag):
         # the same runs with every Constant materialized: RK4 builds a step
         # matrix per step, and both oracles exponentiate and multiply the
         # materialized stack
         sched = schedules[tag]
         errs = catalog_errors(sched)
         fast = {name: run() for name, run in constant_runs(sched, errs).items()}
-        for name, run in constant_runs(full_path(monkeypatch, sched), errs).items():
+        for name, run in constant_runs(full_path(sched), errs).items():
             assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
 
     def test_constant_closure_takes_the_general_path_with_the_same_bits(self, monkeypatch):
         # a closure that returns a constant without broadcasting it is not a
-        # square pulse: no value is probed, and the bits stay the same
+        # square pulse: neither route probes a value, and the bits stay the
+        # same
         system = LevelSystem.lambda3()
 
         def schedule(envelope, phase, detuning):
@@ -832,15 +832,21 @@ class TestConstantDrives:
         assert square.segments[0].square and not closure.segments[0].square
         err = ErrorModel(epsilon=0.02, gamma_minus=3e-4, gamma_z=3e-4)
         rho0 = six_axial_densities(system)
-        steps = []
+        steps, exps = [], []
         stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
+        stack_sizes(monkeypatch, dynamics, "expm_hermitian", exps)
+        stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
         runs, sizes = {}, {}
         for name, sched in (("square", square), ("closure", closure)):
             steps.clear()
+            exps.clear()
             runs[name] = (propagate_unitary(sched, samples=300).operators,
-                          propagate_lindblad(sched, err, rho0, samples=300).operators)
-            sizes[name] = set(steps)
-        assert sizes == {"square": {3}, "closure": {601}}
+                          propagate_lindblad(sched, err, rho0, samples=300).operators,
+                          oracle_propagate_unitary(sched, slices=200),
+                          oracle_propagate_lindblad(sched, err, rho0, slices=200))
+            sizes[name] = (set(steps), set(exps))
+        # one oracle chunk of 200 slices, two exponents each, per route
+        assert sizes == {"square": ({3}, {1}), "closure": ({601}, {400})}
         assert all(np.array_equal(a, b) for a, b in zip(runs["square"], runs["closure"]))
 
     def test_constant_drive_under_varying_detuning_takes_full_path(self, monkeypatch):
@@ -854,7 +860,7 @@ class TestConstantDrives:
         drive_sizes(monkeypatch, drives)
         fast = propagate_unitary(sched, samples=300).operators
         assert drives == [601]
-        assert np.array_equal(fast, propagate_unitary(full_path(monkeypatch, sched),
+        assert np.array_equal(fast, propagate_unitary(full_path(sched),
                                                       samples=300).operators)
 
     def test_constant_nan_drive_aborts_both_routes(self):
@@ -876,7 +882,9 @@ class TestConstantDrives:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_square_nan_drive_aborts_at_step_0(self, bad):
         # the one node is lifted outside the engine; its non-finite entries
-        # are still left to the engine's check, without warnings
+        # are still left to the engine's check, without warnings.  Each
+        # oracle chunk exponentiates the first exponent alone, which is
+        # rejected as slice 0
         seg = Segment(1.0, Constant(np.full((3, 3), bad + 0j)), envelope=Constant(1.0))
         sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="nan")
@@ -887,6 +895,10 @@ class TestConstantDrives:
                 propagate_unitary(sched, samples=50)
             with pytest.raises(RuntimeError, match="segment 0 step 0$"):
                 propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), samples=50)
+            with pytest.raises(ValueError, match=r"in matrix 0 is not finite"):
+                oracle_propagate_unitary(sched, slices=100)
+            with pytest.raises(ValueError, match=r"in matrix 0 is not finite"):
+                oracle_propagate_lindblad(sched, ErrorModel(), basis_rho(3, 0), slices=100)
 
 
 def reference_rk4(schedule, err, y0, samples, rhs):

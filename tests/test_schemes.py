@@ -18,7 +18,13 @@ from nhqcbench.schemes import (
     sta_schedule,
 )
 from nhqcbench.bench import GATE_ANGLES, pulse_area
-from nhqcbench.system import ErrorModel, GateAngles, SchemeSpec, segment_hamiltonian_nodes
+from nhqcbench.system import (
+    Constant,
+    ErrorModel,
+    GateAngles,
+    SchemeSpec,
+    segment_hamiltonian_nodes,
+)
 
 PI = np.pi
 
@@ -363,36 +369,16 @@ class TestDfs3:
                    np.abs(traj.operators[:, dfs, :][:, :, rest]).max())
         assert leak < 1e-10
 
-    @pytest.mark.parametrize("shape", ["const", "sin2"])
+    @pytest.mark.parametrize("shape", ["const"])  # the one shape: a square pulse
     def test_vectorized_drive_matches_per_sample(self, shape):
-        sched = dfs3_schedule(0.7, pulse_shape=shape)
+        sched = dfs3_schedule(0.7)
         seg = sched.segments[0]
+        assert seg.square and isinstance(seg.envelope, Constant)
         s = np.linspace(0.0, seg.duration, 257)
         H_unit = dfs3_unit_hamiltonian(0.7)
         expected = np.stack([float(seg.envelope(t)) * H_unit for t in s])
         assert np.abs(seg.drive(s) - expected).max() <= 1e-15
         assert seg.detuning is None
-
-    def test_zero_pulse_identity(self):
-        sched = dfs3_schedule(0.0, pulse_shape="zero")
-        U = propagate_unitary(sched, samples=200).final
-        assert np.abs(U - np.eye(8)).max() < 1e-12
-
-    def test_sin2_shape_same_gate(self):
-        sched = dfs3_schedule(0.7, pulse_shape="sin2")
-        U = comp_block(propagate_unitary(sched, samples=1000).final, sched.system)
-        ref = comp_block(propagate_unitary(dfs3_schedule(0.7), samples=1000).final,
-                         sched.system)
-        assert phase_distance(U, ref) < 1e-8
-
-    def test_custom_shape_area_check(self):
-        bad = lambda t: 0.5 * np.ones(np.shape(t))  # wrong area
-        with pytest.raises(ValueError, match="area"):
-            dfs3_schedule(0.0, pulse_shape=bad)
-
-    def test_rejects_unknown_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            dfs3_schedule(0.0, pulse_shape="boxcar")
 
 
 class TestIdealGateCatalog:
