@@ -164,14 +164,11 @@ def _six_state_run(
 
 
 def lindblad_gate_fidelity(
-    schedule: PulseSchedule,
-    err: ErrorModel,
-    target: np.ndarray | None = None,
-    samples: int | None = None,
+    schedule: PulseSchedule, err: ErrorModel, samples: int | None = None
 ) -> float:
-    """Six-axial-state average <psi|T^+ rho(tau) T|psi>."""
-    target = schedule.target if target is None else target
-    fid, _ = _six_state_run(schedule, err, target, samples)
+    """Six-axial-state average <psi|T^+ rho(tau) T|psi>, T the schedule's
+    target."""
+    fid, _ = _six_state_run(schedule, err, schedule.target, samples)
     return fid
 
 

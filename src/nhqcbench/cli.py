@@ -34,7 +34,9 @@ from .bench import (
     table1_rows,
 )
 from .dynamics import (
+    LINDBLAD_SAMPLES,
     ORACLE_LINDBLAD_SLICES,
+    UNITARY_SAMPLES,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_unitary,
@@ -415,13 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--samples", type=int, default=None,
-                       help="integrator steps (default: 2000 unitary / 4000 open)")
-        p.add_argument("--units", choices=["dimensionless", "physical"],
-                       default=None, help="output unit mode")
-        p.add_argument("--out-dir", default=None, help="output directory")
+    def add_config(p):
         p.add_argument("--config", default=None, help="JSON config mirroring flags")
+
+    def add_common(p, units=True, out_dir_help="output directory"):
+        p.add_argument("--samples", type=int, default=None,
+                       help=f"integrator steps (default: {UNITARY_SAMPLES} unitary / "
+                            f"{LINDBLAD_SAMPLES} open)")
+        if units:
+            p.add_argument("--units", choices=["dimensionless", "physical"],
+                           default=None, help="output unit mode")
+        p.add_argument("--out-dir", default=None, help=out_dir_help)
+        add_config(p)
 
     p = sub.add_parser("simulate", help="single gate run with a full report")
     p.add_argument("--scheme", required=True)
@@ -444,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="pulse-area table with published values")
     p.add_argument("--out", default=None)
-    add_common(p)
+    add_config(p)
 
     p = sub.add_parser("fig13", help="benchmark sweep data for one panel")
     p.add_argument("panel", choices=["a", "b", "c"])
@@ -454,12 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="numerical-hygiene report for one scheme")
     p.add_argument("--scheme", required=True)
-    add_common(p)
+    add_common(p, units=False, out_dir_help="accepted and unused: check writes no file")
 
     p = sub.add_parser("goldens", help="regenerate oracle-produced golden files")
     p.add_argument("--regenerate", action="store_true")
     p.add_argument("--dir", default=None)
-    add_common(p)
+    add_config(p)
 
     return parser
 

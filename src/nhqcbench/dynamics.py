@@ -19,8 +19,11 @@ Two independent numerical routes are maintained everywhere:
 
 Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
-d*d x d*d matrix ``_fold(lindblad_superoperator(...))``.  Every RK4 state is
-checked for trace and positivity in Q, and rho, Hermitian by construction,
+d*d x d*d matrix ``_fold(lindblad_superoperator(...))``.  Both take rho0
+through one intake, ``_rho0_columns``, which checks its shape, Hermiticity,
+trace and positivity and returns the columns Q that both start from.  Every
+RK4 state is checked for trace and positivity in Q, and rho, Hermitian by
+construction,
 is read back only where a caller keeps it: once per chunk of a trajectory,
 once per grid block for the final states of a sweep.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
@@ -61,6 +64,7 @@ from .numkit import (
     ordered_product,
     real_embedding,
     rk4_chunks,
+    unitarity_defect,
 )
 from .system import (
     ErrorModel,
@@ -287,13 +291,6 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     return np.concatenate(times), steps, rk4_chunks(y0, segments)
 
 
-def _unitarity_drift(ops: np.ndarray) -> float:
-    """max |U U^dagger - I| over the entries of a stack of complex U (n, d,
-    d), the products taken by einsum."""
-    gram = np.einsum("nij,nkj->nik", ops, ops.conj())
-    return float(np.abs(gram - np.eye(ops.shape[-1])).max())
-
-
 def propagate_unitary(
     schedule: PulseSchedule, err: ErrorModel = ErrorModel(), samples: int | None = None
 ) -> Trajectory:
@@ -313,7 +310,7 @@ def propagate_unitary(
     for states in chunks:
         ops[i:i + len(states)] = from_real_embedding(states[:, 0])
         i += len(states)
-    drift = _unitarity_drift(ops)
+    drift = unitarity_defect(ops)
     if drift > UNITARITY_DRIFT_TOL:
         raise RuntimeError(f"unitarity drift {drift:.3e} exceeds {UNITARITY_DRIFT_TOL}")
     states = six_axial_states(schedule.system)
@@ -343,12 +340,12 @@ class _Buffers:
 
 
 def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = None) -> None:
-    """Trace and positivity of every density of `states`: Hermitian
-    matrices (..., d, d), or the real coordinates Q of batches (..., d*d, k)
-    as rk4_chunks yields them.
+    """Trace and positivity of every density of `states`, given by the real
+    coordinates Q of batches (..., d*d, k): as rk4_chunks yields them, or
+    the columns (d*d, k) of rho0 that _rho0_columns makes.
 
-    Both are checked in Q, with all N densities in the last axis, so each
-    numpy call acts on every one of them.  The trace is the sum of Q's
+    They are checked with all N densities in the last axis, so each numpy
+    call acts on every one of them.  The trace is the sum of Q's
     diagonal coordinates.  Positivity is the Cholesky elimination of
     rho - POSITIVITY_TOL*I, built on a (d, d, N) copy from the entries
     (Q + Q^T)/2 + i (Q - Q^T)/2: every pivot is positive iff every
@@ -359,8 +356,6 @@ def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = No
     the eigenvalue.  The copies and the elimination's temporaries are
     taken from bufs, which a pass holds across its chunks."""
     take = (bufs or _Buffers()).take
-    if np.iscomplexobj(states):
-        states = _coordinates(states).reshape(-1, states.shape[-1] ** 2).T
     d = math.isqrt(states.shape[-2])
     moved = np.moveaxis(states, -2, 0)
     q = take("q", (d, d, moved[0].size))
@@ -424,25 +419,34 @@ def _fold(L: np.ndarray) -> np.ndarray:
     return swapped
 
 
-def _lindblad_chunks(schedule: PulseSchedule, errs, rho: np.ndarray, samples: int | None):
-    """RK4 densities of the batch rho (k, d, d) under every error model of
-    errs at once (_rk4_pass): the global times, the steps per segment and
-    an iterator over the states after rho, chunk by chunk, as their
-    coordinates Q in the columns of (c, G, d*d, k), each chunk valid until
-    the next is requested.  rho must be Hermitian and pass the trace and
-    positivity check, which every chunk passes in Q before it is yielded;
-    the states read back from Q are Hermitian by construction.
-    """
-    system = schedule.system
-    d, k = system.dim, len(rho)
-    if rho.shape[-2:] != (d, d):
+def _rho0_columns(system: LevelSystem, rho0) -> np.ndarray:
+    """The one intake of rho0, (d, d) or a batch (k, d, d), for both
+    Lindblad routes: its shape against the dimension of `system`, its
+    Hermiticity, and trace and positivity by _validate_density.  Returns
+    the row-major coordinates Q of the batch in the columns of (d*d, k),
+    from which both routes start."""
+    rho = np.asarray(rho0, dtype=complex)
+    d = system.dim
+    if rho.ndim > 3 or rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
     herm = hermiticity_defect(rho).max()
     if herm > 1e-8:
         raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
-    _validate_density(rho, "in rho0")
-    # columns are the row-major coordinates Q of the batch
-    cols = np.broadcast_to(_coordinates(rho).reshape(k, d * d).T, (len(errs), d * d, k))
+    cols = _coordinates(rho).reshape(-1, d * d).T
+    _validate_density(cols, "in rho0")
+    return cols
+
+
+def _lindblad_chunks(schedule: PulseSchedule, errs, cols: np.ndarray, samples: int | None):
+    """RK4 densities of the columns cols (d*d, k) of _rho0_columns under
+    every error model of errs at once (_rk4_pass): the global times, the
+    steps per segment and an iterator over the states after cols, chunk by
+    chunk, as their coordinates Q in the columns of (c, G, d*d, k), each
+    chunk valid until the next is requested.  Every chunk passes the trace
+    and positivity check in Q before it is yielded; the states read back
+    from Q are Hermitian by construction.
+    """
+    cols = np.broadcast_to(cols, (len(errs),) + cols.shape)
     times, steps, states_after = _rk4_pass(schedule, errs, cols, "lindblad", samples)
 
     def chunks():
@@ -463,18 +467,16 @@ def propagate_lindblad(
 
     Trace and positivity are enforced at every stored sample, which is
     read back from Q chunk by chunk, Hermitian by construction; rho0 must
-    be Hermitian and pass both checks too.  Violations abort rather than
-    clip.
+    pass _rho0_columns.  Violations abort rather than clip.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    batch = rho0.ndim == 3
-    rho = rho0 if batch else rho0[None, :, :]
-    times, steps, chunks = _lindblad_chunks(schedule, [err], rho, samples)
-    ops = np.concatenate([rho[None],
+    cols = _rho0_columns(schedule.system, rho0)
+    times, steps, chunks = _lindblad_chunks(schedule, [err], cols, samples)
+    ops = np.concatenate([rho0.reshape((1, -1) + rho0.shape[-2:]),
                           *(_density(states[:, 0].swapaxes(-1, -2)) for states in chunks)])
     mon = monitor_index(schedule.system)
     pe = ops[..., mon, mon].real.max(axis=1)
-    if not batch:
+    if rho0.ndim == 2:
         ops = ops[:, 0]
     return Trajectory(times=times, operators=ops, excited_population=pe, kind="lindblad",
                       steps=steps)
@@ -491,22 +493,23 @@ def propagate_lindblad_grid(
     population of each grid point over time and batch (G,), and the RK4
     steps taken.
 
-    The points share one RK4 pass, in blocks of CHUNK_ELEMENTS // d**4 so
-    that memory stays bounded; each point's values are those of
-    propagate_lindblad under its own error model, checked the same way.
-    Only the final states of a block are read back from Q; the monitored
-    population is Q's coordinate (mon, mon), which equals Re rho[mon, mon]
-    bit for bit.
+    rho0 passes _rho0_columns once.  The points share one RK4 pass, in
+    blocks of CHUNK_ELEMENTS // d**4 so that memory stays bounded; each
+    point's values are those of propagate_lindblad under its own error
+    model, checked the same way.  Only the final states of a block are read
+    back from Q; the monitored population is Q's coordinate (mon, mon),
+    which equals Re rho[mon, mon] bit for bit.
     """
     rho = np.asarray(rho0, dtype=complex)
     d = schedule.system.dim
+    cols = _rho0_columns(schedule.system, rho)
     mon = monitor_index(schedule.system)
     block = max(1, CHUNK_ELEMENTS // d ** 4)
     final, peak = [], []
     for b0 in range(0, len(errs), block):
         part = errs[b0:b0 + block]
-        _, steps, chunks = _lindblad_chunks(schedule, part, rho, samples)
-        top = np.full(len(part), rho[:, mon, mon].real.max())
+        _, steps, chunks = _lindblad_chunks(schedule, part, cols, samples)
+        top = np.full(len(part), rho[..., mon, mon].real.max())
         for states in chunks:
             top = np.maximum(top, states[..., mon * (d + 1), :].max(axis=(0, 2)))
         final.append(_density(states[-1].swapaxes(-1, -2)))
@@ -563,10 +566,11 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
     Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
     H nodes, both exponents of every slice interleaved in time order, and
     one ordered_product.  A chunk of a square pulse (Segment.square) takes
-    the exponential of its first exponent, broadcast to every factor of the
-    product, which the per-matrix Taylor polynomial gives bit for bit, and
-    ordered_product then builds one block's products for all blocks.  A
-    rejected exponent names its slice."""
+    the H nodes of its first slice alone and the exponential of its first
+    exponent, broadcast to every factor of the product, which the
+    per-matrix Taylor polynomial gives bit for bit, and ordered_product
+    then builds one block's products for all blocks.  A rejected exponent
+    names its slice."""
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(m)
@@ -575,14 +579,15 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
         t0 = np.arange(n) * h
         t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
         for c0 in range(0, n, chunk):
+            c1 = c0 + 1 if seg.square else c0 + chunk
             with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
-                H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c0 + chunk], err)
-                H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c0 + chunk], err)
+                H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c1], err)
+                H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c1], err)
                 H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
             X = H.reshape((-1,) + H.shape[2:])
             try:
                 if seg.square:  # one exponential, broadcast
-                    E = np.broadcast_to(exponentials(X[:1], h), (len(X), m, m))
+                    E = np.broadcast_to(exponentials(X[:1], h), (2 * min(chunk, n - c0), m, m))
                 else:
                     E = exponentials(X, h)
             except RejectedMatrix as e:
@@ -613,14 +618,11 @@ def oracle_propagate_lindblad(
     L1, L2 the superoperators at its two Gauss nodes.  They are linear in
     H, so each is S[a H1 + b H2] + (a + b) D with S the commutator
     superoperator and D the dissipator, folded once per call; the product
-    runs on the real coordinates Q of rho0, which must be Hermitian.
+    runs on the real coordinates Q of rho0, which must pass _rho0_columns.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    herm = hermiticity_defect(rho0).max()
-    if herm > 1e-8:
-        raise ValueError(f"rho0 not Hermitian, defect {herm:.3e}")
     system = schedule.system
     d = system.dim
+    cols = _rho0_columns(system, rho0)
     D = (_CF4_A + _CF4_B) * _fold(lindblad_superoperator(system, err, np.zeros((d, d))))
 
     def exponentials(X, h):
@@ -628,5 +630,6 @@ def oracle_propagate_lindblad(
             L = _fold(lindblad_superoperator(system, ErrorModel(), X))
         return expm_taylor(L + D, h)
     P = _cf4_product(schedule, err, slices, d * d, exponentials)
-    q = P @ _coordinates(rho0).reshape(-1, d * d, 1)
-    return _density(q[..., 0]).reshape(rho0.shape)
+    # one matrix-vector product per state: a (d*d, k) matmul moves the bits
+    q = P @ cols.T[..., None]
+    return _density(q[..., 0]).reshape(np.shape(rho0))

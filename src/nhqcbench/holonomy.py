@@ -51,8 +51,7 @@ def frame_connection(V: np.ndarray, H: np.ndarray, h: float) -> tuple[np.ndarray
     <nu_l|H|nu_m> on the computational rows of the frame V and the
     Hamiltonians H sampled at the same times, spaced by h; both are made
     Hermitian by symmetrization (finite-difference noise)."""
-    # the Gram stack stays a temporary: a local name would keep it alive
-    drift = float(np.abs(np.einsum("nkc,nlc->nkl", V.conj(), V) - np.eye(V.shape[1])).max())
+    drift = unitarity_defect(V)
     if not drift <= FRAME_DRIFT_REJECT:  # NaN fails too
         raise ValueError(f"frame orthonormality drift {drift:.3e} > {FRAME_DRIFT_REJECT}")
     nu = V[:, :-1]
@@ -86,9 +85,7 @@ def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     return U
 
 
-def reconstruct_computational_gate(
-    schedule: PulseSchedule, steps: int = 2048, err: ErrorModel = ErrorModel()
-) -> np.ndarray:
+def reconstruct_computational_gate(schedule: PulseSchedule, steps: int = 2048) -> np.ndarray:
     """Holonomy of the loop by `steps` Magnus steps, split among the
     segments by allocate_steps, mapped from the frame basis to the
     computational 0/1 basis.  Segment k+1 takes over the coefficients of
@@ -104,7 +101,7 @@ def reconstruct_computational_gate(
         h = seg.duration / (2 * n)
         V = seg.frame(t)
         Ck = holonomy_reconstruct(
-            *frame_connection(V, segment_hamiltonian_nodes(schedule, k, t, err), h), h)
+            *frame_connection(V, segment_hamiltonian_nodes(schedule, k, t, ErrorModel()), h), h)
         if C is None:
             C, start = Ck, V[0, :-1]
         else:

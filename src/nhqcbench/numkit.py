@@ -49,9 +49,14 @@ def hermiticity_defect(M: np.ndarray) -> float | np.ndarray:
 
 
 def unitarity_defect(M: np.ndarray) -> float:
-    """max |M^dagger M - I| over entries."""
-    d = M.shape[-1]
-    return float(np.abs(M.conj().T @ M - np.eye(d)).max())
+    """The Gram defect max |M M^dagger - I|, I = eye(r), over the entries of
+    one matrix M (r, c) or of every matrix of a stack (n, r, c): the
+    unitarity of square matrices and the orthonormality of the rows of
+    frames.  The products are taken by einsum with explicit subscripts,
+    which reads a stack faster than an ellipsis does."""
+    M = M.reshape((-1,) + M.shape[-2:])
+    gram = np.einsum("nij,nkj->nik", M, M.conj())
+    return float(np.abs(gram - np.eye(M.shape[1])).max())
 
 
 class RejectedMatrix(ValueError):

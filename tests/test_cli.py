@@ -353,6 +353,36 @@ class TestCheck:
         assert "holonomy_reconstruction_defect=" in out
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param([command, *base, flag, value], id=f"{command}{flag}")
+    for command, base in (("table1", []), ("goldens", []), ("check", ["--scheme", "sl"]))
+    for flag, value in (("--samples", "400"), ("--units", "physical"), ("--out-dir", "x"))
+    if (command, flag) not in {("check", "--samples"), ("check", "--out-dir")}
+])
+def test_options_a_subcommand_never_reads_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a relative --out-dir would land here
+    code = main(argv)
+    assert code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_table1_config_with_units_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"units": "physical"}))
+    code = main(["table1", "--config", str(cfg)])
+    assert code == 2
+    assert "'units' is not an option of table1" in capsys.readouterr().err
+
+
+def test_check_accepts_out_dir_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out = run(["check", "--scheme", "sl", "--samples", "1000", "--out-dir", str(out_dir)],
+                    capsys)
+    assert code == 0 and "rk4_vs_oracle=" in out
+    assert not out_dir.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -154,12 +154,12 @@ class TestPropagateUnitary:
 
     @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel(epsilon=0.03, eta=-0.02)])
     def test_drift_matches_stacked_matmul(self, schedules, err):
-        # the drift is taken by einsum; the stacked complex @ it replaced
-        # gives the same value up to roundoff
+        # the drift is unitarity_defect's einsum; the stacked complex @ it
+        # replaced gives the same value up to roundoff
         for tag, sched in schedules.items():
             ops = propagate_unitary(sched, err).operators
             ref = np.abs(ops @ ops.conj().transpose(0, 2, 1) - np.eye(sched.system.dim)).max()
-            assert abs(dynamics._unitarity_drift(ops) - ref) <= 1e-15, tag
+            assert abs(numkit.unitarity_defect(ops) - ref) <= 1e-15, tag
 
     def test_coarse_run_fails_the_drift_check(self, schedules):
         with pytest.raises(RuntimeError, match="unitarity drift .* exceeds"):
@@ -257,6 +257,50 @@ class TestPropagateLindblad:
                                basis_rho(8, 2), samples=50)
 
 
+BAD_RHO0 = [
+    pytest.param(np.eye(9, dtype=complex) / 9, ValueError,
+                 r"rho0 shape \(9, 9\) does not match dim 3$", id="9x9"),
+    pytest.param(2 * basis_rho(3, 0), RuntimeError, r"trace deviates by 1\.000e\+00 in rho0$",
+                 id="trace-2"),
+    pytest.param(np.diag([1.5, -0.5, 0.0]), RuntimeError,
+                 r"negative eigenvalue -5\.000e-01 in rho0$", id="negative"),
+    pytest.param(basis_rho(3, 0) + 0.5 * np.eye(3, k=1), RuntimeError,
+                 r"Hermiticity defect 5\.000e-01 in rho0$", id="non-hermitian"),
+]
+
+
+class TestRho0Intake:
+    """Every Lindblad entry point takes rho0 through one intake."""
+
+    @pytest.mark.parametrize("rho0, exc, message", BAD_RHO0)
+    def test_every_route_rejects_alike(self, schedules, rho0, exc, message):
+        sched, err = schedules["sl"], ErrorModel(gamma_minus=1e-4)
+        routes = {
+            "rk4": lambda: propagate_lindblad(sched, err, rho0, samples=50),
+            "grid": lambda: propagate_lindblad_grid(sched, [err], rho0, samples=50),
+            "oracle": lambda: oracle_propagate_lindblad(sched, err, rho0, slices=32),
+        }
+        for run in routes.values():
+            with pytest.raises(exc, match=message):
+                run()
+
+    def test_grid_checks_rho0_once(self, schedules, monkeypatch):
+        # nine points of d = 8 run in two blocks of eight
+        assert dynamics.CHUNK_ELEMENTS // 8 ** 4 == 8
+        sched = schedules["dfs3"]
+        errs = [ErrorModel(epsilon=x) for x in np.linspace(-0.02, 0.02, 9)]
+        wheres = []
+        original = dynamics._validate_density
+
+        def spy(states, where, *args):
+            wheres.append(where)
+            return original(states, where, *args)
+        monkeypatch.setattr(dynamics, "_validate_density", spy)
+        propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples=400)
+        assert wheres.count("in rho0") == 1
+        assert wheres.count("during evolution") == len(wheres) - 1 > 0
+
+
 GRID_AXES = {
     "epsilon": [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4)
                 for x in (-0.1, -0.02, 0.05)],
@@ -324,19 +368,21 @@ class TestValidateDensity:
         stack = np.stack([rotated_density([0.5, 0.5, 0.0], 1),
                           rotated_density([1 + 2e-9, -2e-9, 0.0], 2)])
         with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
-            _validate_density(stack, "at t")
+            _validate_density(chunk_coordinates(stack), "at t")
 
     def test_small_negative_eigenvalue_within_tolerance(self):
-        _validate_density(rotated_density([1 + 5e-10, -5e-10, 0.0], 3), "at t")
+        _validate_density(chunk_coordinates(rotated_density([1 + 5e-10, -5e-10, 0.0], 3)[None]),
+                          "at t")
 
     def test_rank_deficient_state_passes(self):
         # a pure state sits on the boundary the tolerance keeps inside
-        _validate_density(six_axial_densities(LevelSystem.lambda3()), "at t")
+        _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())), "at t")
 
 
 def chunk_coordinates(rho):
-    """Densities (c, G, k, d, d) as the coordinates Q that rk4_chunks yields
-    for them, (c, G, d*d, k)."""
+    """Densities (..., k, d, d) as the coordinates Q that rk4_chunks yields
+    for them, (..., d*d, k): (c, G, d*d, k) for a chunk, (d*d, k) for a
+    batch."""
     d = rho.shape[-1]
     return (rho.real + rho.imag).reshape(rho.shape[:-2] + (d * d,)).swapaxes(-1, -2)
 
@@ -355,7 +401,7 @@ def random_densities(d, n, shift, seed):
 
 
 class TestValidateCoordinates:
-    """The check on the coordinates rk4_chunks yields, and on complex rho0."""
+    """The check on the coordinates rk4_chunks yields, and on those of rho0."""
 
     def test_negative_eigenvalue_named_on_both_routes(self, schedules):
         rho = np.stack([rotated_density([0.5, 0.5, 0.0], 1),
@@ -390,7 +436,7 @@ class TestValidateCoordinates:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         for i, r in enumerate(rho):
-            states = r if i % 2 else chunk_coordinates(r[None, None, None])
+            states = chunk_coordinates(r[None] if i % 2 else r[None, None, None])
             if passes[i]:
                 _validate_density(states, "at t")
             else:
@@ -624,7 +670,7 @@ class TestRealCoordinates:
     def test_oracle_rejects_non_hermitian_rho0(self, schedules):
         bad = basis_rho(3, 0)
         bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(RuntimeError, match=r"Hermiticity defect 5\.000e-01 in rho0"):
             oracle_propagate_lindblad(schedules["sl"], ErrorModel(gamma_minus=1e-4), bad,
                                       slices=32)
 
@@ -814,6 +860,35 @@ class TestConstantDrives:
         fast = {name: run() for name, run in constant_runs(sched, errs).items()}
         for name, run in constant_runs(full_path(sched), errs).items():
             assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
+
+    @pytest.mark.parametrize("tag", ["sl", "dfs3", "ps"])
+    def test_oracle_requests_one_time_per_square_chunk(self, schedules, monkeypatch, tag):
+        # a square chunk asks for the H nodes of its first slice alone; both
+        # oracles keep the bits of the whole-chunk nodes of the materialized
+        # schedule
+        sched = schedules[tag]
+        square = tag in CONSTANT_DRIVES
+        errs = catalog_errors(sched)
+        d = sched.system.dim
+        ref = constant_runs(full_path(sched) if square else sched, errs)
+        expected = {name: ref[name]() for name in ("oracle_unitary", "oracle_lindblad")}
+        sizes = []
+        original = dynamics.segment_hamiltonian_nodes
+
+        def spy(schedule, seg_index, t_local, err):
+            sizes.append(len(t_local))
+            return original(schedule, seg_index, t_local, err)
+        monkeypatch.setattr(dynamics, "segment_hamiltonian_nodes", spy)
+        runs = constant_runs(sched, errs)
+        for name, slices, m in (("oracle_unitary", 1000, 2 * d), ("oracle_lindblad", 200, d * d)):
+            sizes.clear()
+            out = runs[name]()
+            chunk = dynamics.CHUNK_ELEMENTS // m ** 2
+            want = [1 if square else min(chunk, n - c0)
+                    for n in allocate_steps(sched, slices, floor=16)
+                    for c0 in range(0, n, chunk) for _ in range(2)]
+            assert sizes == want, name
+            assert np.array_equal(out, expected[name]), name
 
     def test_constant_closure_takes_the_general_path_with_the_same_bits(self, monkeypatch):
         # a closure that returns a constant without broadcasting it is not a
