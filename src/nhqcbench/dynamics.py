@@ -268,9 +268,12 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     # the Hamiltonian part eta_g|e><e| of C_g by the lift
     const = _lift(lift_map, np.stack([detuning_error(schedule, e) for e in errs]))
     if kind == "lindblad":
+        # the dissipator reads only the rates, so each distinct pair is folded once
         d = system.dim
-        const += np.stack([_fold(lindblad_superoperator(system, e, np.zeros((d, d))))
-                           for e in errs])
+        rates = {(e.gamma_minus, e.gamma_z): e for e in errs}
+        folded = {key: _fold(lindblad_superoperator(system, e, np.zeros((d, d))))
+                  for key, e in rates.items()}
+        const += np.stack([folded[e.gamma_minus, e.gamma_z] for e in errs])
     generator = _grid_generator(system, lift_map, errs, const)
     steps = tuple(allocate_steps(schedule, samples))
     segments = []
@@ -366,15 +369,20 @@ def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = No
     A = take("rho", q.shape, complex)
     np.add(q, q.swapaxes(0, 1), out=A.real)
     np.subtract(q, q.swapaxes(0, 1), out=A.imag)
-    A *= 0.5
-    A.real[range(d), range(d)] -= POSITIVITY_TOL
+    halves = A.view(float)
+    halves *= 0.5
+    A.real.reshape(d * d, -1)[::d + 1] -= POSITIVITY_TOL  # the diagonal, a strided view
     row = take("row", (d - 1,) + q.shape[2:], complex)
     outer = take("outer", (d - 1,) + row.shape, complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
             a, schur = A[j + 1:, j], A[j + 1:, j + 1:]
-            r = np.conjugate(a, out=row[:len(a)])
-            r /= A.real[j, j]
+            # conj(a) / pivot as products of the real parts with 1 / pivot,
+            # which is how numpy divides a complex number by a real one
+            inv = 1.0 / A.real[j, j]
+            r = row[:len(a)]
+            np.multiply(a.real, inv, out=r.real)
+            np.multiply(a.imag, -inv, out=r.imag)
             schur -= np.multiply(a[:, None], r, out=outer[:len(a), :len(a)])
     if not np.diagonal(A.real).min() > 0:  # NaN fails too
         wmin = np.linalg.eigvalsh(_density(q.reshape(d * d, -1).T)).min()

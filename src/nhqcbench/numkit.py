@@ -26,9 +26,11 @@ callers pass it for square pulses, and no value is ever probed.  Both
 use the same blocking: products of blocks of about sqrt(n) consecutive
 factors are built side by side, one batched matmul per block position, so
 a run of n small matrices costs about 2 sqrt(n) numpy calls instead of n.
-The RK4 chain blocks only states at least as wide as the step matrix
-(propagators), for which a prefix product costs no more per step than
-advancing the state.
+The RK4 chain blocks every state: a propagator in blocks of b =
+ceil(sqrt(n)), a narrower state (density coordinates, a vector) in blocks
+of at most ceil(sqrt(m r)), so a segment takes about n/b + b numpy calls.
+b depends only on the step count and the state's shape, never on the grid
+size or the chunk budget, so neither of them moves a bit.
 """
 from __future__ import annotations
 
@@ -264,6 +266,14 @@ def _step_matrices(A: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
     return K2
 
 
+def _block_size(n: int, m: int, r: int) -> int:
+    """The block size b of rk4_chunks for a segment of n steps and states
+    (.., m, r): ceil(sqrt(n)), and for narrow states (r < m) at most
+    ceil(sqrt(m r))."""
+    b = math.isqrt(n - 1) + 1 if n else 1
+    return b if r >= m else min(b, math.isqrt(m * r - 1) + 1)
+
+
 def rk4_chunks(
     y0: np.ndarray, segments: Sequence[tuple[float, Sequence[np.ndarray]]]
 ) -> Iterator[np.ndarray]:
@@ -277,34 +287,46 @@ def rk4_chunks(
     generators on the half-step lattice of n steps, 2n+1 of them, as an
     array or any sequence that len() measures and a slice reads, so a lazy
     sequence can build each run as it is read.  The step matrices are built
-    in batched chunks of about CHUNK_ELEMENTS // (G m**2) steps, so
-    transient memory depends on neither the step count nor m.  Each chunk
-    of states is a (c, *y0.shape) view of one buffer held for the call: it
-    is valid until the next chunk is requested, and the last one stays
-    valid.
+    in batched chunks of about CHUNK_ELEMENTS // (G m**2) steps, rounded to
+    whole blocks (below), so transient memory does not grow with the step
+    count.  Each chunk of states is a (c, *y0.shape) view of one buffer
+    held for the call: it is valid until the next chunk is requested, and
+    the last one stays valid.
 
     A segment whose A is one node broadcast along the lattice (stride 0, a
     square pulse) builds its step matrix once, from the same three nodes,
     and no stack of them: the batched products act matrix by matrix, so
-    it holds the bits of every step matrix the general path builds.  Its
-    chunks are sized by the states alone, CHUNK_ELEMENTS // y0.size steps.
+    it holds the bits of every step matrix the general path builds.
 
     The steps of a segment are chained in blocks of b: the prefix products
     P_j ... P_1 of all the chunk's blocks are built side by side in place,
     one batched matmul per block position j; one matmul per block carries
     the state from block end to block end, and one batched matmul gives
-    the states inside the blocks from the state before each, about
-    2 sqrt(n) numpy calls for n steps where a plain chain makes n.  A
-    prefix product costs m**3 per step against m**2 r for advancing a
-    state of r columns, so only a state at least as wide as the step
-    matrix (r >= m, as for propagators) is blocked, with b = ceil(sqrt(n));
-    narrower ones, such as batches of density coordinates, take b = 1,
-    the plain chain.  Chunks hold a whole number of blocks (at least one;
-    identity steps pad the segment's last block), so block boundaries
-    depend only on the step index within the segment and neither chunk
-    nor grid size changes a state.  In a broadcast segment every block's
-    prefix products are the powers P, P^2, ..., P^b of its one step
-    matrix, built once for the segment and shared by all its blocks.
+    the states inside the blocks from the state before each, about n/b + b
+    numpy calls for n steps where a plain chain makes n.  A state at least
+    as wide as the step matrix (r >= m, as for propagators) takes b =
+    ceil(sqrt(n)).  A prefix product costs m**3 per step against m**2 r
+    for advancing a state of r columns, so a narrower state, such as a
+    batch of density coordinates or a vector (r = 1), takes b =
+    min(ceil(sqrt(n)), ceil(sqrt(m r))): 8 for six 3-level densities, 20
+    for six 8-level ones.  b depends only on n and the state's shape (m, r),
+    never on G, on CHUNK_ELEMENTS or on whether the segment is broadcast,
+    so a grid point reads the same alone or inside a grid, no chunk
+    budget moves a bit, and a square pulse keeps the bits of its
+    materialized stack.  Chunks hold a whole number of blocks (identity
+    steps pad the segment's last block), so block boundaries depend only
+    on the step index within the segment.  A chunk of a wide state holds
+    CHUNK_ELEMENTS // (G m**2) steps rounded down to whole blocks, at
+    least one.  A varying chunk of a narrow state holds at least four
+    blocks, so that its b - 1 prefix matmuls each act on several blocks,
+    as long as those fit in four chunk budgets, and at least one block:
+    the four-block floor would hold about 8 MB of step matrices per grid
+    point for an 8-level density, and ran slower there than one block.
+    In a broadcast segment every block's prefix products are the powers
+    P, P^2, ..., P^b of its one step matrix, built once for the segment
+    and shared by all its blocks; a narrow state's chunks are then sized
+    by the states alone, CHUNK_ELEMENTS // y0.size steps rounded up to
+    whole blocks.
 
     Aborts on the first non-finite state, naming segment and step; the
     overflow of a diverging run, or of building its generators, is left to
@@ -312,29 +334,37 @@ def rk4_chunks(
     sum of its states; only when that is not finite (a non-finite state,
     or finite ones whose sum overflows) are its steps checked one by one.
     """
-    y = np.asarray(y0)
-    grid = y.shape[:1] if y.ndim == 3 else ()
-    m = len(y[0]) if grid else len(y)
-    wide = y.ndim > 1 and y.shape[-1] >= m
+    y0 = np.asarray(y0)
+    y = y0[:, None] if y0.ndim == 1 else y0  # a vector is chained as one column
+    grid = y.shape[:-2]
+    m, r = y.shape[-2:]
     chunk = max(1, CHUNK_ELEMENTS // (math.prod(grid) * m * m))
     steps = [(len(A) - 1) // 2 for _, A in segments]
     broadcast = [isinstance(A, np.ndarray) and A.strides[0] == 0 for _, A in segments]
-    blocks = [math.isqrt(n - 1) + 1 if wide and n else 1 for n in steps]
-    runs = [max(1, CHUNK_ELEMENTS // y.size) if one and b == 1 else max(b, chunk // b * b)
-            for one, b in zip(broadcast, blocks)]
-    rows = [min(r, -(-n // b) * b) for n, b, r in zip(steps, blocks, runs)]
-    # one workspace for the step matrices (the powers of a broadcast
-    # segment's one) and one buffer for the states of every chunk: fresh
+    blocks = [_block_size(n, m, r) for n in steps]
+
+    def whole_blocks(b: int, one: bool) -> int:
+        """The steps per chunk, a whole number of blocks (see above)."""
+        if r >= m:
+            return max(b, chunk // b * b)
+        if one:
+            return -(-max(1, CHUNK_ELEMENTS // y.size) // b) * b
+        return b * max(1, chunk // b, min(4, 4 * chunk // b))
+    runs = [whole_blocks(b, one) for one, b in zip(broadcast, blocks)]
+    rows = [min(run, -(-n // b) * b) for n, b, run in zip(steps, blocks, runs)]
+    # one workspace for the step matrices, three slots per step of a chunk
+    # (a broadcast segment holds its b powers, at least the three slots of
+    # its one build), and one buffer for the states of every chunk: fresh
     # arrays of this size per chunk would make the allocator return and
     # refault pages
-    held = [b if one else r for one, b, r in zip(broadcast, blocks, rows)]
-    work = np.empty((3, max(held, default=0)) + grid + (m, m), dtype=y.dtype)
+    held = [max(3, b) if one else 3 * rs for one, b, rs in zip(broadcast, blocks, rows)]
+    work = np.empty((max(held, default=0),) + grid + (m, m), dtype=y.dtype)
     buf = np.empty((max(rows, default=0),) + y.shape, dtype=y.dtype)
     for si, ((h, A), n, b, run, one) in enumerate(zip(segments, steps, blocks, runs, broadcast)):
         if one and n:
-            powers = work[0, :b]
+            powers = work[:b]
             with np.errstate(over="ignore", invalid="ignore"):
-                _step_matrices(A[:3], h, work[:, :1])  # into powers[0]
+                _step_matrices(A[:3], h, work[:3, None])  # into powers[0]
                 for j in range(1, b):
                     np.matmul(powers[0], powers[j - 1], out=powers[j])
         for c0 in range(0, n, run):
@@ -348,8 +378,9 @@ def rk4_chunks(
                     P = np.broadcast_to(powers[-1], (cb,) + powers.shape[1:])
                     inside = powers[:-1]
                 else:
-                    P = work[0, :cb]
-                    _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h, work[:, :c])  # into P[:c]
+                    P = work[:cb]
+                    _step_matrices(A[2 * c0:2 * (c0 + c) + 1], h,
+                                   work[:3 * c].reshape((3, c) + work.shape[1:]))  # into P[:c]
                     P[c:] = np.eye(m)
                     for j in range(1, b):
                         np.matmul(P[j::b], P[j - 1::b], out=P[j::b])
@@ -370,4 +401,4 @@ def rk4_chunks(
                 if not finite.all():
                     step = c0 + int(np.argmin(finite))
                     raise RuntimeError(f"rk4_chunks: non-finite state in segment {si} step {step}")
-            yield states
+            yield states.reshape((c,) + y0.shape)

@@ -346,6 +346,21 @@ class TestLindbladGrid:
         blocked = propagate_lindblad_grid(sched, errs, rho0, 200)
         assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
 
+    def test_one_dissipator_fold_per_rate_pair(self, schedules, monkeypatch):
+        # six points with two (gamma_minus, gamma_z) pairs: the pass folds
+        # the lift map and each pair's dissipator once
+        sched = schedules["sl"]
+        folds = []
+        original = dynamics._fold
+
+        def spy(L):
+            folds.append(L.shape)
+            return original(L)
+        monkeypatch.setattr(dynamics, "_fold", spy)
+        errs = GRID_AXES["epsilon"] + GRID_AXES["eta"]
+        propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples=1000)
+        assert len(folds) == 1 + 2
+
     @pytest.mark.parametrize("errs", [
         [ErrorModel(epsilon=0.0, gamma_minus=1e-4)],
         GRID_AXES["decoherence"],  # its first point is closed
