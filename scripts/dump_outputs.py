@@ -5,7 +5,10 @@
     python scripts/dump_outputs.py --oracle-error
 
 The dump holds, per scheme, the arrays a numerical change must keep within
-1e-12 of the previous outputs: H nodes and the full RK4 propagator
+1e-12 of the previous outputs: what the schedule carries (its target, the
+segment durations, the `Segment.square` flags and every numeric entry of
+`notes`, nested ones included) and its `pulse_area`; H nodes and the full
+RK4 propagator
 trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle and
 the (cyclic, parallel) condition residuals of that trajectory at the same
 errors, the auxiliary frame, the holonomy reconstruction `check` prints,
@@ -37,7 +40,7 @@ import sys
 import numpy as np
 
 from nhqcbench import dynamics
-from nhqcbench.bench import FIG13_GAMMA, TABLE1_TAGS, benchmark_catalog, sweep
+from nhqcbench.bench import FIG13_GAMMA, TABLE1_TAGS, benchmark_catalog, pulse_area, sweep
 from nhqcbench.dynamics import (
     ORACLE_LINDBLAD_SLICES,
     ORACLE_SLICES,
@@ -73,10 +76,27 @@ def per_segment(sched, intervals: int, sample) -> np.ndarray:
                            in enumerate(zip(sched.segments, allocate_steps(sched, intervals)))])
 
 
+def numeric_notes(prefix: str, notes: dict) -> dict:
+    """The numeric entries of a schedule's notes, nested dicts flattened
+    into keys prefix/name/..."""
+    out = {}
+    for name, value in notes.items():
+        if isinstance(value, dict):
+            out.update(numeric_notes(f"{prefix}/{name}", value))
+        elif isinstance(value, (int, float, complex, np.number)):
+            out[f"{prefix}/{name}"] = np.array(value)
+    return out
+
+
 def dump(path: str) -> None:
     arrays = {}
     for tag, spec in benchmark_catalog().items():
         sched = build_schedule(spec)
+        arrays[f"{tag}/target"] = sched.target
+        arrays[f"{tag}/durations"] = np.array([seg.duration for seg in sched.segments])
+        arrays[f"{tag}/square"] = np.array([seg.square for seg in sched.segments], dtype=float)
+        arrays[f"{tag}/pulse_area"] = np.array(pulse_area(sched))
+        arrays.update(numeric_notes(f"{tag}/notes", sched.notes))
         arrays[f"{tag}/hnodes"] = per_segment(
             sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))
         traj = propagate_unitary(sched, CLOSED)

@@ -5,13 +5,13 @@ from .system import (
     GateAngles,
     LevelSystem,
     PulseSchedule,
-    SchemeSpec,
     Segment,
     bright_dark_basis,
     bright_ray_segment,
 )
 from .schemes import (
-    SCHEME_LABELS,
+    SCHEMES,
+    SchemeSpec,
     brachistochrone_tau,
     build_schedule,
     circle_path_params,
@@ -52,7 +52,7 @@ __all__ = [
     "GateReport",
     "LevelSystem",
     "PulseSchedule",
-    "SCHEME_LABELS",
+    "SCHEMES",
     "SchemeSpec",
     "Segment",
     "SweepResult",

@@ -26,48 +26,22 @@ from .dynamics import (
     six_axial_states,
 )
 from .holonomy import condition_residuals
-from .schemes import build_schedule
-from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
+from .schemes import SCHEMES, SchemeSpec, build_schedule
+from .system import ErrorModel, GateAngles, PulseSchedule
 
 PI = np.pi
 
-# published pulse areas, in units of pi (TO excluded from exact matching:
-# its published 0.43 does not follow from any stated normalization; see the
-# schedule's area_conventions note)
-TABLE1_AREAS_PI = {
-    "SL": 1.00,
-    "PS": 2.16,
-    "C": 2.00,
-    "DC": 2.00,
-    "TO": 0.43,
-    "S": 0.87,
-    "CDD": 1.32,
-}
+# catalog tag: published pulse area in units of pi, in table order (TO
+# excluded from exact matching: its published 0.43 does not follow from any
+# stated normalization; see the schedule's area_conventions note)
+TABLE1_AREAS_PI = {"sl": 1.00, "ps": 2.16, "c": 2.00, "dc": 2.00, "to": 0.43, "s": 0.87,
+                   "cdd": 1.32}
+TABLE1_TAGS = tuple(TABLE1_AREAS_PI)
 
 FIG13_GAMMA = 3e-4  # 2*pi*3 kHz at omega_bar = 2*pi*10 MHz
 OMEGA_BAR_HZ = 2 * PI * 1.0e7
 PULSE_AREA_SAMPLES = 4001  # trapezoid nodes per segment of pulse_area
 
-
-def benchmark_catalog() -> dict[str, SchemeSpec]:
-    """The comparison set: every scheme realizing the quarter-turn z-rotation
-    (S gate), plus the three demo schemes with their natural defaults."""
-    s_gate = GateAngles(gamma=PI / 2, theta=0.0, phi=0.0)
-    return {
-        "sl": SchemeSpec("SL", s_gate),
-        "ss": SchemeSpec("SS", s_gate, gamma_ss=-PI / 6),
-        "ps": SchemeSpec("PS", s_gate, varsigma=1.0),
-        "c": SchemeSpec("C", s_gate, loops=2),
-        "dc": SchemeSpec("DC", s_gate),
-        "to": SchemeSpec("TO", s_gate),
-        "s": SchemeSpec("S", s_gate),
-        "cdd": SchemeSpec("CDD", s_gate, loops=2),
-        "sta": SchemeSpec("STA", s_gate, phi1=PI / 2),
-        "dfs3": SchemeSpec("DFS3", s_gate, dfs_phi=0.0),
-    }
-
-
-TABLE1_TAGS = ("sl", "ps", "c", "dc", "to", "s", "cdd")
 
 GATE_ANGLES = {
     "S": GateAngles(PI / 2, 0.0, 0.0),
@@ -76,6 +50,13 @@ GATE_ANGLES = {
     "H": GateAngles(PI, PI / 4, 0.0),
     "sqrtH": GateAngles(PI / 2, PI / 4, 0.0),
 }
+
+
+def benchmark_catalog() -> dict[str, SchemeSpec]:
+    """The comparison set: every scheme at its spec defaults, asked for the
+    quarter-turn z-rotation (S gate), keyed by its lowercased tag; ss, sta
+    and dfs3 fix their own gate."""
+    return {tag.lower(): SchemeSpec(tag, GATE_ANGLES["S"]) for tag in SCHEMES}
 
 
 @dataclass(frozen=True)
@@ -308,10 +289,10 @@ def table1_rows() -> list[dict]:
             "tag": tag,
             "label": schedule.scheme_label,
             "area_pi": area,
-            "published": TABLE1_AREAS_PI[catalog[tag].scheme],
+            "published": TABLE1_AREAS_PI[tag],
             "duration": schedule.total_duration,
         }
-        if catalog[tag].scheme == "TO":
+        if "area_conventions_pi" in schedule.notes:
             row["area_conventions_pi"] = schedule.notes["area_conventions_pi"]
         rows.append(row)
     return rows

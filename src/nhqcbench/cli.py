@@ -46,8 +46,8 @@ from .holonomy import (
     condition_residuals,
     reconstruct_computational_gate,
 )
-from .schemes import build_schedule, rotation_gate
-from .system import ErrorModel, GateAngles, PulseSchedule, SchemeSpec
+from .schemes import SchemeSpec, build_schedule, rotation_gate
+from .system import ErrorModel, GateAngles, PulseSchedule
 
 TIME_UNIT_NS = 1e9 / OMEGA_BAR_HZ  # one unit of 1/omega_bar, in ns
 
@@ -245,11 +245,7 @@ def cmd_sweep(args) -> int:
     tags = [t.strip() for t in args.schemes.split(",") if t.strip()]
     if not tags:
         raise UsageError(f"--schemes names no scheme, got {args.schemes!r}")
-    catalog = benchmark_catalog()
-    for t in tags:
-        if t not in catalog:
-            raise UsageError(f"unknown scheme {t!r}; valid: {', '.join(catalog)}")
-    schedules = {t: build_schedule(catalog[t]) for t in tags}
+    schedules = {t: build_schedule(_resolve_spec(t)) for t in tags}
     fixed = ErrorModel(gamma_minus=args.gamma_minus, gamma_z=args.gamma_z)
     result = sweep(schedules, axis, grid, fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"sweep_{args.axis}.csv"
@@ -288,29 +284,23 @@ def cmd_table1(args) -> int:
     return 0
 
 
+_FIG13_DECOHERED = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
+# panel: (axis name, sweep axis, grid ends, fixed error model)
+_FIG13_PANELS = {
+    "a": ("decoherence", "gamma_decoherence", (0.0, 6e-4), ErrorModel()),
+    "b": ("epsilon", "epsilon", (-0.1, 0.1), _FIG13_DECOHERED),
+    "c": ("eta", "eta", (-0.1, 0.1), _FIG13_DECOHERED),
+}
+
+
 def cmd_fig13(args) -> int:
     panel = args.panel
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
+    axis_name, axis, (a, b), fixed = _FIG13_PANELS[panel]
     catalog = benchmark_catalog()
     specs = {t: catalog[t] for t in TABLE1_TAGS}
-    n = args.points
-    if n < 1:
-        raise UsageError(f"--points must be >= 1, got {n}")
-    if panel == "a":
-        grid = np.linspace(0.0, 6e-4, n)
-        result = sweep(specs, "gamma_decoherence", grid, ErrorModel(), args.samples)
-        axis_name = "decoherence"
-    elif panel == "b":
-        grid = np.linspace(-0.1, 0.1, n)
-        fixed = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
-        result = sweep(specs, "epsilon", grid, fixed, args.samples)
-        axis_name = "epsilon"
-    elif panel == "c":
-        grid = np.linspace(-0.1, 0.1, n)
-        fixed = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
-        result = sweep(specs, "eta", grid, fixed, args.samples)
-        axis_name = "eta"
-    else:
-        raise UsageError(f"unknown panel {panel!r}; valid: a, b, c")
+    result = sweep(specs, axis, np.linspace(a, b, args.points), fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"fig13{panel}.csv"
     _write_sweep(args, result, out, panel=panel, axis=axis_name)
     print(f"data_file={out}")
@@ -353,7 +343,7 @@ def cmd_goldens(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before the oracle work
     catalog = benchmark_catalog()
     grid = np.linspace(-0.1, 0.1, 41)
-    fixed = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
+    fixed = _FIG13_DECOHERED
     rows = []
     for tag in ("sl", "ps", "dc"):
         schedule = build_schedule(catalog[tag])

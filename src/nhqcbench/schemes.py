@@ -1,4 +1,6 @@
-"""Builders turning a SchemeSpec into a concrete PulseSchedule.
+"""Scheme specs, and the builders turning one into a concrete PulseSchedule.
+
+SCHEMES is the one list of schemes: tag -> builder, in catalog order.
 
 Each builder emits:
 
@@ -18,14 +20,17 @@ equivalently use -gamma/N per loop (the two differ by a bright-sector sign
 that cancels pairwise); the builder picks whichever matches the published
 parameter table while keeping the composite gate exact.
 
-The shortened-path and time-optimal constructions imprint e^{-i gamma} on
-whichever superposition they drive, so those builders drive the +n axis
-eigenvector (the dark state of the two-interval loop); the computational
-gate is then the same rotation as the other schemes.
+The single-shot, shortened-path and time-optimal constructions imprint
+their phase on whichever superposition they drive, so those builders drive
+the +n axis eigenvector (the dark state of the two-interval loop) through
+the bright axis of _plus_n_axis; the computational gate is then the same
+rotation as the other schemes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,26 +40,43 @@ from .system import (
     GateAngles,
     LevelSystem,
     PulseSchedule,
-    SchemeSpec,
     Segment,
     bright_dark_basis,
+    bright_ray,
     bright_ray_segment,
 )
 
 PI = np.pi
 
-SCHEME_LABELS = {
-    "SL": "SL-NHQC",
-    "SS": "SS-NHQC",
-    "PS": "PS-NHQC",
-    "C": "C-NHQC",
-    "DC": "DC-NHQC",
-    "TO": "TO-UNHQC",
-    "S": "S-NHQC",
-    "CDD": "CDD-NHQC",
-    "STA": "STA-NHQC",
-    "DFS3": "DFS3-NHQC",
-}
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Tagged description of one gate-construction scheme and its knobs.
+
+    The tag is a key of SCHEMES.  Fields irrelevant to the chosen scheme
+    are ignored; S is CDD with one loop, so it ignores `loops`.
+    """
+
+    scheme: str
+    angles: GateAngles = field(default_factory=lambda: GateAngles(PI / 2))
+    loops: int = 2  # C, CDD
+    varsigma: float = 1.0  # PS
+    gamma_ss: float = -PI / 6  # SS detuning angle
+    phi1: float = PI / 2  # STA azimuth span
+    dfs_phi: float = 0.0  # DFS3 axis
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
+        if not isinstance(self.loops, numbers.Integral) or self.loops < 1:
+            raise ValueError(f"loops={self.loops!r} must be an integer >= 1")
+        for name in ("varsigma", "gamma_ss", "phi1", "dfs_phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
+        if self.varsigma < 0:
+            raise ValueError("varsigma must be >= 0")
+
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]])
@@ -66,6 +88,12 @@ def rotation_gate(gamma: float, theta: float = 0.0, phi: float = 0.0) -> np.ndar
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     ns = n[0] * _SX + n[1] * _SY + n[2] * _SZ
     return np.cos(gamma / 2) * np.eye(2) - 1j * np.sin(gamma / 2) * ns
+
+
+def _plus_n_axis(angles: GateAngles) -> tuple[float, float]:
+    """The bright axis (pi - theta, phi + pi) whose ray is the +n axis
+    eigenvector cos(t/2)|0> + sin(t/2) e^{i p}|1>."""
+    return (PI - angles.theta, angles.phi + PI)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ def build_sl(spec: SchemeSpec) -> PulseSchedule:
     """Two equal intervals, areas pi/2, phases 0 then pi - gamma."""
     g = spec.angles.gamma
     pieces = [(0.0, PI / 2), (PI - g, PI / 2)]
-    return _build_loop_schedule(spec, pieces, SCHEME_LABELS["SL"])
+    return _build_loop_schedule(spec, pieces, "SL-NHQC")
 
 
 def build_c(spec: SchemeSpec) -> PulseSchedule:
@@ -184,7 +212,7 @@ def build_c(spec: SchemeSpec) -> PulseSchedule:
     pieces = []
     for _ in range(N):
         pieces += [(0.0, PI / 2), (PI - gl, PI / 2)]
-    return _build_loop_schedule(spec, pieces, SCHEME_LABELS["C"])
+    return _build_loop_schedule(spec, pieces, "C-NHQC")
 
 
 def build_dc(spec: SchemeSpec) -> PulseSchedule:
@@ -202,7 +230,7 @@ def build_dc(spec: SchemeSpec) -> PulseSchedule:
         (-g - PI / 2, PI / 2),
         (PI - g, PI / 4),
     ]
-    return _build_loop_schedule(spec, pieces, SCHEME_LABELS["DC"])
+    return _build_loop_schedule(spec, pieces, "DC-NHQC")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +250,7 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         raise ValueError("gamma_ss = pi/2 leaves no drive; choose |gamma_ss| < pi/2")
     delta = 2 * np.sin(gss)
     duration = PI
-    # driven superposition cos(t/2)|0> + sin(t/2) e^{i p}|1>, i.e. the +n axis
-    # eigenvector; realized via the complementary bright axis.
-    axis = (PI - ang.theta, ang.phi + PI)
+    axis = _plus_n_axis(ang)
     phi_gate = PI * np.sin(gss) + PI
     # block evolution with constant H = coupling*G(0) + delta*|e><e|
     half = delta / 2.0
@@ -237,11 +263,8 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
             np.cos(rot * t) * np.eye(2) - 1j * np.sin(rot * t) * m
         )
 
-    b2, _ = bright_dark_basis(ang)
-    b_full = system.embed_qubit(b2)
-    w_full = system.embed_qubit(
-        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
-    )
+    b_full = system.embed_qubit(bright_dark_basis(ang)[0])
+    w_full = bright_ray(system, axis)
     return_phase = float(np.angle(block(duration)[0, 0]))
     seg = bright_ray_segment(
         system,
@@ -257,7 +280,7 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
         system=system,
         segments=(seg,),
         target=target,
-        scheme_label=SCHEME_LABELS["SS"],
+        scheme_label="SS-NHQC",
     )
 
 
@@ -398,7 +421,7 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         system=system,
         segments=segments,
         target=target,
-        scheme_label=SCHEME_LABELS["PS"],
+        scheme_label="PS-NHQC",
         notes={"varsigma": spec.varsigma},
     )
 
@@ -434,7 +457,7 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     def phase(t):
         return omega_rot * np.asarray(t, dtype=float)
 
-    axis = (PI - ang.theta, ang.phi + PI)
+    axis = _plus_n_axis(ang)
     # rotating-frame closed form in (driven, e) block coordinates
     Lam = np.sqrt(lam**2 + omega_rot**2 / 4)
     p = np.array([lam, 0.0, -omega_rot / 2]) / Lam
@@ -451,11 +474,8 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
 
     phi_d_total = dyn_scale * D(tau)
 
-    b2, _ = bright_dark_basis(ang)
-    b_full = system.embed_qubit(b2)
-    w_full = system.embed_qubit(
-        [np.sin(axis[0] / 2), -np.cos(axis[0] / 2) * np.exp(1j * axis[1])]
-    )
+    b_full = system.embed_qubit(bright_dark_basis(ang)[0])
+    w_full = bright_ray(system, axis)
 
     def frame(t: np.ndarray) -> np.ndarray:
         R = np.stack([np.exp(-1j * omega_rot * t / 2), np.exp(1j * omega_rot * t / 2)], axis=-1)
@@ -481,7 +501,7 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
         system=system,
         segments=(seg,),
         target=target,
-        scheme_label=SCHEME_LABELS["TO"],
+        scheme_label="TO-UNHQC",
         notes={
             "dyn_geo_ratio": ratio,
             "dynamical_phase": -phi_d_total,
@@ -514,7 +534,8 @@ class PathParams:
 
 
 def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
-    """Closed circular path through the pole enclosing geometric phase gamma.
+    """Closed circular path through the pole enclosing geometric phase gamma,
+    starting at azimuth beta0.
 
     beta(t) = beta0 + pi sin^2(pi t / (2 tau)),
     alpha(t) = 2 arctan[ell sin(beta - beta0)],
@@ -569,11 +590,12 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     carrying the construction's auxiliary triple as its frame.
 
     The driven ray is the +n axis eigenvector; the constant phase offset
-    (phi + pi) maps our bright-axis convention onto the construction's
-    second frame vector, keeping frame and drive phases aligned.
+    (phi + pi, the azimuth of its bright axis) maps our bright-axis
+    convention onto the construction's second frame vector, keeping frame
+    and drive phases aligned.
     """
-    axis = (PI - angles.theta, angles.phi + PI)
-    offset = angles.phi + PI
+    axis = _plus_n_axis(angles)
+    offset = axis[1]
     b2, d2 = bright_dark_basis(angles)
     mu1 = system.embed_qubit(b2)  # parked ray, equals the printed first vector
     v = -system.embed_qubit(d2)  # the printed second vector at t = 0
@@ -607,33 +629,24 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     )
 
 
-def _circle_schedule(spec: SchemeSpec, loops: int) -> PulseSchedule:
-    """`loops` circle segments at angle gamma/loops, every second one with
-    beta0 advanced by pi (paths mirror-symmetric about the pole); target
+def _circle_schedule(spec: SchemeSpec, loops: int, label: str) -> PulseSchedule:
+    """`loops` circle segments at angle gamma/loops, every second one
+    starting at azimuth pi (paths mirror-symmetric about the pole); target
     the rotation by gamma about the axis of the spec's angles."""
     system = LevelSystem.lambda3()
     ang = spec.angles
     gl = ang.gamma / loops
     tau_seg = circle_segment_area(gl)
     paths = [
-        circle_path_params(gl, spec.beta0 + (PI if k % 2 else 0.0), tau_seg)
+        circle_path_params(gl, PI if k % 2 else 0.0, tau_seg)
         for k in range(loops)
     ]
     return PulseSchedule(
         system=system,
         segments=tuple(_circle_drive_segment(system, p, ang) for p in paths),
         target=rotation_gate(ang.gamma, ang.theta, ang.phi),
-        scheme_label=SCHEME_LABELS[spec.scheme],
+        scheme_label=label,
     )
-
-
-def build_s(spec: SchemeSpec) -> PulseSchedule:
-    """One circle loop: CDD with loops = 1."""
-    return _circle_schedule(spec, 1)
-
-
-def build_cdd(spec: SchemeSpec) -> PulseSchedule:
-    return _circle_schedule(spec, spec.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +764,9 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
         system=system,
         segments=segments,
         target=target,
-        scheme_label=SCHEME_LABELS["STA"],
+        scheme_label="STA-NHQC",
         notes={"phi1": phi1, "gamma1": gamma1},
     )
-
-
-def build_sta(spec: SchemeSpec) -> PulseSchedule:
-    return sta_schedule(spec.phi1, PI)
 
 
 # ---------------------------------------------------------------------------
@@ -824,39 +833,30 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
         system=system,
         segments=(seg,),
         target=target,
-        scheme_label=SCHEME_LABELS["DFS3"],
+        scheme_label="DFS3-NHQC",
     )
 
 
-def build_dfs3(spec: SchemeSpec) -> PulseSchedule:
-    return dfs3_schedule(spec.dfs_phi)
-
-
 # ---------------------------------------------------------------------------
-# dispatch
+# the schemes
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
+# tag: builder, in catalog order; S is CDD with one loop
+SCHEMES: dict[str, Callable[[SchemeSpec], PulseSchedule]] = {
     "SL": build_sl,
     "SS": build_ss,
     "PS": build_ps,
     "C": build_c,
     "DC": build_dc,
     "TO": build_to,
-    "S": build_s,
-    "CDD": build_cdd,
-    "STA": build_sta,
-    "DFS3": build_dfs3,
+    "S": lambda spec: _circle_schedule(spec, 1, "S-NHQC"),
+    "CDD": lambda spec: _circle_schedule(spec, spec.loops, "CDD-NHQC"),
+    "STA": lambda spec: sta_schedule(spec.phi1, PI),
+    "DFS3": lambda spec: dfs3_schedule(spec.dfs_phi),
 }
 
 
 def build_schedule(spec: SchemeSpec) -> PulseSchedule:
     """Build the pulse schedule for a scheme spec; raises ValueError for
-    unknown tags or parameter domains a scheme cannot realize."""
-    try:
-        builder = _BUILDERS[spec.scheme]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {spec.scheme!r}; known: {', '.join(sorted(_BUILDERS))}"
-        ) from None
-    return builder(spec)
+    parameter domains a scheme cannot realize."""
+    return SCHEMES[spec.scheme](spec)

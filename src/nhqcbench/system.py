@@ -1,4 +1,4 @@
-"""Domain model: level systems, pulse schedules, scheme specs, error injection.
+"""Domain model: level systems, gate angles, segments, pulse schedules, error injection.
 
 Conventions used throughout the package:
 
@@ -114,34 +114,6 @@ class ErrorModel:
         return self.gamma_minus > 0 or self.gamma_z > 0
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    """Tagged description of one gate-construction scheme and its knobs.
-
-    Fields irrelevant to the chosen scheme are ignored; S is CDD with one
-    loop, so it ignores `loops`.
-    """
-
-    scheme: str
-    angles: GateAngles = field(default_factory=lambda: GateAngles(np.pi / 2))
-    loops: int = 2  # C, CDD
-    varsigma: float = 1.0  # PS
-    beta0: float = 0.0  # S, CDD
-    gamma_ss: float = -np.pi / 6  # SS detuning angle
-    phi1: float = np.pi / 2  # STA azimuth span
-    dfs_phi: float = 0.0  # DFS3 axis
-
-    KNOWN = ("SL", "SS", "PS", "C", "DC", "TO", "S", "CDD", "STA", "DFS3")
-
-    def __post_init__(self):
-        if self.scheme not in self.KNOWN:
-            raise ValueError(f"unknown scheme {self.scheme!r}; known: {', '.join(self.KNOWN)}")
-        if self.loops < 1:
-            raise ValueError("loops must be >= 1")
-        if self.varsigma < 0:
-            raise ValueError("varsigma must be >= 0")
-
-
 def bright_dark_basis(angles: GateAngles) -> tuple[np.ndarray, np.ndarray]:
     """Qubit-space bright/dark pair for the rotation axis (theta, phi).
 
@@ -188,7 +160,7 @@ class Segment:
     detuning: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:  # NaN fails too
             raise ValueError("segment duration must be positive")
 
     @property
@@ -197,6 +169,12 @@ class Segment:
         at every time of the segment."""
         return isinstance(self.drive, Constant) and (
             self.detuning is None or isinstance(self.detuning, Constant))
+
+
+def bright_ray(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndarray:
+    """The driven ray |w(theta_b, phi_b)> of the bright axis, embedded."""
+    tb, pb = bright_axis
+    return system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
 
 
 def bright_ray_segment(
@@ -216,9 +194,8 @@ def bright_ray_segment(
     Constant envelope and phase the drive is Constant too: its one node,
     built as every node of the time-dependent drive is.
     """
-    tb, pb = bright_axis
-    w = system.embed_qubit([np.sin(tb / 2), -np.cos(tb / 2) * np.exp(1j * pb)])
-    coupler = np.outer(w, system.basis_state(system.excited_index).conj())
+    coupler = np.outer(bright_ray(system, bright_axis),
+                       system.basis_state(system.excited_index).conj())
 
     def drive(t: np.ndarray) -> np.ndarray:
         amp = envelope(t) * np.exp(-1j * phase(t))
@@ -252,10 +229,10 @@ class PulseSchedule:
         if detuned and self.system.excited_index is None:
             raise ValueError(f"segment {detuned[0]} has a detuning, but "
                              f"{self.system.kind} has no excited level")
-        if self.total_duration <= 0:
+        if not self.total_duration > 0:
             raise ValueError("total duration must be positive")
         defect = unitarity_defect(np.asarray(self.target))
-        if defect > 1e-9:
+        if not defect <= 1e-9:  # NaN fails too
             raise ValueError(f"target gate not unitary: defect {defect:.3e}")
 
     @property

@@ -20,7 +20,7 @@ from nhqcbench.bench import (
 )
 from nhqcbench.dynamics import oracle_propagate_lindblad, six_axial_densities
 from nhqcbench.schemes import build_schedule
-from nhqcbench.system import ErrorModel, GateAngles, LevelSystem, SchemeSpec
+from nhqcbench.system import ErrorModel, GateAngles, LevelSystem
 
 PI = np.pi
 GOLDEN_POINT = Path(__file__).parent.parent / "goldens" / "v1" / "sl_fig13_point.json"

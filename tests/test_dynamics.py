@@ -30,7 +30,6 @@ from nhqcbench.system import (
     GateAngles,
     LevelSystem,
     PulseSchedule,
-    SchemeSpec,
     Segment,
     bright_ray_segment,
     detuning_error,
@@ -327,13 +326,12 @@ class TestLindbladGrid:
         assert_grid_matches_points(schedules[tag], GRID_AXES[axis], 1000)
 
     def test_dfs3_closed_epsilon_grid(self, schedules):
-        # the one scheme with m = 64: three points leave two steps per chunk
+        # the one scheme with m = 64: a 3-point d = 8 grid against single points
         errs = [ErrorModel(epsilon=x) for x in (-0.05, 0.0, 0.1)]
         assert_grid_matches_points(schedules["dfs3"], errs, 400)
 
-    def test_dfs3_one_step_chunks(self, schedules):
-        # eight points of m = 64 leave one step per chunk, so every chunk's
-        # state is written where the state it starts from was yielded
+    def test_dfs3_eight_point_grid(self, schedules):
+        # an 8-point d = 8 grid against single points
         errs = [ErrorModel(epsilon=x) for x in np.linspace(-0.1, 0.1, 8)]
         assert_grid_matches_points(schedules["dfs3"], errs, 400)
 

@@ -14,13 +14,12 @@ from nhqcbench.holonomy import (
     holonomy_reconstruct,
     reconstruct_computational_gate,
 )
-from nhqcbench.schemes import build_schedule
+from nhqcbench.schemes import SchemeSpec, build_schedule
 from nhqcbench.system import (
     ErrorModel,
     GateAngles,
     LevelSystem,
     PulseSchedule,
-    SchemeSpec,
     Segment,
     segment_hamiltonian_nodes,
 )

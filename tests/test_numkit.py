@@ -371,6 +371,15 @@ class TestRk4:
         chain = plain_chain(y0, segs)
         assert np.abs(rk4_linear(y0, segs) - chain).max() <= 1e-13 * np.abs(chain).max()
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2)])
+    def test_one_step_segments_of_a_narrow_state_match_per_step_chain(self, shape):
+        # a one-step segment takes b = 1 and one one-step chunk, so every
+        # chunk's state is written where the state it starts from was yielded
+        segs = [noncommuting_segment(1, seed=k, duration=0.3) for k in range(5)]
+        y0 = np.random.default_rng(3).normal(size=shape) + 0j
+        chain = plain_chain(y0, segs)
+        assert np.abs(rk4_linear(y0, segs) - chain).max() <= 1e-13 * np.abs(chain).max()
+
     def test_nan_abort_reports_step_of_blocked_chain(self):
         # 10 steps in blocks of 4: the first non-finite step lies inside a block
         h, nodes = lattice_nodes(np.eye(2), 1.0, 10, lambda t: np.where(t > 0.5, np.nan, 1.0))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import phase_distance
 from nhqcbench.dynamics import propagate_unitary, segment_state_times
 from nhqcbench.schemes import (
+    SchemeSpec,
     brachistochrone_tau,
     build_schedule,
     circle_path_params,
@@ -22,7 +23,6 @@ from nhqcbench.system import (
     Constant,
     ErrorModel,
     GateAngles,
-    SchemeSpec,
     segment_hamiltonian_nodes,
 )
 

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhqcbench.schemes import _BUILDERS, SCHEME_LABELS, build_schedule
+from nhqcbench.schemes import SchemeSpec
 from nhqcbench.system import (
+    Constant,
     ErrorModel,
     GateAngles,
     LevelSystem,
     PulseSchedule,
-    SchemeSpec,
     Segment,
     bright_dark_basis,
     bright_ray_segment,
@@ -180,11 +180,6 @@ class TestSchemeSpec:
         with pytest.raises(ValueError):
             SchemeSpec("PS", varsigma=-1.0)
 
-    def test_tag_lists_agree(self):
-        # the spec's tags, the labels and the builders are three hand-kept lists
-        assert len(set(SchemeSpec.KNOWN)) == len(SchemeSpec.KNOWN) == 10
-        assert set(SchemeSpec.KNOWN) == set(SCHEME_LABELS) == set(_BUILDERS)
-
 
 class TestSegment:
     def test_fields_after_drive_are_keyword_only(self):
@@ -217,8 +212,23 @@ class TestPulseSchedule:
     def test_total_duration(self, schedules):
         assert schedules["sl"].total_duration == pytest.approx(PI)
 
-    def test_build_rejects_unknown_tag(self):
-        spec = SchemeSpec("SL")
-        object.__setattr__(spec, "scheme", "QQ")  # bypass dataclass validation
-        with pytest.raises(ValueError, match="unknown scheme"):
-            build_schedule(spec)
+
+def nan_target_schedule():
+    seg = zero_envelope_schedule().segments[0]
+    return PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
+                         target=np.full((2, 2), np.nan, dtype=complex), scheme_label="nan")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SchemeSpec("PS", varsigma=np.nan), "varsigma=nan must be finite"),
+    (lambda: SchemeSpec("PS", varsigma=np.inf), "varsigma=inf must be finite"),
+    (lambda: SchemeSpec("SS", gamma_ss=np.nan), "gamma_ss=nan must be finite"),
+    (lambda: SchemeSpec("DFS3", dfs_phi=np.nan), "dfs_phi=nan must be finite"),
+    (lambda: SchemeSpec("C", loops=2.5), "loops=2.5 must be an integer"),
+    (lambda: Segment(np.nan, Constant(np.zeros((3, 3))), envelope=Constant(0.0)),
+     "duration must be positive"),
+    (nan_target_schedule, "target gate not unitary"),
+])
+def test_non_finite_input_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
