@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,8 @@ from .system import ErrorModel, GateAngles, PulseSchedule
 TIME_UNIT_NS = 1e9 / OMEGA_BAR_HZ  # one unit of 1/omega_bar, in ns
 
 GOLDEN_VERSION = "v1"
+# the most points a sweep grid may hold: the grid is checked before any work
+MAX_GRID_POINTS = 10_000
 
 
 class UsageError(Exception):
@@ -93,6 +95,12 @@ def _parse_range(text: str) -> np.ndarray:
         raise UsageError(f"range needs finite a, b and b - a, got {text!r}")
     if n < 1 or b <= a:
         raise UsageError(f"range needs b > a and n >= 1, got {text!r}")
+    return _grid(a, b, n, "--range")
+
+
+def _grid(a: float, b: float, n: int, what: str) -> np.ndarray:
+    if n > MAX_GRID_POINTS:
+        raise UsageError(f"{what} asks for {n} grid points; at most {MAX_GRID_POINTS}")
     return np.linspace(a, b, n)
 
 
@@ -134,19 +142,11 @@ def _warn_if_eta_idle(tag: str, schedule: PulseSchedule) -> None:
               file=sys.stderr)
 
 
-def _error_model(args) -> ErrorModel:
-    return ErrorModel(
-        epsilon=args.epsilon,
-        eta=args.eta,
-        gamma_minus=args.gamma_minus,
-        gamma_z=args.gamma_z,
-    )
-
-
 def cmd_simulate(args) -> int:
     angles = _parse_gate(args.gate)
     schedule = build_schedule(_resolve_spec(args.scheme, angles))
-    err = _error_model(args)
+    err = ErrorModel(epsilon=args.epsilon, eta=args.eta, gamma_minus=args.gamma_minus,
+                     gamma_z=args.gamma_z)
     report, traj = simulate_report(schedule, err, args.samples)
     unit = args.units
     scale = TIME_UNIT_NS if unit == "physical" else 1.0
@@ -193,12 +193,7 @@ def cmd_simulate(args) -> int:
         "parallel_residual": report.parallel_residual,
         "duration": report.duration * scale,
         "unit_mode": unit,
-        "error_model": {
-            "epsilon": err.epsilon,
-            "eta": err.eta,
-            "gamma_minus": err.gamma_minus,
-            "gamma_z": err.gamma_z,
-        },
+        "error_model": asdict(err),
     }
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -300,7 +295,7 @@ def cmd_fig13(args) -> int:
     axis_name, axis, (a, b), fixed = _FIG13_PANELS[panel]
     catalog = benchmark_catalog()
     specs = {t: catalog[t] for t in TABLE1_TAGS}
-    result = sweep(specs, axis, np.linspace(a, b, args.points), fixed, args.samples)
+    result = sweep(specs, axis, _grid(a, b, args.points, "--points"), fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"fig13{panel}.csv"
     _write_sweep(args, result, out, panel=panel, axis=axis_name)
     print(f"data_file={out}")
@@ -308,8 +303,7 @@ def cmd_fig13(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _resolve_spec(args.scheme)
-    schedule = build_schedule(spec)
+    schedule = build_schedule(_resolve_spec(args.scheme))
     traj = propagate_unitary(schedule, ErrorModel(), args.samples)
     cyc, par = condition_residuals(schedule, traj)
     U_oracle = oracle_propagate_unitary(schedule)
@@ -349,17 +343,15 @@ def cmd_goldens(args) -> int:
         schedule = build_schedule(catalog[tag])
         area = pulse_area(schedule)
         for x in grid:
-            err = ErrorModel(epsilon=float(x), gamma_minus=fixed.gamma_minus,
-                             gamma_z=fixed.gamma_z)
-            rows.append([tag, float(x), _oracle_fidelity(schedule, err), area,
-                         schedule.total_duration])
+            rows.append([tag, float(x), _oracle_fidelity(schedule, replace(fixed, epsilon=float(x))),
+                         area, schedule.total_duration])
         print(f"golden sweep: {tag} done")
+    oracle = {"metric": "six_axial_state_average", "oracle": "cf4_superoperator_expm",
+              "oracle_slices": ORACLE_LINDBLAD_SLICES}
     _write_csv(
         out_dir / "sweep_epsilon_sl_ps_dc.csv",
         {
-            "metric": "six_axial_state_average",
-            "oracle": "cf4_superoperator_expm",
-            "oracle_slices": ORACLE_LINDBLAD_SLICES,
+            **oracle,
             "unit_mode": "dimensionless",
             "omega_bar": 1.0,
             "axis": "epsilon",
@@ -372,13 +364,11 @@ def cmd_goldens(args) -> int:
     # frozen single-point value: SL S gate at the published decoherence rates
     fid = _oracle_fidelity(build_schedule(catalog["sl"]), fixed)
     point = {
+        **oracle,
         "scheme": "sl",
         "gate": "S",
         "gamma_minus": fixed.gamma_minus,
         "gamma_z": fixed.gamma_z,
-        "metric": "six_axial_state_average",
-        "oracle": "cf4_superoperator_expm",
-        "oracle_slices": ORACLE_LINDBLAD_SLICES,
         "fidelity": fid,
     }
     (out_dir / "sl_fig13_point.json").write_text(

@@ -4,18 +4,22 @@ Two independent numerical routes are maintained everywhere:
 
 * the production path: ``numkit.rk4_chunks``, one fixed-step RK4 engine
   for y' = A(t) y, with A = phi(-iH(t)), the real embedding of -iH, for
-  propagators and A = the real Lindblad generator for density matrices,
-  built here from the drive and detuning of H on the half-step lattice of
-  each segment; the states follow as a chain of precomputed real step
-  matrices.  A is affine in the error parameters, so a whole grid of error
-  models shares one set of nodes and one pass (``propagate_lindblad_grid``);
+  propagators and A = the real Lindblad generator for density matrices;
+  the states follow as a chain of precomputed real step matrices.  H is
+  data, sum_k c_k(t) H_k (``system.Segment``), and A is linear in H, so
+  each segment lifts its ops H_k once (``_lift``) and a run of
+  coefficients on the half-step lattice gives the generators by one
+  product.  A is affine in the error parameters, so a whole grid of error
+  models shares one set of coefficients and one pass
+  (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
   roundoff (``numkit.expm_taylor``), of the two exponents of a
   fourth-order commutator-free Magnus step per slice, in batched chunks
   of slices multiplied by ``numkit.ordered_product``; one loop,
-  ``_cf4_product``, serves propagators (exponents -iH, in the real
-  embedding) and densities (the real Lindblad generator).
+  ``_cf4_product``, serves propagators (exponents -iH, formed in the real
+  embedding from the lifted ops) and densities (the real Lindblad
+  generator, from the folded ops).
 
 Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
@@ -23,21 +27,20 @@ d*d x d*d matrix ``_fold(lindblad_superoperator(...))``.  Both take rho0
 through one intake, ``_rho0_columns``, which checks its shape, Hermiticity,
 trace and positivity and returns the columns Q that both start from.  Every
 RK4 state is checked for trace and positivity in Q, and rho, Hermitian by
-construction,
-is read back only where a caller keeps it: once per chunk of a trajectory,
+construction, is read back only where a caller keeps it: once per chunk of a trajectory,
 once per grid block for the final states of a sweep.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
 per chunk.
 
 The RK4 generators of a segment reach the engine in one of two forms.  A
 square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
-drive and detuning are ``system.Constant``, so the segment gets one
+coefficients are ``system.Constant``, so the segment gets one
 generator node broadcast along its lattice (stride 0), and the engine
 builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
 ``_Runs``, which builds each run of matrices as the engine reads it, so no
 stack the size of a segment is ever held.  One pass builder,
-``_rk4_pass``, serves both kinds: only the lift of H differs.  An oracle
+``_rk4_pass``, serves both kinds: only the lift of the ops differs.  An oracle
 chunk of a square pulse takes one exponential, so ``Segment.square`` is
 the one notion of "constant" in both routes.  Every per-node operation
 gives one node alone the bits it gives it inside the stack, so these
@@ -57,7 +60,8 @@ import numpy as np
 from .numkit import (
     CHUNK_ELEMENTS,
     RejectedMatrix,
-    expm_hermitian,
+    combine,
+    expm_embedded,
     expm_taylor,
     from_real_embedding,
     hermiticity_defect,
@@ -66,14 +70,7 @@ from .numkit import (
     rk4_chunks,
     unitarity_defect,
 )
-from .system import (
-    ErrorModel,
-    LevelSystem,
-    PulseSchedule,
-    detuning_error,
-    segment_drive_detuning,
-    segment_hamiltonian_nodes,
-)
+from .system import ErrorModel, LevelSystem, PulseSchedule, detuning_error
 
 UNITARY_SAMPLES = 2000
 LINDBLAD_SAMPLES = 4000
@@ -190,57 +187,26 @@ def segment_state_times(schedule: PulseSchedule, steps):
         yield k, t if k == last else t[:-1]
 
 
-def _lift_map(system: LevelSystem, kind: str) -> np.ndarray:
-    """The real-linear lift of H to the generator of `kind` as a matrix
-    (2d*d, m*m): row j lifts the unit coordinate 1 on entry j of row-major
-    H, row d*d + j lifts i on it.  The lift is phi(-iH), m = 2d, for
-    propagators, and the folded commutator superoperator, m = d*d, for
-    densities."""
-    d = system.dim
-    unit = np.eye(d * d).reshape(d * d, d, d)
-    basis = np.concatenate([unit, 1j * unit])
+def _lift(system: LevelSystem, kind: str, H: np.ndarray) -> np.ndarray:
+    """The generator of Hermitian H (..., d, d) for `kind`: phi(-iH),
+    (..., 2d, 2d), for "unitary", the folded commutator superoperator,
+    (..., d*d, d*d), for "lindblad".  It is linear in H, so a segment's
+    generators are its coefficients times the lifts of its ops."""
     if kind == "unitary":
-        lifted = real_embedding(-1j * basis)
-    else:
-        lifted = _fold(lindblad_superoperator(system, ErrorModel(), basis))
-    return lifted.reshape(2 * d * d, -1)
+        return real_embedding(-1j * H)
+    return _fold(lindblad_superoperator(system, ErrorModel(), H))
 
 
-def _lift(lift_map: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The lifts (n, m, m) of H (n, d, d): the coordinates of H, Re and
-    Im of every entry, times lift_map, restricted to the coordinates that
-    are nonzero somewhere in H, which are few for sparse drives.  For
-    Hermitian H each lifted entry is one coordinate up to sign, the
-    difference of two, or pairs that cancel exactly, so the product is
-    bit-equal to the lift itself."""
-    n = len(H)
-    X = np.concatenate([H.real.reshape(n, -1), H.imag.reshape(n, -1)], axis=1)
-    nz = np.flatnonzero(X.any(axis=0))
-    m = math.isqrt(lift_map.shape[1])
-    return (X[:, nz] @ lift_map[nz]).reshape(n, m, m)
+def _grid_generator(lifted: np.ndarray, weights: np.ndarray, const: np.ndarray):
+    """Map coefficient rows (n, K) of a segment to the generators of every
+    grid point g, (n, G, m, m): A_g = sum_k weights[g, k] c_k lifted_k +
+    const[g], with lifted (K, m, m) the lifts of the segment's ops, by one
+    (n*G, K) @ (K, m*m) product (combine)."""
+    flat = lifted.reshape(len(lifted), -1)
 
-
-def _grid_generator(system: LevelSystem, lift_map: np.ndarray, errs, const):
-    """Map a run of drive nodes (n, d, d) and detuning coefficients (n,) or
-    None to the generators of every error model of errs, (n, G, m, m):
-    A_g = (1+eps_g) lift(drive) + detuning lift(|e><e|) + const[g], each
-    lift taken by _lift through lift_map, and |e><e| lifted once here.
-    Every call writes into one buffer, which the next call overwrites."""
-    scale = np.array([1.0 + e.epsilon for e in errs])[:, None, None]
-    buf = np.empty((0,) + const.shape, dtype=const.dtype)
-    e = system.excited_index
-    lifted_e = None if e is None else _lift(lift_map, np.diag(system.basis_state(e))[None])[0]
-
-    def generator(drive, detuning):
-        nonlocal buf
-        S = _lift(lift_map, drive)
-        if len(buf) < len(S):
-            buf = np.empty((len(S),) + const.shape, dtype=const.dtype)
-        A = np.multiply(scale, S[:, None], out=buf[:len(S)])
-        if detuning is not None:
-            A += (detuning[:, None, None] * lifted_e)[:, None]
-        A += const
-        return A
+    def generator(c):
+        rows = (c[:, None] * weights).reshape(-1, len(flat))
+        return combine(rows, flat).reshape((len(c),) + const.shape) + const
     return generator
 
 
@@ -250,23 +216,23 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     iterator over the states after y0; samples=None takes the default step
     count of `kind`.
 
-    The generator of grid point g is (1+eps_g) S[drive] + Delta S[|e><e|]
-    + C_g, with Delta the detuning, C_g = S[eta_g|e><e|] and S the lift
-    that kind picks: phi(-iH) for "unitary", the folded commutator
+    The generator of grid point g is sum_k w_gk c_k(t) S[H_k] + C_g, with
+    w_g = Segment.weights(errs[g]), C_g = S[eta_g|e><e|] and S the lift
+    that kind picks (_lift): phi(-iH) for "unitary", the folded commutator
     superoperator for "lindblad", where C_g also holds the folded
-    dissipator of g.  Every run of drive nodes is lifted once for the whole
-    grid.  A square pulse (Segment.square) gets its one generator node,
-    broadcast along its lattice, which rk4_chunks takes whole.  Every other
-    segment gets _Runs, so its drive is only ever evaluated one run at a
+    dissipator of g.  Each segment lifts its K ops once, and every run of
+    coefficients gives the whole grid's generators by one product.  A
+    square pulse (Segment.square) gets its one generator node, broadcast
+    along its lattice, which rk4_chunks takes whole.  Every other segment
+    gets _Runs, so its coefficients are only ever evaluated one run at a
     time."""
     if samples is None:
         samples = UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
     if samples < 1:
         raise ValueError(f"step count {samples} must be >= 1")
     system = schedule.system
-    lift_map = _lift_map(system, kind)
     # the Hamiltonian part eta_g|e><e| of C_g by the lift
-    const = _lift(lift_map, np.stack([detuning_error(schedule, e) for e in errs]))
+    const = _lift(system, kind, np.stack([detuning_error(schedule, e) for e in errs]))
     if kind == "lindblad":
         # the dissipator reads only the rates, so each distinct pair is folded once
         d = system.dim
@@ -274,20 +240,21 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
         folded = {key: _fold(lindblad_superoperator(system, e, np.zeros((d, d))))
                   for key, e in rates.items()}
         const += np.stack([folded[e.gamma_minus, e.gamma_z] for e in errs])
-    generator = _grid_generator(system, lift_map, errs, const)
     steps = tuple(allocate_steps(schedule, samples))
     segments = []
     times = [np.zeros(1)]
     t_offset = 0.0
-    for si, (seg, n) in enumerate(zip(schedule.segments, steps)):
+    for seg, n in zip(schedule.segments, steps):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
+        generator = _grid_generator(_lift(system, kind, seg.ops),
+                                    np.stack([seg.weights(e) for e in errs]), const)
         if seg.square:
-            # its own array: the generator's buffer is overwritten by the next call
             with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
-                node = generator(*segment_drive_detuning(schedule, si, lattice[:1])).copy()
+                node = generator(seg.coefficients(lattice[:1]))
             A = np.broadcast_to(node, (len(lattice),) + node.shape[1:])
         else:
-            A = _Runs(lattice, lambda t, si=si: generator(*segment_drive_detuning(schedule, si, t)))
+            A = _Runs(lattice, lambda t, seg=seg, generator=generator:
+                      generator(seg.coefficients(t)))
         segments.append((seg.duration / n, A))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
@@ -561,38 +528,45 @@ _CF4_C1 = 0.5 - np.sqrt(3) / 6
 _CF4_C2 = 0.5 + np.sqrt(3) / 6
 
 
-def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, m: int,
+def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: str,
+                 const: np.ndarray,
                  exponentials: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
     """The (m, m) propagator of both oracles: the time-ordered product of
     allocate_steps(..., floor=16) 4th-order commutator-free Magnus slices
     (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
 
-    Slice k of length h contributes E(b H1 + a H2) E(a H1 + b H2), with H1,
-    H2 the Hamiltonians at its two Gauss nodes and E = exponentials(., h)
-    the generator's exponentials of a stack (2c, d, d) of exponents, (2c,
-    m, m); since a + b = 1/2, a piecewise-constant drive makes it exact.
-    Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
-    H nodes, both exponents of every slice interleaved in time order, and
-    one ordered_product.  A chunk of a square pulse (Segment.square) takes
-    the H nodes of its first slice alone and the exponential of its first
+    Slice k of length h contributes E(b X1 + a X2) E(a X1 + b X2), with X1,
+    X2 the generators at its two Gauss nodes and E = exponentials(., h)
+    the exponentials of a stack (2c, m, m) of exponents; since a + b =
+    1/2, a piecewise-constant drive makes it exact.  The generators are
+    linear in H, so each exponent is the coefficient row a c(t1) + b c(t2)
+    (or b, a), weighted by Segment.weights(err), times the lifts
+    _lift(kind) of the segment's ops, taken once per segment, plus const,
+    the exponents' share of the terms that do not vary.  Segments are taken
+    in chunks of CHUNK_ELEMENTS // m**2 slices: the coefficients, both
+    exponents of every slice interleaved in time order, and one
+    ordered_product.  A chunk of a square pulse (Segment.square) takes the
+    coefficients of its first slice alone and the exponential of its first
     exponent, broadcast to every factor of the product, which the
     per-matrix Taylor polynomial gives bit for bit, and ordered_product
     then builds one block's products for all blocks.  A rejected exponent
     names its slice."""
+    m = const.shape[-1]
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
     alloc = allocate_steps(schedule, slices, floor=16)
     P = np.eye(m)
-    for si, (seg, n) in enumerate(zip(schedule.segments, alloc)):
+    for seg, n in zip(schedule.segments, alloc):
         h = seg.duration / n
         t0 = np.arange(n) * h
         t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
+        lifted = _lift(schedule.system, kind, seg.ops).reshape(len(seg.ops), m * m)
+        w = seg.weights(err)
         for c0 in range(0, n, chunk):
             c1 = c0 + 1 if seg.square else c0 + chunk
             with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
-                H1 = segment_hamiltonian_nodes(schedule, si, t1[c0:c1], err)
-                H2 = segment_hamiltonian_nodes(schedule, si, t2[c0:c1], err)
-                H = np.stack([_CF4_A * H1 + _CF4_B * H2, _CF4_B * H1 + _CF4_A * H2], axis=1)
-            X = H.reshape((-1,) + H.shape[2:])
+                k1, k2 = seg.coefficients(t1[c0:c1]) * w, seg.coefficients(t2[c0:c1]) * w
+                rows = np.stack([_CF4_A * k1 + _CF4_B * k2, _CF4_B * k1 + _CF4_A * k2], axis=1)
+                X = combine(rows.reshape(-1, len(w)), lifted).reshape(-1, m, m) + const
             try:
                 if seg.square:  # one exponential, broadcast
                     E = np.broadcast_to(exponentials(X[:1], h), (2 * min(chunk, n - c0), m, m))
@@ -608,9 +582,11 @@ def oracle_propagate_unitary(
     schedule: PulseSchedule, err: ErrorModel = ErrorModel(), slices: int = ORACLE_SLICES
 ) -> np.ndarray:
     """U(T) as the CF4 product of exact slice exponentials, taken in the
-    real embedding by expm_hermitian and read back once."""
+    real embedding by expm_embedded, whose exponents are formed there
+    directly, and read back once."""
+    const = (_CF4_A + _CF4_B) * real_embedding(-1j * detuning_error(schedule, err))
     return from_real_embedding(
-        _cf4_product(schedule, err, slices, 2 * schedule.system.dim, expm_hermitian))
+        _cf4_product(schedule, err, slices, "unitary", const, expm_embedded))
 
 
 def oracle_propagate_lindblad(
@@ -624,20 +600,17 @@ def oracle_propagate_lindblad(
 
     The exponents of slice k are h (a L1 + b L2) and h (b L1 + a L2), with
     L1, L2 the superoperators at its two Gauss nodes.  They are linear in
-    H, so each is S[a H1 + b H2] + (a + b) D with S the commutator
-    superoperator and D the dissipator, folded once per call; the product
-    runs on the real coordinates Q of rho0, which must pass _rho0_columns.
+    H, so each is the sum of S[H_k], with S the commutator superoperator,
+    folded once per segment, weighted by the slice's coefficient rows, and
+    (a + b) (S[eta|e><e|] + D), with D the dissipator, folded once per
+    call; the product runs on the real coordinates Q of rho0, which must
+    pass _rho0_columns.
     """
     system = schedule.system
-    d = system.dim
     cols = _rho0_columns(system, rho0)
-    D = (_CF4_A + _CF4_B) * _fold(lindblad_superoperator(system, err, np.zeros((d, d))))
-
-    def exponentials(X, h):
-        with np.errstate(over="ignore", invalid="ignore"):  # left to expm_taylor
-            L = _fold(lindblad_superoperator(system, ErrorModel(), X))
-        return expm_taylor(L + D, h)
-    P = _cf4_product(schedule, err, slices, d * d, exponentials)
+    const = (_CF4_A + _CF4_B) * _fold(
+        lindblad_superoperator(system, err, detuning_error(schedule, err)))
+    P = _cf4_product(schedule, err, slices, "lindblad", const, expm_taylor)
     # one matrix-vector product per state: a (d*d, k) matmul moves the bits
     q = P @ cols.T[..., None]
     return _density(q[..., 0]).reshape(np.shape(rho0))

@@ -8,10 +8,13 @@ by the defect helpers rather than carried by a wrapper type; callers
 validate at the boundaries where they matter.  The Taylor polynomial of
 ``expm_taylor`` is the one matrix exponential of the package, for stacks
 of any matrices (both oracles use it); it takes the stack it is given in
-one pass, so callers bound its size.  ``expm_hermitian``, its Hermitian front end, returns the slice
-exponentials in the real embedding phi, which turns each entry a + ib into
-the 2x2 block [[a, -b], [b, a]] and in which stacked products are several
-times cheaper than complex ones.
+one pass, so callers bound its size.  ``expm_embedded`` takes exponents
+already in the real embedding phi, which turns each entry a + ib into the
+2x2 block [[a, -b], [b, a]] and in which stacked products are several
+times cheaper than complex ones, and ``expm_hermitian``, its Hermitian
+front end, embeds them.  ``combine`` is the one product of coefficient
+rows with fixed terms (a drive's operators or their lifts), with the same
+bits for a row alone as inside a stack.
 
 Both engines take matrices only: ``ordered_product`` multiplies an array
 of factors in time order, and ``rk4_chunks`` integrates every linear ODE
@@ -54,11 +57,30 @@ def unitarity_defect(M: np.ndarray) -> float:
     """The Gram defect max |M M^dagger - I|, I = eye(r), over the entries of
     one matrix M (r, c) or of every matrix of a stack (n, r, c): the
     unitarity of square matrices and the orthonormality of the rows of
-    frames.  The products are taken by einsum with explicit subscripts,
-    which reads a stack faster than an ellipsis does."""
+    frames.  M M^dagger is Hermitian, so only its rows i <= k are formed,
+    in real arithmetic on a node-last copy of Re M and Im M; NaN in M
+    reads NaN."""
     M = M.reshape((-1,) + M.shape[-2:])
-    gram = np.einsum("nij,nkj->nik", M, M.conj())
-    return float(np.abs(gram - np.eye(M.shape[1])).max())
+    re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (M.real, M.imag))
+    worst = []
+    for i in range(len(re)):
+        # Re and Im of the entries (i, k >= i) of the Gram matrix, (r - i, n)
+        gram_re = np.einsum("jn,kjn->kn", re[i], re[i:]) + np.einsum("jn,kjn->kn", im[i], im[i:])
+        gram_im = np.einsum("jn,kjn->kn", im[i], re[i:]) - np.einsum("jn,kjn->kn", re[i], im[i:])
+        gram_re[0] -= 1.0
+        worst.append(np.hypot(gram_re, gram_im).max(initial=0.0))
+    return float(np.max(worst))
+
+
+def combine(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """rows (n, K) @ terms (K, M), real.  numpy hands a single row to BLAS
+    gemv, which can round otherwise than the gemm that takes a stack of two
+    rows or more, so one row is taken as two: a square pulse's one node
+    then has the bits of the same node inside a run, as the tests of the
+    constant path check."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ terms)[:1]
+    return rows @ terms
 
 
 class RejectedMatrix(ValueError):
@@ -140,41 +162,60 @@ def _taylor_polynomial(A: np.ndarray, m: int, s: int, out: np.ndarray) -> None:
         out[...] = tmp
 
 
+def _taylor(Xs: np.ndarray, theta: float, scale: complex) -> np.ndarray:
+    """exp(scale*X) of a stack Xs (n, d, d) whose exponents are bounded in
+    norm by theta, by the Taylor polynomial _taylor_degree picks."""
+    m, s = _taylor_degree(theta)
+    E = np.empty(Xs.shape, dtype=np.result_type(Xs, scale))
+    _taylor_polynomial((scale * 0.5 ** s) * Xs, m, s, E)
+    return E
+
+
 def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
     """real_embedding(exp(-i*H*dt)) for one Hermitian matrix (d, d) or a
-    stack (n, d, d): a real (2d, 2d) or (n, 2d, 2d) array, which
-    ordered_product multiplies as it is and from_real_embedding reads back.
-
-    The Taylor polynomial of expm_taylor runs on the embedded exponents,
-    where a stacked real product is several times cheaper than a complex
-    one, but its degree and scaling come from the complex theta = |dt|
-    max_k ||H_k||_1 (the embedding's 1-norm can be up to sqrt 2 larger).
+    stack (n, d, d): expm_embedded of phi(-iH), a real (2d, 2d) or
+    (n, 2d, 2d) array, which ordered_product multiplies as it is and
+    from_real_embedding reads back.
 
     Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
     scaled by that matrix's magnitude, naming the matrix and its defect, and
-    input that expm_taylor rejects.  The check and theta are taken in one
-    pass over |H|.
+    input that expm_embedded rejects.
     """
     H = np.asarray(H)
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
     # inf - inf, or column sums that overflow: _finite_theta names the matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        absH = np.abs(Hs)
         # no scaled tolerance is below HERMITIAN_TOL
         if np.abs(Hs - Hs.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITIAN_TOL:
             defect = hermiticity_defect(Hs)
-            tol = HERMITIAN_TOL * np.maximum(1.0, absH.max(axis=(-2, -1)))
+            tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(Hs).max(axis=(-2, -1)))
             k = int(np.argmax(defect > tol))
             if defect[k] > tol[k]:
                 raise RejectedMatrix(
                     f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
                     f"(tolerance {tol[k]:.3e}) in matrix {{index}}", k)
-        theta = _finite_theta(np.einsum("kij->kj", absH), dt)
-    m, s = _taylor_degree(theta)
-    E = np.empty((len(Hs), 2 * d, 2 * d))
-    _taylor_polynomial(real_embedding((-1j * dt * 0.5 ** s) * Hs), m, s, E)
-    return E.reshape(H.shape[:-2] + (2 * d, 2 * d))
+        Y = real_embedding(-1j * Hs)
+    return expm_embedded(Y, dt).reshape(H.shape[:-2] + (2 * d, 2 * d))
+
+
+def expm_embedded(Y: np.ndarray, dt: float) -> np.ndarray:
+    """exp(dt*Y) for a stack Y (n, 2d, 2d) of real embeddings phi(-iX) of
+    Hermitian X: real_embedding(exp(-i*X*dt)).
+
+    The Taylor polynomial of expm_taylor runs on the embedded exponents,
+    where a stacked real product is several times cheaper than a complex
+    one, but its degree and scaling come from the complex theta = |dt|
+    max_k ||X_k||_1 (the embedding's 1-norm can be up to sqrt 2 larger),
+    each |X_ij| the hypot of the first column of block (i, j) of Y.
+
+    Rejects, naming the first such matrix, a stack in which some
+    2 |dt| ||X_k||_1 is not finite, as expm_taylor does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
+        absX = np.hypot(Y[:, 0::2, 0::2], Y[:, 1::2, 0::2])
+        theta = _finite_theta(np.einsum("kij->kj", absX), dt)
+    return _taylor(Y, theta, dt)
 
 
 def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
@@ -201,10 +242,7 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     Xs = X.reshape(-1, d, d)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
         theta = _finite_theta(np.abs(Xs).sum(axis=-2), scale)
-    m, s = _taylor_degree(theta)
-    E = np.empty(Xs.shape, dtype=np.result_type(Xs, scale))
-    _taylor_polynomial((scale * 0.5 ** s) * Xs, m, s, E)
-    return E.reshape(X.shape)
+    return _taylor(Xs, theta, scale).reshape(X.shape)
 
 
 def ordered_product(Ms: np.ndarray) -> np.ndarray:

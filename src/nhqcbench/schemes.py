@@ -28,6 +28,7 @@ rotation as the other schemes.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -362,18 +363,26 @@ def ps_design(varsigma: float, tau: float, angles: GateAngles) -> PsDesign:
     return PsDesign(Ts, *zip(make(0), make(1)))
 
 
+@functools.lru_cache(maxsize=64)
+def _ps_area(varsigma: float) -> float:
+    """The coupling area of the two unit segments of ps_design, by
+    quadrature of the closed form.  |Omega|^2 = (df/dt sin chi)^2 +
+    (dchi/dt)^2, since the azimuth, the one place the gate angle enters,
+    only rotates the quadrature pair: the area depends on varsigma alone.
+    Any angle gives it to the last few ulps; the S gate's pi/2, taken here,
+    gives the catalog's PS schedule its bits."""
+    ref = ps_design(varsigma, 2.0, GateAngles(PI / 2))
+    s = np.linspace(0.0, ref.segment_duration, 20001)
+    return sum(float(np.trapezoid(env(s), s)) for env in ref.envelope)
+
+
 def build_ps(spec: SchemeSpec) -> PulseSchedule:
     """Shaped two-interval loop; duration set so the time-averaged coupling
     equals omega_bar (the shape fixes the area, the area fixes the time).
     """
     system = LevelSystem.lambda3()
     ang = spec.angles
-    ref = ps_design(spec.varsigma, 2.0, ang)  # unit segments
-    # coupling area by quadrature of the closed form; the shape fixes it
-    s = np.linspace(0.0, ref.segment_duration, 20001)
-    total = 0.0
-    for env in ref.envelope:
-        total += float(np.trapezoid(env(s), s))
+    total = _ps_area(spec.varsigma)
     design = ps_design(spec.varsigma, total, ang)
     Ts = design.segment_duration
     b2, d2 = bright_dark_basis(ang)
@@ -701,6 +710,15 @@ def sta_path(phi1: float, tau: float) -> StaPath:
     )
 
 
+# the ops of STA, one per real coordinate of the tripod's (|1>, |2>, |e>)
+# block in the column order of its coefficients: entry (i, j) v and entry
+# (j, i) conj(v) for each (i, j, v); <2|H|e> is real
+_STA_OPS = np.zeros((8, 4, 4), dtype=complex)
+for _k, (_i, _j, _v) in enumerate([(1, 1, 1), (2, 2, 1), (3, 3, 1), (1, 2, 1), (1, 2, 1j),
+                                   (1, 3, 1), (1, 3, 1j), (2, 3, 1)]):
+    _STA_OPS[_k, _i, _j], _STA_OPS[_k, _j, _i] = _v, np.conj(_v)
+
+
 def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
     """Three-step transitionless tripod schedule for the phase-shift gate.
 
@@ -715,7 +733,6 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
     system = LevelSystem.tripod4()
     path = sta_path(phi1, tau)
     nu1 = system.basis_state(0)
-    e = system.basis_state(3)
     k1 = system.basis_state(1)
     k2 = system.basis_state(2)
 
@@ -723,19 +740,23 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
         th, thd = path.theta[step], path.theta_dot[step]
         ph, phd = path.phi[step], path.phi_dot[step]
 
-        def drive(s: np.ndarray) -> np.ndarray:
+        def coefficients(s: np.ndarray) -> np.ndarray:
+            # H0 = |e><B| + h.c. plus the counter-diabatic term i <B|dD/dt>
+            # |B><D| + h.c. + (phi_dot/2) sin^2(theta/2) (|B><B| - |e><e|),
+            # entry by entry, with B = (B1, B2) and D = (D1, D2) on (|1>, |2>)
             t_, td_ = th(s), thd(s)
             p_, pd_ = ph(s), phd(s)
-            B = (-np.sin(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.cos(t_ / 2)[:, None] * k2
-            D = (np.cos(t_ / 2) * np.exp(-1j * p_))[:, None] * k1 + np.sin(t_ / 2)[:, None] * k2
-            H0 = np.einsum("i,nj->nij", e, B.conj())
-            H0 = H0 + H0.conj().transpose(0, 2, 1)
-            bd = td_ / 2 + 1j * (pd_ / 2) * np.sin(t_)  # <B|dD/dt>
-            Hcd = (1j * bd)[:, None, None] * np.einsum("ni,nj->nij", B, D.conj())
-            Hcd = Hcd + Hcd.conj().transpose(0, 2, 1)
-            Hcd += ((pd_ / 2) * np.sin(t_ / 2) ** 2)[:, None, None] * (
-                np.einsum("ni,nj->nij", B, B.conj()) - np.outer(e, e.conj()))
-            return H0 + Hcd
+            B = (-np.sin(t_ / 2) * np.exp(-1j * p_), np.cos(t_ / 2))
+            D = (np.cos(t_ / 2) * np.exp(-1j * p_), np.sin(t_ / 2))
+            ibd = 1j * (td_ / 2 + 1j * (pd_ / 2) * np.sin(t_))  # i <B|dD/dt>
+            g = (pd_ / 2) * np.sin(t_ / 2) ** 2
+
+            def block(i, j):
+                return (ibd * (B[i] * np.conj(D[j])) + np.conj(ibd * (B[j] * np.conj(D[i])))
+                        + g * (B[i] * np.conj(B[j])))
+            h11, h12, h22 = block(0, 0), block(0, 1), block(1, 1)
+            return np.stack([h11.real, h22.real, -g, h12.real, h12.imag,
+                             B[0].real, B[0].imag, B[1]], axis=-1)
 
         def frame(s: np.ndarray) -> np.ndarray:
             t_, p_ = th(s)[:, None], ph(s)[:, None]
@@ -745,7 +766,8 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
 
         return Segment(
             duration=path.durations[step],
-            drive=drive,
+            ops=_STA_OPS,
+            coefficients=coefficients,
             envelope=Constant(1.0),
             frame=frame,
         )
@@ -820,7 +842,8 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
 
     seg = Segment(
         duration=duration,
-        drive=Constant(1.0 * H_unit),  # J * H_unit at J = 1, bit for bit
+        ops=H_unit[None],
+        coefficients=Constant(np.ones(1)),  # J = 1
         envelope=Constant(1.0),
         frame=frame,
     )

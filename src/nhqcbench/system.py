@@ -7,10 +7,11 @@ Conventions used throughout the package:
 * A Lambda-type drive couples the superposition
   ``|w(theta_b, phi_b)> = sin(theta_b/2)|0> - cos(theta_b/2) e^{i phi_b}|1>``
   to the excited level:  H_drive = envelope * e^{-i phase} |w><e| + h.c.
-* The ``detuning`` of a segment is the coefficient of |e><e| as it
-  appears in the Hamiltonian (H += detuning(t)|e><e|).
-* Rabi error multiplies drive terms only: H = (1+eps)*drive
-  + (detuning + eta)|e><e| (eta already in omega_bar units).
+* H is data: a segment holds K fixed Hermitian operators H_k and real
+  coefficients c_k(t), H(t) = sum_k c_k(t) H_k.
+* Rabi error multiplies every term but the one a segment marks unscaled,
+  its detuning |e><e|:  H = (1+eps) sum_{k != u} c_k H_k + c_u H_u
+  + eta|e><e| (eta already in omega_bar units).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numkit import unitarity_defect
+from .numkit import HERMITIAN_TOL, combine, hermiticity_defect, unitarity_defect
 
 TWO_PI = 2 * np.pi
 
@@ -141,34 +142,51 @@ class Constant:
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a schedule.
+    """One smooth piece of a schedule: H(t) = sum_k c_k(t) H_k.
 
-    drive maps local times (n,) to the Hermitian (n, d, d) stack the Rabi
-    error scales; detuning, if any, to the (n,) coefficient of |e><e| it
-    never scales.  A square pulse has a Constant drive and detuning (if
-    any), which the RK4 route takes as one node for the whole segment.
-    envelope(t) is the coupling magnitude used for pulse-area accounting.
-    frame, when present, maps local times (n,) to the (n, L+1, d) analytic
-    auxiliary frame used by the holonomy checks.
+    ops holds the K Hermitian operators H_k, (K, d, d), fixed for the
+    segment and checked once here; coefficients maps local times (n,) to
+    the real (n, K) weights c_k.  The Rabi error scales every column but
+    `unscaled`, the index of the detuning |e><e| if the segment has one.
+    A square pulse has Constant coefficients, which every route takes as
+    one node for the whole segment.  envelope(t) is the coupling magnitude
+    used for pulse-area accounting.  frame, when present, maps local times
+    (n,) to the (n, L+1, d) analytic auxiliary frame used by the holonomy
+    checks.
     """
 
     duration: float
-    drive: Callable[[np.ndarray], np.ndarray]
+    ops: np.ndarray
+    coefficients: Callable[[np.ndarray], np.ndarray]
     _: KW_ONLY
     envelope: Callable[[np.ndarray], np.ndarray]
     frame: Callable[[np.ndarray], np.ndarray] | None = None
-    detuning: Callable[[np.ndarray], np.ndarray] | None = None
+    unscaled: int | None = None
 
     def __post_init__(self):
         if not self.duration > 0:  # NaN fails too
             raise ValueError("segment duration must be positive")
+        ops = np.array(self.ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"segment ops must be a (K, d, d) stack, got shape {ops.shape}")
+        for k, defect in enumerate(hermiticity_defect(ops)):
+            if not defect <= HERMITIAN_TOL:  # NaN fails too
+                raise ValueError(f"segment op {k} not Hermitian: defect {defect:.3e}")
+        if self.unscaled is not None and not 0 <= self.unscaled < len(ops):
+            raise ValueError(f"unscaled column {self.unscaled} outside the {len(ops)} ops")
+        ops.flags.writeable = False
+        object.__setattr__(self, "ops", ops)
 
     @property
     def square(self) -> bool:
-        """Whether the drive and the detuning, if any, are Constant: one H
-        at every time of the segment."""
-        return isinstance(self.drive, Constant) and (
-            self.detuning is None or isinstance(self.detuning, Constant))
+        """Whether the coefficients are Constant: one H at every time of
+        the segment."""
+        return isinstance(self.coefficients, Constant)
+
+    def weights(self, err: ErrorModel) -> np.ndarray:
+        """The factor of each column under err, (K,): 1 + epsilon, and 1
+        on the unscaled column (none when unscaled is None)."""
+        return np.where(np.arange(len(self.ops)) == self.unscaled, 1.0, 1.0 + err.epsilon)
 
 
 def bright_ray(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndarray:
@@ -189,23 +207,33 @@ def bright_ray_segment(
     """Lambda-type drive coupling one bright ray to |e>:
     envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
 
-    envelope and phase are functions of local time that accept numpy
-    arrays; frame and detuning are passed through to the segment.  With a
-    Constant envelope and phase the drive is Constant too: its one node,
-    built as every node of the time-dependent drive is.
+    With C = |w><e| the ops are C + C^dagger and i(C - C^dagger), with
+    coefficients envelope cos(phase) and -envelope sin(phase), and |e><e|
+    with coefficient detuning, unscaled, when there is one.  envelope,
+    phase and detuning are functions of local time that accept numpy
+    arrays; frame is passed through to the segment.  When all of them are
+    Constant, so are the coefficients: their one row, computed as every
+    row of the time-dependent ones is.
     """
-    coupler = np.outer(bright_ray(system, bright_axis),
-                       system.basis_state(system.excited_index).conj())
+    e = system.basis_state(system.excited_index)
+    C = np.outer(bright_ray(system, bright_axis), e.conj())
+    ops = [C + C.conj().T, 1j * (C - C.conj().T)]
+    parts = [envelope, phase]
+    if detuning is not None:
+        ops.append(np.outer(e, e.conj()))
+        parts.append(detuning)
 
-    def drive(t: np.ndarray) -> np.ndarray:
-        amp = envelope(t) * np.exp(-1j * phase(t))
-        M = amp[:, None, None] * coupler[None, :, :]
-        return M + M.conj().transpose(0, 2, 1)
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        env, ph = envelope(t), phase(t)
+        columns = [env * np.cos(ph), -env * np.sin(ph)]
+        if detuning is not None:
+            columns.append(detuning(t))
+        return np.stack(columns, axis=-1)
 
-    if isinstance(envelope, Constant) and isinstance(phase, Constant):
-        drive = Constant(drive(np.zeros(1))[0])
-
-    return Segment(duration, drive, envelope=envelope, frame=frame, detuning=detuning)
+    if all(isinstance(f, Constant) for f in parts):
+        coefficients = Constant(coefficients(np.zeros(1))[0])
+    return Segment(duration, np.stack(ops), coefficients, envelope=envelope, frame=frame,
+                   unscaled=None if detuning is None else 2)
 
 
 @dataclass(frozen=True)
@@ -225,10 +253,11 @@ class PulseSchedule:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        detuned = [k for k, seg in enumerate(self.segments) if seg.detuning is not None]
-        if detuned and self.system.excited_index is None:
-            raise ValueError(f"segment {detuned[0]} has a detuning, but "
-                             f"{self.system.kind} has no excited level")
+        d = self.system.dim
+        for k, seg in enumerate(self.segments):
+            if seg.ops.shape[1:] != (d, d):
+                raise ValueError(f"segment {k} has ops of dimension {seg.ops.shape[-1]}, "
+                                 f"but {self.system.kind} has dimension {d}")
         if not self.total_duration > 0:
             raise ValueError("total duration must be positive")
         defect = unitarity_defect(np.asarray(self.target))
@@ -253,27 +282,18 @@ def detuning_error(schedule: PulseSchedule, err: ErrorModel) -> np.ndarray:
 def segment_hamiltonian_nodes(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
-    """H = (1+eps)*drive + detuning|e><e| + eta|e><e| within one
-    segment at local times: the Rabi factor multiplies only the drive, never
-    the nominal detuning.  Every consumer assembles H here, segment by
-    segment, so no step or difference straddles a boundary.
+    """H = sum_k w_k c_k(t) H_k + eta|e><e| within one segment at local
+    times, (n, d, d), w = Segment.weights(err): one real (n, K) @ (K, 2d*d)
+    product by numkit.combine, on Re and Im of the ops interleaved, which
+    sums as the propagation routes do.  Holonomy checks and reports
+    assemble complex H here, segment by segment, so no difference
+    straddles a boundary; the propagation routes take the coefficients
+    and the lifts of the ops instead.
     """
-    drive, detuning = segment_drive_detuning(schedule, seg_index, t_local)
-    H = (1.0 + err.epsilon) * drive
-    if detuning is not None:
-        e = schedule.system.excited_index
-        H[:, e, e] += detuning
-    H += detuning_error(schedule, err)
-    return H
-
-
-def segment_drive_detuning(
-    schedule: PulseSchedule, seg_index: int, t_local: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The drive (n, d, d) and detuning (n,) or None of one segment at local
-    times.  The error model weighs them differently, so one pair serves a
-    whole grid of error models."""
     seg = schedule.segments[seg_index]
     t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-    detuning = None if seg.detuning is None else seg.detuning(t_local)
-    return seg.drive(t_local), detuning
+    d = schedule.system.dim
+    ops = seg.ops.view(float).reshape(len(seg.ops), 2 * d * d)
+    H = combine(seg.coefficients(t_local) * seg.weights(err), ops).view(complex).reshape(-1, d, d)
+    H += detuning_error(schedule, err)
+    return H

@@ -487,19 +487,37 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, flags):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, code, message", [
     pytest.param(["sweep", "--axis", "epsilon", "--range=0:0.1:1000000000000",
-                  "--schemes", "sl"], id="sweep"),
-    pytest.param(["fig13", "b", "--points", "1000000000000"], id="fig13"),
+                  "--schemes", "sl"], 2, "error: --range asks for", id="sweep"),
+    pytest.param(["fig13", "b", "--points", "1000000000000"], 2, "error: --points asks for",
+                 id="fig13"),
     pytest.param(["simulate", "--scheme", "sl", "--gate", "S",
-                  "--samples", "1000000000000"], id="simulate"),
+                  "--samples", "1000000000000"], 3, "MemoryError", id="simulate"),
 ])
-def test_unallocatable_request_is_reported(tmp_path, capsys, argv):
-    # numpy refuses the multi-TiB grid before allocating any of it
-    code = main([*argv, "--out-dir", str(tmp_path)])
+def test_unallocatable_request_is_reported(tmp_path, capsys, argv, code, message):
+    # a grid above MAX_GRID_POINTS is a usage error; numpy refuses the
+    # multi-TiB step lattice before allocating any of it
+    assert main([*argv, "--out-dir", str(tmp_path)]) == code
     err = capsys.readouterr().err
-    assert code == 3
-    assert err.count("\n") == 1 and "MemoryError" in err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "epsilon", "--range=0:0.1:100000000", "--schemes", "sl"],
+    ["sweep", "--axis", "epsilon", "--range=0:0.1:10001", "--schemes", "sl"],
+    ["fig13", "b", "--points", "100000000"],
+], ids=["sweep-1e8", "sweep-cap-plus-one", "fig13-1e8"])
+def test_grid_above_the_cap_starts_no_sweep(tmp_path, capsys, monkeypatch, argv):
+    from nhqcbench import cli
+
+    def no_sweep(*args):
+        raise AssertionError("sweep started")
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    assert cli.MAX_GRID_POINTS == 10_000  # the cap the README states
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "at most 10000" in err
 
 
 @pytest.mark.parametrize("argv", [

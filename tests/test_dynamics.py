@@ -33,7 +33,6 @@ from nhqcbench.system import (
     Segment,
     bright_ray_segment,
     detuning_error,
-    segment_drive_detuning,
     segment_hamiltonian_nodes,
 )
 
@@ -75,18 +74,20 @@ def cf4_exponents(sched, dtype=complex):
 
 def poisoned_schedule(k, bad):
     """A unit-duration Lambda schedule whose Hamiltonian carries 2 bad at
-    |0><1| at both Gauss nodes (0.289 h from the midpoint) of slice k of
-    1000, and nowhere else; each CF4 exponent of that slice, weighted
-    a + b = 1/2, carries bad."""
+    |0><1| + |1><0| at both Gauss nodes (0.289 h from the midpoint) of
+    slice k of 1000, and nowhere else; each CF4 exponent of that slice,
+    weighted a + b = 1/2, carries bad."""
     h = 1.0 / 1000
+    ops = np.zeros((2, 3, 3), dtype=complex)
+    ops[0, 1, 2] = ops[0, 2, 1] = ops[1, 0, 1] = ops[1, 1, 0] = 1.0
 
-    def drive(t):
-        H = np.zeros((t.size, 3, 3), dtype=complex)
-        H[:, 1, 2] = H[:, 2, 1] = 1.0
-        H[np.abs(t - (k + 0.5) * h) < 0.3 * h, 0, 1] = 2 * bad
-        return H
+    def coefficients(t):
+        c = np.zeros((t.size, 2))
+        c[:, 0] = 1.0
+        c[np.abs(t - (k + 0.5) * h) < 0.3 * h, 1] = 2 * bad
+        return c
 
-    seg = Segment(1.0, drive, envelope=lambda t: np.ones_like(t))
+    seg = Segment(1.0, ops, coefficients, envelope=lambda t: np.ones_like(t))
     return PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
                          target=np.eye(2, dtype=complex), scheme_label="bad")
 
@@ -346,7 +347,7 @@ class TestLindbladGrid:
 
     def test_one_dissipator_fold_per_rate_pair(self, schedules, monkeypatch):
         # six points with two (gamma_minus, gamma_z) pairs: the pass folds
-        # the lift map and each pair's dissipator once
+        # the eta terms, each pair's dissipator and each segment's ops once
         sched = schedules["sl"]
         folds = []
         original = dynamics._fold
@@ -357,7 +358,7 @@ class TestLindbladGrid:
         monkeypatch.setattr(dynamics, "_fold", spy)
         errs = GRID_AXES["epsilon"] + GRID_AXES["eta"]
         propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples=1000)
-        assert len(folds) == 1 + 2
+        assert len(folds) == 1 + 2 + len(sched.segments)
 
     @pytest.mark.parametrize("errs", [
         [ErrorModel(epsilon=0.0, gamma_minus=1e-4)],
@@ -505,10 +506,10 @@ class TestOracles:
 
     @pytest.mark.parametrize("bad, message", [
         (np.nan, r"expm_taylor: .* in matrix 777 is not finite"),
-        (1e-6, r"not Hermitian, defect 1.000e-06 .* in matrix 777$"),
     ])
     def test_unitary_oracle_rejection_names_the_slice(self, bad, message):
-        # the rejection must name the slice by its place in time
+        # the rejection must name the slice by its place in time; H cannot
+        # be non-Hermitian, since Segment checks its ops
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
@@ -517,8 +518,8 @@ class TestOracles:
     def test_unitary_oracle_rejection_past_the_first_chunk(self):
         # 1000 slices of d = 3 are two chunks of up to 910: slice 977 is
         # slice 67 of the second
-        with pytest.raises(ValueError, match=r"not Hermitian, .* in matrix 977$"):
-            oracle_propagate_unitary(poisoned_schedule(977, 1e-6), slices=1000)
+        with pytest.raises(ValueError, match=r"in matrix 977 is not finite"):
+            oracle_propagate_unitary(poisoned_schedule(977, np.nan), slices=1000)
 
     def test_unitary_oracle_memory_does_not_scale_with_slices(self, schedules):
         # a segment's slices are built chunk by chunk; one whole-segment
@@ -689,71 +690,62 @@ class TestRealCoordinates:
 
 
 class TestLiftMap:
-    """_lift through the map of unit coordinates is bit-equal to both lifts
-    it replaces on Hermitian H."""
+    """The lift of H = sum_k c_k H_k is sum_k c_k times the lifts of the
+    ops, to roundoff: RK4 and both oracles lift each op once."""
 
     SYSTEMS = [LevelSystem.lambda3(), LevelSystem.tripod4(), LevelSystem.three_qubit8()]
 
     @staticmethod
-    def assert_lifts_equal(system, H):
-        assert np.array_equal(dynamics._lift(dynamics._lift_map(system, "unitary"), H),
-                              real_embedding(-1j * H))
-        assert np.array_equal(
-            dynamics._lift(dynamics._lift_map(system, "lindblad"), H),
-            dynamics._fold(lindblad_superoperator(system, ErrorModel(), H)))
+    def assert_lift_is_linear(system, c, ops, H):
+        for kind in ("unitary", "lindblad"):
+            lifted = dynamics._lift(system, kind, ops).reshape(len(ops), -1)
+            # a lifted entry is a sum of at most two coordinates of H, each a
+            # sum of K products: a few roundings of the largest term per node
+            bound = 4 * len(ops) * 2.0 ** -53 * (np.abs(c) @ np.abs(lifted).max(axis=1))
+            diff = np.abs(c @ lifted - dynamics._lift(system, kind, H).reshape(len(H), -1))
+            diff = diff.max(axis=1)
+            assert (diff <= bound).all(), kind
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: str(s.dim))
     def test_random_hermitian(self, system):
         rng = np.random.default_rng(system.dim)
         d = system.dim
-        A = rng.normal(size=(20, d, d)) + 1j * rng.normal(size=(20, d, d))
-        self.assert_lifts_equal(system, A + A.conj().swapaxes(-1, -2))
+        A = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        ops = A + A.conj().swapaxes(-1, -2)
+        c = rng.normal(size=(20, 3))
+        self.assert_lift_is_linear(system, c, ops, np.einsum("nk,kij->nij", c, ops))
 
     def test_catalog_drives_and_excited_projector(self, schedules):
+        # ss and s carry the excited projector |e><e| among their ops
         for tag, sched in schedules.items():
-            system = sched.system
             for si, seg in enumerate(sched.segments):
-                drive, _ = segment_drive_detuning(sched, si, np.linspace(0.0, seg.duration, 33))
-                self.assert_lifts_equal(system, drive)
-            if system.excited_index is not None:
-                self.assert_lifts_equal(system, np.diag(system.basis_state(system.excited_index))[None])
-
-    def test_support_is_taken_per_run(self):
-        # runs whose nonzero entries differ, alone and stacked: a support kept
-        # from an earlier run would drop the entries of a later one
-        system = LevelSystem.lambda3()
-        H0 = np.zeros((1, 3, 3), dtype=complex)
-        H0[0, 0, 1] = H0[0, 1, 0] = 0.7
-        H1 = np.zeros((1, 3, 3), dtype=complex)
-        H1[0, 1, 2], H1[0, 2, 1] = 0.3j, -0.3j
-        H1[0, 2, 2] = -1.1
-        for H in (H0, H1, np.concatenate([H0, H1]), np.concatenate([H1, H0])):
-            self.assert_lifts_equal(system, H)
+                t = np.linspace(0.0, seg.duration, 33)
+                self.assert_lift_is_linear(sched.system, seg.coefficients(t), seg.ops,
+                                           segment_hamiltonian_nodes(sched, si, t, ErrorModel()))
 
 
 class TestGridGenerator:
-    """The generators built from a segment's drive and detuning equal those
+    """The generators built from a segment's coefficients equal those
     lifted from the full error-injected H."""
 
     ERR = ErrorModel(epsilon=0.07, eta=-0.03, gamma_minus=2e-4, gamma_z=1e-4)
 
     @staticmethod
-    def runs(sched):
+    def runs(sched, kind, err, const):
         for si, seg in enumerate(sched.segments):
             t = np.linspace(0.0, seg.duration, 101)
-            yield si, t, segment_drive_detuning(sched, si, t)
+            generator = dynamics._grid_generator(
+                dynamics._lift(sched.system, kind, seg.ops), seg.weights(err)[None], const[None])
+            yield seg, generator(seg.coefficients(t))[:, 0], segment_hamiltonian_nodes(
+                sched, si, t, err)
 
     @pytest.mark.parametrize("tag", ["ss", "s"])  # constant and time-dependent detuning
     def test_unitary_generator_is_minus_i_h(self, schedules, tag):
         sched = schedules[tag]
         err = ErrorModel(epsilon=self.ERR.epsilon, eta=self.ERR.eta)
-        generator = dynamics._grid_generator(
-            sched.system, dynamics._lift_map(sched.system, "unitary"), [err],
-            real_embedding(-1j * detuning_error(sched, err))[None])
-        for si, t, (drive, detuning) in self.runs(sched):
-            assert detuning is not None
-            A = generator(drive, detuning)[:, 0]
-            H = segment_hamiltonian_nodes(sched, si, t, err)
+        for seg, A, H in self.runs(sched, "unitary", err,
+                                   real_embedding(-1j * detuning_error(sched, err))):
+            assert seg.unscaled is not None
             assert np.array_equal(A, real_embedding(-1j * H))
 
     @pytest.mark.parametrize("tag", ["ss", "s"])
@@ -763,12 +755,8 @@ class TestGridGenerator:
 
         def lift(H, e=ErrorModel()):
             return dynamics._fold(lindblad_superoperator(system, e, H))
-        generator = dynamics._grid_generator(system, dynamics._lift_map(system, "lindblad"),
-                                             [err], lift(detuning_error(sched, err), err)[None])
-        for si, t, (drive, detuning) in self.runs(sched):
-            A = generator(drive, detuning)[:, 0]
-            full = lift(segment_hamiltonian_nodes(sched, si, t, err), err)
-            assert np.abs(A - full).max() <= 1e-15
+        for _, A, H in self.runs(sched, "lindblad", err, lift(detuning_error(sched, err), err)):
+            assert np.abs(A - lift(H, err)).max() <= 1e-15
 
 
 CONSTANT_DRIVES = ("sl", "ss", "c", "dc", "dfs3")  # square pulses on every segment
@@ -786,25 +774,28 @@ def stack_sizes(monkeypatch, module, name, sizes):
     monkeypatch.setattr(module, name, spy)
 
 
-def drive_sizes(monkeypatch, sizes):
-    """Append to `sizes` the number of times at which every drive
-    evaluation of the RK4 route takes place."""
-    original = dynamics.segment_drive_detuning
+def counted(sched, sizes):
+    """sched with coefficients that append to `sizes` the number of times
+    of every evaluation; Constant coefficients stay Constant."""
 
-    def spy(schedule, seg_index, t_local):
-        sizes.append(len(t_local))
-        return original(schedule, seg_index, t_local)
-    monkeypatch.setattr(dynamics, "segment_drive_detuning", spy)
+    class Counted(Constant):
+        def __call__(self, t):
+            sizes.append(len(t))
+            return super().__call__(t)
+
+    def count(f):
+        if isinstance(f, Constant):
+            return Counted(f.value)
+        return lambda t: (sizes.append(len(t)), f(t))[1]
+    return replace(sched, segments=tuple(replace(seg, coefficients=count(seg.coefficients))
+                                         for seg in sched.segments))
 
 
 def full_path(sched):
-    """sched with every Constant drive and detuning materialized by a
-    closure, so that no segment is a square pulse and neither route takes
-    the constant path."""
-
-    def plain(f):
-        return None if f is None else (lambda t: np.array(f(t)))
-    segments = tuple(replace(seg, drive=plain(seg.drive), detuning=plain(seg.detuning))
+    """sched with every Constant coefficients materialized by a closure, so
+    that no segment is a square pulse and neither route takes the constant
+    path."""
+    segments = tuple(replace(seg, coefficients=lambda t, f=seg.coefficients: np.array(f(t)))
                      for seg in sched.segments)
     assert not any(seg.square for seg in segments)
     return replace(sched, segments=segments)
@@ -843,13 +834,13 @@ class TestConstantDrives:
     def test_catalog_takes_the_constant_path_on_square_pulses(self, schedules, monkeypatch, tag):
         # a square pulse that stops being Constant fails here, and so does
         # a varying drive evaluated on more than one run at a time or probed
-        sched = schedules[tag]
         square = tag in CONSTANT_DRIVES
-        assert [seg.square for seg in sched.segments] == [square] * len(sched.segments)
+        assert [seg.square for seg in schedules[tag].segments] == [square] * len(
+            schedules[tag].segments)
         drives, steps, exps = [], [], []
-        drive_sizes(monkeypatch, drives)
+        sched = counted(schedules[tag], drives)
         stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
-        stack_sizes(monkeypatch, dynamics, "expm_hermitian", exps)
+        stack_sizes(monkeypatch, dynamics, "expm_embedded", exps)
         stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
         one = len(sched.segments)
         for name, run in constant_runs(sched, catalog_errors(sched)).items():
@@ -875,10 +866,10 @@ class TestConstantDrives:
             assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
 
     @pytest.mark.parametrize("tag", ["sl", "dfs3", "ps"])
-    def test_oracle_requests_one_time_per_square_chunk(self, schedules, monkeypatch, tag):
-        # a square chunk asks for the H nodes of its first slice alone; both
-        # oracles keep the bits of the whole-chunk nodes of the materialized
-        # schedule
+    def test_oracle_requests_one_time_per_square_chunk(self, schedules, tag):
+        # a square chunk asks for the coefficients of its first slice alone;
+        # both oracles keep the bits of the whole-chunk coefficients of the
+        # materialized schedule
         sched = schedules[tag]
         square = tag in CONSTANT_DRIVES
         errs = catalog_errors(sched)
@@ -886,13 +877,7 @@ class TestConstantDrives:
         ref = constant_runs(full_path(sched) if square else sched, errs)
         expected = {name: ref[name]() for name in ("oracle_unitary", "oracle_lindblad")}
         sizes = []
-        original = dynamics.segment_hamiltonian_nodes
-
-        def spy(schedule, seg_index, t_local, err):
-            sizes.append(len(t_local))
-            return original(schedule, seg_index, t_local, err)
-        monkeypatch.setattr(dynamics, "segment_hamiltonian_nodes", spy)
-        runs = constant_runs(sched, errs)
+        runs = constant_runs(counted(sched, sizes), errs)
         for name, slices, m in (("oracle_unitary", 1000, 2 * d), ("oracle_lindblad", 200, d * d)):
             sizes.clear()
             out = runs[name]()
@@ -922,7 +907,7 @@ class TestConstantDrives:
         rho0 = six_axial_densities(system)
         steps, exps = [], []
         stack_sizes(monkeypatch, numkit, "_step_matrices", steps)
-        stack_sizes(monkeypatch, dynamics, "expm_hermitian", exps)
+        stack_sizes(monkeypatch, dynamics, "expm_embedded", exps)
         stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
         runs, sizes = {}, {}
         for name, sched in (("square", square), ("closure", closure)):
@@ -937,7 +922,7 @@ class TestConstantDrives:
         assert sizes == {"square": ({3}, {1}), "closure": ({601}, {400})}
         assert all(np.array_equal(a, b) for a, b in zip(runs["square"], runs["closure"]))
 
-    def test_constant_drive_under_varying_detuning_takes_full_path(self, monkeypatch):
+    def test_constant_drive_under_varying_detuning_takes_full_path(self):
         system = LevelSystem.lambda3()
         seg = bright_ray_segment(system, 2.0, envelope=Constant(1.0), phase=Constant(0.0),
                                  detuning=lambda t: 0.3 * t, bright_axis=(0.4, 0.1))
@@ -945,14 +930,13 @@ class TestConstantDrives:
                               target=np.eye(2, dtype=complex), scheme_label="ramp")
         assert not seg.square
         drives = []
-        drive_sizes(monkeypatch, drives)
-        fast = propagate_unitary(sched, samples=300).operators
+        fast = propagate_unitary(counted(sched, drives), samples=300).operators
         assert drives == [601]
         assert np.array_equal(fast, propagate_unitary(full_path(sched),
                                                       samples=300).operators)
 
     def test_constant_nan_drive_aborts_both_routes(self):
-        seg = Segment(1.0, lambda t: np.full((t.size, 3, 3), np.nan + 0j),
+        seg = Segment(1.0, np.eye(3)[None], lambda t: np.full((t.size, 1), np.nan),
                       envelope=lambda t: np.ones_like(t))
         sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="nan")
@@ -969,11 +953,11 @@ class TestConstantDrives:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_square_nan_drive_aborts_at_step_0(self, bad):
-        # the one node is lifted outside the engine; its non-finite entries
+        # the one node is built outside the engine; its non-finite entries
         # are still left to the engine's check, without warnings.  Each
         # oracle chunk exponentiates the first exponent alone, which is
         # rejected as slice 0
-        seg = Segment(1.0, Constant(np.full((3, 3), bad + 0j)), envelope=Constant(1.0))
+        seg = Segment(1.0, np.eye(3)[None], Constant(np.full(1, bad)), envelope=Constant(1.0))
         sched = PulseSchedule(system=LevelSystem.lambda3(), segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="nan")
         assert seg.square

@@ -285,7 +285,7 @@ class TestConditionResiduals:
         P0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
         def seg(weight):
-            return Segment(1.0, lambda t: weight(t)[:, None, None] * P0, envelope=np.ones_like)
+            return Segment(1.0, P0[None], lambda t: weight(t)[:, None], envelope=np.ones_like)
 
         sched = PulseSchedule(system=system,
                               segments=(seg(np.ones_like), seg(lambda t: 2.0 * (1.0 - t))),

@@ -608,6 +608,40 @@ class TestConstantRuns:
             rk4_linear(np.eye(2), [(h, nodes)])
 
 
+def einsum_unitarity_defect(M):
+    """max |M M^dagger - I| by one complex einsum over the whole Gram matrix."""
+    M = M.reshape((-1,) + M.shape[-2:])
+    return np.abs(np.einsum("nij,nkj->nik", M, M.conj()) - np.eye(M.shape[1])).max()
+
+
+class TestUnitarityDefect:
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 3), (2001, 3, 3), (2001, 8, 8),
+                                       (300, 3, 4), (50, 3, 8)])
+    def test_random_stacks_match_einsum(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        near = np.linalg.qr(A)[0] if shape[-1] == shape[-2] else A / np.linalg.norm(
+            A, axis=-1, keepdims=True)
+        for M in (A, near):
+            assert abs(unitarity_defect(M) - einsum_unitarity_defect(M)) <= 1e-15 * max(
+                1.0, einsum_unitarity_defect(M))
+
+    def test_catalog_trajectories_and_frames_match_einsum(self, schedules, ideal_runs):
+        for tag, sched in schedules.items():
+            U = ideal_runs[tag].operators
+            seg = sched.segments[0]
+            V = seg.frame(np.linspace(0.0, seg.duration, 257))
+            for M in (U, V):
+                assert abs(unitarity_defect(M) - einsum_unitarity_defect(M)) <= 1e-15, tag
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (7, 2, 1), (9, 0, 2)])
+    def test_nan_fails_every_threshold(self, where):
+        M = np.tile(np.eye(3, dtype=complex), (10, 1, 1))
+        M[where] = np.nan
+        defect = unitarity_defect(M)
+        assert not defect <= 1e300 and not defect > 0  # NaN
+
+
 def test_hermiticity_defect_reports_magnitude():
     H = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
     assert hermiticity_defect(H) == pytest.approx(0.5)

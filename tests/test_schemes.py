@@ -232,6 +232,17 @@ class TestPsDesign:
         assert design.chi[0](1.0) == pytest.approx(PI)
         assert design.chi[1](1.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("varsigma", [0.0, 1.0, 2.5])
+    def test_area_depends_on_varsigma_alone(self, varsigma):
+        # the duration is the coupling area of the unit segments, taken by
+        # quadrature at the gate's own angles, to the last few ulps
+        for angles in (GateAngles(0.3, 1.1, 0.7), GateAngles(PI / 2), GateAngles(3.0, 2.0, 5.0)):
+            ref = ps_design(varsigma, 2.0, angles)
+            s = np.linspace(0.0, ref.segment_duration, 20001)
+            area = sum(float(np.trapezoid(env(s), s)) for env in ref.envelope)
+            sched = build_schedule(SchemeSpec("PS", angles, varsigma=varsigma))
+            assert sched.total_duration == pytest.approx(area, rel=1e-14, abs=0)
+
     def test_gate_correct_for_nonzero_varsigma(self):
         for vs in (0.5, 1.0):
             spec = SchemeSpec("PS", GateAngles(PI / 2), varsigma=vs)
@@ -332,8 +343,9 @@ class TestSta:
         for step, seg in enumerate(sched.segments):
             s = np.linspace(0.0, seg.duration, 257)
             expected = np.stack([drive_at(step, t) for t in s])
-            assert np.abs(seg.drive(s) - expected).max() <= 1e-15
-            assert seg.detuning is None
+            H = segment_hamiltonian_nodes(sched, step, s, ErrorModel())
+            assert np.abs(H - expected).max() <= 1e-15
+            assert seg.unscaled is None
 
     def test_zero_span_gives_identity(self):
         sched = sta_schedule(0.0, tau=PI)
@@ -377,8 +389,9 @@ class TestDfs3:
         s = np.linspace(0.0, seg.duration, 257)
         H_unit = dfs3_unit_hamiltonian(0.7)
         expected = np.stack([float(seg.envelope(t)) * H_unit for t in s])
-        assert np.abs(seg.drive(s) - expected).max() <= 1e-15
-        assert seg.detuning is None
+        H = segment_hamiltonian_nodes(sched, 0, s, ErrorModel())
+        assert np.abs(H - expected).max() <= 1e-15
+        assert seg.unscaled is None
 
 
 class TestIdealGateCatalog:

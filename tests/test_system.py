@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhqcbench.dynamics import UNITARY_SAMPLES, allocate_steps
 from nhqcbench.schemes import SchemeSpec
 from nhqcbench.system import (
     Constant,
@@ -181,24 +182,58 @@ class TestSchemeSpec:
             SchemeSpec("PS", varsigma=-1.0)
 
 
+def zero_coefficients(t):
+    return np.zeros((t.size, 1))
+
+
 class TestSegment:
     def test_fields_after_drive_are_keyword_only(self):
-        def zeros(t):
-            return np.zeros((t.size, 3, 3), dtype=complex)
+        ops = np.zeros((1, 3, 3))
         with pytest.raises(TypeError):
-            Segment(1.0, zeros, zeros, np.ones_like)
-        assert Segment(1.0, zeros, envelope=np.ones_like).detuning is None
+            Segment(1.0, ops, zero_coefficients, np.ones_like)
+        assert Segment(1.0, ops, zero_coefficients, envelope=np.ones_like).unscaled is None
+
+    @pytest.mark.parametrize("bad", [1e-9, np.nan])
+    def test_rejects_non_hermitian_op(self, bad):
+        ops = np.zeros((2, 3, 3), dtype=complex)
+        ops[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="segment op 1 not Hermitian"):
+            Segment(1.0, ops, zero_coefficients, envelope=np.ones_like)
+
+    @pytest.mark.parametrize("ops", [np.zeros((3, 3)), np.zeros((1, 3, 2))])
+    def test_rejects_ops_that_are_no_stack_of_square_matrices(self, ops):
+        with pytest.raises(ValueError, match="must be a .K, d, d. stack"):
+            Segment(1.0, ops, zero_coefficients, envelope=np.ones_like)
+
+    def test_rejects_unscaled_column_outside_the_ops(self):
+        with pytest.raises(ValueError, match="unscaled column 1 outside the 1 ops"):
+            Segment(1.0, np.zeros((1, 3, 3)), zero_coefficients, envelope=np.ones_like,
+                    unscaled=1)
+
+    def test_ops_are_read_only(self):
+        seg = Segment(1.0, np.zeros((1, 3, 3)), zero_coefficients, envelope=np.ones_like)
+        with pytest.raises(ValueError, match="read-only"):
+            seg.ops[0, 0, 0] = 1.0
+
+
+def test_catalog_segments_are_data(schedules):
+    # Hermitian ops, and real, finite (n, K) coefficients on the RK4 lattice
+    for tag, sched in schedules.items():
+        for seg, n in zip(sched.segments, allocate_steps(sched, UNITARY_SAMPLES)):
+            assert np.array_equal(seg.ops, seg.ops.conj().swapaxes(-1, -2)), tag
+            c = seg.coefficients(np.linspace(0.0, seg.duration, 2 * n + 1))
+            assert c.shape == (2 * n + 1, len(seg.ops)) and c.dtype == float, tag
+            assert np.isfinite(c).all(), tag
 
 
 class TestPulseSchedule:
-    def test_rejects_detuning_without_excited_level(self):
+    def test_rejects_ops_of_another_dimension(self):
         system = LevelSystem.three_qubit8()
 
-        def seg(detuning):
-            return Segment(1.0, lambda t: np.zeros((t.size, 8, 8), dtype=complex),
-                           envelope=np.ones_like, detuning=detuning)
-        with pytest.raises(ValueError, match="segment 1 has a detuning.*ThreeQubit8"):
-            PulseSchedule(system=system, segments=(seg(None), seg(np.zeros_like)),
+        def seg(d):
+            return Segment(1.0, np.zeros((1, d, d)), zero_coefficients, envelope=np.ones_like)
+        with pytest.raises(ValueError, match="segment 1 has ops of dimension 3.*ThreeQubit8"):
+            PulseSchedule(system=system, segments=(seg(8), seg(3)),
                           target=np.eye(2, dtype=complex), scheme_label="bad")
 
     def test_rejects_non_unitary_target(self):
@@ -225,7 +260,7 @@ def nan_target_schedule():
     (lambda: SchemeSpec("SS", gamma_ss=np.nan), "gamma_ss=nan must be finite"),
     (lambda: SchemeSpec("DFS3", dfs_phi=np.nan), "dfs_phi=nan must be finite"),
     (lambda: SchemeSpec("C", loops=2.5), "loops=2.5 must be an integer"),
-    (lambda: Segment(np.nan, Constant(np.zeros((3, 3))), envelope=Constant(0.0)),
+    (lambda: Segment(np.nan, np.zeros((1, 3, 3)), Constant(np.zeros(1)), envelope=Constant(0.0)),
      "duration must be positive"),
     (nan_target_schedule, "target gate not unitary"),
 ])
