@@ -5,9 +5,9 @@ files are CSV with a `#`-prefixed metadata header naming the fidelity
 metric, sample counts, and unit mode; reruns are byte-identical.  A JSON
 config file can mirror any flag; explicit flags win.
 
-Exit codes: 0 success, 2 usage error (an unreadable config or an unwritable
-output path included), 3 numerical failure or a request too large to
-allocate.
+Exit codes: 0 success, 2 usage error (an unreadable config, an unwritable
+output path, and a grid or a step count above its cap included), 3
+numerical failure or a request too large to allocate.
 """
 from __future__ import annotations
 
@@ -54,6 +54,9 @@ TIME_UNIT_NS = 1e9 / OMEGA_BAR_HZ  # one unit of 1/omega_bar, in ns
 GOLDEN_VERSION = "v1"
 # the most points a sweep grid may hold: the grid is checked before any work
 MAX_GRID_POINTS = 10_000
+# the most integrator steps --samples may ask for, 25x the Lindblad default:
+# checked once the config is merged, before any schedule is built
+MAX_SAMPLES = 100_000
 
 
 class UsageError(Exception):
@@ -493,8 +496,14 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
                 raise UsageError(f"config key {key!r} is not an option of {args.command}")
             # type(), not isinstance(): a JSON bool is no number
             fits = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
+            misfit = UsageError(f"config value {value!r} does not fit option {key!r}")
             if type(value) not in fits or (action.choices and value not in action.choices):
-                raise UsageError(f"config value {value!r} does not fit option {key!r}")
+                raise misfit
+            if action.type is float:  # a JSON integer too, as argparse converts a flag
+                try:
+                    config[key] = float(value)
+                except OverflowError:  # an integer beyond the float range
+                    raise misfit from None
     for key, value in vars(args).items():
         if value is None:
             if key in config:
@@ -519,6 +528,9 @@ def main(argv=None) -> int:
     }
     try:
         _apply_config(args, parser)
+        samples = getattr(args, "samples", None)
+        if samples is not None and samples > MAX_SAMPLES:
+            raise UsageError(f"--samples asks for {samples} steps; at most {MAX_SAMPLES}")
         return handlers[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,12 @@ Two independent numerical routes are maintained everywhere:
   propagators and A = the real Lindblad generator for density matrices;
   the states follow as a chain of precomputed real step matrices.  H is
   data, sum_k c_k(t) H_k (``system.Segment``), and A is linear in H, so
-  each segment lifts its ops H_k once (``_lift``) and a run of
-  coefficients on the half-step lattice gives the generators by one
-  product.  A is affine in the error parameters, so a whole grid of error
-  models shares one set of coefficients and one pass
+  each segment lifts its ops H_k once (``_lift``) and ``Segment.nodes``,
+  the one assembly of a segment's generators, gives them at a run of the
+  half-step lattice by one product.  The terms that do not vary, the lift
+  of eta|e><e| and the dissipator, come from one place, ``_fixed``, for
+  both routes.  A is affine in the error parameters, so a whole grid of
+  error models shares one set of coefficients and one pass
   (``propagate_lindblad_grid``);
 * the oracle path: time-ordered products of exact slice exponentials,
   each a Taylor polynomial whose truncation error is below the unit
@@ -34,7 +36,7 @@ per chunk.
 
 The RK4 generators of a segment reach the engine in one of two forms.  A
 square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
-coefficients are ``system.Constant``, so the segment gets one
+coefficients are ``system.Constant``, so ``Segment.nodes`` gives one
 generator node broadcast along its lattice (stride 0), and the engine
 builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
@@ -51,6 +53,7 @@ together.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -197,17 +200,22 @@ def _lift(system: LevelSystem, kind: str, H: np.ndarray) -> np.ndarray:
     return _fold(lindblad_superoperator(system, ErrorModel(), H))
 
 
-def _grid_generator(lifted: np.ndarray, weights: np.ndarray, const: np.ndarray):
-    """Map coefficient rows (n, K) of a segment to the generators of every
-    grid point g, (n, G, m, m): A_g = sum_k weights[g, k] c_k lifted_k +
-    const[g], with lifted (K, m, m) the lifts of the segment's ops, by one
-    (n*G, K) @ (K, m*m) product (combine)."""
-    flat = lifted.reshape(len(lifted), -1)
-
-    def generator(c):
-        rows = (c[:, None] * weights).reshape(-1, len(flat))
-        return combine(rows, flat).reshape((len(c),) + const.shape) + const
-    return generator
+def _fixed(schedule: PulseSchedule, kind: str, errs) -> np.ndarray:
+    """The terms of the generator that do not vary, C_g for every error
+    model of errs, (G, m, m): the lift _lift(kind) of eta_g|e><e| and, for
+    "lindblad", the folded dissipator of g, which reads only the rates, so
+    each distinct (gamma_minus, gamma_z) pair is folded once.  Overflow
+    is left to the routes' checks of their states and exponents."""
+    system = schedule.system
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _lift(system, kind, np.stack([detuning_error(schedule, e) for e in errs]))
+        if kind == "lindblad":
+            d = system.dim
+            rates = {(e.gamma_minus, e.gamma_z): e for e in errs}
+            folded = {key: _fold(lindblad_superoperator(system, e, np.zeros((d, d))))
+                      for key, e in rates.items()}
+            C += np.stack([folded[e.gamma_minus, e.gamma_z] for e in errs])
+    return C
 
 
 def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples: int | None):
@@ -217,44 +225,29 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     count of `kind`.
 
     The generator of grid point g is sum_k w_gk c_k(t) S[H_k] + C_g, with
-    w_g = Segment.weights(errs[g]), C_g = S[eta_g|e><e|] and S the lift
+    w_g = Segment.weights(errs[g]), C_g = _fixed(...)[g] and S the lift
     that kind picks (_lift): phi(-iH) for "unitary", the folded commutator
-    superoperator for "lindblad", where C_g also holds the folded
-    dissipator of g.  Each segment lifts its K ops once, and every run of
-    coefficients gives the whole grid's generators by one product.  A
-    square pulse (Segment.square) gets its one generator node, broadcast
-    along its lattice, which rk4_chunks takes whole.  Every other segment
-    gets _Runs, so its coefficients are only ever evaluated one run at a
-    time."""
+    superoperator for "lindblad".  Each segment lifts its K ops once, and
+    Segment.nodes gives the whole grid's generators at a run of times by
+    one product.  A square pulse (Segment.square) gets its one node,
+    broadcast along its lattice, which rk4_chunks takes whole.  Every
+    other segment gets _Runs, so its coefficients are only ever evaluated
+    one run at a time."""
     if samples is None:
         samples = UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
     if samples < 1:
         raise ValueError(f"step count {samples} must be >= 1")
-    system = schedule.system
-    # the Hamiltonian part eta_g|e><e| of C_g by the lift
-    const = _lift(system, kind, np.stack([detuning_error(schedule, e) for e in errs]))
-    if kind == "lindblad":
-        # the dissipator reads only the rates, so each distinct pair is folded once
-        d = system.dim
-        rates = {(e.gamma_minus, e.gamma_z): e for e in errs}
-        folded = {key: _fold(lindblad_superoperator(system, e, np.zeros((d, d))))
-                  for key, e in rates.items()}
-        const += np.stack([folded[e.gamma_minus, e.gamma_z] for e in errs])
+    const = _fixed(schedule, kind, errs)
     steps = tuple(allocate_steps(schedule, samples))
     segments = []
     times = [np.zeros(1)]
     t_offset = 0.0
     for seg, n in zip(schedule.segments, steps):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-        generator = _grid_generator(_lift(system, kind, seg.ops),
-                                    np.stack([seg.weights(e) for e in errs]), const)
-        if seg.square:
-            with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
-                node = generator(seg.coefficients(lattice[:1]))
-            A = np.broadcast_to(node, (len(lattice),) + node.shape[1:])
-        else:
-            A = _Runs(lattice, lambda t, seg=seg, generator=generator:
-                      generator(seg.coefficients(t)))
+        nodes = functools.partial(seg.nodes, terms=_lift(schedule.system, kind, seg.ops),
+                                  weights=np.stack([seg.weights(e) for e in errs]), const=const)
+        with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
+            A = nodes(lattice) if seg.square else _Runs(lattice, nodes)
         segments.append((seg.duration / n, A))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
@@ -528,21 +521,21 @@ _CF4_C1 = 0.5 - np.sqrt(3) / 6
 _CF4_C2 = 0.5 + np.sqrt(3) / 6
 
 
-def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: str,
-                 const: np.ndarray,
-                 exponentials: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: str) -> np.ndarray:
     """The (m, m) propagator of both oracles: the time-ordered product of
     allocate_steps(..., floor=16) 4th-order commutator-free Magnus slices
     (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
 
     Slice k of length h contributes E(b X1 + a X2) E(a X1 + b X2), with X1,
-    X2 the generators at its two Gauss nodes and E = exponentials(., h)
-    the exponentials of a stack (2c, m, m) of exponents; since a + b =
-    1/2, a piecewise-constant drive makes it exact.  The generators are
-    linear in H, so each exponent is the coefficient row a c(t1) + b c(t2)
-    (or b, a), weighted by Segment.weights(err), times the lifts
-    _lift(kind) of the segment's ops, taken once per segment, plus const,
-    the exponents' share of the terms that do not vary.  Segments are taken
+    X2 the generators at its two Gauss nodes and E(., h) the exponentials
+    of a stack (2c, m, m) of exponents, by expm_embedded for "unitary" and
+    expm_taylor for "lindblad"; since a + b = 1/2, a piecewise-constant
+    drive makes it exact.  The generators are linear in H, so each
+    exponent is the coefficient row a c(t1) + b c(t2) (or b, a), weighted
+    by Segment.weights(err), times the lifts _lift(kind) of the segment's
+    ops, taken once per segment, plus (a + b) C, with C = _fixed(...) the
+    terms that do not vary.  The rows are mixed before the product, not
+    the nodes after it, which would cost m**2 per slice.  Segments are taken
     in chunks of CHUNK_ELEMENTS // m**2 slices: the coefficients, both
     exponents of every slice interleaved in time order, and one
     ordered_product.  A chunk of a square pulse (Segment.square) takes the
@@ -551,6 +544,8 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     per-matrix Taylor polynomial gives bit for bit, and ordered_product
     then builds one block's products for all blocks.  A rejected exponent
     names its slice."""
+    const = (_CF4_A + _CF4_B) * _fixed(schedule, kind, [err])[0]
+    exponentials = expm_embedded if kind == "unitary" else expm_taylor
     m = const.shape[-1]
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
     alloc = allocate_steps(schedule, slices, floor=16)
@@ -584,9 +579,7 @@ def oracle_propagate_unitary(
     """U(T) as the CF4 product of exact slice exponentials, taken in the
     real embedding by expm_embedded, whose exponents are formed there
     directly, and read back once."""
-    const = (_CF4_A + _CF4_B) * real_embedding(-1j * detuning_error(schedule, err))
-    return from_real_embedding(
-        _cf4_product(schedule, err, slices, "unitary", const, expm_embedded))
+    return from_real_embedding(_cf4_product(schedule, err, slices, "unitary"))
 
 
 def oracle_propagate_lindblad(
@@ -602,15 +595,12 @@ def oracle_propagate_lindblad(
     L1, L2 the superoperators at its two Gauss nodes.  They are linear in
     H, so each is the sum of S[H_k], with S the commutator superoperator,
     folded once per segment, weighted by the slice's coefficient rows, and
-    (a + b) (S[eta|e><e|] + D), with D the dissipator, folded once per
-    call; the product runs on the real coordinates Q of rho0, which must
-    pass _rho0_columns.
+    (a + b) (S[eta|e><e|] + D), with D the dissipator, both folded once
+    per call by _fixed; the product runs on the real coordinates Q of
+    rho0, which must pass _rho0_columns.
     """
-    system = schedule.system
-    cols = _rho0_columns(system, rho0)
-    const = (_CF4_A + _CF4_B) * _fold(
-        lindblad_superoperator(system, err, detuning_error(schedule, err)))
-    P = _cf4_product(schedule, err, slices, "lindblad", const, expm_taylor)
+    cols = _rho0_columns(schedule.system, rho0)
+    P = _cf4_product(schedule, err, slices, "lindblad")
     # one matrix-vector product per state: a (d*d, k) matmul moves the bits
     q = P @ cols.T[..., None]
     return _density(q[..., 0]).reshape(np.shape(rho0))

@@ -73,11 +73,13 @@ def unitarity_defect(M: np.ndarray) -> float:
 
 
 def combine(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """rows (n, K) @ terms (K, M), real.  numpy hands a single row to BLAS
-    gemv, which can round otherwise than the gemm that takes a stack of two
-    rows or more, so one row is taken as two: a square pulse's one node
-    then has the bits of the same node inside a run, as the tests of the
-    constant path check."""
+    """rows (n, K) @ terms (K, M), real: the product of Segment.nodes,
+    which assembles every generator and H node of a segment, and of the
+    oracle's exponents.  numpy hands a single row to BLAS gemv, which can
+    round otherwise than the gemm that takes a stack of two rows or more,
+    so one row is taken as two: a square segment's one node then has the
+    bits of the same node inside a run, as the tests of the constant path
+    check."""
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ terms)[:1]
     return rows @ terms

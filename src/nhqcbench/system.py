@@ -8,7 +8,8 @@ Conventions used throughout the package:
   ``|w(theta_b, phi_b)> = sin(theta_b/2)|0> - cos(theta_b/2) e^{i phi_b}|1>``
   to the excited level:  H_drive = envelope * e^{-i phase} |w><e| + h.c.
 * H is data: a segment holds K fixed Hermitian operators H_k and real
-  coefficients c_k(t), H(t) = sum_k c_k(t) H_k.
+  coefficients c_k(t), H(t) = sum_k c_k(t) H_k.  Segment.nodes is the one
+  place that sums them, for the H nodes here and for the RK4 generators.
 * Rabi error multiplies every term but the one a segment marks unscaled,
   its detuning |e><e|:  H = (1+eps) sum_{k != u} c_k H_k + c_u H_u
   + eta|e><e| (eta already in omega_bar units).
@@ -148,11 +149,11 @@ class Segment:
     segment and checked once here; coefficients maps local times (n,) to
     the real (n, K) weights c_k.  The Rabi error scales every column but
     `unscaled`, the index of the detuning |e><e| if the segment has one.
-    A square pulse has Constant coefficients, which every route takes as
-    one node for the whole segment.  envelope(t) is the coupling magnitude
-    used for pulse-area accounting.  frame, when present, maps local times
-    (n,) to the (n, L+1, d) analytic auxiliary frame used by the holonomy
-    checks.
+    A square pulse has Constant coefficients, which every route, and the
+    H nodes, take as one node for the whole segment.  envelope(t) is the
+    coupling magnitude used for pulse-area accounting.  frame, when
+    present, maps local times (n,) to the (n, L+1, d) analytic auxiliary
+    frame used by the holonomy checks.
     """
 
     duration: float
@@ -187,6 +188,21 @@ class Segment:
         """The factor of each column under err, (K,): 1 + epsilon, and 1
         on the unscaled column (none when unscaled is None)."""
         return np.where(np.arange(len(self.ops)) == self.unscaled, 1.0, 1.0 + err.epsilon)
+
+    def nodes(self, t: np.ndarray, terms: np.ndarray, weights: np.ndarray,
+              const: np.ndarray) -> np.ndarray:
+        """sum_k weights[g, k] c_k(t) terms[k] + const[g] at local times t
+        (n,), (n, G, ...): the one assembly of a segment's generators.
+        terms (K, ...) are the ops or their lifts, real, weights (G, K) one
+        row of Segment.weights per grid point and const (G, ...) the terms
+        that do not vary.  One (n*G, K) @ (K, M) product by numkit.combine;
+        a square segment takes the product of its one node alone, broadcast
+        along t (stride 0, read-only), with the bits of every node of the
+        materialized stack."""
+        c = self.coefficients(t[:1] if self.square else t)
+        rows = (c[:, None] * weights).reshape(-1, len(terms))
+        A = combine(rows, terms.reshape(len(terms), -1)).reshape(c.shape[:1] + const.shape) + const
+        return np.broadcast_to(A, (len(t),) + A.shape[1:]) if self.square else A
 
 
 def bright_ray(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndarray:
@@ -283,17 +299,15 @@ def segment_hamiltonian_nodes(
     schedule: PulseSchedule, seg_index: int, t_local: np.ndarray, err: ErrorModel
 ) -> np.ndarray:
     """H = sum_k w_k c_k(t) H_k + eta|e><e| within one segment at local
-    times, (n, d, d), w = Segment.weights(err): one real (n, K) @ (K, 2d*d)
-    product by numkit.combine, on Re and Im of the ops interleaved, which
-    sums as the propagation routes do.  Holonomy checks and reports
-    assemble complex H here, segment by segment, so no difference
-    straddles a boundary; the propagation routes take the coefficients
-    and the lifts of the ops instead.
+    times, (n, d, d), w = Segment.weights(err): Segment.nodes on Re and Im
+    of the ops interleaved, read back as complex, so H sums as the RK4
+    generators do and a square segment is one node broadcast along the
+    times (stride 0, read-only).  Holonomy checks and reports assemble
+    complex H here, segment by segment, so no difference straddles a
+    boundary; the propagation routes take the lifts of the ops instead.
     """
     seg = schedule.segments[seg_index]
     t_local = np.atleast_1d(np.asarray(t_local, dtype=float))
-    d = schedule.system.dim
-    ops = seg.ops.view(float).reshape(len(seg.ops), 2 * d * d)
-    H = combine(seg.coefficients(t_local) * seg.weights(err), ops).view(complex).reshape(-1, d, d)
-    H += detuning_error(schedule, err)
-    return H
+    H = seg.nodes(t_local, seg.ops.view(float), seg.weights(err)[None],
+                  detuning_error(schedule, err).view(float)[None])
+    return H[:, 0].view(complex)

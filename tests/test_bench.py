@@ -6,7 +6,6 @@ import pytest
 
 from nhqcbench.bench import (
     GateReport,
-    benchmark_catalog,
     fit_leading_order,
     lindblad_gate_fidelity,
     overlap_gate_fidelity,
@@ -19,8 +18,7 @@ from nhqcbench.bench import (
     unitary_gate_fidelity,
 )
 from nhqcbench.dynamics import oracle_propagate_lindblad, six_axial_densities
-from nhqcbench.schemes import build_schedule
-from nhqcbench.system import ErrorModel, GateAngles, LevelSystem
+from nhqcbench.system import ErrorModel, LevelSystem
 
 PI = np.pi
 GOLDEN_POINT = Path(__file__).parent.parent / "goldens" / "v1" / "sl_fig13_point.json"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -413,6 +414,7 @@ class TestConfigFile:
         pytest.param({"samples": True}, id="bool-for-int"),
         pytest.param({"samples": 400.0}, id="float-for-int"),
         pytest.param({"epsilon": "0.1"}, id="string-for-float"),
+        pytest.param({"epsilon": 10**400}, id="int-beyond-float"),
         pytest.param({"units": "furlongs"}, id="not-a-choice"),
         pytest.param({"sampels": 10}, id="unknown-key"),
         pytest.param({"points": 3}, id="key-of-another-subcommand"),
@@ -428,6 +430,16 @@ class TestConfigFile:
         )
         assert code == 2
         assert not list(tmp_path.glob("report_*"))
+
+    def test_integer_for_a_float_option_is_taken_as_float(self, tmp_path, capsys):
+        # 10**30 does not fit int64: numpy could not test it for finiteness
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 10**30}))
+        code = main(["simulate", "--scheme", "sl", "--gate", "S", "--samples", "64",
+                     "--out-dir", str(tmp_path), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("numerical failure: ")
 
     def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -493,11 +505,11 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, flags):
     pytest.param(["fig13", "b", "--points", "1000000000000"], 2, "error: --points asks for",
                  id="fig13"),
     pytest.param(["simulate", "--scheme", "sl", "--gate", "S",
-                  "--samples", "1000000000000"], 3, "MemoryError", id="simulate"),
+                  "--samples", "1000000000000"], 2, "error: --samples asks for", id="simulate"),
 ])
 def test_unallocatable_request_is_reported(tmp_path, capsys, argv, code, message):
-    # a grid above MAX_GRID_POINTS is a usage error; numpy refuses the
-    # multi-TiB step lattice before allocating any of it
+    # a grid above MAX_GRID_POINTS and a step count above MAX_SAMPLES are
+    # usage errors, found before any allocation
     assert main([*argv, "--out-dir", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
@@ -518,6 +530,32 @@ def test_grid_above_the_cap_starts_no_sweep(tmp_path, capsys, monkeypatch, argv)
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "at most 10000" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scheme", "sl", "--gate", "S"],
+    ["sweep", "--axis", "epsilon", "--range=0:0.1:2", "--schemes", "sl"],
+    ["fig13", "b", "--points", "2"],
+    ["check", "--scheme", "sl"],
+], ids=["simulate", "sweep", "fig13", "check"])
+def test_samples_above_the_cap_build_no_schedule(tmp_path, capsys, monkeypatch, argv, via):
+    from nhqcbench import bench, cli
+
+    def no_schedule(*args):
+        raise AssertionError("schedule built")
+    for module in (cli, bench):
+        monkeypatch.setattr(module, "build_schedule", no_schedule)
+    assert cli.MAX_SAMPLES == 100_000  # the cap the README states
+    samples = cli.MAX_SAMPLES + 1
+    if via == "flag":
+        argv = [*argv, "--samples", str(samples)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"samples": samples}))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --samples asks for {samples} steps; at most 100000\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -633,4 +671,83 @@ def test_argv_never_crashes(tmp_path_factory, command, pairs, stray):
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+
+
+# The config files take only the flags each subcommand requires on the
+# command line (explicit flags win), so every size comes from the config:
+# samples is always drawn and either at most 64 or above the cap, points
+# is at most 2 or above its cap, and goldens never regenerates.
+_CONFIG_ARGV = {
+    "simulate": ["--scheme", "sl", "--gate", "S"],
+    "sweep": ["--axis", "epsilon", "--range=0:0.01:1", "--schemes", "sl"],
+    "table1": [],
+    "fig13": ["a"],
+    "check": ["--scheme", "sl"],
+    "goldens": [],
+}
+_CONFIG_NUMBERS = [-1, -0.5, math.nan, math.inf, -math.inf, 1e308, 10**30]
+_CONFIG_WRONG = [None, True, "x", [], {}, {"samples": 1}, math.nan, 1e308]
+
+
+def _config_values(key: str, action):
+    """The values of the option `action`'s own JSON type drawn for it, as
+    often hostile as not: for each option a few that it takes, none of
+    which starts large work, and for the numeric ones hostile numbers."""
+    from nhqcbench.cli import MAX_SAMPLES
+
+    if key == "samples":
+        return st.sampled_from([1, 8, 64]) | st.sampled_from([-1, 0, MAX_SAMPLES + 1, 10**30])
+    if key == "points":
+        return st.sampled_from([1, 2]) | st.sampled_from([-1, 0, 10**30])
+    if action.nargs == 0:  # goldens --regenerate: never true
+        return st.just(False)
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is float:
+        return st.sampled_from([0.0, 1e-4, 0.01]) | st.sampled_from(_CONFIG_NUMBERS)
+    return st.sampled_from(["", ".", "sl", "out", "/dev/null/x"])
+
+
+def _config_payloads(command: str):
+    """JSON objects drawn from the parser actions of `command`: samples
+    whenever the subcommand takes it, any other option optionally, and at
+    most one key that is unknown to the subcommand or holds a value of
+    another JSON type (or a non-finite one)."""
+    from nhqcbench.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    actions = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    pools = {key: _config_values(key, a) for key, a in actions.items()}
+    required = {"samples": pools.pop("samples")} if "samples" in pools else {}
+    wrong = st.none() | st.tuples(st.sampled_from([*actions, "config", "help", "bogus"]),
+                                  st.sampled_from(_CONFIG_WRONG))
+    return st.tuples(st.fixed_dictionaries(required, optional=pools), wrong).map(
+        lambda drawn: drawn[0] if drawn[1] is None else {**drawn[0], drawn[1][0]: drawn[1][1]})
+
+
+@given(case=st.sampled_from(sorted(_CONFIG_ARGV)).flatmap(
+    lambda command: st.tuples(st.just(command), _config_payloads(command))))
+@settings(max_examples=150, deadline=None)
+def test_config_files_never_crash(tmp_path_factory, case):
+    command, payload = case
+    scratch = tmp_path_factory.mktemp("config")
+    (scratch / "cfg.json").write_text(json.dumps(payload))
+    argv = [command, *_CONFIG_ARGV[command], "--config", str(scratch / "cfg.json")]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(scratch)  # relative output paths land here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, payload)
+    numpy_warnings = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numpy_warnings  # the failure is its one line
+    assert sum(line.startswith(("error:", "numerical failure:")) for line in lines) <= 1, lines
     assert "Traceback" not in err.getvalue()

@@ -23,11 +23,10 @@ from nhqcbench.dynamics import (
     six_axial_states,
 )
 from nhqcbench.numkit import real_embedding
-from nhqcbench.schemes import build_schedule, dfs3_schedule
+from nhqcbench.schemes import dfs3_schedule
 from nhqcbench.system import (
     Constant,
     ErrorModel,
-    GateAngles,
     LevelSystem,
     PulseSchedule,
     Segment,
@@ -734,10 +733,9 @@ class TestGridGenerator:
     def runs(sched, kind, err, const):
         for si, seg in enumerate(sched.segments):
             t = np.linspace(0.0, seg.duration, 101)
-            generator = dynamics._grid_generator(
-                dynamics._lift(sched.system, kind, seg.ops), seg.weights(err)[None], const[None])
-            yield seg, generator(seg.coefficients(t))[:, 0], segment_hamiltonian_nodes(
-                sched, si, t, err)
+            A = seg.nodes(t, dynamics._lift(sched.system, kind, seg.ops), seg.weights(err)[None],
+                          const[None])
+            yield seg, A[:, 0], segment_hamiltonian_nodes(sched, si, t, err)
 
     @pytest.mark.parametrize("tag", ["ss", "s"])  # constant and time-dependent detuning
     def test_unitary_generator_is_minus_i_h(self, schedules, tag):
@@ -799,6 +797,45 @@ def full_path(sched):
                      for seg in sched.segments)
     assert not any(seg.square for seg in segments)
     return replace(sched, segments=segments)
+
+
+class TestSegmentNodes:
+    """Segment.nodes is the one assembly of a segment's generators and H
+    nodes: a square segment is one node, and a grid is its points."""
+
+    ERR = ErrorModel(epsilon=0.07, eta=-0.03)
+
+    def test_square_h_nodes_are_one_node_broadcast(self, schedules):
+        square = 0
+        for tag, sched in schedules.items():
+            full = full_path(sched)
+            for k, seg in enumerate(sched.segments):
+                if not seg.square:
+                    continue
+                square += 1
+                t = np.linspace(0.0, seg.duration, 101)
+                H = segment_hamiltonian_nodes(sched, k, t, self.ERR)
+                assert H.shape == (len(t),) + seg.ops.shape[1:] and H.strides[0] == 0, tag
+                assert np.array_equal(H, segment_hamiltonian_nodes(full, k, t, self.ERR)), tag
+        assert square >= len(CONSTANT_DRIVES)
+
+    @pytest.mark.parametrize("kind", ["unitary", "lindblad"])
+    def test_grid_is_its_points(self, schedules, kind):
+        for tag, sched in schedules.items():
+            system = sched.system
+            rates = (2e-4, 1e-4) if system.excited_index is not None else (0.0, 0.0)
+            errs = [ErrorModel(epsilon=x, eta=0.5 * x, gamma_minus=rates[0] * i,
+                               gamma_z=rates[1]) for i, x in enumerate((-0.1, 0.0, 0.03, 0.2))]
+            const = dynamics._fixed(sched, kind, errs)
+            for seg in sched.segments:
+                t = np.linspace(0.0, seg.duration, 33)
+                lifted = dynamics._lift(system, kind, seg.ops)
+                w = np.stack([seg.weights(e) for e in errs])
+                grid = seg.nodes(t, lifted, w, const)
+                assert grid.shape == (len(t), len(errs)) + const.shape[1:]
+                for g in range(len(errs)):
+                    point = seg.nodes(t, lifted, w[g:g + 1], const[g:g + 1])[:, 0]
+                    assert np.array_equal(grid[:, g], point), (tag, g)
 
 
 def constant_runs(sched, errs):
