@@ -168,9 +168,10 @@ def cmd_simulate(args) -> int:
         print(f"{k}={v}")
     out_dir = Path(args.out_dir)
     traj_path = out_dir / f"trajectory_{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}.csv"
-    # one format call per row of floats: the bytes _csv_line gives them
-    lines = ["%.12g,%.12g" % row
-             for row in zip((traj.times * scale).tolist(), traj.excited_population.tolist())]
+    # one format call for every row: the bytes _csv_line gives them
+    cells = np.empty(2 * len(traj.times))
+    cells[0::2], cells[1::2] = traj.times * scale, traj.excited_population
+    lines = [("%.12g,%.12g\n" * len(traj.times) % tuple(cells.tolist()))[:-1]]
     _write_csv(
         traj_path,
         {

@@ -534,8 +534,10 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     exponent is the coefficient row a c(t1) + b c(t2) (or b, a), weighted
     by Segment.weights(err), times the lifts _lift(kind) of the segment's
     ops, taken once per segment, plus (a + b) C, with C = _fixed(...) the
-    terms that do not vary.  The rows are mixed before the product, not
-    the nodes after it, which would cost m**2 per slice.  Segments are taken
+    terms that do not vary.  The coefficients of a chunk are taken at both
+    nodes in one call, on the concatenated times (they are elementwise in
+    t, so the bits are those of two calls).  The rows are mixed before the
+    product, not the nodes after it, which would cost m**2 per slice.  Segments are taken
     in chunks of CHUNK_ELEMENTS // m**2 slices: the coefficients, both
     exponents of every slice interleaved in time order, and one
     ordered_product.  A chunk of a square pulse (Segment.square) takes the
@@ -559,7 +561,8 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
         for c0 in range(0, n, chunk):
             c1 = c0 + 1 if seg.square else c0 + chunk
             with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
-                k1, k2 = seg.coefficients(t1[c0:c1]) * w, seg.coefficients(t2[c0:c1]) * w
+                k = seg.coefficients(np.concatenate([t1[c0:c1], t2[c0:c1]])) * w
+                k1, k2 = k[:len(k) // 2], k[len(k) // 2:]
                 rows = np.stack([_CF4_A * k1 + _CF4_B * k2, _CF4_B * k1 + _CF4_A * k2], axis=1)
                 X = combine(rows.reshape(-1, len(w)), lifted).reshape(-1, m, m) + const
             try:

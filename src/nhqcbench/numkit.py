@@ -58,8 +58,9 @@ def unitarity_defect(M: np.ndarray) -> float:
     one matrix M (r, c) or of every matrix of a stack (n, r, c): the
     unitarity of square matrices and the orthonormality of the rows of
     frames.  M M^dagger is Hermitian, so only its rows i <= k are formed,
-    in real arithmetic on a node-last copy of Re M and Im M; NaN in M
-    reads NaN."""
+    in real arithmetic on a node-last copy of Re M and Im M, and the
+    largest re^2 + im^2 of an entry takes the one square root; NaN in M
+    reads NaN, and squares that overflow read inf."""
     M = M.reshape((-1,) + M.shape[-2:])
     re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (M.real, M.imag))
     worst = []
@@ -68,8 +69,9 @@ def unitarity_defect(M: np.ndarray) -> float:
         gram_re = np.einsum("jn,kjn->kn", re[i], re[i:]) + np.einsum("jn,kjn->kn", im[i], im[i:])
         gram_im = np.einsum("jn,kjn->kn", im[i], re[i:]) - np.einsum("jn,kjn->kn", re[i], im[i:])
         gram_re[0] -= 1.0
-        worst.append(np.hypot(gram_re, gram_im).max(initial=0.0))
-    return float(np.max(worst))
+        with np.errstate(over="ignore"):  # inf fails every threshold
+            worst.append((gram_re * gram_re + gram_im * gram_im).max(initial=0.0))
+    return math.sqrt(np.max(worst))
 
 
 def combine(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -121,10 +123,12 @@ def from_real_embedding(R: np.ndarray) -> np.ndarray:
     return R[..., 0::2, 0::2] + 1j * R[..., 1::2, 0::2]
 
 
-def _finite_theta(colsums: np.ndarray, scale: complex) -> float:
-    """|scale| max ||X_k||_1 over a stack from its column sums (n, d);
-    rejects the first matrix whose 2 |scale| ||X_k||_1 is not finite: NaN
-    or infinite entries, or a norm too large to scale."""
+def _theta(Xs: np.ndarray, scale: complex) -> float:
+    """|scale| max_k ||X_k||_1 over a stack Xs (n, d, d); rejects the first
+    matrix whose 2 |scale| ||X_k||_1 is not finite: NaN or infinite
+    entries, or a norm too large to scale."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the rejection names the matrix
+        colsums = np.einsum("kij->kj", np.abs(Xs))
     top = abs(scale) * float(colsums.max(initial=0.0))  # NaN propagates through max
     if not math.isfinite(2 * top):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +190,7 @@ def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
     H = np.asarray(H)
     d = H.shape[-1]
     Hs = H.reshape(-1, d, d)
-    # inf - inf, or column sums that overflow: _finite_theta names the matrix
+    # inf - inf, or column sums that overflow: _theta names the matrix
     with np.errstate(over="ignore", invalid="ignore"):
         # no scaled tolerance is below HERMITIAN_TOL
         if np.abs(Hs - Hs.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITIAN_TOL:
@@ -208,16 +212,17 @@ def expm_embedded(Y: np.ndarray, dt: float) -> np.ndarray:
     The Taylor polynomial of expm_taylor runs on the embedded exponents,
     where a stacked real product is several times cheaper than a complex
     one, but its degree and scaling come from the complex theta = |dt|
-    max_k ||X_k||_1 (the embedding's 1-norm can be up to sqrt 2 larger),
-    each |X_ij| the hypot of the first column of block (i, j) of Y.
+    max_k ||X_k||_1 (the embedding's 1-norm can be up to sqrt 2 larger):
+    the even rows of Y, read as complex, are conj(-iX), so theta is
+    expm_taylor's, taken on that view (Y is copied first if its last axis
+    is not contiguous).
 
     Rejects, naming the first such matrix, a stack in which some
     2 |dt| ||X_k||_1 is not finite, as expm_taylor does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
-        absX = np.hypot(Y[:, 0::2, 0::2], Y[:, 1::2, 0::2])
-        theta = _finite_theta(np.einsum("kij->kj", absX), dt)
-    return _taylor(Y, theta, dt)
+    if Y.strides[-1] != Y.itemsize:
+        Y = np.ascontiguousarray(Y)
+    return _taylor(Y, _theta(Y[:, 0::2].view(complex), dt), dt)
 
 
 def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
@@ -242,9 +247,7 @@ def expm_taylor(X: np.ndarray, scale: complex) -> np.ndarray:
     X = np.asarray(X)
     d = X.shape[-1]
     Xs = X.reshape(-1, d, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite_theta names the matrix
-        theta = _finite_theta(np.abs(Xs).sum(axis=-2), scale)
-    return _taylor(Xs, theta, scale).reshape(X.shape)
+    return _taylor(Xs, _theta(Xs, scale), scale).reshape(X.shape)
 
 
 def ordered_product(Ms: np.ndarray) -> np.ndarray:

@@ -144,7 +144,8 @@ def _lambda_frame(
 
     def frame(t: np.ndarray) -> np.ndarray:
         s = (t0 + t) / total
-        phases = np.stack([np.exp(-1j * return_phase * s), np.exp(1j * return_phase * s)], axis=-1)
+        ramp = np.exp(1j * return_phase * s)
+        phases = np.stack([ramp.conj(), ramp], axis=-1)
         return _bright_frame(system, parked, driven, block(t) * phases[:, None, :])
 
     return frame
@@ -168,7 +169,8 @@ def _build_loop_schedule(
         phase, U0 = pieces[k][0], starts[k]
 
         def block(t: np.ndarray) -> np.ndarray:
-            return _piece_step(phase, t) @ U0
+            # one (2n, 2) @ (2, 2) product, with the bits of the n stacked ones
+            return (_piece_step(phase, t).reshape(-1, 2) @ U0).reshape(-1, 2, 2)
 
         return _lambda_frame(system, d_full, b_full, block, t0s[k], t0s[-1], return_phase)
 
@@ -176,8 +178,7 @@ def _build_loop_schedule(
         bright_ray_segment(
             system,
             duration=area,
-            envelope=Constant(1.0),
-            phase=Constant(phase),
+            drive=Constant(np.array([1.0, phase])),
             bright_axis=(ang.theta, ang.phi),
             frame=piece_frame(k),
         )
@@ -260,9 +261,8 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
 
     def block(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t)[..., None, None]
-        return np.exp(-1j * half * t) * (
-            np.cos(rot * t) * np.eye(2) - 1j * np.sin(rot * t) * m
-        )
+        rt = rot * t
+        return np.exp(-1j * half * t) * (np.cos(rt) * np.eye(2) - 1j * np.sin(rt) * m)
 
     b_full = system.embed_qubit(bright_dark_basis(ang)[0])
     w_full = bright_ray(system, axis)
@@ -270,10 +270,9 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
     seg = bright_ray_segment(
         system,
         duration=duration,
-        envelope=Constant(coupling),
-        phase=Constant(0.0),
-        detuning=Constant(delta),
+        drive=Constant(np.array([coupling, 0.0, delta])),
         bright_axis=axis,
+        detuned=True,
         frame=_lambda_frame(system, b_full, w_full, block, 0.0, duration, return_phase),
     )
     target = rotation_gate(phi_gate, ang.theta, ang.phi)
@@ -292,11 +291,12 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
 
 @dataclass(frozen=True)
 class PsDesign:
-    """Shaped two-interval design: per-segment profiles of the mixing angle
-    chi, global-phase f, solved azimuth varphi, the physical coupling
-    envelope omega_ps / 2 (omega_ps the magnitude of the published
-    quadrature pair), and the drive phase.  Segment-local time in
-    [0, segment_duration].
+    """Shaped two-interval design, per segment: the mixing angle chi and
+    its rate as functions of segment-local time in [0, segment_duration];
+    the global phase f and the solved azimuth varphi as functions of chi;
+    and the drive of bright_ray_segment, local time -> (envelope, phase),
+    the envelope being the physical coupling omega_ps / 2 (omega_ps the
+    magnitude of the published quadrature pair).
     """
 
     segment_duration: float
@@ -304,8 +304,7 @@ class PsDesign:
     chi_dot: tuple[Callable, Callable]
     f: tuple[Callable, Callable]
     varphi: tuple[Callable, Callable]
-    envelope: tuple[Callable, Callable]
-    phase: tuple[Callable, Callable]
+    drive: tuple[Callable, Callable]
 
 
 def ps_design(varsigma: float, tau: float, angles: GateAngles) -> PsDesign:
@@ -335,30 +334,23 @@ def ps_design(varsigma: float, tau: float, angles: GateAngles) -> PsDesign:
     def make(seg):
         chi, chid = chis[seg], chidots[seg]
 
-        def f(s):
-            c = chi(s)
+        def f(c):
             return varsigma * (2 * c - np.sin(2 * c))
 
-        def varphi(s):
-            return starts[seg] - (4 * varsigma / 3) * np.sin(chi(s)) ** 3
+        def varphi(c):
+            return starts[seg] - (4 * varsigma / 3) * np.sin(c) ** 3
 
-        def quadratures(s):
+        def drive(s):
             c, cd = chi(s), chid(s)
-            fd = 4 * varsigma * np.sin(c) ** 2 * cd
-            vp = varphi(s)
-            omR = np.cos(vp) * np.sin(c) * fd - np.sin(vp) * cd
-            omI = np.sin(vp) * np.sin(c) * fd + np.cos(vp) * cd
-            return omR, omI
+            sin_c = np.sin(c)
+            fd = 4 * varsigma * sin_c ** 2 * cd
+            vp = varphi(c)
+            cos_vp, sin_vp = np.cos(vp), np.sin(vp)
+            omR = cos_vp * sin_c * fd - sin_vp * cd
+            omI = sin_vp * sin_c * fd + cos_vp * cd
+            return 0.5 * np.sqrt(omR**2 + omI**2), np.arctan2(omI, omR)
 
-        def envelope(s):
-            omR, omI = quadratures(s)
-            return 0.5 * np.sqrt(omR**2 + omI**2)
-
-        def phase(s):
-            omR, omI = quadratures(s)
-            return np.arctan2(omI, omR)
-
-        return chi, chid, f, varphi, envelope, phase  # in PsDesign field order
+        return chi, chid, f, varphi, drive  # in PsDesign field order
 
     return PsDesign(Ts, *zip(make(0), make(1)))
 
@@ -373,7 +365,7 @@ def _ps_area(varsigma: float) -> float:
     gives the catalog's PS schedule its bits."""
     ref = ps_design(varsigma, 2.0, GateAngles(PI / 2))
     s = np.linspace(0.0, ref.segment_duration, 20001)
-    return sum(float(np.trapezoid(env(s), s)) for env in ref.envelope)
+    return sum(float(np.trapezoid(drive(s)[0], s)) for drive in ref.drive)
 
 
 def build_ps(spec: SchemeSpec) -> PulseSchedule:
@@ -392,12 +384,9 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
     def designed_column(seg: int, s: np.ndarray) -> np.ndarray:
         """(n, 2) designed trajectory of one half at local times s."""
         chi = design.chi[seg](s)
-        f = design.f[seg](s)
-        vp = design.varphi[seg](s)
-        return np.exp(-1j * f / 2)[:, None] * np.stack(
-            [np.exp(-1j * vp / 2) * np.cos(chi / 2), np.exp(1j * vp / 2) * np.sin(chi / 2)],
-            axis=-1,
-        )
+        half = np.exp(1j * design.varphi[seg](chi) / 2)
+        return np.exp(-1j * design.f[seg](chi) / 2)[:, None] * np.stack(
+            [half.conj() * np.cos(chi / 2), half * np.sin(chi / 2)], axis=-1)
 
     # physical trajectory constants gluing the two designed segments
     c0 = 1.0 / np.exp(1j * np.angle(designed_column(0, np.zeros(1))[0, 0]))
@@ -418,8 +407,7 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         bright_ray_segment(
             system,
             duration=Ts,
-            envelope=design.envelope[k],
-            phase=design.phase[k],
+            drive=design.drive[k],
             bright_axis=(ang.theta, ang.phi),
             frame=half_frame(k, c),
         )
@@ -442,12 +430,16 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
 
 def brachistochrone_tau(gamma: float, omega0: float) -> float:
     """Minimal loop time 2 sqrt(pi^2 - (pi - gamma)^2) / omega0 for a drive
-    of amplitude omega0 (bright-excited coupling omega0/2)."""
+    of amplitude omega0 (bright-excited coupling omega0/2).  Rejects a gamma
+    so close to 0 or 2 pi that the loop time rounds to 0."""
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     if not 0 < gamma < 2 * PI:
         raise ValueError("gamma must lie in (0, 2*pi)")
-    return 2 * np.sqrt(PI**2 - (PI - gamma) ** 2) / omega0
+    span = PI**2 - (PI - gamma) ** 2
+    if not span > 0:
+        raise ValueError(f"gamma={gamma!r} too close to 0 or 2*pi: the loop time rounds to 0")
+    return 2 * np.sqrt(span) / omega0
 
 
 def build_to(spec: SchemeSpec) -> PulseSchedule:
@@ -463,8 +455,8 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     lam = 1.0  # coupling magnitude
     omega_rot = 2 * (g - PI) / tau
 
-    def phase(t):
-        return omega_rot * np.asarray(t, dtype=float)
+    def drive(t):
+        return np.broadcast_to(lam, np.shape(t)), omega_rot * np.asarray(t, dtype=float)
 
     axis = _plus_n_axis(ang)
     # rotating-frame closed form in (driven, e) block coordinates
@@ -481,25 +473,26 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
     def D(t):
         return t - np.sin(2 * Lam * t) / (2 * Lam)
 
-    phi_d_total = dyn_scale * D(tau)
+    D_tau = D(tau)
+    phi_d_total = dyn_scale * D_tau
 
     b_full = system.embed_qubit(bright_dark_basis(ang)[0])
     w_full = bright_ray(system, axis)
 
     def frame(t: np.ndarray) -> np.ndarray:
-        R = np.stack([np.exp(-1j * omega_rot * t / 2), np.exp(1j * omega_rot * t / 2)], axis=-1)
-        tt = t[:, None, None]
-        U = R[:, :, None] * (np.cos(Lam * tt) * np.eye(2) - 1j * np.sin(Lam * tt) * psig)
+        half = np.exp(1j * omega_rot * t / 2)
+        R = np.stack([half.conj(), half], axis=-1)
+        Lt = Lam * t[:, None, None]
+        U = R[:, :, None] * (np.cos(Lt) * np.eye(2) - 1j * np.sin(Lt) * psig)
         # the driven column carries its dynamical share, |e> a linear ramp
-        phases = np.stack([np.exp(1j * g * D(t) / D(tau)),
+        phases = np.stack([np.exp(1j * g * D(t) / D_tau),
                            np.exp(-1j * g * t / tau)], axis=-1)
         return _bright_frame(system, b_full, w_full, U * phases[:, None, :])
 
     seg = bright_ray_segment(
         system,
         duration=tau,
-        envelope=Constant(lam),
-        phase=phase,
+        drive=drive,
         bright_axis=axis,
         frame=frame,
     )
@@ -530,16 +523,27 @@ def build_to(spec: SchemeSpec) -> PulseSchedule:
 
 @dataclass(frozen=True)
 class PathParams:
-    """Circle path on the bright sphere: polar alpha(t), azimuth beta(t),
-    mixing chi(t) and circle parameter ell."""
+    """Circle path on the bright sphere: azimuth beta(t) from beta0, polar
+    alpha(t) and circle parameter ell, over a loop of duration tau."""
 
     tau: float
     ell: float
-    alpha: Callable
-    beta: Callable
-    alpha_dot: Callable
-    beta_dot: Callable
-    chi: Callable
+    beta0: float
+
+    def beta(self, t):
+        return self.beta0 + PI * np.sin(PI * t / (2 * self.tau)) ** 2
+
+    def beta_dot(self, t):
+        return PI * np.sin(PI * t / self.tau) * (PI / (2 * self.tau))
+
+    def angles(self, t):
+        """(beta, beta_dot, alpha, alpha_dot) at t, each term taken once."""
+        beta, beta_dot = self.beta(t), self.beta_dot(t)
+        x = beta - self.beta0
+        sin_x = np.sin(x)
+        alpha = 2 * np.arctan(self.ell * sin_x)
+        alpha_dot = 2 * self.ell * np.cos(x) * beta_dot / (1 + (self.ell * sin_x) ** 2)
+        return beta, beta_dot, alpha, alpha_dot
 
 
 def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
@@ -558,34 +562,7 @@ def circle_path_params(gamma: float, beta0: float, tau: float) -> PathParams:
     if tau <= 0:
         raise ValueError("tau must be positive")
     ell = np.sqrt(2 * PI * gamma - gamma**2) / (PI - gamma)
-
-    def beta(t):
-        return beta0 + PI * np.sin(PI * t / (2 * tau)) ** 2
-
-    def beta_dot(t):
-        return PI * np.sin(PI * t / tau) * (PI / (2 * tau))
-
-    def alpha(t):
-        return 2 * np.arctan(ell * np.sin(beta(t) - beta0))
-
-    def alpha_dot(t):
-        x = beta(t) - beta0
-        return 2 * ell * np.cos(x) * beta_dot(t) / (1 + (ell * np.sin(x)) ** 2)
-
-    def chi(t):
-        ad = alpha_dot(t)
-        bs = beta_dot(t) * np.sin(alpha(t))
-        return np.arctan2(ad, bs)
-
-    return PathParams(
-        tau=tau,
-        ell=ell,
-        alpha=alpha,
-        beta=beta,
-        alpha_dot=alpha_dot,
-        beta_dot=beta_dot,
-        chi=chi,
-    )
+    return PathParams(tau=tau, ell=ell, beta0=beta0)
 
 
 def circle_segment_area(gamma: float) -> float:
@@ -610,31 +587,29 @@ def _circle_drive_segment(system: LevelSystem, path: PathParams, angles: GateAng
     v = -system.embed_qubit(d2)  # the printed second vector at t = 0
     e = system.basis_state(system.excited_index)
 
-    def envelope(t):
-        bs = path.beta_dot(t) * np.sin(path.alpha(t))
-        return 0.5 * np.sqrt(bs**2 + path.alpha_dot(t) ** 2)
-
-    def phase(t):
-        return path.beta(t) + path.chi(t) + offset
-
-    def detuning(t):
-        return -path.beta_dot(t) * (1 + np.cos(path.alpha(t)))
+    def drive(t):
+        beta, beta_dot, alpha, alpha_dot = path.angles(t)
+        bs = beta_dot * np.sin(alpha)
+        chi = np.arctan2(alpha_dot, bs)  # the mixing angle
+        return (0.5 * np.sqrt(bs**2 + alpha_dot**2), beta + chi + offset,
+                -beta_dot * (1 + np.cos(alpha)))
 
     def frame(t):
-        al = path.alpha(t)[:, None]
-        be = path.beta(t)[:, None]
-        mu2 = np.cos(al / 2) * v + np.sin(al / 2) * np.exp(1j * be) * e
-        mu3 = np.sin(al / 2) * np.exp(-1j * be) * v - np.cos(al / 2) * e
+        beta, _, alpha, _ = path.angles(t)
+        half = alpha[:, None] / 2
+        cos_h, sin_h = np.cos(half), np.sin(half)
+        turn = np.exp(1j * beta[:, None])
+        mu2 = cos_h * v + sin_h * turn * e
+        mu3 = sin_h * turn.conj() * v - cos_h * e
         return np.stack([np.broadcast_to(mu1, mu2.shape), mu2, mu3], axis=1)
 
     return bright_ray_segment(
         system,
         duration=path.tau,
-        envelope=envelope,
-        phase=phase,
-        detuning=detuning,
+        drive=drive,
         bright_axis=axis,
         frame=frame,
+        detuned=True,
     )
 
 
@@ -746,22 +721,26 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
             # entry by entry, with B = (B1, B2) and D = (D1, D2) on (|1>, |2>)
             t_, td_ = th(s), thd(s)
             p_, pd_ = ph(s), phd(s)
-            B = (-np.sin(t_ / 2) * np.exp(-1j * p_), np.cos(t_ / 2))
-            D = (np.cos(t_ / 2) * np.exp(-1j * p_), np.sin(t_ / 2))
+            sin_h, cos_h, turn = np.sin(t_ / 2), np.cos(t_ / 2), np.exp(-1j * p_)
+            B = (-sin_h * turn, cos_h)
+            D = (cos_h * turn, sin_h)
             ibd = 1j * (td_ / 2 + 1j * (pd_ / 2) * np.sin(t_))  # i <B|dD/dt>
-            g = (pd_ / 2) * np.sin(t_ / 2) ** 2
+            g = (pd_ / 2) * sin_h ** 2
+            # ibd <i|B><D|j>, each product once
+            D_conj = [np.conj(d) for d in D]
+            bd = [[ibd * (b * d) for d in D_conj] for b in B]
 
             def block(i, j):
-                return (ibd * (B[i] * np.conj(D[j])) + np.conj(ibd * (B[j] * np.conj(D[i])))
-                        + g * (B[i] * np.conj(B[j])))
+                return bd[i][j] + np.conj(bd[j][i]) + g * (B[i] * np.conj(B[j]))
             h11, h12, h22 = block(0, 0), block(0, 1), block(1, 1)
             return np.stack([h11.real, h22.real, -g, h12.real, h12.imag,
                              B[0].real, B[0].imag, B[1]], axis=-1)
 
         def frame(s: np.ndarray) -> np.ndarray:
             t_, p_ = th(s)[:, None], ph(s)[:, None]
-            nu2 = np.cos(t_ / 2) * k1 + np.sin(t_ / 2) * np.exp(1j * p_) * k2
-            nu3 = -np.sin(t_ / 2) * k1 + np.cos(t_ / 2) * np.exp(1j * p_) * k2
+            sin_h, cos_h, turn = np.sin(t_ / 2), np.cos(t_ / 2), np.exp(1j * p_)
+            nu2 = cos_h * k1 + sin_h * turn * k2
+            nu3 = -sin_h * k1 + cos_h * turn * k2
             return np.stack([np.broadcast_to(nu1, nu2.shape), nu2, nu3], axis=1)
 
         return Segment(
@@ -836,8 +815,9 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
     def frame(t: np.ndarray) -> np.ndarray:
         A = np.sqrt(2) * np.asarray(t, dtype=float)[:, None]  # accumulated bright-coupling area
         h = A / PI
-        psi_b = (np.cos(A) * B - 1j * np.sin(A) * anc) * np.exp(-1j * PI * h)
-        psi_a = (-1j * np.sin(A) * B + np.cos(A) * anc) * np.exp(-1j * PI * h)
+        cos_A, sin_A, ramp = np.cos(A), np.sin(A), np.exp(-1j * PI * h)
+        psi_b = (cos_A * B - 1j * sin_A * anc) * ramp
+        psi_a = (-1j * sin_A * B + cos_A * anc) * ramp
         return np.stack([np.broadcast_to(D, psi_b.shape), psi_b, psi_a], axis=1)
 
     seg = Segment(

@@ -214,42 +214,46 @@ def bright_ray(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndar
 def bright_ray_segment(
     system: LevelSystem,
     duration: float,
-    envelope: Callable[[np.ndarray], np.ndarray],
-    phase: Callable[[np.ndarray], np.ndarray],
+    drive: Callable[[np.ndarray], tuple] | Constant,
     bright_axis: tuple[float, float],
     frame: Callable[[np.ndarray], np.ndarray] | None = None,
-    detuning: Callable[[np.ndarray], np.ndarray] | None = None,
+    detuned: bool = False,
 ) -> Segment:
     """Lambda-type drive coupling one bright ray to |e>:
-    envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|.
+    envelope(t) e^{-i phase(t)} |w><e| + h.c., plus detuning(t) |e><e|
+    when detuned.
 
-    With C = |w><e| the ops are C + C^dagger and i(C - C^dagger), with
-    coefficients envelope cos(phase) and -envelope sin(phase), and |e><e|
-    with coefficient detuning, unscaled, when there is one.  envelope,
-    phase and detuning are functions of local time that accept numpy
-    arrays; frame is passed through to the segment.  When all of them are
-    Constant, so are the coefficients: their one row, computed as every
-    row of the time-dependent ones is.
+    drive maps local times (n,) to the columns (envelope, phase) or, when
+    detuned, (envelope, phase, detuning), computed together so that terms
+    they share are evaluated once; a square pulse passes the Constant row
+    of those values instead.  With C = |w><e| the ops are C + C^dagger and
+    i(C - C^dagger), with coefficients envelope cos(phase) and -envelope
+    sin(phase), and |e><e| with coefficient detuning, unscaled, when
+    detuned.  The segment's envelope is the drive's first column, and a
+    Constant drive gives Constant coefficients: their one row, computed as
+    every row of the time-dependent ones is.  frame is passed through to
+    the segment.
     """
     e = system.basis_state(system.excited_index)
     C = np.outer(bright_ray(system, bright_axis), e.conj())
     ops = [C + C.conj().T, 1j * (C - C.conj().T)]
-    parts = [envelope, phase]
-    if detuning is not None:
+    if detuned:
         ops.append(np.outer(e, e.conj()))
-        parts.append(detuning)
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
-        env, ph = envelope(t), phase(t)
-        columns = [env * np.cos(ph), -env * np.sin(ph)]
-        if detuning is not None:
-            columns.append(detuning(t))
-        return np.stack(columns, axis=-1)
+    def columns(env: np.ndarray, ph: np.ndarray, *detuning: np.ndarray) -> np.ndarray:
+        return np.stack([env * np.cos(ph), -env * np.sin(ph), *detuning], axis=-1)
 
-    if all(isinstance(f, Constant) for f in parts):
-        coefficients = Constant(coefficients(np.zeros(1))[0])
+    if isinstance(drive, Constant):
+        coefficients = Constant(columns(*drive(np.zeros(1)).T)[0])
+        envelope = Constant(drive.value[0])
+    else:
+        def coefficients(t: np.ndarray) -> np.ndarray:
+            return columns(*drive(t))
+
+        def envelope(t: np.ndarray) -> np.ndarray:
+            return drive(t)[0]
     return Segment(duration, np.stack(ops), coefficients, envelope=envelope, frame=frame,
-                   unscaled=None if detuning is None else 2)
+                   unscaled=2 if detuned else None)
 
 
 @dataclass(frozen=True)

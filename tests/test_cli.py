@@ -8,6 +8,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ class TestSimulate:
         text = (tmp_path / "trajectory_sl_S.csv").read_text()
         assert text.split("time,excited_population\n", 1)[1] == "".join(
             ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("units, scale", [("dimensionless", 1.0),
+                                              ("physical", TIME_UNIT_NS)])
+    def test_trajectory_rows_are_csv_lines(self, tmp_path, capsys, monkeypatch, units, scale):
+        # all rows take one format call on one template; the bytes must be
+        # those of _csv_line on every row [t * scale, p], hostile floats too
+        from nhqcbench import cli
+
+        special = [0.0, -0.0, 1e-05, 1e16, 0.1 + 0.2, float("nan"), float("inf"), 2 / 3,
+                   -1e-300, 123456789.123456789]
+        times = np.resize(special, 401) * np.linspace(1.0, 2.0, 401)
+        pop = np.resize(special[::-1], 401)
+        real = cli.simulate_report
+
+        def report(*args):
+            rep, traj = real(*args)
+            assert len(traj.times) == 401
+            return rep, SimpleNamespace(times=times, excited_population=pop, kind=traj.kind)
+        monkeypatch.setattr(cli, "simulate_report", report)
+        code, _ = run(["simulate", "--scheme", "sl", "--gate", "S", "--units", units,
+                       "--out-dir", str(tmp_path), "--samples", "400"], capsys)
+        assert code == 0
+        rows = zip((times * scale).tolist(), pop.tolist())
+        text = (tmp_path / "trajectory_sl_S.csv").read_text()
+        assert text.split("time,excited_population\n", 1)[1] == "".join(
+            _csv_line(list(row)) + "\n" for row in rows)
 
     def test_unknown_gate(self, capsys):
         code, _ = run(["simulate", "--scheme", "sl", "--gate", "Q"], capsys)
@@ -612,6 +639,17 @@ def test_to_at_gamma_pi_runs_clean(tmp_path):
                        "--samples", "200", "--out-dir", str(tmp_path)])
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("gamma", ["1e-17", "2e-16"])
+def test_to_loop_time_rounding_to_zero_is_usage_error(tmp_path, gamma):
+    # pi^2 - (pi - gamma)^2 rounds to 0: one error line, before any division
+    proc = run_python(["-m", "nhqcbench", "simulate", "--scheme", "to",
+                       "--gate", f"custom:{gamma},0,0", "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: gamma=") and "loop time rounds to 0" in proc.stderr
+    assert "Warning" not in proc.stderr and not list(tmp_path.iterdir())
 
 
 def test_import_loads_no_scipy():

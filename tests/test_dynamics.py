@@ -42,10 +42,9 @@ def zero_schedule(duration=1.0):
     seg = bright_ray_segment(
         LevelSystem.lambda3(),
         duration=duration,
-        envelope=lambda t: np.zeros(np.shape(t)),
-        phase=lambda t: np.zeros(np.shape(t)),
-        detuning=lambda t: np.zeros(np.shape(t)),
+        drive=lambda t: (np.zeros(np.shape(t)),) * 3,
         bright_axis=(0.0, 0.0),
+        detuned=True,
     )
     return PulseSchedule(
         system=LevelSystem.lambda3(),
@@ -904,7 +903,8 @@ class TestConstantDrives:
 
     @pytest.mark.parametrize("tag", ["sl", "dfs3", "ps"])
     def test_oracle_requests_one_time_per_square_chunk(self, schedules, tag):
-        # a square chunk asks for the coefficients of its first slice alone;
+        # a chunk asks for the coefficients at both Gauss nodes of its slices
+        # in one call, and a square chunk for those of its first slice alone;
         # both oracles keep the bits of the whole-chunk coefficients of the
         # materialized schedule
         sched = schedules[tag]
@@ -919,9 +919,9 @@ class TestConstantDrives:
             sizes.clear()
             out = runs[name]()
             chunk = dynamics.CHUNK_ELEMENTS // m ** 2
-            want = [1 if square else min(chunk, n - c0)
+            want = [2 if square else 2 * min(chunk, n - c0)
                     for n in allocate_steps(sched, slices, floor=16)
-                    for c0 in range(0, n, chunk) for _ in range(2)]
+                    for c0 in range(0, n, chunk)]
             assert sizes == want, name
             assert np.array_equal(out, expected[name]), name
 
@@ -931,14 +931,13 @@ class TestConstantDrives:
         # same
         system = LevelSystem.lambda3()
 
-        def schedule(envelope, phase, detuning):
-            seg = bright_ray_segment(system, 2.0, envelope=envelope, phase=phase,
-                                     detuning=detuning, bright_axis=(0.4, 0.1))
+        def schedule(drive):
+            seg = bright_ray_segment(system, 2.0, drive=drive, bright_axis=(0.4, 0.1),
+                                     detuned=True)
             return PulseSchedule(system=system, segments=(seg,),
                                  target=np.eye(2, dtype=complex), scheme_label="square")
-        square = schedule(Constant(0.8), Constant(0.3), Constant(-0.2))
-        closure = schedule(lambda t: np.full(np.shape(t), 0.8), lambda t: np.full(np.shape(t), 0.3),
-                           lambda t: np.full(np.shape(t), -0.2))
+        square = schedule(Constant(np.array([0.8, 0.3, -0.2])))
+        closure = schedule(lambda t: tuple(np.full(np.shape(t), v) for v in (0.8, 0.3, -0.2)))
         assert square.segments[0].square and not closure.segments[0].square
         err = ErrorModel(epsilon=0.02, gamma_minus=3e-4, gamma_z=3e-4)
         rho0 = six_axial_densities(system)
@@ -961,8 +960,9 @@ class TestConstantDrives:
 
     def test_constant_drive_under_varying_detuning_takes_full_path(self):
         system = LevelSystem.lambda3()
-        seg = bright_ray_segment(system, 2.0, envelope=Constant(1.0), phase=Constant(0.0),
-                                 detuning=lambda t: 0.3 * t, bright_axis=(0.4, 0.1))
+        seg = bright_ray_segment(system, 2.0, bright_axis=(0.4, 0.1), detuned=True,
+                                 drive=lambda t: (np.ones(np.shape(t)), np.zeros(np.shape(t)),
+                                                  0.3 * t))
         sched = PulseSchedule(system=system, segments=(seg,),
                               target=np.eye(2, dtype=complex), scheme_label="ramp")
         assert not seg.square

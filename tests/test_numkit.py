@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rk4_linear
-from nhqcbench import numkit
+from nhqcbench import dynamics, numkit
+from nhqcbench.dynamics import oracle_propagate_unitary
 from nhqcbench.numkit import (
     expm_hermitian,
     expm_taylor,
@@ -17,6 +18,7 @@ from nhqcbench.numkit import (
     rk4_chunks,
     unitarity_defect,
 )
+from nhqcbench.system import ErrorModel
 
 PI = np.pi
 
@@ -191,6 +193,64 @@ class TestExpmTaylor:
         ref = expm_taylor(X.astype(complex), 0.7)
         assert ref.dtype == complex
         assert np.abs(E - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def taylor_thetas(monkeypatch):
+    """A list to which every later _taylor call appends its theta."""
+    thetas = []
+    original = numkit._taylor
+
+    def spy(Xs, theta, scale):
+        thetas.append(theta)
+        return original(Xs, theta, scale)
+    monkeypatch.setattr(numkit, "_taylor", spy)
+    return thetas
+
+
+def random_hermitian_stack(d, n=50):
+    rng = np.random.default_rng(40 + d)
+    M = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return (M + M.conj().transpose(0, 2, 1)) * rng.uniform(0.01, 3.0, size=(n, 1, 1))
+
+
+class TestExpmEmbeddedTheta:
+    """expm_embedded reads theta off the complex view of the exponents'
+    even rows: expm_taylor's theta on the complex stack, and the degree and
+    scaling of the hypot of every entry's real and imaginary part."""
+
+    @staticmethod
+    def check(thetas, Y, dt):
+        thetas.clear()
+        E = numkit.expm_embedded(Y, dt)
+        # a last axis that is not contiguous is copied before the view
+        Yt = np.swapaxes(np.ascontiguousarray(np.swapaxes(Y, -1, -2)), -1, -2)
+        assert Yt.strides[-1] != Yt.itemsize
+        assert np.array_equal(numkit.expm_embedded(Yt, dt), E)
+        expm_taylor(from_real_embedding(Y), dt)
+        assert thetas == [thetas[0]] * 3
+        absX = np.hypot(Y[:, 0::2, 0::2], Y[:, 1::2, 0::2])
+        assert numkit._taylor_degree(thetas[0]) == numkit._taylor_degree(
+            abs(dt) * np.einsum("kij->kj", absX).max())
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_stacks(self, monkeypatch, d):
+        thetas = taylor_thetas(monkeypatch)
+        for Hs in (stack_across_scaling_threshold(d), random_hermitian_stack(d)):
+            for dt in (1e-3, 0.37, -2.0):
+                self.check(thetas, real_embedding(-1j * Hs), dt)
+
+    def test_catalog_exponents(self, monkeypatch, schedules):
+        # every exponent stack of the unitary oracle on the catalog
+        calls = []
+        original = dynamics.expm_embedded
+        monkeypatch.setattr(dynamics, "expm_embedded",
+                            lambda Y, h: (calls.append((Y, h)), original(Y, h))[1])
+        for sched in schedules.values():
+            oracle_propagate_unitary(sched, ErrorModel(epsilon=0.04, eta=-0.03), slices=64)
+        assert len(calls) >= len(schedules)
+        thetas = taylor_thetas(monkeypatch)
+        for Y, h in calls:
+            self.check(thetas, Y, h)
 
 
 def random_unitaries(rng, n, d=3):
@@ -640,6 +700,18 @@ class TestUnitarityDefect:
         M[where] = np.nan
         defect = unitarity_defect(M)
         assert not defect <= 1e300 and not defect > 0  # NaN
+
+    @pytest.mark.parametrize("entry", [1e100, 1e100j, -3e150, 1e200])
+    def test_overflowing_squares_fail_every_threshold(self, entry):
+        # Gram entries whose square overflows (or that overflow themselves)
+        # read inf, silently; a NaN elsewhere in the stack still reads NaN
+        M = np.tile(np.eye(3, dtype=complex), (10, 1, 1))
+        M[7, 1, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unitarity_defect(M) == np.inf
+            M[2, 0, 0] = np.nan
+            assert np.isnan(unitarity_defect(M))
 
 
 def test_hermiticity_defect_reports_magnitude():

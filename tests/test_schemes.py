@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,7 +73,7 @@ class TestCirclePath:
         p = circle_path_params(1e-6, 0.0, 1.0)
         assert p.ell < 1e-3
         ts = np.linspace(0, 1.0, 50)
-        assert np.abs(p.alpha(ts)).max() < 2e-3
+        assert np.abs(p.angles(ts)[2]).max() < 2e-3
 
     def test_rejects_gamma_at_pi(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -78,8 +81,8 @@ class TestCirclePath:
 
     def test_path_closes(self):
         p = circle_path_params(PI / 2, 0.3, 2.0)
-        assert abs(p.alpha(0.0)) < 1e-10
-        assert abs(p.alpha(2.0)) < 1e-10
+        assert abs(p.angles(0.0)[2]) < 1e-10
+        assert abs(p.angles(2.0)[2]) < 1e-10
 
     @pytest.mark.parametrize("gamma", [PI / 4, PI / 2, 2.0])
     def test_quadrature_recovers_geometric_phase(self, gamma):
@@ -87,14 +90,16 @@ class TestCirclePath:
         tau = 1.7
         p = circle_path_params(gamma, 0.0, tau)
         t = np.linspace(0.0, tau, 40_001)
-        integrand = 0.5 * p.beta_dot(t) * (1 - np.cos(p.alpha(t)))
+        _, beta_dot, alpha, _ = p.angles(t)
+        integrand = 0.5 * beta_dot * (1 - np.cos(alpha))
         assert abs(np.trapezoid(integrand, t) - gamma) < 1e-4
 
     def test_area_closed_form_matches_quadrature(self):
         gamma, tau = PI / 2, 1.3
         p = circle_path_params(gamma, 0.0, tau)
         t = np.linspace(0.0, tau, 40_001)
-        env = 0.5 * np.sqrt((p.beta_dot(t) * np.sin(p.alpha(t))) ** 2 + p.alpha_dot(t) ** 2)
+        _, beta_dot, alpha, alpha_dot = p.angles(t)
+        env = 0.5 * np.sqrt((beta_dot * np.sin(alpha)) ** 2 + alpha_dot ** 2)
         assert abs(np.trapezoid(env, t) - circle_segment_area(gamma)) < 1e-6
 
 
@@ -200,10 +205,11 @@ class TestPsDesign:
     def test_zero_varsigma_reduces_to_plain_loop(self):
         design = ps_design(0.0, 2.0, GateAngles(PI / 2))
         s = np.linspace(0, 1.0, 101)
-        assert np.abs(design.f[0](s)).max() == 0.0
+        chi = design.chi[0](s)
+        assert np.abs(design.f[0](chi)).max() == 0.0
         # azimuth constant, envelope |chi_dot| / 2
-        assert np.abs(design.varphi[0](s) + PI / 2).max() < 1e-12
-        assert np.abs(design.envelope[0](s) - np.abs(design.chi_dot[0](s)) / 2).max() < 1e-12
+        assert np.abs(design.varphi[0](chi) + PI / 2).max() < 1e-12
+        assert np.abs(design.drive[0](s)[0] - np.abs(design.chi_dot[0](s)) / 2).max() < 1e-12
 
     def test_azimuth_solves_ivp(self):
         # oracle: d(varphi)/dt = -df/dt cos(chi), checked by finite differences
@@ -211,9 +217,9 @@ class TestPsDesign:
         s = np.linspace(1e-4, 1.0 - 1e-4, 2001)
         h = s[1] - s[0]
         for seg in range(2):
-            vp = design.varphi[seg](s)
-            f = design.f[seg](s)
             chi = design.chi[seg](s)
+            vp = design.varphi[seg](chi)
+            f = design.f[seg](chi)
             lhs = np.gradient(vp, h)
             rhs = -np.gradient(f, h) * np.cos(chi)
             assert np.abs(lhs - rhs)[5:-5].max() < 1e-3
@@ -223,8 +229,8 @@ class TestPsDesign:
         # offset by the rotation angle
         g = PI / 2
         design = ps_design(1.0, 2.0, GateAngles(g))
-        assert design.varphi[0](0.0) == pytest.approx(-PI / 2)
-        assert design.varphi[1](0.0) == pytest.approx(-PI / 2 - g)
+        assert design.varphi[0](design.chi[0](0.0)) == pytest.approx(-PI / 2)
+        assert design.varphi[1](design.chi[1](0.0)) == pytest.approx(-PI / 2 - g)
 
     def test_chi_reaches_pole_at_segment_end(self):
         design = ps_design(1.0, 2.0, GateAngles(PI / 2))
@@ -239,7 +245,7 @@ class TestPsDesign:
         for angles in (GateAngles(0.3, 1.1, 0.7), GateAngles(PI / 2), GateAngles(3.0, 2.0, 5.0)):
             ref = ps_design(varsigma, 2.0, angles)
             s = np.linspace(0.0, ref.segment_duration, 20001)
-            area = sum(float(np.trapezoid(env(s), s)) for env in ref.envelope)
+            area = sum(float(np.trapezoid(drive(s)[0], s)) for drive in ref.drive)
             sched = build_schedule(SchemeSpec("PS", angles, varsigma=varsigma))
             assert sched.total_duration == pytest.approx(area, rel=1e-14, abs=0)
 
@@ -426,3 +432,76 @@ class TestToUnconventional:
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
         dyn = -np.trapezoid(rate, traj.times)
         assert dyn == pytest.approx(sched.notes["dynamical_phase"], abs=1e-6)
+
+
+class TestDrives:
+    """A bright-ray segment's coefficients and envelope evaluate its drive
+    once per call, and its envelope is the drive's first column."""
+
+    @staticmethod
+    def built_segments(monkeypatch, catalog):
+        """(segment, drive, calls) of every bright_ray_segment the catalog
+        builds, each drive that is not Constant counting its calls."""
+        from nhqcbench import schemes
+
+        built = []
+        original = schemes.bright_ray_segment
+
+        def spy(*args, drive, **kwargs):
+            calls = []
+            if not isinstance(drive, Constant):
+                drive = functools.partial(lambda f, t: (calls.append(len(t)), f(t))[1], drive)
+            seg = original(*args, drive=drive, **kwargs)
+            built.append((seg, drive, calls))
+            return seg
+        monkeypatch.setattr(schemes, "bright_ray_segment", spy)
+        for spec in catalog.values():
+            build_schedule(spec)
+        return built
+
+    def test_each_call_evaluates_the_drive_once(self, monkeypatch, catalog):
+        built = self.built_segments(monkeypatch, catalog)
+        assert {len(calls) for _, _, calls in built} == {0}
+        varying = 0
+        for seg, drive, calls in built:
+            square = isinstance(drive, Constant)
+            assert seg.square == square
+            varying += not square
+            t = np.linspace(0.0, seg.duration, 17)
+            for f in (seg.coefficients, seg.envelope):
+                calls.clear()
+                f(t)
+                assert calls == ([] if square else [17])
+        assert varying == 6  # ps (two halves), to, s, cdd (two loops)
+
+    def test_envelope_is_the_drive_envelope_column(self, monkeypatch, catalog):
+        for seg, drive, _ in self.built_segments(monkeypatch, catalog):
+            t = np.linspace(0.0, seg.duration, 33)
+            if isinstance(drive, Constant):
+                assert isinstance(seg.envelope, Constant)
+                want = np.broadcast_to(drive.value[0], t.shape)
+            else:
+                want = drive(t)[0]
+            got = np.asarray(seg.envelope(t), dtype=float)
+            assert got.shape == t.shape and got.tobytes() == np.asarray(want, float).tobytes()
+
+    def test_sta_coefficients_evaluate_each_path_term_once(self, monkeypatch):
+        from nhqcbench import schemes
+
+        calls = []
+
+        def counted(path):
+            def wrap(name, step, f):
+                return lambda s: (calls.append((name, step)), f(s))[1]
+            fields = ("theta", "theta_dot", "phi", "phi_dot")
+            return replace(path, **{name: tuple(wrap(name, k, f)
+                                                for k, f in enumerate(getattr(path, name)))
+                                    for name in fields})
+        original = schemes.sta_path
+        monkeypatch.setattr(schemes, "sta_path", lambda *a: counted(original(*a)))
+        sched = sta_schedule(PI / 2, PI)
+        for step, seg in enumerate(sched.segments):
+            calls.clear()
+            seg.coefficients(np.linspace(0.0, seg.duration, 9))
+            assert sorted(calls) == sorted((name, step) for name in
+                                           ("theta", "theta_dot", "phi", "phi_dot"))

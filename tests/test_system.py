@@ -80,10 +80,9 @@ def zero_envelope_schedule():
     seg = bright_ray_segment(
         system,
         duration=1.0,
-        envelope=lambda t: np.zeros(np.shape(t)),
-        phase=lambda t: np.zeros(np.shape(t)),
-        detuning=lambda t: np.zeros(np.shape(t)),
+        drive=lambda t: (np.zeros(np.shape(t)),) * 3,
         bright_axis=(0.0, 0.0),
+        detuned=True,
     )
     return PulseSchedule(
         system=system,
