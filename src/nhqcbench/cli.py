@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
-        p.add_argument("--config", default=None, help="JSON config mirroring flags")
+        p.add_argument("--config", default=None, help="JSON config mirroring optional flags")
 
     def add_common(p, units=True, out_dir_help="output directory"):
         p.add_argument("--samples", type=int, default=None,
@@ -474,8 +474,9 @@ _JSON_TYPES = {int: (int,), float: (int, float), None: (str,)}
 def _apply_config(args, parser: argparse.ArgumentParser) -> None:
     """Fill None-valued options from the config file, then from defaults.
 
-    The config must be a JSON object whose keys are flags of the subcommand,
-    each value of the flag's type.
+    The config must be a JSON object whose keys are optional flags of the
+    subcommand, each value of the flag's type; a required flag is read from
+    the command line only.
     """
     config = {}
     if getattr(args, "config", None):
@@ -495,6 +496,9 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
             action = options.get(key)
             if action is None:
                 raise UsageError(f"config key {key!r} is not an option of {args.command}")
+            if action.required:  # argparse has already taken it from the command line
+                raise UsageError(f"config key {key!r} names the required flag "
+                                 f"{action.option_strings[0]}; give it on the command line")
             # type(), not isinstance(): a JSON bool is no number
             fits = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
             misfit = UsageError(f"config value {value!r} does not fit option {key!r}")

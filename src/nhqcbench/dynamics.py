@@ -110,7 +110,7 @@ def monitor_index(system: LevelSystem) -> int:
     |100> for the three-qubit system."""
     if system.excited_index is not None:
         return system.excited_index
-    return 4
+    return system.THREE_QUBIT_ANCILLA
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ dim).  `frame_connection` turns them into the connection A and the
 dynamical matrix K, both (2n+1, L, L), by five-point differences, and
 `holonomy_reconstruct` takes A, K and h to the segment's holonomy by n
 fourth-order Magnus steps; the segments are chained by the overlaps of
-their frames where they meet.  The residuals take H at the RK4 state times
+their frames where they meet.  The symmetrization makes A and K exactly
+Hermitian, so every Magnus exponent is exactly anti-Hermitian and goes to
+`expm_embedded` in the real embedding as it is, with no Hermiticity check.  The residuals take H at the RK4 state times
 of a trajectory, segment by segment.
 """
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 
 from .dynamics import Trajectory, allocate_steps, segment_state_times
 from .numkit import (
-    expm_hermitian,
+    expm_embedded,
     from_real_embedding,
     ordered_product,
+    real_embedding,
     unitarity_defect,
 )
 from .system import ErrorModel, PulseSchedule, segment_hamiltonian_nodes
@@ -76,7 +79,7 @@ def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     comm = np.einsum("nij,njk->nik", X1, X0)
     comm -= np.einsum("nij,njk->nik", X0, X1)
     Omega = h / 3 * (X0 + 4 * Xm + X1) + h * h / 3 * comm
-    U = from_real_embedding(ordered_product(expm_hermitian(1j * Omega, 1.0)))
+    U = from_real_embedding(ordered_product(expm_embedded(real_embedding(Omega), 1.0)))
     defect = unitarity_defect(U)
     if defect > RECONSTRUCT_UNITARITY_TOL:
         raise RuntimeError(

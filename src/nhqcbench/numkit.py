@@ -11,8 +11,10 @@ of any matrices (both oracles use it); it takes the stack it is given in
 one pass, so callers bound its size.  ``expm_embedded`` takes exponents
 already in the real embedding phi, which turns each entry a + ib into the
 2x2 block [[a, -b], [b, a]] and in which stacked products are several
-times cheaper than complex ones, and ``expm_hermitian``, its Hermitian
-front end, embeds them.  ``combine`` is the one product of coefficient
+times cheaper than complex ones; its callers form exponents that are
+anti-Hermitian by construction (the unitary oracle from checked ops, the
+holonomy reconstruction from symmetrized A and K), so nothing checks
+Hermiticity per exponent.  ``combine`` is the one product of coefficient
 rows with fixed terms (a drive's operators or their lifts), with the same
 bits for a row alone as inside a stack.
 
@@ -175,34 +177,6 @@ def _taylor(Xs: np.ndarray, theta: float, scale: complex) -> np.ndarray:
     E = np.empty(Xs.shape, dtype=np.result_type(Xs, scale))
     _taylor_polynomial((scale * 0.5 ** s) * Xs, m, s, E)
     return E
-
-
-def expm_hermitian(H: np.ndarray, dt: float) -> np.ndarray:
-    """real_embedding(exp(-i*H*dt)) for one Hermitian matrix (d, d) or a
-    stack (n, d, d): expm_embedded of phi(-iH), a real (2d, 2d) or
-    (n, 2d, 2d) array, which ordered_product multiplies as it is and
-    from_real_embedding reads back.
-
-    Rejects input in which any matrix is non-Hermitian beyond HERMITIAN_TOL
-    scaled by that matrix's magnitude, naming the matrix and its defect, and
-    input that expm_embedded rejects.
-    """
-    H = np.asarray(H)
-    d = H.shape[-1]
-    Hs = H.reshape(-1, d, d)
-    # inf - inf, or column sums that overflow: _theta names the matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        # no scaled tolerance is below HERMITIAN_TOL
-        if np.abs(Hs - Hs.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITIAN_TOL:
-            defect = hermiticity_defect(Hs)
-            tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(Hs).max(axis=(-2, -1)))
-            k = int(np.argmax(defect > tol))
-            if defect[k] > tol[k]:
-                raise RejectedMatrix(
-                    f"expm_hermitian: input not Hermitian, defect {defect[k]:.3e} "
-                    f"(tolerance {tol[k]:.3e}) in matrix {{index}}", k)
-        Y = real_embedding(-1j * Hs)
-    return expm_embedded(Y, dt).reshape(H.shape[:-2] + (2 * d, 2 * d))
 
 
 def expm_embedded(Y: np.ndarray, dt: float) -> np.ndarray:

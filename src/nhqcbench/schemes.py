@@ -120,7 +120,8 @@ def _bright_frame(
     """Frame stack (parked, nu2, nu3) from (n, 2, 2) block columns given in
     (driven, e) coordinates."""
     basis = np.stack([driven, system.basis_state(system.excited_index)])
-    moving = np.einsum("nij,ic->njc", cols, basis)
+    # one (2n, 2) @ (2, d) product: row (k, j) is column j of block k
+    moving = (cols.swapaxes(1, 2).reshape(-1, 2) @ basis).reshape(len(cols), 2, -1)
     return np.concatenate([np.broadcast_to(parked, (len(cols), 1, parked.size)), moving], axis=1)
 
 
@@ -291,68 +292,57 @@ def build_ss(spec: SchemeSpec) -> PulseSchedule:
 
 @dataclass(frozen=True)
 class PsDesign:
-    """Shaped two-interval design, per segment: the mixing angle chi and
-    its rate as functions of segment-local time in [0, segment_duration];
-    the global phase f and the solved azimuth varphi as functions of chi;
-    and the drive of bright_ray_segment, local time -> (envelope, phase),
-    the envelope being the physical coupling omega_ps / 2 (omega_ps the
-    magnitude of the published quadrature pair).
+    """Shaped two-interval design over two segments of segment_duration:
+    chi(seg, s) gives the mixing angle and its rate at segment-local times
+    s, f(c) the global phase and varphi(seg, c) the solved azimuth as
+    functions of chi, and drive(seg, s) the drive of bright_ray_segment,
+    local time -> (envelope, phase), the envelope being the physical
+    coupling omega_ps / 2 (omega_ps the magnitude of the published
+    quadrature pair).
+
+    Segment 0 sweeps chi 0 -> pi, segment 1 mirrors back pi -> 0; the
+    azimuth restarts at -pi/2 - gamma on segment 1.  varphi(chi) = varphi0
+    - (4 varsigma / 3) sin^3(chi) solves d(varphi)/dt = -df/dt cos(chi)
+    exactly for f = varsigma(2 chi - sin 2 chi).
     """
 
+    varsigma: float
     segment_duration: float
-    chi: tuple[Callable, Callable]
-    chi_dot: tuple[Callable, Callable]
-    f: tuple[Callable, Callable]
-    varphi: tuple[Callable, Callable]
-    drive: tuple[Callable, Callable]
+    gamma: float
+
+    def chi(self, seg: int, s):
+        """(chi, chi_dot) on segment seg, the ramp and its rate taken once."""
+        Ts = self.segment_duration
+        x = PI * s / (2 * Ts)
+        rate = PI * np.sin(PI * s / Ts) * (PI / (2 * Ts))
+        if seg == 0:
+            return PI * np.sin(x) ** 2, rate
+        return PI * np.cos(x) ** 2, -rate
+
+    def f(self, c):
+        return self.varsigma * (2 * c - np.sin(2 * c))
+
+    def varphi(self, seg: int, c):
+        return (-PI / 2, -PI / 2 - self.gamma)[seg] - (4 * self.varsigma / 3) * np.sin(c) ** 3
+
+    def drive(self, seg: int, s):
+        c, cd = self.chi(seg, s)
+        sin_c = np.sin(c)
+        fd = 4 * self.varsigma * sin_c ** 2 * cd
+        vp = self.varphi(seg, c)
+        cos_vp, sin_vp = np.cos(vp), np.sin(vp)
+        omR = cos_vp * sin_c * fd - sin_vp * cd
+        omI = sin_vp * sin_c * fd + cos_vp * cd
+        return 0.5 * np.sqrt(omR**2 + omI**2), np.arctan2(omI, omR)
 
 
 def ps_design(varsigma: float, tau: float, angles: GateAngles) -> PsDesign:
-    """Shaped design over total duration tau (two equal segments).
-
-    Per-segment closed forms. Segment 0 sweeps chi 0 -> pi, segment 1
-    mirrors back pi -> 0; the azimuth restarts at -pi/2 - gamma on segment 1.
-    phi(chi) = phi_start - (4 varsigma / 3) sin^3(chi) solves
-    d(phi)/dt = -df/dt cos(chi) exactly for f = varsigma(2 chi - sin 2 chi).
-    """
+    """Shaped design over total duration tau (two equal segments)."""
     if varsigma < 0:
         raise ValueError("varsigma must be >= 0")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    Ts = tau / 2
-    chis = (
-        lambda s: PI * np.sin(PI * s / (2 * Ts)) ** 2,
-        lambda s: PI * np.cos(PI * s / (2 * Ts)) ** 2,
-    )
-    chidots = (
-        lambda s: PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
-        lambda s: -PI * np.sin(PI * s / Ts) * (PI / (2 * Ts)),
-    )
-
-    starts = (-PI / 2, -PI / 2 - angles.gamma)
-
-    def make(seg):
-        chi, chid = chis[seg], chidots[seg]
-
-        def f(c):
-            return varsigma * (2 * c - np.sin(2 * c))
-
-        def varphi(c):
-            return starts[seg] - (4 * varsigma / 3) * np.sin(c) ** 3
-
-        def drive(s):
-            c, cd = chi(s), chid(s)
-            sin_c = np.sin(c)
-            fd = 4 * varsigma * sin_c ** 2 * cd
-            vp = varphi(c)
-            cos_vp, sin_vp = np.cos(vp), np.sin(vp)
-            omR = cos_vp * sin_c * fd - sin_vp * cd
-            omI = sin_vp * sin_c * fd + cos_vp * cd
-            return 0.5 * np.sqrt(omR**2 + omI**2), np.arctan2(omI, omR)
-
-        return chi, chid, f, varphi, drive  # in PsDesign field order
-
-    return PsDesign(Ts, *zip(make(0), make(1)))
+    return PsDesign(varsigma, tau / 2, angles.gamma)
 
 
 @functools.lru_cache(maxsize=64)
@@ -365,7 +355,7 @@ def _ps_area(varsigma: float) -> float:
     gives the catalog's PS schedule its bits."""
     ref = ps_design(varsigma, 2.0, GateAngles(PI / 2))
     s = np.linspace(0.0, ref.segment_duration, 20001)
-    return sum(float(np.trapezoid(drive(s)[0], s)) for drive in ref.drive)
+    return sum(float(np.trapezoid(ref.drive(seg, s)[0], s)) for seg in (0, 1))
 
 
 def build_ps(spec: SchemeSpec) -> PulseSchedule:
@@ -383,9 +373,9 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
 
     def designed_column(seg: int, s: np.ndarray) -> np.ndarray:
         """(n, 2) designed trajectory of one half at local times s."""
-        chi = design.chi[seg](s)
-        half = np.exp(1j * design.varphi[seg](chi) / 2)
-        return np.exp(-1j * design.f[seg](chi) / 2)[:, None] * np.stack(
+        chi, _ = design.chi(seg, s)
+        half = np.exp(1j * design.varphi(seg, chi) / 2)
+        return np.exp(-1j * design.f(chi) / 2)[:, None] * np.stack(
             [half.conj() * np.cos(chi / 2), half * np.sin(chi / 2)], axis=-1)
 
     # physical trajectory constants gluing the two designed segments
@@ -407,7 +397,7 @@ def build_ps(spec: SchemeSpec) -> PulseSchedule:
         bright_ray_segment(
             system,
             duration=Ts,
-            drive=design.drive[k],
+            drive=functools.partial(design.drive, k),
             bright_axis=(ang.theta, ang.phi),
             frame=half_frame(k, c),
         )
@@ -530,15 +520,10 @@ class PathParams:
     ell: float
     beta0: float
 
-    def beta(self, t):
-        return self.beta0 + PI * np.sin(PI * t / (2 * self.tau)) ** 2
-
-    def beta_dot(self, t):
-        return PI * np.sin(PI * t / self.tau) * (PI / (2 * self.tau))
-
     def angles(self, t):
         """(beta, beta_dot, alpha, alpha_dot) at t, each term taken once."""
-        beta, beta_dot = self.beta(t), self.beta_dot(t)
+        beta = self.beta0 + PI * np.sin(PI * t / (2 * self.tau)) ** 2
+        beta_dot = PI * np.sin(PI * t / self.tau) * (PI / (2 * self.tau))
         x = beta - self.beta0
         sin_x = np.sin(x)
         alpha = 2 * np.arctan(self.ell * sin_x)
@@ -640,49 +625,24 @@ def _circle_schedule(spec: SchemeSpec, loops: int, label: str) -> PulseSchedule:
 
 @dataclass(frozen=True)
 class StaPath:
-    """Orange-slice path on the tripod parameter sphere: polar theta(t) and
-    azimuth phi(t) over three steps (down the phi=0 meridian, around the
-    pole, back up the phi=phi1 meridian)."""
+    """Orange-slice path on the tripod parameter sphere over three steps of
+    duration T each: down the phi=0 meridian, around the pole, back up the
+    phi=phi1 meridian."""
 
-    durations: tuple[float, float, float]
-    theta: tuple[Callable, Callable, Callable]
-    theta_dot: tuple[Callable, Callable, Callable]
-    phi: tuple[Callable, Callable, Callable]
-    phi_dot: tuple[Callable, Callable, Callable]
+    T: float
+    phi1: float
 
-
-def sta_path(phi1: float, tau: float) -> StaPath:
-    T = tau / 3
-
-    def ramp(s):
-        return np.sin(PI * s / (2 * T)) ** 2
-
-    def ramp_dot(s):
-        return PI * np.sin(PI * s / T) / (2 * T)
-
-    return StaPath(
-        durations=(T, T, T),
-        theta=(
-            lambda s: PI * ramp(s),
-            lambda s: PI * np.ones(np.shape(s)),
-            lambda s: PI * (1 - ramp(s)),
-        ),
-        theta_dot=(
-            lambda s: PI * ramp_dot(s),
-            lambda s: np.zeros(np.shape(s)),
-            lambda s: -PI * ramp_dot(s),
-        ),
-        phi=(
-            lambda s: np.zeros(np.shape(s)),
-            lambda s: phi1 * ramp(s),
-            lambda s: phi1 * np.ones(np.shape(s)),
-        ),
-        phi_dot=(
-            lambda s: np.zeros(np.shape(s)),
-            lambda s: phi1 * ramp_dot(s),
-            lambda s: np.zeros(np.shape(s)),
-        ),
-    )
+    def angles(self, step: int, s):
+        """(theta, theta_dot, phi, phi_dot) on step `step` at local times s,
+        the ramp and its rate taken once."""
+        ramp = np.sin(PI * s / (2 * self.T)) ** 2
+        rate = PI * np.sin(PI * s / self.T) / (2 * self.T)
+        one, zero = np.ones(np.shape(s)), np.zeros(np.shape(s))
+        if step == 0:
+            return PI * ramp, PI * rate, zero, zero
+        if step == 1:
+            return PI * one, zero, self.phi1 * ramp, self.phi1 * rate
+        return PI * (1 - ramp), -PI * rate, self.phi1 * one, zero
 
 
 # the ops of STA, one per real coordinate of the tripod's (|1>, |2>, |e>)
@@ -706,21 +666,17 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
     if tau <= 0:
         raise ValueError("tau must be positive")
     system = LevelSystem.tripod4()
-    path = sta_path(phi1, tau)
+    path = StaPath(tau / 3, phi1)
     nu1 = system.basis_state(0)
     k1 = system.basis_state(1)
     k2 = system.basis_state(2)
 
     def make_step(step: int) -> Segment:
-        th, thd = path.theta[step], path.theta_dot[step]
-        ph, phd = path.phi[step], path.phi_dot[step]
-
         def coefficients(s: np.ndarray) -> np.ndarray:
             # H0 = |e><B| + h.c. plus the counter-diabatic term i <B|dD/dt>
             # |B><D| + h.c. + (phi_dot/2) sin^2(theta/2) (|B><B| - |e><e|),
             # entry by entry, with B = (B1, B2) and D = (D1, D2) on (|1>, |2>)
-            t_, td_ = th(s), thd(s)
-            p_, pd_ = ph(s), phd(s)
+            t_, td_, p_, pd_ = path.angles(step, s)
             sin_h, cos_h, turn = np.sin(t_ / 2), np.cos(t_ / 2), np.exp(-1j * p_)
             B = (-sin_h * turn, cos_h)
             D = (cos_h * turn, sin_h)
@@ -737,14 +693,15 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
                              B[0].real, B[0].imag, B[1]], axis=-1)
 
         def frame(s: np.ndarray) -> np.ndarray:
-            t_, p_ = th(s)[:, None], ph(s)[:, None]
-            sin_h, cos_h, turn = np.sin(t_ / 2), np.cos(t_ / 2), np.exp(1j * p_)
+            t_, _, p_, _ = path.angles(step, s)
+            half = t_[:, None] / 2
+            sin_h, cos_h, turn = np.sin(half), np.cos(half), np.exp(1j * p_[:, None])
             nu2 = cos_h * k1 + sin_h * turn * k2
             nu3 = -sin_h * k1 + cos_h * turn * k2
             return np.stack([np.broadcast_to(nu1, nu2.shape), nu2, nu3], axis=1)
 
         return Segment(
-            duration=path.durations[step],
+            duration=path.T,
             ops=_STA_OPS,
             coefficients=coefficients,
             envelope=Constant(1.0),
@@ -755,10 +712,10 @@ def sta_schedule(phi1: float, tau: float) -> PulseSchedule:
 
     # phase-shift magnitude from the connection quadrature along the path
     gamma1 = 0.0
+    s = np.linspace(0.0, path.T, 4001)
     for step in range(3):
-        s = np.linspace(0.0, path.durations[step], 4001)
-        integrand = path.phi_dot[step](s) * np.sin(path.theta[step](s) / 2) ** 2
-        gamma1 -= float(np.trapezoid(integrand, s))
+        theta, _, _, phi_dot = path.angles(step, s)
+        gamma1 -= float(np.trapezoid(phi_dot * np.sin(theta / 2) ** 2, s))
 
     target = np.diag([1.0, np.exp(1j * gamma1)]).astype(complex)
     return PulseSchedule(
@@ -808,7 +765,7 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
     # logical frame: bright/dark combinations of |010>, |001> against |100>
     zero_l = system.basis_state(2)
     one_l = system.basis_state(1)
-    anc = system.basis_state(4)
+    anc = system.basis_state(system.THREE_QUBIT_ANCILLA)
     B = (np.exp(1j * phi / 2) * zero_l - np.exp(-1j * phi / 2) * one_l) / np.sqrt(2)
     D = (np.exp(1j * phi / 2) * zero_l + np.exp(-1j * phi / 2) * one_l) / np.sqrt(2)
 

@@ -45,6 +45,9 @@ class LevelSystem:
         # basis order |0>, |1>, |2>, |e>
         return cls("Tripod4", 4, (0, 1), 3)
 
+    # the ancilla |100> of three_qubit8, whose population its runs monitor
+    THREE_QUBIT_ANCILLA = 4
+
     @classmethod
     def three_qubit8(cls) -> "LevelSystem":
         # basis |q1 q2 q3>, index q1*4 + q2*2 + q3; logical 0 = |010>, 1 = |001>,

@@ -6,7 +6,7 @@ import pytest
 
 from nhqcbench.bench import benchmark_catalog
 from nhqcbench.dynamics import oracle_propagate_unitary, propagate_unitary
-from nhqcbench.numkit import rk4_chunks
+from nhqcbench.numkit import expm_embedded, real_embedding, rk4_chunks
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel
 
@@ -74,6 +74,16 @@ def rk4_linear(
         out[i:i + len(states)] = states
         i += len(states)
     return out
+
+
+def expm_phi(H, dt):
+    """phi(exp(-i H dt)), real (..., 2d, 2d), of one Hermitian matrix (d, d)
+    or a stack: expm_embedded on the real embedding of -iH."""
+    H = np.asarray(H)
+    d = H.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # -1j * inf: NaN, rejected below
+        Y = real_embedding(-1j * H.reshape(-1, d, d))
+    return expm_embedded(Y, dt).reshape(H.shape[:-2] + (2 * d, 2 * d))
 
 
 def phase_distance(actual, reference):

@@ -411,6 +411,9 @@ def test_check_accepts_out_dir_and_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+SWEEP_ARGV = ["sweep", "--axis", "epsilon", "--range=-0.1:0.1:3", "--schemes", "sl"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -457,6 +460,27 @@ class TestConfigFile:
         )
         assert code == 2
         assert not list(tmp_path.glob("report_*"))
+
+    @pytest.mark.parametrize("argv, key", [
+        pytest.param(["simulate", "--scheme", "sl", "--gate", "S"], "scheme", id="simulate-scheme"),
+        pytest.param(["simulate", "--scheme", "sl", "--gate", "S"], "gate", id="simulate-gate"),
+        pytest.param(SWEEP_ARGV, "axis", id="sweep-axis"),
+        pytest.param(SWEEP_ARGV, "range", id="sweep-range"),
+        pytest.param(SWEEP_ARGV, "schemes", id="sweep-schemes"),
+        pytest.param(["check", "--scheme", "sl"], "scheme", id="check-scheme"),
+    ])
+    def test_config_key_of_a_required_flag_is_usage_error(self, tmp_path, capsys, argv, key):
+        # the flag is on the command line, which argparse demands, so the
+        # key could only be ignored; a config naming another scheme or gate
+        # must not run the command's silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: {"scheme": "ps", "gate": "T"}.get(key, "sl")}))
+        code = main(argv + ["--samples", "64", "--out-dir", str(tmp_path), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: config key {key!r} names the required flag --{key}")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integer_for_a_float_option_is_taken_as_float(self, tmp_path, capsys):
         # 10**30 does not fit int64: numpy could not test it for finiteness

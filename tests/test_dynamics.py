@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import phase_distance, rk4_linear
+from conftest import expm_phi, phase_distance, rk4_linear
 from nhqcbench import dynamics, numkit
 from nhqcbench.dynamics import (
     ORACLE_SLICES,
@@ -464,25 +464,25 @@ class TestOracles:
     def test_unitary_oracle_exact_for_constant_drive(self, schedules):
         # piecewise-constant segments make the sliced product exact
         sched = schedules["sl"]
-        from nhqcbench.numkit import expm_hermitian, from_real_embedding
+        from nhqcbench.numkit import from_real_embedding
 
         H1 = segment_hamiltonian_nodes(sched, 0, [0.1], ErrorModel())[0]
         H2 = segment_hamiltonian_nodes(sched, 1, [sched.segments[1].duration - 0.1], ErrorModel())[0]
         half = sched.total_duration / 2
-        expected = (from_real_embedding(expm_hermitian(H2, half))
-                    @ from_real_embedding(expm_hermitian(H1, half)))
+        expected = (from_real_embedding(expm_phi(H2, half))
+                    @ from_real_embedding(expm_phi(H1, half)))
         U = oracle_propagate_unitary(sched, slices=64)
         assert np.abs(U - expected).max() < 1e-12
 
     @pytest.mark.parametrize("tag", ["c", "sta"])
     def test_unitary_oracle_matches_sequential_slice_loop(self, schedules, oracle_gates, tag):
         # the CF4 slice product multiplied out one factor at a time
-        from nhqcbench.numkit import expm_hermitian, from_real_embedding
+        from nhqcbench.numkit import from_real_embedding
 
         sched = schedules[tag]
         U = np.eye(sched.system.dim, dtype=complex)
         for h, X in cf4_exponents(sched):
-            for V in from_real_embedding(expm_hermitian(X, h)):
+            for V in from_real_embedding(expm_phi(X, h)):
                 U = V @ U
         assert np.abs(oracle_gates[tag] - U).max() <= 1e-12
 

@@ -14,6 +14,7 @@ from nhqcbench.holonomy import (
     holonomy_reconstruct,
     reconstruct_computational_gate,
 )
+from nhqcbench.numkit import hermiticity_defect
 from nhqcbench.schemes import SchemeSpec, build_schedule
 from nhqcbench.system import (
     ErrorModel,
@@ -94,6 +95,14 @@ class TestFrameConnection:
     def test_connection_hermitian(self, schedules):
         for A, _ in connections(schedules["s"], 512):
             assert np.abs(A - A.conj().transpose(0, 2, 1)).max() < 1e-14
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_connection_and_dynamical_matrix_exactly_hermitian(self, schedules, tag):
+        # the symmetrization makes every Magnus exponent exactly
+        # anti-Hermitian, which is all expm_embedded asks of them
+        for A, K in connections(schedules[tag], 2048):
+            assert hermiticity_defect(A).max() == 0.0
+            assert hermiticity_defect(K).max() == 0.0
 
     def test_s_scheme_dynamical_part_vanishes(self, schedules):
         # parallel transport built into the inverse-engineered loop

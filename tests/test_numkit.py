@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rk4_linear
+from conftest import expm_phi, rk4_linear
 from nhqcbench import dynamics, numkit
 from nhqcbench.dynamics import oracle_propagate_unitary
 from nhqcbench.numkit import (
-    expm_hermitian,
     expm_taylor,
     from_real_embedding,
     hermiticity_defect,
@@ -56,17 +55,17 @@ class TestRealEmbedding:
 
 class TestExpmHermitian:
     def test_zero_generator(self):
-        U = from_real_embedding(expm_hermitian(np.zeros((3, 3)), dt=1.0))
+        U = from_real_embedding(expm_phi(np.zeros((3, 3)), dt=1.0))
         assert np.allclose(U, np.eye(3), atol=1e-15)
 
     def test_diagonal_case(self):
         H = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        U = from_real_embedding(expm_hermitian(H, dt=PI))
+        U = from_real_embedding(expm_phi(H, dt=PI))
         assert np.allclose(np.diag(U), [-1.0, 1.0, -1.0], atol=1e-14)
 
     def test_rabi_half_area(self):
         # area pi/2 transfers |b> -> -i|e> (cos I - i sin sigma_x on the block)
-        U = from_real_embedding(expm_hermitian(rabi_block(), dt=PI / 2))
+        U = from_real_embedding(expm_phi(rabi_block(), dt=PI / 2))
         b = np.array([0, 1.0, 0], dtype=complex)
         assert np.allclose(U @ b, [0, 0, -1j], atol=1e-14)
 
@@ -76,47 +75,29 @@ class TestExpmHermitian:
         rng = np.random.default_rng(7)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = M + M.conj().T
-        U = from_real_embedding(expm_hermitian(H, dt=0.37))
+        U = from_real_embedding(expm_phi(H, dt=0.37))
         assert np.allclose(U, scipy.linalg.expm(-1j * 0.37 * H), atol=1e-12)
 
     def test_result_unitary(self):
-        U = from_real_embedding(expm_hermitian(rabi_block(2.3), dt=1.7))
+        U = from_real_embedding(expm_phi(rabi_block(2.3), dt=1.7))
         assert unitarity_defect(U) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        H = np.zeros((2, 2), dtype=complex)
-        H[0, 1] = 1.0
-        with pytest.raises(ValueError, match="defect"):
-            expm_hermitian(H, dt=1.0)
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_semigroup(self, a, b):
         H = rabi_block(0.8)
-        lhs = expm_hermitian(H, a) @ expm_hermitian(H, b)
-        rhs = expm_hermitian(H, a + b)
+        lhs = expm_phi(H, a) @ expm_phi(H, b)
+        rhs = expm_phi(H, a + b)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
         Hs = M + M.conj().transpose(0, 2, 1)
-        Us = from_real_embedding(expm_hermitian(Hs, 0.21))
+        Us = from_real_embedding(expm_phi(Hs, 0.21))
         assert Us.shape == (5, 3, 3)
         for H, U in zip(Hs, Us):
-            assert np.allclose(U, from_real_embedding(expm_hermitian(H, 0.21)), atol=1e-12)
-
-    def test_stack_rejects_one_non_hermitian(self):
-        Hs = np.stack([rabi_block(w) for w in (0.5, 1.0, 1.5, 2.0)])
-        Hs[2, 0, 1] = 1e-6  # far above its scaled tolerance, 1.5e-12
-        with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 2"):
-            expm_hermitian(Hs, dt=1.0)
-
-    def test_rejection_names_global_index_past_first_chunk(self):
-        Hs = np.stack([rabi_block(w) for w in np.linspace(0.5, 2.0, 11)])
-        Hs[9, 0, 1] = 1e-6
-        with pytest.raises(ValueError, match="defect 1.000e-06.*in matrix 9"):
-            expm_hermitian(Hs, dt=1.0)
+            assert np.allclose(U, from_real_embedding(expm_phi(H, 0.21)), atol=1e-12)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "huge"])
     def test_rejects_non_finite_naming_global_index(self, bad):
@@ -126,14 +107,14 @@ class TestExpmHermitian:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="expm_taylor: .* in matrix 9 is not finite"):
-                expm_hermitian(Hs, dt=1.0)
+                expm_phi(Hs, dt=1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_stack_across_scaling_threshold_matches_eigh(self, d):
         Hs = stack_across_scaling_threshold(d)
         w, V = np.linalg.eigh(Hs)
         ref = np.einsum("nij,nj,nkj->nik", V, np.exp(-1j * w), V.conj())
-        assert np.abs(from_real_embedding(expm_hermitian(Hs, 1.0)) - ref).max() <= 1e-12
+        assert np.abs(from_real_embedding(expm_phi(Hs, 1.0)) - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_real_embedding_matches_complex_taylor(self, d):
@@ -142,10 +123,10 @@ class TestExpmHermitian:
         # and it grows with the s = 7 squarings of this stack (both sit
         # 1e-14 to 3e-14 from eigh)
         Hs = stack_across_scaling_threshold(d)
-        E = from_real_embedding(expm_hermitian(Hs, 1.0))
+        E = from_real_embedding(expm_phi(Hs, 1.0))
         assert np.abs(E - expm_taylor(Hs, -1j)).max() <= 3e-14
         small = Hs[:16]  # theta < 1/2: no squaring, as for oracle slices
-        E = from_real_embedding(expm_hermitian(small, 1.0))
+        E = from_real_embedding(expm_phi(small, 1.0))
         assert np.abs(E - expm_taylor(small, -1j)).max() <= 1e-18
 
     def test_oracle_sized_stack_unitary(self):
@@ -155,7 +136,7 @@ class TestExpmHermitian:
         M = rng.normal(size=(100_000, 3, 3)) + 1j * rng.normal(size=(100_000, 3, 3))
         Hs = M + M.conj().transpose(0, 2, 1)
         Hs *= (2e-4 / np.abs(Hs).sum(axis=-2).max(axis=-1))[:, None, None]
-        E = from_real_embedding(expm_hermitian(Hs, 1.0))
+        E = from_real_embedding(expm_phi(Hs, 1.0))
         assert np.abs(E.conj().transpose(0, 2, 1) @ E - np.eye(3)).max() <= 1e-14
 
 
@@ -276,7 +257,7 @@ class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
     def test_identical_factors_match_loop(self, n):
         # a piecewise-constant segment: every slice is the same matrix
-        U = from_real_embedding(expm_hermitian(rabi_block(1.3), 0.01))
+        U = from_real_embedding(expm_phi(rabi_block(1.3), 0.01))
         Ms = np.broadcast_to(U, (n, 3, 3))
         assert np.abs(ordered_product(Ms) - sequential_product(Ms)).max() <= 1e-12
 
@@ -284,7 +265,7 @@ class TestOrderedProduct:
     def test_broadcast_factor_matches_materialized_stack(self, n):
         # one block's products serve every block of a broadcast factor, the
         # short last block's included, with the bits of the full product
-        M = expm_hermitian(rabi_block(1.3), 0.01)
+        M = expm_phi(rabi_block(1.3), 0.01)
         Ms = np.broadcast_to(M, (n,) + M.shape)
         assert np.array_equal(ordered_product(Ms), ordered_product(Ms.copy()))
 
@@ -332,7 +313,7 @@ class TestRk4:
     def test_constant_generator_vs_expm(self):
         H = rabi_block(1.3)
         U = rk4_linear(np.eye(3), [schrodinger(H, 2.0, 400)])[-1]
-        assert np.abs(U - from_real_embedding(expm_hermitian(H, 2.0))).max() < 1e-9
+        assert np.abs(U - from_real_embedding(expm_phi(H, 2.0))).max() < 1e-9
 
     def test_commuting_time_dependent_generator(self):
         # Omega(t) sigma_x: solution exp(-i area(t) sigma_x)
@@ -340,15 +321,15 @@ class TestRk4:
         seg = schrodinger(H, 1.0, 500, lambda t: np.sin(PI * t) ** 2)
         U = rk4_linear(np.eye(3), [seg])[-1]
         area = 0.5  # integral of sin^2(pi t) over [0, 1]
-        assert np.abs(U - from_real_embedding(expm_hermitian(H, area))).max() < 1e-8
+        assert np.abs(U - from_real_embedding(expm_phi(H, area))).max() < 1e-8
 
     def test_segments_chain(self):
         # two segments of different step size continue one trajectory
         H = rabi_block(0.7)
         ys = rk4_linear(np.eye(3), [schrodinger(H, 1.0, 300), schrodinger(H, 2.0, 100)])
         assert ys.shape == (401, 3, 3)
-        assert np.abs(ys[300] - from_real_embedding(expm_hermitian(H, 1.0))).max() < 1e-9
-        assert np.abs(ys[-1] - from_real_embedding(expm_hermitian(H, 3.0))).max() < 1e-7
+        assert np.abs(ys[300] - from_real_embedding(expm_phi(H, 1.0))).max() < 1e-9
+        assert np.abs(ys[-1] - from_real_embedding(expm_phi(H, 3.0))).max() < 1e-7
 
     def test_chunking_does_not_change_states(self, monkeypatch):
         H = rabi_block(1.1)
@@ -359,7 +340,7 @@ class TestRk4:
 
     def test_fourth_order_convergence(self):
         H = rabi_block(1.0)
-        ref = from_real_embedding(expm_hermitian(H, 3.0))
+        ref = from_real_embedding(expm_phi(H, 3.0))
 
         def defect(steps):
             U = rk4_linear(np.eye(3), [schrodinger(H, 3.0, steps)])[-1]

@@ -1,5 +1,4 @@
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +17,8 @@ from nhqcbench.schemes import (
     ps_design,
     dfs3_unit_hamiltonian,
     rotation_gate,
-    sta_path,
     sta_schedule,
+    StaPath,
 )
 from nhqcbench.bench import GATE_ANGLES, pulse_area
 from nhqcbench.system import (
@@ -205,11 +204,11 @@ class TestPsDesign:
     def test_zero_varsigma_reduces_to_plain_loop(self):
         design = ps_design(0.0, 2.0, GateAngles(PI / 2))
         s = np.linspace(0, 1.0, 101)
-        chi = design.chi[0](s)
-        assert np.abs(design.f[0](chi)).max() == 0.0
+        chi, chi_dot = design.chi(0, s)
+        assert np.abs(design.f(chi)).max() == 0.0
         # azimuth constant, envelope |chi_dot| / 2
-        assert np.abs(design.varphi[0](chi) + PI / 2).max() < 1e-12
-        assert np.abs(design.drive[0](s)[0] - np.abs(design.chi_dot[0](s)) / 2).max() < 1e-12
+        assert np.abs(design.varphi(0, chi) + PI / 2).max() < 1e-12
+        assert np.abs(design.drive(0, s)[0] - np.abs(chi_dot) / 2).max() < 1e-12
 
     def test_azimuth_solves_ivp(self):
         # oracle: d(varphi)/dt = -df/dt cos(chi), checked by finite differences
@@ -217,9 +216,9 @@ class TestPsDesign:
         s = np.linspace(1e-4, 1.0 - 1e-4, 2001)
         h = s[1] - s[0]
         for seg in range(2):
-            chi = design.chi[seg](s)
-            vp = design.varphi[seg](chi)
-            f = design.f[seg](chi)
+            chi, _ = design.chi(seg, s)
+            vp = design.varphi(seg, chi)
+            f = design.f(chi)
             lhs = np.gradient(vp, h)
             rhs = -np.gradient(f, h) * np.cos(chi)
             assert np.abs(lhs - rhs)[5:-5].max() < 1e-3
@@ -229,14 +228,14 @@ class TestPsDesign:
         # offset by the rotation angle
         g = PI / 2
         design = ps_design(1.0, 2.0, GateAngles(g))
-        assert design.varphi[0](design.chi[0](0.0)) == pytest.approx(-PI / 2)
-        assert design.varphi[1](design.chi[1](0.0)) == pytest.approx(-PI / 2 - g)
+        assert design.varphi(0, design.chi(0, 0.0)[0]) == pytest.approx(-PI / 2)
+        assert design.varphi(1, design.chi(1, 0.0)[0]) == pytest.approx(-PI / 2 - g)
 
     def test_chi_reaches_pole_at_segment_end(self):
         design = ps_design(1.0, 2.0, GateAngles(PI / 2))
-        assert design.chi[0](0.0) == pytest.approx(0.0)
-        assert design.chi[0](1.0) == pytest.approx(PI)
-        assert design.chi[1](1.0) == pytest.approx(0.0, abs=1e-12)
+        assert design.chi(0, 0.0)[0] == pytest.approx(0.0)
+        assert design.chi(0, 1.0)[0] == pytest.approx(PI)
+        assert design.chi(1, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("varsigma", [0.0, 1.0, 2.5])
     def test_area_depends_on_varsigma_alone(self, varsigma):
@@ -245,7 +244,7 @@ class TestPsDesign:
         for angles in (GateAngles(0.3, 1.1, 0.7), GateAngles(PI / 2), GateAngles(3.0, 2.0, 5.0)):
             ref = ps_design(varsigma, 2.0, angles)
             s = np.linspace(0.0, ref.segment_duration, 20001)
-            area = sum(float(np.trapezoid(drive(s)[0], s)) for drive in ref.drive)
+            area = sum(float(np.trapezoid(ref.drive(seg, s)[0], s)) for seg in (0, 1))
             sched = build_schedule(SchemeSpec("PS", angles, varsigma=varsigma))
             assert sched.total_duration == pytest.approx(area, rel=1e-14, abs=0)
 
@@ -330,13 +329,12 @@ class TestSta:
 
     def test_vectorized_drive_matches_per_sample(self, schedules):
         sched = schedules["sta"]
-        path = sta_path(sched.notes["phi1"], sched.total_duration)
+        path = StaPath(sched.segments[0].duration, sched.notes["phi1"])
         k1, k2, e = np.eye(4, dtype=complex)[1:]
 
         def drive_at(step, s):
             # the transitionless tripod Hamiltonian, one scalar time at a time
-            t_, td_ = float(path.theta[step](s)), float(path.theta_dot[step](s))
-            p_, pd_ = float(path.phi[step](s)), float(path.phi_dot[step](s))
+            t_, td_, p_, pd_ = (float(x) for x in path.angles(step, s))
             B = -np.sin(t_ / 2) * np.exp(-1j * p_) * k1 + np.cos(t_ / 2) * k2
             D = np.cos(t_ / 2) * np.exp(-1j * p_) * k1 + np.sin(t_ / 2) * k2
             H0 = np.outer(e, B.conj())
@@ -489,19 +487,14 @@ class TestDrives:
         from nhqcbench import schemes
 
         calls = []
+        original = schemes.StaPath.angles
 
-        def counted(path):
-            def wrap(name, step, f):
-                return lambda s: (calls.append((name, step)), f(s))[1]
-            fields = ("theta", "theta_dot", "phi", "phi_dot")
-            return replace(path, **{name: tuple(wrap(name, k, f)
-                                                for k, f in enumerate(getattr(path, name)))
-                                    for name in fields})
-        original = schemes.sta_path
-        monkeypatch.setattr(schemes, "sta_path", lambda *a: counted(original(*a)))
+        def counted(path, step, s):
+            calls.append(step)
+            return original(path, step, s)
+        monkeypatch.setattr(schemes.StaPath, "angles", counted)
         sched = sta_schedule(PI / 2, PI)
         for step, seg in enumerate(sched.segments):
             calls.clear()
             seg.coefficients(np.linspace(0.0, seg.duration, 9))
-            assert sorted(calls) == sorted((name, step) for name in
-                                           ("theta", "theta_dot", "phi", "phi_dot"))
+            assert calls == [step]
