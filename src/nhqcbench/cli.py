@@ -36,13 +36,17 @@ from .bench import (
 from .dynamics import (
     LINDBLAD_SAMPLES,
     ORACLE_LINDBLAD_SLICES,
+    ORACLE_SLICE_FLOOR,
+    ORACLE_SLICES,
     UNITARY_SAMPLES,
+    allocate_steps,
     oracle_propagate_lindblad,
     oracle_propagate_unitary,
     propagate_unitary,
     six_axial_densities,
 )
 from .holonomy import (
+    RECONSTRUCTION_STEPS,
     condition_residuals,
     reconstruct_computational_gate,
 )
@@ -310,15 +314,25 @@ def cmd_check(args) -> int:
     schedule = build_schedule(_resolve_spec(args.scheme))
     traj = propagate_unitary(schedule, ErrorModel(), args.samples)
     cyc, par = condition_residuals(schedule, traj)
+    # only the trajectory's end is read below: free the rest, the largest
+    # array of the check, before the oracle and the reconstruction run
+    U_final, rk4_steps = traj.final.copy(), traj.steps
+    del traj
     U_oracle = oracle_propagate_unitary(schedule)
-    defect = float(np.abs(traj.final - U_oracle).max())
+    defect = float(np.abs(U_final - U_oracle).max())
     print(f"scheme={schedule.scheme_label}")
+    # the steps per segment of each route, as allocate_steps gives them to it
+    allocations = {"rk4_steps": rk4_steps,
+                   "oracle_slices": allocate_steps(schedule, ORACLE_SLICES, ORACLE_SLICE_FLOOR),
+                   "reconstruction_steps": allocate_steps(schedule, RECONSTRUCTION_STEPS)}
+    for key, steps in allocations.items():
+        print(f"{key}={','.join(map(str, steps))}")
     print(f"cyclic_residual={cyc:.3e}")
     print(f"parallel_residual={par:.3e}")
     print(f"rk4_vs_oracle={defect:.3e}")
     U_rec = reconstruct_computational_gate(schedule)
     comp = list(schedule.system.computational_indices)
-    U_prop = traj.final[np.ix_(comp, comp)]
+    U_prop = U_final[np.ix_(comp, comp)]
     ov = np.trace(U_rec.conj().T @ U_prop) / 2
     rec_defect = float(np.abs(U_prop - (ov / abs(ov)) * U_rec).max()) if abs(ov) > 0 else 1.0
     print(f"holonomy_reconstruction_defect={rec_defect:.3e}")

@@ -78,6 +78,8 @@ from .system import ErrorModel, LevelSystem, PulseSchedule, detuning_error
 UNITARY_SAMPLES = 2000
 LINDBLAD_SAMPLES = 4000
 ORACLE_SLICES = 10_000
+# the fewest slices an oracle gives one segment
+ORACLE_SLICE_FLOOR = 16
 ORACLE_LINDBLAD_SLICES = 4000
 
 TRACE_TOL = 1e-8
@@ -184,6 +186,8 @@ def segment_state_times(schedule: PulseSchedule, steps):
     """(segment index, local times) of the states of an RK4 run that took
     steps[k] steps on segment k, in order: linspace(0, duration, 2n+1)[0::2],
     where a state on a boundary belongs to the following segment."""
+    if len(steps) != len(schedule.segments):
+        raise ValueError(f"{len(steps)} step counts for {len(schedule.segments)} segments")
     last = len(steps) - 1
     for k, (seg, n) in enumerate(zip(schedule.segments, steps)):
         t = np.linspace(0.0, seg.duration, 2 * n + 1)[0::2]
@@ -523,7 +527,7 @@ _CF4_C2 = 0.5 + np.sqrt(3) / 6
 
 def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: str) -> np.ndarray:
     """The (m, m) propagator of both oracles: the time-ordered product of
-    allocate_steps(..., floor=16) 4th-order commutator-free Magnus slices
+    allocate_steps(..., floor=ORACLE_SLICE_FLOOR) 4th-order commutator-free Magnus slices
     (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
 
     Slice k of length h contributes E(b X1 + a X2) E(a X1 + b X2), with X1,
@@ -550,7 +554,7 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     exponentials = expm_embedded if kind == "unitary" else expm_taylor
     m = const.shape[-1]
     chunk = max(1, CHUNK_ELEMENTS // m ** 2)
-    alloc = allocate_steps(schedule, slices, floor=16)
+    alloc = allocate_steps(schedule, slices, floor=ORACLE_SLICE_FLOOR)
     P = np.eye(m)
     for seg, n in zip(schedule.segments, alloc):
         h = seg.duration / n

@@ -16,8 +16,17 @@ dynamical matrix K, both (2n+1, L, L), by five-point differences, and
 fourth-order Magnus steps; the segments are chained by the overlaps of
 their frames where they meet.  The symmetrization makes A and K exactly
 Hermitian, so every Magnus exponent is exactly anti-Hermitian and goes to
-`expm_embedded` in the real embedding as it is, with no Hermiticity check.  The residuals take H at the RK4 state times
-of a trajectory, segment by segment.
+`expm_embedded` in the real embedding as it is, with no Hermiticity check.
+The residuals take H at the RK4 state times of a trajectory, segment by
+segment, so no H of the whole trajectory is ever held.
+
+Every product of these 2..8-wide complex matrices is taken by
+`numkit.node_last_product` on node-last arrays (the sample axis
+innermost): the frame rows are copied node-last once, H is read through a
+transposed view (a square segment's stride-0 node stays unmaterialized),
+and A and K are returned as (2n+1, L, L) views of node-last arrays, which
+the Magnus commutator reads as they lie.  A stacked complex product
+costs hundreds of ns per matrix at these widths (see numkit).
 """
 from __future__ import annotations
 
@@ -27,6 +36,7 @@ from .dynamics import Trajectory, allocate_steps, segment_state_times
 from .numkit import (
     expm_embedded,
     from_real_embedding,
+    node_last_product,
     ordered_product,
     real_embedding,
     unitarity_defect,
@@ -35,50 +45,60 @@ from .system import ErrorModel, PulseSchedule, segment_hamiltonian_nodes
 
 FRAME_DRIFT_REJECT = 1e-8
 RECONSTRUCT_UNITARITY_TOL = 1e-6
+RECONSTRUCTION_STEPS = 2048
 # five-point one-sided differences at the first two samples, times 12 h
 _ONE_SIDED = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]])
 
 
 def _time_derivative(V: np.ndarray, h: float) -> np.ndarray:
-    """Five-point differences of samples V (n, ...) spaced by h, n >= 5:
-    centred inside, one-sided at the two samples nearest each end."""
+    """Five-point differences along the last axis of samples V (..., n)
+    spaced by h, n >= 5: centred inside, one-sided at the two samples
+    nearest each end."""
     dV = np.empty_like(V)
-    dV[2:-2] = V[:-4] - 8 * V[1:-3] + 8 * V[3:-1] - V[4:]
-    dV[:2] = np.tensordot(_ONE_SIDED, V[:5], axes=1)
-    dV[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], V[-5:], axes=1)
-    return dV / (12 * h)
+    # ((V0 - 8 V1) + 8 V3) - V4 in place, one temporary at a time
+    np.subtract(V[..., :-4], 8 * V[..., 1:-3], out=dV[..., 2:-2])
+    dV[..., 2:-2] += 8 * V[..., 3:-1]
+    dV[..., 2:-2] -= V[..., 4:]
+    dV[..., :2] = V[..., :5] @ _ONE_SIDED.T
+    dV[..., -2:] = -(V[..., -5:] @ _ONE_SIDED[::-1, ::-1].T)
+    dV /= 12 * h
+    return dV
 
 
 def frame_connection(V: np.ndarray, H: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """A_lm = i <nu_l | d nu_m/dt> by finite differences and K_lm =
     <nu_l|H|nu_m> on the computational rows of the frame V and the
     Hamiltonians H sampled at the same times, spaced by h; both are made
-    Hermitian by symmetrization (finite-difference noise)."""
+    Hermitian by symmetrization (finite-difference noise).  Both are
+    (n, L, L) views of node-last arrays."""
+    if len(V) < 5:
+        raise ValueError(f"{len(V)} frame samples; five-point differences need at least 5")
     drift = unitarity_defect(V)
     if not drift <= FRAME_DRIFT_REJECT:  # NaN fails too
         raise ValueError(f"frame orthonormality drift {drift:.3e} > {FRAME_DRIFT_REJECT}")
-    nu = V[:, :-1]
-    L = nu.shape[1]
-    # <nu_l| against d nu_m/dt and H nu_m in one contraction
-    kets = np.concatenate([_time_derivative(nu, h), np.einsum("ncd,nmd->nmc", H, nu)], axis=1)
-    G = np.einsum("nlc,nmc->nlm", nu.conj(), kets)
-    A_raw, K_raw = 1j * G[:, :, :L], G[:, :, L:]
-    A = 0.5 * (A_raw + A_raw.conj().transpose(0, 2, 1))
-    K = 0.5 * (K_raw + K_raw.conj().transpose(0, 2, 1))
-    return A, K
+    nu = np.ascontiguousarray(V[:, :-1].transpose(1, 2, 0))  # (L, dim, n)
+    d_nu, H_nu = _time_derivative(nu, h), node_last_product(nu, H.transpose(2, 1, 0))
+    bra = np.conjugate(nu, out=nu)  # in place: nu is read no more
+    A_raw = 1j * node_last_product(bra, d_nu.transpose(1, 0, 2))
+    K_raw = node_last_product(bra, H_nu.transpose(1, 0, 2))
+    del nu, bra, d_nu, H_nu  # the frame-sized arrays, before the symmetrization
+    A = 0.5 * (A_raw + A_raw.conj().transpose(1, 0, 2))
+    K = 0.5 * (K_raw + K_raw.conj().transpose(1, 0, 2))
+    return A.transpose(2, 0, 1), K.transpose(2, 0, 1)
 
 
 def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     """Holonomy in the frame basis of c' = X c, X = i(A - K), from 2n+1
-    samples of A and K spaced by h: the time-ordered product of n
+    samples of A and K spaced by h, n >= 1: the time-ordered product of n
     fourth-order Magnus steps exp(Omega), Omega = 2h/6 (X0 + 4 Xm + X1) +
     (2h)^2/12 [X1, X0] from the samples at the start, middle and end of
     each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))."""
-    X = 1j * (A - K)
-    X0, Xm, X1 = X[0:-1:2], X[1::2], X[2::2]
-    comm = np.einsum("nij,njk->nik", X1, X0)
-    comm -= np.einsum("nij,njk->nik", X0, X1)
-    Omega = h / 3 * (X0 + 4 * Xm + X1) + h * h / 3 * comm
+    if len(A) < 3 or len(A) % 2 == 0:
+        raise ValueError(f"{len(A)} samples of A; the Magnus steps need 2n+1, n >= 1")
+    X = (1j * (A - K)).transpose(1, 2, 0)
+    X0, Xm, X1 = X[..., 0:-1:2], X[..., 1::2], X[..., 2::2]
+    comm = node_last_product(X1, X0) - node_last_product(X0, X1)
+    Omega = (h / 3 * (X0 + 4 * Xm + X1) + h * h / 3 * comm).transpose(2, 0, 1)
     U = from_real_embedding(ordered_product(expm_embedded(real_embedding(Omega), 1.0)))
     defect = unitarity_defect(U)
     if defect > RECONSTRUCT_UNITARITY_TOL:
@@ -88,7 +108,9 @@ def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     return U
 
 
-def reconstruct_computational_gate(schedule: PulseSchedule, steps: int = 2048) -> np.ndarray:
+def reconstruct_computational_gate(
+    schedule: PulseSchedule, steps: int = RECONSTRUCTION_STEPS
+) -> np.ndarray:
     """Holonomy of the loop by `steps` Magnus steps, split among the
     segments by allocate_steps, mapped from the frame basis to the
     computational 0/1 basis.  Segment k+1 takes over the coefficients of
@@ -120,14 +142,22 @@ def condition_residuals(
 ) -> tuple[float, float]:
     """Cyclic projector defect and the worst parallel-transport matrix
     element along the computational trajectories of `traj`, the unitary
-    trajectory of `schedule` under `err`."""
+    trajectory of `schedule` under `err`, taken segment by segment."""
+    if traj.kind != "unitary":
+        raise ValueError(f"condition_residuals takes a unitary trajectory, not {traj.kind!r}")
     comp = list(schedule.system.computational_indices)
     phis = traj.operators[:, :, comp]  # (n, d, 2)
     P0 = phis[0] @ phis[0].conj().T
     P1 = phis[-1] @ phis[-1].conj().T
     cyclic = float(np.linalg.norm(P1 - P0))
-    H = np.concatenate([segment_hamiltonian_nodes(schedule, k, t, err)
-                        for k, t in segment_state_times(schedule, traj.steps)])
-    elems = np.einsum("nil,nim->nlm", phis.conj(), np.einsum("nij,njm->nim", H, phis))
-    parallel = float(np.abs(elems).max())
+    kets = np.ascontiguousarray(phis.transpose(1, 2, 0))  # (d, 2, n)
+    del phis
+    parallel = 0.0
+    for k, t in segment_state_times(schedule, traj.steps):
+        phi, kets = kets[..., :len(t)], kets[..., len(t):]
+        # H unnamed, so it is freed before the second product
+        H_phi = node_last_product(
+            segment_hamiltonian_nodes(schedule, k, t, err).transpose(1, 2, 0), phi)
+        elems = node_last_product(phi.conj().transpose(1, 0, 2), H_phi)
+        parallel = max(parallel, float(np.abs(elems).max()))
     return cyclic, parallel

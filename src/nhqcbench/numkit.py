@@ -16,7 +16,14 @@ anti-Hermitian by construction (the unitary oracle from checked ops, the
 holonomy reconstruction from symmetrized A and K), so nothing checks
 Hermiticity per exponent.  ``combine`` is the one product of coefficient
 rows with fixed terms (a drive's operators or their lifts), with the same
-bits for a row alone as inside a stack.
+bits for a row alone as inside a stack.  ``node_last_product`` multiplies
+stacks of small complex matrices laid out node-last (the node axis
+innermost) by one broadcast multiply-add per summed index, where a stacked
+einsum or ``@`` costs hundreds of ns per matrix: it takes every contraction
+of the holonomy checks, which keep 2 to 4 rows and sum over up to 8.  Its
+cost grows with the product of all three widths, so a stack 8 wide
+throughout is faster by ``@``; the real stacks of 6x6 and larger (RK4 step
+matrices, oracle exponents, Taylor polynomials) stay on ``matmul``.
 
 Both engines take matrices only: ``ordered_product`` multiplies an array
 of factors in time order, and ``rk4_chunks`` integrates every linear ODE
@@ -74,6 +81,18 @@ def unitarity_defect(M: np.ndarray) -> float:
         with np.errstate(over="ignore"):  # inf fails every threshold
             worst.append((gram_re * gram_re + gram_im * gram_im).max(initial=0.0))
     return math.sqrt(np.max(worst))
+
+
+def node_last_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_j A[p, j, ...] B[j, r, ...], (P, R, ...): the products of two
+    stacks of small matrices whose node axes are last, A (P, J, ...) and
+    B (J, R, ...), real or complex, either of them possibly broadcast along
+    its nodes (stride 0), by one broadcast multiply-add per summed index j
+    in order."""
+    out = A[:, 0, None] * B[0]
+    for j in range(1, len(B)):
+        out += A[:, j, None] * B[j]
+    return out
 
 
 def combine(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -238,6 +257,8 @@ def ordered_product(Ms: np.ndarray) -> np.ndarray:
     last block's among them.
     """
     n = len(Ms)
+    if n < 1:
+        raise ValueError("ordered_product of an empty stack: 0 factors")
     b = math.isqrt(n - 1) + 1
     if Ms.strides[0] == 0:
         powers = [Ms[0].copy()]

@@ -380,6 +380,36 @@ class TestCheck:
         assert "rk4_vs_oracle=" in out
         assert "holonomy_reconstruction_defect=" in out
 
+    def test_prints_the_steps_each_route_took(self, capsys, monkeypatch):
+        # the allocations the RK4 run, the oracle and the reconstruction make
+        # are recorded by their step totals, and check prints exactly those
+        from nhqcbench import dynamics, holonomy
+
+        made = {}
+
+        def spy(module):
+            allocate = module.allocate_steps
+
+            def recorded(schedule, total_steps, **kwargs):
+                made[module.__name__, total_steps] = allocate(schedule, total_steps, **kwargs)
+                return made[module.__name__, total_steps]
+            monkeypatch.setattr(module, "allocate_steps", recorded)
+
+        spy(dynamics)
+        spy(holonomy)
+        code, out = run(["check", "--scheme", "dc", "--samples", "1000"], capsys)
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.splitlines())
+        for key, route in (("rk4_steps", ("nhqcbench.dynamics", 1000)),
+                           ("oracle_slices", ("nhqcbench.dynamics", dynamics.ORACLE_SLICES)),
+                           ("reconstruction_steps", ("nhqcbench.holonomy", 2048))):
+            assert values[key] == ",".join(map(str, made[route])), key
+            assert len(made[route]) == 6  # one count per segment of dc
+        # dc's second and fifth segments last twice as long as the others
+        assert values["rk4_steps"] == "125,250,125,125,250,125"
+        assert values["oracle_slices"] == "1250,2500,1250,1250,2500,1250"
+        assert values["reconstruction_steps"] == "256,512,256,256,512,256"
+
 
 @pytest.mark.parametrize("argv", [
     pytest.param([command, *base, flag, value], id=f"{command}{flag}")

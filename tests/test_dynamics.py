@@ -19,6 +19,7 @@ from nhqcbench.dynamics import (
     propagate_lindblad,
     propagate_lindblad_grid,
     propagate_unitary,
+    segment_state_times,
     six_axial_densities,
     six_axial_states,
 )
@@ -1059,6 +1060,12 @@ class TestTrajectoryCapture:
         for tag, traj in ideal_runs.items():
             assert traj.times[0] == 0.0
             assert traj.times[-1] == pytest.approx(schedules[tag].total_duration)
+
+    @pytest.mark.parametrize("steps", [(), (10,), (10, 10, 10)])
+    def test_state_times_reject_step_count_mismatch(self, schedules, steps):
+        # sl has two segments: other step-count lists belong to another run
+        with pytest.raises(ValueError, match=f"^{len(steps)} step counts for 2 segments$"):
+            list(segment_state_times(schedules["sl"], steps))
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -5,16 +5,25 @@ from conftest import align_phase, gauge_twisted, phase_distance
 from nhqcbench.dynamics import (
     allocate_steps,
     oracle_propagate_unitary,
+    propagate_lindblad,
     propagate_unitary,
     segment_state_times,
+    six_axial_densities,
 )
 from nhqcbench.holonomy import (
+    _ONE_SIDED,
     condition_residuals,
     frame_connection,
     holonomy_reconstruct,
     reconstruct_computational_gate,
 )
-from nhqcbench.numkit import hermiticity_defect
+from nhqcbench.numkit import (
+    expm_embedded,
+    from_real_embedding,
+    hermiticity_defect,
+    ordered_product,
+    real_embedding,
+)
 from nhqcbench.schemes import SchemeSpec, build_schedule
 from nhqcbench.system import (
     ErrorModel,
@@ -44,6 +53,29 @@ def connections(schedule, steps):
     for k, n in enumerate(allocate_steps(schedule, steps)):
         h, V, H = segment_lattice(schedule, k, 2 * n)
         yield frame_connection(V, H, h)
+
+
+def stacked_connection(V, H, h):
+    """frame_connection by stacked complex @ on node-first arrays, with the
+    same five-point differences."""
+    nu = V[:, :-1]
+    L = nu.shape[1]
+    dnu = np.empty_like(nu)
+    dnu[2:-2] = nu[:-4] - 8 * nu[1:-3] + 8 * nu[3:-1] - nu[4:]
+    dnu[:2] = np.tensordot(_ONE_SIDED, nu[:5], axes=1)
+    dnu[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], nu[-5:], axes=1)
+    kets = np.concatenate([dnu / (12 * h), nu @ H.swapaxes(-1, -2)], axis=1)
+    G = nu.conj() @ kets.swapaxes(-1, -2)
+    A, K = 1j * G[..., :L], G[..., L:]
+    return 0.5 * (A + A.conj().swapaxes(-1, -2)), 0.5 * (K + K.conj().swapaxes(-1, -2))
+
+
+def stacked_reconstruct(A, K, h):
+    """holonomy_reconstruct with the Magnus commutator by stacked complex @."""
+    X = 1j * (A - K)
+    X0, Xm, X1 = X[0:-1:2], X[1::2], X[2::2]
+    Omega = h / 3 * (X0 + 4 * Xm + X1) + h * h / 3 * (X1 @ X0 - X0 @ X1)
+    return from_real_embedding(ordered_product(expm_embedded(real_embedding(Omega), 1.0)))
 
 
 class TestFrames:
@@ -104,6 +136,27 @@ class TestFrameConnection:
             assert hermiticity_defect(A).max() == 0.0
             assert hermiticity_defect(K).max() == 0.0
 
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_connection_and_transport_match_stacked_matmul(self, schedules, tag):
+        # the node-last contractions give the stacked complex @ formulation
+        # up to roundoff, on the lattice reconstruct_computational_gate uses
+        sched = schedules[tag]
+        for k, n in enumerate(allocate_steps(sched, 2048)):
+            h, V, H = segment_lattice(sched, k, 2 * n)
+            A, K = frame_connection(V, H, h)
+            for got, ref in zip((A, K), stacked_connection(V, H, h)):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+            ref = stacked_reconstruct(A, K, h)
+            assert np.abs(holonomy_reconstruct(A, K, h) - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_rejects_too_few_samples(self, schedules, samples):
+        h, V, H = segment_lattice(schedules["sl"], 0, 8)
+        with pytest.raises(ValueError, match=f"^{samples} frame samples; five-point differences "
+                                             "need at least 5$"):
+            frame_connection(V[:samples], H[:samples], h)
+
     def test_s_scheme_dynamical_part_vanishes(self, schedules):
         # parallel transport built into the inverse-engineered loop
         for _, K in connections(schedules["s"], 1024):
@@ -148,6 +201,14 @@ class TestReconstruct:
         w, V = np.linalg.eigh(A0)
         expected = (V * np.exp(1j * w * 2.0)) @ V.conj().T
         assert np.abs(holonomy_reconstruct(A, 0 * A, 2.0 / 256) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("samples", [0, 1, 2, 64])
+    def test_rejects_sample_count_of_no_magnus_lattice(self, samples):
+        # 2n+1 samples, n >= 1: an even count or a single sample has no lattice
+        Z = np.zeros((samples, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match=f"^{samples} samples of A; the Magnus steps need "
+                                             r"2n\+1, n >= 1$"):
+            holonomy_reconstruct(Z, Z, 0.1)
 
     @pytest.mark.parametrize("tag", ["sl", "ps", "c", "dc", "to", "s", "cdd", "ss",
                                      "sta", "dfs3"])
@@ -275,8 +336,8 @@ class TestConditionResiduals:
     @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel(epsilon=0.03, eta=-0.02)])
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_contractions_match_stacked_matmul(self, schedules, tag, err):
-        # the parallel residual is taken by einsum; the stacked complex @
-        # it replaced gives the same value up to roundoff
+        # the parallel residual is taken segment by segment by node-last
+        # products; the stacked complex @ gives the same value up to roundoff
         sched = schedules[tag]
         traj = propagate_unitary(sched, err)
         cyc, par = condition_residuals(sched, traj, err)
@@ -303,3 +364,16 @@ class TestConditionResiduals:
         assert traj.steps == (100, 100)
         _, par = condition_residuals(sched, traj)
         assert par == pytest.approx(2.0, abs=1e-10)  # 1.98 on the previous segment
+
+    def test_rejects_trajectory_of_another_schedule(self, schedules, ideal_runs):
+        # c has four segments, sl two: the step counts of sl's run cannot
+        # place c's states
+        with pytest.raises(ValueError, match="^2 step counts for 4 segments$"):
+            condition_residuals(schedules["c"], ideal_runs["sl"])
+
+    def test_rejects_open_system_trajectory(self, schedules):
+        sched = schedules["sl"]
+        err = ErrorModel(gamma_minus=1e-3)
+        traj = propagate_lindblad(sched, err, six_axial_densities(sched.system), samples=200)
+        with pytest.raises(ValueError, match="takes a unitary trajectory, not 'lindblad'"):
+            condition_residuals(sched, traj, err)

@@ -12,6 +12,7 @@ from nhqcbench.numkit import (
     expm_taylor,
     from_real_embedding,
     hermiticity_defect,
+    node_last_product,
     ordered_product,
     real_embedding,
     rk4_chunks,
@@ -268,6 +269,46 @@ class TestOrderedProduct:
         M = expm_phi(rabi_block(1.3), 0.01)
         Ms = np.broadcast_to(M, (n,) + M.shape)
         assert np.array_equal(ordered_product(Ms), ordered_product(Ms.copy()))
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="empty stack: 0 factors"):
+            ordered_product(np.zeros((0, 2, 2)))
+
+
+class TestNodeLastProduct:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("P, J, R", [(2, 2, 2), (3, 3, 3), (2, 8, 2), (8, 8, 8), (4, 3, 5),
+                                         (2, 8, 4), (8, 8, 2)])
+    @pytest.mark.parametrize("broadcast", [None, "A", "B"])
+    def test_matches_einsum(self, dtype, P, J, R, broadcast):
+        rng = np.random.default_rng(P * 100 + J * 10 + R)
+
+        def stack(*shape):
+            M = rng.standard_normal(shape)
+            return M + 1j * rng.standard_normal(shape) if dtype is complex else M
+
+        n = 257
+        # a stride-0 operand is one matrix broadcast along the node axis
+        A = np.broadcast_to(stack(P, J, 1), (P, J, n)) if broadcast == "A" else stack(P, J, n)
+        B = np.broadcast_to(stack(J, R, 1), (J, R, n)) if broadcast == "B" else stack(J, R, n)
+        got = node_last_product(A, B)
+        ref = np.einsum("pjn,jrn->prn", A, B)
+        assert got.dtype == ref.dtype and got.shape == (P, R, n)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_mixed_real_and_complex(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((3, 4, 9))
+        B = rng.standard_normal((4, 2, 9)) + 1j * rng.standard_normal((4, 2, 9))
+        ref = np.einsum("pjn,jrn->prn", A, B)
+        assert np.abs(node_last_product(A, B) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_trailing_axes(self):
+        # every axis after the two matrix axes is carried along elementwise
+        rng = np.random.default_rng(8)
+        A, B = rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((3, 2, 4, 5))
+        ref = np.einsum("pjab,jrab->prab", A, B)
+        assert np.abs(node_last_product(A, B) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def lattice_nodes(H, duration, steps, envelope=lambda t: np.ones_like(t)):
