@@ -10,8 +10,8 @@ segment durations, the `Segment.square` flags and every numeric entry of
 `notes`, nested ones included) and its `pulse_area`; H nodes and the full
 RK4 propagator
 trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle and
-the (cyclic, parallel) condition residuals of that trajectory at the same
-errors, the auxiliary frame, the holonomy reconstruction `check` prints,
+the (cyclic, parallel) condition residuals of that trajectory, under the
+errors it records, the auxiliary frame, the holonomy reconstruction `check` prints,
 and the six-axial-state Lindblad trajectory (epsilon = 0.05, gamma_minus =
 gamma_z = 3e-4; schemes with an excited level).  H nodes and
 frames are sampled segment by segment in local time, each segment on its
@@ -101,7 +101,7 @@ def dump(path: str) -> None:
             sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))
         traj = propagate_unitary(sched, CLOSED)
         arrays[f"{tag}/unitary"] = traj.operators
-        arrays[f"{tag}/residuals"] = np.array(condition_residuals(sched, traj, CLOSED))
+        arrays[f"{tag}/residuals"] = np.array(condition_residuals(traj))
         arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
         arrays[f"{tag}/frame"] = per_segment(sched, 4096, lambda k, t: sched.segments[k].frame(t))
         arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)

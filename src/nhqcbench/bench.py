@@ -124,24 +124,20 @@ def overlap_gate_fidelity(actual: np.ndarray, target: np.ndarray, system) -> flo
     return float(abs(np.trace(M)) / 2)
 
 
-def six_state_fidelity(system, target: np.ndarray, rho: np.ndarray) -> float:
-    """Mean <psi_k| T^+ rho_k T |psi_k> over the six axial states, given
-    their final densities rho (6, d, d), propagated by any route from
-    six_axial_densities(system)."""
+def six_state_fidelity(schedule: PulseSchedule, rho: np.ndarray) -> float:
+    """Mean <psi_k| T^+ rho_k T |psi_k> over the six axial states, T the
+    schedule's target, given their final densities rho (6, d, d),
+    propagated by any route from six_axial_densities(schedule.system)."""
+    system, T = schedule.system, schedule.target
     comp = list(system.computational_indices)
-    ideal = np.stack([system.embed_qubit(target @ s[comp]) for s in six_axial_states(system)])
+    ideal = np.stack([system.embed_qubit(T @ s[comp]) for s in six_axial_states(system)])
     return float(np.einsum("ki,kij,kj->k", ideal.conj(), rho, ideal).real.mean())
 
 
-def _six_state_run(
-    schedule: PulseSchedule,
-    err: ErrorModel,
-    target: np.ndarray,
-    samples: int | None = None,
-):
+def _six_state_run(schedule: PulseSchedule, err: ErrorModel, samples: int | None = None):
     """Propagate the six axial states open-system; returns (fidelity, traj)."""
     traj = propagate_lindblad(schedule, err, six_axial_densities(schedule.system), samples)
-    return six_state_fidelity(schedule.system, target, traj.final), traj
+    return six_state_fidelity(schedule, traj.final), traj
 
 
 def lindblad_gate_fidelity(
@@ -149,7 +145,7 @@ def lindblad_gate_fidelity(
 ) -> float:
     """Six-axial-state average <psi|T^+ rho(tau) T|psi>, T the schedule's
     target."""
-    fid, _ = _six_state_run(schedule, err, schedule.target, samples)
+    fid, _ = _six_state_run(schedule, err, samples)
     return fid
 
 
@@ -180,12 +176,12 @@ def simulate_report(
     if err.open_system:
         # samples counts Lindblad steps here; the residuals keep the
         # default unitary resolution
-        cyc, par = condition_residuals(schedule, propagate_unitary(schedule, closed), closed)
-        fid, traj = _six_state_run(schedule, err, schedule.target, samples)
+        cyc, par = condition_residuals(propagate_unitary(schedule, closed))
+        fid, traj = _six_state_run(schedule, err, samples)
         metric = "six_axial_state_average"
     else:
         traj = propagate_unitary(schedule, closed, samples)
-        cyc, par = condition_residuals(schedule, traj, closed)
+        cyc, par = condition_residuals(traj)
         fid = unitary_gate_fidelity(traj.final, schedule.target, schedule.system)
         metric = "two_design_average"
     report = GateReport(
@@ -237,8 +233,7 @@ def sweep(
         schedule = _schedule(spec)
         final, peak, steps = propagate_lindblad_grid(
             schedule, errs, six_axial_densities(schedule.system), samples)
-        fid = np.array([six_state_fidelity(schedule.system, schedule.target, rho)
-                        for rho in final])
+        fid = np.array([six_state_fidelity(schedule, rho) for rho in final])
         if fid.max() > 1 + 1e-9:
             raise ValueError(f"fidelity {fid.max()} exceeds 1")
         result.fidelity[tag] = fid

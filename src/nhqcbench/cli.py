@@ -313,7 +313,7 @@ def cmd_fig13(args) -> int:
 def cmd_check(args) -> int:
     schedule = build_schedule(_resolve_spec(args.scheme))
     traj = propagate_unitary(schedule, ErrorModel(), args.samples)
-    cyc, par = condition_residuals(schedule, traj)
+    cyc, par = condition_residuals(traj)
     # only the trajectory's end is read below: free the rest, the largest
     # array of the check, before the oracle and the reconstruction run
     U_final, rk4_steps = traj.final.copy(), traj.steps
@@ -344,7 +344,7 @@ def cmd_check(args) -> int:
 def _oracle_fidelity(schedule, err: ErrorModel) -> float:
     """Six-state fidelity through the oracle route at its default slice count."""
     rho = oracle_propagate_lindblad(schedule, err, six_axial_densities(schedule.system))
-    return six_state_fidelity(schedule.system, schedule.target, rho)
+    return six_state_fidelity(schedule, rho)
 
 
 def cmd_goldens(args) -> int:

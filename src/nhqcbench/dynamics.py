@@ -122,9 +122,10 @@ class Trajectory:
 
     excited_population[i] is the monitored-level population at times[i]:
     for unitary runs the maximum over the six axial initial states, for
-    open runs the maximum over the propagated batch.  steps holds the RK4
-    steps of each segment, which segment_state_times turns back into the
-    local times of the states.
+    open runs the maximum over the propagated batch.  A run records what
+    it ran: the schedule, the error model err and the RK4 steps of each
+    segment, which segment_state_times turns back into the local times of
+    the states, so a check of the run needs nothing else.
     """
 
     times: np.ndarray
@@ -132,6 +133,8 @@ class Trajectory:
     excited_population: np.ndarray
     kind: str
     steps: tuple[int, ...]
+    schedule: PulseSchedule
+    err: ErrorModel
 
     @property
     def final(self) -> np.ndarray:
@@ -182,14 +185,13 @@ class _Runs:
         return self.build(self.times[run])
 
 
-def segment_state_times(schedule: PulseSchedule, steps):
-    """(segment index, local times) of the states of an RK4 run that took
-    steps[k] steps on segment k, in order: linspace(0, duration, 2n+1)[0::2],
-    where a state on a boundary belongs to the following segment."""
-    if len(steps) != len(schedule.segments):
-        raise ValueError(f"{len(steps)} step counts for {len(schedule.segments)} segments")
-    last = len(steps) - 1
-    for k, (seg, n) in enumerate(zip(schedule.segments, steps)):
+def segment_state_times(traj: Trajectory):
+    """(segment index, local times) of the states of the RK4 run traj, in
+    order: segment k of its schedule took n = traj.steps[k] steps, so its
+    states lie at linspace(0, duration, 2n+1)[0::2], where a state on a
+    boundary belongs to the following segment."""
+    last = len(traj.steps) - 1
+    for k, (seg, n) in enumerate(zip(traj.schedule.segments, traj.steps)):
         t = np.linspace(0.0, seg.duration, 2 * n + 1)[0::2]
         yield k, t if k == last else t[:-1]
 
@@ -285,7 +287,7 @@ def propagate_unitary(
     amps = ops[:, mon, :] @ states.T  # (n, 6)
     pe = np.abs(amps).max(axis=1) ** 2
     return Trajectory(times=times, operators=ops, excited_population=pe, kind="unitary",
-                      steps=steps)
+                      steps=steps, schedule=schedule, err=err)
 
 
 class _Buffers:
@@ -451,7 +453,7 @@ def propagate_lindblad(
     if rho0.ndim == 2:
         ops = ops[:, 0]
     return Trajectory(times=times, operators=ops, excited_population=pe, kind="lindblad",
-                      steps=steps)
+                      steps=steps, schedule=schedule, err=err)
 
 
 def propagate_lindblad_grid(

@@ -17,8 +17,9 @@ fourth-order Magnus steps; the segments are chained by the overlaps of
 their frames where they meet.  The symmetrization makes A and K exactly
 Hermitian, so every Magnus exponent is exactly anti-Hermitian and goes to
 `expm_embedded` in the real embedding as it is, with no Hermiticity check.
-The residuals take H at the RK4 state times of a trajectory, segment by
-segment, so no H of the whole trajectory is ever held.
+The residuals take a run alone: H of the schedule and error model that the
+trajectory records, at its RK4 state times, segment by segment, so no H of
+the whole trajectory is ever held.
 
 Every product of these 2..8-wide complex matrices is taken by
 `numkit.node_last_product` on node-last arrays (the sample axis
@@ -73,6 +74,8 @@ def frame_connection(V: np.ndarray, H: np.ndarray, h: float) -> tuple[np.ndarray
     (n, L, L) views of node-last arrays."""
     if len(V) < 5:
         raise ValueError(f"{len(V)} frame samples; five-point differences need at least 5")
+    if len(H) != len(V):
+        raise ValueError(f"{len(H)} H nodes for {len(V)} frame samples")
     drift = unitarity_defect(V)
     if not drift <= FRAME_DRIFT_REJECT:  # NaN fails too
         raise ValueError(f"frame orthonormality drift {drift:.3e} > {FRAME_DRIFT_REJECT}")
@@ -95,6 +98,8 @@ def holonomy_reconstruct(A: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
     each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))."""
     if len(A) < 3 or len(A) % 2 == 0:
         raise ValueError(f"{len(A)} samples of A; the Magnus steps need 2n+1, n >= 1")
+    if len(K) != len(A):
+        raise ValueError(f"{len(K)} samples of K for {len(A)} samples of A")
     X = (1j * (A - K)).transpose(1, 2, 0)
     X0, Xm, X1 = X[..., 0:-1:2], X[..., 1::2], X[..., 2::2]
     comm = node_last_product(X1, X0) - node_last_product(X0, X1)
@@ -137,15 +142,14 @@ def reconstruct_computational_gate(
     return end[:, comp].T @ C @ start[:, comp].conj()
 
 
-def condition_residuals(
-    schedule: PulseSchedule, traj: Trajectory, err: ErrorModel = ErrorModel()
-) -> tuple[float, float]:
+def condition_residuals(traj: Trajectory) -> tuple[float, float]:
     """Cyclic projector defect and the worst parallel-transport matrix
-    element along the computational trajectories of `traj`, the unitary
-    trajectory of `schedule` under `err`, taken segment by segment."""
+    element along the computational trajectories of the unitary run
+    `traj`, under the Hamiltonian of the schedule and errors it records,
+    taken segment by segment."""
     if traj.kind != "unitary":
         raise ValueError(f"condition_residuals takes a unitary trajectory, not {traj.kind!r}")
-    comp = list(schedule.system.computational_indices)
+    comp = list(traj.schedule.system.computational_indices)
     phis = traj.operators[:, :, comp]  # (n, d, 2)
     P0 = phis[0] @ phis[0].conj().T
     P1 = phis[-1] @ phis[-1].conj().T
@@ -153,11 +157,11 @@ def condition_residuals(
     kets = np.ascontiguousarray(phis.transpose(1, 2, 0))  # (d, 2, n)
     del phis
     parallel = 0.0
-    for k, t in segment_state_times(schedule, traj.steps):
+    for k, t in segment_state_times(traj):
         phi, kets = kets[..., :len(t)], kets[..., len(t):]
         # H unnamed, so it is freed before the second product
         H_phi = node_last_product(
-            segment_hamiltonian_nodes(schedule, k, t, err).transpose(1, 2, 0), phi)
+            segment_hamiltonian_nodes(traj.schedule, k, t, traj.err).transpose(1, 2, 0), phi)
         elems = node_last_product(phi.conj().transpose(1, 0, 2), H_phi)
         parallel = max(parallel, float(np.abs(elems).max()))
     return cyclic, parallel

@@ -104,7 +104,7 @@ def test_criterion_2_ideal_gates(schedules, ideal_runs, oracle_gates, tag):
 @pytest.mark.parametrize("tag", ["sl", "c", "s", "cdd"])
 def test_criterion_3_conditions(schedules, tag):
     sched = schedules[tag]
-    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
+    cyc, par = condition_residuals(propagate_unitary(sched, samples=2500))
     ok = cyc < 1e-7 and par < 1e-6
     assert report(3, f"conditions[{tag}]", ok,
                   f"cyclic={cyc:.2e} (<1e-7) parallel={par:.2e} (<1e-6)")
@@ -120,7 +120,7 @@ def test_criterion_3_conditions(schedules, tag):
 )
 def test_criterion_3_conditions_pointwise_unattainable(schedules, tag):
     sched = schedules[tag]
-    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
+    cyc, par = condition_residuals(propagate_unitary(sched, samples=2500))
     ok = cyc < 1e-7 and par < 1e-6
     report(3, f"conditions[{tag}]", ok,
            f"cyclic={cyc:.2e} (<1e-7) parallel={par:.2e} (<1e-6): pointwise "
@@ -131,12 +131,12 @@ def test_criterion_3_conditions_pointwise_unattainable(schedules, tag):
 @pytest.mark.parametrize("tag", ["ps", "dc"])
 def test_criterion_3_net_dynamical_cancellation(schedules, ideal_runs, tag):
     sched = schedules[tag]
-    cyc, _ = condition_residuals(sched, propagate_unitary(sched, samples=2500))
+    cyc, _ = condition_residuals(propagate_unitary(sched, samples=2500))
     traj = ideal_runs[tag]
     b = sched.system.embed_qubit([0, -1])
     psi = traj.operators @ b
     H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, ErrorModel())
-                        for k, t in segment_state_times(sched, traj.steps)])
+                        for k, t in segment_state_times(traj)])
     rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
     net = abs(np.trapezoid(rate, traj.times))
     ok = cyc < 1e-7 and net < 1e-9
@@ -315,7 +315,7 @@ def test_criterion_8_dfs3(schedules, oracle_gates):
     comp = list(sched.system.computational_indices)
     M = U[np.ix_(comp, comp)]
     leakage = float(np.abs(M.conj().T @ M - np.eye(2)).max())
-    cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2500))
+    cyc, par = condition_residuals(propagate_unitary(sched, samples=2500))
     ok = leakage < 1e-8 and cyc < 1e-7 and par < 1e-8
     assert report(8, "dfs3 subspace gate", ok,
                   f"leakage={leakage:.2e} (<1e-8) cyclic={cyc:.2e} (<1e-7) "
@@ -332,7 +332,7 @@ def test_criterion_9_sta_fast_transitionless():
     traj = propagate_unitary(sched, samples=2000)
     k1 = sched.system.basis_state(1)
     dark = np.concatenate([sched.segments[k].frame(t)[:, 1]
-                           for k, t in segment_state_times(sched, traj.steps)])
+                           for k, t in segment_state_times(traj)])
     overlaps = np.abs(np.einsum("nc,nc->n", dark.conj(), traj.operators @ k1))
     comp = list(sched.system.computational_indices)
     M = traj.final[np.ix_(comp, comp)]

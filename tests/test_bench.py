@@ -88,7 +88,7 @@ class TestLindbladFidelity:
         err = ErrorModel(gamma_minus=golden["gamma_minus"], gamma_z=golden["gamma_z"])
         rho = oracle_propagate_lindblad(sched, err, six_axial_densities(sched.system),
                                         slices=golden["oracle_slices"])
-        f = six_state_fidelity(sched.system, sched.target, rho)
+        f = six_state_fidelity(sched, rho)
         assert f == pytest.approx(golden["fidelity"], abs=1e-8)
 
 

@@ -1061,11 +1061,20 @@ class TestTrajectoryCapture:
             assert traj.times[0] == 0.0
             assert traj.times[-1] == pytest.approx(schedules[tag].total_duration)
 
-    @pytest.mark.parametrize("steps", [(), (10,), (10, 10, 10)])
-    def test_state_times_reject_step_count_mismatch(self, schedules, steps):
-        # sl has two segments: other step-count lists belong to another run
-        with pytest.raises(ValueError, match=f"^{len(steps)} step counts for 2 segments$"):
-            list(segment_state_times(schedules["sl"], steps))
+    def test_runs_record_schedule_and_errors(self, schedules):
+        # both routes record what they ran, and the state times recovered
+        # from the record are the run's own
+        sched = schedules["sl"]
+        closed = ErrorModel(epsilon=0.03, eta=-0.02)
+        opened = ErrorModel(epsilon=0.03, gamma_minus=1e-3, gamma_z=5e-4)
+        unitary = propagate_unitary(sched, closed, samples=200)
+        lindblad = propagate_lindblad(sched, opened, basis_rho(3, 0), samples=300)
+        starts = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        for traj, err in ((unitary, closed), (lindblad, opened)):
+            assert traj.schedule is sched
+            assert traj.err == err
+            times = np.concatenate([starts[k] + t for k, t in segment_state_times(traj)])
+            assert np.abs(times - traj.times).max() <= 1e-12
 
 
 @pytest.mark.parametrize("samples", [0, -5])

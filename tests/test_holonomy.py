@@ -150,12 +150,16 @@ class TestFrameConnection:
             ref = stacked_reconstruct(A, K, h)
             assert np.abs(holonomy_reconstruct(A, K, h) - ref).max() <= 1e-15
 
-    @pytest.mark.parametrize("samples", [0, 4])
-    def test_rejects_too_few_samples(self, schedules, samples):
+    @pytest.mark.parametrize("frames, nodes, message", [
+        *(pytest.param(n, n, f"{n} frame samples; five-point differences need at least 5",
+                       id=str(n)) for n in (0, 4)),
+        pytest.param(9, 8, "8 H nodes for 9 frame samples", id="9-8"),
+    ])
+    def test_rejects_too_few_samples(self, schedules, frames, nodes, message):
+        # too few frame samples for the differences, or too few H nodes for them
         h, V, H = segment_lattice(schedules["sl"], 0, 8)
-        with pytest.raises(ValueError, match=f"^{samples} frame samples; five-point differences "
-                                             "need at least 5$"):
-            frame_connection(V[:samples], H[:samples], h)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            frame_connection(V[:frames], H[:nodes], h)
 
     def test_s_scheme_dynamical_part_vanishes(self, schedules):
         # parallel transport built into the inverse-engineered loop
@@ -202,13 +206,17 @@ class TestReconstruct:
         expected = (V * np.exp(1j * w * 2.0)) @ V.conj().T
         assert np.abs(holonomy_reconstruct(A, 0 * A, 2.0 / 256) - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("samples", [0, 1, 2, 64])
-    def test_rejects_sample_count_of_no_magnus_lattice(self, samples):
-        # 2n+1 samples, n >= 1: an even count or a single sample has no lattice
+    @pytest.mark.parametrize("samples, k_samples, message", [
+        *(pytest.param(n, n, rf"{n} samples of A; the Magnus steps need 2n\+1, n >= 1",
+                       id=str(n)) for n in (0, 1, 2, 64)),
+        pytest.param(65, 63, "63 samples of K for 65 samples of A", id="65-63"),
+    ])
+    def test_rejects_sample_count_of_no_magnus_lattice(self, samples, k_samples, message):
+        # 2n+1 samples, n >= 1: an even count or a single sample has no
+        # lattice; K must be sampled on the lattice of A
         Z = np.zeros((samples, 2, 2), dtype=complex)
-        with pytest.raises(ValueError, match=f"^{samples} samples of A; the Magnus steps need "
-                                             r"2n\+1, n >= 1$"):
-            holonomy_reconstruct(Z, Z, 0.1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            holonomy_reconstruct(Z, Z[:k_samples], 0.1)
 
     @pytest.mark.parametrize("tag", ["sl", "ps", "c", "dc", "to", "s", "cdd", "ss",
                                      "sta", "dfs3"])
@@ -277,15 +285,15 @@ class TestReconstruct:
 class TestConditionResiduals:
     def test_sl_ideal(self, schedules):
         sched = schedules["sl"]
-        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=1500))
+        cyc, par = condition_residuals(propagate_unitary(sched, samples=1500))
         assert cyc < 1e-7
         assert par < 1e-6
 
     def test_sl_rabi_error_breaks_cyclicity(self, schedules):
         sched = schedules["sl"]
         err = ErrorModel(epsilon=0.1)
-        cyc0, _ = condition_residuals(sched, propagate_unitary(sched, samples=1000))
-        cyc1, _ = condition_residuals(sched, propagate_unitary(sched, err, samples=1000), err)
+        cyc0, _ = condition_residuals(propagate_unitary(sched, samples=1000))
+        cyc1, _ = condition_residuals(propagate_unitary(sched, err, samples=1000))
         assert cyc1 > 100 * max(cyc0, 1e-12)
         assert cyc1 > 1e-3  # O(epsilon) scale
 
@@ -293,7 +301,7 @@ class TestConditionResiduals:
         from test_dynamics import zero_schedule
 
         sched = zero_schedule()
-        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=100))
+        cyc, par = condition_residuals(propagate_unitary(sched, samples=100))
         assert cyc == pytest.approx(0.0, abs=1e-14)
         assert par == pytest.approx(0.0, abs=1e-14)
 
@@ -301,7 +309,7 @@ class TestConditionResiduals:
         # the shaped loop violates pointwise parallel transport by exactly
         # (df/dt) sin^2(chi) / 2 along the driven trajectory
         sched = schedules["ps"]
-        _, par = condition_residuals(sched, propagate_unitary(sched, samples=1500))
+        _, par = condition_residuals(propagate_unitary(sched, samples=1500))
         vs = sched.notes["varsigma"]
         Ts = sched.segments[0].duration
         s = np.linspace(0, Ts, 3001)
@@ -313,7 +321,7 @@ class TestConditionResiduals:
     @pytest.mark.parametrize("tag", ["sl", "c", "s", "cdd"])
     def test_pointwise_parallel_transport(self, schedules, tag):
         sched = schedules[tag]
-        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2000))
+        cyc, par = condition_residuals(propagate_unitary(sched, samples=2000))
         assert cyc < 1e-7, tag
         assert par < 1e-6, tag
 
@@ -322,14 +330,14 @@ class TestConditionResiduals:
         # corrective/shaped loops carry O(omega_bar) instantaneous dynamical
         # rates that cancel over the cycle; cyclicity is unaffected
         sched = schedules[tag]
-        cyc, par = condition_residuals(sched, propagate_unitary(sched, samples=2000))
+        cyc, par = condition_residuals(propagate_unitary(sched, samples=2000))
         assert cyc < 1e-7
         assert par > 0.1  # genuinely nonzero pointwise
         traj = ideal_runs[tag]
         b = sched.system.embed_qubit([0, -1])  # theta=0 bright
         psi = traj.operators @ b
         H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, ErrorModel())
-                            for k, t in segment_state_times(sched, traj.steps)])
+                            for k, t in segment_state_times(traj)])
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
         assert abs(np.trapezoid(rate, traj.times)) < 1e-9
 
@@ -340,10 +348,10 @@ class TestConditionResiduals:
         # products; the stacked complex @ gives the same value up to roundoff
         sched = schedules[tag]
         traj = propagate_unitary(sched, err)
-        cyc, par = condition_residuals(sched, traj, err)
+        cyc, par = condition_residuals(traj)
         phis = traj.operators[:, :, list(sched.system.computational_indices)]
         H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, err)
-                            for k, t in segment_state_times(sched, traj.steps)])
+                            for k, t in segment_state_times(traj)])
         ref = np.abs(phis.conj().swapaxes(-1, -2) @ (H @ phis)).max()
         assert abs(par - ref) <= 1e-15
 
@@ -362,18 +370,37 @@ class TestConditionResiduals:
                               target=np.eye(2, dtype=complex), scheme_label="jump")
         traj = propagate_unitary(sched, samples=200)
         assert traj.steps == (100, 100)
-        _, par = condition_residuals(sched, traj)
+        _, par = condition_residuals(traj)
         assert par == pytest.approx(2.0, abs=1e-10)  # 1.98 on the previous segment
 
-    def test_rejects_trajectory_of_another_schedule(self, schedules, ideal_runs):
-        # c has four segments, sl two: the step counts of sl's run cannot
-        # place c's states
-        with pytest.raises(ValueError, match="^2 step counts for 4 segments$"):
-            condition_residuals(schedules["c"], ideal_runs["sl"])
+    def test_reads_the_errors_of_its_run(self, schedules):
+        # sl's run at epsilon = 0.03, eta = -0.02 is read under H at those
+        # errors, which the run records, not at the ideal H
+        sched = schedules["sl"]
+        err = ErrorModel(epsilon=0.03, eta=-0.02)
+        traj = propagate_unitary(sched, err)
+        _, par = condition_residuals(traj)
+        phis = traj.operators[:, :, list(sched.system.computational_indices)]
+
+        def stacked(e):
+            H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, e)
+                                for k, t in segment_state_times(traj)])
+            return np.abs(phis.conj().swapaxes(-1, -2) @ (H @ phis)).max()
+
+        assert abs(par - stacked(err)) <= 1e-15
+        assert abs(par - stacked(ErrorModel())) > 1e-3
+
+    def test_reads_the_schedule_of_its_run(self):
+        # sl built for gate T: the run carries that schedule, whose loop it
+        # closes and transports parallel
+        sched = build_schedule(SchemeSpec("SL", GateAngles(PI / 4, 0.0, 0.0)))
+        cyc, par = condition_residuals(propagate_unitary(sched))
+        assert cyc < 1e-9
+        assert par < 1e-9
 
     def test_rejects_open_system_trajectory(self, schedules):
         sched = schedules["sl"]
         err = ErrorModel(gamma_minus=1e-3)
         traj = propagate_lindblad(sched, err, six_axial_densities(sched.system), samples=200)
         with pytest.raises(ValueError, match="takes a unitary trajectory, not 'lindblad'"):
-            condition_residuals(sched, traj, err)
+            condition_residuals(traj)

@@ -323,7 +323,7 @@ class TestSta:
         k1 = np.zeros(4, dtype=complex)
         k1[1] = 1.0
         dark = np.concatenate([sched.segments[k].frame(t)[:, 1]
-                               for k, t in segment_state_times(sched, traj.steps)])
+                               for k, t in segment_state_times(traj)])
         overlaps = np.abs(np.einsum("nc,nc->n", dark.conj(), traj.operators @ k1))
         assert min(overlaps) > 0.999
 
@@ -426,7 +426,7 @@ class TestToUnconventional:
         w = sched.segments[0].frame(np.zeros(1))[0, 1]
         psi = traj.operators @ w
         H = np.concatenate([segment_hamiltonian_nodes(sched, k, t, ErrorModel())
-                            for k, t in segment_state_times(sched, traj.steps)])
+                            for k, t in segment_state_times(traj)])
         rate = np.einsum("ni,nij,nj->n", psi.conj(), H, psi).real
         dyn = -np.trapezoid(rate, traj.times)
         assert dyn == pytest.approx(sched.notes["dynamical_phase"], abs=1e-6)
