@@ -67,11 +67,24 @@ def unitarity_defect(M: np.ndarray) -> float:
     one matrix M (r, c) or of every matrix of a stack (n, r, c): the
     unitarity of square matrices and the orthonormality of the rows of
     frames.  M M^dagger is Hermitian, so only its rows i <= k are formed,
-    in real arithmetic on a node-last copy of Re M and Im M, and the
-    largest re^2 + im^2 of an entry takes the one square root; NaN in M
-    reads NaN, and squares that overflow read inf."""
+    in real arithmetic on node-last copies of Re M and Im M, and the
+    largest re^2 + im^2 of an entry takes the one square root.  The copies
+    are taken per block of max(1, CHUNK_ELEMENTS // (r c)) matrices, so a
+    trajectory-sized stack is never copied whole; each block does the
+    per-matrix arithmetic of the whole stack, and the largest block value
+    is returned.  NaN in M reads NaN, squares that overflow read inf, and
+    an empty stack reads 0."""
     M = M.reshape((-1,) + M.shape[-2:])
-    re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (M.real, M.imag))
+    block = max(1, CHUNK_ELEMENTS // (M.shape[-2] * M.shape[-1]))
+    worst = [_gram_squares(M[b0:b0 + block]) for b0 in range(0, len(M), block)]
+    return math.sqrt(np.max(worst, initial=0.0))
+
+
+def _gram_squares(M: np.ndarray) -> float:
+    """The largest |M M^dagger - I|^2 over the entries of a nonempty stack
+    M (n, r, c), on node-last copies of Re M and Im M, which are freed on
+    return."""
+    re, im = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (M.real, M.imag))
     worst = []
     for i in range(len(re)):
         # Re and Im of the entries (i, k >= i) of the Gram matrix, (r - i, n)
@@ -79,8 +92,8 @@ def unitarity_defect(M: np.ndarray) -> float:
         gram_im = np.einsum("jn,kjn->kn", im[i], re[i:]) - np.einsum("jn,kjn->kn", re[i], im[i:])
         gram_re[0] -= 1.0
         with np.errstate(over="ignore"):  # inf fails every threshold
-            worst.append((gram_re * gram_re + gram_im * gram_im).max(initial=0.0))
-    return math.sqrt(np.max(worst))
+            worst.append((gram_re * gram_re + gram_im * gram_im).max())
+    return np.max(worst)
 
 
 def node_last_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

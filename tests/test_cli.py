@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from nhqcbench.bench import GATE_ANGLES, benchmark_catalog
 from nhqcbench.cli import TIME_UNIT_NS, _csv_line, _fmt, _header_lines, _write_csv, main
 from nhqcbench.dynamics import propagate_unitary
+from nhqcbench.numkit import CHUNK_ELEMENTS
 from nhqcbench.schemes import build_schedule
 from nhqcbench.system import ErrorModel
 
@@ -439,6 +441,28 @@ def test_check_accepts_out_dir_and_writes_nothing(tmp_path, capsys):
                     capsys)
     assert code == 0 and "rk4_vs_oracle=" in out
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--scheme", "dfs3"], id="check"),
+    pytest.param(["simulate", "--scheme", "dfs3", "--gate", "H"], id="simulate"),
+])
+def test_dfs3_working_set(tmp_path, capsys, ideal_runs, argv):
+    # what a dfs3 run must hold is its (2001, 8, 8) trajectory; beyond it the
+    # checks walk node blocks of at most CHUNK_ELEMENTS complex entries, so
+    # three such arrays bound the rest (the frame rows of the reconstruction,
+    # 2 x 8 x 4097 entries, fit in the same bound, as the trajectory is freed)
+    argv = [*argv, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0  # warm: imports and caches are not the run's working set
+    bound = ideal_runs["dfs3"].operators.nbytes + 3 * CHUNK_ELEMENTS * 16
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < bound, f"traced peak {peak / 1e6:.2f} MB >= {bound / 1e6:.2f} MB"
 
 
 SWEEP_ARGV = ["sweep", "--axis", "epsilon", "--range=-0.1:0.1:3", "--schemes", "sl"]

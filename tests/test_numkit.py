@@ -716,9 +716,16 @@ class TestUnitarityDefect:
             for M in (U, V):
                 assert abs(unitarity_defect(M) - einsum_unitarity_defect(M)) <= 1e-15, tag
 
-    @pytest.mark.parametrize("where", [(0, 0, 0), (7, 2, 1), (9, 0, 2)])
-    def test_nan_fails_every_threshold(self, where):
-        M = np.tile(np.eye(3, dtype=complex), (10, 1, 1))
+    # (2001, 8, 8) stacks are taken in blocks of CHUNK_ELEMENTS // 64 = 512
+    # matrices, so their node 1500 lies in the third block
+    @pytest.mark.parametrize("shape, where", [
+        pytest.param((10, 3, 3), (0, 0, 0), id="where0"),
+        pytest.param((10, 3, 3), (7, 2, 1), id="where1"),
+        pytest.param((10, 3, 3), (9, 0, 2), id="where2"),
+        pytest.param((2001, 8, 8), (1500, 5, 3), id="third-block"),
+    ])
+    def test_nan_fails_every_threshold(self, shape, where):
+        M = np.tile(np.eye(shape[-1], dtype=complex), shape[:1] + (1, 1))
         M[where] = np.nan
         defect = unitarity_defect(M)
         assert not defect <= 1e300 and not defect > 0  # NaN
@@ -726,14 +733,19 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("entry", [1e100, 1e100j, -3e150, 1e200])
     def test_overflowing_squares_fail_every_threshold(self, entry):
         # Gram entries whose square overflows (or that overflow themselves)
-        # read inf, silently; a NaN elsewhere in the stack still reads NaN
-        M = np.tile(np.eye(3, dtype=complex), (10, 1, 1))
-        M[7, 1, 2] = entry
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert unitarity_defect(M) == np.inf
-            M[2, 0, 0] = np.nan
-            assert np.isnan(unitarity_defect(M))
+        # read inf, silently; a NaN elsewhere in the stack, in an earlier
+        # block of the long one, still reads NaN
+        for shape, at in (((10, 3, 3), (7, 1, 2)), ((2001, 8, 8), (1500, 1, 2))):
+            M = np.tile(np.eye(shape[-1], dtype=complex), shape[:1] + (1, 1))
+            M[at] = entry
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert unitarity_defect(M) == np.inf, shape
+                M[2, 0, 0] = np.nan
+                assert np.isnan(unitarity_defect(M)), shape
+
+    def test_empty_stack_reads_zero(self):
+        assert unitarity_defect(np.zeros((0, 3, 3), dtype=complex)) == 0.0
 
 
 def test_hermiticity_defect_reports_magnitude():
