@@ -43,6 +43,7 @@ from nhqcbench import dynamics
 from nhqcbench.bench import FIG13_GAMMA, TABLE1_TAGS, benchmark_catalog, pulse_area, sweep
 from nhqcbench.dynamics import (
     ORACLE_LINDBLAD_SLICES,
+    ORACLE_SLICE_FLOOR,
     ORACLE_SLICES,
     allocate_steps,
     lindblad_superoperator,
@@ -64,7 +65,7 @@ GOLDEN_TAGS = ("sl", "ps", "dc")
 SWEEPS = {
     "sweep_epsilon": (GOLDEN_TAGS, "epsilon", np.linspace(-0.1, 0.1, 41),
                       ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)),
-    "fig13a": (TABLE1_TAGS, "gamma_decoherence", np.linspace(0.0, 6e-4, 9), ErrorModel()),
+    "fig13a": (TABLE1_TAGS, "decoherence", np.linspace(0.0, 6e-4, 9), ErrorModel()),
     "dfs3_epsilon": (("dfs3",), "epsilon", np.linspace(-0.1, 0.1, 9), ErrorModel()),
 }
 
@@ -133,8 +134,8 @@ def longdouble_oracle(sched, err: ErrorModel) -> np.ndarray:
     a, b = np.longdouble(dynamics._CF4_A), np.longdouble(dynamics._CF4_B)
     U = eye.copy()
     chunk = 2048  # slices per batched polynomial
-    for si, (seg, n) in enumerate(zip(sched.segments,
-                                      allocate_steps(sched, ORACLE_SLICES, floor=16))):
+    alloc = allocate_steps(sched, ORACLE_SLICES, floor=ORACLE_SLICE_FLOOR)
+    for si, (seg, n) in enumerate(zip(sched.segments, alloc)):
         h = seg.duration / n
         t0 = np.arange(n) * h
         H1, H2 = (segment_hamiltonian_nodes(sched, si, t0 + c * h, err).astype(np.clongdouble)
@@ -161,8 +162,8 @@ def longdouble_lindblad_oracle(sched, err: ErrorModel, rho0: np.ndarray) -> np.n
     eye = np.eye(d2, dtype=np.clongdouble)
     a, b = np.longdouble(dynamics._CF4_A), np.longdouble(dynamics._CF4_B)
     P = eye.copy()
-    for si, (seg, n) in enumerate(zip(sched.segments,
-                                      allocate_steps(sched, ORACLE_LINDBLAD_SLICES, floor=16))):
+    alloc = allocate_steps(sched, ORACLE_LINDBLAD_SLICES, floor=ORACLE_SLICE_FLOOR)
+    for si, (seg, n) in enumerate(zip(sched.segments, alloc)):
         h = seg.duration / n
         t0 = np.arange(n) * h
         L1, L2 = (lindblad_superoperator(sched.system, err,

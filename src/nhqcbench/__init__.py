@@ -40,7 +40,6 @@ from .bench import (
     fit_leading_order,
     lindblad_gate_fidelity,
     overlap_gate_fidelity,
-    peak_excited_population,
     pulse_area,
     sweep,
     unitary_gate_fidelity,
@@ -72,7 +71,6 @@ __all__ = [
     "oracle_propagate_lindblad",
     "oracle_propagate_unitary",
     "overlap_gate_fidelity",
-    "peak_excited_population",
     "propagate_lindblad",
     "propagate_lindblad_grid",
     "propagate_unitary",

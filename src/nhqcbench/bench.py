@@ -134,19 +134,13 @@ def six_state_fidelity(schedule: PulseSchedule, rho: np.ndarray) -> float:
     return float(np.einsum("ki,kij,kj->k", ideal.conj(), rho, ideal).real.mean())
 
 
-def _six_state_run(schedule: PulseSchedule, err: ErrorModel, samples: int | None = None):
-    """Propagate the six axial states open-system; returns (fidelity, traj)."""
-    traj = propagate_lindblad(schedule, err, six_axial_densities(schedule.system), samples)
-    return six_state_fidelity(schedule, traj.final), traj
-
-
 def lindblad_gate_fidelity(
     schedule: PulseSchedule, err: ErrorModel, samples: int | None = None
 ) -> float:
     """Six-axial-state average <psi|T^+ rho(tau) T|psi>, T the schedule's
     target."""
-    fid, _ = _six_state_run(schedule, err, samples)
-    return fid
+    traj = propagate_lindblad(schedule, err, six_axial_densities(schedule.system), samples)
+    return six_state_fidelity(schedule, traj.final)
 
 
 def pulse_area(schedule: PulseSchedule) -> float:
@@ -163,10 +157,6 @@ def _schedule(spec: SchemeSpec | PulseSchedule) -> PulseSchedule:
     return spec if isinstance(spec, PulseSchedule) else build_schedule(spec)
 
 
-def peak_excited_population(trajectory) -> float:
-    return float(trajectory.excited_population.max())
-
-
 def simulate_report(
     spec: SchemeSpec | PulseSchedule, err: ErrorModel = ErrorModel(), samples: int | None = None
 ) -> tuple[GateReport, object]:
@@ -177,7 +167,8 @@ def simulate_report(
         # samples counts Lindblad steps here; the residuals keep the
         # default unitary resolution
         cyc, par = condition_residuals(propagate_unitary(schedule, closed))
-        fid, traj = _six_state_run(schedule, err, samples)
+        traj = propagate_lindblad(schedule, err, six_axial_densities(schedule.system), samples)
+        fid = six_state_fidelity(schedule, traj.final)
         metric = "six_axial_state_average"
     else:
         traj = propagate_unitary(schedule, closed, samples)
@@ -188,7 +179,7 @@ def simulate_report(
         scheme_label=schedule.scheme_label,
         fidelity=fid,
         pulse_area_pi=pulse_area(schedule),
-        peak_excited_population=peak_excited_population(traj),
+        peak_excited_population=float(traj.excited_population.max()),
         cyclic_residual=cyc,
         parallel_residual=par,
         duration=schedule.total_duration,
@@ -208,7 +199,8 @@ def sweep(
     """Evaluate the six-state fidelity per scheme per grid point.
 
     epsilon/eta sweeps hold the decoherence rates of `fixed`; the
-    decoherence sweep sets gamma_minus = gamma_z = value with eps = eta = 0.
+    decoherence sweep sets gamma_minus = gamma_z = value with eps = eta = 0,
+    so it rejects nonzero fixed rates, which it would not apply.
     The axis only chooses each point's error model: every scheme takes one
     RK4 pass over the whole grid (propagate_lindblad_grid), whose generator
     is affine in the error parameters.  Evaluation order never affects
@@ -220,13 +212,18 @@ def sweep(
         raise ValueError("empty sweep grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("sweep grid must be strictly increasing")
-    point = {
+    points = {
         "epsilon": lambda x: replace(fixed, epsilon=x),
         "eta": lambda x: replace(fixed, eta=x),
-        "gamma_decoherence": lambda x: ErrorModel(gamma_minus=x, gamma_z=x),
-    }.get(axis)
+        "decoherence": lambda x: ErrorModel(gamma_minus=x, gamma_z=x),
+    }
+    point = points.get(axis)
     if point is None:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        raise ValueError(f"unknown axis {axis!r}; valid: {', '.join(points)}")
+    if axis == "decoherence" and fixed.open_system:
+        raise ValueError(f"the decoherence axis sets both rates from its grid; fixed "
+                         f"gamma_minus={fixed.gamma_minus:g} and gamma_z={fixed.gamma_z:g} "
+                         f"must be 0")
     errs = [point(float(x)) for x in grid]
     result = SweepResult(axis=axis, grid=grid, fixed=fixed)
     for tag, spec in specs.items():

@@ -241,20 +241,17 @@ def _write_sweep(args, result, out: Path, **meta) -> None:
 
 
 def cmd_sweep(args) -> int:
-    axis = {"epsilon": "epsilon", "eta": "eta", "decoherence": "gamma_decoherence"}.get(args.axis)
-    if axis is None:
-        raise UsageError(f"unknown axis {args.axis!r}; valid: epsilon, eta, decoherence")
     grid = _parse_range(args.range)
     tags = [t.strip() for t in args.schemes.split(",") if t.strip()]
     if not tags:
         raise UsageError(f"--schemes names no scheme, got {args.schemes!r}")
     schedules = {t: build_schedule(_resolve_spec(t)) for t in tags}
     fixed = ErrorModel(gamma_minus=args.gamma_minus, gamma_z=args.gamma_z)
-    result = sweep(schedules, axis, grid, fixed, args.samples)
+    result = sweep(schedules, args.axis, grid, fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"sweep_{args.axis}.csv"
     _write_sweep(args, result, out, axis=args.axis)
     print(f"sweep_file={out}")
-    if axis == "eta":
+    if args.axis == "eta":
         for t, schedule in schedules.items():
             _warn_if_eta_idle(t, schedule)
     return 0
@@ -288,11 +285,11 @@ def cmd_table1(args) -> int:
 
 
 _FIG13_DECOHERED = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
-# panel: (axis name, sweep axis, grid ends, fixed error model)
+# panel: (sweep axis, grid ends, fixed error model)
 _FIG13_PANELS = {
-    "a": ("decoherence", "gamma_decoherence", (0.0, 6e-4), ErrorModel()),
-    "b": ("epsilon", "epsilon", (-0.1, 0.1), _FIG13_DECOHERED),
-    "c": ("eta", "eta", (-0.1, 0.1), _FIG13_DECOHERED),
+    "a": ("decoherence", (0.0, 6e-4), ErrorModel()),
+    "b": ("epsilon", (-0.1, 0.1), _FIG13_DECOHERED),
+    "c": ("eta", (-0.1, 0.1), _FIG13_DECOHERED),
 }
 
 
@@ -300,12 +297,12 @@ def cmd_fig13(args) -> int:
     panel = args.panel
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    axis_name, axis, (a, b), fixed = _FIG13_PANELS[panel]
+    axis, (a, b), fixed = _FIG13_PANELS[panel]
     catalog = benchmark_catalog()
     specs = {t: catalog[t] for t in TABLE1_TAGS}
     result = sweep(specs, axis, _grid(a, b, args.points, "--points"), fixed, args.samples)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"fig13{panel}.csv"
-    _write_sweep(args, result, out, panel=panel, axis=axis_name)
+    _write_sweep(args, result, out, panel=panel, axis=axis)
     print(f"data_file={out}")
     return 0
 

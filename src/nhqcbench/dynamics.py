@@ -32,7 +32,9 @@ RK4 state is checked for trace and positivity in Q, and rho, Hermitian by
 construction, is read back only where a caller keeps it: once per chunk of a trajectory,
 once per grid block for the final states of a sweep.  Likewise the
 propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
-per chunk.
+per chunk.  The states of a pass live in the one buffer that
+``rk4_chunks`` holds for it; the density check allocates its chunk-sized
+temporaries afresh for each chunk.
 
 The RK4 generators of a segment reach the engine in one of two forms.  A
 square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
@@ -290,25 +292,7 @@ def propagate_unitary(
                       steps=steps, schedule=schedule, err=err)
 
 
-class _Buffers:
-    """Arrays held across the chunks of one pass, so that chunk-sized
-    temporaries are not handed back to the allocator and refaulted chunk by
-    chunk: take(key, shape) is a view of the first prod(shape) entries of
-    the buffer `key`, which grows when it is too small and is overwritten
-    by the next take of that key."""
-
-    def __init__(self):
-        self._held: dict = {}
-
-    def take(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._held.get(key)
-        if buf is None or buf.size < size:
-            buf = self._held[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
-def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = None) -> None:
+def _validate_density(states: np.ndarray, where: str) -> None:
     """Trace and positivity of every density of `states`, given by the real
     coordinates Q of batches (..., d*d, k): as rk4_chunks yields them, or
     the columns (d*d, k) of rho0 that _rho0_columns makes.
@@ -322,24 +306,24 @@ def _validate_density(states: np.ndarray, where: str, bufs: _Buffers | None = No
     Computations, 4.2).  A pivot is final once taken, and one that is not
     positive spoils only the later ones, so all are checked at the end;
     only when one is not positive does eigvalsh decide exactly and name
-    the eigenvalue.  The copies and the elimination's temporaries are
-    taken from bufs, which a pass holds across its chunks."""
-    take = (bufs or _Buffers()).take
+    the eigenvalue.  The four temporaries, the copies q and rho, the Schur
+    row and its outer product, are allocated per call; the elimination
+    writes into them with out=, so its pivots allocate nothing."""
     d = math.isqrt(states.shape[-2])
     moved = np.moveaxis(states, -2, 0)
-    q = take("q", (d, d, moved[0].size))
+    q = np.empty((d, d, moved[0].size))
     np.copyto(q.reshape(moved.shape), moved)
     deviation = np.abs(np.trace(q) - 1.0).max()
     if not deviation <= TRACE_TOL:  # NaN fails too
         raise RuntimeError(f"trace deviates by {deviation:.3e} {where}")
-    A = take("rho", q.shape, complex)
+    A = np.empty(q.shape, complex)
     np.add(q, q.swapaxes(0, 1), out=A.real)
     np.subtract(q, q.swapaxes(0, 1), out=A.imag)
     halves = A.view(float)
     halves *= 0.5
     A.real.reshape(d * d, -1)[::d + 1] -= POSITIVITY_TOL  # the diagonal, a strided view
-    row = take("row", (d - 1,) + q.shape[2:], complex)
-    outer = take("outer", (d - 1,) + row.shape, complex)
+    row = np.empty((d - 1,) + q.shape[2:], complex)
+    outer = np.empty((d - 1,) + row.shape, complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
             a, schur = A[j + 1:, j], A[j + 1:, j + 1:]
@@ -416,17 +400,17 @@ def _lindblad_chunks(schedule: PulseSchedule, errs, cols: np.ndarray, samples: i
     every error model of errs at once (_rk4_pass): the global times, the
     steps per segment and an iterator over the states after cols, chunk by
     chunk, as their coordinates Q in the columns of (c, G, d*d, k), each
-    chunk valid until the next is requested.  Every chunk passes the trace
-    and positivity check in Q before it is yielded; the states read back
-    from Q are Hermitian by construction.
+    chunk valid until the next is requested (rk4_chunks holds one buffer
+    for them).  This is the one place that checks every chunk: each passes
+    _validate_density, trace and positivity in Q, before it is yielded; the
+    states read back from Q are Hermitian by construction.
     """
     cols = np.broadcast_to(cols, (len(errs),) + cols.shape)
     times, steps, states_after = _rk4_pass(schedule, errs, cols, "lindblad", samples)
 
     def chunks():
-        bufs = _Buffers()
         for states in states_after:
-            _validate_density(states, "during evolution", bufs)
+            _validate_density(states, "during evolution")
             yield states
     return times, steps, chunks()
 

@@ -63,15 +63,13 @@ class SchemeSpec:
     loops: int = 2  # C, CDD
     varsigma: float = 1.0  # PS
     gamma_ss: float = -PI / 6  # SS detuning angle
-    phi1: float = PI / 2  # STA azimuth span
-    dfs_phi: float = 0.0  # DFS3 axis
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
         if not isinstance(self.loops, numbers.Integral) or self.loops < 1:
             raise ValueError(f"loops={self.loops!r} must be an integer >= 1")
-        for name in ("varsigma", "gamma_ss", "phi1", "dfs_phi"):
+        for name in ("varsigma", "gamma_ss"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name}={value} must be finite")
@@ -801,7 +799,8 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
 # the schemes
 # ---------------------------------------------------------------------------
 
-# tag: builder, in catalog order; S is CDD with one loop
+# tag: builder, in catalog order; S is CDD with one loop; STA and DFS3 fix
+# their gate: the phase gate diag(1, -i) and the pi rotation about -x
 SCHEMES: dict[str, Callable[[SchemeSpec], PulseSchedule]] = {
     "SL": build_sl,
     "SS": build_ss,
@@ -811,8 +810,8 @@ SCHEMES: dict[str, Callable[[SchemeSpec], PulseSchedule]] = {
     "TO": build_to,
     "S": lambda spec: _circle_schedule(spec, 1, "S-NHQC"),
     "CDD": lambda spec: _circle_schedule(spec, spec.loops, "CDD-NHQC"),
-    "STA": lambda spec: sta_schedule(spec.phi1, PI),
-    "DFS3": lambda spec: dfs3_schedule(spec.dfs_phi),
+    "STA": lambda spec: sta_schedule(PI / 2, PI),
+    "DFS3": lambda spec: dfs3_schedule(0.0),
 }
 
 

@@ -97,8 +97,8 @@ class GateAngles:
 class ErrorModel:
     """Systematic Rabi fraction, detuning fraction, and decoherence rates.
 
-    gamma_minus and gamma_z are in units of omega_bar (the CLI converts from
-    physical rates).
+    gamma_minus and gamma_z are in units of omega_bar, and the CLI takes
+    them so: --units physical scales times only.
     """
 
     epsilon: float = 0.0

@@ -9,7 +9,6 @@ from nhqcbench.bench import (
     fit_leading_order,
     lindblad_gate_fidelity,
     overlap_gate_fidelity,
-    peak_excited_population,
     pulse_area,
     simulate_report,
     six_state_fidelity,
@@ -126,7 +125,7 @@ class TestSweep:
     @pytest.mark.parametrize("axis, grid, fixed", [
         ("epsilon", [-0.1, -0.03, 0.02, 0.07], ErrorModel(gamma_minus=3e-4, gamma_z=3e-4)),
         ("eta", [-0.05, 0.0, 0.02, 0.09], ErrorModel(epsilon=0.01, gamma_minus=1e-4)),
-        ("gamma_decoherence", [0.0, 1e-4, 3e-4, 6e-4], ErrorModel()),
+        ("decoherence", [0.0, 1e-4, 3e-4, 6e-4], ErrorModel()),
     ])
     def test_point_is_pure(self, catalog, axis, grid, fixed):
         # each point reads the same, bit for bit, alone or inside the grid
@@ -146,9 +145,18 @@ class TestSweep:
             sweep({"sl": catalog["sl"]}, "epsilon", np.array([0.1, 0.0]), ErrorModel())
         with pytest.raises(ValueError):
             sweep({"sl": catalog["sl"]}, "frequency", np.array([0.0, 0.1]), ErrorModel())
+        # one axis vocabulary with the CLI: the old library name is unknown
+        with pytest.raises(ValueError, match="valid: epsilon, eta, decoherence$"):
+            sweep({"sl": catalog["sl"]}, "gamma_decoherence", np.array([0.0]), ErrorModel())
+
+    @pytest.mark.parametrize("fixed", [ErrorModel(gamma_minus=5e-4), ErrorModel(gamma_z=2e-4)])
+    def test_decoherence_axis_rejects_fixed_rates(self, catalog, fixed):
+        # the axis sets both rates from its grid: fixed ones would be ignored
+        with pytest.raises(ValueError, match="decoherence axis sets both rates"):
+            sweep({"sl": catalog["sl"]}, "decoherence", np.array([0.0, 1e-4]), fixed)
 
     def test_decoherence_axis_overrides_fixed(self, catalog):
-        res = sweep({"sl": catalog["sl"]}, "gamma_decoherence",
+        res = sweep({"sl": catalog["sl"]}, "decoherence",
                     np.array([1e-12, 3e-4]),
                     ErrorModel(epsilon=0.5), samples=500)
         # epsilon from `fixed` must NOT apply on the decoherence axis
@@ -188,12 +196,12 @@ class TestFits:
 
 class TestPeakExcitedPopulation:
     def test_sl_reaches_full_transfer(self, ideal_runs):
-        assert peak_excited_population(ideal_runs["sl"]) == pytest.approx(1.0, abs=1e-6)
+        assert ideal_runs["sl"].excited_population.max() == pytest.approx(1.0, abs=1e-6)
 
     def test_cdd_below_single_loop(self, ideal_runs):
         # composite decoupling at equal total angle stays lower
-        assert (peak_excited_population(ideal_runs["cdd"])
-                < peak_excited_population(ideal_runs["s"]) - 0.2)
+        assert (ideal_runs["cdd"].excited_population.max()
+                < ideal_runs["s"].excited_population.max() - 0.2)
 
     def test_dark_input_stays_dark(self, schedules):
         from nhqcbench.dynamics import propagate_unitary

@@ -327,9 +327,23 @@ class TestSweep:
         assert err.count("\n") == 1 and err.startswith("error: ") and repr(text) in err
 
     def test_bad_axis(self, capsys):
-        code, _ = run(["sweep", "--axis", "volume", "--range", "0:1:2",
-                       "--schemes", "sl"], capsys)
+        code = main(["sweep", "--axis", "volume", "--range", "0:1:2", "--schemes", "sl"])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "'volume'" in err and err.endswith("valid: epsilon, eta, decoherence\n")
+
+    def test_decoherence_axis_rejects_fixed_rates(self, tmp_path, capsys):
+        # the axis sets both rates from its grid: a header naming other
+        # fixed rates would misstate the rows
+        out_file = tmp_path / "d.csv"
+        code = main(["sweep", "--axis", "decoherence", "--range=0:6e-4:3", "--schemes", "sl",
+                     "--gamma-minus", "5e-4", "--gamma-z", "2e-4", "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "decoherence axis" in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("schemes", [" , ", ",", ""])
     def test_empty_scheme_list(self, tmp_path, capsys, schemes):

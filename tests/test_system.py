@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhqcbench.dynamics import UNITARY_SAMPLES, allocate_steps
-from nhqcbench.schemes import SchemeSpec
+from nhqcbench.schemes import SchemeSpec, dfs3_schedule
 from nhqcbench.system import (
     Constant,
     ErrorModel,
@@ -257,8 +257,8 @@ def nan_target_schedule():
     (lambda: SchemeSpec("PS", varsigma=np.nan), "varsigma=nan must be finite"),
     (lambda: SchemeSpec("PS", varsigma=np.inf), "varsigma=inf must be finite"),
     (lambda: SchemeSpec("SS", gamma_ss=np.nan), "gamma_ss=nan must be finite"),
-    (lambda: SchemeSpec("DFS3", dfs_phi=np.nan), "dfs_phi=nan must be finite"),
     (lambda: SchemeSpec("C", loops=2.5), "loops=2.5 must be an integer"),
+    (lambda: dfs3_schedule(np.nan), "segment op 0 not Hermitian"),
     (lambda: Segment(np.nan, np.zeros((1, 3, 3)), Constant(np.zeros(1)), envelope=Constant(0.0)),
      "duration must be positive"),
     (nan_target_schedule, "target gate not unitary"),
