@@ -3,6 +3,7 @@
     python scripts/dump_outputs.py OUT.npz
     python scripts/dump_outputs.py --compare A.npz B.npz
     python scripts/dump_outputs.py --oracle-error
+    python scripts/dump_outputs.py --reference PATH
 
 The dump holds, per scheme, the arrays a numerical change must keep within
 1e-12 of the previous outputs: what the schedule carries (its target, the
@@ -33,9 +34,16 @@ at the golden point (gamma_minus = gamma_z = 3e-4, 4000 slices), max
 |rho_oracle - rho_ref| of the Lindblad oracle's six axial states, where
 rho_ref is the same product of CF4 slice exponents evaluated in clongdouble
 (about a minute).
+`--reference` writes the oracle outputs of `reference` to PATH as JSON, one
+key per line, each complex entry a pair [re, im] of floats in repr, so
+that a diff of two such files shows every number that moved;
+tests/data/oracle_reference.json is one, which the tests hold every later
+change to within BOUND.
 """
 import argparse
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -196,6 +204,39 @@ def oracle_error() -> None:
         print(f"{tag},{float(np.abs(rho - ref).max()):.3e}", flush=True)
 
 
+def reference(ideal=None) -> dict:
+    """key -> complex array of the oracle outputs a reference file holds:
+    U(T) of the unitary oracle of every catalog scheme at the ideal and the
+    CLOSED errors, and the Lindblad oracle's six axial final states of sl,
+    ps and dc at the golden point (gamma_minus = gamma_z = 3e-4, 4000
+    slices).  ideal, a map tag -> U(T) at the ideal errors, saves
+    recomputing those."""
+    golden = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
+    out = {}
+    for tag, spec in benchmark_catalog().items():
+        sched = build_schedule(spec)
+        out[f"{tag}/oracle_unitary/ideal"] = (
+            oracle_propagate_unitary(sched) if ideal is None else ideal[tag])
+        out[f"{tag}/oracle_unitary/closed"] = oracle_propagate_unitary(sched, CLOSED)
+        if tag in GOLDEN_TAGS:
+            out[f"{tag}/oracle_lindblad/golden"] = oracle_propagate_lindblad(
+                sched, golden, six_axial_densities(sched.system))
+    return out
+
+
+def write_reference(path: str) -> None:
+    lines = [f"{json.dumps(key)}:"
+             f"{json.dumps(np.stack([a.real, a.imag], -1).tolist(), separators=(',', ':'))}"
+             for key, a in sorted(reference().items())]
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def read_reference(path) -> dict:
+    """The complex arrays of a file write_reference wrote, bit for bit."""
+    return {key: np.array(pairs, dtype=float).view(complex)[..., 0]
+            for key, pairs in json.loads(Path(path).read_text()).items()}
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = np.load(a_path), np.load(b_path)
     if set(a.files) != set(b.files):
@@ -223,7 +264,14 @@ if __name__ == "__main__":
                         help="compare two dumps instead of writing one")
     parser.add_argument("--oracle-error", action="store_true",
                         help="print the oracles' errors against clongdouble products")
+    parser.add_argument("--reference", metavar="PATH",
+                        help="write the oracle outputs of the reference file to PATH")
     args = parser.parse_args()
+    if args.reference:
+        if args.paths or args.compare or args.oracle_error:
+            parser.error("--reference takes no other argument")
+        write_reference(args.reference)
+        sys.exit(0)
     if args.oracle_error:
         if args.paths or args.compare:
             parser.error("--oracle-error takes no other argument")

@@ -44,11 +44,13 @@ builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
 ``_Runs``, which builds each run of matrices as the engine reads it, so no
 stack the size of a segment is ever held.  One pass builder,
-``_rk4_pass``, serves both kinds: only the lift of the ops differs.  An oracle
-chunk of a square pulse takes one exponential, so ``Segment.square`` is
-the one notion of "constant" in both routes.  Every per-node operation
-gives one node alone the bits it gives it inside the stack, so these
-shortcuts change no value.
+``_rk4_pass``, serves both kinds: only the lift of the ops differs.  On a
+square pulse the oracle takes one exponential and one chunk product per
+chunk length, which serves every chunk of that length, so
+``Segment.square`` is the one notion of "constant" in both routes.  Every
+per-node operation gives one node alone the bits it gives it inside the
+stack, and a reused chunk product is the one its chunk would build, so
+these shortcuts change no value.
 
 Golden values are produced by the oracle path; tests hold the two routes
 together.
@@ -534,8 +536,12 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     coefficients of its first slice alone and the exponential of its first
     exponent, broadcast to every factor of the product, which the
     per-matrix Taylor polynomial gives bit for bit, and ordered_product
-    then builds one block's products for all blocks.  A rejected exponent
-    names its slice."""
+    then builds one block's products for all blocks.  Its chunks of one
+    length have the same factors, so a square segment takes that product
+    once per chunk length, held for the segment's loop alone, and
+    multiplies it into P for every chunk of that length: the same product
+    the chunk would build, so the same bits.  A rejected exponent names
+    its slice."""
     const = (_CF4_A + _CF4_B) * _fixed(schedule, kind, [err])[0]
     exponentials = expm_embedded if kind == "unitary" else expm_taylor
     m = const.shape[-1]
@@ -548,7 +554,12 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
         t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
         lifted = _lift(schedule.system, kind, seg.ops).reshape(len(seg.ops), m * m)
         w = seg.weights(err)
+        products = {}  # a square segment's chunk products, by chunk length
         for c0 in range(0, n, chunk):
+            size = min(chunk, n - c0)
+            if size in products:
+                P = products[size] @ P
+                continue
             c1 = c0 + 1 if seg.square else c0 + chunk
             with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
                 k = seg.coefficients(np.concatenate([t1[c0:c1], t2[c0:c1]])) * w
@@ -557,12 +568,15 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
                 X = combine(rows.reshape(-1, len(w)), lifted).reshape(-1, m, m) + const
             try:
                 if seg.square:  # one exponential, broadcast
-                    E = np.broadcast_to(exponentials(X[:1], h), (2 * min(chunk, n - c0), m, m))
+                    E = np.broadcast_to(exponentials(X[:1], h), (2 * size, m, m))
                 else:
                     E = exponentials(X, h)
             except RejectedMatrix as e:
                 raise e.at(c0 + e.index // 2) from None
-            P = ordered_product(E) @ P
+            product = ordered_product(E)
+            if seg.square:
+                products[size] = product
+            P = product @ P
     return P
 
 

@@ -1,6 +1,8 @@
+import importlib.util
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,7 +463,28 @@ class TestValidateCoordinates:
             assert len(calls) == 0
 
 
+def dump_outputs():
+    """scripts/dump_outputs.py, loaded as a module."""
+    path = Path(__file__).parent.parent / "scripts" / "dump_outputs.py"
+    spec = importlib.util.spec_from_file_location("dump_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestOracles:
+    def test_outputs_match_the_reference_file(self, oracle_gates):
+        # tests/data/oracle_reference.json, written by dump_outputs.py
+        # --reference: no numerical change may move an oracle output by
+        # more than the script's BOUND
+        script = dump_outputs()
+        ref = script.read_reference(Path(__file__).parent / "data" / "oracle_reference.json")
+        out = script.reference(ideal=oracle_gates)
+        assert sorted(out) == sorted(ref)
+        for key, value in out.items():
+            assert value.shape == ref[key].shape, key
+            assert np.abs(value - ref[key]).max() <= script.BOUND, key
+
     def test_unitary_oracle_exact_for_constant_drive(self, schedules):
         # piecewise-constant segments make the sliced product exact
         sched = schedules["sl"]
@@ -865,7 +888,8 @@ def catalog_errors(sched):
 class TestConstantDrives:
     """Square pulses are Constant by construction: each of their RK4
     segments lifts one node and builds one step matrix, and each oracle
-    chunk takes one exponential, with the bits of the full path."""
+    segment takes one exponential and one chunk product per chunk length,
+    with the bits of the full path."""
 
     @pytest.mark.parametrize("tag", CONSTANT_DRIVES + VARYING_DRIVES)
     def test_catalog_takes_the_constant_path_on_square_pulses(self, schedules, monkeypatch, tag):
@@ -903,10 +927,12 @@ class TestConstantDrives:
             assert all(np.array_equal(a, b) for a, b in zip(fast[name], run())), name
 
     @pytest.mark.parametrize("tag", ["sl", "dfs3", "ps"])
-    def test_oracle_requests_one_time_per_square_chunk(self, schedules, tag):
+    def test_oracle_requests_one_time_per_square_chunk_length(self, schedules, tag):
         # a chunk asks for the coefficients at both Gauss nodes of its slices
-        # in one call, and a square chunk for those of its first slice alone;
-        # both oracles keep the bits of the whole-chunk coefficients of the
+        # in one call, and a square segment for those of the first slice of
+        # its first chunk of each length alone (at 1000 unitary slices,
+        # dfs3's one segment is seven chunks of 128 and one of 104); both
+        # oracles keep the bits of the whole-chunk coefficients of the
         # materialized schedule
         sched = schedules[tag]
         square = tag in CONSTANT_DRIVES
@@ -920,11 +946,52 @@ class TestConstantDrives:
             sizes.clear()
             out = runs[name]()
             chunk = dynamics.CHUNK_ELEMENTS // m ** 2
-            want = [2 if square else 2 * min(chunk, n - c0)
-                    for n in allocate_steps(sched, slices, floor=16)
-                    for c0 in range(0, n, chunk)]
+            want = []
+            for n in allocate_steps(sched, slices, floor=16):
+                lengths = [min(chunk, n - c0) for c0 in range(0, n, chunk)]
+                want += [2] * len(set(lengths)) if square else [2 * c for c in lengths]
             assert sizes == want, name
             assert np.array_equal(out, expected[name]), name
+
+    # (unitary, Lindblad) oracle slices that give every square segment of a
+    # scheme two full chunks or more and a shorter last one
+    REUSE_SLICES = {"sl": (4000, 2000), "ss": (2000, 1000), "c": (8000, 4000),
+                    "dc": (16000, 8000), "dfs3": (1000, 204)}
+
+    @pytest.mark.parametrize("tag", CONSTANT_DRIVES)
+    def test_square_chunk_products_are_reused_with_the_same_bits(self, schedules, monkeypatch,
+                                                                 tag):
+        # one ordered_product per chunk length of a square segment serves
+        # every chunk of that length; the materialized schedule takes one
+        # per chunk, with the same bits.  sl's two segments have the same
+        # slice counts but not the same drives
+        sched = schedules[tag]
+        errs = catalog_errors(sched)
+        rho0 = six_axial_densities(sched.system)
+        d = sched.system.dim
+        runs = (
+            (lambda s, n: oracle_propagate_unitary(s, errs[0], slices=n), 2 * d),
+            (lambda s, n: oracle_propagate_lindblad(s, errs[-1], rho0, slices=n), d * d),
+        )
+        products = []
+        stack_sizes(monkeypatch, dynamics, "ordered_product", products)
+        for (run, m), slices in zip(runs, self.REUSE_SLICES[tag]):
+            chunk = dynamics.CHUNK_ELEMENTS // m ** 2
+            want = []
+            for n in allocate_steps(sched, slices, floor=16):
+                assert n >= 2 * chunk and n % chunk, (m, n)
+                want += [2 * chunk, 2 * (n % chunk)]
+            products.clear()
+            out = run(sched, slices)
+            assert products == want, m
+            assert np.array_equal(out, run(full_path(sched), slices)), m
+
+    def test_dfs3_oracle_takes_two_chunk_products(self, schedules, monkeypatch):
+        # 10**4 slices of one square segment: 78 chunks of 128 and one of 16
+        products = []
+        stack_sizes(monkeypatch, dynamics, "ordered_product", products)
+        oracle_propagate_unitary(schedules["dfs3"])
+        assert products == [256, 32]
 
     def test_constant_closure_takes_the_general_path_with_the_same_bits(self, monkeypatch):
         # a closure that returns a constant without broadcasting it is not a
