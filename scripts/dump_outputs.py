@@ -34,11 +34,12 @@ at the golden point (gamma_minus = gamma_z = 3e-4, 4000 slices), max
 |rho_oracle - rho_ref| of the Lindblad oracle's six axial states, where
 rho_ref is the same product of CF4 slice exponents evaluated in clongdouble
 (about a minute).
-`--reference` writes the oracle outputs of `reference` to PATH as JSON, one
-key per line, each complex entry a pair [re, im] of floats in repr, so
-that a diff of two such files shows every number that moved;
-tests/data/oracle_reference.json is one, which the tests hold every later
-change to within BOUND.
+`--reference` writes the outputs of `reference`, the oracle and RK4 final
+states, residuals, reconstructions and three points of each sweep, to PATH
+as JSON, one key per line, each entry a pair [re, im] of floats in repr,
+so that a diff of two such files shows every number that moved;
+tests/data/reference.json is one, which the tests hold every later change
+to within BOUND.
 """
 import argparse
 import json
@@ -204,23 +205,41 @@ def oracle_error() -> None:
         print(f"{tag},{float(np.abs(rho - ref).max()):.3e}", flush=True)
 
 
-def reference(ideal=None) -> dict:
-    """key -> complex array of the oracle outputs a reference file holds:
-    U(T) of the unitary oracle of every catalog scheme at the ideal and the
-    CLOSED errors, and the Lindblad oracle's six axial final states of sl,
-    ps and dc at the golden point (gamma_minus = gamma_z = 3e-4, 4000
-    slices).  ideal, a map tag -> U(T) at the ideal errors, saves
-    recomputing those."""
+def reference(oracle_gates=None, ideal_runs=None) -> dict:
+    """key -> array of the outputs a reference file holds: for every
+    catalog scheme, U(T) of the unitary oracle and of the RK4 run at the
+    ideal and the CLOSED errors, the (cyclic, parallel) condition residuals
+    of the ideal RK4 run and the holonomy reconstruction; for sl, ps and
+    dc, the six axial final states of the Lindblad oracle (4000 slices) and
+    of the RK4 run at the golden point (gamma_minus = gamma_z = 3e-4); and
+    the six-state fidelities and peak populations of the three SWEEPS at
+    their first, middle and last points, swept alone (a point reads the
+    same bits alone or inside a grid).  oracle_gates, a map tag -> oracle
+    U(T) at the ideal errors, and ideal_runs, a map tag -> ideal RK4
+    trajectory at the default steps, save recomputing those."""
     golden = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
+    catalog = benchmark_catalog()
     out = {}
-    for tag, spec in benchmark_catalog().items():
+    for tag, spec in catalog.items():
         sched = build_schedule(spec)
+        ideal = propagate_unitary(sched) if ideal_runs is None else ideal_runs[tag]
         out[f"{tag}/oracle_unitary/ideal"] = (
-            oracle_propagate_unitary(sched) if ideal is None else ideal[tag])
+            oracle_propagate_unitary(sched) if oracle_gates is None else oracle_gates[tag])
         out[f"{tag}/oracle_unitary/closed"] = oracle_propagate_unitary(sched, CLOSED)
+        out[f"{tag}/unitary/ideal"] = ideal.final
+        out[f"{tag}/unitary/closed"] = propagate_unitary(sched, CLOSED).final
+        out[f"{tag}/residuals/ideal"] = np.array(condition_residuals(ideal))
+        out[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)
         if tag in GOLDEN_TAGS:
-            out[f"{tag}/oracle_lindblad/golden"] = oracle_propagate_lindblad(
-                sched, golden, six_axial_densities(sched.system))
+            rho0 = six_axial_densities(sched.system)
+            out[f"{tag}/oracle_lindblad/golden"] = oracle_propagate_lindblad(sched, golden, rho0)
+            out[f"{tag}/lindblad/golden"] = propagate_lindblad(sched, golden, rho0).final
+    for name, (tags, axis, grid, fixed) in SWEEPS.items():
+        points = grid[[0, len(grid) // 2, -1]]
+        result = sweep({tag: catalog[tag] for tag in tags}, axis, points, fixed)
+        for tag in tags:
+            out[f"{name}/{tag}/fidelity"] = result.fidelity[tag]
+            out[f"{name}/{tag}/peak"] = result.peak_excited_population[tag]
     return out
 
 
@@ -232,7 +251,8 @@ def write_reference(path: str) -> None:
 
 
 def read_reference(path) -> dict:
-    """The complex arrays of a file write_reference wrote, bit for bit."""
+    """The arrays of a file write_reference wrote, bit for bit, as complex
+    arrays."""
     return {key: np.array(pairs, dtype=float).view(complex)[..., 0]
             for key, pairs in json.loads(Path(path).read_text()).items()}
 
@@ -265,7 +285,7 @@ if __name__ == "__main__":
     parser.add_argument("--oracle-error", action="store_true",
                         help="print the oracles' errors against clongdouble products")
     parser.add_argument("--reference", metavar="PATH",
-                        help="write the oracle outputs of the reference file to PATH")
+                        help="write the outputs of the reference file to PATH")
     args = parser.parse_args()
     if args.reference:
         if args.paths or args.compare or args.oracle_error:

@@ -25,8 +25,10 @@ from .bench import (
     GATE_ANGLES,
     OMEGA_BAR_HZ,
     PULSE_AREA_SAMPLES,
+    SIX_STATE_METRIC,
     TABLE1_TAGS,
     benchmark_catalog,
+    computational_block,
     pulse_area,
     simulate_report,
     six_state_fidelity,
@@ -171,7 +173,8 @@ def cmd_simulate(args) -> int:
     for k, v in fields.items():
         print(f"{k}={v}")
     out_dir = Path(args.out_dir)
-    traj_path = out_dir / f"trajectory_{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}.csv"
+    stem = f"{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}"
+    traj_path = out_dir / f"trajectory_{stem}.csv"
     # one format call for every row: the bytes _csv_line gives them
     cells = np.empty(2 * len(traj.times))
     cells[0::2], cells[1::2] = traj.times * scale, traj.excited_population
@@ -189,7 +192,7 @@ def cmd_simulate(args) -> int:
         ["time", "excited_population"],
         lines,
     )
-    report_path = out_dir / f"report_{args.scheme}_{args.gate.replace(':', '_').replace(',', '_')}.json"
+    report_path = out_dir / f"report_{stem}.json"
     payload = {
         "scheme": report.scheme_label,
         "gate": args.gate,
@@ -228,7 +231,7 @@ def _write_sweep(args, result, out: Path, **meta) -> None:
             for tag, fid in result.fidelity.items()
             for x, f, p in zip(result.grid, fid, result.peak_excited_population[tag])]
     meta.update({
-        "metric": "six_axial_state_average",
+        "metric": SIX_STATE_METRIC,
         "samples": ",".join(f"{tag}:{n}" for tag, n in result.steps.items()),
         "unit_mode": args.units,
         "omega_bar": 1.0,
@@ -257,6 +260,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the header of both table1 files, `table1 --out` and the golden one
+_TABLE1_META = {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
+                "samples": PULSE_AREA_SAMPLES}
+
+
 def cmd_table1(args) -> int:
     rows = table1_rows()
     print("scheme areas (multiples of pi); published values alongside")
@@ -273,13 +281,9 @@ def cmd_table1(args) -> int:
         out_rows.append([row["tag"], row["label"], row["area_pi"], row["published"],
                          row["area_pi"] - row["published"]])
     if args.out:
-        _write_csv(
-            Path(args.out),
-            {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
-             "samples": PULSE_AREA_SAMPLES},
-            ["tag", "label", "area_pi", "published", "difference"],
-            map(_csv_line, out_rows),
-        )
+        _write_csv(Path(args.out), _TABLE1_META,
+                   ["tag", "label", "area_pi", "published", "difference"],
+                   map(_csv_line, out_rows))
         print(f"table_file={args.out}")
     return 0
 
@@ -328,8 +332,7 @@ def cmd_check(args) -> int:
     print(f"parallel_residual={par:.3e}")
     print(f"rk4_vs_oracle={defect:.3e}")
     U_rec = reconstruct_computational_gate(schedule)
-    comp = list(schedule.system.computational_indices)
-    U_prop = U_final[np.ix_(comp, comp)]
+    U_prop = computational_block(U_final, schedule.system)
     ov = np.trace(U_rec.conj().T @ U_prop) / 2
     rec_defect = float(np.abs(U_prop - (ov / abs(ov)) * U_rec).max()) if abs(ov) > 0 else 1.0
     print(f"holonomy_reconstruction_defect={rec_defect:.3e}")
@@ -361,7 +364,7 @@ def cmd_goldens(args) -> int:
             rows.append([tag, float(x), _oracle_fidelity(schedule, replace(fixed, epsilon=float(x))),
                          area, schedule.total_duration])
         print(f"golden sweep: {tag} done")
-    oracle = {"metric": "six_axial_state_average", "oracle": "cf4_superoperator_expm",
+    oracle = {"metric": SIX_STATE_METRIC, "oracle": "cf4_superoperator_expm",
               "oracle_slices": ORACLE_LINDBLAD_SLICES}
     _write_csv(
         out_dir / "sweep_epsilon_sl_ps_dc.csv",
@@ -391,13 +394,8 @@ def cmd_goldens(args) -> int:
     )
     # reference pulse areas
     t_rows = [[r["tag"], r["label"], r["area_pi"], r["published"]] for r in table1_rows()]
-    _write_csv(
-        out_dir / "table1.csv",
-        {"metric": "pulse_area", "unit_mode": "dimensionless", "omega_bar": 1.0,
-         "samples": PULSE_AREA_SAMPLES},
-        ["tag", "label", "area_pi", "published"],
-        map(_csv_line, t_rows),
-    )
+    _write_csv(out_dir / "table1.csv", _TABLE1_META, ["tag", "label", "area_pi", "published"],
+               map(_csv_line, t_rows))
     print(f"golden_dir={out_dir}")
     return 0
 

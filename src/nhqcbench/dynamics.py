@@ -44,7 +44,8 @@ builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
 ``_Runs``, which builds each run of matrices as the engine reads it, so no
 stack the size of a segment is ever held.  One pass builder,
-``_rk4_pass``, serves both kinds: only the lift of the ops differs.  On a
+``_rk4_pass``, serves both kinds, and checks the states of both: only the
+lift of the ops and the density check of a Lindblad pass differ.  On a
 square pulse the oracle takes one exponential and one chunk product per
 chunk length, which serves every chunk of that length, so
 ``Segment.square`` is the one notion of "constant" in both routes.  Every
@@ -229,10 +230,12 @@ def _fixed(schedule: PulseSchedule, kind: str, errs) -> np.ndarray:
 
 
 def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples: int | None):
-    """One RK4 pass of y0 under every error model of errs at once: the
-    global time of every state, the steps per segment and rk4_chunks'
-    iterator over the states after y0; samples=None takes the default step
-    count of `kind`.
+    """One RK4 pass of the run's initial state y0, (m, r), broadcast over
+    every error model of errs at once: the global time of every state, the
+    steps per segment and an iterator over the states after y0, chunk by
+    chunk, as (c, G, m, r), each chunk valid until the next is requested
+    (rk4_chunks holds one buffer for them); samples=None takes the default
+    step count of `kind`.
 
     The generator of grid point g is sum_k w_gk c_k(t) S[H_k] + C_g, with
     w_g = Segment.weights(errs[g]), C_g = _fixed(...)[g] and S the lift
@@ -242,7 +245,15 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     one product.  A square pulse (Segment.square) gets its one node,
     broadcast along its lattice, which rk4_chunks takes whole.  Every
     other segment gets _Runs, so its coefficients are only ever evaluated
-    one run at a time."""
+    one run at a time.
+
+    This is the one place that checks every chunk of a pass as it is made:
+    rk4_chunks aborts on a non-finite state, and each chunk of a
+    "lindblad" pass, the coordinates Q of its densities, passes
+    _validate_density, trace and positivity, before it is yielded; the
+    states read back from Q are Hermitian by construction.  The unitarity
+    drift of a propagator run is checked on the U(t) that
+    propagate_unitary reads back."""
     if samples is None:
         samples = UNITARY_SAMPLES if kind == "unitary" else LINDBLAD_SAMPLES
     if samples < 1:
@@ -261,7 +272,13 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
         segments.append((seg.duration / n, A))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
-    return np.concatenate(times), steps, rk4_chunks(y0, segments)
+
+    def checked(chunks):
+        for states in chunks:
+            _validate_density(states, "during evolution")
+            yield states
+    chunks = rk4_chunks(np.broadcast_to(y0, (len(errs),) + y0.shape), segments)
+    return np.concatenate(times), steps, chunks if kind == "unitary" else checked(chunks)
 
 
 def propagate_unitary(
@@ -276,7 +293,7 @@ def propagate_unitary(
     if err.open_system:
         raise ValueError("propagate_unitary requires gamma_minus = gamma_z = 0")
     d = schedule.system.dim
-    times, steps, chunks = _rk4_pass(schedule, [err], np.eye(2 * d)[None], "unitary", samples)
+    times, steps, chunks = _rk4_pass(schedule, [err], np.eye(2 * d), "unitary", samples)
     ops = np.empty((len(times), d, d), dtype=complex)
     ops[0] = np.eye(d)
     i = 1
@@ -397,26 +414,6 @@ def _rho0_columns(system: LevelSystem, rho0) -> np.ndarray:
     return cols
 
 
-def _lindblad_chunks(schedule: PulseSchedule, errs, cols: np.ndarray, samples: int | None):
-    """RK4 densities of the columns cols (d*d, k) of _rho0_columns under
-    every error model of errs at once (_rk4_pass): the global times, the
-    steps per segment and an iterator over the states after cols, chunk by
-    chunk, as their coordinates Q in the columns of (c, G, d*d, k), each
-    chunk valid until the next is requested (rk4_chunks holds one buffer
-    for them).  This is the one place that checks every chunk: each passes
-    _validate_density, trace and positivity in Q, before it is yielded; the
-    states read back from Q are Hermitian by construction.
-    """
-    cols = np.broadcast_to(cols, (len(errs),) + cols.shape)
-    times, steps, states_after = _rk4_pass(schedule, errs, cols, "lindblad", samples)
-
-    def chunks():
-        for states in states_after:
-            _validate_density(states, "during evolution")
-            yield states
-    return times, steps, chunks()
-
-
 def propagate_lindblad(
     schedule: PulseSchedule,
     err: ErrorModel,
@@ -431,7 +428,7 @@ def propagate_lindblad(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     cols = _rho0_columns(schedule.system, rho0)
-    times, steps, chunks = _lindblad_chunks(schedule, [err], cols, samples)
+    times, steps, chunks = _rk4_pass(schedule, [err], cols, "lindblad", samples)
     ops = np.concatenate([rho0.reshape((1, -1) + rho0.shape[-2:]),
                           *(_density(states[:, 0].swapaxes(-1, -2)) for states in chunks)])
     mon = monitor_index(schedule.system)
@@ -468,7 +465,7 @@ def propagate_lindblad_grid(
     final, peak = [], []
     for b0 in range(0, len(errs), block):
         part = errs[b0:b0 + block]
-        _, steps, chunks = _lindblad_chunks(schedule, part, cols, samples)
+        _, steps, chunks = _rk4_pass(schedule, part, cols, "lindblad", samples)
         top = np.full(len(part), rho[..., mon, mon].real.max())
         for states in chunks:
             top = np.maximum(top, states[..., mon * (d + 1), :].max(axis=(0, 2)))

@@ -10,8 +10,8 @@ Each builder emits:
   orthonormal vectors each) for the holonomy checks, cyclic on the
   computational rows of the whole schedule.
 
-The shortened-path scheme S is CDD with one loop: both go through one
-circle assembly.
+The single loop SL is C with one loop, and the shortened-path scheme S is
+CDD with one loop: each pair goes through one assembly.
 
 Phase conventions: the two-interval loop uses first-half drive phase 0 and
 second-half phase pi-gamma, which composes to e^{i gamma}|b><b| + |d><d| on
@@ -55,7 +55,8 @@ class SchemeSpec:
     """Tagged description of one gate-construction scheme and its knobs.
 
     The tag is a key of SCHEMES.  Fields irrelevant to the chosen scheme
-    are ignored; S is CDD with one loop, so it ignores `loops`.
+    are ignored; SL is C and S is CDD with one loop, so both ignore
+    `loops`.
     """
 
     scheme: str
@@ -192,28 +193,18 @@ def _build_loop_schedule(
     )
 
 
-def build_sl(spec: SchemeSpec) -> PulseSchedule:
-    """Two equal intervals, areas pi/2, phases 0 then pi - gamma."""
-    g = spec.angles.gamma
-    pieces = [(0.0, PI / 2), (PI - g, PI / 2)]
-    return _build_loop_schedule(spec, pieces, "SL-NHQC")
-
-
-def build_c(spec: SchemeSpec) -> PulseSchedule:
-    """N concatenated copies of the elementary two-interval loop at angle
-    gamma/N (second-half phase pi - gamma/N, same as the single loop).
+def _elementary_loops(spec: SchemeSpec, loops: int, label: str) -> PulseSchedule:
+    """`loops` concatenated copies of the elementary two-interval loop at
+    angle gamma/loops: areas pi/2, phases 0 then pi - gamma/loops.  SL is
+    one loop, C is spec.loops of them.
 
     The published table lists -gamma/N for the second halves; that variant
     composes to the same ideal gate for even N but accumulates Rabi error
     faster than the single loop, losing the composite's robustness benefit,
     so the elementary-gate convention is used throughout.
     """
-    N = spec.loops
-    gl = spec.angles.gamma / N
-    pieces = []
-    for _ in range(N):
-        pieces += [(0.0, PI / 2), (PI - gl, PI / 2)]
-    return _build_loop_schedule(spec, pieces, "C-NHQC")
+    gl = spec.angles.gamma / loops
+    return _build_loop_schedule(spec, [(0.0, PI / 2), (PI - gl, PI / 2)] * loops, label)
 
 
 def build_dc(spec: SchemeSpec) -> PulseSchedule:
@@ -799,13 +790,14 @@ def dfs3_schedule(phi: float) -> PulseSchedule:
 # the schemes
 # ---------------------------------------------------------------------------
 
-# tag: builder, in catalog order; S is CDD with one loop; STA and DFS3 fix
-# their gate: the phase gate diag(1, -i) and the pi rotation about -x
+# tag: builder, in catalog order; SL is C and S is CDD with one loop; STA
+# and DFS3 fix their gate: the phase gate diag(1, -i) and the pi rotation
+# about -x
 SCHEMES: dict[str, Callable[[SchemeSpec], PulseSchedule]] = {
-    "SL": build_sl,
+    "SL": lambda spec: _elementary_loops(spec, 1, "SL-NHQC"),
     "SS": build_ss,
     "PS": build_ps,
-    "C": build_c,
+    "C": lambda spec: _elementary_loops(spec, spec.loops, "C-NHQC"),
     "DC": build_dc,
     "TO": build_to,
     "S": lambda spec: _circle_schedule(spec, 1, "S-NHQC"),

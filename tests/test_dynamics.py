@@ -286,20 +286,44 @@ class TestRho0Intake:
                 run()
 
     def test_grid_checks_rho0_once(self, schedules, monkeypatch):
-        # nine points of d = 8 run in two blocks of eight
+        # rho0 is checked once per call, and each chunk rk4_chunks yields to
+        # a Lindblad pass once, as it is yielded; a unitary pass checks no
+        # density.  Nine points of d = 8 run in two blocks of eight
         assert dynamics.CHUNK_ELEMENTS // 8 ** 4 == 8
         sched = schedules["dfs3"]
         errs = [ErrorModel(epsilon=x) for x in np.linspace(-0.02, 0.02, 9)]
-        wheres = []
-        original = dynamics._validate_density
+        rho0 = six_axial_densities(sched.system)
+        events, yielded = [], []
+        original_check, original_chunks = dynamics._validate_density, dynamics.rk4_chunks
 
-        def spy(states, where, *args):
-            wheres.append(where)
-            return original(states, where, *args)
-        monkeypatch.setattr(dynamics, "_validate_density", spy)
-        propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples=400)
-        assert wheres.count("in rho0") == 1
-        assert wheres.count("during evolution") == len(wheres) - 1 > 0
+        def check(states, where, *args):
+            if where == "during evolution":
+                assert states is yielded[-1]
+            events.append(where)
+            return original_check(states, where, *args)
+
+        def chunks(*args):
+            for states in original_chunks(*args):
+                yielded.append(states)
+                events.append("chunk")
+                yield states
+        monkeypatch.setattr(dynamics, "_validate_density", check)
+        monkeypatch.setattr(dynamics, "rk4_chunks", chunks)
+        runs = {
+            "grid": lambda: propagate_lindblad_grid(sched, errs, rho0, samples=400),
+            "lindblad": lambda: propagate_lindblad(sched, errs[0], rho0, samples=400),
+            "unitary": lambda: propagate_unitary(sched, errs[0], samples=400),
+        }
+        for name, run in runs.items():
+            events.clear()
+            yielded.clear()
+            run()
+            n = len(yielded)
+            assert n > 1, name
+            if name == "unitary":
+                assert events == ["chunk"] * n
+            else:
+                assert events == ["in rho0"] + ["chunk", "during evolution"] * n, name
 
 
 GRID_AXES = {
@@ -473,13 +497,13 @@ def dump_outputs():
 
 
 class TestOracles:
-    def test_outputs_match_the_reference_file(self, oracle_gates):
-        # tests/data/oracle_reference.json, written by dump_outputs.py
-        # --reference: no numerical change may move an oracle output by
-        # more than the script's BOUND
+    def test_outputs_match_the_reference_file(self, oracle_gates, ideal_runs):
+        # tests/data/reference.json, written by dump_outputs.py --reference:
+        # no numerical change may move an oracle or RK4 output, residual,
+        # reconstruction or sweep point by more than the script's BOUND
         script = dump_outputs()
-        ref = script.read_reference(Path(__file__).parent / "data" / "oracle_reference.json")
-        out = script.reference(ideal=oracle_gates)
+        ref = script.read_reference(Path(__file__).parent / "data" / "reference.json")
+        out = script.reference(oracle_gates=oracle_gates, ideal_runs=ideal_runs)
         assert sorted(out) == sorted(ref)
         for key, value in out.items():
             assert value.shape == ref[key].shape, key

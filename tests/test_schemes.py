@@ -283,12 +283,17 @@ class TestInverseEngineering:
         with pytest.raises(ValueError, match="pi"):
             build_schedule(SchemeSpec("CDD", GateAngles(PI), loops=1))
 
-    @pytest.mark.parametrize("angles", [
-        GATE_ANGLES["S"], GATE_ANGLES["T"], GATE_ANGLES["sqrtH"], GateAngles(2.0, 1.1, 0.7),
+    # (one, many): S is CDD and SL is C with one loop; the S cases keep the
+    # ids angles0..3
+    @pytest.mark.parametrize("one, many, angles", [
+        pytest.param(one, many, angles, id=f"{prefix}angles{i}")
+        for prefix, one, many in (("", "S", "CDD"), ("sl-c-", "SL", "C"))
+        for i, angles in enumerate([GATE_ANGLES["S"], GATE_ANGLES["T"], GATE_ANGLES["sqrtH"],
+                                    GateAngles(2.0, 1.1, 0.7)])
     ])
-    def test_s_is_cdd_with_one_loop(self, angles):
-        s = build_schedule(SchemeSpec("S", angles))
-        cdd = build_schedule(SchemeSpec("CDD", angles, loops=1))
+    def test_s_is_cdd_with_one_loop(self, one, many, angles):
+        s = build_schedule(SchemeSpec(one, angles))
+        cdd = build_schedule(SchemeSpec(many, angles, loops=1))
         err = ErrorModel(epsilon=0.03, eta=-0.02)
         assert len(s.segments) == len(cdd.segments)
         for k, (seg, other) in enumerate(zip(s.segments, cdd.segments)):
@@ -298,7 +303,7 @@ class TestInverseEngineering:
             assert np.array_equal(seg.frame(t), other.frame(t))
         assert np.array_equal(s.target, cdd.target)
         assert s.total_duration == cdd.total_duration
-        assert (s.scheme_label, cdd.scheme_label) == ("S-NHQC", "CDD-NHQC")
+        assert (s.scheme_label, cdd.scheme_label) == (f"{one}-NHQC", f"{many}-NHQC")
 
 
 class TestSta:
