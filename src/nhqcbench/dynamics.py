@@ -27,14 +27,17 @@ Both Lindblad routes run on the real coordinates Q = Re rho + Im rho of a
 Hermitian rho (d*d reals, row-major), on which the generator is the real
 d*d x d*d matrix ``_fold(lindblad_superoperator(...))``.  Both take rho0
 through one intake, ``_rho0_columns``, which checks its shape, Hermiticity,
-trace and positivity and returns the columns Q that both start from.  Every
-RK4 state is checked for trace and positivity in Q, and rho, Hermitian by
-construction, is read back only where a caller keeps it: once per chunk of a trajectory,
-once per grid block for the final states of a sweep.  Likewise the
-propagator chain runs on phi(U), real (2d, 2d), and U(t) is read back once
-per chunk.  The states of a pass live in the one buffer that
-``rk4_chunks`` holds for it; the density check allocates its chunk-sized
-temporaries afresh for each chunk.
+trace, positivity and finiteness and returns the columns Q that both start
+from.  Every RK4 state is checked for trace and positivity in Q, the
+latter by an LDL^H elimination of 2(rho - POSITIVITY_TOL*I) taken entry by
+entry on its lower triangle, one loop for every d (``_validate_density``),
+and rho, Hermitian by construction, is read back only where a caller keeps
+it: once per chunk of a trajectory, once per grid block for the final
+states of a sweep.  Likewise the propagator chain runs on phi(U), real
+(2d, 2d), and U(t) is read back once per chunk.  The states of a pass live
+in the one buffer that ``rk4_chunks`` holds for it; the density check
+allocates its chunk-sized temporaries, a (d, d, N) copy of the coordinates
+and about d*d/2 + d rows of N values, afresh for each chunk.
 
 The RK4 generators of a segment reach the engine in one of two forms.  A
 square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
@@ -317,17 +320,23 @@ def _validate_density(states: np.ndarray, where: str) -> None:
     the columns (d*d, k) of rho0 that _rho0_columns makes.
 
     They are checked with all N densities in the last axis, so each numpy
-    call acts on every one of them.  The trace is the sum of Q's
-    diagonal coordinates.  Positivity is the Cholesky elimination of
-    rho - POSITIVITY_TOL*I, built on a (d, d, N) copy from the entries
-    (Q + Q^T)/2 + i (Q - Q^T)/2: every pivot is positive iff every
-    eigenvalue of rho exceeds POSITIVITY_TOL (Golub & Van Loan, Matrix
-    Computations, 4.2).  A pivot is final once taken, and one that is not
-    positive spoils only the later ones, so all are checked at the end;
-    only when one is not positive does eigvalsh decide exactly and name
-    the eigenvalue.  The four temporaries, the copies q and rho, the Schur
-    row and its outer product, are allocated per call; the elimination
-    writes into them with out=, so its pivots allocate nothing."""
+    call acts on every one of them.  The trace is the sum of Q's diagonal
+    coordinates, read from a (d, d, N) copy q.  Positivity is the LDL^H
+    elimination of 2(rho - POSITIVITY_TOL*I), taken entry by entry on its
+    lower triangle: the diagonal is the real (d, N) array of pivots
+    2 q_kk - 2 POSITIVITY_TOL, and each entry below it one complex array
+    2 rho_kl = (q_kl + q_lk) + i (q_kl - q_lk).  Pivot j takes |a_kj|^2/p_j
+    from each later pivot k, as the real part of a_kj c_k with
+    c_k = conj(a_kj)/p_j, and a_kj c_l from each later entry (k, l) below
+    the diagonal.  Scaling by 2 is exact, so every pivot is positive iff
+    every eigenvalue of rho exceeds POSITIVITY_TOL (Golub & Van Loan,
+    Matrix Computations, 4.2).  A pivot is final once taken, and one that
+    is not positive spoils only the later ones, so all are checked at the
+    end; only when one is not positive does eigvalsh decide exactly and
+    name the eigenvalue, after a non-finite entry, which only rho0 can
+    hold, is named as such.  Each call allocates q, the d pivots, the
+    d(d-1)/2 entries below the diagonal, the d rows c and one product row,
+    N values each; the elimination writes into them with out=."""
     d = math.isqrt(states.shape[-2])
     moved = np.moveaxis(states, -2, 0)
     q = np.empty((d, d, moved[0].size))
@@ -335,25 +344,32 @@ def _validate_density(states: np.ndarray, where: str) -> None:
     deviation = np.abs(np.trace(q) - 1.0).max()
     if not deviation <= TRACE_TOL:  # NaN fails too
         raise RuntimeError(f"trace deviates by {deviation:.3e} {where}")
-    A = np.empty(q.shape, complex)
-    np.add(q, q.swapaxes(0, 1), out=A.real)
-    np.subtract(q, q.swapaxes(0, 1), out=A.imag)
-    halves = A.view(float)
-    halves *= 0.5
-    A.real.reshape(d * d, -1)[::d + 1] -= POSITIVITY_TOL  # the diagonal, a strided view
-    row = np.empty((d - 1,) + q.shape[2:], complex)
-    outer = np.empty((d - 1,) + row.shape, complex)
+    n = q.shape[2:]
+    pivots = q.reshape(d * d, -1)[::d + 1] - POSITIVITY_TOL  # q's diagonal, a strided view
+    pivots *= 2.0
+    low = {}
+    for k in range(d):
+        for l in range(k):
+            a = low[k, l] = np.empty(n, complex)
+            np.add(q[k, l], q[l, k], out=a.real)
+            np.subtract(q[k, l], q[l, k], out=a.imag)
+    c = np.empty((d,) + n, complex)
+    product = np.empty(n, complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
-            a, schur = A[j + 1:, j], A[j + 1:, j + 1:]
-            # conj(a) / pivot as products of the real parts with 1 / pivot,
-            # which is how numpy divides a complex number by a real one
-            inv = 1.0 / A.real[j, j]
-            r = row[:len(a)]
-            np.multiply(a.real, inv, out=r.real)
-            np.multiply(a.imag, -inv, out=r.imag)
-            schur -= np.multiply(a[:, None], r, out=outer[:len(a), :len(a)])
-    if not np.diagonal(A.real).min() > 0:  # NaN fails too
+            # c_k = conj(a_kj) / p_j as products of the real parts with 1 / p_j
+            inv = np.divide(1.0, pivots[j])
+            minus_inv = np.negative(inv)
+            for k in range(j + 1, d):
+                a = low[k, j]
+                np.multiply(a.real, inv, out=c[k].real)
+                np.multiply(a.imag, minus_inv, out=c[k].imag)
+                pivots[k] -= np.multiply(a, c[k], out=product).real
+                for l in range(j + 1, k):
+                    low[k, l] -= np.multiply(a, c[l], out=product)
+    if not pivots.min() > 0:  # NaN fails too
+        if not np.isfinite(q).all():  # only rho0: rk4_chunks aborts on a non-finite state
+            raise RuntimeError(f"non-finite entry {where}")
         wmin = np.linalg.eigvalsh(_density(q.reshape(d * d, -1).T)).min()
         if wmin < POSITIVITY_TOL:
             raise RuntimeError(f"negative eigenvalue {wmin:.3e} {where}")
@@ -398,19 +414,24 @@ def _fold(L: np.ndarray) -> np.ndarray:
 
 def _rho0_columns(system: LevelSystem, rho0) -> np.ndarray:
     """The one intake of rho0, (d, d) or a batch (k, d, d), for both
-    Lindblad routes: its shape against the dimension of `system`, its
-    Hermiticity, and trace and positivity by _validate_density.  Returns
-    the row-major coordinates Q of the batch in the columns of (d*d, k),
-    from which both routes start."""
+    Lindblad routes: its shape against the dimension of `system` and
+    that it holds a density (ValueError), its Hermiticity, and trace,
+    positivity and finiteness by _validate_density (RuntimeError, with
+    no numpy warning for a non-finite entry).  Returns the row-major
+    coordinates Q of the batch in the columns of (d*d, k), from which
+    both routes start."""
     rho = np.asarray(rho0, dtype=complex)
     d = system.dim
     if rho.ndim > 3 or rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 shape {rho.shape} does not match dim {d}")
-    herm = hermiticity_defect(rho).max()
-    if herm > 1e-8:
-        raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
-    cols = _coordinates(rho).reshape(-1, d * d).T
-    _validate_density(cols, "in rho0")
+    if not rho.size:
+        raise ValueError(f"rho0 shape {rho.shape} holds no density")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf reads NaN
+        herm = hermiticity_defect(rho).max()
+        if herm > 1e-8:  # a NaN defect is left to _validate_density
+            raise RuntimeError(f"Hermiticity defect {herm:.3e} in rho0")
+        cols = _coordinates(rho).reshape(-1, d * d).T
+        _validate_density(cols, "in rho0")
     return cols
 
 

@@ -258,6 +258,13 @@ class TestPropagateLindblad:
                                basis_rho(8, 2), samples=50)
 
 
+def off_diagonal_pair(value):
+    """|0><0| of a qutrit with `value` in its entries (0, 1) and (1, 0)."""
+    rho = basis_rho(3, 0)
+    rho[0, 1] = rho[1, 0] = value
+    return rho
+
+
 BAD_RHO0 = [
     pytest.param(np.eye(9, dtype=complex) / 9, ValueError,
                  r"rho0 shape \(9, 9\) does not match dim 3$", id="9x9"),
@@ -267,6 +274,12 @@ BAD_RHO0 = [
                  r"negative eigenvalue -5\.000e-01 in rho0$", id="negative"),
     pytest.param(basis_rho(3, 0) + 0.5 * np.eye(3, k=1), RuntimeError,
                  r"Hermiticity defect 5\.000e-01 in rho0$", id="non-hermitian"),
+    pytest.param(np.zeros((0, 3, 3)), ValueError, r"rho0 shape \(0, 3, 3\) holds no density$",
+                 id="empty"),
+    # the trace reads only the diagonal and a NaN passes the Hermiticity
+    # test, so a non-finite entry off it is first seen by the pivots
+    pytest.param(off_diagonal_pair(np.nan), RuntimeError, r"non-finite entry in rho0$", id="nan"),
+    pytest.param(off_diagonal_pair(np.inf), RuntimeError, r"non-finite entry in rho0$", id="inf"),
 ]
 
 
@@ -281,9 +294,11 @@ class TestRho0Intake:
             "grid": lambda: propagate_lindblad_grid(sched, [err], rho0, samples=50),
             "oracle": lambda: oracle_propagate_lindblad(sched, err, rho0, slices=32),
         }
-        for run in routes.values():
-            with pytest.raises(exc, match=message):
-                run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and none of them warns
+            for run in routes.values():
+                with pytest.raises(exc, match=message):
+                    run()
 
     def test_grid_checks_rho0_once(self, schedules, monkeypatch):
         # rho0 is checked once per call, and each chunk rk4_chunks yields to
@@ -395,11 +410,14 @@ class TestLindbladGrid:
             propagate_lindblad_grid(sched, errs, basis_rho(8, 2)[None], samples=50)
 
 
-def rotated_density(eigenvalues, seed=0):
+def rotated_density(eigenvalues, seed=0, d=3):
+    """A random rotation of diag(eigenvalues), padded with zeros to d levels."""
     rng = np.random.default_rng(seed)
-    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, _ = np.linalg.qr(M)
-    return (Q * np.asarray(eigenvalues)) @ Q.conj().T
+    w = np.zeros(d)
+    w[:len(eigenvalues)] = eigenvalues
+    return (Q * w) @ Q.conj().T
 
 
 class TestValidateDensity:
@@ -413,9 +431,22 @@ class TestValidateDensity:
         _validate_density(chunk_coordinates(rotated_density([1 + 5e-10, -5e-10, 0.0], 3)[None]),
                           "at t")
 
-    def test_rank_deficient_state_passes(self):
-        # a pure state sits on the boundary the tolerance keeps inside
-        _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())), "at t")
+    @pytest.mark.parametrize("states", ["axial", "evolved"])
+    def test_rank_deficient_state_passes(self, schedules, states, monkeypatch):
+        # a pure state sits on the boundary the tolerance keeps inside, and
+        # the near-pure states of an open run sit about 1e-9 from it: the
+        # pivots must pass them all, with no chunk falling back to eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        if states == "axial":
+            _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())),
+                              "at t")
+        else:
+            sched = schedules["sl"]
+            errs = [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4) for x in (-0.02, 0.02)]
+            propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system))
+        assert len(calls) == 0
 
 
 def chunk_coordinates(rho):
@@ -442,12 +473,13 @@ def random_densities(d, n, shift, seed):
 class TestValidateCoordinates:
     """The check on the coordinates rk4_chunks yields, and on those of rho0."""
 
-    def test_negative_eigenvalue_named_on_both_routes(self, schedules):
-        rho = np.stack([rotated_density([0.5, 0.5, 0.0], 1),
-                        rotated_density([1 + 2e-9, -2e-9, 0.0], 2)])
+    @pytest.mark.parametrize("tag, d", [("sl", 3), ("sta", 4), ("dfs3", 8)])
+    def test_negative_eigenvalue_named_on_both_routes(self, schedules, tag, d):
+        rho = np.stack([rotated_density([0.5, 0.5], 1, d),
+                        rotated_density([1 + 2e-9, -2e-9], 2, d)])
         with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 in rho0"):
-            propagate_lindblad(schedules["sl"], ErrorModel(), rho, samples=50)
-        chunk = np.broadcast_to(rho[0], (4, 3, 5, 3, 3)).copy()
+            propagate_lindblad(schedules[tag], ErrorModel(), rho, samples=50)
+        chunk = np.broadcast_to(rho[0], (4, 3, 5, d, d)).copy()
         chunk[2, 1, 3] = rho[1]
         with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
             _validate_density(chunk_coordinates(chunk), "at t")
