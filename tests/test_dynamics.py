@@ -431,22 +431,29 @@ class TestValidateDensity:
         _validate_density(chunk_coordinates(rotated_density([1 + 5e-10, -5e-10, 0.0], 3)[None]),
                           "at t")
 
-    @pytest.mark.parametrize("states", ["axial", "evolved"])
-    def test_rank_deficient_state_passes(self, schedules, states, monkeypatch):
-        # a pure state sits on the boundary the tolerance keeps inside, and
-        # the near-pure states of an open run sit about 1e-9 from it: the
-        # pivots must pass them all, with no chunk falling back to eigvalsh
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        if states == "axial":
-            _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())),
-                              "at t")
-        else:
-            sched = schedules["sl"]
-            errs = [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4) for x in (-0.02, 0.02)]
-            propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system))
+    def test_rank_deficient_state_passes(self, monkeypatch):
+        # a pure state sits on the boundary the tolerance keeps inside: the
+        # pivots must pass it, with no chunk falling back to eigvalsh
+        calls = count_eigvalsh(monkeypatch)
+        _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())), "at t")
         assert len(calls) == 0
+
+    def test_evolved_near_pure_states_pass(self, schedules, monkeypatch):
+        # the near-pure states of an open run sit about 1e-9 from the
+        # boundary: the pivots must pass them all without eigvalsh
+        calls = count_eigvalsh(monkeypatch)
+        sched = schedules["sl"]
+        errs = [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4) for x in (-0.02, 0.02)]
+        propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system))
+        assert len(calls) == 0
+
+
+def count_eigvalsh(monkeypatch):
+    """A list that gains one entry per call of np.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    return calls
 
 
 def chunk_coordinates(rho):
@@ -473,12 +480,20 @@ def random_densities(d, n, shift, seed):
 class TestValidateCoordinates:
     """The check on the coordinates rk4_chunks yields, and on those of rho0."""
 
-    @pytest.mark.parametrize("tag, d", [("sl", 3), ("sta", 4), ("dfs3", 8)])
-    def test_negative_eigenvalue_named_on_both_routes(self, schedules, tag, d):
+    def test_negative_eigenvalue_named_on_both_routes(self, schedules):
+        self.check_negative_eigenvalue_named(schedules["sl"], 3)
+
+    @pytest.mark.parametrize("tag, d", [("sta", 4), ("dfs3", 8)])
+    def test_negative_eigenvalue_named_at_larger_d(self, schedules, tag, d):
+        self.check_negative_eigenvalue_named(schedules[tag], d)
+
+    @staticmethod
+    def check_negative_eigenvalue_named(sched, d):
+        """A state with eigenvalue -2e-9 is named in rho0 and in a chunk."""
         rho = np.stack([rotated_density([0.5, 0.5], 1, d),
                         rotated_density([1 + 2e-9, -2e-9], 2, d)])
         with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 in rho0"):
-            propagate_lindblad(schedules[tag], ErrorModel(), rho, samples=50)
+            propagate_lindblad(sched, ErrorModel(), rho, samples=50)
         chunk = np.broadcast_to(rho[0], (4, 3, 5, d, d)).copy()
         chunk[2, 1, 3] = rho[1]
         with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
@@ -503,9 +518,7 @@ class TestValidateCoordinates:
         rho = random_densities(d, 60, shift, seed=d)
         passes = np.linalg.eigvalsh(rho).min(axis=1) >= dynamics.POSITIVITY_TOL
         assert passes.all() if shift > 0 else not passes.any()
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        calls = count_eigvalsh(monkeypatch)
         for i, r in enumerate(rho):
             states = chunk_coordinates(r[None] if i % 2 else r[None, None, None])
             if passes[i]:
