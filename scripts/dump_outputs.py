@@ -1,49 +1,29 @@
-"""Dump the full numerical outputs of every catalog scheme, or compare two dumps.
+"""Write the reference file of every catalog scheme's outputs, or print the oracles' errors.
 
-    python scripts/dump_outputs.py OUT.npz
-    python scripts/dump_outputs.py --compare A.npz B.npz
-    python scripts/dump_outputs.py --oracle-error
     python scripts/dump_outputs.py --reference PATH
+    python scripts/dump_outputs.py --oracle-error
 
-The dump holds, per scheme, the arrays a numerical change must keep within
-1e-12 of the previous outputs: what the schedule carries (its target, the
-segment durations, the `Segment.square` flags and every numeric entry of
-`notes`, nested ones included) and its `pulse_area`; H nodes and the full
-RK4 propagator
-trajectory (both at epsilon = 0.03, eta = -0.02), the unitary oracle and
-the (cyclic, parallel) condition residuals of that trajectory, under the
-errors it records, the auxiliary frame, the holonomy reconstruction `check` prints,
-and the six-axial-state Lindblad trajectory (epsilon = 0.05, gamma_minus =
-gamma_z = 3e-4; schemes with an excited level).  H nodes and
-frames are sampled segment by segment in local time, each segment on its
-allocate_steps share of 4000 (H) or 4096 (frame) intervals, both ends
-included.  The oracle Lindblad final states of sl, ps and dc at the golden
-4000 slices are included too, and so are the six-state fidelities and peak
-populations of two grid sweeps at the default 4000 steps: the 41-point
-epsilon sweep of sl, ps and dc at gamma_minus = gamma_z = 3e-4, the
-`fig13 a` decoherence sweep (9 points) and the closed 9-point epsilon sweep
-of dfs3 (the d = 8 Lindblad grid).  `--compare` prints max |A - B| per key
-and exits 1 if the key sets or the shape of any array differ, or if any key
-deviates by more than BOUND = 1e-12 or reads NaN; the line of such a key
-ends in "exceeds 1e-12".
+`--reference` writes the outputs of `reference` to PATH as JSON, one key
+per line, each entry a nested list of pairs [re, im] of floats in repr, so
+that a diff of two such files shows every number that moved.  They are the
+outputs a numerical change must keep within BOUND = 1e-12: what each
+schedule carries, the oracle and RK4 final states, residuals,
+reconstructions, the H nodes, RK4 and Lindblad trajectories and auxiliary
+frames as summaries (the first, middle and last row of every segment and a
+fixed-weight sum over all rows), and three points of each sweep.
+tests/data/reference.json is one, and a tier-1 test holds every later
+change to it within BOUND; a change that moves an output within the bound
+rewrites that file by this script.
 `--oracle-error` prints, per scheme, max |U_oracle - U_ref| of the unitary
-oracle at the ideal and the closed-system errors above, where U_ref is the
-same product of CF4 slice exponentials evaluated in clongdouble, and then,
-for sl, ps and dc
-at the golden point (gamma_minus = gamma_z = 3e-4, 4000 slices), max
-|rho_oracle - rho_ref| of the Lindblad oracle's six axial states, where
-rho_ref is the same product of CF4 slice exponents evaluated in clongdouble
-(about a minute).
-`--reference` writes the outputs of `reference`, the oracle and RK4 final
-states, residuals, reconstructions and three points of each sweep, to PATH
-as JSON, one key per line, each entry a pair [re, im] of floats in repr,
-so that a diff of two such files shows every number that moved;
-tests/data/reference.json is one, which the tests hold every later change
-to within BOUND.
+oracle at the ideal and the closed-system errors, where U_ref is the same
+product of CF4 slice exponentials evaluated in clongdouble, and then, for
+sl, ps and dc at the golden point (gamma_minus = gamma_z = 3e-4, 4000
+slices), max |rho_oracle - rho_ref| of the Lindblad oracle's six axial
+states, where rho_ref is the same product of CF4 slice exponents evaluated
+in clongdouble (about 8 s on a 2-core machine).
 """
 import argparse
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +59,32 @@ SWEEPS = {
 }
 
 
-def per_segment(sched, intervals: int, sample) -> np.ndarray:
-    """sample(k, local times) on each segment's share of `intervals`,
-    both ends included, concatenated in segment order."""
-    return np.concatenate([sample(k, np.linspace(0.0, seg.duration, n + 1)) for k, (seg, n)
-                           in enumerate(zip(sched.segments, allocate_steps(sched, intervals)))])
+def per_segment(sched, intervals: int, sample) -> list:
+    """sample(k, local times) on each segment's share of `intervals`, both
+    ends included, one block of rows per segment in segment order."""
+    return [sample(k, np.linspace(0.0, seg.duration, n + 1)) for k, (seg, n)
+            in enumerate(zip(sched.segments, allocate_steps(sched, intervals)))]
+
+
+def segment_blocks(traj) -> list:
+    """The states of the RK4 run traj, one block of rows per segment, both
+    ends included: a state on a boundary ends one block and starts the
+    next."""
+    ends = np.cumsum((0,) + traj.steps)
+    return [traj.operators[a:b + 1] for a, b in zip(ends[:-1], ends[1:])]
+
+
+def summary(prefix: str, blocks) -> dict:
+    """prefix/rows, the first, middle and last row of every block, and
+    prefix/sum, the mean of the rows of all blocks together.  Its weights
+    are positive and sum to 1, so by the triangle inequality it moves by at
+    most BOUND when no entry of any row moves by more, and a move spread
+    over the rows that prefix/rows skips still shows in it.  The mean is
+    taken of a C-ordered copy, so its bits do not depend on the blocks'
+    memory layout (a broadcast square-pulse block concatenates to another
+    order)."""
+    return {f"{prefix}/rows": np.stack([b[i] for b in blocks for i in (0, len(b) // 2, -1)]),
+            f"{prefix}/sum": np.ascontiguousarray(np.concatenate(blocks)).mean(axis=0)}
 
 
 def numeric_notes(prefix: str, notes: dict) -> dict:
@@ -96,40 +97,6 @@ def numeric_notes(prefix: str, notes: dict) -> dict:
         elif isinstance(value, (int, float, complex, np.number)):
             out[f"{prefix}/{name}"] = np.array(value)
     return out
-
-
-def dump(path: str) -> None:
-    arrays = {}
-    for tag, spec in benchmark_catalog().items():
-        sched = build_schedule(spec)
-        arrays[f"{tag}/target"] = sched.target
-        arrays[f"{tag}/durations"] = np.array([seg.duration for seg in sched.segments])
-        arrays[f"{tag}/square"] = np.array([seg.square for seg in sched.segments], dtype=float)
-        arrays[f"{tag}/pulse_area"] = np.array(pulse_area(sched))
-        arrays.update(numeric_notes(f"{tag}/notes", sched.notes))
-        arrays[f"{tag}/hnodes"] = per_segment(
-            sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))
-        traj = propagate_unitary(sched, CLOSED)
-        arrays[f"{tag}/unitary"] = traj.operators
-        arrays[f"{tag}/residuals"] = np.array(condition_residuals(traj))
-        arrays[f"{tag}/oracle_unitary"] = oracle_propagate_unitary(sched, CLOSED)
-        arrays[f"{tag}/frame"] = per_segment(sched, 4096, lambda k, t: sched.segments[k].frame(t))
-        arrays[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)
-        if sched.system.excited_index is None:
-            continue
-        rho0 = six_axial_densities(sched.system)
-        arrays[f"{tag}/lindblad"] = propagate_lindblad(sched, OPEN, rho0).operators
-        if tag in GOLDEN_TAGS:
-            arrays[f"{tag}/oracle_lindblad"] = oracle_propagate_lindblad(sched, OPEN, rho0)
-        print(f"{tag} done", file=sys.stderr)
-    catalog = benchmark_catalog()
-    for name, (tags, axis, grid, fixed) in SWEEPS.items():
-        result = sweep({tag: catalog[tag] for tag in tags}, axis, grid, fixed)
-        for tag in tags:
-            arrays[f"{name}/{tag}/fidelity"] = result.fidelity[tag]
-            arrays[f"{name}/{tag}/peak"] = result.peak_excited_population[tag]
-        print(f"{name} done", file=sys.stderr)
-    np.savez_compressed(path, **arrays)
 
 
 def longdouble_oracle(sched, err: ErrorModel) -> np.ndarray:
@@ -206,32 +173,56 @@ def oracle_error() -> None:
 
 
 def reference(oracle_gates=None, ideal_runs=None) -> dict:
-    """key -> array of the outputs a reference file holds: for every
-    catalog scheme, U(T) of the unitary oracle and of the RK4 run at the
-    ideal and the CLOSED errors, the (cyclic, parallel) condition residuals
-    of the ideal RK4 run and the holonomy reconstruction; for sl, ps and
-    dc, the six axial final states of the Lindblad oracle (4000 slices) and
-    of the RK4 run at the golden point (gamma_minus = gamma_z = 3e-4); and
-    the six-state fidelities and peak populations of the three SWEEPS at
-    their first, middle and last points, swept alone (a point reads the
-    same bits alone or inside a grid).  oracle_gates, a map tag -> oracle
-    U(T) at the ideal errors, and ideal_runs, a map tag -> ideal RK4
-    trajectory at the default steps, save recomputing those."""
+    """key -> array of the outputs a reference file holds.  For every
+    catalog scheme: what the schedule carries (its target, the segment
+    durations, the `Segment.square` flags and every numeric entry of
+    `notes`, nested ones included) and its `pulse_area`; U(T) of the
+    unitary oracle and of the RK4 run at the ideal and the CLOSED errors;
+    the (cyclic, parallel) condition residuals of both RK4 runs; the
+    holonomy reconstruction; and the summary (rows and sum) of the H nodes
+    at CLOSED on 4000 intervals, of the CLOSED RK4 run, and of the
+    auxiliary frame on 4096 intervals, H nodes and frames sampled segment
+    by segment in local time on each segment's allocate_steps share, both
+    ends included.  For schemes with an excited level, the summary of the
+    six-axial-state Lindblad run at OPEN.  For sl, ps and dc, the six axial
+    final states of the Lindblad oracle (4000 slices) at OPEN and at the
+    golden point (gamma_minus = gamma_z = 3e-4), and of the RK4 run at the
+    golden point.  And the six-state fidelities and peak populations of the
+    three SWEEPS at their first, middle and last points, swept alone (a
+    point reads the same bits alone or inside a grid).  oracle_gates, a map
+    tag -> oracle U(T) at the ideal errors, and ideal_runs, a map tag ->
+    ideal RK4 trajectory at the default steps, save recomputing those."""
     golden = ErrorModel(gamma_minus=FIG13_GAMMA, gamma_z=FIG13_GAMMA)
     catalog = benchmark_catalog()
     out = {}
     for tag, spec in catalog.items():
         sched = build_schedule(spec)
+        out[f"{tag}/target"] = sched.target
+        out[f"{tag}/durations"] = np.array([seg.duration for seg in sched.segments])
+        out[f"{tag}/square"] = np.array([seg.square for seg in sched.segments], dtype=float)
+        out[f"{tag}/pulse_area"] = np.array(pulse_area(sched))
+        out.update(numeric_notes(f"{tag}/notes", sched.notes))
         ideal = propagate_unitary(sched) if ideal_runs is None else ideal_runs[tag]
+        closed = propagate_unitary(sched, CLOSED)
         out[f"{tag}/oracle_unitary/ideal"] = (
             oracle_propagate_unitary(sched) if oracle_gates is None else oracle_gates[tag])
         out[f"{tag}/oracle_unitary/closed"] = oracle_propagate_unitary(sched, CLOSED)
         out[f"{tag}/unitary/ideal"] = ideal.final
-        out[f"{tag}/unitary/closed"] = propagate_unitary(sched, CLOSED).final
+        out[f"{tag}/unitary/closed"] = closed.final
         out[f"{tag}/residuals/ideal"] = np.array(condition_residuals(ideal))
+        out[f"{tag}/residuals/closed"] = np.array(condition_residuals(closed))
         out[f"{tag}/reconstruction"] = reconstruct_computational_gate(sched)
+        out.update(summary(f"{tag}/hnodes", per_segment(
+            sched, 4000, lambda k, t: segment_hamiltonian_nodes(sched, k, t, CLOSED))))
+        out.update(summary(f"{tag}/unitary", segment_blocks(closed)))
+        out.update(summary(f"{tag}/frame", per_segment(
+            sched, 4096, lambda k, t: sched.segments[k].frame(t))))
+        if sched.system.excited_index is None:
+            continue
+        rho0 = six_axial_densities(sched.system)
+        out.update(summary(f"{tag}/lindblad", segment_blocks(propagate_lindblad(sched, OPEN, rho0))))
         if tag in GOLDEN_TAGS:
-            rho0 = six_axial_densities(sched.system)
+            out[f"{tag}/oracle_lindblad/open"] = oracle_propagate_lindblad(sched, OPEN, rho0)
             out[f"{tag}/oracle_lindblad/golden"] = oracle_propagate_lindblad(sched, golden, rho0)
             out[f"{tag}/lindblad/golden"] = propagate_lindblad(sched, golden, rho0).final
     for name, (tags, axis, grid, fixed) in SWEEPS.items():
@@ -243,11 +234,20 @@ def reference(oracle_gates=None, ideal_runs=None) -> dict:
     return out
 
 
+def format_reference(arrays: dict) -> str:
+    """The text of a reference file: a JSON object, one key per line in
+    sorted order, each entry the array as nested pairs [re, im] of floats
+    in repr."""
+    lines = []
+    for key, a in sorted(arrays.items()):
+        a = np.asarray(a, dtype=complex)
+        pairs = np.stack([a.real, a.imag], -1).tolist()
+        lines.append(f"{json.dumps(key)}:{json.dumps(pairs, separators=(',', ':'))}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def write_reference(path: str) -> None:
-    lines = [f"{json.dumps(key)}:"
-             f"{json.dumps(np.stack([a.real, a.imag], -1).tolist(), separators=(',', ':'))}"
-             for key, a in sorted(reference().items())]
-    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    Path(path).write_text(format_reference(reference()))
 
 
 def read_reference(path) -> dict:
@@ -257,50 +257,15 @@ def read_reference(path) -> dict:
             for key, pairs in json.loads(Path(path).read_text()).items()}
 
 
-def compare(a_path: str, b_path: str) -> int:
-    a, b = np.load(a_path), np.load(b_path)
-    if set(a.files) != set(b.files):
-        print(f"key sets differ: {sorted(set(a.files) ^ set(b.files))}")
-        return 1
-    status = 0
-    for key in sorted(a.files):
-        if a[key].shape != b[key].shape:
-            print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
-            status = 1
-            continue
-        deviation = np.abs(a[key] - b[key]).max()
-        if deviation <= BOUND:  # NaN fails too
-            print(f"{key}: {deviation:.3e}")
-        else:
-            print(f"{key}: {deviation:.3e} exceeds {BOUND:.0e}")
-            status = 1
-    return status
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="*", metavar="NPZ")
-    parser.add_argument("--compare", action="store_true",
-                        help="compare two dumps instead of writing one")
-    parser.add_argument("--oracle-error", action="store_true",
-                        help="print the oracles' errors against clongdouble products")
-    parser.add_argument("--reference", metavar="PATH",
-                        help="write the outputs of the reference file to PATH")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--reference", metavar="PATH",
+                      help="write the outputs of the reference file to PATH")
+    mode.add_argument("--oracle-error", action="store_true",
+                      help="print the oracles' errors against clongdouble products")
     args = parser.parse_args()
-    if args.reference:
-        if args.paths or args.compare or args.oracle_error:
-            parser.error("--reference takes no other argument")
-        write_reference(args.reference)
-        sys.exit(0)
     if args.oracle_error:
-        if args.paths or args.compare:
-            parser.error("--oracle-error takes no other argument")
         oracle_error()
-        sys.exit(0)
-    if args.compare:
-        if len(args.paths) != 2:
-            parser.error("--compare takes two dumps")
-        sys.exit(compare(*args.paths))
-    if len(args.paths) != 1:
-        parser.error("give one output path")
-    dump(args.paths[0])
+    else:
+        write_reference(args.reference)

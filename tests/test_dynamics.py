@@ -541,18 +541,55 @@ def dump_outputs():
     return module
 
 
+REFERENCE = Path(__file__).parent / "data" / "reference.json"
+
+
 class TestOracles:
     def test_outputs_match_the_reference_file(self, oracle_gates, ideal_runs):
         # tests/data/reference.json, written by dump_outputs.py --reference:
-        # no numerical change may move an oracle or RK4 output, residual,
-        # reconstruction or sweep point by more than the script's BOUND
+        # no numerical change may move an output of a scheme, a summary of
+        # its trajectories or a sweep point by more than the script's BOUND
         script = dump_outputs()
-        ref = script.read_reference(Path(__file__).parent / "data" / "reference.json")
+        ref = script.read_reference(REFERENCE)
         out = script.reference(oracle_gates=oracle_gates, ideal_runs=ideal_runs)
         assert sorted(out) == sorted(ref)
+        moved = []
         for key, value in out.items():
             assert value.shape == ref[key].shape, key
-            assert np.abs(value - ref[key]).max() <= script.BOUND, key
+            deviation = np.abs(value - ref[key]).max()
+            if not deviation <= script.BOUND:  # NaN fails too
+                moved.append(f"{key}: {deviation:.1e} exceeds {script.BOUND:.0e}")
+        if moved:
+            pytest.fail("\n".join(moved))
+
+    def test_reference_file_is_in_canonical_form(self):
+        # write_reference's format, applied to what read_reference reads
+        # back, gives the committed file byte for byte: the round trip is
+        # exact and the file keeps one key per line
+        script = dump_outputs()
+        text = REFERENCE.read_text()
+        assert script.format_reference(script.read_reference(REFERENCE)) == text
+
+    def test_summary_sum_bounds_and_catches_moves(self):
+        # two segments of 21 rows, sampled at rows 0, 10, 20 of each: a move
+        # of 2 BOUND on every other row moves the mean by 2 BOUND 36/42 >
+        # BOUND, and no move of at most BOUND per entry moves it by more
+        script = dump_outputs()
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(42, 2, 2)) + 1j * rng.normal(size=(42, 2, 2))
+
+        def summarise(a):
+            return script.summary("x", [a[:21], a[21:]])
+
+        base = summarise(rows)
+        skipped = np.ones(42, dtype=bool)
+        skipped[[0, 10, 20, 21, 31, 41]] = False
+        moved = summarise(rows + 2 * script.BOUND * skipped[:, None, None])
+        assert np.array_equal(moved["x/rows"], base["x/rows"])
+        assert np.abs(moved["x/sum"] - base["x/sum"]).max() > script.BOUND
+        for _ in range(20):
+            small = summarise(rows + script.BOUND * rng.uniform(-1, 1, rows.shape))
+            assert np.abs(small["x/sum"] - base["x/sum"]).max() <= script.BOUND
 
     def test_unitary_oracle_exact_for_constant_drive(self, schedules):
         # piecewise-constant segments make the sliced product exact
