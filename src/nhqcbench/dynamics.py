@@ -35,9 +35,10 @@ and rho, Hermitian by construction, is read back only where a caller keeps
 it: once per chunk of a trajectory, once per grid block for the final
 states of a sweep.  Likewise the propagator chain runs on phi(U), real
 (2d, 2d), and U(t) is read back once per chunk.  The states of a pass live
-in the one buffer that ``rk4_chunks`` holds for it; the density check
-allocates its chunk-sized temporaries, a (d, d, N) copy of the coordinates
-and about d*d/2 + d rows of N values, afresh for each chunk.
+in the one buffer that ``rk4_chunks`` holds for it, coordinate-major, so
+the density check reads a chunk's coordinates in place, as a (d, d, N)
+view, and allocates only its temporaries, about d*d/2 + d rows of N
+values, afresh for each chunk.
 
 The RK4 generators of a segment reach the engine in one of two forms.  A
 square pulse (sl, ss, c, dc and dfs3) is constant by construction: its
@@ -320,8 +321,12 @@ def _validate_density(states: np.ndarray, where: str) -> None:
     the columns (d*d, k) of rho0 that _rho0_columns makes.
 
     They are checked with all N densities in the last axis, so each numpy
-    call acts on every one of them.  The trace is the sum of Q's diagonal
-    coordinates, read from a (d, d, N) copy q.  Positivity is the LDL^H
+    call acts on every one of them.  They are read through q, Q with its
+    coordinate axis moved first, reshaped to (d, d, N): a view of a chunk
+    of rk4_chunks, whose buffer is coordinate-major, and a copy only where
+    the other axes do not merge (a caller's own arrays).  The trace is the
+    sum of Q's diagonal coordinates, the rows that also seed the pivots,
+    added in order k = 0, 1, ....  Positivity is the LDL^H
     elimination of 2(rho - POSITIVITY_TOL*I), taken entry by entry on its
     lower triangle: the diagonal is the real (d, N) array of pivots
     2 q_kk - 2 POSITIVITY_TOL, and each entry below it one complex array
@@ -334,18 +339,18 @@ def _validate_density(states: np.ndarray, where: str) -> None:
     is not positive spoils only the later ones, so all are checked at the
     end; only when one is not positive does eigvalsh decide exactly and
     name the eigenvalue, after a non-finite entry, which only rho0 can
-    hold, is named as such.  Each call allocates q, the d pivots, the
-    d(d-1)/2 entries below the diagonal, the d rows c and one product row,
-    N values each; the elimination writes into them with out=."""
+    hold, is named as such.  Each call allocates the trace, the d pivots,
+    the d(d-1)/2 entries below the diagonal, the d rows c and one product
+    row, N values each; the elimination writes into them with out=."""
     d = math.isqrt(states.shape[-2])
-    moved = np.moveaxis(states, -2, 0)
-    q = np.empty((d, d, moved[0].size))
-    np.copyto(q.reshape(moved.shape), moved)
-    deviation = np.abs(np.trace(q) - 1.0).max()
+    q = np.moveaxis(states, -2, 0).reshape(d, d, -1)
+    diagonal = q.reshape(d * d, -1)[::d + 1]
+    # added in order k = 0, 1, ... whatever q's strides, as np.trace adds a contiguous q
+    deviation = np.abs(sum(diagonal[1:], diagonal[0]) - 1.0).max()
     if not deviation <= TRACE_TOL:  # NaN fails too
         raise RuntimeError(f"trace deviates by {deviation:.3e} {where}")
     n = q.shape[2:]
-    pivots = q.reshape(d * d, -1)[::d + 1] - POSITIVITY_TOL  # q's diagonal, a strided view
+    pivots = diagonal - POSITIVITY_TOL
     pivots *= 2.0
     low = {}
     for k in range(d):
@@ -471,13 +476,18 @@ def propagate_lindblad_grid(
     population of each grid point over time and batch (G,), and the RK4
     steps taken.
 
-    rho0 passes _rho0_columns once.  The points share one RK4 pass, in
+    An empty errs is rejected first (ValueError); rho0 then passes
+    _rho0_columns once.  The points share one RK4 pass, in
     blocks of CHUNK_ELEMENTS // d**4 so that memory stays bounded; each
     point's values are those of propagate_lindblad under its own error
     model, checked the same way.  Only the final states of a block are read
     back from Q; the monitored population is Q's coordinate (mon, mon),
-    which equals Re rho[mon, mon] bit for bit.
+    which equals Re rho[mon, mon] bit for bit.  In a chunk of rk4_chunks'
+    coordinate-major buffer it is one contiguous (c, G, k) run, whose peak
+    is taken axis by axis.
     """
+    if not len(errs):
+        raise ValueError("empty error grid")
     rho = np.asarray(rho0, dtype=complex)
     d = schedule.system.dim
     cols = _rho0_columns(schedule.system, rho)
@@ -489,7 +499,8 @@ def propagate_lindblad_grid(
         _, steps, chunks = _rk4_pass(schedule, part, cols, "lindblad", samples)
         top = np.full(len(part), rho[..., mon, mon].real.max())
         for states in chunks:
-            top = np.maximum(top, states[..., mon * (d + 1), :].max(axis=(0, 2)))
+            monitored = np.moveaxis(states, -2, 0)[mon * (d + 1)]  # (c, G, k), contiguous
+            top = np.maximum(top, monitored.max(axis=0).max(axis=1))
         final.append(_density(states[-1].swapaxes(-1, -2)))
         peak.append(top)
     return np.concatenate(final), np.concatenate(peak), sum(steps)

@@ -342,7 +342,10 @@ def rk4_chunks(
     whole blocks (below), so transient memory does not grow with the step
     count.  Each chunk of states is a (c, *y0.shape) view of one buffer
     held for the call: it is valid until the next chunk is requested, and
-    the last one stays valid.
+    the last one stays valid.  The buffer is coordinate-major, allocated
+    as (m, rows, *grid, r) and handed out through np.moveaxis, so each
+    coordinate of a chunk, (c, *grid, r), is one contiguous run: for a
+    y0 (.., m, r), np.moveaxis(chunk, -2, 0).reshape(m, -1) is a view.
 
     A segment whose A is one node broadcast along the lattice (stride 0, a
     square pulse) builds its step matrix once, from the same three nodes,
@@ -410,7 +413,8 @@ def rk4_chunks(
     # refault pages
     held = [max(3, b) if one else 3 * rs for one, b, rs in zip(broadcast, blocks, rows)]
     work = np.empty((max(held, default=0),) + grid + (m, m), dtype=y.dtype)
-    buf = np.empty((max(rows, default=0),) + y.shape, dtype=y.dtype)
+    # coordinate-major, so that each coordinate of a chunk is one contiguous run
+    buf = np.moveaxis(np.empty((m, max(rows, default=0)) + grid + (r,), dtype=y.dtype), 0, -2)
     for si, ((h, A), n, b, run, one) in enumerate(zip(segments, steps, blocks, runs, broadcast)):
         if one and n:
             powers = work[:b]

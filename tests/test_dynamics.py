@@ -355,8 +355,8 @@ def assert_grid_matches_points(schedule, errs, samples):
     assert final.shape == (len(errs), 6) + rho0.shape[1:]
     for g, err in enumerate(errs):
         traj = propagate_lindblad(schedule, err, rho0, samples)
-        assert np.abs(final[g] - traj.final).max() <= 1e-12
-        assert abs(peak[g] - traj.excited_population.max()) <= 1e-12
+        assert np.array_equal(final[g], traj.final)
+        assert peak[g] == traj.excited_population.max()
         assert steps == len(traj.times) - 1
 
 
@@ -400,6 +400,11 @@ class TestLindbladGrid:
         propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples=1000)
         assert len(folds) == 1 + 2 + len(sched.segments)
 
+    @pytest.mark.parametrize("rho0", [basis_rho(3, 0)[None], np.zeros((1, 3, 3))])
+    def test_rejects_empty_grid_first(self, schedules, rho0):
+        with pytest.raises(ValueError, match="^empty error grid$"):
+            propagate_lindblad_grid(schedules["sl"], [], rho0, samples=50)
+
     @pytest.mark.parametrize("errs", [
         [ErrorModel(epsilon=0.0, gamma_minus=1e-4)],
         GRID_AXES["decoherence"],  # its first point is closed
@@ -438,6 +443,18 @@ class TestValidateDensity:
         _validate_density(chunk_coordinates(six_axial_densities(LevelSystem.lambda3())), "at t")
         assert len(calls) == 0
 
+    def test_rejections_on_the_engine_layout(self):
+        # the check reads such a chunk in place and still names both faults
+        rho = np.broadcast_to(basis_rho(3, 0), (4, 3, 5, 3, 3)).copy()
+        rho[1, 2, 0, 2, 2] = 1e-6
+        states = engine_layout(chunk_coordinates(rho))
+        assert np.shares_memory(np.moveaxis(states, -2, 0).reshape(3, 3, -1), states)
+        with pytest.raises(RuntimeError, match=r"trace deviates by 1\.000e-06 at t"):
+            _validate_density(states, "at t")
+        rho[1, 2, 0] = rotated_density([1 + 2e-9, -2e-9, 0.0], 2)
+        with pytest.raises(RuntimeError, match=r"negative eigenvalue -2\.000e-09 at t"):
+            _validate_density(engine_layout(chunk_coordinates(rho)), "at t")
+
     def test_evolved_near_pure_states_pass(self, schedules, monkeypatch):
         # the near-pure states of an open run sit about 1e-9 from the
         # boundary: the pivots must pass them all without eigvalsh
@@ -446,6 +463,49 @@ class TestValidateDensity:
         errs = [ErrorModel(epsilon=x, gamma_minus=3e-4, gamma_z=3e-4) for x in (-0.02, 0.02)]
         propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system))
         assert len(calls) == 0
+
+
+class TestChunkLayout:
+    """Every chunk of a pass is a view of rk4_chunks' one coordinate-major
+    buffer, so the density check and the grid's peak read it in place."""
+
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("tag", ["sl", "ps"])  # square and varying segments
+    def test_lindblad_chunks_are_read_in_place(self, schedules, tag, points):
+        sched = schedules[tag]
+        d = sched.system.dim
+        cols = dynamics._rho0_columns(sched.system, six_axial_densities(sched.system))
+        errs = GRID_AXES["epsilon"][:points]
+        _, _, chunks = dynamics._rk4_pass(sched, errs, cols, "lindblad", 1000)
+        # the q of _validate_density splits these d*d coordinates into (d, d)
+        self.check_chunks(chunks, d * d)
+
+    def test_unitary_chunks_are_coordinate_major(self, schedules):
+        sched = schedules["ps"]
+        m = 2 * sched.system.dim
+        _, _, chunks = dynamics._rk4_pass(sched, [ErrorModel()], np.eye(m), "unitary", 1000)
+        self.check_chunks(chunks, m)
+
+    @staticmethod
+    def check_chunks(chunks, m):
+        """Each chunk, as it is yielded, reads as its C-ordered copy, and
+        its m coordinates are a view of it; the last one still holds its
+        values once the iterator is exhausted."""
+        seen = []
+        for chunk in chunks:
+            copy = np.ascontiguousarray(chunk)
+            assert np.array_equal(chunk, copy)
+            assert np.shares_memory(np.moveaxis(chunk, -2, 0).reshape(m, -1), chunk)
+            seen.append((chunk, copy))
+        assert len(seen) > 1
+        last, copy = seen[-1]
+        assert np.array_equal(last, copy)
+
+
+def engine_layout(states):
+    """Coordinates Q (..., d*d, k) in the layout of a chunk of rk4_chunks:
+    a view of a coordinate-major (d*d, ..., k) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(states, -2, 0)), 0, -2)
 
 
 def count_eigvalsh(monkeypatch):
