@@ -126,14 +126,17 @@ def overlap_gate_fidelity(actual: np.ndarray, target: np.ndarray, system) -> flo
     return float(abs(np.trace(M)) / 2)
 
 
-def six_state_fidelity(schedule: PulseSchedule, rho: np.ndarray) -> float:
+def six_state_fidelity(schedule: PulseSchedule, rho: np.ndarray) -> float | np.ndarray:
     """Mean <psi_k| T^+ rho_k T |psi_k> over the six axial states, T the
     schedule's target, given their final densities rho (6, d, d),
-    propagated by any route from six_axial_densities(schedule.system)."""
+    propagated by any route from six_axial_densities(schedule.system): a
+    float, or for a stack rho (G, 6, d, d) one per grid point, (G,), with
+    the ideal states taken once and the bits of each point's own call."""
     system, T = schedule.system, schedule.target
     comp = list(system.computational_indices)
     ideal = np.stack([system.embed_qubit(T @ s[comp]) for s in six_axial_states(system)])
-    return float(np.einsum("ki,kij,kj->k", ideal.conj(), rho, ideal).real.mean())
+    f = np.einsum("ki,...kij,kj->...k", ideal.conj(), rho, ideal).real.mean(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def lindblad_gate_fidelity(
@@ -232,7 +235,7 @@ def sweep(
         schedule = _schedule(spec)
         final, peak, steps = propagate_lindblad_grid(
             schedule, errs, six_axial_densities(schedule.system), samples)
-        fid = np.array([six_state_fidelity(schedule, rho) for rho in final])
+        fid = six_state_fidelity(schedule, final)
         if fid.max() > 1 + 1e-9:
             raise ValueError(f"fidelity {fid.max()} exceeds 1")
         result.fidelity[tag] = fid

@@ -7,7 +7,7 @@ Two independent numerical routes are maintained everywhere:
   propagators and A = the real Lindblad generator for density matrices;
   the states follow as a chain of precomputed real step matrices.  H is
   data, sum_k c_k(t) H_k (``system.Segment``), and A is linear in H, so
-  each segment lifts its ops H_k once (``_lift``) and ``Segment.nodes``,
+  each segment lifts its ops H_k once (``_lift``) and ``system.assemble``,
   the one assembly of a segment's generators, gives them at a run of the
   half-step lattice by one product.  The terms that do not vary, the lift
   of eta|e><e| and the dissipator, come from one place, ``_fixed``, for
@@ -46,12 +46,21 @@ coefficients are ``system.Constant``, so ``Segment.nodes`` gives one
 generator node broadcast along its lattice (stride 0), and the engine
 builds one step matrix for the whole segment, with no probe of values.
 Every other segment reaches the engine through one lazy sequence,
-``_Runs``, which builds each run of matrices as the engine reads it, so no
-stack the size of a segment is ever held.  One pass builder,
+``_Runs``, which assembles each run of matrices as the engine reads it.
+Its coefficients come from ``_Blocks``, which evaluates the drive once per
+block of at most CHUNK_ELEMENTS // K lattice times (K ops; at the default
+step counts every catalog segment is one block), so each run is a slice
+of a block; the coefficients are elementwise in t, so a slice has the
+bits of its own evaluation.  Every run of a pass is written into one
+buffer held for the pass, which the engine consumes before it reads the
+next run, so no stack of generators the size of a segment is ever held:
+only its coefficients, K per time.  One pass builder,
 ``_rk4_pass``, serves both kinds, and checks the states of both: only the
 lift of the ops and the density check of a Lindblad pass differ.  On a
 square pulse the oracle takes one exponential and one chunk product per
-chunk length, which serves every chunk of that length, so
+chunk length, which serves every chunk of that length; on every other
+segment it reads the coefficients at its Gauss nodes from ``_Blocks``
+too.  So
 ``Segment.square`` is the one notion of "constant" in both routes.  Every
 per-node operation gives one node alone the bits it gives it inside the
 stack, and a reused chunk product is the one its chunk would build, so
@@ -62,10 +71,8 @@ together.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,7 +89,7 @@ from .numkit import (
     rk4_chunks,
     unitarity_defect,
 )
-from .system import ErrorModel, LevelSystem, PulseSchedule, detuning_error
+from .system import ErrorModel, LevelSystem, PulseSchedule, assemble, detuning_error
 
 UNITARY_SAMPLES = 2000
 LINDBLAD_SAMPLES = 4000
@@ -178,20 +185,60 @@ def allocate_steps(schedule: PulseSchedule, total_steps: int, floor: int = 8) ->
     return alloc
 
 
-@dataclass(frozen=True)
-class _Runs:
-    """The RK4 generators build(times) at every time of a segment, as the
-    lazy sequence rk4_chunks reads: a run [run] is built when it is read,
-    so no stack the size of the segment is ever held."""
+class _Blocks:
+    """Segment.coefficients of seg at `times`, as the lazy sequence of
+    coefficient rows both routes read run by run, in increasing order:
+    they are evaluated once per block of at most CHUNK_ELEMENTS // K times,
+    K the segment's op count, taken from the first run that the held block
+    does not cover, and every run is a slice of its block (a run longer
+    than a block is its own block).  Coefficients are elementwise in t
+    (Segment), so a run has the bits of its own evaluation."""
 
-    times: np.ndarray
-    build: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, seg, times: np.ndarray):
+        self.coefficients = seg.coefficients
+        self.times = times
+        self.size = max(1, CHUNK_ELEMENTS // len(seg.ops))
+        self.start = self.stop = 0
+        self.block = None
 
     def __len__(self) -> int:
         return len(self.times)
 
     def __getitem__(self, run: slice) -> np.ndarray:
-        return self.build(self.times[run])
+        start, stop, _ = run.indices(len(self.times))
+        if not self.start <= start <= stop <= self.stop:
+            self.start = start
+            self.stop = min(len(self.times), start + max(self.size, stop - start))
+            self.block = self.coefficients(self.times[self.start:self.stop])
+        return self.block[start - self.start:stop - self.start]
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """The RK4 generators of a varying segment on its half-step lattice,
+    as the lazy sequence rk4_chunks reads: a run [run] is assembled when
+    it is read, from its slice of the coefficient blocks, by
+    system.assemble into held[0], the one buffer of the pass, shared by
+    its segments and grown to the longest run read.  So a run is valid
+    until the next is read, as rk4_chunks needs: it builds a run's step
+    matrices before it reads the next."""
+
+    coefficients: _Blocks
+    terms: np.ndarray
+    weights: np.ndarray
+    const: np.ndarray
+    held: list
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, run: slice) -> np.ndarray:
+        c = self.coefficients[run]
+        size = len(c) * self.const.size
+        if self.held[0].size < size:
+            self.held[0] = np.empty(size)
+        out = self.held[0][:size].reshape(c.shape[:1] + self.const.shape)
+        return assemble(c, self.terms, self.weights, self.const, out=out)
 
 
 def segment_state_times(traj: Trajectory):
@@ -245,11 +292,14 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
     w_g = Segment.weights(errs[g]), C_g = _fixed(...)[g] and S the lift
     that kind picks (_lift): phi(-iH) for "unitary", the folded commutator
     superoperator for "lindblad".  Each segment lifts its K ops once, and
-    Segment.nodes gives the whole grid's generators at a run of times by
+    system.assemble gives the whole grid's generators at a run of times by
     one product.  A square pulse (Segment.square) gets its one node,
-    broadcast along its lattice, which rk4_chunks takes whole.  Every
-    other segment gets _Runs, so its coefficients are only ever evaluated
-    one run at a time.
+    broadcast along its lattice (Segment.nodes), which rk4_chunks takes
+    whole.  Every other segment gets _Runs: its coefficients are evaluated
+    once per block of at most CHUNK_ELEMENTS // K lattice times (_Blocks),
+    and each run is assembled from its slice of a block into one buffer
+    held for the pass, shared by the segments, with the product written
+    there by out= and the fixed terms added in place.
 
     This is the one place that checks every chunk of a pass as it is made:
     rk4_chunks aborts on a non-finite state, and each chunk of a
@@ -264,15 +314,19 @@ def _rk4_pass(schedule: PulseSchedule, errs, y0: np.ndarray, kind: str, samples:
         raise ValueError(f"step count {samples} must be >= 1")
     const = _fixed(schedule, kind, errs)
     steps = tuple(allocate_steps(schedule, samples))
+    held = [np.empty(0)]  # the generators of every run of the pass's varying segments
     segments = []
     times = [np.zeros(1)]
     t_offset = 0.0
     for seg, n in zip(schedule.segments, steps):
         lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
-        nodes = functools.partial(seg.nodes, terms=_lift(schedule.system, kind, seg.ops),
-                                  weights=np.stack([seg.weights(e) for e in errs]), const=const)
-        with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
-            A = nodes(lattice) if seg.square else _Runs(lattice, nodes)
+        terms = _lift(schedule.system, kind, seg.ops)
+        weights = np.stack([seg.weights(e) for e in errs])
+        if seg.square:
+            with np.errstate(over="ignore", invalid="ignore"):  # left to rk4_chunks' check
+                A = seg.nodes(lattice, terms, weights, const)
+        else:
+            A = _Runs(_Blocks(seg, lattice), terms, weights, const, held)
         segments.append((seg.duration / n, A))
         times.append(t_offset + lattice[2::2])
         t_offset += seg.duration
@@ -555,22 +609,24 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     exponent is the coefficient row a c(t1) + b c(t2) (or b, a), weighted
     by Segment.weights(err), times the lifts _lift(kind) of the segment's
     ops, taken once per segment, plus (a + b) C, with C = _fixed(...) the
-    terms that do not vary.  The coefficients of a chunk are taken at both
-    nodes in one call, on the concatenated times (they are elementwise in
-    t, so the bits are those of two calls).  The rows are mixed before the
-    product, not the nodes after it, which would cost m**2 per slice.  Segments are taken
-    in chunks of CHUNK_ELEMENTS // m**2 slices: the coefficients, both
-    exponents of every slice interleaved in time order, and one
-    ordered_product.  A chunk of a square pulse (Segment.square) takes the
-    coefficients of its first slice alone and the exponential of its first
-    exponent, broadcast to every factor of the product, which the
-    per-matrix Taylor polynomial gives bit for bit, and ordered_product
-    then builds one block's products for all blocks.  Its chunks of one
-    length have the same factors, so a square segment takes that product
-    once per chunk length, held for the segment's loop alone, and
-    multiplies it into P for every chunk of that length: the same product
-    the chunk would build, so the same bits.  A rejected exponent names
-    its slice."""
+    terms that do not vary.  The coefficients at both Gauss nodes of
+    every slice, interleaved in time order, are read from _Blocks, which
+    evaluates them once per block of at most CHUNK_ELEMENTS // K nodes, a
+    chunk's rows being a slice of a block (they are elementwise in t, so
+    the bits are those of a call per node).  The rows are mixed before the
+    product, not the nodes after it, which would cost m**2 per slice.
+    Segments are taken in chunks of CHUNK_ELEMENTS // m**2 slices: the
+    coefficient rows, both exponents of every slice interleaved in time
+    order, and one ordered_product.  A chunk of a square pulse
+    (Segment.square) takes the coefficients of its first slice alone and
+    the exponential of its first exponent, broadcast to every factor of
+    the product, which the per-matrix Taylor polynomial gives bit for bit,
+    and ordered_product then builds one block's products for all blocks.
+    Its chunks of one length have the same factors, so a square segment
+    takes that product once per chunk length, held for the segment's loop
+    alone, and multiplies it into P for every chunk of that length: the
+    same product the chunk would build, so the same bits.  A rejected
+    exponent names its slice."""
     const = (_CF4_A + _CF4_B) * _fixed(schedule, kind, [err])[0]
     exponentials = expm_embedded if kind == "unitary" else expm_taylor
     m = const.shape[-1]
@@ -580,7 +636,9 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
     for seg, n in zip(schedule.segments, alloc):
         h = seg.duration / n
         t0 = np.arange(n) * h
-        t1, t2 = t0 + _CF4_C1 * h, t0 + _CF4_C2 * h
+        # both Gauss nodes of slice k, at 2k and 2k + 1
+        gauss = np.stack([t0 + _CF4_C1 * h, t0 + _CF4_C2 * h], axis=1).reshape(-1)
+        blocks = _Blocks(seg, gauss)
         lifted = _lift(schedule.system, kind, seg.ops).reshape(len(seg.ops), m * m)
         w = seg.weights(err)
         products = {}  # a square segment's chunk products, by chunk length
@@ -589,10 +647,12 @@ def _cf4_product(schedule: PulseSchedule, err: ErrorModel, slices: int, kind: st
             if size in products:
                 P = products[size] @ P
                 continue
-            c1 = c0 + 1 if seg.square else c0 + chunk
             with np.errstate(over="ignore", invalid="ignore"):  # left to the exponentials
-                k = seg.coefficients(np.concatenate([t1[c0:c1], t2[c0:c1]])) * w
-                k1, k2 = k[:len(k) // 2], k[len(k) // 2:]
+                if seg.square:  # the first slice alone
+                    k = seg.coefficients(gauss[2 * c0:2 * c0 + 2]) * w
+                else:
+                    k = blocks[2 * c0:2 * (c0 + size)] * w
+                k1, k2 = k[0::2], k[1::2]
                 rows = np.stack([_CF4_A * k1 + _CF4_B * k2, _CF4_B * k1 + _CF4_A * k2], axis=1)
                 X = combine(rows.reshape(-1, len(w)), lifted).reshape(-1, m, m) + const
             try:

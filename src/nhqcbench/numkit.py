@@ -108,17 +108,18 @@ def node_last_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def combine(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """rows (n, K) @ terms (K, M), real: the product of Segment.nodes,
+def combine(rows: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows (n, K) @ terms (K, M), real: the product of system.assemble,
     which assembles every generator and H node of a segment, and of the
-    oracle's exponents.  numpy hands a single row to BLAS gemv, which can
-    round otherwise than the gemm that takes a stack of two rows or more,
-    so one row is taken as two: a square segment's one node then has the
-    bits of the same node inside a run, as the tests of the constant path
-    check."""
+    oracle's exponents.  Two rows or more go into out (n, M) when it is
+    given.  numpy hands a single row to BLAS gemv, which can round
+    otherwise than the gemm that takes a stack of two rows or more, so one
+    row is taken as two, in a fresh array: a square segment's one node
+    then has the bits of the same node inside a run, as the tests of the
+    constant path check."""
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ terms)[:1]
-    return rows @ terms
+    return np.matmul(rows, terms, out=out)
 
 
 class RejectedMatrix(ValueError):

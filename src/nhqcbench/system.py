@@ -8,8 +8,9 @@ Conventions used throughout the package:
   ``|w(theta_b, phi_b)> = sin(theta_b/2)|0> - cos(theta_b/2) e^{i phi_b}|1>``
   to the excited level:  H_drive = envelope * e^{-i phase} |w><e| + h.c.
 * H is data: a segment holds K fixed Hermitian operators H_k and real
-  coefficients c_k(t), H(t) = sum_k c_k(t) H_k.  Segment.nodes is the one
-  place that sums them, for the H nodes here and for the RK4 generators.
+  coefficients c_k(t), elementwise in t, H(t) = sum_k c_k(t) H_k.
+  ``assemble`` is the one place that sums them, for the H nodes here
+  (through Segment.nodes) and for the RK4 generators.
 * Rabi error multiplies every term but the one a segment marks unscaled,
   its detuning |e><e|:  H = (1+eps) sum_{k != u} c_k H_k + c_u H_u
   + eta|e><e| (eta already in omega_bar units).
@@ -152,8 +153,11 @@ class Segment:
     segment and checked once here; coefficients maps local times (n,) to
     the real (n, K) weights c_k.  The Rabi error scales every column but
     `unscaled`, the index of the detuning |e><e| if the segment has one.
-    A square pulse has Constant coefficients, which every route, and the
-    H nodes, take as one node for the whole segment.  envelope(t) is the
+    The coefficients must be elementwise in t: row i of coefficients(t)
+    depends on t[i] alone, bit for bit, so the routes may evaluate them on
+    any block of times that holds the ones they need and slice it.  A
+    square pulse has Constant coefficients, which every route, and the H
+    nodes, take as one node for the whole segment.  envelope(t) is the
     coupling magnitude used for pulse-area accounting.  frame, when
     present, maps local times (n,) to the (n, L+1, d) analytic auxiliary
     frame used by the holonomy checks.
@@ -194,18 +198,29 @@ class Segment:
 
     def nodes(self, t: np.ndarray, terms: np.ndarray, weights: np.ndarray,
               const: np.ndarray) -> np.ndarray:
-        """sum_k weights[g, k] c_k(t) terms[k] + const[g] at local times t
-        (n,), (n, G, ...): the one assembly of a segment's generators.
-        terms (K, ...) are the ops or their lifts, real, weights (G, K) one
-        row of Segment.weights per grid point and const (G, ...) the terms
-        that do not vary.  One (n*G, K) @ (K, M) product by numkit.combine;
-        a square segment takes the product of its one node alone, broadcast
-        along t (stride 0, read-only), with the bits of every node of the
-        materialized stack."""
-        c = self.coefficients(t[:1] if self.square else t)
-        rows = (c[:, None] * weights).reshape(-1, len(terms))
-        A = combine(rows, terms.reshape(len(terms), -1)).reshape(c.shape[:1] + const.shape) + const
+        """assemble(coefficients(t), ...) at local times t (n,), (n, G, ...):
+        the segment's generators or H nodes at t.  A square segment takes
+        the node of its first time alone, broadcast along t (stride 0,
+        read-only), with the bits of every node of the materialized
+        stack."""
+        A = assemble(self.coefficients(t[:1] if self.square else t), terms, weights, const)
         return np.broadcast_to(A, (len(t),) + A.shape[1:]) if self.square else A
+
+
+def assemble(c: np.ndarray, terms: np.ndarray, weights: np.ndarray, const: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k weights[g, k] c[i, k] terms[k] + const[g], (n, G, ...), of a
+    segment's coefficient rows c (n, K): the one assembly of its
+    generators and H nodes.  terms (K, ...) are the ops or their lifts,
+    real, weights (G, K) one row of Segment.weights per grid point and
+    const (G, ...) the terms that do not vary.  One (n*G, K) @ (K, M)
+    product by numkit.combine, written into out (n, G, ...) when it is
+    given, to which const is added in place."""
+    rows = (c[:, None] * weights).reshape(-1, len(terms))
+    flat = None if out is None else out.reshape(len(rows), -1)
+    A = combine(rows, terms.reshape(len(terms), -1), out=flat).reshape(c.shape[:1] + const.shape)
+    A += const
+    return A
 
 
 def bright_ray(system: LevelSystem, bright_axis: tuple[float, float]) -> np.ndarray:

@@ -16,7 +16,11 @@ from nhqcbench.bench import (
     table1_rows,
     unitary_gate_fidelity,
 )
-from nhqcbench.dynamics import oracle_propagate_lindblad, six_axial_densities
+from nhqcbench.dynamics import (
+    oracle_propagate_lindblad,
+    propagate_lindblad_grid,
+    six_axial_densities,
+)
 from nhqcbench.system import ErrorModel, LevelSystem
 
 PI = np.pi
@@ -89,6 +93,16 @@ class TestLindbladFidelity:
                                         slices=golden["oracle_slices"])
         f = six_state_fidelity(sched, rho)
         assert f == pytest.approx(golden["fidelity"], abs=1e-8)
+
+    @pytest.mark.parametrize("tag", ["ps", "dfs3"])
+    def test_stack_of_finals_reads_each_point_bit_for_bit(self, schedules, tag):
+        # a sweep takes the fidelity of all its points in one call
+        sched = schedules[tag]
+        errs = [ErrorModel(epsilon=x) for x in (-0.05, 0.0, 0.02)]
+        final, _, _ = propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), 2000)
+        points = [six_state_fidelity(sched, rho) for rho in final]
+        assert all(type(f) is float for f in points)
+        assert six_state_fidelity(sched, final).tolist() == points
 
 
 class TestPulseArea:

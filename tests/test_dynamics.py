@@ -376,6 +376,34 @@ class TestLindbladGrid:
         errs = [ErrorModel(epsilon=x) for x in np.linspace(-0.1, 0.1, 8)]
         assert_grid_matches_points(schedules["dfs3"], errs, 400)
 
+    @pytest.mark.parametrize("tag, samples", [("s", 6000), ("sta", 6600)])
+    def test_segments_longer_than_a_coefficient_block(self, schedules, tag, samples):
+        # every lattice here is longer than CHUNK_ELEMENTS // K nodes (s:
+        # 12001 > 10922, sta: 4401 > 4096), so its coefficients take several
+        # blocks, and the grid and each point, whose runs differ, split it
+        # at their own runs; the values still agree bit for bit
+        calls = []
+        sched = schedules[tag]
+        sched = replace(sched, segments=tuple(
+            replace(seg, coefficients=lambda t, k=k, f=seg.coefficients: (calls.append((k, t)),
+                                                                            f(t))[1])
+            for k, seg in enumerate(sched.segments)))
+        errs = GRID_AXES["epsilon"]
+        propagate_lindblad_grid(sched, errs, six_axial_densities(sched.system), samples)
+        for k, (seg, n) in enumerate(zip(sched.segments, allocate_steps(sched, samples))):
+            lattice = np.linspace(0.0, seg.duration, 2 * n + 1)
+            blocks = [t for j, t in calls if j == k]
+            assert len(blocks) > 1 and len(lattice) > dynamics.CHUNK_ELEMENTS // len(seg.ops)
+            end = 0
+            for t in blocks:  # full blocks of the lattice, each overlapping the last
+                start = int(np.searchsorted(lattice, t[0]))
+                assert len(t) == min(dynamics.CHUNK_ELEMENTS // len(seg.ops), len(lattice) - start)
+                assert np.array_equal(t, lattice[start:start + len(t)])
+                assert (start == 0) if end == 0 else (end - len(t) < start < end)
+                end = start + len(t)
+            assert end == len(lattice)
+        assert_grid_matches_points(sched, errs, samples)
+
     def test_blocks_of_the_grid_leave_values_unchanged(self, schedules, monkeypatch):
         sched = schedules["ps"]
         errs = GRID_AXES["epsilon"] + GRID_AXES["eta"]
@@ -1060,7 +1088,8 @@ class TestConstantDrives:
     @pytest.mark.parametrize("tag", CONSTANT_DRIVES + VARYING_DRIVES)
     def test_catalog_takes_the_constant_path_on_square_pulses(self, schedules, monkeypatch, tag):
         # a square pulse that stops being Constant fails here, and so does
-        # a varying drive evaluated on more than one run at a time or probed
+        # a varying drive evaluated more than once per block of its times,
+        # on a block longer than CHUNK_ELEMENTS // K, or probed
         square = tag in CONSTANT_DRIVES
         assert [seg.square for seg in schedules[tag].segments] == [square] * len(
             schedules[tag].segments)
@@ -1070,6 +1099,13 @@ class TestConstantDrives:
         stack_sizes(monkeypatch, dynamics, "expm_embedded", exps)
         stack_sizes(monkeypatch, dynamics, "expm_taylor", exps)
         one = len(sched.segments)
+        # at these step and slice counts every segment's times are one block:
+        # the 2n + 1 nodes of its RK4 lattice, the 2n Gauss nodes of its slices
+        times = {"unitary": [2 * n + 1 for n in allocate_steps(sched, dynamics.UNITARY_SAMPLES)],
+                 "lindblad_grid": [2 * n + 1 for n in allocate_steps(sched, 2000)],
+                 "oracle_unitary": [2 * n for n in allocate_steps(sched, 1000, floor=16)],
+                 "oracle_lindblad": [2 * n for n in allocate_steps(sched, 200, floor=16)]}
+        block = min(dynamics.CHUNK_ELEMENTS // len(seg.ops) for seg in sched.segments)
         for name, run in constant_runs(sched, catalog_errors(sched)).items():
             for seen in (drives, steps, exps):
                 seen.clear()
@@ -1078,8 +1114,10 @@ class TestConstantDrives:
                 assert (max(exps) == 1) == square, name
             elif square:  # one node and one step matrix per segment
                 assert drives == [1] * one and steps == [3] * one, name
-            else:  # each chunk evaluates the drive on its own run, and nothing else does
-                assert drives == steps and max(steps) > 3, name
+            else:  # the engine reads several runs of each segment's one block
+                assert len(steps) > one and max(steps) > 3, name
+            if not square:  # one drive call per segment, on all its times
+                assert drives == times[name] and max(drives) <= block, name
 
     @pytest.mark.parametrize("tag", ["sl", "ss", "dc", "dfs3"])
     def test_constant_path_keeps_the_bits(self, schedules, tag):
